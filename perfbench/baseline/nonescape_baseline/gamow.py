@@ -1,0 +1,542 @@
+"""Resonant (Gamow) states and the expansion of an initial state over them.
+
+A resonant state u_n is the regular solution at a matching-function zero
+k_n, normalized by the Zel'dovich-style rule
+
+    int_0^R u_n^2 dr + i u_n(R)^2 / (2 k_n) = 1,
+
+which makes the set {u_n} complete inside [0, R] together with the mirror
+states u_{-n} = conj(u_n) at k_{-n} = -conj(k_n).  An initial state psi0
+confined to [0, R] is expanded as
+
+    psi0(r) = (1/2) sum_n C_n u_n(r),      C_n = int_0^R psi0 u_n dr,
+
+with *no* conjugation in the coefficient integral.  All overlap integrals
+``I[n, l] = int_0^R conj(u_l) u_n dr`` have closed forms; the anti-diagonal
+pair l = -n is special because the Green's-identity derivation degenerates
+to 0 = 0 there, and the correct value is supplied by the normalization rule
+itself.  The closed forms are cross-checked against panel quadrature.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import (
+    ConfigError,
+    DomainError,
+    InvalidState,
+    NormalizationSingular,
+    ToleranceNotMet,
+    ZeroWavenumber,
+)
+from .model import (
+    BoxMode,
+    InitialState,
+    Potential,
+    initial_wavefunction,
+    potential_range,
+    segments,
+    state_norm,
+)
+from .poles import PoleSet, ResonancePole
+from .segmath import kernels, panel_nodes, product_integral, propagate
+
+__all__ = [
+    "GamowState",
+    "build_state",
+    "StateDiagnostics",
+    "validate_state",
+    "overlap_closed",
+    "overlap_quadrature",
+    "overlap_matrix",
+    "expansion_coefficient",
+    "ExpansionData",
+    "build_expansion",
+    "weighted_field",
+    "sum_rule_residual",
+    "reconstruct_initial",
+]
+
+
+@dataclass(frozen=True, eq=False)
+class GamowState:
+    """One normalized resonant state on [0, R], stored per segment.
+
+    Within segment j (local coordinate x from the segment's left edge) the
+    state is ``a[j] cos(q_j x) + b[j] sin(q_j x)/q_j`` with q_j^2 = z[j].
+    """
+
+    pole: ResonancePole
+    r_edges: np.ndarray
+    z: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    boundary_value: complex  # u(R)
+
+    @property
+    def k(self) -> complex:
+        return self.pole.k
+
+    @property
+    def radius(self) -> float:
+        return float(self.r_edges[-1])
+
+    def evaluate(self, r: np.ndarray | float) -> np.ndarray | complex:
+        """u(r) for r in [0, R], vectorized."""
+        r_arr = np.asarray(r, dtype=float)
+        radius = self.radius
+        if np.any(r_arr < -1e-12) or np.any(r_arr > radius * (1.0 + 1e-12) + 1e-12):
+            raise DomainError("state evaluation outside [0, R]")
+        idx = np.clip(
+            np.searchsorted(self.r_edges, r_arr, side="right") - 1,
+            0,
+            len(self.z) - 1,
+        )
+        x = r_arr - self.r_edges[idx]
+        c, s = kernels(self.z[idx], x)
+        val = self.a[idx] * c + self.b[idx] * s
+        if np.ndim(r) == 0:
+            return complex(val)
+        return val
+
+
+def _raw_state(potential: Potential, k: complex):
+    """Segment coefficients of the regular solution u(0)=0, u'(0)=1."""
+    segs = segments(potential)
+    edges = [0.0]
+    z_list, a_list, b_list = [], [], []
+    u, du = 0.0 + 0.0j, 1.0 + 0.0j
+    for r_start, r_end, height in segs:
+        z = k * k - height
+        z_list.append(z)
+        a_list.append(u)
+        b_list.append(du)
+        u, du = propagate(u, du, z, r_end - r_start)
+        edges.append(r_end)
+    return (
+        np.asarray(edges),
+        np.asarray(z_list, dtype=complex),
+        np.asarray(a_list, dtype=complex),
+        np.asarray(b_list, dtype=complex),
+        u,
+    )
+
+
+def build_state(potential: Potential, pole: ResonancePole) -> GamowState:
+    """Construct the normalized resonant state for one pole (or mirror).
+
+    Mirror poles are handled by the same propagation; because the segment
+    kernels have real Taylor coefficients, the state built at -conj(k_n) is
+    the pointwise conjugate of the one built at k_n.
+
+    Raises
+    ------
+    ZeroWavenumber
+        If the pole wavenumber vanishes (normalization divides by k).
+    NormalizationSingular
+        If the normalization integral vanishes (degenerate pole).
+    """
+    k = complex(pole.k)
+    if k == 0:
+        raise ZeroWavenumber("cannot normalize a zero-wavenumber state")
+    edges, z, a, b, u_r = _raw_state(potential, k)
+    norm2 = 0.0 + 0.0j
+    scale = 0.0
+    for j in range(len(z)):
+        length = edges[j + 1] - edges[j]
+        seg = product_integral(length, z[j], a[j], b[j], z[j], a[j], b[j])
+        norm2 += seg
+        scale += abs(seg)
+    surface = 1j * u_r * u_r / (2.0 * k)
+    norm2 += surface
+    scale += abs(surface)
+    if abs(norm2) <= 1e-10 * max(scale, 1e-300):
+        raise NormalizationSingular(
+            f"normalization integral vanishes at k = {k:.6g}"
+        )
+    norm = np.sqrt(norm2)
+    return GamowState(
+        pole=pole,
+        r_edges=edges,
+        z=z,
+        a=a / norm,
+        b=b / norm,
+        boundary_value=complex(u_r / norm),
+    )
+
+
+@dataclass(frozen=True)
+class StateDiagnostics:
+    """Residuals of the defining properties of a resonant state.
+
+    All residuals are relative to natural scales: the ODE residual to
+    |k^2| max|u|, the boundary-condition residual to |k| |u(R)|, and the
+    normalization residual is the absolute deviation from 1.
+    """
+
+    ode_residual: float
+    origin_residual: float
+    outgoing_residual: float
+    normalization_residual: float
+
+
+def validate_state(
+    potential: Potential,
+    state: GamowState,
+    rtol: float = 1e-8,
+    samples_per_segment: int = 40,
+) -> StateDiagnostics:
+    """Check the ODE, both boundary conditions, and the normalization rule.
+
+    The ODE residual u'' + (k^2 - V) u is probed on a five-point stencil at
+    interior points of every segment (stencils never straddle a kink).
+
+    Raises
+    ------
+    ToleranceNotMet
+        If any relative residual exceeds ``rtol``.
+    """
+    k = state.k
+    h = 0.01 / max(1.0, abs(k))
+    worst = 0.0
+    for j, (r_start, r_end, height) in enumerate(segments(potential)):
+        length = r_end - r_start
+        h_j = min(h, length / 8.0)
+        pts = np.linspace(r_start + 2.5 * h_j, r_end - 2.5 * h_j, samples_per_segment)
+        offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h_j
+        grid = pts[:, None] + offsets[None, :]
+        u = np.asarray(state.evaluate(grid.ravel())).reshape(grid.shape)
+        upp = (
+            -u[:, 0] + 16.0 * u[:, 1] - 30.0 * u[:, 2] + 16.0 * u[:, 3] - u[:, 4]
+        ) / (12.0 * h_j * h_j)
+        resid = upp + (k * k - height) * u[:, 2]
+        scale = abs(k * k) * float(np.max(np.abs(u))) + 1e-300
+        worst = max(worst, float(np.max(np.abs(resid))) / scale)
+    origin = abs(state.evaluate(0.0))
+    u_scale = float(np.abs(state.boundary_value)) + abs(origin)
+    origin_res = float(origin / max(u_scale, 1e-300))
+    # outgoing condition u'(R+) = i k u(R), with u'(R+) from the matching residual
+    out_res = state.pole.residual / max(abs(k) * abs(state.boundary_value), 1e-300)
+    norm2 = 0.0 + 0.0j
+    for j in range(len(state.z)):
+        length = state.r_edges[j + 1] - state.r_edges[j]
+        norm2 += product_integral(
+            length, state.z[j], state.a[j], state.b[j], state.z[j], state.a[j], state.b[j]
+        )
+    norm2 += 1j * state.boundary_value ** 2 / (2.0 * k)
+    norm_res = float(abs(norm2 - 1.0))
+    diag = StateDiagnostics(
+        ode_residual=worst,
+        origin_residual=origin_res,
+        outgoing_residual=out_res,
+        normalization_residual=norm_res,
+    )
+    for name, value in (
+        ("ode", worst),
+        ("origin", origin_res),
+        ("outgoing", out_res),
+        ("normalization", norm_res),
+    ):
+        if value > rtol:
+            raise ToleranceNotMet(
+                f"{name} residual {value:.3e} exceeds rtol = {rtol:g} "
+                f"for the state at k = {k:.6g}"
+            )
+    return diag
+
+
+def overlap_closed(ket: GamowState, bra: GamowState) -> complex:
+    """Closed form of ``int_0^R conj(u_bra) u_ket dr``.
+
+    Away from the anti-diagonal the Green's identity gives
+    ``u_ket(R) conj(u_bra(R)) / (i (k_ket - conj(k_bra)))``.  When ``bra`` is
+    the mirror of ``ket`` both sides of that identity vanish identically, so
+    it carries no information; there the integrand is u_ket^2 and the value
+    follows from the normalization rule instead.
+    """
+    if ket.pole.n == -bra.pole.n:
+        u_r = ket.boundary_value
+        return 1.0 - 1j * u_r * u_r / (2.0 * ket.k)
+    denom = 1j * (ket.k - np.conj(bra.k))
+    return complex(ket.boundary_value * np.conj(bra.boundary_value) / denom)
+
+
+def overlap_quadrature(
+    ket: GamowState, bra: GamowState, rtol: float = 1e-10
+) -> complex:
+    """Panel Gauss-Legendre evaluation of ``int_0^R conj(u_bra) u_ket dr``.
+
+    Panels are sized to at most half an oscillation of the product, then the
+    panel count is doubled once as an a-posteriori error check.
+
+    Raises
+    ------
+    ToleranceNotMet
+        If doubling the panels moves the value by more than ``rtol``
+        relative to its magnitude.
+    """
+    if not np.array_equal(ket.r_edges, bra.r_edges):
+        raise ConfigError("overlap of states from different segmentations")
+    freq = abs(ket.k) + abs(bra.k)
+
+    def eval_panels(mult: int) -> complex:
+        total = 0.0 + 0.0j
+        for j in range(len(ket.z)):
+            lo, hi = ket.r_edges[j], ket.r_edges[j + 1]
+            n_panels = mult * (int(freq * (hi - lo) / np.pi) + 1)
+            nodes, weights = panel_nodes(float(lo), float(hi), n_panels)
+            vals = np.conj(np.asarray(bra.evaluate(nodes))) * np.asarray(
+                ket.evaluate(nodes)
+            )
+            total += complex(np.sum(weights * vals))
+        return total
+
+    coarse = eval_panels(1)
+    fine = eval_panels(2)
+    scale = max(abs(fine), 1.0)
+    if abs(fine - coarse) > rtol * scale:
+        raise ToleranceNotMet(
+            f"overlap quadrature unconverged: |delta| = {abs(fine - coarse):.3e} "
+            f"at k_ket = {ket.k:.6g}, k_bra = {bra.k:.6g}"
+        )
+    return fine
+
+
+def _coefficient_quadrature(state: GamowState, psi0: InitialState) -> complex:
+    """C = int psi0 u dr by Gauss-Legendre panels (no conjugation)."""
+    breakpoints = set(float(e) for e in state.r_edges)
+    if isinstance(psi0, BoxMode):
+        breakpoints.add(float(psi0.radius))
+        support = float(psi0.radius)
+        kink_free = True
+    else:
+        grid = np.asarray(psi0.r_grid, dtype=float)
+        breakpoints.update(float(g) for g in grid)
+        support = float(grid[-1])
+        kink_free = False
+    radius = state.radius
+    pts = sorted(b for b in breakpoints if 0.0 <= b <= min(support, radius) + 1e-15)
+    total = 0.0 + 0.0j
+    freq = abs(state.k) + (np.pi * psi0.mode / psi0.radius if isinstance(psi0, BoxMode) else abs(state.k))
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        if hi - lo <= 1e-15:
+            continue
+        if kink_free:
+            n_panels = int(freq * (hi - lo) / np.pi) + 1
+        else:
+            n_panels = max(1, int(abs(state.k) * (hi - lo) / 2.0) + 1)
+        nodes, weights = panel_nodes(lo, hi, n_panels, order=12)
+        vals = np.asarray(initial_wavefunction(psi0, nodes)) * np.asarray(
+            state.evaluate(nodes)
+        )
+        total += complex(np.sum(weights * vals))
+    return total
+
+
+def _coefficient_closed(state: GamowState, psi0: BoxMode) -> complex:
+    """Closed form of ``int psi0 u dr`` for a hard-box eigenmode."""
+    kappa = np.pi * psi0.mode / psi0.radius
+    amp = np.sqrt(2.0 / psi0.radius)
+    z_mode = kappa * kappa
+    total = 0.0 + 0.0j
+    for j in range(len(state.z)):
+        lo = float(state.r_edges[j])
+        hi = min(float(state.r_edges[j + 1]), psi0.radius)
+        if hi - lo <= 1e-15:
+            continue
+        # psi0(lo + x) = amp sin(kappa lo) cos(kappa x) + amp kappa cos(kappa lo) sinc
+        a_mode = amp * np.sin(kappa * lo)
+        b_mode = amp * kappa * np.cos(kappa * lo)
+        total += product_integral(
+            hi - lo,
+            complex(state.z[j]),
+            complex(state.a[j]),
+            complex(state.b[j]),
+            complex(z_mode),
+            complex(a_mode),
+            complex(b_mode),
+        )
+    return total
+
+
+def expansion_coefficient(
+    state: GamowState, psi0: InitialState, method: str = "auto"
+) -> complex:
+    """Expansion coefficient ``C = int_0^R psi0(r) u(r) dr`` (no conjugate).
+
+    ``method`` selects "closed" (hard-box modes only), "quadrature", or
+    "auto" (closed when available).
+    """
+    if method not in ("auto", "closed", "quadrature"):
+        raise ConfigError(f"unknown coefficient method {method!r}")
+    if method == "closed" and not isinstance(psi0, BoxMode):
+        raise ConfigError("closed-form coefficients exist only for box modes")
+    if isinstance(psi0, BoxMode) and psi0.radius > state.radius * (1.0 + 1e-12):
+        raise InvalidState("initial state extends beyond the potential range")
+    if method in ("auto", "closed") and isinstance(psi0, BoxMode):
+        return _coefficient_closed(state, psi0)
+    return _coefficient_quadrature(state, psi0)
+
+
+def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np.ndarray:
+    """Matrix ``I[i, j] = int conj(u_j) u_i dr`` over a state list.
+
+    "closed" uses the boundary-value formulas (with the anti-diagonal
+    normalization identity); "quadrature" integrates every pair, filling the
+    upper triangle by Hermitian symmetry of the integral.
+    """
+    if method not in ("closed", "quadrature"):
+        raise ConfigError(f"unknown overlap method {method!r}")
+    m = len(states)
+    mat = np.empty((m, m), dtype=complex)
+    if method == "closed":
+        ks = np.array([s.k for s in states])
+        u_r = np.array([s.boundary_value for s in states])
+        mat = u_r[:, None] * np.conj(u_r)[None, :] / (
+            1j * (ks[:, None] - np.conj(ks)[None, :])
+        )
+        index_of = {s.pole.n: i for i, s in enumerate(states)}
+        for i, s in enumerate(states):
+            j = index_of.get(-s.pole.n)
+            if j is not None:
+                mat[i, j] = 1.0 - 1j * u_r[i] * u_r[i] / (2.0 * ks[i])
+        return mat
+    for i in range(m):
+        for j in range(i + 1):
+            val = overlap_quadrature(states[i], states[j])
+            mat[i, j] = val
+            mat[j, i] = np.conj(val)
+    return mat
+
+
+@dataclass(frozen=True, eq=False)
+class ExpansionData:
+    """Everything needed to evaluate the resonant expansion of one state.
+
+    Arrays are ordered by signed index n = -N..-1, 1..N (mirrors first);
+    ``overlap[i, j]`` is ``int conj(u_j) u_i dr`` in that ordering.
+    """
+
+    potential: Potential
+    psi0: InitialState
+    indices: np.ndarray
+    wavenumbers: np.ndarray
+    coefficients: np.ndarray
+    boundary_values: np.ndarray
+    overlap: np.ndarray
+    states: tuple[GamowState, ...]
+    overlap_method: str
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.indices) // 2
+
+    def truncate(self, n_pairs: int) -> "ExpansionData":
+        """Restrict to |n| <= n_pairs (symmetric truncation)."""
+        big = self.n_pairs
+        if not (1 <= n_pairs <= big):
+            raise ConfigError(
+                f"truncation {n_pairs} outside the built range 1..{big}"
+            )
+        if n_pairs == big:
+            return self
+        sl = slice(big - n_pairs, big + n_pairs)
+        return ExpansionData(
+            potential=self.potential,
+            psi0=self.psi0,
+            indices=self.indices[sl],
+            wavenumbers=self.wavenumbers[sl],
+            coefficients=self.coefficients[sl],
+            boundary_values=self.boundary_values[sl],
+            overlap=self.overlap[sl, sl],
+            states=self.states[sl.start : sl.stop],
+            overlap_method=self.overlap_method,
+        )
+
+
+def build_expansion(
+    potential: Potential,
+    pole_set: PoleSet,
+    psi0: InitialState,
+    n_pairs: int | None = None,
+    overlap: str = "closed",
+    coefficient_method: str = "auto",
+) -> ExpansionData:
+    """Assemble coefficients, boundary data, and the overlap matrix.
+
+    The initial state must be normalized (checked to 1e-8).  Mirror-state
+    coefficients are computed directly from the mirror states rather than by
+    conjugation symmetry, so complex initial data is handled correctly; for
+    real data the expected relation C_{-n} = conj(C_n) emerges and is worth
+    asserting in tests rather than assuming here.
+    """
+    if overlap not in ("closed", "quadrature"):
+        raise ConfigError(f"unknown overlap method {overlap!r}")
+    n_pairs = len(pole_set) if n_pairs is None else int(n_pairs)
+    if not (1 <= n_pairs <= len(pole_set)):
+        raise ConfigError(
+            f"requested {n_pairs} pole pairs but the set holds {len(pole_set)}"
+        )
+    norm = state_norm(psi0)
+    if abs(norm - 1.0) > 1e-8:
+        raise InvalidState(
+            f"initial state must be normalized: ||psi0||^2 = {norm:.12g}"
+        )
+    indices = PoleSet.index_order(n_pairs)
+    states = tuple(build_state(potential, pole_set.pole(int(n))) for n in indices)
+    coeffs = np.array(
+        [expansion_coefficient(s, psi0, coefficient_method) for s in states]
+    )
+    ks = np.array([s.k for s in states])
+    u_r = np.array([s.boundary_value for s in states])
+    mat = overlap_matrix(states, overlap)
+    return ExpansionData(
+        potential=potential,
+        psi0=psi0,
+        indices=indices,
+        wavenumbers=ks,
+        coefficients=coeffs,
+        boundary_values=u_r,
+        overlap=mat,
+        states=states,
+        overlap_method=overlap,
+    )
+
+
+def weighted_field(
+    data: ExpansionData, r: np.ndarray | float, weights: np.ndarray
+) -> np.ndarray | complex:
+    """sum_m weights[m] u_m(r) over the expansion's states, vectorized in r."""
+    if len(weights) != len(data.states):
+        raise ConfigError("one weight per state required")
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    acc = np.zeros(r_arr.shape, dtype=complex)
+    for w, s in zip(weights, data.states):
+        if w != 0:
+            acc += w * np.asarray(s.evaluate(r_arr))
+    if np.ndim(r) == 0:
+        return complex(acc[0])
+    return acc
+
+
+def sum_rule_residual(
+    data: ExpansionData, r: np.ndarray | float, n_pairs: int | None = None
+) -> np.ndarray | complex:
+    """S_N(r) = sum_{|n| <= N} C_n u_n(r) / k_n, which must tend to 0.
+
+    For real initial data S_N is purely imaginary, so Re S_N vanishes
+    identically and the convergence content lives in Im S_N.
+    """
+    sub = data if n_pairs is None else data.truncate(n_pairs)
+    return weighted_field(sub, r, sub.coefficients / sub.wavenumbers)
+
+
+def reconstruct_initial(
+    data: ExpansionData, r: np.ndarray | float, n_pairs: int | None = None
+) -> np.ndarray | complex:
+    """Partial expansion (1/2) sum_{|n| <= N} C_n u_n(r) of the initial state."""
+    sub = data if n_pairs is None else data.truncate(n_pairs)
+    return weighted_field(sub, r, 0.5 * sub.coefficients)

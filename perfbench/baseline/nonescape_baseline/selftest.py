@@ -1,0 +1,477 @@
+"""Built-in acceptance suite: nine numbered checks on the reference model.
+
+The reference configuration is the delta-shell potential (strength 6,
+radius 1) expanded over the lowest box mode, in units hbar = 2m = 1.  The
+checks cover the special-function layer, the pole table, the overlap
+identity, completeness and the sum rule, both routes to the t^-1 tail
+weight, cross-validation against direct Crank-Nicolson integration, the
+long-time power law with its truncation crossovers, and the integrator's
+own health.  Each check prints one PASS/FAIL line with the measured
+numbers; heavy artifacts (pole table, expansion, long integrations) are
+built lazily once and shared through :class:`SelftestContext`.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, TextIO
+
+import numpy as np
+
+from .asymptote import (
+    crossover_time,
+    moment_sum,
+    moment_sum_quadrature,
+    post_exponential_window,
+    slope_fit,
+    tail_coefficient_t1,
+    tail_expansion,
+)
+from .dynamics import TimeGrid, lifetime, nonescape_probability
+from .errors import EquivalenceViolation
+from .gamow import (
+    ExpansionData,
+    build_expansion,
+    overlap_matrix,
+    reconstruct_initial,
+    sum_rule_residual,
+)
+from .model import BoxMode, DeltaShell, PiecewiseConstant, initial_wavefunction
+from .oracle import (
+    GridSpec,
+    OracleResult,
+    RefinementReport,
+    evolve_tdse,
+    gaussian_packet_exact,
+    refine_and_compare,
+    sampled_gaussian,
+)
+from .poles import PoleSet, SearchWindow, locate_poles, matching_function, winding_count
+from .specfn import faddeeva, moshinsky
+
+__all__ = ["CheckResult", "SelftestContext", "CHECKS", "run_selftest"]
+
+REFERENCE_POTENTIAL = DeltaShell(strength=6.0, radius=1.0)
+REFERENCE_STATE = BoxMode(mode=1, radius=1.0)
+SEARCH_WINDOW = SearchWindow(re_max=127.5, im_min=-3.0)
+TRUNCATIONS = (5, 10, 20, 40)
+
+# w(z) references frozen from 50-digit evaluations of the defining series
+# (Taylor about the origin for |z| <= 4, Laplace continued fraction beyond,
+# lower half-plane through the reflection w(z) = 2 exp(-z^2) - w(-z)).
+_FADDEEVA_TABLE = (
+    (0.3, 0.2, 0.7528947901368792, 0.22965315234906994),
+    (-1.1, 0.7, 0.3078155273846152, -0.2868151163702649),
+    (2.4, 0.001, 0.003297206521644426, 0.26550713927883574),
+    (3.9, 2.2, 0.06515597063777391, 0.10961372415826996),
+    (-3.3, 3.1, 0.08750645915283103, -0.08872042401683541),
+    (0.02, 3.8, 0.1437854170277202, 0.0007116628196001876),
+    (1.7, -0.4, -0.11242379236501841, 0.4662269586039833),
+    (-2.6, -1.9, -0.1880437936281902, -0.09988845811349399),
+    (0.5, -3.2, -43540.39034855664, -2545.9409608829924),
+    (-0.008, -2.7, 2928.0224282508307, -126.57834720529925),
+    (3.7, -0.03, -0.0014055778059222528, 0.15880772570020782),
+    (-3.9, -3.9, 1.0139929667706074, 1.6074364507211585),
+    (5.2, 0.8, 0.01724474026935768, 0.10780745719511464),
+    (-7.5, 4.4, 0.033264893810134005, -0.055947078718822915),
+    (11.0, 0.2, 0.0009440297810559297, 0.051487204105357696),
+    (28.0, 17.0, 0.008946710827121332, 0.014722020385495204),
+    (-45.0, 2.5, 0.0006948984786970143, -0.01250201022922312),
+    (6.1, 33.0, 0.016525416766963976, 0.0030519915668453974),
+    (4.6, -1.2, -0.031964279405995444, 0.11677193171312199),
+    (-8.8, -0.6, -0.004437218434430368, -0.06422603167498471),
+    (14.0, -9.0, -0.018391723176188462, 0.028505943704064854),
+    (-31.0, -0.04, -2.352014849120383e-05, -0.018209117535980257),
+    (50.0, -24.0, -0.004403610646973166, 0.00917120561361246),
+    (-15.05, -14.0, -0.018720181209936272, -0.020076604700526985),
+    (-0.7, -18.0, 6.290059831458224e+140, -4.237007927191461e+139),
+)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one numbered check."""
+
+    index: int
+    name: str
+    passed: bool
+    details: str
+
+    @property
+    def line(self) -> str:
+        tag = "PASS" if self.passed else "FAIL"
+        return f"check {self.index}/9 {tag} - {self.name}: {self.details}"
+
+
+class SelftestContext:
+    """Lazily-built artifacts shared by the checks.
+
+    Every property is computed at most once; a full :func:`run_selftest`
+    costs a few minutes, dominated by the long direct integration that
+    backs the cross-validation and power-law checks.
+    """
+
+    def __init__(self, verbose: bool = False):
+        self.verbose = verbose
+
+    def _log(self, message: str) -> None:
+        if self.verbose:
+            print(f"[selftest] {message}", file=sys.stderr, flush=True)
+
+    @cached_property
+    def pole_set(self) -> PoleSet:
+        self._log("locating reference poles ...")
+        return locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+
+    @cached_property
+    def data(self) -> ExpansionData:
+        return build_expansion(REFERENCE_POTENTIAL, self.pole_set, REFERENCE_STATE)
+
+    @cached_property
+    def tau1(self) -> float:
+        return lifetime(self.pole_set.pole(1))
+
+    @cached_property
+    def free_pole_set(self) -> PoleSet:
+        return locate_poles(
+            PiecewiseConstant(((0.0, 1.0, 0.0),)), SearchWindow(re_max=40.0, im_min=-3.0)
+        )
+
+    @cached_property
+    def hard_shell_pole_set(self) -> PoleSet:
+        return locate_poles(
+            DeltaShell(strength=1.0e4, radius=1.0), SearchWindow(re_max=10.5, im_min=-1.0)
+        )
+
+    @cached_property
+    def long_run(self) -> OracleResult:
+        """Direct integration reaching deep into the algebraic tail.
+
+        The absorber is half the box with a gentle profile: turn-on
+        reflections scale as strength / width^2, and the bounce of the
+        dominant spectral band off the absorber edge returns only after
+        the final time, so the sampled tail is reflection-clean.
+        """
+        self._log("direct integration, t <= 42 (about two minutes) ...")
+        start = time.time()
+        grid = GridSpec(
+            box_size=240.0,
+            dr=0.005,
+            dt=4.0e-4,
+            t_final=42.0,
+            absorber_width=120.0,
+            absorber_strength=15.0,
+        )
+        result = evolve_tdse(
+            REFERENCE_POTENTIAL,
+            REFERENCE_STATE,
+            grid,
+            times=TimeGrid.log(0.05, 42.0, per_decade=40),
+        )
+        self._log(f"... done in {time.time() - start:.0f} s")
+        return result
+
+    @cached_property
+    def gauss_run(self) -> OracleResult:
+        """Absorber-free evolution of a free Gaussian packet."""
+        self._log("free Gaussian packet run ...")
+        psi0 = sampled_gaussian(
+            sigma=0.32, center=2.4, momentum=1.0, support=5.0, dr_sample=0.004
+        )
+        free = PiecewiseConstant(((0.0, 5.0, 0.0),))
+        grid = GridSpec(
+            box_size=50.0, dr=0.004, dt=2.0e-4, t_final=1.5, smooth_initial=False
+        )
+        return evolve_tdse(
+            free,
+            psi0,
+            grid,
+            times=TimeGrid(times=np.linspace(0.05, 1.5, 30)),
+            sample_times=(0.375, 0.75, 1.125, 1.5),
+        )
+
+    @cached_property
+    def refinement_pair(self) -> tuple[RefinementReport, RefinementReport]:
+        self._log("refinement study ...")
+        grid = GridSpec(
+            box_size=12.0, dr=0.01, dt=4.0e-4, t_final=1.2, enforce_resolution=False
+        )
+        times = TimeGrid.log(0.05, 1.2, per_decade=20)
+        return (
+            refine_and_compare(
+                REFERENCE_POTENTIAL, REFERENCE_STATE, grid, 2, times, tolerance=2e-3
+            ),
+            refine_and_compare(
+                REFERENCE_POTENTIAL, REFERENCE_STATE, grid, 4, times, tolerance=2e-3
+            ),
+        )
+
+
+def check_special_functions(ctx: SelftestContext) -> CheckResult:
+    """Faddeeva against frozen references; Moshinsky start value; reflection."""
+    table = np.asarray(_FADDEEVA_TABLE)
+    z = table[:, 0] + 1j * table[:, 1]
+    ref = table[:, 2] + 1j * table[:, 3]
+    w_dev = float(np.max(np.abs(faddeeva(z) - ref) / np.abs(ref)))
+
+    rng = np.random.default_rng(20260815)
+    k = rng.uniform(-30.0, 30.0, 100) + 1j * rng.uniform(-3.0, 3.0, 100)
+    m0_dev = float(np.max(np.abs(moshinsky(k, 0.0) - 0.5)))
+
+    # Error relative to the identity's largest term: for Im k^2 > 0 the
+    # right side is exponentially small and the two M's cancel to produce
+    # it, so a denominator |rhs| would demand digits float64 cannot hold.
+    k_r = rng.uniform(-6.0, 6.0, 100) + 1j * rng.uniform(-1.5, 1.5, 100)
+    refl_dev = 0.0
+    for kk, tt in zip(k_r, rng.uniform(0.01, 10.0, 100)):
+        rhs = np.exp(-1j * kk**2 * tt)
+        m_pos = moshinsky(kk, tt)
+        m_neg = moshinsky(-kk, tt)
+        scale = max(abs(m_pos), abs(m_neg), abs(rhs))
+        refl_dev = max(refl_dev, abs(m_pos + m_neg - rhs) / scale)
+
+    passed = w_dev <= 1e-12 and m0_dev <= 1e-14 and refl_dev <= 1e-11
+    details = (
+        f"faddeeva rel dev {w_dev:.2e} (tol 1e-12); "
+        f"|M(k,0)-1/2| {m0_dev:.2e} (tol 1e-14); "
+        f"reflection rel dev {refl_dev:.2e} (tol 1e-11)"
+    )
+    return CheckResult(1, "special functions", passed, details)
+
+
+def check_poles(ctx: SelftestContext) -> CheckResult:
+    """Pole table: free case, hard-shell limit, residuals, winding, mirrors."""
+    n_free = len(ctx.free_pole_set.poles)
+
+    hard = ctx.hard_shell_pole_set
+    hard_dev = max(
+        abs(hard.pole(n).k.real - n * np.pi) for n in (1, 2, 3)
+    ) if len(hard.poles) >= 3 else np.inf
+
+    res = max(
+        p.residual / p.scale for p in ctx.pole_set.poles + ctx.hard_shell_pole_set.poles
+    )
+
+    audit = winding_count(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    n_found = len(ctx.pole_set.poles)
+
+    mirrors = np.array([ctx.pole_set.pole(-n).k for n in range(1, n_found + 1)])
+    j_mirror, _ = matching_function(REFERENCE_POTENTIAL, mirrors)
+    scales = np.array([p.scale for p in ctx.pole_set.poles])
+    mirror_dev = float(np.max(np.abs(j_mirror) / scales))
+
+    passed = (
+        n_free == 0
+        and hard_dev <= 0.05
+        and res <= 1e-10
+        and audit == n_found
+        and mirror_dev <= 1e-10
+    )
+    details = (
+        f"free potential: {n_free} poles; hard shell max |Re k_n - n pi| "
+        f"{hard_dev:.2e} (tol 0.05); max residual/scale {res:.2e} (tol 1e-10); "
+        f"winding {audit} vs {n_found} located; mirror |J(-conj k)|/scale "
+        f"{mirror_dev:.2e} (tol 1e-10)"
+    )
+    return CheckResult(2, "resonance poles", passed, details)
+
+
+def check_overlap_identity(ctx: SelftestContext) -> CheckResult:
+    """Closed-form overlaps against adaptive quadrature for |n|, |l| <= 10."""
+    states = ctx.data.truncate(10).states
+    closed = overlap_matrix(states, method="closed")
+    quad = overlap_matrix(states, method="quadrature")
+    rel = float(np.max(np.abs(closed - quad) / np.maximum(np.abs(closed), 1e-30)))
+    passed = rel <= 1e-8
+    details = f"max rel dev {rel:.2e} over 20x20 overlaps (tol 1e-8)"
+    return CheckResult(3, "overlap identity", passed, details)
+
+
+def check_completeness(ctx: SelftestContext) -> CheckResult:
+    """P(0) -> 1 and pointwise reconstruction of the initial state."""
+    grid0 = TimeGrid(times=np.array([0.0]))
+    err = {
+        n: abs(
+            float(nonescape_probability(ctx.data, grid0, n_pairs=n).probability[0])
+            - 1.0
+        )
+        for n in (5, 40)
+    }
+    r = np.linspace(0.05, 0.95, 19)
+    target = initial_wavefunction(REFERENCE_STATE, r)
+    point_err = {
+        n: float(np.max(np.abs(reconstruct_initial(ctx.data, r, n_pairs=n) - target)))
+        for n in (5, 40)
+    }
+    ratio = err[40] / err[5]
+    shrink = point_err[5] / point_err[40]
+    passed = err[40] <= 1e-2 and ratio <= 0.1 and shrink >= 10.0
+    details = (
+        f"|P(0)-1| = {err[40]:.2e} at N=40 (tol 1e-2); error ratio N=40/N=5 "
+        f"= {ratio:.3f} (tol 0.1); pointwise shrink x{shrink:.1f} (need >= x10)"
+    )
+    return CheckResult(4, "completeness at t = 0", passed, details)
+
+
+def check_sum_rule(ctx: SelftestContext) -> CheckResult:
+    """|S_N| at interior radii must drop at least tenfold from N=5 to N=40."""
+    r = np.array([0.25, 0.5, 0.75])
+    s5 = np.abs(sum_rule_residual(ctx.data, r, n_pairs=5))
+    s40 = np.abs(sum_rule_residual(ctx.data, r, n_pairs=40))
+    ratios = s5 / s40
+    passed = bool(np.all(ratios >= 10.0))
+    details = "drop factors " + ", ".join(
+        f"x{f:.0f} at r={rr:.2f}" for f, rr in zip(ratios, r)
+    ) + " (need >= x10)"
+    return CheckResult(5, "sum rule residual", passed, details)
+
+
+def check_tail_coefficient(ctx: SelftestContext) -> CheckResult:
+    """t^-1 weight: non-negative, route-consistent, vanishing with N."""
+    d1 = {
+        n: tail_coefficient_t1(ctx.data, n_pairs=n, cross_check=False)
+        for n in range(1, 41)
+    }
+    nonneg = all(v >= 0.0 for v in d1.values())
+
+    route_dev = 0.0
+    for n in TRUNCATIONS:
+        a = moment_sum(ctx.data, 1, 1, n_pairs=n)
+        b = moment_sum_quadrature(ctx.data, 1, 1, n_pairs=n)
+        route_dev = max(route_dev, abs(a - b) / abs(a))
+    try:
+        tail_coefficient_t1(ctx.data, n_pairs=40)
+        cross_ok = True
+    except EquivalenceViolation:
+        cross_ok = False
+
+    trend = d1[40] / d1[5]
+    passed = nonneg and route_dev <= 1e-6 and cross_ok and trend <= 0.1
+    details = (
+        f"min D1 {min(d1.values()):.2e} (all N <= 40 non-negative: {nonneg}); "
+        f"route dev {route_dev:.2e} (tol 1e-6); D1(40)/D1(5) = {trend:.2e} "
+        f"(tol 0.1)"
+    )
+    return CheckResult(6, "tail coefficient", passed, details)
+
+
+def check_cross_validation(ctx: SelftestContext) -> CheckResult:
+    """Expansion P(t) against direct integration over [0.1, 5] lifetimes."""
+    series = ctx.long_run.series
+    t = series.times
+    mask = (t >= 0.1 * ctx.tau1) & (t <= 5.0 * ctx.tau1)
+    if ctx.long_run.horizon_time is not None:
+        mask &= t < ctx.long_run.horizon_time
+    t_sel = t[mask]
+    direct = series.probability[mask]
+    expansion = nonescape_probability(
+        ctx.data, TimeGrid(times=t_sel), n_pairs=40
+    ).probability
+    rel = float(np.max(np.abs(direct - expansion) / expansion))
+    passed = rel <= 0.02
+    details = (
+        f"max rel dev {rel:.2e} over {len(t_sel)} samples in "
+        f"[{0.1 * ctx.tau1:.3f}, {5.0 * ctx.tau1:.3f}] (tol 0.02)"
+    )
+    return CheckResult(7, "expansion vs direct integration", passed, details)
+
+
+def check_long_time_law(ctx: SelftestContext) -> CheckResult:
+    """Slope of the algebraic tail, and the truncation crossover ladder."""
+    run = ctx.long_run
+    window = post_exponential_window(
+        run.series, ctx.pole_set.pole(1), horizon=run.horizon_time
+    )
+    direct = slope_fit(run.series, window)
+
+    t = run.series.times
+    t_win = t[(t >= window[0]) & (t <= window[1])]
+    truncated = slope_fit(
+        nonescape_probability(ctx.data, TimeGrid(times=t_win), n_pairs=40), window
+    )
+    crossovers = [
+        crossover_time(tail_expansion(ctx.data, n_pairs=n)) for n in TRUNCATIONS
+    ]
+    direct_ok = -3.3 <= direct.slope <= -2.7
+    truncated_ok = -3.3 <= truncated.slope <= -2.7
+    ladder_ok = all(a < b for a, b in zip(crossovers, crossovers[1:]))
+    passed = direct_ok and truncated_ok and ladder_ok
+    details = (
+        f"direct slope {direct.slope:.3f} +- {direct.stderr:.3f} on "
+        f"[{window[0]:.2f}, {window[1]:.2f}] (band [-3.3, -2.7]); truncated "
+        f"N=40 slope {truncated.slope:.3f} in same window; crossover times "
+        + " < ".join(f"{c:.2f}" for c in crossovers)
+        + f" monotone: {ladder_ok}"
+    )
+    return CheckResult(8, "long-time power law", passed, details)
+
+
+def check_oracle_integrity(ctx: SelftestContext) -> CheckResult:
+    """Norm conservation, free-packet accuracy, and grid convergence."""
+    run = ctx.gauss_run
+    drift = float(np.max(np.abs(run.norms - 1.0)))
+    per_1e4 = drift / (run.grid.n_steps / 1e4)
+
+    dens_dev = 0.0
+    for t_snap, psi in run.snapshots:
+        exact = gaussian_packet_exact(
+            run.r_interior, t_snap, sigma=0.32, center=2.4, momentum=1.0
+        )
+        dens_dev = max(
+            dens_dev, float(np.max(np.abs(np.abs(psi) ** 2 - np.abs(exact) ** 2)))
+        )
+
+    rep2, rep4 = ctx.refinement_pair
+    second_order = rep2.max_rel_dev <= 4.0 * rep4.max_rel_dev
+
+    passed = per_1e4 <= 1e-8 and dens_dev <= 1e-4 and second_order
+    details = (
+        f"norm drift {per_1e4:.2e} per 1e4 steps (tol 1e-8); free-packet "
+        f"density dev {dens_dev:.2e} (tol 1e-4); refinement devs "
+        f"{rep2.max_rel_dev:.2e} (x2) vs {rep4.max_rel_dev:.2e} (x4), "
+        f"second-order consistent: {second_order}"
+    )
+    return CheckResult(9, "integrator integrity", passed, details)
+
+
+CHECKS: tuple[Callable[[SelftestContext], CheckResult], ...] = (
+    check_special_functions,
+    check_poles,
+    check_overlap_identity,
+    check_completeness,
+    check_sum_rule,
+    check_tail_coefficient,
+    check_cross_validation,
+    check_long_time_law,
+    check_oracle_integrity,
+)
+
+
+def run_selftest(stream: TextIO | None = None, verbose: bool = False) -> int:
+    """Run all nine checks and print one PASS/FAIL line per check.
+
+    Parameters
+    ----------
+    stream : TextIO, optional
+        Destination for the result lines (default: stdout).
+    verbose : bool
+        Also log progress of the heavy artifact builds to stderr.
+
+    Returns
+    -------
+    int
+        0 if every check passed, 1 otherwise.
+    """
+    out = sys.stdout if stream is None else stream
+    ctx = SelftestContext(verbose=verbose)
+    results = []
+    for fn in CHECKS:
+        res = fn(ctx)
+        print(res.line, file=out, flush=True)
+        results.append(res)
+    n_pass = sum(r.passed for r in results)
+    print(f"{n_pass}/{len(results)} checks passed", file=out, flush=True)
+    return 0 if n_pass == len(results) else 1
