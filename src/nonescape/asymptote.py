@@ -25,12 +25,18 @@ conclusions (like the crossover) do not depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, inf
+from math import inf
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import NonescapeSeries, TimeGrid, gamma_width, nonescape_probability
+from .dynamics import (
+    NonescapeSeries,
+    TimeGrid,
+    exact_row_sums,
+    gamma_width,
+    nonescape_probability,
+)
 from .errors import (
     ConfigError,
     EmptyWindow,
@@ -59,21 +65,13 @@ __all__ = [
 ]
 
 
-def _ordered_sum(values: np.ndarray) -> complex:
-    """Compensated largest-first summation of a complex array."""
-    flat = values.ravel()
-    order = np.argsort(-np.abs(flat), kind="stable")
-    flat = flat[order]
-    return complex(fsum(flat.real), fsum(flat.imag))
-
-
 def moment_sum(data: ExpansionData, a: int, b: int, n_pairs: int | None = None) -> complex:
     """Q[a, b] by the double sum over the overlap matrix."""
     sub = data if n_pairs is None else data.truncate(n_pairs)
     wa = sub.coefficients / sub.wavenumbers ** a
     wb = sub.coefficients / sub.wavenumbers ** b
     terms = sub.overlap * (wa[:, None] * np.conj(wb)[None, :])
-    return _ordered_sum(terms)
+    return complex(exact_row_sums(terms.reshape(1, -1))[0])
 
 
 def moment_sum_quadrature(
@@ -92,7 +90,7 @@ def moment_sum_quadrature(
         sigma_b = np.asarray(
             weighted_field(sub, nodes, sub.coefficients / sub.wavenumbers ** b)
         )
-    return _ordered_sum(weights * np.conj(sigma_b) * sigma_a)
+    return complex(exact_row_sums((weights * np.conj(sigma_b) * sigma_a)[None, :])[0])
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -272,25 +270,6 @@ def load_config(path: str | None) -> RunConfig:
 # output helpers
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("NONESCAPE_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"NONESCAPE_WORKERS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("NONESCAPE_WORKERS must be >= 1")
-    return n
-
-
-def _pmap(fn: Callable, items: Sequence) -> list:
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return str(int(value))
@@ -367,6 +346,7 @@ def _located(cfg: RunConfig) -> PoleSet:
 
 
 def _expanded(cfg: RunConfig, pole_set: PoleSet, n_pairs: int | None = None) -> ExpansionData:
+    """The expansion over the first ``n_pairs`` pole pairs (all when None)."""
     return build_expansion(cfg.potential, pole_set, cfg.psi0, n_pairs=n_pairs)
 
 
@@ -436,7 +416,7 @@ def cmd_sumrule(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args)
     truncations = _truncations(cfg, args)
     r = np.asarray(_r_points(cfg, args))
-    data = _expanded(cfg, _located(cfg))
+    data = _expanded(cfg, _located(cfg), truncations[-1])
     rows = []
     for n in truncations:
         values = np.abs(sum_rule_residual(data, r, n_pairs=n))
@@ -449,19 +429,22 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args)
     truncations = _truncations(cfg, args)
     grid = _time_grid(cfg, args)
-    data = _expanded(cfg, _located(cfg))
-
-    jobs = [(mode, n) for mode in ("closed", "quadrature") for n in truncations]
-    series_list = _pmap(
-        lambda job: nonescape_probability(data, grid, n_pairs=job[1], mode=job[0]),
-        jobs,
+    closed = _expanded(cfg, _located(cfg), truncations[-1])
+    # one quadrature matrix at the largest truncation, sliced for the rest
+    quadrature = replace(
+        closed,
+        overlap=overlap_matrix(closed.states, method="quadrature"),
+        overlap_method="quadrature",
     )
+
     rows = []
-    for (mode, n), series in zip(jobs, series_list):
-        rows.extend(
-            (mode, n, t, p, series.imag_residual)
-            for t, p in zip(series.times, series.probability)
-        )
+    for data in (closed, quadrature):
+        for n in truncations:
+            series = nonescape_probability(data, grid, n_pairs=n, mode=data.overlap_method)
+            rows.extend(
+                (series.mode, n, t, p, series.imag_residual)
+                for t, p in zip(series.times, series.probability)
+            )
     _write_csv(
         out / "nonescape.csv",
         cfg,
@@ -477,7 +460,7 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
     truncations = _truncations(cfg, args)
     grid = _time_grid(cfg, args)
     pole_set = _located(cfg)
-    data = _expanded(cfg, pole_set)
+    data = _expanded(cfg, pole_set, truncations[-1])
 
     try:
         series = nonescape_probability(data, grid, n_pairs=truncations[-1])
@@ -558,14 +541,12 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = _time_grid(cfg, args)
 
     pole_set = _located(cfg)
-    data = _expanded(cfg, pole_set)
+    data = _expanded(cfg, pole_set, truncations[-1])
     run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=grid)
     t = run.series.times
     shared = TimeGrid(times=t)
 
-    series_list = _pmap(
-        lambda n: nonescape_probability(data, shared, n_pairs=n), truncations
-    )
+    series_list = [nonescape_probability(data, shared, n_pairs=n) for n in truncations]
     p_direct = run.series.probability
     header = ["t", "p_direct"]
     columns = [t, p_direct]

@@ -86,21 +86,46 @@ class GamowState:
 
     def evaluate(self, r: np.ndarray | float) -> np.ndarray | complex:
         """u(r) for r in [0, R], vectorized."""
-        r_arr = np.asarray(r, dtype=float)
-        radius = self.radius
-        if np.any(r_arr < -1e-12) or np.any(r_arr > radius * (1.0 + 1e-12) + 1e-12):
-            raise DomainError("state evaluation outside [0, R]")
-        idx = np.clip(
-            np.searchsorted(self.r_edges, r_arr, side="right") - 1,
-            0,
-            len(self.z) - 1,
-        )
-        x = r_arr - self.r_edges[idx]
+        idx, x = _locate(self.r_edges, np.asarray(r, dtype=float))
         c, s = kernels(self.z[idx], x)
         val = self.a[idx] * c + self.b[idx] * s
         if np.ndim(r) == 0:
             return complex(val)
         return val
+
+
+# States x points per block when many states are evaluated at once: keeps
+# each kernel array near 1 MB.
+_FIELD_BLOCK = 1 << 16
+
+
+def _locate(r_edges: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index of each radius and its offset from the segment's left edge.
+
+    Raises
+    ------
+    DomainError
+        If a radius lies outside [0, R].
+    """
+    radius = float(r_edges[-1])
+    if np.any(r < -1e-12) or np.any(r > radius * (1.0 + 1e-12) + 1e-12):
+        raise DomainError("state evaluation outside [0, R]")
+    idx = np.clip(np.searchsorted(r_edges, r, side="right") - 1, 0, len(r_edges) - 2)
+    return idx, r - r_edges[idx]
+
+
+def _state_values(
+    states: tuple[GamowState, ...] | list[GamowState], idx: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """u_m at the located points (segment ``idx``, offset ``x``), one row per state.
+
+    Each entry is the value ``GamowState.evaluate`` gives at that point.
+    """
+    z = np.array([s.z for s in states])[:, idx]
+    c, s = kernels(z, x)
+    a = np.array([st.a for st in states])[:, idx]
+    b = np.array([st.b for st in states])[:, idx]
+    return a * c + b * s
 
 
 def _raw_state(potential: Potential, k: complex):
@@ -264,13 +289,65 @@ def overlap_closed(ket: GamowState, bra: GamowState) -> complex:
     return complex(ket.boundary_value * np.conj(bra.boundary_value) / denom)
 
 
+def _quadrature_gram(
+    states: tuple[GamowState, ...], rtol: float = 1e-10
+) -> np.ndarray:
+    """Panel Gauss-Legendre matrix ``G[i, j] = int_0^R conj(u_j) u_i dr``.
+
+    All states share one set of panels per segment, sized to at most half an
+    oscillation of the fastest product (frequency 2 max|k|), so each entry
+    gets at least the panels its own pair would need.  Per segment and block
+    of nodes the sum is one matrix product ``(U w) @ U^H``.  The panel count
+    is then doubled once as an a-posteriori error check on every entry; the
+    upper triangle is filled by Hermitian symmetry of the integral.
+
+    Raises
+    ------
+    ToleranceNotMet
+        If doubling the panels moves an entry by more than ``rtol``
+        relative to its magnitude (or absolutely, below magnitude 1).
+    """
+    edges = states[0].r_edges
+    if any(not np.array_equal(s.r_edges, edges) for s in states):
+        raise ConfigError("overlap of states from different segmentations")
+    freq = 2.0 * max(abs(s.k) for s in states)
+    m = len(states)
+    step = max(1, _FIELD_BLOCK // m)
+
+    def eval_panels(mult: int) -> np.ndarray:
+        total = np.zeros((m, m), dtype=complex)
+        for j in range(len(edges) - 1):
+            lo, hi = float(edges[j]), float(edges[j + 1])
+            n_panels = mult * (int(freq * (hi - lo) / np.pi) + 1)
+            nodes, weights = panel_nodes(lo, hi, n_panels)
+            for p0 in range(0, len(nodes), step):
+                sl = slice(p0, p0 + step)
+                u = _state_values(states, *_locate(edges, nodes[sl]))
+                total += (u * weights[sl]) @ u.conj().T
+        return total
+
+    coarse = eval_panels(1)
+    fine = eval_panels(2)
+    delta = np.abs(fine - coarse)
+    bad = delta > rtol * np.maximum(np.abs(fine), 1.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ToleranceNotMet(
+            f"overlap quadrature unconverged: |delta| = {delta[i, j]:.3e} "
+            f"at k_ket = {states[i].k:.6g}, k_bra = {states[j].k:.6g}"
+        )
+    fine = np.tril(fine) + np.tril(fine, -1).conj().T
+    np.fill_diagonal(fine, fine.diagonal().real)
+    return fine
+
+
 def overlap_quadrature(
     ket: GamowState, bra: GamowState, rtol: float = 1e-10
 ) -> complex:
     """Panel Gauss-Legendre evaluation of ``int_0^R conj(u_bra) u_ket dr``.
 
-    Panels are sized to at most half an oscillation of the product, then the
-    panel count is doubled once as an a-posteriori error check.
+    The two-state case of the quadrature overlap matrix (see
+    :func:`overlap_matrix`).
 
     Raises
     ------
@@ -278,31 +355,7 @@ def overlap_quadrature(
         If doubling the panels moves the value by more than ``rtol``
         relative to its magnitude.
     """
-    if not np.array_equal(ket.r_edges, bra.r_edges):
-        raise ConfigError("overlap of states from different segmentations")
-    freq = abs(ket.k) + abs(bra.k)
-
-    def eval_panels(mult: int) -> complex:
-        total = 0.0 + 0.0j
-        for j in range(len(ket.z)):
-            lo, hi = ket.r_edges[j], ket.r_edges[j + 1]
-            n_panels = mult * (int(freq * (hi - lo) / np.pi) + 1)
-            nodes, weights = panel_nodes(float(lo), float(hi), n_panels)
-            vals = np.conj(np.asarray(bra.evaluate(nodes))) * np.asarray(
-                ket.evaluate(nodes)
-            )
-            total += complex(np.sum(weights * vals))
-        return total
-
-    coarse = eval_panels(1)
-    fine = eval_panels(2)
-    scale = max(abs(fine), 1.0)
-    if abs(fine - coarse) > rtol * scale:
-        raise ToleranceNotMet(
-            f"overlap quadrature unconverged: |delta| = {abs(fine - coarse):.3e} "
-            f"at k_ket = {ket.k:.6g}, k_bra = {bra.k:.6g}"
-        )
-    return fine
+    return complex(_quadrature_gram((ket, bra), rtol)[0, 1])
 
 
 def _coefficient_quadrature(state: GamowState, psi0: InitialState) -> complex:
@@ -385,13 +438,12 @@ def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np
     """Matrix ``I[i, j] = int conj(u_j) u_i dr`` over a state list.
 
     "closed" uses the boundary-value formulas (with the anti-diagonal
-    normalization identity); "quadrature" integrates every pair, filling the
-    upper triangle by Hermitian symmetry of the integral.
+    normalization identity); "quadrature" integrates all pairs at once on
+    shared panels, filling the upper triangle by Hermitian symmetry of the
+    integral.
     """
     if method not in ("closed", "quadrature"):
         raise ConfigError(f"unknown overlap method {method!r}")
-    m = len(states)
-    mat = np.empty((m, m), dtype=complex)
     if method == "closed":
         ks = np.array([s.k for s in states])
         u_r = np.array([s.boundary_value for s in states])
@@ -404,12 +456,7 @@ def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np
             if j is not None:
                 mat[i, j] = 1.0 - 1j * u_r[i] * u_r[i] / (2.0 * ks[i])
         return mat
-    for i in range(m):
-        for j in range(i + 1):
-            val = overlap_quadrature(states[i], states[j])
-            mat[i, j] = val
-            mat[j, i] = np.conj(val)
-    return mat
+    return _quadrature_gram(states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,17 +556,28 @@ def build_expansion(
 def weighted_field(
     data: ExpansionData, r: np.ndarray | float, weights: np.ndarray
 ) -> np.ndarray | complex:
-    """sum_m weights[m] u_m(r) over the expansion's states, vectorized in r."""
+    """sum_m weights[m] u_m(r) over the expansion's states, vectorized in r.
+
+    The states are evaluated in blocks and added in state order, so the
+    result is the same, bit for bit, as adding ``weights[m] u_m(r)`` one
+    state at a time.
+    """
     if len(weights) != len(data.states):
         raise ConfigError("one weight per state required")
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float)).ravel()
     acc = np.zeros(r_arr.shape, dtype=complex)
-    for w, s in zip(weights, data.states):
-        if w != 0:
-            acc += w * np.asarray(s.evaluate(r_arr))
+    live = [m for m, w in enumerate(weights) if w != 0]
+    if live:
+        idx, x = _locate(data.states[0].r_edges, r_arr)
+        step = max(1, _FIELD_BLOCK // r_arr.size)
+        for b0 in range(0, len(live), step):
+            block = live[b0 : b0 + step]
+            values = _state_values([data.states[m] for m in block], idx, x)
+            for m, v in zip(block, values):
+                acc += weights[m] * v
     if np.ndim(r) == 0:
         return complex(acc[0])
-    return acc
+    return acc.reshape(np.shape(r))
 
 
 def sum_rule_residual(

@@ -103,19 +103,23 @@ class MoshinskyArg:
         return cls(k=k, t=t, y=y)
 
 
-def moshinsky(k: np.ndarray | complex, t: float) -> np.ndarray | complex:
+def moshinsky(
+    k: np.ndarray | complex, t: np.ndarray | float
+) -> np.ndarray | complex:
     """M(k, t) = (1/2) exp(y^2) erfc(y) = (1/2) w(i y), y = -e^{-i pi/4} k sqrt(t).
 
     Exact evaluation through the Faddeeva function; M(k, 0) = 1/2 exactly.
-    ``k`` may be a scalar or an array; ``t`` is a single non-negative time.
+    ``k`` and ``t`` may each be a scalar or an array of non-negative times;
+    the result has shape ``t.shape + k.shape`` (every time against every
+    wavenumber), and each entry is the value a scalar call would return.
     """
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"time must be non-negative, got t = {t}")
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0.0):
+        raise DomainError(f"time must be non-negative, got t = {np.min(t_arr)}")
     k_arr = np.asarray(k, dtype=complex)
-    y = -_PHASE * k_arr * math.sqrt(t)
+    y = np.multiply.outer(np.sqrt(t_arr), -_PHASE * k_arr)
     m = 0.5 * np.asarray(faddeeva(1j * y))
-    if np.ndim(k) == 0:
+    if m.ndim == 0:
         return complex(m)
     return m
 

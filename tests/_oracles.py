@@ -11,12 +11,21 @@ for moderate arguments, and the Laplace continued fraction
 
 for large arguments in the upper half-plane.  Lower-half-plane values follow
 from the exact reflection w(z) = 2 exp(-z^2) - w(-z), also in extended
-precision.  Nothing here shares code with the package implementation.
+precision.  Nothing here shares code with the package implementation, apart
+from :func:`nonescape_probability_loop`, which keeps the per-sample form of
+P(t) that the batched evaluation replaced.
 """
 
 from __future__ import annotations
 
+from math import fsum
+
 import mpmath as mp
+import numpy as np
+
+from nonescape.errors import NonPositiveProbability, TruncationUnstable
+from nonescape.gamow import ExpansionData
+from nonescape.specfn import moshinsky
 
 
 def faddeeva_reference(z: complex, dps: int = 50) -> complex:
@@ -80,3 +89,31 @@ def _laplace_cf(z: "mp.mpc", depth: int = 220) -> "mp.mpc":
     for m in range(depth, 0, -1):
         tail = z - (mp.mpf(m) / 2) / tail
     return mp.mpc(0, 1) / (mp.sqrt(mp.pi) * tail)
+
+
+def nonescape_probability_loop(
+    data: ExpansionData, times: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """P(t) and the worst imaginary residual, one time sample at a time.
+
+    Each sample sums its (2N)^2 terms largest-first with ``math.fsum``, using
+    the expansion's own overlap matrix and scalar Moshinsky calls; the same
+    checks raise at the first offending sample.
+    """
+    p_out = np.empty(len(times))
+    worst_imag = 0.0
+    for j, t in enumerate(times):
+        w = data.coefficients * np.asarray(moshinsky(data.wavenumbers, float(t)))
+        flat = (data.overlap * (w[:, None] * np.conj(w)[None, :])).ravel()
+        flat = flat[np.argsort(-np.abs(flat), kind="stable")]
+        re, im = fsum(flat.real), fsum(flat.imag)
+        scale = max(1.0, abs(re))
+        if abs(im) > 1e-6 * scale:
+            raise TruncationUnstable(
+                f"imaginary residual {im:.3e} at t = {t:g} (P = {re:.3e})"
+            )
+        if re < -1e-9:
+            raise NonPositiveProbability(f"P({t:g}) = {re:.3e} < -1e-9")
+        worst_imag = max(worst_imag, abs(im) / scale)
+        p_out[j] = re
+    return p_out, worst_imag

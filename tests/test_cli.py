@@ -190,18 +190,6 @@ def test_nonescape_time_overrides(config_path: Path, tmp_path: Path) -> None:
     assert len(set(row["t"] for row in rows)) == 7
 
 
-def test_workers_env(config_path: Path, tmp_path: Path, monkeypatch, capsys) -> None:
-    out = tmp_path / "out"
-    monkeypatch.setenv("NONESCAPE_WORKERS", "0")
-    assert main(["nonescape", "--config", str(config_path), "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
-    monkeypatch.setenv("NONESCAPE_WORKERS", "junk")
-    assert main(["nonescape", "--config", str(config_path), "--out", str(out)]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("NONESCAPE_WORKERS", "2")
-    assert main(["nonescape", "--config", str(config_path), "--out", str(out)]) == 0
-
-
 def test_tail_table_columns(config_path: Path, tmp_path: Path) -> None:
     out = tmp_path / "out"
     assert main(["tail", "--config", str(config_path), "--out", str(out)]) == 0

@@ -1,21 +1,33 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from _oracles import nonescape_probability_loop
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from nonescape.dynamics import (
     NonescapeSeries,
     TimeGrid,
     default_time_grid,
+    exact_row_sums,
     gamma_width,
     lifetime,
     nonescape_probability,
     probability_window,
 )
-from nonescape.errors import ConfigError, EmptyWindow
+from nonescape.errors import (
+    ConfigError,
+    EmptyWindow,
+    NonPositiveProbability,
+    TruncationUnstable,
+)
 from nonescape.gamow import ExpansionData
+from nonescape.selftest import SelftestContext
 
 _K1 = 2.7579383212949247 - 0.14043273246623328j
 _GAMMA1 = 1.549219  # -2 Im(k1^2)
@@ -112,8 +124,8 @@ def test_series_bookkeeping(data: ExpansionData) -> None:
 
 
 def test_probability_positive_far_into_tail(data: ExpansionData) -> None:
-    # Deep in the algebraic tail P is ~1e-12; ordered compensated summation
-    # must keep it strictly positive.
+    # Deep in the algebraic tail P is ~1e-12; exact summation must keep it
+    # strictly positive.
     grid = TimeGrid(np.array([200.0, 500.0, 1000.0]))
     series = nonescape_probability(data, grid, n_pairs=40)
     assert np.all(series.probability > 0.0)
@@ -143,3 +155,113 @@ def test_nonescape_series_is_lightweight() -> None:
         provenance="synthetic",
     )
     assert len(series) == 2
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("n_pairs", [5, 10, 20, 40])
+def test_batched_probability_matches_loop(data: ExpansionData, n_pairs: int) -> None:
+    # the default configuration's grid: 118 log-spaced samples in [0.05, 42]
+    grid = TimeGrid.log(0.05, 42.0, per_decade=40)
+    series = nonescape_probability(data, grid, n_pairs=n_pairs)
+    p_ref, imag_ref = nonescape_probability_loop(data.truncate(n_pairs), grid.times)
+    assert np.array_equal(_bits(series.probability), _bits(p_ref))
+    assert series.imag_residual == imag_ref
+
+
+def test_long_time_stability_wide_expansion(ctx: SelftestContext) -> None:
+    # 160 pole pairs out to t = 1e5, where P falls to ~1e-15 and every
+    # sample is a near-total cancellation of (2N)^2 = 102400 terms
+    wide = ctx.wide_data
+    grid = TimeGrid.log(0.05, 1.0e5, per_decade=10)
+    series = nonescape_probability(wide, grid, n_pairs=160)
+    p_ref, imag_ref = nonescape_probability_loop(wide.truncate(160), grid.times)
+    assert np.array_equal(_bits(series.probability), _bits(p_ref))
+    assert series.imag_residual == imag_ref
+    tail = series.times >= 10.0
+    assert np.all(series.probability > 0.0)
+    assert np.all(np.diff(series.probability[tail]) < 0.0)
+    assert series.probability[-1] < 1e-14
+
+
+def test_nonhermitian_overlap_raises_at_first_offending_time(
+    data: ExpansionData,
+) -> None:
+    sub = data.truncate(10)
+    i1, i5 = (int(np.flatnonzero(sub.indices == n)[0]) for n in (1, 5))
+    w0 = 0.5 * sub.coefficients  # M(k, 0) = 1/2
+    # an anti-Hermitian part whose term cancels at t = 0 and grows as the
+    # n = 5 state decays faster than n = 1
+    skew = np.zeros_like(sub.overlap)
+    skew[i1, i1] = 1.0
+    skew[i5, i5] = -abs(w0[i1]) ** 2 / abs(w0[i5]) ** 2
+    doctored = dataclasses.replace(sub, overlap=sub.overlap + 1e-3j * skew)
+    grid = TimeGrid(np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 40)]))
+    with pytest.raises(TruncationUnstable) as ref:
+        nonescape_probability_loop(doctored, grid.times)
+    assert "at t = 0 " not in str(ref.value)
+    with pytest.raises(TruncationUnstable, match=re.escape(str(ref.value))):
+        nonescape_probability(doctored, grid)
+
+
+def test_negated_overlap_raises_nonpositive(data: ExpansionData) -> None:
+    sub = data.truncate(10)
+    grid = TimeGrid.log(0.5, 40.0, per_decade=8)
+    negated = dataclasses.replace(sub, overlap=-sub.overlap)
+    with pytest.raises(NonPositiveProbability, match=rf"^P\({grid.times[0]:g}\) = "):
+        nonescape_probability(negated, grid)
+    # negative and far from real at the same sample: the imaginary check
+    # comes first
+    both = dataclasses.replace(sub, overlap=-sub.overlap * (1.0 + 1e-3j))
+    with pytest.raises(TruncationUnstable, match=f"at t = {grid.times[0]:g} "):
+        nonescape_probability(both, grid)
+
+
+def _finite_rows():
+    floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    return st.integers(1, 4).flatmap(
+        lambda n_rows: st.integers(0, 40).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(floats, min_size=n_cols, max_size=n_cols),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+    )
+
+
+@given(_finite_rows())
+def test_exact_row_sums_equal_fsum(rows: list[list[float]]) -> None:
+    try:
+        expected = [math.fsum(row) for row in rows]
+    except OverflowError:
+        assume(False)
+    got = exact_row_sums(np.array(rows, dtype=float).reshape(len(rows), -1))
+    assert np.array_equal(_bits(got), _bits(expected))
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         -2.2250738585072009e-308, 1.0, -1.0, 1e300, -1e300,
+                         1.7976931348623157e308, -1.7976931348623157e308]),
+        max_size=30,
+    )
+)
+def test_exact_row_sums_edge_values(row: list[float]) -> None:
+    # signed zeros, subnormals, the normal/subnormal boundary, exact cancellation
+    try:
+        expected = math.fsum(row)
+    except OverflowError:
+        assume(False)
+    got = exact_row_sums(np.array([row], dtype=float).reshape(1, -1))
+    assert _bits(got)[0] == _bits([expected])[0]
+
+
+def test_exact_row_sums_complex_and_nonfinite() -> None:
+    rows = np.array([[1e16 + 1j, 1.0 - 1e-30j, -1e16 + 0j], [np.inf, 1.0, 2.0]])
+    got = exact_row_sums(rows)
+    assert got[0] == complex(1.0, math.fsum([1.0, -1e-30, 0.0]))
+    assert got[1].real == math.inf and got[1].imag == 0.0
