@@ -182,10 +182,16 @@ def product_integral(
     q1 q2 -> 0, handled by a midpoint-derivative fallback.
     """
     L = float(length)
-    s = np.sqrt(complex(z1) * complex(z2))
-    apb = complex(z1) + complex(z2)
-    a = apb + 2.0 * s  # (q1 + q2)^2 for one branch choice; the pair {a, b} is branch-free
-    b = apb - 2.0 * s
+    z1, z2 = complex(z1), complex(z2)
+    s = np.sqrt(z1 * z2)
+    # (q1 + q2)^2 and (q1 - q2)^2: the pair {a, b} is branch-free.  The
+    # smaller root comes from the product a b = (z1 - z2)^2, because
+    # z1 + z2 - 2s cancels (to ~eps |z| where it should vanish, z1 = z2).
+    a = z1 + z2 + 2.0 * s
+    b = z1 + z2 - 2.0 * s
+    if abs(b) > abs(a):
+        a, b = b, a
+    b = (z1 - z2) ** 2 / a if a != 0 else 0j
     mid = 0.5 * (a + b)
     # The G of the closed form is the S kernel evaluated at w; W is the versine.
     ga = kernels(a, L)[1]
@@ -199,8 +205,8 @@ def product_integral(
     iss = -2.0 * _diff_ratio(ga, gb, a, b, dg_mid)
     wsum = 0.5 * (wa + wb)
     wdd = _diff_ratio(wa, wb, a, b, dw_mid)
-    ics = wsum + 2.0 * complex(z1) * wdd
-    isc = wsum + 2.0 * complex(z2) * wdd
+    ics = wsum + 2.0 * z1 * wdd
+    isc = wsum + 2.0 * z2 * wdd
     return a1 * a2 * icc + a1 * b2 * ics + b1 * a2 * isc + b1 * b2 * iss
 
 

@@ -194,6 +194,34 @@ def test_product_integral_symmetry() -> None:
     assert fwd == pytest.approx(rev, rel=1e-13)
 
 
+def _delta_shell_pole(strength: float, n: int) -> complex:
+    """n-th resonance of the unit-radius delta shell, by Newton from its asymptote."""
+    k = complex(n * np.pi - 0.5, -0.5 * np.log(2.0 * n * np.pi / strength))
+    for _ in range(100):
+        s, c = cmath.sin(k), cmath.cos(k)
+        j = c + (strength - 1j * k) * s / k
+        dj = -s - 1j * s / k + (strength - 1j * k) * (k * c - s) / (k * k)
+        step = j / dj
+        k -= step
+        if abs(step) <= 1e-14 * abs(k):
+            return k
+    raise AssertionError(f"pole {n} did not converge")
+
+
+def test_product_integral_self_products_at_high_z() -> None:
+    # Normalization integrals int_0^R u^2 of the delta shell's resonances up
+    # to n = 319 (|z| ~ 1e6), against 600-panel order-30 quadrature.  With
+    # z1 = z2 the closed form needs (q1 - q2)^2 = 0; forming it as
+    # z1 + z2 - 2 sqrt(z1 z2) left ~eps |z| and errors up to 3.6e-11.
+    nodes, weights = panel_nodes(0.0, 1.0, 600, order=30)
+    for n in [*range(1, 41), *range(41, 320, 7)]:
+        z = _delta_shell_pole(6.0, n) ** 2
+        _, sinc = kernels(np.full(nodes.shape, z), nodes)
+        brute = complex(np.sum(weights * sinc * sinc))
+        closed = product_integral(1.0, z, 0.0, 1.0, z, 0.0, 1.0)
+        assert abs(closed - brute) <= 1e-12 * abs(brute), n
+
+
 def test_gauss_legendre_polynomial_exactness() -> None:
     x, w = gauss_legendre(8)
     assert x.shape == w.shape == (8,)
