@@ -440,7 +440,9 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = []
     for data in (closed, quadrature):
         for n in truncations:
-            series = nonescape_probability(data, grid, n_pairs=n, mode=data.overlap_method)
+            series = nonescape_probability(
+                data, grid, n_pairs=n, mode=data.overlap_method
+            )
             rows.extend(
                 (series.mode, n, t, p, series.imag_residual)
                 for t, p in zip(series.times, series.probability)

@@ -183,12 +183,12 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     lo_bins = np.zeros(n_rows * width, dtype=np.int64)
     for c0 in range(0, n_cols, _EXACT_TERMS):
         cols = slice(c0, c0 + _EXACT_TERMS)
+        bins = index[:, cols].ravel()
         hi_bins += np.bincount(
-            index[:, cols].ravel(), high[:, cols].ravel(), minlength=len(hi_bins)
+            bins, high[:, cols].ravel(), minlength=len(hi_bins)
         ).astype(np.int64)
         lo_bins += (
-            np.bincount(index[:, cols].ravel(), low[:, cols].ravel(), minlength=len(lo_bins))
-            * _SPLIT
+            np.bincount(bins, low[:, cols].ravel(), minlength=len(lo_bins)) * _SPLIT
         ).astype(np.int64)
     used = np.flatnonzero(hi_bins | lo_bins)
     row, e0, total = -1, 0, 0

@@ -569,7 +569,7 @@ def weighted_field(
     live = [m for m, w in enumerate(weights) if w != 0]
     if live:
         idx, x = _locate(data.states[0].r_edges, r_arr)
-        step = max(1, _FIELD_BLOCK // r_arr.size)
+        step = max(1, _FIELD_BLOCK // max(r_arr.size, 1))
         for b0 in range(0, len(live), step):
             block = live[b0 : b0 + step]
             values = _state_values([data.states[m] for m in block], idx, x)

@@ -213,6 +213,9 @@ def test_sum_rule_scalar_evaluation(data: ExpansionData) -> None:
     assert isinstance(value, complex)
     arr = np.asarray(sum_rule_residual(data, np.array([0.5]), n_pairs=10))
     assert value == pytest.approx(complex(arr[0]), rel=1e-15)
+    grid = np.array([[0.25, 0.5], [0.75, 1.0]])
+    assert np.asarray(sum_rule_residual(data, grid, n_pairs=10)).shape == (2, 2)
+    assert np.asarray(sum_rule_residual(data, np.array([]), n_pairs=10)).shape == (0,)
 
 
 def test_expansion_norm_approaches_unity(data: ExpansionData) -> None:

@@ -211,8 +211,8 @@ def _delta_shell_pole(strength: float, n: int) -> complex:
 def test_product_integral_self_products_at_high_z() -> None:
     # Normalization integrals int_0^R u^2 of the delta shell's resonances up
     # to n = 319 (|z| ~ 1e6), against 600-panel order-30 quadrature.  With
-    # z1 = z2 the closed form needs (q1 - q2)^2 = 0; forming it as
-    # z1 + z2 - 2 sqrt(z1 z2) left ~eps |z| and errors up to 3.6e-11.
+    # z1 = z2 the closed form needs (q1 - q2)^2 = 0 exactly, which a
+    # cancelling z1 + z2 - 2 sqrt(z1 z2) misses by ~eps |z|.
     nodes, weights = panel_nodes(0.0, 1.0, 600, order=30)
     for n in [*range(1, 41), *range(41, 320, 7)]:
         z = _delta_shell_pole(6.0, n) ** 2
