@@ -353,8 +353,16 @@ def convergence_study(
     grid: TimeGrid | None = None,
     slope_window: tuple[float, float] | None = None,
     prefactor: float = TAIL_PREFACTOR,
+    *,
+    largest_series: NonescapeSeries | None = None,
 ) -> TailReport:
-    """Tabulate tail coefficients, sum-rule norms, and crossovers versus N."""
+    """Tabulate tail coefficients, sum-rule norms, and crossovers versus N.
+
+    With ``grid`` and ``slope_window`` each truncation's P(t) on ``grid`` is
+    fitted for its slope.  A caller that already holds that P(t) for the
+    largest truncation (say, to choose the window from it) passes it as
+    ``largest_series`` so it is not evaluated twice.
+    """
     truncs = tuple(int(n) for n in truncations)
     if not truncs or any(n < 1 for n in truncs) or list(truncs) != sorted(set(truncs)):
         raise ConfigError("truncations must be distinct positive integers, ascending")
@@ -362,6 +370,13 @@ def convergence_study(
         raise ConfigError(
             f"truncation {truncs[-1]} exceeds built expansion ({data.n_pairs} pairs)"
         )
+    if largest_series is not None and (
+        grid is None
+        or largest_series.n_pairs != truncs[-1]
+        or largest_series.mode != "closed"
+        or not np.array_equal(largest_series.times, grid.times)
+    ):
+        raise ConfigError("largest_series must be P(t) of the largest truncation on grid")
     r_arr = np.asarray(r_points, dtype=float)
     m = len(truncs)
     t1m = np.empty(m)
@@ -385,7 +400,10 @@ def convergence_study(
             s_n = weighted_field(sub, r_arr, sub.coefficients / sub.wavenumbers)
             ptw[i] = np.abs(np.asarray(s_n))
         if slopes is not None:
-            series = nonescape_probability(data, grid, n_pairs=n)
+            if n == truncs[-1] and largest_series is not None:
+                series = largest_series
+            else:
+                series = nonescape_probability(data, grid, n_pairs=n)
             fit = slope_fit(series, slope_window)
             slopes[i] = fit.slope
             errs[i] = fit.stderr

@@ -468,13 +468,14 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
         series = nonescape_probability(data, grid, n_pairs=truncations[-1])
         slope_window = post_exponential_window(series, pole_set.pole(1))
     except NonescapeError:
-        slope_window = None
+        series, slope_window = None, None
     report = convergence_study(
         data,
         truncations,
         np.asarray(_r_points(cfg, args)),
         grid=grid,
         slope_window=slope_window,
+        largest_series=series,
     )
     nan = [float("nan")] * len(report.truncations)
     slopes = report.slope if report.slope is not None else nan

@@ -170,7 +170,7 @@ class SelftestContext:
         ``horizon_time`` stays None and check 8's direct fit, which ends at
         t = 42, carries the swing in its slope and stderr.
         """
-        self._log("direct integration, t <= 42 (about two minutes) ...")
+        self._log("direct integration, t <= 42 (about three minutes) ...")
         start = time.time()
         grid = GridSpec(
             box_size=240.0,

@@ -13,7 +13,8 @@ for large arguments in the upper half-plane.  Lower-half-plane values follow
 from the exact reflection w(z) = 2 exp(-z^2) - w(-z), also in extended
 precision.  Nothing here shares code with the package implementation, apart
 from :func:`nonescape_probability_loop`, which keeps the per-sample form of
-P(t) that the batched evaluation replaced.
+P(t) that the batched evaluation replaced, and :func:`evolve_tdse_full`,
+which keeps the Crank-Nicolson loop that solves every step on the whole box.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from math import fsum
 import mpmath as mp
 import numpy as np
 
+from nonescape.dynamics import TimeGrid
 from nonescape.errors import NonPositiveProbability, TruncationUnstable
 from nonescape.gamow import ExpansionData
+from nonescape.model import InitialState, Potential
+from nonescape.oracle import GridSpec, OracleResult, _prepare
 from nonescape.specfn import moshinsky
 
 
@@ -117,3 +121,30 @@ def nonescape_probability_loop(
         worst_imag = max(worst_imag, abs(im) / scale)
         p_out[j] = re
     return p_out, worst_imag
+
+
+def evolve_tdse_full(
+    potential: Potential,
+    psi0: InitialState,
+    grid: GridSpec,
+    times: TimeGrid | None = None,
+    sample_times: tuple[float, ...] = (),
+) -> OracleResult:
+    """``evolve_tdse`` with every step solved on all interior nodes.
+
+    Same set-up and bookkeeping as the package; the leak monitor looks at
+    the far wall after every step.
+    """
+    run = _prepare(potential, psi0, grid, times, sample_times)
+    psi = run.psi0
+    run.record(0, psi)
+    for step in range(1, grid.n_steps + 1):
+        rhs = run.diag_b * psi
+        rhs[:-1] += run.off_b * psi[1:]
+        rhs[1:] += run.off_b * psi[:-1]
+        psi, _ = run.gttrs(*run.factors, rhs)
+        psi[run.mask_start :] *= run.mask
+        run.watch_far_wall(step, psi)
+        run.check_norm(step, psi)
+        run.record(step, psi)
+    return run.result()

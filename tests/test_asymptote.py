@@ -287,6 +287,35 @@ def test_convergence_study_with_slopes(data: ExpansionData) -> None:
     assert np.all(report.slope_stderr >= 0.0)
 
 
+def test_convergence_study_reuses_largest_series(
+    data: ExpansionData, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    grid = TimeGrid.log(20.0, 40.0, per_decade=40)
+    window = (20.0, 40.0)
+    plain = convergence_study(data, (5, 40), grid=grid, slope_window=window)
+    largest = nonescape_probability(data, grid, n_pairs=40)
+    calls: list[int] = []
+
+    def counted(data, grid, n_pairs=None, mode="closed"):
+        calls.append(n_pairs)
+        return nonescape_probability(data, grid, n_pairs, mode)
+
+    monkeypatch.setattr(asym, "nonescape_probability", counted)
+    reused = convergence_study(
+        data, (5, 40), grid=grid, slope_window=window, largest_series=largest
+    )
+    assert calls == [5]
+    np.testing.assert_array_equal(reused.slope, plain.slope)
+    np.testing.assert_array_equal(reused.slope_stderr, plain.slope_stderr)
+    with pytest.raises(ConfigError, match="largest truncation"):
+        convergence_study(data, (5, 10), grid=grid, slope_window=window, largest_series=largest)
+    with pytest.raises(ConfigError, match="largest truncation"):
+        convergence_study(
+            data, (5, 40), grid=TimeGrid.log(20.0, 40.0, per_decade=20),
+            slope_window=window, largest_series=largest,
+        )
+
+
 def test_convergence_study_tail_matches_series(data: ExpansionData) -> None:
     # Far beyond the crossover the truncated series itself must follow its
     # own three-term tail.

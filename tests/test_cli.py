@@ -190,6 +190,40 @@ def test_nonescape_time_overrides(config_path: Path, tmp_path: Path) -> None:
     assert len(set(row["t"] for row in rows)) == 7
 
 
+def test_tail_evaluates_each_series_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The largest truncation's P(t) both opens the slope window and gives
+    # that truncation's slope.
+    import nonescape.asymptote as asymptote
+    import nonescape.cli as cli
+
+    calls: list[int] = []
+    evaluate = cli.nonescape_probability
+
+    def counted(data, grid, n_pairs=None, mode="closed"):
+        calls.append(n_pairs)
+        return evaluate(data, grid, n_pairs, mode)
+
+    monkeypatch.setattr(cli, "nonescape_probability", counted)
+    monkeypatch.setattr(asymptote, "nonescape_probability", counted)
+    path = tmp_path / "run.json"
+    path.write_text(
+        json.dumps(
+            _config(
+                pole_search={"re_max": 127.5, "im_min": -3.0},
+                truncations=[5, 10],
+                time_grid={"kind": "log", "t_min": 0.05, "t_max": 42.0, "per_decade": 40},
+            )
+        )
+    )
+    out = tmp_path / "out"
+    assert main(["tail", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(calls) == [5, 10]
+    _, _, rows = _read_csv(out / "tail.csv")
+    assert all(np.isfinite(float(row["slope"])) for row in rows)
+
+
 def test_tail_table_columns(config_path: Path, tmp_path: Path) -> None:
     out = tmp_path / "out"
     assert main(["tail", "--config", str(config_path), "--out", str(out)]) == 0

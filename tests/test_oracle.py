@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import nonescape.oracle as oracle
+from _oracles import evolve_tdse_full
 from nonescape.dynamics import TimeGrid
-from nonescape.errors import ConfigError, HorizonTooShort, InvalidState
+from nonescape.errors import (
+    ConfigError,
+    HorizonTooShort,
+    InvalidState,
+    UnstableParameters,
+)
 from nonescape.model import BoxMode, DeltaShell, PiecewiseConstant, state_norm
 from nonescape.oracle import (
     GridSpec,
@@ -233,6 +240,131 @@ def test_long_run_health(ctx: SelftestContext) -> None:
     mask = (series.times >= 0.5 * tau) & (series.times <= 3.0 * tau)
     slope = np.polyfit(series.times[mask], np.log(series.probability[mask]), 1)[0]
     assert slope == pytest.approx(-_GAMMA1, rel=0.05)
+
+
+@pytest.fixture()
+def solve_sizes(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Nodes in each tridiagonal solve ``evolve_tdse`` makes."""
+    sizes: list[int] = []
+    lapack = oracle.get_lapack_funcs
+
+    def recording(names, arrays):
+        gttrf, gttrs = lapack(names, arrays)
+
+        def solve(dl, d, du, du2, ipiv, b, **kwargs):
+            sizes.append(len(b))
+            return gttrs(dl, d, du, du2, ipiv, b, **kwargs)
+
+        return gttrf, solve
+
+    monkeypatch.setattr(oracle, "get_lapack_funcs", recording)
+    return sizes
+
+
+def _assert_same_run(windowed: OracleResult, full: OracleResult) -> None:
+    np.testing.assert_array_equal(windowed.series.times, full.series.times)
+    np.testing.assert_array_equal(windowed.series.probability, full.series.probability)
+    np.testing.assert_array_equal(windowed.norms, full.norms)
+    assert windowed.horizon_time == full.horizon_time
+    # Zeros past the solved block may differ in sign only.
+    assert len(windowed.snapshots) == len(full.snapshots)
+    for (t_w, psi_w), (t_f, psi_f) in zip(windowed.snapshots, full.snapshots):
+        assert t_w == t_f
+        np.testing.assert_array_equal(psi_w, psi_f)
+
+
+def test_windowed_solve_matches_full_box_with_absorber(solve_sizes: list[int]) -> None:
+    # The reference shell and grid in a shorter box, with the absorber
+    # starting at r = 2 so that it damps the state while the solved block
+    # grows by many chunks over 400 steps.
+    grid = GridSpec(
+        box_size=40.0, dr=0.005, dt=4.0e-4, t_final=0.16,
+        absorber_width=38.0, absorber_strength=15.0,
+    )
+    times = TimeGrid.log(0.002, 0.16, per_decade=40)
+    snaps = (0.08, 0.16)
+    windowed = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, times, snaps)
+    blocks = np.asarray(solve_sizes)
+    full = evolve_tdse_full(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, times, snaps)
+    _assert_same_run(windowed, full)
+    m = full.r_interior.size
+    assert blocks.max() < m
+    assert [psi.size for _, psi in windowed.snapshots] == [m, m]
+    assert blocks.max() - blocks[0] >= 10 * oracle._WINDOW_CHUNK
+
+
+def test_windowed_solve_matches_full_box_at_horizon(solve_sizes: list[int]) -> None:
+    grid = _small_grid(t_final=2.0)
+    times = TimeGrid(np.array([0.5, 1.9]))
+    windowed = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, times)
+    last_block = solve_sizes[-1]
+    full = evolve_tdse_full(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, times)
+    _assert_same_run(windowed, full)
+    assert windowed.horizon_time is not None
+    assert last_block == full.r_interior.size
+
+
+def test_windowed_solve_matches_full_box_for_barrier(solve_sizes: list[int]) -> None:
+    barrier = PiecewiseConstant(((0.0, 0.5, 0.0), (0.5, 1.0, 40.0)))
+    grid = GridSpec(box_size=30.0, dr=0.005, dt=4.0e-4, t_final=0.12)
+    windowed = evolve_tdse(barrier, REFERENCE_STATE, grid)
+    first_block = solve_sizes[0]
+    full = evolve_tdse_full(barrier, REFERENCE_STATE, grid)
+    _assert_same_run(windowed, full)
+    assert first_block < full.r_interior.size
+
+
+def test_windowed_solve_matches_full_box_for_packet(ctx: SelftestContext) -> None:
+    run = ctx.gauss_run
+    psi0 = sampled_gaussian(
+        sigma=0.32, center=2.4, momentum=1.0, support=5.0, dr_sample=0.004
+    )
+    full = evolve_tdse_full(
+        PiecewiseConstant(((0.0, 5.0, 0.0),)),
+        psi0,
+        run.grid,
+        times=TimeGrid(times=np.linspace(0.05, 1.5, 30)),
+        sample_times=(0.375, 0.75, 1.125, 1.5),
+    )
+    _assert_same_run(run, full)
+
+
+def test_row_interchange_solves_whole_box(
+    solve_sizes: list[int], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # Leading slices factor the leading block only when gttrf swapped no
+    # rows; any interchange in ipiv must send every step to the whole box.
+    recording = oracle.get_lapack_funcs
+
+    def interchanged(names, arrays):
+        gttrf, gttrs = recording(names, arrays)
+
+        def factor(*args):
+            dl, d, du, du2, ipiv, info = gttrf(*args)
+            swapped = ipiv.copy()
+            swapped[-2] += 1
+            return dl, d, du, du2, swapped, info
+
+        def solve(dl, d, du, du2, ipiv, b, **kwargs):
+            identity = np.arange(1, len(b) + 1, dtype=ipiv.dtype)
+            return gttrs(dl, d, du, du2, identity, b, **kwargs)
+
+        return factor, solve
+
+    monkeypatch.setattr(oracle, "get_lapack_funcs", interchanged)
+    grid = GridSpec(box_size=30.0, dr=0.005, dt=4.0e-4, t_final=0.02)
+    windowed = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
+    blocks = list(solve_sizes)
+    full = evolve_tdse_full(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
+    _assert_same_run(windowed, full)
+    assert blocks == [full.r_interior.size] * grid.n_steps
+
+
+def test_norm_drift_raises(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The first check, at step 200, sees a drift of about 9e-14.
+    monkeypatch.setattr(oracle, "_NORM_DRIFT_LIMIT", 1e-14)
+    with pytest.raises(UnstableParameters, match="norm drift .* at t = 0.08 exceeds"):
+        evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, _small_grid(t_final=0.1))
 
 
 def test_gaussian_packet_exact_wall_condition() -> None:
