@@ -6,9 +6,12 @@ A resonance pole is a zero of the outgoing-wave matching function
 
 where u solves u'' + (k^2 - V) u = 0 with u(0) = 0, u'(0) = 1 and R is the
 potential range.  Built from the even segment kernels, J is entire in k, so
-zeros can be counted exactly with the argument principle and then isolated
-by rectangle bisection.  Each isolated zero is polished by Newton iteration
-using the analytically propagated derivative dJ/dk (no finite differences).
+zeros can be counted exactly with the argument principle, here on strips of
+a few zeros each.  The contour moments (1/2 pi i) oint (z - c)^p J'/J dz of
+a strip give all its zeros as the eigenvalues of a small Hankel pencil
+(Delves & Lyness, Math. Comp. 21 (1967) 543; Kravanja & Van Barel, LNM 1727
+(2000)), and Newton iteration polishes them all at once, both with the
+analytically propagated derivative dJ/dk (no finite differences).
 
 Zeros come in Schwarz pairs: for every fourth-quadrant zero k_n there is a
 third-quadrant mirror at -conj(k_n).  Only the fourth quadrant is searched;
@@ -18,26 +21,18 @@ mirrors are produced by :func:`mirror_state_rule`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigvals
 
-from .errors import (
-    AxisZero,
-    ConfigError,
-    RootPolishFailure,
-    WindingMismatch,
-)
+from .errors import AxisZero, ConfigError, RootPolishFailure, WindingMismatch
 from .model import Potential, delta_jump, potential_range, segments
-from .segmath import propagate_with_dk
+from .segmath import gauss_legendre, propagate_with_dk
 
 __all__ = [
-    "SearchWindow",
-    "ResonancePole",
-    "PoleSet",
-    "matching_function",
-    "winding_count",
-    "locate_poles",
-    "mirror_state_rule",
+    "SearchWindow", "ResonancePole", "PoleSet", "matching_function",
+    "winding_count", "locate_poles", "mirror_state_rule",
 ]
 
 _PHASE_STEP_LIMIT = 0.5 * np.pi  # refine contour sampling beyond this |phase step|
@@ -45,6 +40,12 @@ _MAX_EDGE_POINTS = 400_000
 _AXIS_ABS_TOL = 1e-9  # |J| below this fraction of the contour scale flags a grazing zero
 _RESIDUAL_TOL = 1e-10  # required |J(k_n)| relative to the contour scale
 _NEWTON_MAX_ITER = 60
+_ZEROS_PER_STRIP = 4  # strips start this many zero spacings wide
+_MAX_RECUTS = 8  # times a cut that grazes a zero is moved
+_GL_ORDER = 8  # Gauss-Legendre nodes per moment panel
+_MOMENT_TOL = 1e-3  # |s_0 - count| beyond which a strip's panels are halved
+_MOMENT_ROUNDS = 6
+_BLOCK_POINTS = 16_384  # points per vectorized matching-function call
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class ResonancePole:
 
     ``n`` is 1-based ascending in Re k for fourth-quadrant poles and negative
     for their third-quadrant mirrors; ``residual`` is |J(k)| at the polished
-    zero and ``scale`` the largest |J| met on the enclosing contour, so
-    ``residual / scale`` measures how well the zero is resolved.
+    zero and ``scale`` the largest |J| met on the contour of the strip that
+    holds it, so ``residual / scale`` measures how well the zero is resolved.
     """
 
     n: int
@@ -78,12 +79,7 @@ class ResonancePole:
 
 
 class _GridZero(Exception):
-    """Internal: |J| vanished (relatively) somewhere on a contour edge."""
-
-    def __init__(self, location: complex, ratio: float):
-        self.location = location
-        self.ratio = ratio
-        super().__init__(f"matching function ~0 on contour at k = {location:.6g}")
+    """Internal: |J| vanished (relatively) at the point ``args[0]`` of a contour edge."""
 
 
 def matching_function(
@@ -111,187 +107,199 @@ def matching_function(
     return j, dj
 
 
-def _march_edge(
-    potential: Potential, z0: complex, z1: complex, density: float
-) -> tuple[float, float, float]:
-    """Accumulated arg J along the segment z0 -> z1, with adaptive refinement.
-
-    Returns (total phase, min |J|, max |J|).  Sampling is refined until every
-    step turns the phase by at most pi/2, which makes the total exact for the
-    continuous boundary.
-    """
-    n0 = max(8, int(4.0 + abs(z1 - z0) * density))
-    ts = np.linspace(0.0, 1.0, n0)
-    j = np.asarray(matching_function(potential, z0 + (z1 - z0) * ts)[0])
-    max_abs = float(np.max(np.abs(j)))
+def _march(
+    potential: Potential, z0: np.ndarray, z1: np.ndarray, density: float
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Total arg J, max |J| and sorted samples t in [0, 1] of each segment z0 -> z1,
+    refined together until no step turns the phase by over pi/2 (exact totals)."""
+    dz = z1 - z0
+    n0 = np.maximum(8, (4.0 + np.abs(dz) * density).astype(int))
+    ts = np.concatenate([np.linspace(0.0, 1.0, n) for n in n0])
+    seg = np.repeat(np.arange(z0.size), n0)
+    j = matching_function(potential, z0[seg] + dz[seg] * ts)[0]
     while True:
-        absj = np.abs(j)
-        max_abs = max(max_abs, float(np.max(absj)))
-        small = absj <= _AXIS_ABS_TOL * max_abs
-        if small.any():
-            i = int(np.argmin(absj))
-            raise _GridZero(complex(z0 + (z1 - z0) * ts[i]), float(absj[i] / max_abs))
+        firsts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+        peak = np.maximum.reduceat(np.abs(j), firsts)
+        ratio = np.abs(j) / peak[seg]
+        i = int(np.argmin(ratio))
+        if ratio[i] <= _AXIS_ABS_TOL:
+            raise _GridZero(complex(z0[seg[i]] + dz[seg[i]] * ts[i]))
         dphi = np.angle(j[1:] / j[:-1])
-        bad = np.abs(dphi) > _PHASE_STEP_LIMIT
-        if not bad.any():
-            return float(np.sum(dphi)), float(np.min(absj)), max_abs
-        if ts.size > _MAX_EDGE_POINTS:
+        inner = seg[1:] == seg[:-1]
+        bad = np.flatnonzero(inner & (np.abs(dphi) > _PHASE_STEP_LIMIT))
+        if not bad.size:
+            phase = np.bincount(seg[1:][inner], dphi[inner], minlength=z0.size)
+            return phase, peak, np.split(ts, firsts[1:])
+        if np.bincount(seg)[seg[bad]].max() > _MAX_EDGE_POINTS:
             raise WindingMismatch(
                 "contour sampling exceeded its budget; matching function phase "
                 "varies too rapidly (zero almost on the contour?)"
             )
-        idx = np.flatnonzero(bad)
-        mid_ts = 0.5 * (ts[idx] + ts[idx + 1])
-        mid_j = np.asarray(matching_function(potential, z0 + (z1 - z0) * mid_ts)[0])
-        ts = np.concatenate([ts, mid_ts])
-        j = np.concatenate([j, mid_j])
-        order = np.argsort(ts, kind="stable")
-        ts = ts[order]
-        j = j[order]
+        mid_ts, mid_seg = 0.5 * (ts[bad] + ts[bad + 1]), seg[bad]
+        mid_j = matching_function(potential, z0[mid_seg] + dz[mid_seg] * mid_ts)[0]
+        ts, seg, j = np.r_[ts, mid_ts], np.r_[seg, mid_seg], np.r_[j, mid_j]
+        order = np.lexsort((ts, seg))
+        ts, seg, j = ts[order], seg[order], j[order]
 
 
 _Rect = tuple[float, float, float, float]  # (re_lo, re_hi, im_lo, im_hi)
 
 
-def _winding(potential: Potential, rect: _Rect, density: float) -> tuple[int, float, float]:
-    """Zeros inside ``rect`` by the argument principle; also (min|J|, max|J|)."""
-    re_lo, re_hi, im_lo, im_hi = rect
-    corners = [
-        complex(re_lo, im_lo),
-        complex(re_hi, im_lo),
-        complex(re_hi, im_hi),
-        complex(re_lo, im_hi),
-        complex(re_lo, im_lo),
-    ]
-    total = 0.0
-    min_abs = np.inf
-    max_abs = 0.0
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        phase, lo, hi = _march_edge(potential, z0, z1, density)
-        total += phase
-        min_abs = min(min_abs, lo)
-        max_abs = max(max_abs, hi)
-    count = total / (2.0 * np.pi)
-    nearest = round(count)
-    if abs(count - nearest) > 0.25:
-        raise WindingMismatch(
-            f"non-integer winding number {count:.3f} on rectangle {rect}"
-        )
-    if nearest < 0:
-        raise WindingMismatch(f"negative winding number {nearest} on {rect}")
-    return int(nearest), float(min_abs), float(max_abs)
+class _Box(NamedTuple):
+    """A counted rectangle, max |J| on its contour and its edges' samples t."""
+
+    rect: _Rect
+    count: int
+    peak: float
+    samples: list[np.ndarray]
+
+
+def _edges(rects: list[_Rect]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points of each rectangle's four edges, counter-clockwise."""
+    corners = np.array(
+        [[complex(a, c), complex(b, c), complex(b, d), complex(a, d)] for a, b, c, d in rects]
+    ).reshape(-1, 4)
+    return corners.ravel(), np.roll(corners, -1, axis=1).ravel()
+
+
+def _windings(potential: Potential, rects: list[_Rect], density: float) -> list[_Box]:
+    """Zeros inside each rectangle by the argument principle, in one batch."""
+    phase, peak, samples = _march(potential, *_edges(rects), density)
+    counts = np.rint(phase.reshape(-1, 4).sum(axis=1) / (2.0 * np.pi)).astype(int)
+    for i in np.flatnonzero(counts < 0)[:1]:
+        raise WindingMismatch(f"negative winding number {counts[i]} on {rects[i]}")
+    peaks = peak.reshape(-1, 4).max(axis=1)
+    return [_Box(r, int(counts[i]), float(peaks[i]), samples[4 * i : 4 * i + 4])
+            for i, r in enumerate(rects)]
 
 
 def winding_count(potential: Potential, window: SearchWindow) -> int:
     """Zeros of J inside ``window`` counted by the boundary argument alone.
 
-    Independent of the isolation/polishing machinery, so it serves as an
+    Independent of the moment and polishing machinery, so it serves as an
     audit of :func:`locate_poles`: the two must report the same number.
     """
-    rng = potential_range(potential)
-    density = max(1.0, 2.0 * rng)
+    density = max(1.0, 2.0 * potential_range(potential))
     rect: _Rect = (0.0, window.re_max, window.im_min, 0.0)
-    count, _, _ = _winding(potential, rect, density)
-    return count
+    return _windings(potential, [rect], density)[0].count
 
 
-def _split(rect: _Rect) -> tuple[float, bool]:
-    """Longest-side midpoint; returns (coordinate, split_is_vertical)."""
-    re_lo, re_hi, im_lo, im_hi = rect
-    if (re_hi - re_lo) >= (im_hi - im_lo):
-        return 0.5 * (re_lo + re_hi), True
-    return 0.5 * (im_lo + im_hi), False
+def _strips(potential: Potential, window: SearchWindow, density: float) -> list[_Box]:
+    """Cut the window into strips of a few zeros each, counted with the window.
 
-
-def _children(rect: _Rect, frac: float) -> tuple[_Rect, _Rect]:
-    re_lo, re_hi, im_lo, im_hi = rect
-    if (re_hi - re_lo) >= (im_hi - im_lo):
-        cut = re_lo + frac * (re_hi - re_lo)
-        return (re_lo, cut, im_lo, im_hi), (cut, re_hi, im_lo, im_hi)
-    cut = im_lo + frac * (im_hi - im_lo)
-    return (re_lo, re_hi, im_lo, cut), (re_lo, re_hi, cut, im_hi)
-
-
-def _diag(rect: _Rect) -> float:
-    return float(np.hypot(rect[1] - rect[0], rect[3] - rect[2]))
-
-
-def _center(rect: _Rect) -> complex:
-    return complex(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
-
-
-def _newton(
-    potential: Potential, rect: _Rect, scale: float, tol: float
-) -> tuple[complex, float]:
-    """Polish the single zero inside ``rect``, returning (k, residual)."""
-    k = _center(rect)
-    diag = _diag(rect)
-    margin = 0.1 * diag + 10.0 * tol
-    for _ in range(_NEWTON_MAX_ITER):
-        j, dj = matching_function(potential, k)
-        if dj == 0:
-            raise RootPolishFailure(f"dJ/dk vanished during polish near k = {k:.6g}")
-        step = j / dj
-        if abs(step) > 0.5 * diag:
-            step *= 0.5 * diag / abs(step)
-        k = k - step
-        if abs(step) <= tol:
-            break
-    else:
-        raise RootPolishFailure(
-            f"Newton iteration did not reach |dk| <= {tol:g} near k = {k:.6g}"
-        )
-    if not (
-        rect[0] - margin <= k.real <= rect[1] + margin
-        and rect[2] - margin <= k.imag <= rect[3] + margin
-    ):
-        raise RootPolishFailure(
-            f"polished zero {k:.6g} escaped its isolating rectangle {rect}"
-        )
-    residual = abs(matching_function(potential, k)[0])
-    if residual > _RESIDUAL_TOL * scale:
-        raise RootPolishFailure(
-            f"residual |J| = {residual:.3e} exceeds {_RESIDUAL_TOL:g} * contour scale "
-            f"{scale:.3e} at k = {k:.6g}"
-        )
-    return k, residual
-
-
-def _isolate(
-    potential: Potential,
-    rect: _Rect,
-    count: int,
-    scale: float,
-    density: float,
-    tol: float,
-    out: list[tuple[complex, float, float]],
-    depth: int = 0,
-) -> None:
-    """Recursively bisect until each sub-rectangle holds one zero, then polish."""
-    if depth > 120:
-        raise WindingMismatch("rectangle bisection exceeded its depth budget")
-    center = _center(rect)
-    if count == 1 and _diag(rect) <= 0.05 * (1.0 + abs(center)):
-        k, residual = _newton(potential, rect, scale, tol)
-        out.append((k, residual, scale))
-        return
-    for frac in (0.5, 0.55, 0.45, 0.6, 0.4, 0.52, 0.48):
-        left, right = _children(rect, frac)
+    Zeros of J lie about 2 pi / density apart in Re k.  The window is recut into
+    one strip more when a cut grazes a zero, and once into total /
+    ``_ZEROS_PER_STRIP`` strips when one holds over twice that many."""
+    whole: _Rect = (0.0, window.re_max, window.im_min, 0.0)
+    n_strips = int(np.ceil(window.re_max * density / (2.0 * np.pi * _ZEROS_PER_STRIP)))
+    recuts = 0
+    while True:
+        cuts = np.linspace(0.0, window.re_max, n_strips + 1).tolist()
+        rects = [(a, b, window.im_min, 0.0) for a, b in zip(cuts[:-1], cuts[1:])]
         try:
-            n_left, _, s_left = _winding(potential, left, density)
-            n_right, _, s_right = _winding(potential, right, density)
-        except _GridZero:
-            continue  # the split line grazed a zero; nudge and retry
-        if n_left + n_right != count:
+            total, *boxes = _windings(potential, [whole] + rects, density)
+        except _GridZero as gz:
+            loc = gz.args[0]
+            if min(abs(loc.imag), abs(loc.real)) <= 1e-12 * (1.0 + abs(loc)):
+                raise AxisZero(f"J vanishes on a coordinate axis near k = {loc:.6g}") from gz
+            inside = 0.0 < loc.real < window.re_max and window.im_min < loc.imag < 0.0
+            if not inside or recuts == _MAX_RECUTS:
+                raise WindingMismatch(
+                    f"J vanishes on a contour near k = {loc:.6g}; enlarge or shrink the window"
+                ) from gz
+            n_strips, recuts = n_strips + 1, recuts + 1
             continue
-        if n_left:
-            _isolate(potential, left, n_left, max(scale, s_left), density, tol, out, depth + 1)
-        if n_right:
-            _isolate(potential, right, n_right, max(scale, s_right), density, tol, out, depth + 1)
-        return
-    raise WindingMismatch(
-        f"could not split rectangle {rect} consistently (count = {count})"
-    )
+        if sum(b.count for b in boxes) != total.count:
+            raise WindingMismatch(f"strips count other than the window's {total.count} zeros")
+        wanted = -(-total.count // _ZEROS_PER_STRIP)
+        if max(b.count for b in boxes) <= 2 * _ZEROS_PER_STRIP or wanted <= n_strips:
+            return boxes
+        n_strips = wanted
+
+
+def _moments(potential: Potential, boxes: list[_Box], center, rho, order: int) -> np.ndarray:
+    """Moments (1/2 pi i) oint ((z - center)/rho)^p J'/J dz, p < ``order``, on
+    Gauss-Legendre panels between the winding samples, in blocks of nodes."""
+    z0, z1 = _edges([b.rect for b in boxes])
+    samples = [t for b in boxes for t in b.samples]
+    lo = np.concatenate([t[:-1] for t in samples])
+    half = 0.5 * (np.concatenate([t[1:] for t in samples]) - lo)
+    edge = np.repeat(np.arange(len(samples)), [t.size - 1 for t in samples])
+    x, w = gauss_legendre(_GL_ORDER)
+    n = len(boxes)
+    mu = np.zeros((n, order), dtype=complex)
+    block = _BLOCK_POINTS // _GL_ORDER
+    for s in range(0, lo.size, block):
+        e, h = edge[s : s + block], half[s : s + block, None]
+        dz = (z1 - z0)[e, None]
+        z = (z0[e, None] + dz * (lo[s : s + block, None] + h * (1.0 + x))).ravel()
+        j, dj = matching_function(potential, z)
+        term = (h * dz * w).ravel() * dj / (2j * np.pi * j)
+        box = np.repeat(e // 4, _GL_ORDER)
+        zeta = (z - center[box]) / rho[box]
+        for p in range(order):
+            mu[:, p] += np.bincount(box, term.real, n) + 1j * np.bincount(box, term.imag, n)
+            term = term * zeta
+    return mu
+
+
+def _estimates(potential: Potential, boxes: list[_Box]) -> np.ndarray:
+    """Starting values of all zeros in ``boxes``, box by box.
+
+    The m zeros of a box are center + rho times the eigenvalues of the pencil
+    ([s_(i+j+1)], [s_(i+j)]), i, j < m, of its moments about its center in
+    units of its half-diagonal rho.  Where s_0 misses m (a zero near the
+    contour between samples), the box's panels are halved and retaken."""
+    if not boxes:
+        return np.empty(0, dtype=complex)
+    rects = np.array([b.rect for b in boxes])
+    center = 0.5 * (rects[:, 0] + rects[:, 1]) + 0.5j * (rects[:, 2] + rects[:, 3])
+    rho = 0.5 * np.hypot(rects[:, 1] - rects[:, 0], rects[:, 3] - rects[:, 2])
+    counts = np.array([b.count for b in boxes])
+    mu = np.zeros((len(boxes), 2 * counts.max()), dtype=complex)
+    todo = np.arange(len(boxes))
+    for _ in range(_MOMENT_ROUNDS):
+        part = [boxes[i] for i in todo]
+        mu[todo] = _moments(potential, part, center[todo], rho[todo], mu.shape[1])
+        todo = todo[np.abs(mu[todo, 0] - counts[todo]) > _MOMENT_TOL]
+        if not todo.size:
+            break
+        for i in todo:
+            halved = [np.sort(np.r_[t, 0.5 * (t[1:] + t[:-1])]) for t in boxes[i].samples]
+            boxes[i] = boxes[i]._replace(samples=halved)
+    found = []
+    for m, s, c, r in zip(counts, mu, center, rho):
+        idx = np.add.outer(np.arange(m), np.arange(m))
+        zeta = eigvals(s[idx + 1], s[idx])
+        found.append(np.where(np.isfinite(zeta), c + r * zeta, c))
+    return np.concatenate(found)
+
+
+def _polish(potential: Potential, k: np.ndarray, rects: np.ndarray, tol: float) -> np.ndarray:
+    """Newton-polish all estimates at once; steps are clipped to half the
+    diagonal of each estimate's rectangle, which the zero must not leave."""
+    diag = np.hypot(rects[:, 1] - rects[:, 0], rects[:, 3] - rects[:, 2])
+    active = np.arange(k.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        if not active.size:
+            break
+        j, dj = matching_function(potential, k[active])
+        if (dj == 0).any():
+            raise RootPolishFailure(f"dJ/dk vanished near k = {k[active][0]:.6g}")
+        step = j / dj
+        clip = 0.5 * diag[active]
+        big = np.abs(step) > clip
+        step[big] *= clip[big] / np.abs(step[big])
+        k[active] -= step
+        active = active[np.abs(step) > tol]
+    if active.size:
+        raise RootPolishFailure(f"Newton missed |dk| <= {tol:g} near k = {k[active[0]]:.6g}")
+    margin = 0.1 * diag + 10.0 * tol
+    off_re = np.maximum(rects[:, 0] - k.real, k.real - rects[:, 1])
+    off_im = np.maximum(rects[:, 2] - k.imag, k.imag - rects[:, 3])
+    for i in np.flatnonzero(np.maximum(off_re, off_im) > margin)[:1]:
+        raise RootPolishFailure(f"polished zero {k[i]:.6g} escaped {rects[i].tolist()}")
+    return k
 
 
 def locate_poles(
@@ -299,9 +307,9 @@ def locate_poles(
 ) -> "PoleSet":
     """Find every matching-function zero inside ``window``.
 
-    The search counts zeros on the window boundary first (argument
-    principle), splits rectangles until each holds exactly one zero, then
-    Newton-polishes each with the analytic derivative.  The result carries
+    Strips of the window are counted by the argument principle, their zeros
+    estimated from contour moments and Newton-polished together; each strip
+    must then hold as many distinct zeros as it counts.  The result carries
     per-pole residuals and the contour scale used to normalize them.
 
     Raises
@@ -310,51 +318,43 @@ def locate_poles(
         If a zero sits on (or grazes) the real or imaginary axis, where the
         fourth-quadrant resonance interpretation breaks down.
     WindingMismatch
-        If boundary phase accounting ever becomes inconsistent.
+        If boundary phase accounting ever becomes inconsistent, or the
+        polished zeros do not match the counts.
     RootPolishFailure
         If Newton refinement fails to converge or verify.
     """
     if not (np.isfinite(tol) and 0.0 < tol <= 1e-6):
         raise ConfigError(f"tol must lie in (0, 1e-6], got {tol}")
-    rng = potential_range(potential)
-    density = max(1.0, 2.0 * rng)
-    rect0: _Rect = (0.0, window.re_max, window.im_min, 0.0)
-    try:
-        count, _, scale0 = _winding(potential, rect0, density)
-    except _GridZero as gz:
-        loc = gz.location
-        if abs(loc.imag) <= 1e-12 * (1.0 + abs(loc)) or abs(loc.real) <= 1e-12 * (
-            1.0 + abs(loc)
-        ):
-            raise AxisZero(
-                f"matching function vanishes on a coordinate axis near k = {loc:.6g}"
-            ) from gz
-        raise WindingMismatch(
-            f"matching function vanishes on the search-window boundary near "
-            f"k = {loc:.6g}; enlarge or shrink the window"
-        ) from gz
-    found: list[tuple[complex, float, float]] = []
-    if count:
-        _isolate(potential, rect0, count, scale0, density, tol, found)
-    if len(found) != count:
-        raise WindingMismatch(
-            f"isolated {len(found)} zeros but the window boundary counted {count}"
-        )
-    found.sort(key=lambda item: item[0].real)
+    boxes = _strips(potential, window, max(1.0, 2.0 * potential_range(potential)))
+    live = [b for b in boxes if b.count]
+    source = np.repeat([b.rect for b in live], [b.count for b in live], axis=0).reshape(-1, 4)
+    k = _polish(potential, _estimates(potential, live), source, tol)
+    k = k[np.argsort(k.real, kind="stable")]
+    rects = np.array([b.rect for b in boxes])
+    inside = (rects[:, 0] <= k.real[:, None]) & (k.real[:, None] < rects[:, 1])
+    inside &= (rects[:, 2] <= k.imag[:, None]) & (k.imag[:, None] < rects[:, 3])
+    owner = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    found = np.bincount(owner[owner >= 0], minlength=len(boxes))
+    for box, n in zip(boxes, found):
+        if n != box.count:
+            raise WindingMismatch(f"{n} zeros polished in {box.rect}, which counts {box.count}")
+    near = 100.0 * max(tol, 1e-13) * (1.0 + np.abs(k))
+    ends = np.searchsorted(k.real, k.real + near, side="right")
+    for i in np.flatnonzero(ends > np.arange(1, k.size + 1)):
+        if (np.abs(k[i + 1 : ends[i]] - k[i]) <= near[i]).any():
+            raise WindingMismatch(f"zeros near {k[i]:.6g} are numerically indistinct")
+    residuals = np.abs(matching_function(potential, k)[0])
     poles = []
-    for i, (k, residual, scale) in enumerate(found):
-        axis_margin = max(10.0 * tol, 1e-12) * (1.0 + abs(k))
-        if k.imag > -axis_margin or k.real < axis_margin:
-            raise AxisZero(
-                f"zero at k = {k:.6g} hugs a coordinate axis; not a fourth-quadrant "
-                "resonance"
+    scales = [boxes[r].peak for r in owner]
+    for i, (k_n, residual, scale) in enumerate(zip(k.tolist(), residuals, scales)):
+        if residual > _RESIDUAL_TOL * scale:
+            raise RootPolishFailure(
+                f"|J| = {residual:.3e} > {_RESIDUAL_TOL:g} * scale {scale:.3e} at k = {k_n:.6g}"
             )
-        poles.append(ResonancePole(n=i + 1, k=k, residual=residual, scale=scale))
-    for a, b in zip(poles[:-1], poles[1:]):
-        if abs(a.k - b.k) <= 100.0 * max(tol, 1e-13) * (1.0 + abs(a.k)):
-            raise WindingMismatch(
-                f"zeros {a.k:.6g} and {b.k:.6g} are numerically indistinct"
-            )
+        axis_margin = max(10.0 * tol, 1e-12) * (1.0 + abs(k_n))
+        if k_n.imag > -axis_margin or k_n.real < axis_margin:
+            raise AxisZero(f"zero at k = {k_n:.6g} hugs a coordinate axis; not a resonance")
+        poles.append(ResonancePole(i + 1, k_n, float(residual), scale))
     return PoleSet(potential=potential, window=window, tol=tol, poles=tuple(poles))
 
 

@@ -13,8 +13,10 @@ for large arguments in the upper half-plane.  Lower-half-plane values follow
 from the exact reflection w(z) = 2 exp(-z^2) - w(-z), also in extended
 precision.  Nothing here shares code with the package implementation, apart
 from :func:`nonescape_probability_loop`, which keeps the per-sample form of
-P(t) that the batched evaluation replaced, and :func:`evolve_tdse_full`,
-which keeps the Crank-Nicolson loop that solves every step on the whole box.
+P(t) that the batched evaluation replaced, :func:`evolve_tdse_full`, which
+keeps the Crank-Nicolson loop that solves every step on the whole box, and
+:func:`locate_poles_bisection`, which keeps the pole search by rectangle
+bisection that the contour moments replaced.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import numpy as np
 from nonescape.dynamics import TimeGrid
 from nonescape.errors import NonPositiveProbability, TruncationUnstable
 from nonescape.gamow import ExpansionData
-from nonescape.model import InitialState, Potential
+from nonescape.model import InitialState, Potential, potential_range
 from nonescape.oracle import GridSpec, OracleResult, _prepare
+from nonescape.poles import PoleSet, ResonancePole, SearchWindow, matching_function
 from nonescape.specfn import moshinsky
 
 
@@ -148,3 +151,89 @@ def evolve_tdse_full(
         run.check_norm(step, psi)
         run.record(step, psi)
     return run.result()
+
+
+def _march_edge(potential: Potential, z0: complex, z1: complex, density: float):
+    """(phase, max |J|) along z0 -> z1, refined until no step turns over pi/2.
+
+    Returns None where |J| drops below 1e-9 of the edge maximum.
+    """
+    ts = np.linspace(0.0, 1.0, max(8, int(4.0 + abs(z1 - z0) * density)))
+    j = np.asarray(matching_function(potential, z0 + (z1 - z0) * ts)[0])
+    while True:
+        absj = np.abs(j)
+        if np.any(absj <= 1e-9 * np.max(absj)):
+            return None
+        dphi = np.angle(j[1:] / j[:-1])
+        bad = np.flatnonzero(np.abs(dphi) > 0.5 * np.pi)
+        if not bad.size:
+            return float(np.sum(dphi)), float(np.max(absj))
+        mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
+        mid_j = np.asarray(matching_function(potential, z0 + (z1 - z0) * mid_ts)[0])
+        ts, j = np.concatenate([ts, mid_ts]), np.concatenate([j, mid_j])
+        order = np.argsort(ts, kind="stable")
+        ts, j = ts[order], j[order]
+
+
+def _bisection_winding(potential: Potential, rect, density: float):
+    re_lo, re_hi, im_lo, im_hi = rect
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
+               complex(re_lo, im_hi), complex(re_lo, im_lo)]
+    edges = [_march_edge(potential, a, b, density) for a, b in zip(corners[:-1], corners[1:])]
+    if any(e is None for e in edges):
+        return None
+    return round(sum(e[0] for e in edges) / (2.0 * np.pi)), max(e[1] for e in edges)
+
+
+def locate_poles_bisection(
+    potential: Potential, window: SearchWindow, tol: float = 1e-12
+) -> PoleSet:
+    """The pole search by rectangle bisection that contour moments replaced.
+
+    The window is counted by winding and split at its longest side (at the
+    fractions 0.5, 0.55, 0.45, ... when a split line grazes a zero or the
+    halves disagree) until each rectangle holds one zero, small against its
+    center, which Newton iteration polishes from the rectangle's center.
+    ``scale`` is the largest contour maximum of |J| met on the way down.
+    """
+    density = max(1.0, 2.0 * potential_range(potential))
+    found = []
+
+    def isolate(rect, count, scale):
+        re_lo, re_hi, im_lo, im_hi = rect
+        diag = float(np.hypot(re_hi - re_lo, im_hi - im_lo))
+        center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+        if count == 1 and diag <= 0.05 * (1.0 + abs(center)):
+            k = center
+            for _ in range(60):
+                j, dj = matching_function(potential, k)
+                step = j / dj
+                if abs(step) > 0.5 * diag:
+                    step *= 0.5 * diag / abs(step)
+                k = k - step
+                if abs(step) <= tol:
+                    break
+            found.append((k, abs(matching_function(potential, k)[0]), scale))
+            return
+        for frac in (0.5, 0.55, 0.45, 0.6, 0.4, 0.52, 0.48):
+            if (re_hi - re_lo) >= (im_hi - im_lo):
+                cut = re_lo + frac * (re_hi - re_lo)
+                halves = (re_lo, cut, im_lo, im_hi), (cut, re_hi, im_lo, im_hi)
+            else:
+                cut = im_lo + frac * (im_hi - im_lo)
+                halves = (re_lo, re_hi, im_lo, cut), (re_lo, re_hi, cut, im_hi)
+            counted = [_bisection_winding(potential, h, density) for h in halves]
+            if None in counted or counted[0][0] + counted[1][0] != count:
+                continue
+            for half, (n, peak) in zip(halves, counted):
+                if n:
+                    isolate(half, n, max(scale, peak))
+            return
+        raise RuntimeError(f"could not split {rect}")
+
+    count, scale = _bisection_winding(potential, (0.0, window.re_max, window.im_min, 0.0), density)
+    if count:
+        isolate((0.0, window.re_max, window.im_min, 0.0), count, scale)
+    found.sort(key=lambda item: item[0].real)
+    poles = tuple(ResonancePole(i + 1, k, r, s) for i, (k, r, s) in enumerate(found))
+    return PoleSet(potential=potential, window=window, tol=tol, poles=poles)

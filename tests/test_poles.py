@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import delta_shell_pole_reference
+from _oracles import delta_shell_pole_reference, locate_poles_bisection
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonescape.errors import ConfigError
+import nonescape.poles as poles_module
+from nonescape.errors import AxisZero, ConfigError, RootPolishFailure, WindingMismatch
 from nonescape.model import DeltaShell, PiecewiseConstant
 from nonescape.poles import (
     PoleSet,
@@ -185,3 +188,189 @@ def test_resonance_pole_is_frozen() -> None:
     p = ResonancePole(n=1, k=1.0 - 0.1j, residual=0.0, scale=1.0)
     with pytest.raises(AttributeError):
         p.k = 2.0  # type: ignore[misc]
+
+
+_BARRIER = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
+
+
+def _midway(potential, n: int) -> float:
+    """Re k halfway between poles n and n + 1 (from a search to Re k = 140)."""
+    found = locate_poles(potential, SearchWindow(re_max=140.0, im_min=-3.0))
+    return 0.5 * (found.wavenumber(n).real + found.wavenumber(n + 1).real)
+
+
+def _assert_same_poles(found: PoleSet, reference: PoleSet) -> None:
+    assert len(found) == len(reference)
+    for p, q in zip(found, reference):
+        assert abs(p.k - q.k) <= 1e-15 * abs(q.k), (p.n, p.k, q.k)
+
+
+_CASES = {
+    "reference": lambda: (REFERENCE_POTENTIAL, SEARCH_WINDOW, 40),
+    "wide": lambda: (REFERENCE_POTENTIAL, SearchWindow(re_max=1002.0, im_min=-3.0), 319),
+    "lambda 5.83": lambda: (
+        DeltaShell(5.83, 1.0), SearchWindow(_midway(DeltaShell(5.83, 1.0), 40), -3.0), 40
+    ),
+    "lambda 6.17": lambda: (
+        DeltaShell(6.17, 1.0), SearchWindow(_midway(DeltaShell(6.17, 1.0), 40), -3.0), 40
+    ),
+    "hard shell": lambda: (DeltaShell(1.0e4, 1.0), SearchWindow(10.5, -1.0), 3),
+    "barrier": lambda: (_BARRIER, SearchWindow(re_max=12.0, im_min=-4.0), None),
+    "free": lambda: (PiecewiseConstant(((0.0, 1.0, 0.0),)), SearchWindow(40.0, -3.0), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_moment_search_matches_bisection(case: str) -> None:
+    potential, window, count = _CASES[case]()
+    found = locate_poles(potential, window)
+    _assert_same_poles(found, locate_poles_bisection(potential, window))
+    assert count is None or len(found) == count
+    for p in found:
+        assert p.residual <= 1e-10 * p.scale
+
+
+def test_cut_through_a_pole_is_moved(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Two strips would meet exactly at Re k_3; the grazed cut forces a third strip.
+    counted = []
+    windings = poles_module._windings
+    monkeypatch.setattr(
+        poles_module, "_windings", lambda *a: counted.append(len(a[1])) or windings(*a)
+    )
+    window = SearchWindow(re_max=2.0 * _REFERENCE_K[3].real, im_min=-3.0)
+    found = locate_poles(REFERENCE_POTENTIAL, window)
+    assert counted == [3, 4]  # the window and 2 strips, then the window and 3 strips
+    _assert_same_poles(found, locate_poles_bisection(REFERENCE_POTENTIAL, window))
+
+
+def test_crowded_strip_recuts_the_window(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Taking R = 0.25 for a shell of radius 2 makes the first strips four
+    # times too wide (over 8 zeros each); the window is recut from its count.
+    shell = DeltaShell(6.0, 2.0)
+    window = SearchWindow(re_max=40.0, im_min=-3.0)
+    counted = []
+    windings = poles_module._windings
+    monkeypatch.setattr(poles_module, "potential_range", lambda potential: 0.25)
+    monkeypatch.setattr(
+        poles_module, "_windings", lambda *a: counted.append(len(a[1])) or windings(*a)
+    )
+    found = locate_poles(shell, window)
+    assert len(counted) == 2 and counted[1] - 1 == -(-len(found) // 4)
+    _assert_same_poles(found, locate_poles_bisection(shell, window))
+
+
+def test_inaccurate_moments_halve_their_panels(monkeypatch: pytest.MonkeyPatch) -> None:
+    rounds = []
+    moments = poles_module._moments
+    monkeypatch.setattr(poles_module, "_GL_ORDER", 2)
+    monkeypatch.setattr(
+        poles_module, "_moments", lambda *a: rounds.append(len(a[1])) or moments(*a)
+    )
+    found = locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    assert len(rounds) > 1 and rounds[1] < rounds[0]  # only inaccurate strips retaken
+    _assert_same_poles(found, locate_poles_bisection(REFERENCE_POTENTIAL, SEARCH_WINDOW))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    strength=st.floats(3.0, 12.0),
+    n_small=st.integers(1, 30),
+    extra=st.integers(1, 10),
+)
+def test_pole_set_unchanged_as_window_grows(strength: float, n_small: int, extra: int) -> None:
+    shell = DeltaShell(strength, 1.0)
+    full = locate_poles(shell, SearchWindow(re_max=140.0, im_min=-3.0))
+    small = locate_poles(shell, SearchWindow(_midway(shell, n_small), -3.0))
+    large = locate_poles(shell, SearchWindow(_midway(shell, n_small + extra), -3.0))
+    assert len(small) == n_small and len(large) == n_small + extra
+    for p in small:
+        assert abs(p.k - large.wavenumber(p.n)) <= 1e-15 * abs(p.k)
+    for n in range(n_small + 1, n_small + extra + 1):
+        assert abs(large.wavenumber(n) - full.wavenumber(n)) <= 1e-15 * abs(full.wavenumber(n))
+
+
+@settings(max_examples=15, deadline=None)
+@given(strength=st.floats(3.0, 12.0), n=st.integers(1, 40))
+def test_pole_just_above_the_bottom_edge_is_found(strength: float, n: int) -> None:
+    shell = DeltaShell(strength, 1.0)
+    k = locate_poles(shell, SearchWindow(re_max=140.0, im_min=-3.0)).wavenumber(n)
+    found = locate_poles(shell, SearchWindow(_midway(shell, n), k.imag - 1e-3))
+    assert min(abs(p.k - k) for p in found) <= 1e-15 * abs(k)
+
+
+def test_axis_zero_raised() -> None:
+    # lambda = 1e6 puts the first resonance ~1e-12 below the real axis: the top
+    # edge of the window grazes it.
+    with pytest.raises(AxisZero, match="vanishes on a coordinate axis"):
+        locate_poles(DeltaShell(1.0e6, 1.0), SearchWindow(re_max=4.0, im_min=-1.0))
+    # At tol = 1e-6 the hard shell's widths (~1e-7) fall inside the axis margin.
+    with pytest.raises(AxisZero, match="hugs a coordinate axis"):
+        locate_poles(DeltaShell(1.0e4, 1.0), SearchWindow(re_max=10.5, im_min=-1.0), tol=1e-6)
+
+
+def test_winding_mismatch_raised(monkeypatch: pytest.MonkeyPatch) -> None:
+    k1 = _REFERENCE_K[1]
+    with pytest.raises(WindingMismatch, match="vanishes on a contour"):
+        locate_poles(REFERENCE_POTENTIAL, SearchWindow(re_max=10.0, im_min=k1.imag))
+    with monkeypatch.context() as m:
+        m.setattr(poles_module, "_MAX_EDGE_POINTS", 16)
+        with pytest.raises(WindingMismatch, match="budget"):
+            locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    march = poles_module._march
+    with monkeypatch.context() as m:
+        m.setattr(poles_module, "_march", lambda *a: (-march(*a)[0],) + march(*a)[1:])
+        with pytest.raises(WindingMismatch, match="negative winding"):
+            locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    windings = poles_module._windings
+
+    def one_strip_miscounted(*args):
+        boxes = windings(*args)
+        return boxes[:1] + [boxes[1]._replace(count=boxes[1].count + 1)] + boxes[2:]
+
+    with monkeypatch.context() as m:
+        m.setattr(poles_module, "_windings", one_strip_miscounted)
+        with pytest.raises(WindingMismatch, match="strips count"):
+            locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    polish = poles_module._polish
+
+    def first_leaves_the_window(*args):
+        k = polish(*args)
+        k[0] += 1000.0
+        return k
+
+    with monkeypatch.context() as m:
+        m.setattr(poles_module, "_polish", first_leaves_the_window)
+        with pytest.raises(WindingMismatch, match="zeros polished in"):
+            locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    estimates = poles_module._estimates
+
+    def first_of_each_strip(potential, boxes):
+        k = estimates(potential, boxes)
+        starts = np.cumsum([0] + [b.count for b in boxes[:-1]])
+        return np.repeat(k[starts], [b.count for b in boxes])
+
+    with monkeypatch.context() as m:  # every strip polishes one zero over and over
+        m.setattr(poles_module, "_estimates", first_of_each_strip)
+        with pytest.raises(WindingMismatch, match="indistinct"):
+            locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+
+
+def test_root_polish_failure_raised(monkeypatch: pytest.MonkeyPatch) -> None:
+    for name, value, message in (
+        ("_NEWTON_MAX_ITER", 1, "Newton missed"),
+        ("_RESIDUAL_TOL", 1e-18, "scale"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(poles_module, name, value)
+            with pytest.raises(RootPolishFailure, match=message):
+                locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    estimates = poles_module._estimates
+    with monkeypatch.context() as m:  # starts two strips over converge out of reach
+        m.setattr(poles_module, "_estimates", lambda *a: estimates(*a) + 25.0)
+        with pytest.raises(RootPolishFailure, match="escaped"):
+            locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    function = poles_module.matching_function
+    with monkeypatch.context() as m:
+        m.setattr(poles_module, "matching_function", lambda p, k: (function(p, k)[0], 0.0 * k))
+        with pytest.raises(RootPolishFailure, match="dJ/dk vanished"):
+            locate_poles(REFERENCE_POTENTIAL, SearchWindow(re_max=10.0, im_min=-1.0))
