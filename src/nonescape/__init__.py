@@ -65,7 +65,6 @@ from .gamow import (
     build_expansion,
     build_state,
     expansion_coefficient,
-    overlap_closed,
     overlap_matrix,
     overlap_quadrature,
     reconstruct_initial,
@@ -155,7 +154,6 @@ __all__ = [
     "StateDiagnostics",
     "build_state",
     "validate_state",
-    "overlap_closed",
     "overlap_quadrature",
     "overlap_matrix",
     "expansion_coefficient",

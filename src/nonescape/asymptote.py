@@ -70,7 +70,10 @@ def moment_sum(data: ExpansionData, a: int, b: int, n_pairs: int | None = None) 
     sub = data if n_pairs is None else data.truncate(n_pairs)
     wa = sub.coefficients / sub.wavenumbers ** a
     wb = sub.coefficients / sub.wavenumbers ** b
-    terms = sub.overlap * (wa[:, None] * np.conj(wb)[None, :])
+    # named, so numpy cannot multiply it in place as the left operand (the
+    # complex product is not bitwise commutative)
+    outer = wa[:, None] * np.conj(wb)[None, :]
+    terms = sub.overlap * outer
     return complex(exact_row_sums(terms.reshape(1, -1))[0])
 
 
@@ -373,7 +376,7 @@ def convergence_study(
     if largest_series is not None and (
         grid is None
         or largest_series.n_pairs != truncs[-1]
-        or largest_series.mode != "closed"
+        or largest_series.mode != data.overlap_method
         or not np.array_equal(largest_series.times, grid.times)
     ):
         raise ConfigError("largest_series must be P(t) of the largest truncation on grid")

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -345,9 +345,11 @@ def _located(cfg: RunConfig) -> PoleSet:
     return locate_poles(cfg.potential, cfg.window, cfg.tol)
 
 
-def _expanded(cfg: RunConfig, pole_set: PoleSet, n_pairs: int | None = None) -> ExpansionData:
+def _expanded(
+    cfg: RunConfig, pole_set: PoleSet, n_pairs: int | None = None, overlap: str = "closed"
+) -> ExpansionData:
     """The expansion over the first ``n_pairs`` pole pairs (all when None)."""
-    return build_expansion(cfg.potential, pole_set, cfg.psi0, n_pairs=n_pairs)
+    return build_expansion(cfg.potential, pole_set, cfg.psi0, n_pairs=n_pairs, overlap=overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +431,13 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args)
     truncations = _truncations(cfg, args)
     grid = _time_grid(cfg, args)
-    closed = _expanded(cfg, _located(cfg), truncations[-1])
-    # one quadrature matrix at the largest truncation, sliced for the rest
-    quadrature = replace(
-        closed,
-        overlap=overlap_matrix(closed.states, method="quadrature"),
-        overlap_method="quadrature",
-    )
-
+    pole_set = _located(cfg)
     rows = []
-    for data in (closed, quadrature):
+    for overlap in ("closed", "quadrature"):
+        # one overlap matrix at the largest truncation, sliced for the rest
+        data = _expanded(cfg, pole_set, truncations[-1], overlap)
         for n in truncations:
-            series = nonescape_probability(
-                data, grid, n_pairs=n, mode=data.overlap_method
-            )
+            series = nonescape_probability(data, grid, n_pairs=n)
             rows.extend(
                 (series.mode, n, t, p, series.imag_residual)
                 for t, p in zip(series.times, series.probability)

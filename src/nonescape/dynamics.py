@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveProbability,
     TruncationUnstable,
 )
-from .gamow import ExpansionData, overlap_matrix
+from .gamow import ExpansionData
 from .poles import PoleSet, ResonancePole
 from .specfn import moshinsky
 
@@ -124,7 +124,6 @@ class NonescapeSeries:
 # Terms per block of P(t): keeps the (times x states x states) term array
 # near 1 MB however many samples are asked for.
 _BLOCK = 1 << 16
-_ELIDE_BYTES = 256 * 1024  # numpy's NPY_MIN_ELIDE_BYTES
 # Terms per bin sum.  High parts are integers below 2**27 and low parts
 # multiples of 2**-26 below 1, so 2**26 of either sum below 2**53 units:
 # exactly, in any order, in float64.
@@ -214,14 +213,12 @@ def nonescape_probability(
     data: ExpansionData,
     grid: TimeGrid,
     n_pairs: int | None = None,
-    mode: str = "closed",
 ) -> NonescapeSeries:
     """Evaluate the truncated double series for P(t) on a time grid.
 
-    ``mode`` chooses how the overlap matrix is obtained: "closed" uses the
-    boundary-value formulas, "quadrature" re-derives every entry by panel
-    integration.  The two must agree; both are exposed so tests can confirm
-    the equivalence on real problems.
+    The overlap matrix is the expansion's own, so the series is labelled
+    with its ``overlap_method``; expansions built with "closed" and with
+    "quadrature" overlaps must agree.
 
     Every sample is the correctly rounded sum of its (2N)^2 terms.  Samples
     are checked in time order and the first offending one raises.
@@ -234,26 +231,19 @@ def nonescape_probability(
         If a probability sample falls below -1e-9.
     """
     sub = data if n_pairs is None else data.truncate(n_pairs)
-    if mode not in ("closed", "quadrature"):
-        raise ConfigError(f"unknown overlap mode {mode!r}")
-    if mode == sub.overlap_method:
-        overlap = sub.overlap
-    else:
-        overlap = overlap_matrix(sub.states, mode)
     times = grid.times
     w_all = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, times))
     p_out = np.empty(times.shape)
     worst_imag = 0.0
-    step = max(1, _BLOCK // overlap.size)
-    # numpy's complex product is not bitwise commutative (the imaginary part
-    # is fused), and numpy evaluates ``overlap * (temporary outer product)``
-    # as ``outer * overlap`` in place once the temporary reaches its elision
-    # size.  Keep the operand order of that per-sample expression.
-    commuted = overlap.nbytes >= _ELIDE_BYTES
+    step = max(1, _BLOCK // sub.overlap.size)
     for j0 in range(0, len(times), step):
         w = w_all[j0 : j0 + step]
+        # numpy's complex product is not bitwise commutative (the imaginary
+        # part is fused): the named outer product keeps the operand order
+        # fixed, where a temporary could be multiplied in place as its left
+        # operand once it reaches numpy's elision size.
         outer = w[:, :, None] * np.conj(w)[:, None, :]
-        weighted = outer * overlap if commuted else overlap * outer
+        weighted = sub.overlap * outer
         sums = exact_row_sums(weighted.reshape(len(w), -1))
         for j, total in enumerate(sums, start=j0):
             re, im, t = total.real, total.imag, times[j]
@@ -271,7 +261,7 @@ def nonescape_probability(
         probability=p_out,
         imag_residual=worst_imag,
         n_pairs=sub.n_pairs,
-        mode=mode,
+        mode=sub.overlap_method,
         provenance="expansion",
     )
 

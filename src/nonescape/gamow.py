@@ -37,7 +37,6 @@ from .model import (
     InitialState,
     Potential,
     initial_wavefunction,
-    potential_range,
     segments,
     state_norm,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "build_state",
     "StateDiagnostics",
     "validate_state",
-    "overlap_closed",
     "overlap_quadrature",
     "overlap_matrix",
     "expansion_coefficient",
@@ -128,31 +126,68 @@ def _state_values(
     return a * c + b * s
 
 
-def _raw_state(potential: Potential, k: complex):
-    """Segment coefficients of the regular solution u(0)=0, u'(0)=1."""
+def _normalization(
+    edges: np.ndarray, k: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray,
+    u_r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``int_0^R u^2 dr + i u(R)^2 / (2k)`` for each row of segment coefficients,
+    and the sum of the magnitudes of its terms (one per segment, and the surface)."""
+    norm2 = np.zeros(len(k), dtype=complex)
+    scale = np.zeros(len(k))
+    for j in range(z.shape[1]):
+        length = edges[j + 1] - edges[j]
+        part = product_integral(length, z[:, j], a[:, j], b[:, j], z[:, j], a[:, j], b[:, j])
+        norm2 += part
+        scale += np.abs(part)
+    surface = 1j * u_r * u_r / (2.0 * k)
+    return norm2 + surface, scale + np.abs(surface)
+
+
+def _build_states(
+    potential: Potential, poles: list[ResonancePole]
+) -> tuple[GamowState, ...]:
+    """Normalized resonant states for all ``poles`` in one pass.
+
+    The regular solutions u(0) = 0, u'(0) = 1 are propagated through the
+    segments for every wavenumber at once, and the normalization integrals
+    take one array-valued product integral per segment.
+
+    Raises
+    ------
+    ZeroWavenumber
+        If a pole wavenumber vanishes (normalization divides by k).
+    NormalizationSingular
+        If a normalization integral vanishes (degenerate pole).
+    """
+    ks = np.array([complex(p.k) for p in poles])
+    if np.any(ks == 0):
+        raise ZeroWavenumber("cannot normalize a zero-wavenumber state")
     segs = segments(potential)
-    edges = [0.0]
-    z_list, a_list, b_list = [], [], []
-    u, du = 0.0 + 0.0j, 1.0 + 0.0j
-    for r_start, r_end, height in segs:
-        z = k * k - height
-        z_list.append(z)
-        a_list.append(u)
-        b_list.append(du)
-        u, du = propagate(u, du, z, r_end - r_start)
-        edges.append(r_end)
-    return (
-        np.asarray(edges),
-        np.asarray(z_list, dtype=complex),
-        np.asarray(a_list, dtype=complex),
-        np.asarray(b_list, dtype=complex),
-        u,
+    edges = np.array([0.0] + [r_end for _, r_end, _ in segs])
+    z = np.empty((len(ks), len(segs)), dtype=complex)
+    a = np.empty_like(z)
+    b = np.empty_like(z)
+    u, du = np.zeros_like(ks), np.ones_like(ks)
+    for j, (r_start, r_end, height) in enumerate(segs):
+        z[:, j], a[:, j], b[:, j] = ks * ks - height, u, du
+        u, du = propagate(u, du, z[:, j], r_end - r_start)
+    norm2, scale = _normalization(edges, ks, z, a, b, u)
+    for i in np.flatnonzero(np.abs(norm2) <= 1e-10 * np.maximum(scale, 1e-300))[:1]:
+        raise NormalizationSingular(
+            f"normalization integral vanishes at k = {ks[i]:.6g}"
+        )
+    norm = np.sqrt(norm2)
+    a, b, u = a / norm[:, None], b / norm[:, None], u / norm
+    return tuple(
+        GamowState(pole=p, r_edges=edges, z=z[i], a=a[i], b=b[i], boundary_value=complex(u[i]))
+        for i, p in enumerate(poles)
     )
 
 
 def build_state(potential: Potential, pole: ResonancePole) -> GamowState:
     """Construct the normalized resonant state for one pole (or mirror).
 
+    The one-pole case of the batched build :func:`build_expansion` uses.
     Mirror poles are handled by the same propagation; because the segment
     kernels have real Taylor coefficients, the state built at -conj(k_n) is
     the pointwise conjugate of the one built at k_n.
@@ -164,33 +199,7 @@ def build_state(potential: Potential, pole: ResonancePole) -> GamowState:
     NormalizationSingular
         If the normalization integral vanishes (degenerate pole).
     """
-    k = complex(pole.k)
-    if k == 0:
-        raise ZeroWavenumber("cannot normalize a zero-wavenumber state")
-    edges, z, a, b, u_r = _raw_state(potential, k)
-    norm2 = 0.0 + 0.0j
-    scale = 0.0
-    for j in range(len(z)):
-        length = edges[j + 1] - edges[j]
-        seg = product_integral(length, z[j], a[j], b[j], z[j], a[j], b[j])
-        norm2 += seg
-        scale += abs(seg)
-    surface = 1j * u_r * u_r / (2.0 * k)
-    norm2 += surface
-    scale += abs(surface)
-    if abs(norm2) <= 1e-10 * max(scale, 1e-300):
-        raise NormalizationSingular(
-            f"normalization integral vanishes at k = {k:.6g}"
-        )
-    norm = np.sqrt(norm2)
-    return GamowState(
-        pole=pole,
-        r_edges=edges,
-        z=z,
-        a=a / norm,
-        b=b / norm,
-        boundary_value=complex(u_r / norm),
-    )
+    return _build_states(potential, [pole])[0]
 
 
 @dataclass(frozen=True)
@@ -245,14 +254,11 @@ def validate_state(
     origin_res = float(origin / max(u_scale, 1e-300))
     # outgoing condition u'(R+) = i k u(R), with u'(R+) from the matching residual
     out_res = state.pole.residual / max(abs(k) * abs(state.boundary_value), 1e-300)
-    norm2 = 0.0 + 0.0j
-    for j in range(len(state.z)):
-        length = state.r_edges[j + 1] - state.r_edges[j]
-        norm2 += product_integral(
-            length, state.z[j], state.a[j], state.b[j], state.z[j], state.a[j], state.b[j]
-        )
-    norm2 += 1j * state.boundary_value ** 2 / (2.0 * k)
-    norm_res = float(abs(norm2 - 1.0))
+    norm2, _ = _normalization(
+        state.r_edges, np.array([k]), state.z[None], state.a[None], state.b[None],
+        np.array([state.boundary_value]),
+    )
+    norm_res = float(abs(norm2[0] - 1.0))
     diag = StateDiagnostics(
         ode_residual=worst,
         origin_residual=origin_res,
@@ -271,22 +277,6 @@ def validate_state(
                 f"for the state at k = {k:.6g}"
             )
     return diag
-
-
-def overlap_closed(ket: GamowState, bra: GamowState) -> complex:
-    """Closed form of ``int_0^R conj(u_bra) u_ket dr``.
-
-    Away from the anti-diagonal the Green's identity gives
-    ``u_ket(R) conj(u_bra(R)) / (i (k_ket - conj(k_bra)))``.  When ``bra`` is
-    the mirror of ``ket`` both sides of that identity vanish identically, so
-    it carries no information; there the integrand is u_ket^2 and the value
-    follows from the normalization rule instead.
-    """
-    if ket.pole.n == -bra.pole.n:
-        u_r = ket.boundary_value
-        return 1.0 - 1j * u_r * u_r / (2.0 * ket.k)
-    denom = 1j * (ket.k - np.conj(bra.k))
-    return complex(ket.boundary_value * np.conj(bra.boundary_value) / denom)
 
 
 def _quadrature_gram(
@@ -358,61 +348,77 @@ def overlap_quadrature(
     return complex(_quadrature_gram((ket, bra), rtol)[0, 1])
 
 
-def _coefficient_quadrature(state: GamowState, psi0: InitialState) -> complex:
-    """C = int psi0 u dr by Gauss-Legendre panels (no conjugation)."""
-    breakpoints = set(float(e) for e in state.r_edges)
+def _coefficients_quadrature(
+    states: tuple[GamowState, ...], psi0: InitialState
+) -> np.ndarray:
+    """C = int psi0 u dr for every state by Gauss-Legendre panels (no conjugation).
+
+    All states share one set of panels between the breakpoints of the
+    segmentation and of psi0, sized for the largest |k|, so each state gets
+    at least the panels it would need alone.
+    """
+    edges = states[0].r_edges
+    k_max = max(abs(s.k) for s in states)
     if isinstance(psi0, BoxMode):
-        breakpoints.add(float(psi0.radius))
-        support = float(psi0.radius)
-        kink_free = True
+        cuts, support = [psi0.radius], psi0.radius
+        # kink-free integrand: panels follow the product's oscillation
+        per_length = (k_max + np.pi * psi0.mode / psi0.radius) / np.pi
     else:
-        grid = np.asarray(psi0.r_grid, dtype=float)
-        breakpoints.update(float(g) for g in grid)
-        support = float(grid[-1])
-        kink_free = False
-    radius = state.radius
-    pts = sorted(b for b in breakpoints if 0.0 <= b <= min(support, radius) + 1e-15)
-    total = 0.0 + 0.0j
-    freq = abs(state.k) + (np.pi * psi0.mode / psi0.radius if isinstance(psi0, BoxMode) else abs(state.k))
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi - lo <= 1e-15:
-            continue
-        if kink_free:
-            n_panels = int(freq * (hi - lo) / np.pi) + 1
-        else:
-            n_panels = max(1, int(abs(state.k) * (hi - lo) / 2.0) + 1)
-        nodes, weights = panel_nodes(lo, hi, n_panels, order=12)
-        vals = np.asarray(initial_wavefunction(psi0, nodes)) * np.asarray(
-            state.evaluate(nodes)
-        )
-        total += complex(np.sum(weights * vals))
+        cuts, support = psi0.r_grid.tolist(), float(psi0.r_grid[-1])
+        per_length = k_max / 2.0
+    top = min(support, float(edges[-1])) + 1e-15
+    pts = sorted(b for b in {*edges.tolist(), *cuts} if 0.0 <= b <= top)
+    panels = [
+        panel_nodes(lo, hi, int(per_length * (hi - lo)) + 1, order=12)
+        for lo, hi in zip(pts[:-1], pts[1:])
+        if hi - lo > 1e-15
+    ]
+    nodes = np.concatenate([x for x, _ in panels])
+    weights = np.concatenate([w for _, w in panels]) * initial_wavefunction(psi0, nodes)
+    total = np.zeros(len(states), dtype=complex)
+    step = max(1, _FIELD_BLOCK // len(states))
+    for p0 in range(0, len(nodes), step):
+        sl = slice(p0, p0 + step)
+        total += _state_values(states, *_locate(edges, nodes[sl])) @ weights[sl]
     return total
 
 
-def _coefficient_closed(state: GamowState, psi0: BoxMode) -> complex:
-    """Closed form of ``int psi0 u dr`` for a hard-box eigenmode."""
+def _coefficients_closed(states: tuple[GamowState, ...], psi0: BoxMode) -> np.ndarray:
+    """Closed form of ``int psi0 u dr`` for a hard-box eigenmode, every state at once."""
+    edges = states[0].r_edges
+    z = np.array([s.z for s in states])
+    a = np.array([s.a for s in states])
+    b = np.array([s.b for s in states])
     kappa = np.pi * psi0.mode / psi0.radius
     amp = np.sqrt(2.0 / psi0.radius)
-    z_mode = kappa * kappa
-    total = 0.0 + 0.0j
-    for j in range(len(state.z)):
-        lo = float(state.r_edges[j])
-        hi = min(float(state.r_edges[j + 1]), psi0.radius)
+    total = np.zeros(len(states), dtype=complex)
+    for j in range(len(edges) - 1):
+        lo = float(edges[j])
+        hi = min(float(edges[j + 1]), psi0.radius)
         if hi - lo <= 1e-15:
             continue
         # psi0(lo + x) = amp sin(kappa lo) cos(kappa x) + amp kappa cos(kappa lo) sinc
         a_mode = amp * np.sin(kappa * lo)
         b_mode = amp * kappa * np.cos(kappa * lo)
         total += product_integral(
-            hi - lo,
-            complex(state.z[j]),
-            complex(state.a[j]),
-            complex(state.b[j]),
-            complex(z_mode),
-            complex(a_mode),
-            complex(b_mode),
+            hi - lo, z[:, j], a[:, j], b[:, j], kappa * kappa, a_mode, b_mode
         )
     return total
+
+
+def _coefficients(
+    states: tuple[GamowState, ...], psi0: InitialState, method: str = "auto"
+) -> np.ndarray:
+    """Expansion coefficients of ``psi0`` over ``states`` (see :func:`expansion_coefficient`)."""
+    if method not in ("auto", "closed", "quadrature"):
+        raise ConfigError(f"unknown coefficient method {method!r}")
+    if method == "closed" and not isinstance(psi0, BoxMode):
+        raise ConfigError("closed-form coefficients exist only for box modes")
+    if isinstance(psi0, BoxMode) and psi0.radius > states[0].radius * (1.0 + 1e-12):
+        raise InvalidState("initial state extends beyond the potential range")
+    if method != "quadrature" and isinstance(psi0, BoxMode):
+        return _coefficients_closed(states, psi0)
+    return _coefficients_quadrature(states, psi0)
 
 
 def expansion_coefficient(
@@ -420,18 +426,11 @@ def expansion_coefficient(
 ) -> complex:
     """Expansion coefficient ``C = int_0^R psi0(r) u(r) dr`` (no conjugate).
 
-    ``method`` selects "closed" (hard-box modes only), "quadrature", or
-    "auto" (closed when available).
+    The one-state case of the batched coefficients :func:`build_expansion`
+    uses.  ``method`` selects "closed" (hard-box modes only), "quadrature",
+    or "auto" (closed when available, as in :func:`build_expansion`).
     """
-    if method not in ("auto", "closed", "quadrature"):
-        raise ConfigError(f"unknown coefficient method {method!r}")
-    if method == "closed" and not isinstance(psi0, BoxMode):
-        raise ConfigError("closed-form coefficients exist only for box modes")
-    if isinstance(psi0, BoxMode) and psi0.radius > state.radius * (1.0 + 1e-12):
-        raise InvalidState("initial state extends beyond the potential range")
-    if method in ("auto", "closed") and isinstance(psi0, BoxMode):
-        return _coefficient_closed(state, psi0)
-    return _coefficient_quadrature(state, psi0)
+    return complex(_coefficients((state,), psi0, method)[0])
 
 
 def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np.ndarray:
@@ -510,9 +509,13 @@ def build_expansion(
     psi0: InitialState,
     n_pairs: int | None = None,
     overlap: str = "closed",
-    coefficient_method: str = "auto",
 ) -> ExpansionData:
     """Assemble coefficients, boundary data, and the overlap matrix.
+
+    All states are built in one batched pass, and so are their
+    coefficients: in closed form for a :class:`BoxMode`, by quadrature for
+    sampled data.  ``overlap`` ("closed" or "quadrature") selects the route
+    to the overlap matrix, which P(t) and the moment sums then use.
 
     The initial state must be normalized (checked to 1e-8).  Mirror-state
     coefficients are computed directly from the mirror states rather than by
@@ -533,10 +536,8 @@ def build_expansion(
             f"initial state must be normalized: ||psi0||^2 = {norm:.12g}"
         )
     indices = PoleSet.index_order(n_pairs)
-    states = tuple(build_state(potential, pole_set.pole(int(n))) for n in indices)
-    coeffs = np.array(
-        [expansion_coefficient(s, psi0, coefficient_method) for s in states]
-    )
+    states = _build_states(potential, [pole_set.pole(int(n)) for n in indices])
+    coeffs = _coefficients(states, psi0)
     ks = np.array([s.k for s in states])
     u_r = np.array([s.boundary_value for s in states])
     mat = overlap_matrix(states, overlap)

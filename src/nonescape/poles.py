@@ -178,10 +178,30 @@ def winding_count(potential: Potential, window: SearchWindow) -> int:
 
     Independent of the moment and polishing machinery, so it serves as an
     audit of :func:`locate_poles`: the two must report the same number.
+
+    Raises
+    ------
+    AxisZero
+        If J vanishes on the boundary where it runs along an axis.
+    WindingMismatch
+        If J vanishes elsewhere on the boundary, or its phase cannot be
+        resolved within the sampling budget.
     """
     density = max(1.0, 2.0 * potential_range(potential))
     rect: _Rect = (0.0, window.re_max, window.im_min, 0.0)
-    return _windings(potential, [rect], density)[0].count
+    try:
+        return _windings(potential, [rect], density)[0].count
+    except _GridZero as gz:
+        raise _contour_zero(gz.args[0]) from gz
+
+
+def _contour_zero(loc: complex) -> AxisZero | WindingMismatch:
+    """The typed error for J vanishing at the contour point ``loc``."""
+    if min(abs(loc.imag), abs(loc.real)) <= 1e-12 * (1.0 + abs(loc)):
+        return AxisZero(f"J vanishes on a coordinate axis near k = {loc:.6g}")
+    return WindingMismatch(
+        f"J vanishes on a contour near k = {loc:.6g}; enlarge or shrink the window"
+    )
 
 
 def _strips(potential: Potential, window: SearchWindow, density: float) -> list[_Box]:
@@ -200,13 +220,10 @@ def _strips(potential: Potential, window: SearchWindow, density: float) -> list[
             total, *boxes = _windings(potential, [whole] + rects, density)
         except _GridZero as gz:
             loc = gz.args[0]
-            if min(abs(loc.imag), abs(loc.real)) <= 1e-12 * (1.0 + abs(loc)):
-                raise AxisZero(f"J vanishes on a coordinate axis near k = {loc:.6g}") from gz
+            error = _contour_zero(loc)
             inside = 0.0 < loc.real < window.re_max and window.im_min < loc.imag < 0.0
-            if not inside or recuts == _MAX_RECUTS:
-                raise WindingMismatch(
-                    f"J vanishes on a contour near k = {loc:.6g}; enlarge or shrink the window"
-                ) from gz
+            if isinstance(error, AxisZero) or not inside or recuts == _MAX_RECUTS:
+                raise error from gz
             n_strips, recuts = n_strips + 1, recuts + 1
             continue
         if sum(b.count for b in boxes) != total.count:

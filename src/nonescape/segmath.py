@@ -156,58 +156,48 @@ def propagate_with_dk(
     return u2, du2, uk2, duk2
 
 
-def _diff_ratio(fa, fb, a, b, fmid_deriv):
-    """(f(a) - f(b)) / (a - b) with a derivative fallback near a = b."""
-    delta = a - b
-    scale = max(abs(a), abs(b), 1e-300)
-    if abs(delta) <= 1e-6 * scale:
-        return fmid_deriv
-    return (fa - fb) / delta
-
-
-def product_integral(
-    length: float,
-    z1: complex,
-    a1: complex,
-    b1: complex,
-    z2: complex,
-    a2: complex,
-    b2: complex,
-) -> complex:
+def product_integral(length, z1, a1, b1, z2, a2, b2) -> np.ndarray | complex:
     """Closed form of ``int_0^L u1(x) u2(x) dx`` for segment solutions.
 
     Here ``u_i(x) = a_i cos(q_i x) + b_i sin(q_i x)/q_i`` with q_i^2 = z_i.
+    All arguments broadcast against each other; scalars give a complex.
     The result is assembled from kernels even in both q's, so it is branch
     free; the only subtlety is a divided difference that degenerates when
-    q1 q2 -> 0, handled by a midpoint-derivative fallback.
+    q1 q2 -> 0, where a midpoint derivative replaces it.
     """
-    L = float(length)
-    z1, z2 = complex(z1), complex(z2)
+    L = np.asarray(length, dtype=float)
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
     s = np.sqrt(z1 * z2)
     # (q1 + q2)^2 and (q1 - q2)^2: the pair {a, b} is branch-free.  The
     # smaller root comes from the product a b = (z1 - z2)^2, because
     # z1 + z2 - 2s cancels (to ~eps |z| where it should vanish, z1 = z2).
-    a = z1 + z2 + 2.0 * s
-    b = z1 + z2 - 2.0 * s
-    if abs(b) > abs(a):
-        a, b = b, a
-    b = (z1 - z2) ** 2 / a if a != 0 else 0j
+    plus = z1 + z2 + 2.0 * s
+    minus = z1 + z2 - 2.0 * s
+    a = np.where(np.abs(minus) > np.abs(plus), minus, plus)
+    nonzero = a != 0
+    b = np.where(nonzero, (z1 - z2) ** 2 / np.where(nonzero, a, 1.0), 0j)
     mid = 0.5 * (a + b)
     # The G of the closed form is the S kernel evaluated at w; W is the versine.
     ga = kernels(a, L)[1]
     gb = kernels(b, L)[1]
-    _, _, _, dg_mid = kernels_with_dz(mid, L)
+    dg_mid = kernels_with_dz(mid, L)[3]
     wa = versine_kernel(a, L)
     wb = versine_kernel(b, L)
-    _, dw_mid = versine_kernel(mid, L, with_derivative=True)
+    dw_mid = versine_kernel(mid, L, with_derivative=True)[1]
 
+    delta = a - b
+    near = np.abs(delta) <= 1e-6 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    delta = np.where(near, 1.0, delta)
     icc = 0.5 * (ga + gb)
-    iss = -2.0 * _diff_ratio(ga, gb, a, b, dg_mid)
+    iss = -2.0 * np.where(near, dg_mid, (ga - gb) / delta)
     wsum = 0.5 * (wa + wb)
-    wdd = _diff_ratio(wa, wb, a, b, dw_mid)
+    wdd = np.where(near, dw_mid, (wa - wb) / delta)
     ics = wsum + 2.0 * z1 * wdd
     isc = wsum + 2.0 * z2 * wdd
-    return a1 * a2 * icc + a1 * b2 * ics + b1 * a2 * isc + b1 * b2 * iss
+    total = a1 * a2 * icc + a1 * b2 * ics + b1 * a2 * isc + b1 * b2 * iss
+    if np.ndim(total) == 0:
+        return complex(total)
+    return total
 
 
 @lru_cache(maxsize=32)

@@ -49,7 +49,7 @@ from .oracle import (
     refine_and_compare,
     sampled_gaussian,
 )
-from .poles import PoleSet, SearchWindow, locate_poles, matching_function, winding_count
+from .poles import PoleSet, SearchWindow, locate_poles, winding_count
 from .segmath import panel_nodes
 from .specfn import faddeeva, moshinsky
 
@@ -258,7 +258,7 @@ def check_special_functions(ctx: SelftestContext) -> CheckResult:
 
 
 def check_poles(ctx: SelftestContext) -> CheckResult:
-    """Pole table: free case, hard-shell limit, residuals, winding, mirrors."""
+    """Pole table: free case, hard-shell limit, residuals, winding."""
     n_free = len(ctx.free_pole_set.poles)
 
     hard = ctx.hard_shell_pole_set
@@ -273,23 +273,11 @@ def check_poles(ctx: SelftestContext) -> CheckResult:
     audit = winding_count(REFERENCE_POTENTIAL, SEARCH_WINDOW)
     n_found = len(ctx.pole_set.poles)
 
-    mirrors = np.array([ctx.pole_set.pole(-n).k for n in range(1, n_found + 1)])
-    j_mirror, _ = matching_function(REFERENCE_POTENTIAL, mirrors)
-    scales = np.array([p.scale for p in ctx.pole_set.poles])
-    mirror_dev = float(np.max(np.abs(j_mirror) / scales))
-
-    passed = (
-        n_free == 0
-        and hard_dev <= 0.05
-        and res <= 1e-10
-        and audit == n_found
-        and mirror_dev <= 1e-10
-    )
+    passed = n_free == 0 and hard_dev <= 0.05 and res <= 1e-10 and audit == n_found
     details = (
         f"free potential: {n_free} poles; hard shell max |Re k_n - n pi| "
         f"{hard_dev:.2e} (tol 0.05); max residual/scale {res:.2e} (tol 1e-10); "
-        f"winding {audit} vs {n_found} located; mirror |J(-conj k)|/scale "
-        f"{mirror_dev:.2e} (tol 1e-10)"
+        f"winding {audit} vs {n_found} located"
     )
     return CheckResult(2, "resonance poles", passed, details)
 

@@ -111,7 +111,8 @@ def nonescape_probability_loop(
     worst_imag = 0.0
     for j, t in enumerate(times):
         w = data.coefficients * np.asarray(moshinsky(data.wavenumbers, float(t)))
-        flat = (data.overlap * (w[:, None] * np.conj(w)[None, :])).ravel()
+        outer = w[:, None] * np.conj(w)[None, :]
+        flat = (data.overlap * outer).ravel()
         flat = flat[np.argsort(-np.abs(flat), kind="stable")]
         re, im = fsum(flat.real), fsum(flat.imag)
         scale = max(1.0, abs(re))

@@ -296,9 +296,9 @@ def test_convergence_study_reuses_largest_series(
     largest = nonescape_probability(data, grid, n_pairs=40)
     calls: list[int] = []
 
-    def counted(data, grid, n_pairs=None, mode="closed"):
+    def counted(data, grid, n_pairs=None):
         calls.append(n_pairs)
-        return nonescape_probability(data, grid, n_pairs, mode)
+        return nonescape_probability(data, grid, n_pairs)
 
     monkeypatch.setattr(asym, "nonescape_probability", counted)
     reused = convergence_study(

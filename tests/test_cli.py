@@ -201,9 +201,9 @@ def test_tail_evaluates_each_series_once(
     calls: list[int] = []
     evaluate = cli.nonescape_probability
 
-    def counted(data, grid, n_pairs=None, mode="closed"):
+    def counted(data, grid, n_pairs=None):
         calls.append(n_pairs)
-        return evaluate(data, grid, n_pairs, mode)
+        return evaluate(data, grid, n_pairs)
 
     monkeypatch.setattr(cli, "nonescape_probability", counted)
     monkeypatch.setattr(asymptote, "nonescape_probability", counted)

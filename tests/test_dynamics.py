@@ -26,7 +26,8 @@ from nonescape.errors import (
     NonPositiveProbability,
     TruncationUnstable,
 )
-from nonescape.gamow import ExpansionData
+from nonescape.gamow import ExpansionData, build_expansion
+from nonescape.poles import PoleSet
 from nonescape.selftest import SelftestContext
 
 _K1 = 2.7579383212949247 - 0.14043273246623328j
@@ -102,14 +103,15 @@ def test_exponential_stage_slope(data: ExpansionData) -> None:
     assert slope == pytest.approx(-_GAMMA1, rel=0.05)
 
 
-def test_modes_agree(data: ExpansionData) -> None:
+def test_modes_agree(data: ExpansionData, pole_set: PoleSet) -> None:
     grid = TimeGrid(np.array([0.0, 0.3, 1.7, 8.0]))
-    closed = nonescape_probability(data, grid, n_pairs=6, mode="closed")
-    quad = nonescape_probability(data, grid, n_pairs=6, mode="quadrature")
+    quad_data = build_expansion(
+        data.potential, pole_set, data.psi0, n_pairs=6, overlap="quadrature"
+    )
+    closed = nonescape_probability(data, grid, n_pairs=6)
+    quad = nonescape_probability(quad_data, grid)
     np.testing.assert_allclose(closed.probability, quad.probability, atol=1e-10)
     assert closed.mode == "closed" and quad.mode == "quadrature"
-    with pytest.raises(ConfigError, match="unknown overlap mode"):
-        nonescape_probability(data, grid, n_pairs=6, mode="hybrid")
 
 
 def test_series_bookkeeping(data: ExpansionData) -> None:

@@ -1,22 +1,30 @@
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 import pytest
 
-from nonescape.errors import ConfigError, InvalidState, ZeroWavenumber
+from nonescape.errors import (
+    ConfigError,
+    InvalidState,
+    NormalizationSingular,
+    ToleranceNotMet,
+    ZeroWavenumber,
+)
 from nonescape.gamow import (
     ExpansionData,
+    _quadrature_gram,
     build_expansion,
     build_state,
     expansion_coefficient,
-    overlap_closed,
     overlap_matrix,
     overlap_quadrature,
     reconstruct_initial,
     sum_rule_residual,
     validate_state,
 )
-from nonescape.model import BoxMode, DeltaShell, Sampled, initial_wavefunction
+from nonescape.model import BoxMode, DeltaShell, Sampled, initial_wavefunction, normalized
 from nonescape.poles import PoleSet, ResonancePole
 from nonescape.selftest import REFERENCE_STATE
 
@@ -68,13 +76,45 @@ def test_build_state_rejects_zero_wavenumber(pole_set: PoleSet) -> None:
         build_state(pole_set.potential, fake)
 
 
+def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
+    # Inside the shell u = sin(k r)/k, so int_0^1 u^2 dr + i u(1)^2/(2k) is
+    # (2k + i - i exp(-2ik)) / (4k^3).  Its zero near 3.73 + 1.04i, found by
+    # Newton on the numerator, makes a fake pole whose state cannot be
+    # normalized.
+    k = 3.7 + 1.0j
+    for _ in range(50):
+        step = (2.0 * k + 1j - 1j * cmath.exp(-2j * k)) / (2.0 - 2.0 * cmath.exp(-2j * k))
+        k -= step
+        if abs(step) <= 1e-15 * abs(k):
+            break
+    assert abs(k - (3.73 + 1.04j)) <= 0.01
+    fake = ResonancePole(n=2, k=k, residual=0.0, scale=1.0)
+    with pytest.raises(NormalizationSingular, match="normalization integral vanishes"):
+        build_state(pole_set.potential, fake)
+    with pytest.raises(NormalizationSingular):
+        build_expansion(
+            pole_set.potential,
+            PoleSet(pole_set.potential, pole_set.window, pole_set.tol, (pole_set.pole(1), fake)),
+            REFERENCE_STATE,
+        )
+
+
+def test_tolerance_not_met_raised(pole_set: PoleSet) -> None:
+    states = tuple(build_state(pole_set.potential, pole_set.pole(n)) for n in (1, 2))
+    with pytest.raises(ToleranceNotMet, match="ode residual"):
+        validate_state(pole_set.potential, states[0], rtol=1e-20)
+    with pytest.raises(ToleranceNotMet, match="overlap quadrature unconverged"):
+        _quadrature_gram(states, rtol=1e-20)
+
+
 def test_overlap_closed_matches_quadrature(pole_set: PoleSet) -> None:
-    states = {n: build_state(pole_set.potential, pole_set.pole(n)) for n in (-4, -1, 1, 2, 4)}
-    for n_ket, ket in states.items():
-        for n_bra, bra in states.items():
-            closed = overlap_closed(ket, bra)
+    ns = (-4, -1, 1, 2, 4)
+    states = tuple(build_state(pole_set.potential, pole_set.pole(n)) for n in ns)
+    closed = overlap_matrix(states, "closed")
+    for i, ket in enumerate(states):
+        for j, bra in enumerate(states):
             quad = overlap_quadrature(ket, bra)
-            assert abs(closed - quad) <= 1e-10 * max(1.0, abs(quad)), (n_ket, n_bra)
+            assert abs(closed[i, j] - quad) <= 1e-10 * max(1.0, abs(quad)), (ns[i], ns[j])
 
 
 def test_overlap_anti_diagonal_from_normalization(pole_set: PoleSet) -> None:
@@ -83,7 +123,7 @@ def test_overlap_anti_diagonal_from_normalization(pole_set: PoleSet) -> None:
     ket = build_state(pole_set.potential, pole_set.pole(2))
     bra = build_state(pole_set.potential, pole_set.pole(-2))
     expected = 1.0 - 1j * ket.boundary_value ** 2 / (2.0 * ket.k)
-    assert overlap_closed(ket, bra) == pytest.approx(expected, rel=1e-14)
+    assert overlap_matrix((ket, bra), "closed")[0, 1] == pytest.approx(expected, rel=1e-14)
     assert overlap_quadrature(ket, bra) == pytest.approx(expected, rel=1e-9)
 
 
@@ -118,6 +158,10 @@ def test_expansion_coefficient_sampled_state(pole_set: PoleSet) -> None:
     assert abs(c_sampled - c_box) <= 1e-6 * abs(c_box)
     with pytest.raises(ConfigError, match="only for box modes"):
         expansion_coefficient(state, sampled, "closed")
+    # build_expansion takes the quadrature route for sampled data
+    by_quadrature = build_expansion(pole_set.potential, pole_set, normalized(sampled), n_pairs=3)
+    closed = build_expansion(pole_set.potential, pole_set, REFERENCE_STATE, n_pairs=3)
+    np.testing.assert_allclose(by_quadrature.coefficients, closed.coefficients, rtol=1e-6)
 
 
 def test_expansion_mirror_coefficients_conjugate(data: ExpansionData) -> None:

@@ -355,6 +355,15 @@ def test_winding_mismatch_raised(monkeypatch: pytest.MonkeyPatch) -> None:
             locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
 
 
+def test_winding_count_raises_typed_errors() -> None:
+    # The audit meets the grid zeros locate_poles meets, and maps them alike.
+    k1 = _REFERENCE_K[1]
+    with pytest.raises(WindingMismatch, match="vanishes on a contour"):
+        winding_count(REFERENCE_POTENTIAL, SearchWindow(re_max=10.0, im_min=k1.imag))
+    with pytest.raises(AxisZero, match="vanishes on a coordinate axis"):
+        winding_count(DeltaShell(1.0e6, 1.0), SearchWindow(re_max=4.0, im_min=-1.0))
+
+
 def test_root_polish_failure_raised(monkeypatch: pytest.MonkeyPatch) -> None:
     for name, value, message in (
         ("_NEWTON_MAX_ITER", 1, "Newton missed"),

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonescape.segmath import (
     gauss_legendre,
@@ -152,13 +155,15 @@ def test_propagate_with_dk_matches_finite_difference() -> None:
     assert duk == pytest.approx((dup - dum) / (2 * h), rel=1e-6)
 
 
-def _brute_product(length: float, z1, a1, b1, z2, a2, b2) -> complex:
-    nodes, weights = panel_nodes(0.0, length, 8, order=30)
-    c1, s1 = kernels(np.full_like(nodes, z1, dtype=complex), nodes)
-    c2, s2 = kernels(np.full_like(nodes, z2, dtype=complex), nodes)
-    u1 = a1 * c1 + b1 * s1
-    u2 = a2 * c2 + b2 * s2
-    return complex(np.sum(weights * u1 * u2))
+def _quadrature_product(length: float, z1, a1, b1, z2, a2, b2) -> tuple[complex, float]:
+    """int_0^L u1 u2 dx and int_0^L |u1 u2| dx on at least 8 panels, finer than both waves."""
+    q_sum = abs(cmath.sqrt(z1)) + abs(cmath.sqrt(z2))
+    n_panels = max(8, int(q_sum * length / np.pi) + 4)
+    nodes, weights = panel_nodes(0.0, length, n_panels, order=30)
+    c1, s1 = kernels(np.full(nodes.shape, z1, dtype=complex), nodes)
+    c2, s2 = kernels(np.full(nodes.shape, z2, dtype=complex), nodes)
+    prod = (a1 * c1 + b1 * s1) * (a2 * c2 + b2 * s2)
+    return complex(np.sum(weights * prod)), float(np.sum(weights * np.abs(prod)))
 
 
 def test_product_integral_matches_quadrature(rng: np.random.Generator) -> None:
@@ -166,15 +171,15 @@ def test_product_integral_matches_quadrature(rng: np.random.Generator) -> None:
         z1, z2 = rng.normal(0, 3, 2) + 1j * rng.normal(0, 1, 2)
         a1, b1, a2, b2 = rng.normal(0, 1, 4) + 1j * rng.normal(0, 1, 4)
         closed = product_integral(1.1, z1, a1, b1, z2, a2, b2)
-        brute = _brute_product(1.1, z1, a1, b1, z2, a2, b2)
+        brute = _quadrature_product(1.1, z1, a1, b1, z2, a2, b2)[0]
         assert closed == pytest.approx(brute, rel=1e-11, abs=1e-11)
 
 
 def test_product_integral_degenerate_arguments() -> None:
-    # Equal z's hit the divided-difference fallback.
+    # Equal z's: the smaller root b = (q1 - q2)^2 is exactly 0.
     z = 1.8 - 0.6j
     closed = product_integral(0.9, z, 1.0, 0.5j, z, -0.3, 1.0)
-    brute = _brute_product(0.9, z, 1.0, 0.5j, z, -0.3, 1.0)
+    brute = _quadrature_product(0.9, z, 1.0, 0.5j, z, -0.3, 1.0)[0]
     assert closed == pytest.approx(brute, rel=1e-11)
     # Both z's zero: u_i = a_i + b_i x exactly.
     closed = product_integral(2.0, 0.0, 1.0, 2.0, 0.0, 3.0, -1.0)
@@ -182,7 +187,7 @@ def test_product_integral_degenerate_arguments() -> None:
     assert closed == pytest.approx(exact, rel=1e-12)
     # One z zero, one finite.
     closed = product_integral(1.3, 0.0, 0.7, -0.2, 4.0, 0.5, 1.5)
-    brute = _brute_product(1.3, 0.0, 0.7, -0.2, 4.0, 0.5, 1.5)
+    brute = _quadrature_product(1.3, 0.0, 0.7, -0.2, 4.0, 0.5, 1.5)[0]
     assert closed == pytest.approx(brute, rel=1e-11)
 
 
@@ -192,6 +197,106 @@ def test_product_integral_symmetry() -> None:
     fwd = product_integral(0.75, z1, ab[0], ab[1], z2, ab[2], ab[3])
     rev = product_integral(0.75, z2, ab[2], ab[3], z1, ab[0], ab[1])
     assert fwd == pytest.approx(rev, rel=1e-13)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_PHASE = st.floats(-np.pi, np.pi)
+# log10 of |q1 / q2| in the near-degenerate cases: |a - b| = 4 |q1 q2| is
+# within 1e-6 max(|a|, |b|), the midpoint-derivative branch, below 2.5e-7.
+_RATIO = {"degenerate": (-14.0, -6.7), "beside": (-6.5, -5.0)}
+# Error of product_integral relative to int |u1 u2| dx; measured worst
+# 4e-15 in general, 3e-13 in the midpoint-derivative branch, and 7e-10
+# beside it, where the divided difference (f(a) - f(b)) / (a - b) cancels.
+_PRODUCT_TOL = {"degenerate": 1e-12, "beside": 1e-8}
+
+
+@st.composite
+def _segment_pair(draw, branch: str):
+    """(L, z1, a1, b1, z2, a2, b2) of two segment solutions, q_i = sqrt(z_i).
+
+    "general" draws |Re q L| in [0.5, 12] and |Im q L| <= 3.  "degenerate"
+    and "beside" shrink q1 to put the pair just inside and just outside the
+    midpoint-derivative branch; "a", "b" and "mid" scale both q's so that
+    |w L^2| = 4 (1 -+ 1e-9) for that argument of the kernels, on either
+    side of their series cutoff.
+    """
+    length = draw(st.floats(0.2, 3.0))
+    q1, q2 = (
+        complex(draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 12.0)),
+                draw(st.floats(-3.0, 3.0))) / length
+        for _ in range(2)
+    )
+    if branch in _RATIO:
+        q1 = q2 * 10.0 ** draw(st.floats(*_RATIO[branch])) * cmath.exp(1j * draw(_PHASE))
+    z1, z2 = q1 * q1, q2 * q2
+    if branch in ("a", "b", "mid"):
+        plus, minus = (q1 + q2) ** 2, (q1 - q2) ** 2
+        a, b = (plus, minus) if abs(plus) >= abs(minus) else (minus, plus)
+        w = {"a": a, "b": b, "mid": 0.5 * (a + b)}[branch] * length**2
+        if abs(w) == 0.0:
+            z1 = z2 = 0.0
+        else:
+            side = draw(st.sampled_from((-1e-9, 1e-9)))
+            z1, z2 = (zz * 4.0 * (1.0 + side) / abs(w) for zz in (z1, z2))
+    coeffs = [complex(draw(_UNIT), draw(_UNIT)) for _ in range(4)]
+    return (length, z1, coeffs[0], coeffs[1], z2, coeffs[2], coeffs[3])
+
+
+_BRANCHES = ("general", "degenerate", "beside", "a", "b", "mid")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(_BRANCHES).flatmap(lambda br: _segment_pair(br).map(lambda c: (br, c))),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_product_integral_array_matches_quadrature(cases) -> None:
+    # one array-valued call over a mix of branches, each entry against quadrature
+    columns = [np.array([c[i] for _, c in cases]) for i in range(7)]
+    closed = product_integral(*columns)
+    assert closed.shape == (len(cases),)
+    for (branch, case), value in zip(cases, closed):
+        brute, scale = _quadrature_product(*case)
+        tol = _PRODUCT_TOL.get(branch, 1e-13)
+        assert abs(value - brute) <= tol * max(scale, 1e-300), (branch, case)
+
+
+def _reference_kernel_values(z: complex, length: float) -> np.ndarray:
+    """C, S, dC/dz, dS/dz, W and dW/dz at 40 digits."""
+    with mpmath.workdps(40):
+        zm, L = mpmath.mpc(z.real, z.imag), mpmath.mpf(length)
+        q = mpmath.sqrt(zm)
+        c, s = mpmath.cos(q * L), mpmath.sin(q * L) / q
+        values = (
+            c,
+            s,
+            -L * s / 2,
+            (L * c - s) / (2 * zm),
+            (1 - c) / zm,
+            (zm * L * s / 2 - (1 - c)) / zm**2,
+        )
+        return np.array([complex(v) for v in values])
+
+
+def _kernel_values(z: complex, length: float) -> np.ndarray:
+    return np.array([*kernels_with_dz(z, length), *versine_kernel(z, length, True)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=_PHASE, length=st.floats(0.1, 3.0))
+def test_kernels_continuous_across_series_cutoff(theta: float, length: float) -> None:
+    # |z L^2| = 4 switches every kernel from its Taylor series to the direct
+    # formula: the step across it must be the true increment of the function.
+    z_in, z_out = (
+        4.0 * (1.0 + side) * cmath.exp(1j * theta) / length**2 for side in (-1e-9, 1e-9)
+    )
+    step = _kernel_values(z_out, length) - _kernel_values(z_in, length)
+    ref_out = _reference_kernel_values(z_out, length)
+    true_step = ref_out - _reference_kernel_values(z_in, length)
+    assert np.all(np.abs(step - true_step) <= 1e-14 * np.abs(ref_out))
 
 
 def _delta_shell_pole(strength: float, n: int) -> complex:
