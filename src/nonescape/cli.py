@@ -261,7 +261,7 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer with too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
 

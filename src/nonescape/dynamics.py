@@ -67,7 +67,13 @@ class TimeGrid:
     def log(cls, t_min: float, t_max: float, per_decade: int = 40) -> "TimeGrid":
         if not (0.0 < t_min < t_max):
             raise ConfigError("need 0 < t_min < t_max for a log grid")
-        n = max(2, int(np.ceil(np.log10(t_max / t_min) * per_decade)) + 1)
+        try:
+            n = max(2, int(np.ceil(np.log10(t_max / t_min) * per_decade)) + 1)
+        except (OverflowError, ValueError) as exc:  # an infinite or NaN point count
+            raise ConfigError(
+                f"log grid from {t_min:g} to {t_max:g} at {per_decade} per decade "
+                "has no finite number of points"
+            ) from exc
         return cls(times=np.geomspace(t_min, t_max, n))
 
     def __len__(self) -> int:

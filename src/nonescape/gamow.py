@@ -83,10 +83,10 @@ class GamowState:
         return float(self.r_edges[-1])
 
     def evaluate(self, r: np.ndarray | float) -> np.ndarray | complex:
-        """u(r) for r in [0, R], vectorized."""
-        idx, x = _locate(self.r_edges, np.asarray(r, dtype=float))
-        c, s = kernels(self.z[idx], x)
-        val = self.a[idx] * c + self.b[idx] * s
+        """u(r) for r in [0, R], vectorized (through :func:`_state_values`)."""
+        r_arr = np.asarray(r, dtype=float)
+        idx, x = _locate(self.r_edges, r_arr.ravel())
+        val = _state_values(_stack((self,)), idx, x)[0].reshape(r_arr.shape)
         if np.ndim(r) == 0:
             return complex(val)
         return val
@@ -112,18 +112,75 @@ def _locate(r_edges: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return idx, r - r_edges[idx]
 
 
-def _state_values(
-    states: tuple[GamowState, ...] | list[GamowState], idx: np.ndarray, x: np.ndarray
-) -> np.ndarray:
+@dataclass(frozen=True)
+class _StateStack:
+    """Segment data of a state list, one row per state, and its mirror pairs.
+
+    Row ``mirror[i]`` holds the exact conjugate of row ``source[i]`` in all
+    of z, a and b (as values: +0 equals -0); ``own`` lists the rows that are
+    not such a mirror.
+    """
+
+    z: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    own: np.ndarray
+    source: np.ndarray
+    mirror: np.ndarray
+
+
+def _stack(states: tuple[GamowState, ...] | list[GamowState]) -> _StateStack:
+    """Stack the segment data of ``states`` and pair each state with its mirror.
+
+    Pairs are decided from the stored values of (z, a, b), not from the
+    pole labels, so a relabelled pole or an unpaired mirror is simply
+    evaluated.  The values compare as numbers (+0 equals -0): the sign of a
+    zero in the data can only reach a zero part of a state value, and
+    :func:`_state_values` evaluates those entries directly.
+    """
+    z = np.array([s.z for s in states])
+    a = np.array([s.a for s in states])
+    b = np.array([s.b for s in states])
+    # adding 0 turns -0 into +0, so the keys compare values
+    rows = np.concatenate([z, a, b], axis=1) + 0.0
+    waiting: dict[bytes, list[int]] = {}
+    source, mirror = [], []
+    for i, row in enumerate(rows):
+        partners = waiting.get((np.conj(row) + 0.0).tobytes())
+        if partners:
+            source.append(partners.pop())
+            mirror.append(i)
+        else:
+            waiting.setdefault(row.tobytes(), []).append(i)
+    mirror_arr = np.array(mirror, dtype=int)
+    own = np.setdiff1d(np.arange(len(states)), mirror_arr)
+    return _StateStack(z, a, b, own, np.array(source, dtype=int), mirror_arr)
+
+
+def _state_values(stack: _StateStack, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """u_m at the located points (segment ``idx``, offset ``x``), one row per state.
 
-    Each entry is the value ``GamowState.evaluate`` gives at that point.
+    This is where every state value is formed.  The kernels run only for
+    the rows in ``stack.own``; each mirror row is the conjugate of its
+    source row.  Conjugation reproduces the bits of a direct evaluation
+    except where the value has a zero (whose sign may differ) or a
+    non-finite part, so those entries are evaluated directly.
     """
-    z = np.array([s.z for s in states])[:, idx]
-    c, s = kernels(z, x)
-    a = np.array([st.a for st in states])[:, idx]
-    b = np.array([st.b for st in states])[:, idx]
-    return a * c + b * s
+    out = np.empty((len(stack.z), idx.size), dtype=complex)
+    own = stack.own
+    c, s = kernels(stack.z[own][:, idx], x)
+    out[own] = stack.a[own][:, idx] * c + stack.b[own][:, idx] * s
+    if stack.mirror.size:
+        values = out[stack.source]
+        mirrored = np.conj(values)
+        odd = (values.real == 0) | (values.imag == 0) | ~np.isfinite(values)
+        if odd.any():
+            i, j = np.nonzero(odd)
+            rows, seg = stack.mirror[i], idx[j]
+            c, s = kernels(stack.z[rows, seg], x[j])
+            mirrored[i, j] = stack.a[rows, seg] * c + stack.b[rows, seg] * s
+        out[stack.mirror] = mirrored
+    return out
 
 
 def _normalization(
@@ -303,6 +360,7 @@ def _quadrature_gram(
     freq = 2.0 * max(abs(s.k) for s in states)
     m = len(states)
     step = max(1, _FIELD_BLOCK // m)
+    stack = _stack(states)
 
     def eval_panels(mult: int) -> np.ndarray:
         total = np.zeros((m, m), dtype=complex)
@@ -312,7 +370,7 @@ def _quadrature_gram(
             nodes, weights = panel_nodes(lo, hi, n_panels)
             for p0 in range(0, len(nodes), step):
                 sl = slice(p0, p0 + step)
-                u = _state_values(states, *_locate(edges, nodes[sl]))
+                u = _state_values(stack, *_locate(edges, nodes[sl]))
                 total += (u * weights[sl]) @ u.conj().T
         return total
 
@@ -376,10 +434,11 @@ def _coefficients_quadrature(
     nodes = np.concatenate([x for x, _ in panels])
     weights = np.concatenate([w for _, w in panels]) * initial_wavefunction(psi0, nodes)
     total = np.zeros(len(states), dtype=complex)
+    stack = _stack(states)
     step = max(1, _FIELD_BLOCK // len(states))
     for p0 in range(0, len(nodes), step):
         sl = slice(p0, p0 + step)
-        total += _state_values(states, *_locate(edges, nodes[sl])) @ weights[sl]
+        total += _state_values(stack, *_locate(edges, nodes[sl])) @ weights[sl]
     return total
 
 
@@ -559,9 +618,11 @@ def weighted_field(
 ) -> np.ndarray | complex:
     """sum_m weights[m] u_m(r) over the expansion's states, vectorized in r.
 
-    The states are evaluated in blocks and added in state order, so the
-    result is the same, bit for bit, as adding ``weights[m] u_m(r)`` one
-    state at a time.
+    The points are taken in blocks, each block evaluating every state with
+    a nonzero weight at once, so both states of a mirror pair share the
+    kernel work (see :func:`_state_values`).  At each point the terms are
+    added in state order, so the result is the same, bit for bit, as adding
+    ``weights[m] u_m(r)`` one state at a time.
     """
     if len(weights) != len(data.states):
         raise ConfigError("one weight per state required")
@@ -570,12 +631,13 @@ def weighted_field(
     live = [m for m, w in enumerate(weights) if w != 0]
     if live:
         idx, x = _locate(data.states[0].r_edges, r_arr)
-        step = max(1, _FIELD_BLOCK // max(r_arr.size, 1))
-        for b0 in range(0, len(live), step):
-            block = live[b0 : b0 + step]
-            values = _state_values([data.states[m] for m in block], idx, x)
-            for m, v in zip(block, values):
-                acc += weights[m] * v
+        stack = _stack([data.states[m] for m in live])
+        step = max(1, _FIELD_BLOCK // len(live))
+        for p0 in range(0, r_arr.size, step):
+            sl = slice(p0, p0 + step)
+            block = acc[sl]
+            for m, v in zip(live, _state_values(stack, idx[sl], x[sl])):
+                block += weights[m] * v
     if np.ndim(r) == 0:
         return complex(acc[0])
     return acc.reshape(np.shape(r))

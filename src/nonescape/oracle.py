@@ -74,6 +74,7 @@ from .model import (
     initial_wavefunction,
     normalized,
     potential_range,
+    segments,
     support_radius,
 )
 
@@ -195,11 +196,12 @@ def _validate_run(potential: Potential, psi0: InitialState, grid: GridSpec) -> i
             f"dr = {grid.dr} under-resolves the interaction region "
             f"(need <= range/200 = {radius / 200.0:g})"
         )
+    for _, edge, _ in segments(potential):  # the last edge is the range R
+        if abs(round(edge / grid.dr) * grid.dr - edge) > 1e-9 * max(1.0, edge):
+            raise ConfigError(
+                f"potential segment edge {edge} must fall on a grid node (dr = {grid.dr})"
+            )
     j_r = round(radius / grid.dr)
-    if abs(j_r * grid.dr - radius) > 1e-9 * max(1.0, radius):
-        raise ConfigError(
-            f"potential range {radius} must fall on a grid node (dr = {grid.dr})"
-        )
     e_pot = 0.0
     if not isinstance(potential, DeltaShell):
         e_pot = max(height for _, _, height in potential.pieces)

@@ -57,74 +57,81 @@ def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def kernels(z: np.ndarray | complex, length: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (C, S) = (cos(qL), sin(qL)/q) with q^2 = z, entire in z."""
+def _kernel_family(z, length, derivative: bool = False, versine: bool = False) -> list:
+    """[C, S, dS/dz, W, dW/dz] at the broadcast points of (z, length).
+
+    Entries not asked for are None.  Each point takes one branch: the
+    Taylor series in w = z L^2 runs only where |w| <= _SERIES_CUTOFF, and
+    the sqrt/cos/sin route only on the other points, where z and L are
+    nonzero.
+    """
     z_arr = np.asarray(z, dtype=complex)
     L = np.asarray(length, dtype=float)
     w = z_arr * L * L
     small = np.abs(w) <= _SERIES_CUTOFF
-    c_ser = _horner(_COS_COEFF, w)
-    s_ser = L * _horner(_SINC_COEFF, w)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        q = np.sqrt(z_arr)
-        qL = q * L
-        c_dir = np.cos(qL)
-        s_dir = np.where(qL == 0, L + 0j, np.sin(qL) / np.where(q == 0, 1.0, q))
-    c = np.where(small, c_ser, c_dir)
-    s = np.where(small, s_ser, s_dir)
+    wanted = (True, True, derivative, versine, derivative and versine)
+    out = [np.empty(w.shape, dtype=complex) if flag else None for flag in wanted]
+    if small.any():
+        ws, ls = w[small], np.broadcast_to(L, w.shape)[small]
+        out[0][small] = _horner(_COS_COEFF, ws)
+        out[1][small] = ls * _horner(_SINC_COEFF, ws)
+        if derivative:
+            out[2][small] = ls ** 3 * _horner(_DSINC_COEFF, ws)
+        if versine:
+            out[3][small] = ls * ls * _horner(_VERS_COEFF, ws)
+        if derivative and versine:
+            out[4][small] = ls ** 4 * _horner(_DVERS_COEFF, ws)
+    big = ~small
+    if big.any():
+        zb, lb = np.broadcast_to(z_arr, w.shape)[big], np.broadcast_to(L, w.shape)[big]
+        q = np.sqrt(zb)
+        qL = q * lb
+        with np.errstate(over="ignore", invalid="ignore"):  # |Im qL| beyond ~710
+            c = np.cos(qL)
+            s = np.sin(qL) / q
+            out[0][big], out[1][big] = c, s
+            if derivative:
+                out[2][big] = (lb * c - s) / (2.0 * zb)
+            if versine:
+                out[3][big] = (1.0 - c) / zb
+            if derivative and versine:
+                out[4][big] = (0.5 * zb * lb * s - (1.0 - c)) / zb ** 2
+    return out
+
+
+def _scalar_or_array(values: list, z, length) -> tuple:
     if np.ndim(z) == 0 and np.ndim(length) == 0:
-        return complex(c), complex(s)
-    return c, s
+        return tuple(complex(v) for v in values)
+    return tuple(values)
+
+
+def kernels(z: np.ndarray | complex, length: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Return (C, S) = (cos(qL), sin(qL)/q) with q^2 = z, entire in z.
+
+    Each point is evaluated on one branch only: the Taylor series where
+    |z L^2| <= 4, the sqrt/cos/sin route elsewhere.
+    """
+    c, s = _kernel_family(z, length)[:2]
+    return _scalar_or_array([c, s], z, length)
 
 
 def kernels_with_dz(
     z: np.ndarray | complex, length: np.ndarray | float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(C, S, dC/dz, dS/dz); derivatives are entire in z as well."""
-    z_arr = np.asarray(z, dtype=complex)
-    L = np.asarray(length, dtype=float)
-    c, s = kernels(z_arr, L)
-    c = np.asarray(c)
-    s = np.asarray(s)
-    dc = -0.5 * L * s
-    w = z_arr * L * L
-    small = np.abs(w) <= _SERIES_CUTOFF
-    ds_ser = L ** 3 * _horner(_DSINC_COEFF, w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ds_dir = np.where(z_arr == 0, 1.0, (L * c - s) / (2.0 * np.where(z_arr == 0, 1.0, z_arr)))
-    ds = np.where(small, ds_ser, ds_dir)
-    if np.ndim(z) == 0 and np.ndim(length) == 0:
-        return complex(c), complex(s), complex(dc), complex(ds)
-    return c, s, dc, ds
+    c, s, ds = _kernel_family(z, length, derivative=True)[:3]
+    dc = -0.5 * np.asarray(length, dtype=float) * s
+    return _scalar_or_array([c, s, dc, ds], z, length)
 
 
 def versine_kernel(
     w: np.ndarray | complex, length: np.ndarray | float, with_derivative: bool = False
 ):
     """W(w, L) = (1 - cos(sqrt(w) L)) / w, entire in w; optionally dW/dw."""
-    w_arr = np.asarray(w, dtype=complex)
-    L = np.asarray(length, dtype=float)
-    x = w_arr * L * L
-    small = np.abs(x) <= _SERIES_CUTOFF
-    v_ser = L * L * _horner(_VERS_COEFF, x)
-    c, s = kernels(w_arr, L)
-    c = np.asarray(c)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe = np.where(w_arr == 0, 1.0, w_arr)
-        v_dir = (1.0 - c) / safe
-    v = np.where(small, v_ser, v_dir)
+    _, _, _, v, dv = _kernel_family(w, length, derivative=with_derivative, versine=True)
     if not with_derivative:
-        if np.ndim(w) == 0 and np.ndim(length) == 0:
-            return complex(v)
-        return v
-    dv_ser = L ** 4 * _horner(_DVERS_COEFF, x)
-    s = np.asarray(s)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dv_dir = (0.5 * w_arr * L * s - (1.0 - c)) / np.where(w_arr == 0, 1.0, w_arr ** 2)
-    dv = np.where(small, dv_ser, dv_dir)
-    if np.ndim(w) == 0 and np.ndim(length) == 0:
-        return complex(v), complex(dv)
-    return v, dv
+        return _scalar_or_array([v], w, length)[0]
+    return _scalar_or_array([v, dv], w, length)
 
 
 def propagate(
@@ -156,14 +163,58 @@ def propagate_with_dk(
     return u2, du2, uk2, duk2
 
 
+def _series_differences(a, b, length) -> tuple[np.ndarray, np.ndarray]:
+    """(G(a) - G(b)) / (a - b) and (W(a) - W(b)) / (a - b), term by term.
+
+    In the Taylor series of G = S and of W each power divides exactly:
+    (A^j - B^j) / (A - B) = h_{j-1}(A, B) = sum_i A^i B^(j-1-i), with
+    A = a L^2 and B = b L^2, and h_j = A h_{j-1} + B^j.  Nothing cancels.
+    """
+    L = length
+    A, B = a * L * L, b * L * L
+    h, power = np.ones_like(A), np.ones_like(B)
+    dg, dw = np.zeros_like(A), np.zeros_like(A)
+    for j in range(1, _N_SERIES):
+        dg += _SINC_COEFF[j] * h
+        dw += _VERS_COEFF[j] * h
+        power = power * B
+        h = A * h + power
+    return L ** 3 * dg, L ** 4 * dw
+
+
+def _direct_differences(a, b, length) -> tuple[np.ndarray, np.ndarray]:
+    """(G(a) - G(b)) / (a - b) and (W(a) - W(b)) / (a - b) for a close to b.
+
+    With p = sqrt(a), s = sqrt(b) on the same side, x = p L, y = s L and
+    d = p - s = (a - b) / (p + s), the differences of sin x and cos x come
+    from sin x - sin y = 2 cos((x+y)/2) sin(d L/2) and
+    cos y - cos x = 2 sin((x+y)/2) sin(d L/2), which do not cancel.
+    """
+    L = length
+    p, s = np.sqrt(a), np.sqrt(b)
+    s = np.where(np.abs(p - s) > np.abs(p + s), -s, s)
+    d = (a - b) / (p + s)
+    m = 0.5 * (p + s) * L
+    y = s * L
+    half = np.sin(0.5 * d * L) / d
+    dg = (2.0 * s * np.cos(m) * half - np.sin(y)) / (p * s * (p + s))
+    dw = (2.0 * b * np.sin(m) * half / (p + s) - (1.0 - np.cos(y))) / (a * b)
+    return dg, dw
+
+
 def product_integral(length, z1, a1, b1, z2, a2, b2) -> np.ndarray | complex:
     """Closed form of ``int_0^L u1(x) u2(x) dx`` for segment solutions.
 
     Here ``u_i(x) = a_i cos(q_i x) + b_i sin(q_i x)/q_i`` with q_i^2 = z_i.
     All arguments broadcast against each other; scalars give a complex.
     The result is assembled from kernels even in both q's, so it is branch
-    free; the only subtlety is a divided difference that degenerates when
-    q1 q2 -> 0, where a midpoint derivative replaces it.
+    free.  Its divided differences (f(a) - f(b)) / (a - b) of the kernels
+    G = S and W degenerate when q1 q2 -> 0: a midpoint derivative replaces
+    them for |a - b| <= 1e-6 |a|.  Outside that they are formed without
+    cancellation where f(a) and f(b) are close: term by term from the
+    series where |a L^2| <= 4, and by product-to-sum identities where the
+    phases sqrt(a) L and sqrt(b) L differ by about 1/2 or less
+    (|a - b| L <= sqrt|a|).
     """
     L = np.asarray(length, dtype=float)
     z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
@@ -178,20 +229,28 @@ def product_integral(length, z1, a1, b1, z2, a2, b2) -> np.ndarray | complex:
     b = np.where(nonzero, (z1 - z2) ** 2 / np.where(nonzero, a, 1.0), 0j)
     mid = 0.5 * (a + b)
     # The G of the closed form is the S kernel evaluated at w; W is the versine.
-    ga = kernels(a, L)[1]
-    gb = kernels(b, L)[1]
-    dg_mid = kernels_with_dz(mid, L)[3]
-    wa = versine_kernel(a, L)
-    wb = versine_kernel(b, L)
-    dw_mid = versine_kernel(mid, L, with_derivative=True)[1]
+    _, ga, _, wa, _ = _kernel_family(a, L, versine=True)
+    _, gb, _, wb, _ = _kernel_family(b, L, versine=True)
+    _, _, dg_mid, _, dw_mid = _kernel_family(mid, L, derivative=True, versine=True)
 
     delta = a - b
-    near = np.abs(delta) <= 1e-6 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    top = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    near = np.abs(delta) <= 1e-6 * top
     delta = np.where(near, 1.0, delta)
-    icc = 0.5 * (ga + gb)
-    iss = -2.0 * np.where(near, dg_mid, (ga - gb) / delta)
-    wsum = 0.5 * (wa + wb)
+    gdd = np.where(near, dg_mid, (ga - gb) / delta)
     wdd = np.where(near, dw_mid, (wa - wb) / delta)
+    # |b| <= |a|, so |a L^2| <= 4 puts both kernel arguments in the series regime
+    series = ~near & (np.abs(a * L * L) <= _SERIES_CUTOFF)
+    close = ~near & ~series & (np.abs(delta) * L <= np.sqrt(top))
+    for mask, differences in ((series, _series_differences), (close, _direct_differences)):
+        if mask.any():
+            shape = mask.shape
+            gdd[mask], wdd[mask] = differences(
+                *(np.broadcast_to(v, shape)[mask] for v in (a, b, L))
+            )
+    icc = 0.5 * (ga + gb)
+    iss = -2.0 * gdd
+    wsum = 0.5 * (wa + wb)
     ics = wsum + 2.0 * z1 * wdd
     isc = wsum + 2.0 * z2 * wdd
     total = a1 * a2 * icc + a1 * b2 * ics + b1 * a2 * isc + b1 * b2 * iss

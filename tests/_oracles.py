@@ -14,9 +14,11 @@ from the exact reflection w(z) = 2 exp(-z^2) - w(-z), also in extended
 precision.  Nothing here shares code with the package implementation, apart
 from :func:`nonescape_probability_loop`, which keeps the per-sample form of
 P(t) that the batched evaluation replaced, :func:`evolve_tdse_full`, which
-keeps the Crank-Nicolson loop that solves every step on the whole box, and
+keeps the Crank-Nicolson loop that solves every step on the whole box,
 :func:`locate_poles_bisection`, which keeps the pole search by rectangle
-bisection that the contour moments replaced.
+bisection that the contour moments replaced, :func:`kernel_family_two_branch`,
+which evaluates both branches of the segment kernels at every point, and
+:func:`state_values_per_state`, which evaluates every state on its own.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ from nonescape.gamow import ExpansionData
 from nonescape.model import InitialState, Potential, potential_range
 from nonescape.oracle import GridSpec, OracleResult, _prepare
 from nonescape.poles import PoleSet, ResonancePole, SearchWindow, matching_function
+from nonescape.segmath import (
+    _COS_COEFF,
+    _DSINC_COEFF,
+    _DVERS_COEFF,
+    _SERIES_CUTOFF,
+    _SINC_COEFF,
+    _VERS_COEFF,
+    _horner,
+)
 from nonescape.specfn import moshinsky
 
 
@@ -96,6 +107,85 @@ def _laplace_cf(z: "mp.mpc", depth: int = 220) -> "mp.mpc":
     for m in range(depth, 0, -1):
         tail = z - (mp.mpf(m) / 2) / tail
     return mp.mpc(0, 1) / (mp.sqrt(mp.pi) * tail)
+
+
+def kernel_family_two_branch(z, length) -> tuple[np.ndarray, ...]:
+    """(C, S, dS/dz, W, dW/dz) with both branches run on every point.
+
+    The Taylor series in w = z L^2 and the sqrt/cos/sin route are both
+    evaluated everywhere and ``np.where`` keeps the series for |w| <= 4.
+    """
+    z = np.asarray(z, dtype=complex)
+    L = np.asarray(length, dtype=float)
+    w = z * L * L
+    small = np.abs(w) <= _SERIES_CUTOFF
+    series = (
+        _horner(_COS_COEFF, w),
+        L * _horner(_SINC_COEFF, w),
+        L ** 3 * _horner(_DSINC_COEFF, w),
+        L * L * _horner(_VERS_COEFF, w),
+        L ** 4 * _horner(_DVERS_COEFF, w),
+    )
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        q = np.sqrt(z)
+        qL = q * L
+        c = np.cos(qL)
+        s = np.where(qL == 0, L + 0j, np.sin(qL) / np.where(q == 0, 1.0, q))
+        safe = np.where(z == 0, 1.0, z)
+        direct = (
+            c,
+            s,
+            np.where(z == 0, 1.0, (L * c - s) / (2.0 * safe)),
+            (1.0 - c) / safe,
+            (0.5 * z * L * s - (1.0 - c)) / np.where(z == 0, 1.0, z ** 2),
+        )
+    return tuple(np.where(small, ser, dire) for ser, dire in zip(series, direct))
+
+
+def same_bits(got, want) -> bool:
+    """True when two complex arrays hold the same bits (signed zeros count)."""
+    got = np.ascontiguousarray(np.asarray(got, dtype=complex))
+    want = np.ascontiguousarray(np.asarray(want, dtype=complex))
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def state_values_per_state(states, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u_m at the located points, each state evaluated on its own, one row per state."""
+    rows = []
+    for st in states:
+        c, s = kernel_family_two_branch(st.z[idx], x)[:2]
+        rows.append(st.a[idx] * c + st.b[idx] * s)
+    return np.array(rows).reshape(len(states), np.size(idx))
+
+
+def product_integral_six_kernels(length, z1, a1, b1, z2, a2, b2) -> np.ndarray:
+    """``int_0^L u1 u2 dx`` with the divided differences formed directly.
+
+    Six separate kernel evaluations (S and W at a and b, their derivatives
+    at the midpoint), and (f(a) - f(b)) / (a - b) outside the midpoint
+    branch, which cancels when a and b are close.
+    """
+    L = np.asarray(length, dtype=float)
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    s = np.sqrt(z1 * z2)
+    plus = z1 + z2 + 2.0 * s
+    minus = z1 + z2 - 2.0 * s
+    a = np.where(np.abs(minus) > np.abs(plus), minus, plus)
+    nonzero = a != 0
+    b = np.where(nonzero, (z1 - z2) ** 2 / np.where(nonzero, a, 1.0), 0j)
+    mid = 0.5 * (a + b)
+    _, ga, _, wa, _ = kernel_family_two_branch(a, L)
+    _, gb, _, wb, _ = kernel_family_two_branch(b, L)
+    _, _, dg_mid, _, dw_mid = kernel_family_two_branch(mid, L)
+    delta = a - b
+    near = np.abs(delta) <= 1e-6 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    delta = np.where(near, 1.0, delta)
+    iss = -2.0 * np.where(near, dg_mid, (ga - gb) / delta)
+    wdd = np.where(near, dw_mid, (wa - wb) / delta)
+    wsum = 0.5 * (wa + wb)
+    ics = wsum + 2.0 * z1 * wdd
+    isc = wsum + 2.0 * z2 * wdd
+    return a1 * a2 * (0.5 * (ga + gb)) + a1 * b2 * ics + b1 * a2 * isc + b1 * b2 * iss
 
 
 def nonescape_probability_loop(

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonescape.cli import build_parser, load_config, main
+from nonescape.cli import build_parser, load_config, main, parse_config
+from nonescape.errors import ConfigError, InvalidPotential, InvalidState
 
 _K1 = "2.7579383212949247"
 
@@ -117,10 +123,71 @@ def test_malformed_config_inputs(tmp_path: Path, capsys: pytest.CaptureFixture) 
     assert main(["poles", "--config", str(bad_json)]) == 2
     assert "not valid JSON" in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    huge = tmp_path / "huge.json"  # an integer past Python's 4300-digit limit
+    huge.write_text(json.dumps(_config(truncations=[1])).replace("[1]", "[" + "9" * 5000 + "]"))
+    assert main(["poles", "--config", str(huge)]) == 2
+    assert "not valid JSON" in json.loads(capsys.readouterr().err)["error"]["message"]
+
     unordered = tmp_path / "unordered.json"
     unordered.write_text(json.dumps(_config(truncations=[3, 2])))
     assert main(["poles", "--config", str(unordered)]) == 2
     assert "ascending" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+@pytest.mark.parametrize("t_max", ["Infinity", "1e400"])
+def test_infinite_log_grid_end_rejected(
+    tmp_path: Path, capsys: pytest.CaptureFixture, t_max: str
+) -> None:
+    grid = {"kind": "log", "t_min": 0.05, "t_max": "END", "per_decade": 12}
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(_config(time_grid=grid)).replace('"END"', t_max))
+    assert main(["poles", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert "no finite number of points" in err["message"]
+
+
+def _key_paths(node, prefix: tuple = ()):
+    """The path of every value below the root of a decoded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _key_paths(child, (*prefix, key))
+
+
+_DEFAULT_CONFIG = json.loads(
+    resources.files("nonescape.data").joinpath("default_config.json").read_text()
+)
+# Any JSON value, with the extremes drawn on their own as often as the rest.
+# Numbers stay within +-1e6 apart from those, and lists and objects stay
+# small, so that no draw builds a large time grid.
+_EXTREMES = [math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1e300, 0, -1, True, None, ""]
+_JSON_VALUES = st.sampled_from(_EXTREMES) | st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats(-1e6, 1e6)
+    | st.sampled_from(_EXTREMES)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("path", list(_key_paths(_DEFAULT_CONFIG)), ids=str)
+@settings(max_examples=40, deadline=None)
+@given(value=_JSON_VALUES)
+def test_any_value_at_any_config_key_parses_or_raises_typed_error(path: tuple, value) -> None:
+    raw = copy.deepcopy(_DEFAULT_CONFIG)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        parse_config(raw)
+    except (ConfigError, InvalidPotential, InvalidState):
+        pass
 
 
 def test_outputs_byte_deterministic(config_path: Path, tmp_path: Path) -> None:

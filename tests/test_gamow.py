@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
+from _oracles import same_bits, state_values_per_state
 
 from nonescape.errors import (
     ConfigError,
@@ -14,7 +16,10 @@ from nonescape.errors import (
 )
 from nonescape.gamow import (
     ExpansionData,
+    _locate,
     _quadrature_gram,
+    _stack,
+    _state_values,
     build_expansion,
     build_state,
     expansion_coefficient,
@@ -23,10 +28,19 @@ from nonescape.gamow import (
     reconstruct_initial,
     sum_rule_residual,
     validate_state,
+    weighted_field,
 )
-from nonescape.model import BoxMode, DeltaShell, Sampled, initial_wavefunction, normalized
-from nonescape.poles import PoleSet, ResonancePole
-from nonescape.selftest import REFERENCE_STATE
+from nonescape.model import (
+    BoxMode,
+    DeltaShell,
+    PiecewiseConstant,
+    Sampled,
+    initial_wavefunction,
+    normalized,
+)
+from nonescape.poles import PoleSet, ResonancePole, SearchWindow, locate_poles
+from nonescape.segmath import panel_nodes
+from nonescape.selftest import REFERENCE_POTENTIAL, REFERENCE_STATE
 
 # Frozen reconstruction errors max_r |psi_N(r) - psi0(r)| on r in (0, 1) for
 # the reference problem (shell lam = 6, R = 1, psi0 = lowest box mode).
@@ -59,15 +73,10 @@ def test_mirror_state_is_conjugate(pole_set: PoleSet) -> None:
     plus = build_state(pole_set.potential, pole_set.pole(3))
     minus = build_state(pole_set.potential, pole_set.pole(-3))
     r = np.linspace(0.0, 1.0, 21)
-    np.testing.assert_allclose(
-        np.asarray(minus.evaluate(r)),
-        np.conj(np.asarray(plus.evaluate(r))),
-        rtol=1e-12,
-        atol=1e-14,
+    np.testing.assert_array_equal(
+        np.asarray(minus.evaluate(r)), np.conj(np.asarray(plus.evaluate(r)))
     )
-    assert minus.boundary_value == pytest.approx(
-        plus.boundary_value.conjugate(), rel=1e-13
-    )
+    assert minus.boundary_value == plus.boundary_value.conjugate()
 
 
 def test_build_state_rejects_zero_wavenumber(pole_set: PoleSet) -> None:
@@ -276,3 +285,75 @@ def test_states_from_different_potentials_rejected(pole_set: PoleSet) -> None:
     ref_state = build_state(pole_set.potential, pole_set.pole(1))
     with pytest.raises(ConfigError, match="different segmentations"):
         overlap_quadrature(ref_state, other_set_state)
+
+
+_BARRIER = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
+
+
+@pytest.fixture(scope="module")
+def expansions(data: ExpansionData) -> dict[str, ExpansionData]:
+    """The reference (40 poles), wide (319 poles) and two-segment barrier expansions."""
+    wide = locate_poles(REFERENCE_POTENTIAL, SearchWindow(re_max=1002.0, im_min=-3.0))
+    barrier = locate_poles(_BARRIER, SearchWindow(re_max=12.0, im_min=-4.0))
+    return {
+        "reference": data,
+        "wide": build_expansion(REFERENCE_POTENTIAL, wide, REFERENCE_STATE),
+        "barrier": build_expansion(_BARRIER, barrier, REFERENCE_STATE),
+    }
+
+
+def _nodes(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """r = 0, every segment edge (r = R included), random radii and panel nodes."""
+    radius = float(edges[-1])
+    return np.concatenate([edges, rng.uniform(0.0, radius, 200), panel_nodes(0.0, radius, 5)[0]])
+
+
+@pytest.mark.parametrize("name", ["reference", "wide", "barrier"])
+def test_state_values_match_per_state_reference_bits(
+    expansions: dict[str, ExpansionData], name: str, rng: np.random.Generator
+) -> None:
+    # One state of each mirror pair runs the kernels, the other is its conjugate.
+    states = expansions[name].states
+    stack = _stack(states)
+    assert stack.mirror.size == len(states) // 2
+    idx, x = _locate(states[0].r_edges, _nodes(states[0].r_edges, rng))
+    assert same_bits(_state_values(stack, idx, x), state_values_per_state(states, idx, x))
+
+
+def test_state_values_pair_by_segment_data(
+    expansions: dict[str, ExpansionData], rng: np.random.Generator
+) -> None:
+    # Order -40..-1, 1..40.  Drop n = -39 (n = 39 is left unpaired), relabel
+    # n = 1 as n = 999 (still the mirror of n = -1), repeat n = -35 and
+    # reverse the list (the mirror states come after their sources).
+    states = list(expansions["reference"].states)
+    half = len(states) // 2
+    relabelled = dataclasses.replace(
+        states[half], pole=dataclasses.replace(states[half].pole, n=999)
+    )
+    varied = [states[0], *states[2:half], relabelled, *states[half + 1 :], states[5]][::-1]
+    stack = _stack(varied)
+    pairs = {(varied[i].pole.n, varied[j].pole.n) for i, j in zip(stack.source, stack.mirror)}
+    assert (999, -1) in pairs
+    assert not any(39 in pair for pair in pairs)
+    assert len(pairs) == half - 1 and stack.own.size == len(varied) - (half - 1)
+    idx, x = _locate(states[0].r_edges, _nodes(states[0].r_edges, rng))
+    assert same_bits(_state_values(stack, idx, x), state_values_per_state(varied, idx, x))
+
+
+@pytest.mark.parametrize("name", ["reference", "wide"])
+def test_weighted_field_adds_in_state_order(
+    expansions: dict[str, ExpansionData], name: str, rng: np.random.Generator
+) -> None:
+    # Blocks over points (several here), each point adding its terms in
+    # state order: the same bits as adding weights[m] u_m(r) state by state.
+    data = expansions[name]
+    r = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 1500)])
+    weights = data.coefficients / data.wavenumbers
+    weights[3] = 0.0
+    idx, x = _locate(data.states[0].r_edges, r)
+    expected = np.zeros(r.size, dtype=complex)
+    for w, values in zip(weights, state_values_per_state(data.states, idx, x)):
+        if w != 0:
+            expected += w * values
+    assert same_bits(weighted_field(data, r, weights), expected)

@@ -94,6 +94,18 @@ def test_run_validation_rules() -> None:
         evolve_tdse(REFERENCE_POTENTIAL, BoxMode(mode=1, radius=2.0), _small_grid())
 
 
+def test_run_rejects_segment_edge_off_grid() -> None:
+    # dr = 0.005: the edge at 0.3 is node 60, the edge at 0.6025 lies
+    # midway between nodes 120 and 121.
+    grid = _small_grid(t_final=0.2)
+    off = PiecewiseConstant(((0.0, 0.3, 0.0), (0.3, 0.6025, 10.0), (0.6025, 1.0, 40.0)))
+    with pytest.raises(ConfigError, match="segment edge 0.6025 must fall on a grid node"):
+        evolve_tdse(off, REFERENCE_STATE, grid)
+    on = PiecewiseConstant(((0.0, 0.3, 0.0), (0.3, 0.6, 10.0), (0.6, 1.0, 40.0)))
+    result = evolve_tdse(on, REFERENCE_STATE, grid)
+    assert np.all(np.isfinite(result.series.probability))
+
+
 def test_underresolution_escape_hatch() -> None:
     # dr > range/200 is allowed only when resolution enforcement is waived.
     coarse = GridSpec(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import kernel_family_two_branch, product_integral_six_kernels, same_bits
 from nonescape.segmath import (
     gauss_legendre,
     kernels,
@@ -69,6 +70,49 @@ def test_kernels_vectorized() -> None:
         c_ref, s_ref = _reference_kernels(complex(zi), 1.0)
         assert ci == pytest.approx(c_ref, rel=1e-13)
         assert si == pytest.approx(s_ref, rel=1e-13)
+
+
+def _points_across_cutoff(rng: np.random.Generator, n: int = 4000):
+    """(z, L) with |z L^2| spread around the series cutoff 4, some right at it.
+
+    Every 11th length is 0, every 5th z is real and the next one the
+    conjugate of a neighbour; every 13th z is 0.
+    """
+    length = rng.uniform(0.0, 3.0, n)
+    length[::11] = 0.0
+    w = 4.0 * np.exp(rng.normal(0.0, 0.5, n))
+    w[::3] = 4.0 * (1.0 + rng.choice([-1e-9, 1e-9], w[::3].size))
+    w = w * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    z = w / np.where(length == 0.0, 1.0, length) ** 2
+    z[::5] = z[::5].real
+    z[1::5] = np.conj(z[:-1:5])
+    z[::13] = 0.0
+    return z, length
+
+
+def test_kernels_bits_match_two_branch_reference(rng: np.random.Generator) -> None:
+    # Each point now runs one branch only; the values keep their bits.
+    z, length = _points_across_cutoff(rng)
+    for zz, L in ((z, length), (z * np.where(length == 0.0, 1.0, length) ** 2 / 1.69, 1.3)):
+        c, s, ds, w, dw = kernel_family_two_branch(zz, L)
+        dc = -0.5 * np.asarray(L) * s
+        for got, want in (
+            (kernels(zz, L), (c, s)),
+            (kernels_with_dz(zz, L), (c, s, dc, ds)),
+            (versine_kernel(zz, L, with_derivative=True), (w, dw)),
+            ((versine_kernel(zz, L),), (w,)),
+        ):
+            assert all(same_bits(g, r) for g, r in zip(got, want))
+
+
+def test_kernels_scalar_call_matches_array_call(rng: np.random.Generator) -> None:
+    # A scalar call is the one-point array call: the same bits on either branch.
+    z, length = _points_across_cutoff(rng, 200)
+    arrays = [*kernels_with_dz(z, length), *versine_kernel(z, length, True)]
+    for i, (zi, li) in enumerate(zip(z, length)):
+        scalars = [*kernels_with_dz(zi, li), *versine_kernel(zi, li, True)]
+        assert all(isinstance(v, complex) for v in scalars)
+        assert same_bits(scalars, [v[i] for v in arrays]), (zi, li)
 
 
 def test_kernels_with_dz_matches_finite_difference(rng: np.random.Generator) -> None:
@@ -199,15 +243,36 @@ def test_product_integral_symmetry() -> None:
     assert fwd == pytest.approx(rev, rel=1e-13)
 
 
+def test_product_integral_bits_match_six_kernel_reference(rng: np.random.Generator) -> None:
+    # With |q_i L| >= 2.5 both kernel arguments lie past the series cutoff and
+    # sqrt(a) L, sqrt(b) L differ by more than 1: the divided differences are
+    # formed as before, from three kernel evaluations instead of six.
+    n = 2000
+    length = rng.uniform(0.2, 3.0, n)
+    q1, q2 = (
+        rng.choice([-1.0, 1.0], n) * rng.uniform(2.5, 40.0, n) / length
+        + 1j * rng.uniform(-3.0, 3.0, n) / length
+        for _ in range(2)
+    )
+    z1, z2 = q1 * q1, q2 * q2
+    z2[::3] = z1[::3]  # normalization integrals: b = 0
+    z2[1::3] = (np.pi * rng.integers(1, 4, z2[1::3].size)) ** 2  # box-mode coefficients
+    coeffs = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)]
+    args = (length, z1, coeffs[0], coeffs[1], z2, coeffs[2], coeffs[3])
+    assert same_bits(product_integral(*args), product_integral_six_kernels(*args))
+
+
 _UNIT = st.floats(-1.0, 1.0)
 _PHASE = st.floats(-np.pi, np.pi)
 # log10 of |q1 / q2| in the near-degenerate cases: |a - b| = 4 |q1 q2| is
-# within 1e-6 max(|a|, |b|), the midpoint-derivative branch, below 2.5e-7.
-_RATIO = {"degenerate": (-14.0, -6.7), "beside": (-6.5, -5.0)}
+# within 1e-6 max(|a|, |b|), the midpoint-derivative branch, below 2.5e-7;
+# "close" crosses |a - b| L = sqrt|a|, where the product-to-sum route ends.
+_RATIO = {"degenerate": (-14.0, -6.7), "beside": (-6.5, -5.0), "close": (-5.0, -1.0)}
 # Error of product_integral relative to int |u1 u2| dx; measured worst
-# 4e-15 in general, 3e-13 in the midpoint-derivative branch, and 7e-10
-# beside it, where the divided difference (f(a) - f(b)) / (a - b) cancels.
-_PRODUCT_TOL = {"degenerate": 1e-12, "beside": 1e-8}
+# 4e-15 in general, 3e-13 in the midpoint-derivative branch, and 3e-15
+# beside it and where a and b are close (7e-10 when the divided differences
+# were formed as (f(a) - f(b)) / (a - b), which cancels there).
+_PRODUCT_TOL = {"degenerate": 1e-12}
 
 
 @st.composite
@@ -242,7 +307,7 @@ def _segment_pair(draw, branch: str):
     return (length, z1, coeffs[0], coeffs[1], z2, coeffs[2], coeffs[3])
 
 
-_BRANCHES = ("general", "degenerate", "beside", "a", "b", "mid")
+_BRANCHES = ("general", "degenerate", "beside", "close", "a", "b", "mid")
 
 
 @settings(max_examples=60, deadline=None)
