@@ -31,11 +31,13 @@ from .asymptote import (
 )
 from .dynamics import (
     NonescapeSeries,
+    ProbabilitySums,
     TimeGrid,
     default_time_grid,
     gamma_width,
     lifetime,
     nonescape_probability,
+    probability_sums,
     probability_window,
 )
 from .errors import (
@@ -168,6 +170,8 @@ __all__ = [
     "gamma_width",
     "lifetime",
     "NonescapeSeries",
+    "ProbabilitySums",
+    "probability_sums",
     "nonescape_probability",
     "probability_window",
     # asymptotics

@@ -32,10 +32,11 @@ import numpy as np
 
 from .dynamics import (
     NonescapeSeries,
+    ProbabilitySums,
     TimeGrid,
     exact_row_sums,
     gamma_width,
-    nonescape_probability,
+    probability_sums,
 )
 from .errors import (
     ConfigError,
@@ -357,14 +358,15 @@ def convergence_study(
     slope_window: tuple[float, float] | None = None,
     prefactor: float = TAIL_PREFACTOR,
     *,
-    largest_series: NonescapeSeries | None = None,
+    sums: ProbabilitySums | None = None,
 ) -> TailReport:
     """Tabulate tail coefficients, sum-rule norms, and crossovers versus N.
 
     With ``grid`` and ``slope_window`` each truncation's P(t) on ``grid`` is
-    fitted for its slope.  A caller that already holds that P(t) for the
-    largest truncation (say, to choose the window from it) passes it as
-    ``largest_series`` so it is not evaluated twice.
+    fitted for its slope; all of them come from one :func:`probability_sums`
+    pass, and each is checked where its row of the table is made.  A caller
+    that already holds that pass (say, to choose the window from the largest
+    truncation) passes it as ``sums`` so it is not evaluated twice.
     """
     truncs = tuple(int(n) for n in truncations)
     if not truncs or any(n < 1 for n in truncs) or list(truncs) != sorted(set(truncs)):
@@ -373,13 +375,13 @@ def convergence_study(
         raise ConfigError(
             f"truncation {truncs[-1]} exceeds built expansion ({data.n_pairs} pairs)"
         )
-    if largest_series is not None and (
+    if sums is not None and (
         grid is None
-        or largest_series.n_pairs != truncs[-1]
-        or largest_series.mode != data.overlap_method
-        or not np.array_equal(largest_series.times, grid.times)
+        or sums.truncations != truncs
+        or sums.mode != data.overlap_method
+        or not np.array_equal(sums.times, grid.times)
     ):
-        raise ConfigError("largest_series must be P(t) of the largest truncation on grid")
+        raise ConfigError("sums must hold P(t) of these truncations on grid")
     r_arr = np.asarray(r_points, dtype=float)
     m = len(truncs)
     t1m = np.empty(m)
@@ -391,6 +393,8 @@ def convergence_study(
     ptw = np.empty((m, len(r_arr)))
     slopes = np.empty(m) if grid is not None and slope_window is not None else None
     errs = np.empty(m) if slopes is not None else None
+    if slopes is not None and sums is None:
+        sums = probability_sums(data, grid, truncs)
     for i, n in enumerate(truncs):
         coeffs = tail_expansion(data, n, 3, prefactor)
         t1m[i], t2[i], t3[i] = coeffs.values
@@ -403,11 +407,7 @@ def convergence_study(
             s_n = weighted_field(sub, r_arr, sub.coefficients / sub.wavenumbers)
             ptw[i] = np.abs(np.asarray(s_n))
         if slopes is not None:
-            if n == truncs[-1] and largest_series is not None:
-                series = largest_series
-            else:
-                series = nonescape_probability(data, grid, n_pairs=n)
-            fit = slope_fit(series, slope_window)
+            fit = slope_fit(sums.series(n), slope_window)
             slopes[i] = fit.slope
             errs[i] = fit.stderr
     return TailReport(

@@ -29,7 +29,7 @@ from .asymptote import (
     tail_coefficient_t1,
     tail_expansion,
 )
-from .dynamics import TimeGrid, lifetime, nonescape_probability
+from .dynamics import TimeGrid, lifetime, probability_sums
 from .errors import ConfigError, InvalidPotential, InvalidState, NonescapeError
 from .gamow import ExpansionData, build_expansion, overlap_matrix, sum_rule_residual
 from .model import BoxMode, DeltaShell, PiecewiseConstant
@@ -436,8 +436,9 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
     for overlap in ("closed", "quadrature"):
         # one overlap matrix at the largest truncation, sliced for the rest
         data = _expanded(cfg, pole_set, truncations[-1], overlap)
+        sums = probability_sums(data, grid, truncations)
         for n in truncations:
-            series = nonescape_probability(data, grid, n_pairs=n)
+            series = sums.series(n)
             rows.extend(
                 (series.mode, n, t, p, series.imag_residual)
                 for t, p in zip(series.times, series.probability)
@@ -459,18 +460,21 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
     pole_set = _located(cfg)
     data = _expanded(cfg, pole_set, truncations[-1])
 
+    # one pass gives every truncation's P(t); the largest opens the window
     try:
-        series = nonescape_probability(data, grid, n_pairs=truncations[-1])
-        slope_window = post_exponential_window(series, pole_set.pole(1))
+        sums = probability_sums(data, grid, truncations)
+        slope_window = post_exponential_window(
+            sums.series(truncations[-1]), pole_set.pole(1)
+        )
     except NonescapeError:
-        series, slope_window = None, None
+        sums, slope_window = None, None
     report = convergence_study(
         data,
         truncations,
         np.asarray(_r_points(cfg, args)),
         grid=grid,
         slope_window=slope_window,
-        largest_series=series,
+        sums=sums,
     )
     nan = [float("nan")] * len(report.truncations)
     slopes = report.slope if report.slope is not None else nan
@@ -544,7 +548,8 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     t = run.series.times
     shared = TimeGrid(times=t)
 
-    series_list = [nonescape_probability(data, shared, n_pairs=n) for n in truncations]
+    sums = probability_sums(data, shared, truncations)
+    series_list = [sums.series(n) for n in truncations]
     p_direct = run.series.probability
     header = ["t", "p_direct"]
     columns = [t, p_direct]

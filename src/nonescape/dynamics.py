@@ -12,6 +12,19 @@ factors for all output times come from one vectorized call, and the terms
 of each sample are reduced by an exact, correctly rounded row sum (the
 value ``math.fsum`` returns), so the deep tail (P ~ 1e-15 at t = 1e5 for
 N = 160) is not drowned by cancellation noise and no term order matters.
+
+Every truncation's terms are, bit for bit, the central block of the largest
+truncation's (2N)^2 term array, so :func:`probability_sums` gives P(t) for
+a whole list of truncations from one pass over the largest one's terms.
+Each term carries a ring label, the index of the smallest listed truncation
+whose block holds it; the exact binning adds the label to its bin index,
+integer sums over the rings 0..g give truncation g's bins, and each
+truncation is rounded once, so its samples equal ``math.fsum`` of its own
+terms.  The pass runs over blocks of samples; its outer product, weighted
+terms and binning arrays are allocated once per call and reused for every
+block.  :meth:`ProbabilitySums.series` checks one truncation's samples, so
+callers check each truncation where they use it, and
+:func:`nonescape_probability` is the one-truncation case.
 """
 
 from __future__ import annotations
@@ -37,8 +50,11 @@ __all__ = [
     "gamma_width",
     "lifetime",
     "NonescapeSeries",
+    "ProbabilitySums",
+    "probability_sums",
     "nonescape_probability",
     "probability_window",
+    "exact_nested_sums",
     "exact_row_sums",
 ]
 
@@ -127,8 +143,11 @@ class NonescapeSeries:
         return len(self.times)
 
 
-# Terms per block of P(t): keeps the (times x states x states) term array
-# near 1 MB however many samples are asked for.
+# Terms per block of P(t): a block holds max(1, _BLOCK // (2N)^2) samples,
+# so its term array holds 32,768 to 65,536 complex terms (0.5 to 1 MB)
+# while (2N)^2 <= _BLOCK, i.e. N <= 128, and one sample of (2N)^2 terms
+# beyond (102,400 terms, 1.6 MB, at N = 160).  Each block array is
+# allocated once per pass and reused for every block.
 _BLOCK = 1 << 16
 # Terms per bin sum.  High parts are integers below 2**27 and low parts
 # multiples of 2**-26 below 1, so 2**26 of either sum below 2**53 units:
@@ -145,74 +164,224 @@ def _round_scaled(total: int, exponent: int) -> float:
     return total / (1 << -exponent)
 
 
+class _NestedSummer:
+    """Exact nested-group sums of real (rows x cols) blocks.
+
+    Column c lies in ring ``rings[c]``, and group g of a row is its columns
+    in rings 0..g.  The work arrays hold ``max_rows`` rows and are allocated
+    once, so a caller summing block after block allocates nothing per block
+    but the small bin arrays.
+    """
+
+    def __init__(self, max_rows: int, rings: np.ndarray) -> None:
+        self.rings = np.asarray(rings, dtype=np.intp)
+        self.n_rings = int(self.rings.max()) + 1 if self.rings.size else 1
+        shape = (max_rows, self.rings.size)
+        self.frac = np.empty(shape)
+        self.exp = np.empty(shape, dtype=np.intc)
+        self.index = np.empty(shape, dtype=np.intp)
+        self.high = np.empty(shape)
+        self.ring_bins = np.empty(self.rings.size, dtype=np.intp)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """(rows x n_rings) correctly rounded group sums of ``x``."""
+        n_rows, n_cols = x.shape
+        n_rings = self.n_rings
+        out = np.zeros((n_rows, n_rings))  # an exact zero rounds to +0.0, as in fsum
+        if x.size == 0:
+            return out
+        # rows whose plain sum is not finite hold an inf or NaN, or overflow
+        # on the way: math.fsum settles those
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(x.sum(axis=1))
+        frac, exp, index, high = (
+            a[:n_rows] for a in (self.frac, self.exp, self.index, self.high)
+        )
+        np.frexp(x, out=(frac, exp))
+        if not finite.all():
+            frac[~finite] = 0.0
+            exp[~finite] = 0
+        e_lo = int(exp.min())
+        width = int(exp.max()) - e_lo + 1
+        # bin of a term: (row, ring, exponent), exponents innermost
+        np.subtract(exp, e_lo, out=index, dtype=np.intp)
+        np.multiply(self.rings, width, out=self.ring_bins)
+        index += self.ring_bins
+        if n_rows > 1:
+            index += (np.arange(n_rows) * (n_rings * width))[:, None]
+        # frac 2**27 splits exactly into an integer part below 2**27 and a
+        # fraction in multiples of 2**-26; frac keeps the fraction
+        np.multiply(frac, 2.0**27, out=frac)
+        np.trunc(frac, out=high)
+        frac -= high
+        n_bins = n_rows * n_rings * width
+        hi_bins = np.zeros(n_bins, dtype=np.int64)
+        lo_bins = np.zeros(n_bins, dtype=np.int64)
+        for c0 in range(0, n_cols, _EXACT_TERMS):
+            cols = slice(c0, c0 + _EXACT_TERMS)
+            bins = index[:, cols].ravel()
+            hi_bins += np.bincount(bins, high[:, cols].ravel(), minlength=n_bins).astype(
+                np.int64
+            )
+            lo_bins += (
+                np.bincount(bins, frac[:, cols].ravel(), minlength=n_bins) * _SPLIT
+            ).astype(np.int64)
+        if n_rings > 1:  # group g holds rings 0..g
+            for bins in (hi_bins, lo_bins):
+                cube = bins.reshape(n_rows, n_rings, width)
+                np.cumsum(cube, axis=1, out=cube)
+        used = np.flatnonzero(hi_bins | lo_bins)
+        flat = out.reshape(-1)
+        group, e0, total = -1, 0, 0
+        for g, e, h, l in zip(
+            (used // width).tolist(),
+            (used % width).tolist(),
+            hi_bins[used].tolist(),
+            lo_bins[used].tolist(),
+        ):
+            if g != group:  # bins come group by group, lowest exponent first
+                if group >= 0:
+                    flat[group] = _round_scaled(total, e0 + e_lo - 53)
+                group, e0, total = g, e, 0
+            total += ((h << 26) + l) << (e - e0)
+        if group >= 0:
+            flat[group] = _round_scaled(total, e0 + e_lo - 53)
+        for i in np.flatnonzero(~finite):
+            for g in range(n_rings):
+                out[i, g] = fsum(x[i][self.rings <= g])
+        return out
+
+
+def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
+    """Correctly rounded sums of nested column groups of every row.
+
+    ``rings[c] >= 0`` labels column c; entry [i, g] of the (rows x
+    (max(rings) + 1)) result equals ``math.fsum`` of the columns of row i
+    whose ring is at most g, bit for bit (real and imaginary parts
+    separately for complex rows), so no group depends on term order.
+    ``frexp`` writes a finite double as m 2**(e - 53) with an integer
+    |m| < 2**53; the high and low halves of m are summed exactly per
+    (row, ring, e) by ``np.bincount``, summed over the rings 0..g in
+    integers, and then each group's bins are combined in Python integers
+    and rounded once.  Rows holding an infinity or NaN are passed to
+    ``math.fsum`` itself.
+    """
+    x = np.asarray(rows)
+    summer = _NestedSummer(x.shape[0], rings)
+    if np.iscomplexobj(x):
+        out = np.empty((x.shape[0], summer.n_rings), dtype=complex)
+        out.real = summer(x.real)
+        out.imag = summer(x.imag)
+        return out
+    return summer(np.asarray(x, dtype=float))
+
+
 def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of every row of a 2-d array, real or complex.
 
-    Each entry equals ``math.fsum`` of the row (real and imaginary parts
-    separately), bit for bit, so the result does not depend on term order.
-    ``frexp`` writes a finite double as m 2**(e - 53) with an integer
-    |m| < 2**53; the high and low halves of m are summed exactly per
-    (row, e) by ``np.bincount``, then each row's bins are combined in Python
-    integers and rounded once.  Rows holding an infinity or NaN are passed
-    to ``math.fsum`` itself.
+    Each entry equals ``math.fsum`` of the row, bit for bit: the one-group
+    case of :func:`exact_nested_sums`.
     """
     x = np.asarray(rows)
-    if np.iscomplexobj(x):
-        out = np.empty(x.shape[0], dtype=complex)
-        out.real = exact_row_sums(x.real)
-        out.imag = exact_row_sums(x.imag)
-        return out
-    x = np.asarray(x, dtype=float)
-    n_rows, n_cols = x.shape
-    out = np.zeros(n_rows)  # an exact zero rounds to +0.0, as in math.fsum
-    if x.size == 0:
-        return out
-    # rows whose plain sum is not finite hold an inf or NaN, or overflow
-    # on the way: math.fsum settles those
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(x.sum(axis=1))
-    if not finite.all():
-        x = np.where(finite[:, None], x, 0.0)
-    frac, exp = np.frexp(x)
-    e_lo = int(exp.min())
-    width = int(exp.max()) - e_lo + 1
-    index = np.subtract(exp, e_lo, dtype=np.intp)
-    if n_rows > 1:
-        index += (np.arange(n_rows) * width)[:, None]
-    # frac 2**27 splits exactly into an integer part below 2**27 and a
-    # fraction in multiples of 2**-26
-    scaled = frac * 2.0**27
-    high = np.trunc(scaled)
-    low = scaled - high
-    hi_bins = np.zeros(n_rows * width, dtype=np.int64)
-    lo_bins = np.zeros(n_rows * width, dtype=np.int64)
-    for c0 in range(0, n_cols, _EXACT_TERMS):
-        cols = slice(c0, c0 + _EXACT_TERMS)
-        bins = index[:, cols].ravel()
-        hi_bins += np.bincount(
-            bins, high[:, cols].ravel(), minlength=len(hi_bins)
-        ).astype(np.int64)
-        lo_bins += (
-            np.bincount(bins, low[:, cols].ravel(), minlength=len(lo_bins)) * _SPLIT
-        ).astype(np.int64)
-    used = np.flatnonzero(hi_bins | lo_bins)
-    row, e0, total = -1, 0, 0
-    for r, e, h, l in zip(
-        (used // width).tolist(),
-        (used % width).tolist(),
-        hi_bins[used].tolist(),
-        lo_bins[used].tolist(),
-    ):
-        if r != row:  # bins come row by row, lowest exponent first
-            if row >= 0:
-                out[row] = _round_scaled(total, e0 + e_lo - 53)
-            row, e0, total = r, e, 0
-        total += ((h << 26) + l) << (e - e0)
-    if row >= 0:
-        out[row] = _round_scaled(total, e0 + e_lo - 53)
-    for i in np.flatnonzero(~finite):
-        out[i] = fsum(rows[i])
-    return out
+    return exact_nested_sums(x, np.zeros(x.shape[1], dtype=np.intp))[:, 0]
+
+
+@dataclass(frozen=True, eq=False)
+class ProbabilitySums:
+    """Unchecked P(t) sums of nested truncations on one time grid.
+
+    Row i of ``sums`` holds truncation ``truncations[i]``: every sample is
+    the correctly rounded complex sum of that truncation's own (2N)^2
+    terms.  Nothing is checked until :meth:`series` asks for a truncation.
+    """
+
+    times: np.ndarray
+    truncations: tuple[int, ...]
+    sums: np.ndarray
+    mode: str
+
+    def series(self, n_pairs: int) -> NonescapeSeries:
+        """P(t) of one truncation, checked sample by sample in time order.
+
+        Raises
+        ------
+        TruncationUnstable
+            If the imaginary residual of the (real) probability exceeds 1e-6.
+        NonPositiveProbability
+            If a probability sample falls below -1e-9.
+        """
+        if n_pairs not in self.truncations:
+            raise ConfigError(f"truncation {n_pairs} is not among {self.truncations}")
+        i = self.truncations.index(n_pairs)
+        p_out = np.empty(self.times.shape)
+        worst_imag = 0.0
+        for j, total in enumerate(self.sums[i]):
+            re, im, t = total.real, total.imag, self.times[j]
+            scale = max(1.0, abs(re))
+            if abs(im) > _IMAG_HARD_LIMIT * scale:
+                raise TruncationUnstable(
+                    f"imaginary residual {im:.3e} at t = {t:g} (P = {re:.3e})"
+                )
+            if re < -1e-9:
+                raise NonPositiveProbability(f"P({t:g}) = {re:.3e} < -1e-9")
+            worst_imag = max(worst_imag, abs(im) / scale)
+            p_out[j] = re
+        return NonescapeSeries(
+            times=self.times.copy(),
+            probability=p_out,
+            imag_residual=worst_imag,
+            n_pairs=self.truncations[i],
+            mode=self.mode,
+            provenance="expansion",
+        )
+
+
+def probability_sums(
+    data: ExpansionData,
+    grid: TimeGrid,
+    truncations: tuple[int, ...] | list[int],
+) -> ProbabilitySums:
+    """P(t) sums of every truncation in one pass over the largest one's terms.
+
+    A truncation's terms are the central block of the largest truncation's
+    term array, so each term is labelled with the ring of the smallest
+    truncation holding it, and :func:`exact_nested_sums` rounds each
+    truncation's own sum once.
+    """
+    truncs = tuple(int(n) for n in truncations)
+    if not truncs or list(truncs) != sorted(set(truncs)):
+        raise ConfigError("truncations must be distinct and ascending")
+    if truncs[0] < 1 or truncs[-1] > data.n_pairs:
+        bad = truncs[0] if truncs[0] < 1 else truncs[-1]
+        raise ConfigError(f"truncation {bad} outside the built range 1..{data.n_pairs}")
+    sub = data.truncate(truncs[-1])
+    times = grid.times
+    big = sub.n_pairs
+    # pair number |n| of each position in the order -N..-1, 1..N
+    level = np.concatenate([np.arange(big, 0, -1), np.arange(1, big + 1)])
+    state_ring = np.searchsorted(truncs, level)
+    rings = np.maximum.outer(state_ring, state_ring).ravel()
+    w_all = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, times))
+    step = min(len(times), max(1, _BLOCK // sub.overlap.size))
+    outer = np.empty((step,) + sub.overlap.shape, dtype=complex)
+    weighted = np.empty_like(outer)
+    summer = _NestedSummer(step, rings)
+    sums = np.empty((len(truncs), len(times)), dtype=complex)
+    for j0 in range(0, len(times), step):
+        w = w_all[j0 : j0 + step]
+        block = slice(j0, j0 + len(w))
+        # numpy's complex product is not bitwise commutative (the imaginary
+        # part is fused): both products name their operands in a fixed
+        # order, where a temporary could be multiplied in place as its left
+        # operand once it reaches numpy's elision size.
+        np.multiply(w[:, :, None], np.conj(w)[:, None, :], out=outer[: len(w)])
+        np.multiply(sub.overlap, outer[: len(w)], out=weighted[: len(w)])
+        terms = weighted[: len(w)].reshape(len(w), -1)
+        sums.real[:, block] = summer(terms.real).T
+        sums.imag[:, block] = summer(terms.imag).T
+    return ProbabilitySums(
+        times=times.copy(), truncations=truncs, sums=sums, mode=sub.overlap_method
+    )
 
 
 def nonescape_probability(
@@ -227,7 +396,8 @@ def nonescape_probability(
     "quadrature" overlaps must agree.
 
     Every sample is the correctly rounded sum of its (2N)^2 terms.  Samples
-    are checked in time order and the first offending one raises.
+    are checked in time order and the first offending one raises.  This is
+    the one-truncation case of :func:`probability_sums`.
 
     Raises
     ------
@@ -236,40 +406,8 @@ def nonescape_probability(
     NonPositiveProbability
         If a probability sample falls below -1e-9.
     """
-    sub = data if n_pairs is None else data.truncate(n_pairs)
-    times = grid.times
-    w_all = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, times))
-    p_out = np.empty(times.shape)
-    worst_imag = 0.0
-    step = max(1, _BLOCK // sub.overlap.size)
-    for j0 in range(0, len(times), step):
-        w = w_all[j0 : j0 + step]
-        # numpy's complex product is not bitwise commutative (the imaginary
-        # part is fused): the named outer product keeps the operand order
-        # fixed, where a temporary could be multiplied in place as its left
-        # operand once it reaches numpy's elision size.
-        outer = w[:, :, None] * np.conj(w)[:, None, :]
-        weighted = sub.overlap * outer
-        sums = exact_row_sums(weighted.reshape(len(w), -1))
-        for j, total in enumerate(sums, start=j0):
-            re, im, t = total.real, total.imag, times[j]
-            scale = max(1.0, abs(re))
-            if abs(im) > _IMAG_HARD_LIMIT * scale:
-                raise TruncationUnstable(
-                    f"imaginary residual {im:.3e} at t = {t:g} (P = {re:.3e})"
-                )
-            if re < -1e-9:
-                raise NonPositiveProbability(f"P({t:g}) = {re:.3e} < -1e-9")
-            worst_imag = max(worst_imag, abs(im) / scale)
-            p_out[j] = re
-    return NonescapeSeries(
-        times=times.copy(),
-        probability=p_out,
-        imag_residual=worst_imag,
-        n_pairs=sub.n_pairs,
-        mode=sub.overlap_method,
-        provenance="expansion",
-    )
+    n = data.n_pairs if n_pairs is None else n_pairs
+    return probability_sums(data, grid, (n,)).series(n)
 
 
 def probability_window(

@@ -30,7 +30,7 @@ from .asymptote import (
     tail_coefficient_t1,
     tail_expansion,
 )
-from .dynamics import TimeGrid, lifetime, nonescape_probability
+from .dynamics import TimeGrid, lifetime, nonescape_probability, probability_sums
 from .errors import EquivalenceViolation
 from .gamow import (
     ExpansionData,
@@ -305,12 +305,8 @@ def check_completeness(ctx: SelftestContext) -> CheckResult:
     quadrature of the partial sum differ by 2 Re <psi0, psi_N - psi0>,
     which is O(N^-3).
     """
-    grid0 = TimeGrid(times=np.array([0.0]))
-    excess = {
-        n: float(nonescape_probability(ctx.data, grid0, n_pairs=n).probability[0])
-        - 1.0
-        for n in TRUNCATIONS
-    }
+    sums = probability_sums(ctx.data, TimeGrid(times=np.array([0.0])), TRUNCATIONS)
+    excess = {n: float(sums.series(n).probability[0]) - 1.0 for n in TRUNCATIONS}
     rate = float(
         np.polyfit(
             np.log(TRUNCATIONS), np.log([abs(excess[n]) for n in TRUNCATIONS]), 1

@@ -18,7 +18,12 @@ from nonescape.asymptote import (
     tail_coefficient_t1,
     tail_expansion,
 )
-from nonescape.dynamics import NonescapeSeries, TimeGrid, nonescape_probability
+from nonescape.dynamics import (
+    NonescapeSeries,
+    TimeGrid,
+    nonescape_probability,
+    probability_sums,
+)
 from nonescape.errors import (
     ConfigError,
     EmptyWindow,
@@ -290,29 +295,33 @@ def test_convergence_study_with_slopes(data: ExpansionData) -> None:
 def test_convergence_study_reuses_largest_series(
     data: ExpansionData, monkeypatch: pytest.MonkeyPatch
 ) -> None:
+    # A caller that opened the window from the largest truncation's P(t)
+    # hands over the whole pass; without it the study makes one pass itself.
     grid = TimeGrid.log(20.0, 40.0, per_decade=40)
     window = (20.0, 40.0)
+    sums = probability_sums(data, grid, (5, 40))
+    calls: list[tuple[int, ...]] = []
+
+    def counted(data, grid, truncations):
+        calls.append(tuple(truncations))
+        return probability_sums(data, grid, truncations)
+
+    monkeypatch.setattr(asym, "probability_sums", counted)
     plain = convergence_study(data, (5, 40), grid=grid, slope_window=window)
-    largest = nonescape_probability(data, grid, n_pairs=40)
-    calls: list[int] = []
-
-    def counted(data, grid, n_pairs=None):
-        calls.append(n_pairs)
-        return nonescape_probability(data, grid, n_pairs)
-
-    monkeypatch.setattr(asym, "nonescape_probability", counted)
-    reused = convergence_study(
-        data, (5, 40), grid=grid, slope_window=window, largest_series=largest
-    )
-    assert calls == [5]
+    assert calls == [(5, 40)]
+    reused = convergence_study(data, (5, 40), grid=grid, slope_window=window, sums=sums)
+    assert calls == [(5, 40)]
     np.testing.assert_array_equal(reused.slope, plain.slope)
     np.testing.assert_array_equal(reused.slope_stderr, plain.slope_stderr)
-    with pytest.raises(ConfigError, match="largest truncation"):
-        convergence_study(data, (5, 10), grid=grid, slope_window=window, largest_series=largest)
-    with pytest.raises(ConfigError, match="largest truncation"):
+    for n in (5, 40):
+        single = slope_fit(nonescape_probability(data, grid, n_pairs=n), window)
+        assert reused.slope[(5, 40).index(n)] == single.slope
+    with pytest.raises(ConfigError, match="sums must hold"):
+        convergence_study(data, (5, 10), grid=grid, slope_window=window, sums=sums)
+    with pytest.raises(ConfigError, match="sums must hold"):
         convergence_study(
             data, (5, 40), grid=TimeGrid.log(20.0, 40.0, per_decade=20),
-            slope_window=window, largest_series=largest,
+            slope_window=window, sums=sums,
         )
 
 

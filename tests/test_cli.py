@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import shutil
@@ -16,7 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonescape.cli import build_parser, load_config, main, parse_config
-from nonescape.errors import ConfigError, InvalidPotential, InvalidState
+from nonescape.dynamics import TimeGrid, nonescape_probability
+from nonescape.errors import ConfigError, InvalidPotential, InvalidState, TruncationUnstable
+from nonescape.gamow import build_expansion
+from nonescape.specfn import moshinsky
 
 _K1 = "2.7579383212949247"
 
@@ -257,38 +261,185 @@ def test_nonescape_time_overrides(config_path: Path, tmp_path: Path) -> None:
     assert len(set(row["t"] for row in rows)) == 7
 
 
+_TAIL_GRID = {"kind": "log", "t_min": 0.05, "t_max": 42.0, "per_decade": 40}
+
+
+def _tail_config(tmp_path: Path) -> Path:
+    path = tmp_path / "run.json"
+    cfg = _config(
+        pole_search={"re_max": 127.5, "im_min": -3.0},
+        truncations=[5, 10],
+        time_grid=_TAIL_GRID,
+    )
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_tail_evaluates_each_series_once(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # The largest truncation's P(t) both opens the slope window and gives
-    # that truncation's slope.
+    # One P(t) pass covers every truncation: the largest truncation's series
+    # opens the slope window and gives that truncation's slope, and no
+    # series is evaluated a second time.
     import nonescape.asymptote as asymptote
     import nonescape.cli as cli
+    import nonescape.dynamics as dynamics
 
-    calls: list[int] = []
-    evaluate = cli.nonescape_probability
+    calls: list[tuple[int, ...]] = []
+    evaluate = dynamics.probability_sums
 
-    def counted(data, grid, n_pairs=None):
-        calls.append(n_pairs)
-        return evaluate(data, grid, n_pairs)
+    def counted(data, grid, truncations):
+        calls.append(tuple(truncations))
+        return evaluate(data, grid, truncations)
 
-    monkeypatch.setattr(cli, "nonescape_probability", counted)
-    monkeypatch.setattr(asymptote, "nonescape_probability", counted)
-    path = tmp_path / "run.json"
-    path.write_text(
-        json.dumps(
-            _config(
-                pole_search={"re_max": 127.5, "im_min": -3.0},
-                truncations=[5, 10],
-                time_grid={"kind": "log", "t_min": 0.05, "t_max": 42.0, "per_decade": 40},
-            )
-        )
-    )
+    for module in (cli, asymptote, dynamics):
+        monkeypatch.setattr(module, "probability_sums", counted)
     out = tmp_path / "out"
-    assert main(["tail", "--config", str(path), "--out", str(out)]) == 0
-    assert sorted(calls) == [5, 10]
+    assert main(["tail", "--config", str(_tail_config(tmp_path)), "--out", str(out)]) == 0
+    assert calls == [(5, 10)]
     _, _, rows = _read_csv(out / "tail.csv")
     assert all(np.isfinite(float(row["slope"])) for row in rows)
+
+
+# Forced failures: a doctored expansion makes chosen truncations fail their
+# per-sample checks, so the error order of ``tail`` and ``nonescape`` shows.
+_T0 = _TAIL_GRID["t_min"]
+_TIMES = TimeGrid.log(_T0, _TAIL_GRID["t_max"], _TAIL_GRID["per_decade"])
+
+
+def _skewed(data, position: int, size: float, sign: float = 1.0):
+    """Add i*sign*size/|w(t0)|^2 to one diagonal overlap entry (a copy)."""
+    w0 = data.coefficients[position] * moshinsky(data.wavenumbers[position], _T0)
+    overlap = data.overlap.copy()
+    overlap[position, position] += 1j * sign * size / abs(w0) ** 2
+    return dataclasses.replace(data, overlap=overlap)
+
+
+def _outer_fails(data):
+    # a skew on n = -N: only the largest truncation holds it
+    return _skewed(data, 0, 1e-3)
+
+
+def _skewed_inner(data):
+    # a skew on n = 1: every truncation holds it
+    return _skewed(data, data.n_pairs, 1e-3)
+
+
+def _inner_fails(data):
+    # a skew on n = 2, cancelled in the largest truncation by the opposite
+    # skew on n = -N, which is made a copy of n = 2
+    big = data.n_pairs
+    wavenumbers, coefficients = data.wavenumbers.copy(), data.coefficients.copy()
+    wavenumbers[0], coefficients[0] = wavenumbers[big + 1], coefficients[big + 1]
+    copied = dataclasses.replace(data, wavenumbers=wavenumbers, coefficients=coefficients)
+    return _skewed(_skewed(copied, big + 1, 1e-3), 0, 1e-3, sign=-1.0)
+
+
+def _late_inner_fails(data):
+    # a skew on n = 1 cancelled at t0 by one on n = 5: it grows as n = 5
+    # decays faster, so N = 5 first fails after t0
+    big = data.n_pairs
+    i1, i5 = big, big + 4
+    w = data.coefficients[[i1, i5]] * moshinsky(data.wavenumbers[[i1, i5]], _T0)
+    overlap = data.overlap.copy()
+    overlap[i1, i1] += 1.0j
+    overlap[i5, i5] -= 1.0j * abs(w[0]) ** 2 / abs(w[1]) ** 2
+    return dataclasses.replace(data, overlap=overlap)
+
+
+def _doctor(monkeypatch: pytest.MonkeyPatch, **by_mode) -> None:
+    import nonescape.cli as cli
+
+    build = cli._expanded
+
+    def doctored(cfg, pole_set, n_pairs=None, overlap="closed"):
+        data = build(cfg, pole_set, n_pairs, overlap)
+        return by_mode[overlap](data) if overlap in by_mode else data
+
+    monkeypatch.setattr(cli, "_expanded", doctored)
+
+
+def _error_line(capsys: pytest.CaptureFixture) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def _raised(data, n_pairs: int) -> str:
+    with pytest.raises(TruncationUnstable) as info:
+        nonescape_probability(data, _TIMES, n_pairs=n_pairs)
+    return str(info.value)
+
+
+def _passes(data, n_pairs: int) -> None:
+    nonescape_probability(data, _TIMES, n_pairs=n_pairs)
+
+
+def test_tail_largest_truncation_failing_means_no_slope_window(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+    data,
+) -> None:
+    doctored = _outer_fails(data.truncate(10))
+    _passes(doctored, 5)
+    _raised(doctored, 10)
+    _doctor(monkeypatch, closed=_outer_fails)
+    out = tmp_path / "out"
+    assert main(["tail", "--config", str(_tail_config(tmp_path)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, _, rows = _read_csv(out / "tail.csv")
+    assert [row["N"] for row in rows] == ["5", "10"]
+    assert all(math.isnan(float(row["slope"])) for row in rows)
+    assert all(math.isfinite(float(row["D1_sum"])) for row in rows)
+
+
+def test_tail_smaller_truncation_failing_exits_1(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+    data,
+) -> None:
+    doctored = _inner_fails(data.truncate(10))
+    _passes(doctored, 10)
+    _doctor(monkeypatch, closed=_inner_fails)
+    out = tmp_path / "out"
+    assert main(["tail", "--config", str(_tail_config(tmp_path)), "--out", str(out)]) == 1
+    error = _error_line(capsys)
+    assert error["type"] == "TruncationUnstable" and error["exit_code"] == 1
+    assert error["message"] == _raised(doctored, 5)
+    assert error["message"].startswith(f"imaginary residual 1.000e-03 at t = {_T0:g} ")
+
+
+def test_nonescape_raises_truncations_in_order_before_times(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+    data,
+) -> None:
+    # N = 10 fails at t0, N = 5 only later: N = 5 is reported
+    doctored = _late_inner_fails(_outer_fails(data.truncate(10)))
+    late = _raised(doctored, 5)
+    assert f"at t = {_T0:g} " not in late and f"at t = {_T0:g} " in _raised(doctored, 10)
+    _doctor(monkeypatch, closed=lambda d: _late_inner_fails(_outer_fails(d)))
+    path = _tail_config(tmp_path)
+    assert main(["nonescape", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    error = _error_line(capsys)
+    assert error["type"] == "TruncationUnstable" and error["message"] == late
+
+
+def test_nonescape_raises_modes_in_order_before_truncations(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+    data, pole_set,
+) -> None:
+    # closed fails at N = 10 only, quadrature already at N = 5: closed is
+    # reported
+    closed = _outer_fails(data.truncate(10))
+    _passes(closed, 5)
+    first = _raised(closed, 10)
+    quadrature = build_expansion(
+        data.potential, pole_set, data.psi0, n_pairs=10, overlap="quadrature"
+    )
+    assert _raised(_skewed_inner(quadrature), 5) != first
+    _doctor(monkeypatch, closed=_outer_fails, quadrature=_skewed_inner)
+    path = _tail_config(tmp_path)
+    assert main(["nonescape", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    error = _error_line(capsys)
+    assert error["type"] == "TruncationUnstable" and error["message"] == first
 
 
 def test_tail_table_columns(config_path: Path, tmp_path: Path) -> None:

@@ -7,17 +7,19 @@ import re
 import numpy as np
 import pytest
 from _oracles import nonescape_probability_loop
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonescape.dynamics import (
     NonescapeSeries,
     TimeGrid,
     default_time_grid,
+    exact_nested_sums,
     exact_row_sums,
     gamma_width,
     lifetime,
     nonescape_probability,
+    probability_sums,
     probability_window,
 )
 from nonescape.errors import (
@@ -29,6 +31,7 @@ from nonescape.errors import (
 from nonescape.gamow import ExpansionData, build_expansion
 from nonescape.poles import PoleSet
 from nonescape.selftest import SelftestContext
+from nonescape.specfn import moshinsky
 
 _K1 = 2.7579383212949247 - 0.14043273246623328j
 _GAMMA1 = 1.549219  # -2 Im(k1^2)
@@ -244,14 +247,12 @@ def test_exact_row_sums_equal_fsum(rows: list[list[float]]) -> None:
     assert np.array_equal(_bits(got), _bits(expected))
 
 
-@given(
-    st.lists(
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                         -2.2250738585072009e-308, 1.0, -1.0, 1e300, -1e300,
-                         1.7976931348623157e308, -1.7976931348623157e308]),
-        max_size=30,
-    )
-)
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -2.2250738585072009e-308, 1.0, -1.0, 1e300, -1e300,
+                1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(st.lists(st.sampled_from(_EDGE_VALUES), max_size=30))
 def test_exact_row_sums_edge_values(row: list[float]) -> None:
     # signed zeros, subnormals, the normal/subnormal boundary, exact cancellation
     try:
@@ -267,3 +268,112 @@ def test_exact_row_sums_complex_and_nonfinite() -> None:
     got = exact_row_sums(rows)
     assert got[0] == complex(1.0, math.fsum([1.0, -1e-30, 0.0]))
     assert got[1].real == math.inf and got[1].imag == 0.0
+
+
+def _finite_term():
+    # mantissas at exponents across the whole range, the subnormal end
+    # included, and edge values
+    return st.one_of(
+        st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1000)),
+        st.sampled_from(_EDGE_VALUES),
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    )
+
+
+@st.composite
+def _nested_case(draw):
+    n_rows = draw(st.integers(1, 3))
+    n_cols = draw(st.integers(0, 40))
+    n_rings = draw(st.integers(1, 5))
+    rings = draw(st.lists(st.integers(0, n_rings - 1), min_size=n_cols, max_size=n_cols))
+    rows = [
+        draw(st.lists(_finite_term(), min_size=n_cols, max_size=n_cols))
+        for _ in range(n_rows)
+    ]
+    for row in rows:  # now and then an infinity or NaN in some ring
+        if n_cols and draw(st.integers(0, 5)) == 0:
+            row[draw(st.integers(0, n_cols - 1))] = draw(
+                st.sampled_from([math.inf, -math.inf, math.nan])
+            )
+    return rows, rings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested_case())
+def test_exact_nested_sums_equal_fsum_of_each_group(case) -> None:
+    rows, rings = case
+    x = np.array(rows, dtype=float).reshape(len(rows), len(rings))
+    labels = np.array(rings, dtype=np.intp)
+    n_groups = int(labels.max()) + 1 if len(rings) else 1
+    try:
+        expected = [
+            [math.fsum(v for v, r in zip(row, rings) if r <= g) for g in range(n_groups)]
+            for row in rows
+        ]
+    except (OverflowError, ValueError):  # fsum's intermediate overflow, inf - inf
+        assume(False)
+    got = exact_nested_sums(x, labels)
+    assert got.shape == (len(rows), n_groups)
+    assert np.array_equal(_bits(got), _bits(expected))
+    # complex rows: each part on its own
+    z = np.empty(x.shape, dtype=complex)
+    z.real, z.imag = x, x[::-1]
+    z = exact_nested_sums(z, labels)
+    assert np.array_equal(_bits(z.real), _bits(expected))
+    assert np.array_equal(_bits(z.imag), _bits(expected[::-1]))
+
+
+def _loop_reference(data: ExpansionData, grid: TimeGrid, truncations) -> None:
+    sums = probability_sums(data, grid, truncations)
+    assert sums.truncations == tuple(truncations)
+    for n in truncations:
+        series = sums.series(n)
+        p_ref, imag_ref = nonescape_probability_loop(data.truncate(n), grid.times)
+        assert np.array_equal(_bits(series.probability), _bits(p_ref)), n
+        assert series.imag_residual == imag_ref, n
+        assert series.n_pairs == n and series.mode == data.overlap_method
+
+
+@pytest.mark.parametrize("truncations", [(1, 2, 7, 33, 40), (1, 40), (3, 4, 39)])
+def test_nested_probability_matches_loop(
+    data: ExpansionData, truncations: tuple[int, ...]
+) -> None:
+    # many samples per block (N <= 64) and uneven rings
+    _loop_reference(data, TimeGrid.log(0.05, 42.0, per_decade=20), truncations)
+
+
+def test_nested_probability_matches_loop_wide(ctx: SelftestContext) -> None:
+    # one sample per block at N = 160, deep into the tail
+    grid = TimeGrid.log(0.05, 1.0e5, per_decade=3)
+    _loop_reference(ctx.wide_data, grid, (1, 9, 10, 80, 117, 160))
+
+
+def test_probability_sums_validation(data: ExpansionData) -> None:
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    with pytest.raises(ConfigError, match="distinct and ascending"):
+        probability_sums(data, grid, (10, 5))
+    with pytest.raises(ConfigError, match="distinct and ascending"):
+        probability_sums(data, grid, ())
+    with pytest.raises(ConfigError, match="truncation 0 outside the built range 1..40"):
+        probability_sums(data, grid, (0, 5))
+    with pytest.raises(ConfigError, match="truncation 41 outside the built range 1..40"):
+        nonescape_probability(data, grid, n_pairs=41)
+    with pytest.raises(ConfigError, match="not among"):
+        probability_sums(data, grid, (5, 10)).series(7)
+
+
+def test_nested_probability_checks_each_truncation_alone(data: ExpansionData) -> None:
+    # a skew term on the outermost pair of N = 10 breaks N = 10 only; the
+    # smaller truncation's series is still checked and returned
+    sub = data.truncate(10)
+    grid = TimeGrid.log(0.05, 2.0, per_decade=8)
+    w0 = sub.coefficients[0] * moshinsky(sub.wavenumbers[0], grid.times[0])
+    skew = np.zeros_like(sub.overlap)
+    skew[0, 0] = 1e-3j / abs(w0) ** 2  # imaginary residual 1e-3 at the first sample
+    doctored = dataclasses.replace(sub, overlap=sub.overlap + skew)
+    sums = probability_sums(doctored, grid, (5, 10))
+    assert np.array_equal(
+        sums.series(5).probability, nonescape_probability(data, grid, 5).probability
+    )
+    with pytest.raises(TruncationUnstable, match=f"at t = {grid.times[0]:g} "):
+        sums.series(10)

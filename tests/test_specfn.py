@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 from _oracles import faddeeva_reference, moshinsky_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonescape.errors import DomainError, OverflowGuard
 from nonescape.specfn import (
@@ -138,6 +140,38 @@ def test_moshinsky_reflection_identity_complex_k(rng: np.random.Generator) -> No
         rhs = cmath.exp(-1j * k * k * t)
         scale = max(abs(m_pos), abs(m_neg), abs(rhs))
         assert abs(m_pos + m_neg - rhs) <= 1e-11 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-8.0, 8.0, allow_subnormal=True),
+    st.floats(0.0, 20.0, allow_subnormal=True),
+)
+def test_moshinsky_reflection_identity_real_k_property(k: float, t: float) -> None:
+    # M(k, t) + M(-k, t) = exp(-i k^2 t); for real k the right side has
+    # modulus one, including k = 0 and t = 0
+    lhs = moshinsky(k, t) + moshinsky(-k, t)
+    rhs = cmath.exp(-1j * k * k * t)
+    assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-4.0, 4.0, allow_subnormal=True),
+    st.floats(-1.5, 1.5, allow_subnormal=True),
+    st.floats(0.0, 5.0, allow_subnormal=True),
+)
+def test_moshinsky_reflection_identity_complex_k_property(
+    k_re: float, k_im: float, t: float
+) -> None:
+    # relative to the largest of the three terms, as in the rng test above:
+    # either side of the identity may be exponentially larger than the other
+    k = complex(k_re, k_im)
+    m_pos = moshinsky(k, t)
+    m_neg = moshinsky(-k, t)
+    rhs = cmath.exp(-1j * k * k * t)
+    scale = max(abs(m_pos), abs(m_neg), abs(rhs))
+    assert abs(m_pos + m_neg - rhs) <= 1e-11 * scale
 
 
 def test_moshinsky_rejects_negative_time() -> None:
