@@ -17,9 +17,7 @@ expansion converges, while T_3 tends to a finite limit.  The instantaneous
 log-log slope of the tail therefore crosses -2 at a truncation-dependent
 time, which is the quantitative handle used to adjudicate the apparent
 t^-1 behavior.  Both routes to Q (matrix and quadrature) are implemented
-and cross-checked; all tail formulas keep the leading Moshinsky
-coefficient as an explicit parameter so tests can verify that physical
-conclusions (like the crossover) do not depend on it.
+and cross-checked.
 """
 
 from __future__ import annotations
@@ -51,6 +49,10 @@ from .specfn import TAIL_PREFACTOR, asymptotic_coefficients
 if TYPE_CHECKING:  # pragma: no cover
     from .poles import ResonancePole
 
+_QUAD_ORDER = 20  # Gauss-Legendre nodes per panel of the quadrature route to Q
+_D1_ROUTE_RTOL = 1e-6  # allowed disagreement of the two routes to T_1
+_DECAY_MARGIN = 1e-3  # suppression of the exponential stage opening the tail window
+
 __all__ = [
     "moment_sum",
     "moment_sum_quadrature",
@@ -79,14 +81,14 @@ def moment_sum(data: ExpansionData, a: int, b: int, n_pairs: int | None = None) 
 
 
 def moment_sum_quadrature(
-    data: ExpansionData, a: int, b: int, n_pairs: int | None = None, order: int = 20
+    data: ExpansionData, a: int, b: int, n_pairs: int | None = None
 ) -> complex:
     """Q[a, b] as ``int conj(sigma_b) sigma_a dr`` by panel quadrature."""
     sub = data if n_pairs is None else data.truncate(n_pairs)
     radius = sub.states[0].radius
     k_max = float(np.max(np.abs(sub.wavenumbers)))
     n_panels = int(radius * k_max / np.pi) + 2
-    nodes, weights = panel_nodes(0.0, radius, n_panels, order=order)
+    nodes, weights = panel_nodes(0.0, radius, n_panels, order=_QUAD_ORDER)
     sigma_a = np.asarray(weighted_field(sub, nodes, sub.coefficients / sub.wavenumbers ** a))
     if b == a:
         sigma_b = sigma_a
@@ -103,7 +105,6 @@ class TailCoefficients:
 
     values: tuple[float, ...]
     n_pairs: int
-    prefactor: float
 
     @property
     def t1(self) -> float:
@@ -121,14 +122,14 @@ class TailCoefficients:
 
 
 def _tail_values(
-    data: ExpansionData, n_pairs: int | None, max_order: int, prefactor: float
+    data: ExpansionData, n_pairs: int | None, max_order: int
 ) -> tuple[float, ...]:
     """Shared moment-sum assembly of T_1..T_max_order."""
     if not (1 <= max_order <= 3):
         raise ConfigError("tail expansion is supported for orders 1..3")
     sub = data if n_pairs is None else data.truncate(n_pairs)
-    # m_j of the Moshinsky series, rescaled so m_0 is the supplied prefactor
-    m = asymptotic_coefficients(max_order) * (prefactor / TAIL_PREFACTOR)
+    # m_j of the Moshinsky series, m_0 = TAIL_PREFACTOR
+    m = asymptotic_coefficients(max_order)
     # alpha_j conj(alpha_j') = m_j m_j' i^(j - j')
     q_cache: dict[tuple[int, int], complex] = {}
 
@@ -147,49 +148,40 @@ def _tail_values(
     return tuple(values)
 
 
-def tail_coefficient_t1(
-    data: ExpansionData,
-    n_pairs: int | None = None,
-    prefactor: float = TAIL_PREFACTOR,
-    cross_check: bool = True,
-    rtol: float = 1e-6,
-) -> float:
-    """T_1 = prefactor^2 * Q[1, 1]: the weight of the spurious t^-1 tail.
+def tail_coefficient_t1(data: ExpansionData, n_pairs: int | None = None) -> float:
+    """T_1 = TAIL_PREFACTOR^2 * Q[1, 1]: the weight of the spurious t^-1 tail.
 
-    With ``cross_check`` the moment-sum route is verified against the
-    independent quadrature route ``prefactor^2 int |S_N|^2 dr``.
+    The moment-sum route is verified against the independent quadrature
+    route ``TAIL_PREFACTOR^2 int |S_N|^2 dr``; callers that want the value
+    unchecked take ``tail_expansion(data, n_pairs, max_order=1).t1``.
 
     Raises
     ------
     EquivalenceViolation
-        If the two routes disagree beyond ``rtol`` relative to scale.
+        If the two routes disagree beyond 1e-6 relative to scale.
     """
-    t1 = _tail_values(data, n_pairs, 1, prefactor)[0]
-    if cross_check:
-        alt = prefactor ** 2 * moment_sum_quadrature(data, 1, 1, n_pairs).real
-        scale = max(abs(t1), abs(alt), 1e-300)
-        if abs(t1 - alt) > rtol * scale:
-            raise EquivalenceViolation(
-                f"t^-1 coefficient routes disagree: matrix {t1:.12e} vs "
-                f"quadrature {alt:.12e}"
-            )
+    t1 = _tail_values(data, n_pairs, 1)[0]
+    alt = TAIL_PREFACTOR ** 2 * moment_sum_quadrature(data, 1, 1, n_pairs).real
+    scale = max(abs(t1), abs(alt), 1e-300)
+    if abs(t1 - alt) > _D1_ROUTE_RTOL * scale:
+        raise EquivalenceViolation(
+            f"t^-1 coefficient routes disagree: matrix {t1:.12e} vs "
+            f"quadrature {alt:.12e}"
+        )
     return t1
 
 
 def tail_expansion(
-    data: ExpansionData,
-    n_pairs: int | None = None,
-    max_order: int = 3,
-    prefactor: float = TAIL_PREFACTOR,
+    data: ExpansionData, n_pairs: int | None = None, max_order: int = 3
 ) -> TailCoefficients:
     """T_1..T_max_order by the moment-sum route.
 
     The first entry reproduces :func:`tail_coefficient_t1` (same code path,
     bit-identical) minus its cross-check.
     """
-    values = _tail_values(data, n_pairs, max_order, prefactor)
+    values = _tail_values(data, n_pairs, max_order)
     sub_pairs = data.n_pairs if n_pairs is None else n_pairs
-    return TailCoefficients(values=values, n_pairs=sub_pairs, prefactor=prefactor)
+    return TailCoefficients(values=values, n_pairs=sub_pairs)
 
 
 def crossover_time(coefficients: TailCoefficients, per_decade: int = 240) -> float:
@@ -276,14 +268,13 @@ def post_exponential_window(
     series: NonescapeSeries,
     pole: ResonancePole,
     horizon: float | None = None,
-    decay_margin: float = 1e-3,
 ) -> tuple[float, float]:
     """Time window where the algebraic tail dominates the sampled P(t).
 
     The exponential stage A_1 exp(-Gamma_1 t) is calibrated on the series
     itself (geometric-mean amplitude over [0.5, 3] lifetimes); the window
-    opens where that stage has dropped below ``decay_margin`` times P(t)
-    and closes at ``horizon`` (or the last sample if no horizon).
+    opens where that stage has dropped below 1e-3 times P(t) and closes at
+    ``horizon`` (or the last sample if no horizon).
 
     Parameters
     ----------
@@ -293,8 +284,6 @@ def post_exponential_window(
         Resonance setting the width Gamma_1 of the exponential stage.
     horizon : float, optional
         Contamination time, if the integration run reported one.
-    decay_margin : float
-        Required suppression of the exponential stage relative to P(t).
 
     Raises
     ------
@@ -311,11 +300,11 @@ def post_exponential_window(
         raise EmptyWindow("need >= 3 positive samples in [0.5, 3] lifetimes")
     amp = float(np.exp(np.mean(np.log(p[fit]) + gamma * t[fit])))
     t_hi = float(t[-1]) if horizon is None else min(float(t[-1]), horizon)
-    open_ = (t > 0.0) & (p > 0.0) & (amp * np.exp(-gamma * t) <= decay_margin * p)
+    open_ = (t > 0.0) & (p > 0.0) & (amp * np.exp(-gamma * t) <= _DECAY_MARGIN * p)
     open_ &= t <= t_hi
     if not open_.any():
         raise EmptyWindow(
-            f"exponential stage never {decay_margin:g}-suppressed before t = {t_hi:g}"
+            f"exponential stage never {_DECAY_MARGIN:g}-suppressed before t = {t_hi:g}"
         )
     t_lo = float(t[open_][0])
     if not t_lo < t_hi:
@@ -329,8 +318,7 @@ class TailReport:
 
     ``t1_matrix``/``t1_quadrature`` are the two routes to the t^-1 weight;
     ``sumrule_l2`` is ||S_N||_2 = sqrt(int_0^R |S_N|^2 dr), the object whose
-    decay kills the t^-1 term; ``pointwise`` holds |S_N(r)| for the probe
-    radii in ``r_points``; ``crossover`` is where each truncated tail's
+    decay kills the t^-1 term; ``crossover`` is where each truncated tail's
     slope passes -2.  ``slope`` rows are filled only when a time grid and
     fit window are supplied.
     """
@@ -341,10 +329,7 @@ class TailReport:
     t2: np.ndarray
     t3: np.ndarray
     sumrule_l2: np.ndarray
-    pointwise: np.ndarray
-    r_points: np.ndarray
     crossover: np.ndarray
-    prefactor: float
     slope: np.ndarray | None = None
     slope_stderr: np.ndarray | None = None
     slope_window: tuple[float, float] | None = None
@@ -353,10 +338,8 @@ class TailReport:
 def convergence_study(
     data: ExpansionData,
     truncations: tuple[int, ...] | list[int],
-    r_points: tuple[float, ...] | list[float] = (),
     grid: TimeGrid | None = None,
     slope_window: tuple[float, float] | None = None,
-    prefactor: float = TAIL_PREFACTOR,
     *,
     sums: ProbabilitySums | None = None,
 ) -> TailReport:
@@ -382,7 +365,6 @@ def convergence_study(
         or not np.array_equal(sums.times, grid.times)
     ):
         raise ConfigError("sums must hold P(t) of these truncations on grid")
-    r_arr = np.asarray(r_points, dtype=float)
     m = len(truncs)
     t1m = np.empty(m)
     t1q = np.empty(m)
@@ -390,22 +372,17 @@ def convergence_study(
     t3 = np.empty(m)
     l2 = np.empty(m)
     cross = np.empty(m)
-    ptw = np.empty((m, len(r_arr)))
     slopes = np.empty(m) if grid is not None and slope_window is not None else None
     errs = np.empty(m) if slopes is not None else None
     if slopes is not None and sums is None:
         sums = probability_sums(data, grid, truncs)
     for i, n in enumerate(truncs):
-        coeffs = tail_expansion(data, n, 3, prefactor)
+        coeffs = tail_expansion(data, n, 3)
         t1m[i], t2[i], t3[i] = coeffs.values
         q11 = moment_sum_quadrature(data, 1, 1, n).real
-        t1q[i] = prefactor ** 2 * q11
+        t1q[i] = TAIL_PREFACTOR ** 2 * q11
         l2[i] = float(np.sqrt(max(q11, 0.0)))
         cross[i] = crossover_time(coeffs)
-        if len(r_arr):
-            sub = data.truncate(n)
-            s_n = weighted_field(sub, r_arr, sub.coefficients / sub.wavenumbers)
-            ptw[i] = np.abs(np.asarray(s_n))
         if slopes is not None:
             fit = slope_fit(sums.series(n), slope_window)
             slopes[i] = fit.slope
@@ -417,10 +394,7 @@ def convergence_study(
         t2=t2,
         t3=t3,
         sumrule_l2=l2,
-        pointwise=ptw,
-        r_points=r_arr,
         crossover=cross,
-        prefactor=prefactor,
         slope=slopes,
         slope_stderr=errs,
         slope_window=slope_window,

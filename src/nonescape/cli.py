@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -29,7 +30,7 @@ from .asymptote import (
     tail_coefficient_t1,
     tail_expansion,
 )
-from .dynamics import TimeGrid, lifetime, probability_sums
+from .dynamics import MAX_TIME_SAMPLES, TimeGrid, lifetime, probability_sums
 from .errors import ConfigError, InvalidPotential, InvalidState, NonescapeError
 from .gamow import ExpansionData, build_expansion, overlap_matrix, sum_rule_residual
 from .model import BoxMode, DeltaShell, PiecewiseConstant
@@ -88,6 +89,12 @@ def _as_int(value: Any, where: str) -> int:
     return int(value)
 
 
+def _sample_count(value: int, where: str) -> int:
+    if not 1 <= value <= MAX_TIME_SAMPLES:
+        raise ConfigError(f"{where} must lie in 1..{MAX_TIME_SAMPLES}, got {value}")
+    return value
+
+
 def _parse_potential(section: Any) -> DeltaShell | PiecewiseConstant:
     if not isinstance(section, dict):
         raise ConfigError("potential must be an object")
@@ -138,13 +145,12 @@ def _parse_time_grid(section: Any) -> TimeGrid:
         )
     if kind == "linear":
         _reject_unknown(section, ("kind", "t_min", "t_max", "points"), "time_grid")
-        return TimeGrid(
-            times=np.linspace(
-                _as_float(_get(section, "t_min", "time_grid"), "t_min"),
-                _as_float(_get(section, "t_max", "time_grid"), "t_max"),
-                _as_int(_get(section, "points", "time_grid"), "points"),
-            )
-        )
+        t_min = _as_float(_get(section, "t_min", "time_grid"), "t_min")
+        t_max = _as_float(_get(section, "t_max", "time_grid"), "t_max")
+        points = _as_int(_get(section, "points", "time_grid"), "points")
+        with np.errstate(over="ignore", invalid="ignore"):  # TimeGrid rejects inf/NaN
+            times = np.linspace(t_min, t_max, _sample_count(points, "points"))
+        return TimeGrid(times=times)
     if kind == "explicit":
         _reject_unknown(section, ("kind", "times"), "time_grid")
         times = _get(section, "times", "time_grid")
@@ -161,10 +167,8 @@ _GRID_KEYS = (
     "t_final",
     "absorber_width",
     "absorber_strength",
-    "leak_threshold",
     "smooth_initial",
     "enforce_resolution",
-    "required_clean_until",
 )
 
 
@@ -175,7 +179,7 @@ def _parse_oracle_grid(section: Any) -> GridSpec:
     kwargs: dict[str, Any] = {}
     for key in ("box_size", "dr", "dt", "t_final"):
         kwargs[key] = _as_float(_get(section, key, "oracle_grid"), key)
-    for key in ("absorber_width", "absorber_strength", "leak_threshold"):
+    for key in ("absorber_width", "absorber_strength"):
         if key in section:
             kwargs[key] = _as_float(section[key], key)
     for key in ("smooth_initial", "enforce_resolution"):
@@ -183,10 +187,6 @@ def _parse_oracle_grid(section: Any) -> GridSpec:
             if not isinstance(section[key], bool):
                 raise ConfigError(f"oracle_grid.{key} must be a boolean")
             kwargs[key] = section[key]
-    if section.get("required_clean_until") is not None:
-        kwargs["required_clean_until"] = _as_float(
-            section["required_clean_until"], "required_clean_until"
-        )
     return GridSpec(**kwargs)
 
 
@@ -320,9 +320,9 @@ def _time_grid(cfg: RunConfig, args: argparse.Namespace) -> TimeGrid:
     lo = t_min if t_min is not None else float(cfg.time_grid.times[0])
     hi = t_max if t_max is not None else float(cfg.time_grid.times[-1])
     if points is not None:
-        if not (0.0 < lo < hi):
-            raise ConfigError("need 0 < tmin < tmax for a log grid")
-        return TimeGrid(times=np.geomspace(lo, hi, points))
+        if not (0.0 < lo < hi < math.inf):
+            raise ConfigError("need 0 < tmin < tmax < inf for a log grid")
+        return TimeGrid(times=np.geomspace(lo, hi, _sample_count(points, "--points")))
     mask = (cfg.time_grid.times >= lo) & (cfg.time_grid.times <= hi)
     if not mask.any():
         raise ConfigError("tmin/tmax exclude every configured time sample")
@@ -471,7 +471,6 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = convergence_study(
         data,
         truncations,
-        np.asarray(_r_points(cfg, args)),
         grid=grid,
         slope_window=slope_window,
         sums=sums,
@@ -695,7 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("tail", "write the truncation study (tail.csv)", cmd_tail)
     p.add_argument("--nmax", type=int, default=None, help="cap the truncation list")
-    p.add_argument("--r", default=None, help="comma-separated radii")
     p.add_argument("--tmin", type=float, default=None)
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
@@ -735,6 +733,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "nmax", None) is not None and args.nmax < 1:
+            raise ConfigError(f"--nmax must be at least 1, got {args.nmax}")
         if args.command == "selftest":
             cfg = None
         else:

@@ -34,31 +34,26 @@ from math import fsum
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyWindow,
-    NonPositiveProbability,
-    TruncationUnstable,
-)
+from .errors import ConfigError, NonPositiveProbability, TruncationUnstable
 from .gamow import ExpansionData
-from .poles import PoleSet, ResonancePole
+from .poles import ResonancePole
 from .specfn import moshinsky
 
 __all__ = [
+    "MAX_TIME_SAMPLES",
     "TimeGrid",
-    "default_time_grid",
     "gamma_width",
     "lifetime",
     "NonescapeSeries",
     "ProbabilitySums",
     "probability_sums",
     "nonescape_probability",
-    "probability_window",
     "exact_nested_sums",
     "exact_row_sums",
 ]
 
 _IMAG_HARD_LIMIT = 1e-6  # beyond this the truncation is considered unusable
+MAX_TIME_SAMPLES = 1_000_000  # samples a time grid may hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +85,11 @@ class TimeGrid:
                 f"log grid from {t_min:g} to {t_max:g} at {per_decade} per decade "
                 "has no finite number of points"
             ) from exc
+        if n > MAX_TIME_SAMPLES:
+            raise ConfigError(
+                f"log grid from {t_min:g} to {t_max:g} at {per_decade} per decade "
+                f"has {n} points, more than {MAX_TIME_SAMPLES}"
+            )
         return cls(times=np.geomspace(t_min, t_max, n))
 
     def __len__(self) -> int:
@@ -108,24 +108,6 @@ def gamma_width(pole: ResonancePole | complex) -> float:
 def lifetime(pole: ResonancePole | complex) -> float:
     """tau = 1 / Gamma for the given pole."""
     return 1.0 / gamma_width(pole)
-
-
-def default_time_grid(
-    source: ExpansionData | PoleSet | ResonancePole | complex,
-    per_decade: int = 40,
-    span: tuple[float, float] = (1e-3, 1e3),
-) -> TimeGrid:
-    """Log grid covering ``span`` in units of the longest resonance lifetime."""
-    if isinstance(source, ExpansionData):
-        k1 = complex(source.wavenumbers[source.n_pairs])
-    elif isinstance(source, PoleSet):
-        k1 = source.pole(1).k
-    elif isinstance(source, ResonancePole):
-        k1 = source.k
-    else:
-        k1 = complex(source)
-    tau = lifetime(k1)
-    return TimeGrid.log(span[0] * tau, span[1] * tau, per_decade)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,27 +391,3 @@ def nonescape_probability(
     n = data.n_pairs if n_pairs is None else n_pairs
     return probability_sums(data, grid, (n,)).series(n)
 
-
-def probability_window(
-    series: NonescapeSeries, t_lo: float, t_hi: float
-) -> NonescapeSeries:
-    """Restrict a series to t_lo <= t <= t_hi.
-
-    Raises
-    ------
-    EmptyWindow
-        If no samples fall inside the window.
-    """
-    if not (t_lo < t_hi):
-        raise ConfigError("need t_lo < t_hi")
-    mask = (series.times >= t_lo) & (series.times <= t_hi)
-    if not mask.any():
-        raise EmptyWindow(f"no samples in [{t_lo:g}, {t_hi:g}]")
-    return NonescapeSeries(
-        times=series.times[mask],
-        probability=series.probability[mask],
-        imag_residual=series.imag_residual,
-        n_pairs=series.n_pairs,
-        mode=series.mode,
-        provenance=series.provenance,
-    )

@@ -25,7 +25,6 @@ __all__ = [
     "EmptyWindow",
     "EquivalenceViolation",
     "UnstableParameters",
-    "HorizonTooShort",
 ]
 
 
@@ -101,6 +100,3 @@ class EquivalenceViolation(NonescapeError):
 class UnstableParameters(NonescapeError):
     """A grid evolution lost unitarity beyond the allowed drift."""
 
-
-class HorizonTooShort(NonescapeError):
-    """Requested output times extend past the box contamination horizon."""

@@ -95,6 +95,8 @@ class GamowState:
 # States x points per block when many states are evaluated at once: keeps
 # each kernel array near 1 MB.
 _FIELD_BLOCK = 1 << 16
+# Stencil centres per segment at which validate_state probes the ODE.
+_ODE_PROBES = 40
 
 
 def _locate(r_edges: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,12 +280,11 @@ def validate_state(
     potential: Potential,
     state: GamowState,
     rtol: float = 1e-8,
-    samples_per_segment: int = 40,
 ) -> StateDiagnostics:
     """Check the ODE, both boundary conditions, and the normalization rule.
 
     The ODE residual u'' + (k^2 - V) u is probed on a five-point stencil at
-    interior points of every segment (stencils never straddle a kink).
+    40 interior points of every segment (stencils never straddle a kink).
 
     Raises
     ------
@@ -296,7 +297,7 @@ def validate_state(
     for j, (r_start, r_end, height) in enumerate(segments(potential)):
         length = r_end - r_start
         h_j = min(h, length / 8.0)
-        pts = np.linspace(r_start + 2.5 * h_j, r_end - 2.5 * h_j, samples_per_segment)
+        pts = np.linspace(r_start + 2.5 * h_j, r_end - 2.5 * h_j, _ODE_PROBES)
         offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h_j
         grid = pts[:, None] + offsets[None, :]
         u = np.asarray(state.evaluate(grid.ravel())).reshape(grid.shape)

@@ -29,8 +29,8 @@ countermeasures, all optional and off by default except smoothing:
   initial data (``smooth_initial``) suppresses them by a factor
   cos^2(k dr / 2) without affecting resolved scales.
 * Escaped density reaching the far wall contaminates later outputs.  The
-  first time any density within five grid points of r = L exceeds
-  ``leak_threshold`` is recorded as the contamination horizon.
+  first time any density within five grid points of r = L reaches 1e-10
+  is recorded as the contamination horizon.
 
 Each step solves only on the leading block of nodes the state has reached.
 A = I + i (dt/2) H is factored once; with V >= 0 every pivot exceeds the
@@ -58,12 +58,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .dynamics import NonescapeSeries, TimeGrid
-from .errors import (
-    ConfigError,
-    HorizonTooShort,
-    InvalidState,
-    UnstableParameters,
-)
+from .errors import ConfigError, InvalidState, UnstableParameters
 from .model import (
     DeltaShell,
     InitialState,
@@ -90,6 +85,8 @@ __all__ = [
 
 _NORM_DRIFT_LIMIT = 1e-7
 _NORM_CHECK_STRIDE = 200
+# Density within five nodes of r = L at which the contamination horizon is set.
+_LEAK_THRESHOLD = 1e-10
 # Nodes solved past the last nonzero one, and the step by which the block
 # grows when the state outruns it.
 _WINDOW_CHUNK = 128
@@ -114,10 +111,8 @@ class GridSpec:
     t_final: float
     absorber_width: float = 0.0
     absorber_strength: float = 0.0
-    leak_threshold: float = 1e-10
     smooth_initial: bool = True
     enforce_resolution: bool = True
-    required_clean_until: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("box_size", "dr", "dt", "t_final"):
@@ -135,10 +130,6 @@ class GridSpec:
             raise ConfigError("absorber parameters must be non-negative")
         if w >= self.box_size:
             raise ConfigError("absorber cannot fill the whole box")
-        if not (0.0 < self.leak_threshold < 1.0):
-            raise ConfigError("leak threshold must lie in (0, 1)")
-        if self.required_clean_until is not None and self.required_clean_until <= 0.0:
-            raise ConfigError("required_clean_until must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -165,10 +156,8 @@ class GridSpec:
             t_final=self.t_final,
             absorber_width=self.absorber_width,
             absorber_strength=self.absorber_strength,
-            leak_threshold=self.leak_threshold,
             smooth_initial=self.smooth_initial,
             enforce_resolution=self.enforce_resolution,
-            required_clean_until=self.required_clean_until,
         )
 
 
@@ -182,7 +171,6 @@ class OracleResult:
     grid: GridSpec
     r_interior: np.ndarray
     snapshots: tuple[tuple[float, np.ndarray], ...]
-    absorber_on: bool
 
 
 def _validate_run(potential: Potential, psi0: InitialState, grid: GridSpec) -> int:
@@ -240,7 +228,6 @@ class _Run:
     off_b: complex
     factors: tuple[np.ndarray, ...]
     gttrs: Callable[..., tuple[np.ndarray, int]]
-    absorber_on: bool
     mask_start: int
     mask: np.ndarray
     out_steps: frozenset[int]
@@ -270,18 +257,12 @@ class _Run:
         """Set the horizon when density within five nodes of r = L leaks in."""
         if self.horizon_time is not None:
             return
-        if float(np.max(np.abs(psi[-5:]) ** 2)) >= self.grid.leak_threshold:
+        if float(np.max(np.abs(psi[-5:]) ** 2)) >= _LEAK_THRESHOLD:
             self.horizon_time = step * self.grid.dt
-            clean = self.grid.required_clean_until
-            if clean is not None and self.horizon_time < clean:
-                raise HorizonTooShort(
-                    f"far-wall contamination at t = {self.horizon_time:g}, before "
-                    f"required {clean:g}"
-                )
 
     def check_norm(self, step: int, psi: np.ndarray) -> None:
         """Without the absorber, hold the norm to 1 every few hundred steps."""
-        if self.absorber_on or not (
+        if self.grid.absorber_width > 0.0 or not (
             step % _NORM_CHECK_STRIDE == 0 or step == self.grid.n_steps
         ):
             return
@@ -308,7 +289,6 @@ class _Run:
             grid=self.grid,
             r_interior=self.r_int,
             snapshots=tuple(self.snapshots),
-            absorber_on=self.absorber_on,
         )
 
 
@@ -353,9 +333,8 @@ def _prepare(
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag_a,))
     dl, d, du, du2, ipiv, _ = gttrf(off_a.copy(), diag_a.copy(), off_a.copy())
 
-    absorber_on = grid.absorber_width > 0.0
     mask_start, mask = m, np.empty(0)
-    if absorber_on:
+    if grid.absorber_width > 0.0:
         ramp_start = grid.box_size - grid.absorber_width
         ramp = (r_int - ramp_start) / grid.absorber_width
         profile = np.where(ramp > 0.0, np.sin(0.5 * np.pi * np.clip(ramp, 0.0, 1.0)) ** 2, 0.0)
@@ -378,7 +357,6 @@ def _prepare(
         off_b=off_b,
         factors=(dl, d, du, du2, ipiv),
         gttrs=gttrs,
-        absorber_on=absorber_on,
         mask_start=mask_start,
         mask=mask,
         out_steps=frozenset(int(s) for s in step_of),
@@ -425,9 +403,6 @@ def evolve_tdse(
         For any inconsistency between grid, potential, and absorber.
     UnstableParameters
         If, with the absorber off, total norm drifts by more than 1e-7.
-    HorizonTooShort
-        If ``grid.required_clean_until`` is set and box contamination is
-        detected before that time.
     """
     run = _prepare(potential, psi0, grid, times, sample_times)
     dl, d, du, du2, ipiv = run.factors

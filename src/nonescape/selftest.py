@@ -347,7 +347,7 @@ def check_sum_rule(ctx: SelftestContext) -> CheckResult:
 def check_tail_coefficient(ctx: SelftestContext) -> CheckResult:
     """t^-1 weight: non-negative, route-consistent, vanishing with N."""
     d1 = {
-        n: tail_coefficient_t1(ctx.data, n_pairs=n, cross_check=False)
+        n: tail_expansion(ctx.data, n_pairs=n, max_order=1).t1
         for n in range(1, 41)
     }
     nonneg = all(v >= 0.0 for v in d1.values())

@@ -77,7 +77,7 @@ def test_t1_coefficient_frozen_values(data: ExpansionData) -> None:
 
 
 def test_t1_decreases_with_truncation(data: ExpansionData) -> None:
-    values = [tail_coefficient_t1(data, n_pairs=n, cross_check=False) for n in range(1, 41)]
+    values = [tail_expansion(data, n_pairs=n, max_order=1).t1 for n in range(1, 41)]
     assert all(v >= 0.0 for v in values)
     assert values[-1] <= 0.1 * values[4]  # N = 40 vs N = 5
     assert values[-1] < values[0]
@@ -86,8 +86,8 @@ def test_t1_decreases_with_truncation(data: ExpansionData) -> None:
 def test_t1_cross_check_detects_inconsistency(data: ExpansionData, monkeypatch) -> None:
     original = asym.moment_sum_quadrature
 
-    def skewed(d, a, b, n_pairs=None, order=20):
-        return 1.01 * original(d, a, b, n_pairs, order)
+    def skewed(d, a, b, n_pairs=None):
+        return 1.01 * original(d, a, b, n_pairs)
 
     monkeypatch.setattr(asym, "moment_sum_quadrature", skewed)
     with pytest.raises(EquivalenceViolation, match="routes disagree"):
@@ -96,7 +96,7 @@ def test_t1_cross_check_detects_inconsistency(data: ExpansionData, monkeypatch) 
 
 def test_tail_expansion_first_entry_matches_t1(data: ExpansionData) -> None:
     coeffs = tail_expansion(data, n_pairs=20, max_order=3)
-    t1 = tail_coefficient_t1(data, n_pairs=20, cross_check=False)
+    t1 = tail_coefficient_t1(data, n_pairs=20)
     assert coeffs.t1 == t1  # same code path, bit-identical
     assert coeffs.values[0] == coeffs.t1
     assert len(coeffs.values) == 3
@@ -119,7 +119,7 @@ def test_tail_t3_approaches_finite_limit(data: ExpansionData) -> None:
 
 
 def test_tail_evaluate() -> None:
-    coeffs = TailCoefficients(values=(2.0, 0.0, 8.0), n_pairs=1, prefactor=TAIL_PREFACTOR)
+    coeffs = TailCoefficients(values=(2.0, 0.0, 8.0), n_pairs=1)
     assert coeffs.evaluate(2.0) == pytest.approx(2.0 / 2.0 + 8.0 / 8.0)
     arr = coeffs.evaluate(np.array([1.0, 10.0]))
     np.testing.assert_allclose(arr, [10.0, 0.208], rtol=1e-12)
@@ -135,12 +135,12 @@ def test_tail_expansion_rejects_bad_order(data: ExpansionData) -> None:
 def test_crossover_analytic_two_term_tail() -> None:
     # P = T1/t + T3/t^3: slope crosses -2 at sqrt(T3/T1) (grid-refined limit).
     t1, t3 = 1e-8, 2e-6
-    coeffs = TailCoefficients(values=(t1, 0.0, t3), n_pairs=1, prefactor=TAIL_PREFACTOR)
+    coeffs = TailCoefficients(values=(t1, 0.0, t3), n_pairs=1)
     assert crossover_time(coeffs) == pytest.approx(math.sqrt(t3 / t1), rel=1e-3)
 
 
 def test_crossover_pure_cubic_is_infinite() -> None:
-    coeffs = TailCoefficients(values=(0.0, 0.0, 5.0), n_pairs=1, prefactor=TAIL_PREFACTOR)
+    coeffs = TailCoefficients(values=(0.0, 0.0, 5.0), n_pairs=1)
     assert crossover_time(coeffs) == math.inf
 
 
@@ -157,17 +157,6 @@ def test_crossover_frozen_ladder(data: ExpansionData) -> None:
     assert times[40] == pytest.approx(
         math.sqrt(_T3_40 / _D1[40]), rel=2e-3
     )
-
-
-def test_crossover_prefactor_independence(data: ExpansionData) -> None:
-    # Doubling the leading Moshinsky coefficient rescales T_1 and T_3 by the
-    # same factor 4, so the crossover time must not move; T_1 itself must
-    # scale exactly quadratically.
-    base = tail_expansion(data, n_pairs=10)
-    doubled = tail_expansion(data, n_pairs=10, prefactor=2.0 * TAIL_PREFACTOR)
-    assert doubled.values[0] == pytest.approx(4.0 * base.values[0], rel=1e-12)
-    assert doubled.values[2] == pytest.approx(4.0 * base.values[2], rel=1e-12)
-    assert crossover_time(doubled) == pytest.approx(crossover_time(base), rel=1e-9)
 
 
 def test_synthetic_zero_sum_rule_kills_t1(data: ExpansionData, monkeypatch) -> None:
@@ -209,7 +198,7 @@ def test_slope_fit_sees_constructed_crossover() -> None:
     late = slope_fit(_series(t_late, p(t_late)), (1e7, 1e8))
     assert early.slope == pytest.approx(-3.0, abs=0.01)
     assert late.slope == pytest.approx(-1.0, abs=0.01)
-    coeffs = TailCoefficients(values=(1e-9, 0.0, 2.0), n_pairs=1, prefactor=TAIL_PREFACTOR)
+    coeffs = TailCoefficients(values=(1e-9, 0.0, 2.0), n_pairs=1)
     assert crossover_time(coeffs) == pytest.approx(math.sqrt(2e9), rel=1e-3)
 
 
@@ -255,9 +244,7 @@ def test_post_exponential_window_never_opens() -> None:
 
 
 def test_convergence_study_table(data: ExpansionData) -> None:
-    report = convergence_study(
-        data, truncations=(5, 10, 20, 40), r_points=(0.25, 0.5, 0.75)
-    )
+    report = convergence_study(data, truncations=(5, 10, 20, 40))
     assert report.truncations == (5, 10, 20, 40)
     np.testing.assert_allclose(
         report.t1_matrix, [_D1[5], _D1[10], _D1[20], _D1[40]], rtol=1e-4
@@ -272,8 +259,6 @@ def test_convergence_study_table(data: ExpansionData) -> None:
     )
     assert np.all(np.diff(report.t1_matrix) < 0.0)
     assert np.all(np.diff(report.crossover) > 0.0)
-    assert report.pointwise.shape == (4, 3)
-    assert np.all(report.pointwise[-1] <= 0.1 * report.pointwise[0])
     assert report.slope is None
 
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonescape.cli import build_parser, load_config, main, parse_config
-from nonescape.dynamics import TimeGrid, nonescape_probability
+from nonescape.dynamics import MAX_TIME_SAMPLES, TimeGrid, nonescape_probability
 from nonescape.errors import ConfigError, InvalidPotential, InvalidState, TruncationUnstable
 from nonescape.gamow import build_expansion
 from nonescape.specfn import moshinsky
@@ -259,6 +263,113 @@ def test_nonescape_time_overrides(config_path: Path, tmp_path: Path) -> None:
     assert rc == 0
     _, _, rows = _read_csv(out / "nonescape.csv")
     assert len(set(row["t"] for row in rows)) == 7
+
+
+@pytest.mark.parametrize("points", ["-1", "0", str(MAX_TIME_SAMPLES + 1)])
+def test_bad_points_flag_is_a_config_error(
+    config_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture, points: str
+) -> None:
+    argv = ["nonescape", "--config", str(config_path), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--points", points]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and "--points" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max, points, message",
+    [
+        (0.0, 2.0, -1, "points"),
+        (0.0, 2.0, 0, "points"),
+        (0.0, 2.0, MAX_TIME_SAMPLES + 1, "points"),
+        (0.0, math.inf, 5, "finite"),
+        (-1e308, 1e308, 5, "finite"),  # the step overflows
+    ],
+)
+def test_bad_linear_grid_is_a_config_error(
+    tmp_path: Path,
+    capsys: pytest.CaptureFixture,
+    t_min: float,
+    t_max: float,
+    points: int,
+    message: str,
+) -> None:
+    grid = {"kind": "linear", "t_min": t_min, "t_max": t_max, "points": points}
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(_config(time_grid=grid)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print on stderr
+        assert main(["poles", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and message in error["message"]
+
+
+def test_oversized_log_grid_is_a_config_error() -> None:
+    with pytest.raises(ConfigError, match="more than"):
+        TimeGrid.log(1e-3, 1e3, per_decade=MAX_TIME_SAMPLES)
+
+
+@pytest.mark.parametrize(
+    "command", ["poles", "expansion", "sumrule", "nonescape", "tail", "compare"]
+)
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_nmax_below_one_is_a_config_error(
+    config_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture, command: str, nmax: str
+) -> None:
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config_path), "--out", str(out), "--nmax", nmax]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and "--nmax" in error["message"]
+    assert not out.exists()  # rejected before any output is written
+
+
+# The flags each fuzzed command takes, with values drawn from and around
+# their valid ranges.  The config is small (three poles), so each run takes
+# milliseconds.
+_SMALL_INTS = st.integers(-3, 8)
+_TIMES_ARG = st.floats(allow_nan=True, allow_infinity=True) | st.floats(0.01, 5.0)
+_FLAGS = {
+    "poles": {"--nmax": _SMALL_INTS},
+    "sumrule": {
+        "--nmax": _SMALL_INTS,
+        "--r": st.lists(st.floats(-1.0, 2.0) | st.sampled_from([math.nan, math.inf]), max_size=3)
+        .map(lambda rs: ",".join(repr(r) for r in rs))
+        | st.text("0123456789.,-ex", max_size=6),
+    },
+    "nonescape": {
+        "--nmax": _SMALL_INTS,
+        "--points": st.integers(-2, 12) | st.sampled_from([MAX_TIME_SAMPLES + 1, 10**12]),
+        "--tmin": _TIMES_ARG,
+        "--tmax": _TIMES_ARG,
+    },
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")  # "=": argparse reads "-1e+16" as a flag
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv())
+def test_main_exits_0_1_or_2_with_one_json_error_line(argv: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(_config()))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert stderr.getvalue() == ""
+    else:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"]["exit_code"] == code
 
 
 _TAIL_GRID = {"kind": "log", "t_min": 0.05, "t_max": 42.0, "per_decade": 40}

@@ -13,21 +13,14 @@ from hypothesis import strategies as st
 from nonescape.dynamics import (
     NonescapeSeries,
     TimeGrid,
-    default_time_grid,
     exact_nested_sums,
     exact_row_sums,
     gamma_width,
     lifetime,
     nonescape_probability,
     probability_sums,
-    probability_window,
 )
-from nonescape.errors import (
-    ConfigError,
-    EmptyWindow,
-    NonPositiveProbability,
-    TruncationUnstable,
-)
+from nonescape.errors import ConfigError, NonPositiveProbability, TruncationUnstable
 from nonescape.gamow import ExpansionData, build_expansion
 from nonescape.poles import PoleSet
 from nonescape.selftest import SelftestContext
@@ -72,15 +65,6 @@ def test_gamma_width_and_lifetime() -> None:
         gamma_width(1.0 + 0.5j)
     with pytest.raises(ConfigError, match="not a decaying pole"):
         gamma_width(2.0 + 0.0j)
-
-
-def test_default_time_grid_spans_lifetimes(data: ExpansionData) -> None:
-    grid = default_time_grid(data)
-    tau = lifetime(_K1)
-    assert grid.times[0] == pytest.approx(1e-3 * tau, rel=1e-9)
-    assert grid.times[-1] == pytest.approx(1e3 * tau, rel=1e-9)
-    from_complex = default_time_grid(_K1)
-    np.testing.assert_allclose(grid.times, from_complex.times, rtol=1e-9)
 
 
 def test_initial_probability_converges(data: ExpansionData) -> None:
@@ -135,19 +119,6 @@ def test_probability_positive_far_into_tail(data: ExpansionData) -> None:
     series = nonescape_probability(data, grid, n_pairs=40)
     assert np.all(series.probability > 0.0)
     assert np.all(np.diff(series.probability) < 0.0)
-
-
-def test_probability_window_masks(data: ExpansionData) -> None:
-    grid = TimeGrid.log(0.01, 10.0, per_decade=8)
-    series = nonescape_probability(data, grid, n_pairs=5)
-    cut = probability_window(series, 0.1, 1.0)
-    assert np.all((cut.times >= 0.1) & (cut.times <= 1.0))
-    assert len(cut) > 0
-    assert cut.n_pairs == series.n_pairs
-    with pytest.raises(EmptyWindow):
-        probability_window(series, 20.0, 30.0)
-    with pytest.raises(ConfigError, match="t_lo < t_hi"):
-        probability_window(series, 1.0, 0.5)
 
 
 def test_nonescape_series_is_lightweight() -> None:
