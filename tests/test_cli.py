@@ -362,7 +362,9 @@ def test_main_exits_0_1_or_2_with_one_json_error_line(argv: list[str]) -> None:
         path.write_text(json.dumps(_config()))
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning would print on stderr
+                code = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
     if code == 0:
         assert stderr.getvalue() == ""
