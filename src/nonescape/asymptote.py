@@ -31,15 +31,15 @@ import numpy as np
 from .dynamics import (
     NonescapeSeries,
     ProbabilitySums,
-    TimeGrid,
     exact_row_sums,
     gamma_width,
-    probability_sums,
+    lifetime,
 )
 from .errors import (
     ConfigError,
     EmptyWindow,
     EquivalenceViolation,
+    NonescapeError,
     NonPositiveProbability,
 )
 from .gamow import ExpansionData, weighted_field
@@ -52,6 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover
 _QUAD_ORDER = 20  # Gauss-Legendre nodes per panel of the quadrature route to Q
 _D1_ROUTE_RTOL = 1e-6  # allowed disagreement of the two routes to T_1
 _DECAY_MARGIN = 1e-3  # suppression of the exponential stage opening the tail window
+_LIFETIME_SPAN = (0.1, 5.0)  # lifetimes over which direct and expansion P(t) are compared
+# A direct log-log slope inside this band reads as the t^-3 law ...
+T3_BAND = (-3.3, -2.7)
+# ... and a t^-1 weight D1(N_max)/D1(N_min) at or below this bound as vanishing.
+D1_RATIO_BOUND = 0.1
 
 __all__ = [
     "moment_sum",
@@ -65,6 +70,10 @@ __all__ = [
     "post_exponential_window",
     "TailReport",
     "convergence_study",
+    "T3_BAND",
+    "D1_RATIO_BOUND",
+    "Verdict",
+    "adjudicate",
 ]
 
 
@@ -319,37 +328,30 @@ class TailReport:
     ``t1_matrix``/``t1_quadrature`` are the two routes to the t^-1 weight;
     ``sumrule_l2`` is ||S_N||_2 = sqrt(int_0^R |S_N|^2 dr), the object whose
     decay kills the t^-1 term; ``crossover`` is where each truncated tail's
-    slope passes -2.  ``slope`` rows are filled only when a time grid and
-    fit window are supplied.
+    slope passes -2.  ``slope`` rows are NaN unless P(t) sums and a fit
+    window are supplied.
     """
 
     truncations: tuple[int, ...]
     t1_matrix: np.ndarray
     t1_quadrature: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
     sumrule_l2: np.ndarray
     crossover: np.ndarray
-    slope: np.ndarray | None = None
-    slope_stderr: np.ndarray | None = None
-    slope_window: tuple[float, float] | None = None
+    slope: np.ndarray
+    slope_stderr: np.ndarray
 
 
 def convergence_study(
     data: ExpansionData,
     truncations: tuple[int, ...] | list[int],
-    grid: TimeGrid | None = None,
     slope_window: tuple[float, float] | None = None,
-    *,
     sums: ProbabilitySums | None = None,
 ) -> TailReport:
     """Tabulate tail coefficients, sum-rule norms, and crossovers versus N.
 
-    With ``grid`` and ``slope_window`` each truncation's P(t) on ``grid`` is
-    fitted for its slope; all of them come from one :func:`probability_sums`
-    pass, and each is checked where its row of the table is made.  A caller
-    that already holds that pass (say, to choose the window from the largest
-    truncation) passes it as ``sums`` so it is not evaluated twice.
+    With ``slope_window`` and ``sums`` (one :func:`probability_sums` pass
+    holding every truncation) each truncation's P(t) is fitted for its
+    slope, and checked where its row of the table is made.
     """
     truncs = tuple(int(n) for n in truncations)
     if not truncs or any(n < 1 for n in truncs) or list(truncs) != sorted(set(truncs)):
@@ -358,44 +360,131 @@ def convergence_study(
         raise ConfigError(
             f"truncation {truncs[-1]} exceeds built expansion ({data.n_pairs} pairs)"
         )
-    if sums is not None and (
-        grid is None
-        or sums.truncations != truncs
-        or sums.mode != data.overlap_method
-        or not np.array_equal(sums.times, grid.times)
-    ):
-        raise ConfigError("sums must hold P(t) of these truncations on grid")
-    m = len(truncs)
-    t1m = np.empty(m)
-    t1q = np.empty(m)
-    t2 = np.empty(m)
-    t3 = np.empty(m)
-    l2 = np.empty(m)
-    cross = np.empty(m)
-    slopes = np.empty(m) if grid is not None and slope_window is not None else None
-    errs = np.empty(m) if slopes is not None else None
-    if slopes is not None and sums is None:
-        sums = probability_sums(data, grid, truncs)
+    t1m, t1q, l2, cross = (np.empty(len(truncs)) for _ in range(4))
+    slopes, errs = np.full(len(truncs), np.nan), np.full(len(truncs), np.nan)
     for i, n in enumerate(truncs):
         coeffs = tail_expansion(data, n, 3)
-        t1m[i], t2[i], t3[i] = coeffs.values
+        t1m[i] = coeffs.t1
         q11 = moment_sum_quadrature(data, 1, 1, n).real
         t1q[i] = TAIL_PREFACTOR ** 2 * q11
         l2[i] = float(np.sqrt(max(q11, 0.0)))
         cross[i] = crossover_time(coeffs)
-        if slopes is not None:
+        if slope_window is not None and sums is not None:
             fit = slope_fit(sums.series(n), slope_window)
-            slopes[i] = fit.slope
-            errs[i] = fit.stderr
-    return TailReport(
-        truncations=truncs,
-        t1_matrix=t1m,
-        t1_quadrature=t1q,
-        t2=t2,
+            slopes[i], errs[i] = fit.slope, fit.stderr
+    return TailReport(truncs, t1m, t1q, l2, cross, slopes, errs)
+
+
+@dataclass(frozen=True, eq=False)
+class Verdict:
+    """Direct P(t) against the truncated expansion, and what it says.
+
+    ``lifetime_dev`` is the largest relative deviation of the largest
+    truncation from the direct run on ``lifetime_mask``: the samples in
+    ``lifetime_window`` ([0.1, 5] lifetimes of pole 1) before any horizon.
+    ``window`` and the slope fits are None/empty when the run never leaves
+    the exponential stage.  ``t3``, ``vanishing`` and ``receding`` are the
+    findings ``text`` rests on.
+    """
+
+    expansions: dict[int, NonescapeSeries]
+    lifetime_window: tuple[float, float]
+    lifetime_mask: np.ndarray
+    lifetime_dev: float | None
+    window: tuple[float, float] | None
+    direct_fit: SlopeFit | None
+    expansion_fits: dict[int, SlopeFit]
+    d1: dict[int, float]
+    d1_ratio: float | None
+    crossover: dict[int, float]
+    t3: bool
+    vanishing: bool
+    receding: bool
+    text: str
+
+
+def adjudicate(
+    direct: NonescapeSeries,
+    horizon: float | None,
+    sums: ProbabilitySums,
+    data: ExpansionData,
+    pole: ResonancePole,
+) -> Verdict:
+    """Judge the long-time law of a direct run against the expansion.
+
+    ``sums`` holds P(t) of every truncation on the direct run's times, and
+    ``pole`` is resonance 1.  The verdict is "t^-3" when the direct slope
+    lies in :data:`T3_BAND` (``t3``), D1(N_max)/D1(N_min) is at most
+    :data:`D1_RATIO_BOUND` (``vanishing``) and the crossovers grow with N
+    (``receding``); "t^-1" when neither slope nor weight supports t^-3;
+    "mixed evidence" otherwise; "no adjudication" when no slope can be fit.
+    A truncation failing its P(t) checks, or a t^-1 weight whose two routes
+    disagree, raises.
+    """
+    truncs = sums.truncations
+    expansions = {n: sums.series(n) for n in truncs}
+
+    try:
+        window = post_exponential_window(direct, pole, horizon=horizon)
+        direct_fit = slope_fit(direct, window)
+        expansion_fits = {n: slope_fit(s, window) for n, s in expansions.items()}
+    except NonescapeError:
+        window, direct_fit, expansion_fits = None, None, {}
+
+    d1 = {n: tail_coefficient_t1(data, n_pairs=n) for n in truncs}
+    crossover = {n: crossover_time(tail_expansion(data, n_pairs=n)) for n in truncs}
+
+    tau = lifetime(pole)
+    span = (_LIFETIME_SPAN[0] * tau, _LIFETIME_SPAN[1] * tau)
+    t = direct.times
+    life = (t >= span[0]) & (t <= span[1])
+    if horizon is not None:
+        life &= t < horizon
+    p_direct = direct.probability[life]
+    p_full = expansions[truncs[-1]].probability[life]
+    lifetime_dev = float(np.max(np.abs(p_direct - p_full) / p_full)) if life.any() else None
+
+    n_lo, n_hi = truncs[0], truncs[-1]
+    d1_ratio = d1[n_hi] / d1[n_lo] if d1[n_lo] > 0 else None
+    ladder = [crossover[n] for n in truncs]
+    receding = all(a < b for a, b in zip(ladder, ladder[1:]))
+    vanishing = d1_ratio is not None and d1_ratio <= D1_RATIO_BOUND
+    t3 = direct_fit is not None and T3_BAND[0] <= direct_fit.slope <= T3_BAND[1]
+    if direct_fit is None:
+        text = (
+            "no adjudication: the sampled window never leaves the exponential "
+            "stage, so no long-time slope can be fit"
+        )
+    elif t3 and vanishing and receding:
+        text = (
+            f"t^-3: direct integration shows slope {direct_fit.slope:.2f}, the "
+            f"t^-1 weight falls by x{1.0 / d1_ratio:.0f} from N={n_lo} to "
+            f"N={n_hi}, and its onset recedes ({ladder[0]:.2f} -> "
+            f"{ladder[-1]:.2f}); the t^-1 stage is a truncation artifact"
+        )
+    elif not t3 and not vanishing:
+        text = (
+            f"t^-1: direct slope {direct_fit.slope:.2f} and a t^-1 weight "
+            f"that does not vanish with N"
+        )
+    else:
+        text = (
+            f"mixed evidence: direct slope {direct_fit.slope:.2f}, "
+            f"D1({n_hi})/D1({n_lo}) = {d1_ratio}"
+        )
+    return Verdict(
+        expansions=expansions,
+        lifetime_window=span,
+        lifetime_mask=life,
+        lifetime_dev=lifetime_dev,
+        window=window,
+        direct_fit=direct_fit,
+        expansion_fits=expansion_fits,
+        d1=d1,
+        d1_ratio=d1_ratio,
+        crossover=crossover,
         t3=t3,
-        sumrule_l2=l2,
-        crossover=cross,
-        slope=slopes,
-        slope_stderr=errs,
-        slope_window=slope_window,
+        vanishing=vanishing,
+        receding=receding,
+        text=text,
     )

@@ -18,22 +18,15 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from .asymptote import (
-    convergence_study,
-    crossover_time,
-    post_exponential_window,
-    slope_fit,
-    tail_coefficient_t1,
-    tail_expansion,
-)
-from .dynamics import MAX_TIME_SAMPLES, TimeGrid, lifetime, probability_sums
+from .asymptote import adjudicate, convergence_study, post_exponential_window
+from .dynamics import MAX_TIME_SAMPLES, TimeGrid, probability_sums
 from .errors import ConfigError, InvalidPotential, InvalidState, NonescapeError
 from .gamow import ExpansionData, build_expansion, overlap_matrix, sum_rule_residual
-from .model import BoxMode, DeltaShell, PiecewiseConstant
+from .model import BoxMode, DeltaShell, PiecewiseConstant, potential_range
 from .oracle import GridSpec, evolve_tdse, refine_and_compare
 from .poles import PoleSet, SearchWindow, locate_poles
 from .selftest import run_selftest
@@ -330,14 +323,17 @@ def _time_grid(cfg: RunConfig, args: argparse.Namespace) -> TimeGrid:
 
 
 def _r_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[float, ...]:
-    if getattr(args, "r", None) is None:
-        return cfg.r_points
-    try:
-        values = tuple(float(tok) for tok in args.r.split(","))
-    except ValueError:
-        raise ConfigError(f"--r expects comma-separated numbers, got {args.r!r}")
-    if not values:
-        raise ConfigError("--r must list at least one radius")
+    """The radii of ``--r``, else of the config; each must lie in [0, R]."""
+    values = cfg.r_points
+    if getattr(args, "r", None) is not None:
+        try:
+            values = tuple(float(tok) for tok in args.r.split(","))
+        except ValueError:
+            raise ConfigError(f"--r expects comma-separated numbers, got {args.r!r}")
+    radius = potential_range(cfg.potential)
+    for r in values:
+        if not 0.0 <= r <= radius:
+            raise ConfigError(f"radius {r!r} lies outside [0, R = {radius:g}]")
     return values
 
 
@@ -415,9 +411,9 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sumrule(cfg: RunConfig, args: argparse.Namespace) -> int:
+    r = np.asarray(_r_points(cfg, args))
     out = _out_dir(cfg, args)
     truncations = _truncations(cfg, args)
-    r = np.asarray(_r_points(cfg, args))
     data = _expanded(cfg, _located(cfg), truncations[-1])
     rows = []
     for n in truncations:
@@ -468,28 +464,16 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     except NonescapeError:
         sums, slope_window = None, None
-    report = convergence_study(
-        data,
-        truncations,
-        grid=grid,
-        slope_window=slope_window,
-        sums=sums,
+    report = convergence_study(data, truncations, slope_window, sums)
+    rows = zip(
+        report.truncations,
+        report.t1_matrix,
+        report.t1_quadrature,
+        report.sumrule_l2,
+        report.crossover,
+        report.slope,
+        report.slope_stderr,
     )
-    nan = [float("nan")] * len(report.truncations)
-    slopes = report.slope if report.slope is not None else nan
-    stderrs = report.slope_stderr if report.slope_stderr is not None else nan
-    rows = [
-        (
-            n,
-            report.t1_matrix[i],
-            report.t1_quadrature[i],
-            report.sumrule_l2[i],
-            report.crossover[i],
-            slopes[i],
-            stderrs[i],
-        )
-        for i, n in enumerate(report.truncations)
-    ]
     _write_csv(
         out / "tail.csv",
         cfg,
@@ -544,103 +528,37 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     pole_set = _located(cfg)
     data = _expanded(cfg, pole_set, truncations[-1])
     run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=grid)
-    t = run.series.times
-    shared = TimeGrid(times=t)
+    sums = probability_sums(data, TimeGrid(times=run.series.times), truncations)
+    verdict = adjudicate(run.series, run.horizon_time, sums, data, pole_set.pole(1))
 
-    sums = probability_sums(data, shared, truncations)
-    series_list = [sums.series(n) for n in truncations]
     p_direct = run.series.probability
     header = ["t", "p_direct"]
-    columns = [t, p_direct]
-    for n, series in zip(truncations, series_list):
+    columns = [run.series.times, p_direct]
+    for n, series in verdict.expansions.items():
         header.append(f"p_expansion_n{n}")
         columns.append(series.probability)
         header.append(f"rel_dev_n{n}")
         columns.append(np.abs(p_direct - series.probability) / series.probability)
-    rows = list(zip(*columns))
-    _write_csv(out / "compare.csv", cfg, "compare", header, rows)
+    _write_csv(out / "compare.csv", cfg, "compare", header, zip(*columns))
 
-    # slope fits in the post-exponential window, when the run reaches one
-    window = None
-    direct_fit = None
-    expansion_fits: dict[int, Any] = {}
-    try:
-        window = post_exponential_window(
-            run.series, pole_set.pole(1), horizon=run.horizon_time
-        )
-        direct_fit = slope_fit(run.series, window)
-        for n, series in zip(truncations, series_list):
-            expansion_fits[n] = slope_fit(series, window)
-    except NonescapeError:
-        window = None
-        direct_fit = None
-        expansion_fits = {}
-
-    d1 = {n: tail_coefficient_t1(data, n_pairs=n) for n in truncations}
-    crossovers = {
-        n: crossover_time(tail_expansion(data, n_pairs=n)) for n in truncations
-    }
-
-    tau1 = lifetime(pole_set.pole(1))
-    life = (t >= 0.1 * tau1) & (t <= 5.0 * tau1)
-    if run.horizon_time is not None:
-        life &= t < run.horizon_time
-    p_full = series_list[-1].probability
-    lifetime_dev = (
-        float(np.max(np.abs(p_direct[life] - p_full[life]) / p_full[life]))
-        if life.any()
-        else None
-    )
-
-    n_lo, n_hi = truncations[0], truncations[-1]
-    d1_ratio = d1[n_hi] / d1[n_lo] if d1[n_lo] > 0 else None
-    ladder = [crossovers[n] for n in truncations]
-    receding = all(a < b for a, b in zip(ladder, ladder[1:]))
-    if direct_fit is None:
-        verdict = (
-            "no adjudication: the sampled window never leaves the exponential "
-            "stage, so no long-time slope can be fit"
-        )
-    else:
-        t3 = -3.3 <= direct_fit.slope <= -2.7
-        vanishing = d1_ratio is not None and d1_ratio <= 0.1
-        if t3 and vanishing and receding:
-            verdict = (
-                f"t^-3: direct integration shows slope {direct_fit.slope:.2f}, the "
-                f"t^-1 weight falls by x{1.0 / d1_ratio:.0f} from N={n_lo} to "
-                f"N={n_hi}, and its onset recedes ({ladder[0]:.2f} -> "
-                f"{ladder[-1]:.2f}); the t^-1 stage is a truncation artifact"
-            )
-        elif not t3 and not vanishing:
-            verdict = (
-                f"t^-1: direct slope {direct_fit.slope:.2f} and a t^-1 weight "
-                f"that does not vanish with N"
-            )
-        else:
-            verdict = (
-                f"mixed evidence: direct slope {direct_fit.slope:.2f}, "
-                f"D1({n_hi})/D1({n_lo}) = {d1_ratio}"
-            )
-
+    fit = verdict.direct_fit
     summary = {
         "config_hash": cfg.digest,
         "units": _UNITS_NOTE,
         "horizon_time": run.horizon_time,
-        "window": list(window) if window is not None else None,
+        "window": list(verdict.window) if verdict.window is not None else None,
         "slope_direct": (
-            {"value": direct_fit.slope, "stderr": direct_fit.stderr}
-            if direct_fit is not None
-            else None
+            {"value": fit.slope, "stderr": fit.stderr} if fit is not None else None
         ),
         "slope_expansion": {
-            str(n): {"value": fit.slope, "stderr": fit.stderr}
-            for n, fit in expansion_fits.items()
+            str(n): {"value": f.slope, "stderr": f.stderr}
+            for n, f in verdict.expansion_fits.items()
         },
-        "d1": {str(n): float(d1[n]) for n in truncations},
-        "d1_ratio": d1_ratio,
-        "crossover": {str(n): float(crossovers[n]) for n in truncations},
-        "max_rel_dev_lifetime_window": lifetime_dev,
-        "verdict": verdict,
+        "d1": {str(n): float(v) for n, v in verdict.d1.items()},
+        "d1_ratio": verdict.d1_ratio,
+        "crossover": {str(n): float(v) for n, v in verdict.crossover.items()},
+        "max_rel_dev_lifetime_window": verdict.lifetime_dev,
+        "verdict": verdict.text,
     }
     path = out / "summary.json"
     with open(path, "w") as fh:
@@ -650,16 +568,23 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(cfg: RunConfig | None, args: argparse.Namespace) -> int:
-    return run_selftest(verbose=not args.quiet)
+def cmd_selftest(cfg: RunConfig, args: argparse.Namespace) -> int:
+    return run_selftest(cfg, verbose=not args.quiet)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (subcommand parsers inherit the class)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonescape",
         description=(
             "Resonant-state expansion of the quantum nonescape probability, "
@@ -730,16 +655,12 @@ def _emit_error(category: str, exit_code: int, exc: BaseException) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map errors to exit codes (0/1/2)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "nmax", None) is not None and args.nmax < 1:
             raise ConfigError(f"--nmax must be at least 1, got {args.nmax}")
-        if args.command == "selftest":
-            cfg = None
-        else:
-            cfg = load_config(args.config)
-        return args.func(cfg, args)
+        # selftest takes no --config: it runs on the packaged default
+        return args.func(load_config(getattr(args, "config", None)), args)
     except (ConfigError, InvalidPotential, InvalidState) as exc:
         _emit_error("config", 2, exc)
         return 2

@@ -1,37 +1,40 @@
 """Built-in acceptance suite: nine numbered checks on the reference model.
 
-The reference configuration is the delta-shell potential (strength 6,
-radius 1) expanded over the lowest box mode, in units hbar = 2m = 1.  The
-checks cover the special-function layer, the pole table, the overlap
-identity, completeness and the sum rule, both routes to the t^-1 tail
-weight, cross-validation against direct Crank-Nicolson integration, the
-long-time power law with its truncation crossovers, and the integrator's
-own health.  Each check prints one PASS/FAIL line with the measured
-numbers; heavy artifacts (pole table, expansion, long integrations) are
-built lazily once and shared through :class:`SelftestContext`.
+The reference configuration is the packaged default run configuration: the
+delta-shell potential (strength 6, radius 1) expanded over the lowest box
+mode, in units hbar = 2m = 1.  The checks cover the special-function layer,
+the pole table, the overlap identity, completeness and the sum rule, both
+routes to the t^-1 tail weight, cross-validation against direct
+Crank-Nicolson integration, the long-time power law with its truncation
+crossovers, and the integrator's own health.  Each check prints one
+PASS/FAIL line with the measured numbers; heavy artifacts (pole table,
+expansion, long integrations) are built lazily once and shared through
+:class:`SelftestContext`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, TextIO
+from typing import TYPE_CHECKING, Callable, TextIO
 
 import numpy as np
 
 from .asymptote import (
+    D1_RATIO_BOUND,
+    T3_BAND,
+    Verdict,
+    adjudicate,
     crossover_time,
     moment_sum,
     moment_sum_quadrature,
-    post_exponential_window,
     slope_fit,
-    tail_coefficient_t1,
     tail_expansion,
 )
-from .dynamics import TimeGrid, lifetime, nonescape_probability, probability_sums
-from .errors import EquivalenceViolation
+from .dynamics import TimeGrid, nonescape_probability, probability_sums
 from .gamow import (
     ExpansionData,
     build_expansion,
@@ -39,7 +42,7 @@ from .gamow import (
     reconstruct_initial,
     sum_rule_residual,
 )
-from .model import BoxMode, DeltaShell, PiecewiseConstant, initial_wavefunction
+from .model import DeltaShell, PiecewiseConstant, initial_wavefunction
 from .oracle import (
     GridSpec,
     OracleResult,
@@ -53,15 +56,14 @@ from .poles import PoleSet, SearchWindow, locate_poles, winding_count
 from .segmath import panel_nodes
 from .specfn import faddeeva, moshinsky
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .cli import RunConfig
+
 __all__ = ["CheckResult", "SelftestContext", "CHECKS", "run_selftest"]
 
-REFERENCE_POTENTIAL = DeltaShell(strength=6.0, radius=1.0)
-REFERENCE_STATE = BoxMode(mode=1, radius=1.0)
-SEARCH_WINDOW = SearchWindow(re_max=127.5, im_min=-3.0)
-TRUNCATIONS = (5, 10, 20, 40)
 # Re k midway between poles 160 and 161: the rungs past N = 40 of check 8.
-WIDE_SEARCH_WINDOW = SearchWindow(re_max=503.5, im_min=-3.0)
-WIDE_TRUNCATIONS = (80, 160)
+_WIDE_RE_MAX = 503.5
+_WIDE_TRUNCATIONS = (80, 160)
 
 # w(z) references frozen from 50-digit evaluations of the defining series
 # (Taylor about the origin for |z| <= 4, Laplace continued fraction beyond,
@@ -113,12 +115,14 @@ class CheckResult:
 class SelftestContext:
     """Lazily-built artifacts shared by the checks.
 
+    ``cfg`` is the reference problem: the packaged default configuration.
     Every property is computed at most once; a full :func:`run_selftest`
     costs a few minutes, dominated by the long direct integration that
     backs the cross-validation and power-law checks.
     """
 
-    def __init__(self, verbose: bool = False):
+    def __init__(self, cfg: RunConfig, verbose: bool = False):
+        self.cfg = cfg
         self.verbose = verbose
 
     def _log(self, message: str) -> None:
@@ -128,22 +132,19 @@ class SelftestContext:
     @cached_property
     def pole_set(self) -> PoleSet:
         self._log("locating reference poles ...")
-        return locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+        return locate_poles(self.cfg.potential, self.cfg.window, self.cfg.tol)
 
     @cached_property
     def data(self) -> ExpansionData:
-        return build_expansion(REFERENCE_POTENTIAL, self.pole_set, REFERENCE_STATE)
+        return build_expansion(self.cfg.potential, self.pole_set, self.cfg.psi0)
 
     @cached_property
     def wide_data(self) -> ExpansionData:
         """Expansion over 160 pole pairs (about one second to build)."""
         self._log("locating 160 pole pairs ...")
-        poles = locate_poles(REFERENCE_POTENTIAL, WIDE_SEARCH_WINDOW)
-        return build_expansion(REFERENCE_POTENTIAL, poles, REFERENCE_STATE)
-
-    @cached_property
-    def tau1(self) -> float:
-        return lifetime(self.pole_set.pole(1))
+        window = dataclasses.replace(self.cfg.window, re_max=_WIDE_RE_MAX)
+        poles = locate_poles(self.cfg.potential, window, self.cfg.tol)
+        return build_expansion(self.cfg.potential, poles, self.cfg.psi0)
 
     @cached_property
     def free_pole_set(self) -> PoleSet:
@@ -159,35 +160,32 @@ class SelftestContext:
 
     @cached_property
     def long_run(self) -> OracleResult:
-        """Direct integration reaching deep into the algebraic tail.
+        """Direct integration on the config's oracle and time grids.
 
-        The absorber is half the box with a sin^2 profile.  Its ramp still
-        reflects: on this time grid P t^3 follows the expansion's t^-3 law
-        within 0.6 % up to t ~ 34, then swings about it with growing
-        amplitude (about 5 % by t ~ 37.5, 0.70 of the law at t = 42).  A
-        gentler ramp with the same onset (box 320, width 200) cuts the swing
-        about 2.5-fold.  The leak monitor watches only r = L, so
-        ``horizon_time`` stays None and check 8's direct fit, which ends at
-        t = 42, carries the swing in its slope and stderr.
+        It reaches deep into the algebraic tail.  The absorber is half the
+        box with a sin^2 profile, and its ramp still reflects: P t^3 follows
+        the expansion's t^-3 law within 0.6 % up to t ~ 34, then swings
+        about it with growing amplitude (about 5 % by t ~ 37.5, 0.70 of the
+        law at t = 42).  A gentler ramp with the same onset (box 320, width
+        200) cuts the swing about 2.5-fold.  The leak monitor watches only
+        r = L, so ``horizon_time`` stays None and check 8's direct fit,
+        which ends at t = 42, carries the swing in its slope and stderr.
         """
         self._log("direct integration, t <= 42 (about three minutes) ...")
         start = time.time()
-        grid = GridSpec(
-            box_size=240.0,
-            dr=0.005,
-            dt=4.0e-4,
-            t_final=42.0,
-            absorber_width=120.0,
-            absorber_strength=15.0,
-        )
-        result = evolve_tdse(
-            REFERENCE_POTENTIAL,
-            REFERENCE_STATE,
-            grid,
-            times=TimeGrid.log(0.05, 42.0, per_decade=40),
-        )
+        cfg = self.cfg
+        result = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=cfg.time_grid)
         self._log(f"... done in {time.time() - start:.0f} s")
         return result
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        """The adjudication ``nonescape compare`` makes on the same run."""
+        run = self.long_run
+        sums = probability_sums(
+            self.data, TimeGrid(times=run.series.times), self.cfg.truncations
+        )
+        return adjudicate(run.series, run.horizon_time, sums, self.data, self.pole_set.pole(1))
 
     @cached_property
     def gauss_run(self) -> OracleResult:
@@ -210,18 +208,17 @@ class SelftestContext:
 
     @cached_property
     def refinement_pair(self) -> tuple[RefinementReport, RefinementReport]:
+        """The reference problem in a short hard-wall box, refined x2 and x4."""
         self._log("refinement study ...")
-        grid = GridSpec(
-            box_size=12.0, dr=0.01, dt=4.0e-4, t_final=1.2, enforce_resolution=False
+        cfg = self.cfg
+        grid = dataclasses.replace(
+            cfg.oracle_grid, box_size=12.0, dr=0.01, t_final=1.2,
+            absorber_width=0.0, absorber_strength=0.0, enforce_resolution=False,
         )
         times = TimeGrid.log(0.05, 1.2, per_decade=20)
         return (
-            refine_and_compare(
-                REFERENCE_POTENTIAL, REFERENCE_STATE, grid, 2, times, tolerance=2e-3
-            ),
-            refine_and_compare(
-                REFERENCE_POTENTIAL, REFERENCE_STATE, grid, 4, times, tolerance=2e-3
-            ),
+            refine_and_compare(cfg.potential, cfg.psi0, grid, 2, times, tolerance=2e-3),
+            refine_and_compare(cfg.potential, cfg.psi0, grid, 4, times, tolerance=2e-3),
         )
 
 
@@ -270,7 +267,7 @@ def check_poles(ctx: SelftestContext) -> CheckResult:
         p.residual / p.scale for p in ctx.pole_set.poles + ctx.hard_shell_pole_set.poles
     )
 
-    audit = winding_count(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    audit = winding_count(ctx.cfg.potential, ctx.cfg.window)
     n_found = len(ctx.pole_set.poles)
 
     passed = n_free == 0 and hard_dev <= 0.05 and res <= 1e-10 and audit == n_found
@@ -305,18 +302,17 @@ def check_completeness(ctx: SelftestContext) -> CheckResult:
     quadrature of the partial sum differ by 2 Re <psi0, psi_N - psi0>,
     which is O(N^-3).
     """
-    sums = probability_sums(ctx.data, TimeGrid(times=np.array([0.0])), TRUNCATIONS)
-    excess = {n: float(sums.series(n).probability[0]) - 1.0 for n in TRUNCATIONS}
+    truncs = ctx.cfg.truncations
+    sums = probability_sums(ctx.data, TimeGrid(times=np.array([0.0])), truncs)
+    excess = {n: float(sums.series(n).probability[0]) - 1.0 for n in truncs}
     rate = float(
-        np.polyfit(
-            np.log(TRUNCATIONS), np.log([abs(excess[n]) for n in TRUNCATIONS]), 1
-        )[0]
+        np.polyfit(np.log(truncs), np.log([abs(excess[n]) for n in truncs]), 1)[0]
     )
     l2_dev = {}
     for n in (5, 40):
-        r, w = panel_nodes(0.0, REFERENCE_STATE.radius, 2 * n)
+        r, w = panel_nodes(0.0, ctx.cfg.psi0.radius, 2 * n)
         gap = reconstruct_initial(ctx.data, r, n_pairs=n) - initial_wavefunction(
-            REFERENCE_STATE, r
+            ctx.cfg.psi0, r
         )
         l2 = float(np.sum(w * np.abs(gap) ** 2))
         l2_dev[n] = abs(excess[n] - l2) / l2
@@ -353,43 +349,33 @@ def check_tail_coefficient(ctx: SelftestContext) -> CheckResult:
     nonneg = all(v >= 0.0 for v in d1.values())
 
     route_dev = 0.0
-    for n in TRUNCATIONS:
+    for n in ctx.cfg.truncations:
         a = moment_sum(ctx.data, 1, 1, n_pairs=n)
         b = moment_sum_quadrature(ctx.data, 1, 1, n_pairs=n)
         route_dev = max(route_dev, abs(a - b) / abs(a))
-    try:
-        tail_coefficient_t1(ctx.data, n_pairs=40)
-        cross_ok = True
-    except EquivalenceViolation:
-        cross_ok = False
 
-    trend = d1[40] / d1[5]
-    passed = nonneg and route_dev <= 1e-6 and cross_ok and trend <= 0.1
+    # the verdict checks each truncation's two routes to D1 (its
+    # tail_coefficient_t1 raises on a mismatch) and judges their ratio
+    verdict = ctx.verdict
+    n_lo, n_hi = ctx.cfg.truncations[0], ctx.cfg.truncations[-1]
+    passed = nonneg and route_dev <= 1e-6 and verdict.vanishing
     details = (
         f"min D1 {min(d1.values()):.2e} (all N <= 40 non-negative: {nonneg}); "
-        f"route dev {route_dev:.2e} (tol 1e-6); D1(40)/D1(5) = {trend:.2e} "
-        f"(tol 0.1)"
+        f"route dev {route_dev:.2e} (tol 1e-6); D1({n_hi})/D1({n_lo}) = "
+        f"{verdict.d1_ratio:.2e} (tol {D1_RATIO_BOUND:g})"
     )
     return CheckResult(6, "tail coefficient", passed, details)
 
 
 def check_cross_validation(ctx: SelftestContext) -> CheckResult:
     """Expansion P(t) against direct integration over [0.1, 5] lifetimes."""
-    series = ctx.long_run.series
-    t = series.times
-    mask = (t >= 0.1 * ctx.tau1) & (t <= 5.0 * ctx.tau1)
-    if ctx.long_run.horizon_time is not None:
-        mask &= t < ctx.long_run.horizon_time
-    t_sel = t[mask]
-    direct = series.probability[mask]
-    expansion = nonescape_probability(
-        ctx.data, TimeGrid(times=t_sel), n_pairs=40
-    ).probability
-    rel = float(np.max(np.abs(direct - expansion) / expansion))
+    verdict = ctx.verdict
+    t_lo, t_hi = verdict.lifetime_window
+    rel = verdict.lifetime_dev
     passed = rel <= 0.02
     details = (
-        f"max rel dev {rel:.2e} over {len(t_sel)} samples in "
-        f"[{0.1 * ctx.tau1:.3f}, {5.0 * ctx.tau1:.3f}] (tol 0.02)"
+        f"max rel dev {rel:.2e} over {int(verdict.lifetime_mask.sum())} samples in "
+        f"[{t_lo:.3f}, {t_hi:.3f}] (tol 0.02)"
     )
     return CheckResult(7, "expansion vs direct integration", passed, details)
 
@@ -397,49 +383,49 @@ def check_cross_validation(ctx: SelftestContext) -> CheckResult:
 def check_long_time_law(ctx: SelftestContext) -> CheckResult:
     """Slope of the algebraic tail, and the truncation crossover ladder.
 
+    The direct slope, the N <= 40 slopes and crossovers are the verdict's.
     A truncation's tail T1/t + T3/t^3 has local slope -3 + 2x/(1+x) with
     x = (t/t_c)^2, which stays at or below -2.7 only for t <= 0.42 t_c.  So
     a truncation shows the t^-3 law on the fit window only if its crossover
     t_c >= 2.4 t_hi: N = 160 must meet that premise and the band, while
     N = 40, whose t_c lies inside the window, must follow its own tail.
     """
-    run = ctx.long_run
-    window = post_exponential_window(
-        run.series, ctx.pole_set.pole(1), horizon=run.horizon_time
-    )
-    direct = slope_fit(run.series, window)
+    verdict = ctx.verdict
+    window, direct = verdict.window, verdict.direct_fit
+    if direct is None:
+        return CheckResult(8, "long-time power law", False, verdict.text)
 
-    t = run.series.times
+    t = ctx.long_run.series.times
     t_win = TimeGrid(times=t[(t >= window[0]) & (t <= window[1])])
-    tails = {n: tail_expansion(ctx.data, n_pairs=n) for n in TRUNCATIONS}
-    tails.update(
-        {n: tail_expansion(ctx.wide_data, n_pairs=n) for n in WIDE_TRUNCATIONS}
-    )
-    crossovers = {n: crossover_time(tail) for n, tail in tails.items()}
+    crossovers = dict(verdict.crossover)
+    wide_tails = {n: tail_expansion(ctx.wide_data, n_pairs=n) for n in _WIDE_TRUNCATIONS}
+    crossovers.update({n: crossover_time(tail) for n, tail in wide_tails.items()})
     ladder = list(crossovers.values())
 
-    n_top = WIDE_TRUNCATIONS[-1]
+    n_top = _WIDE_TRUNCATIONS[-1]
     t_need = 2.4 * window[1]
     converged = slope_fit(
         nonescape_probability(ctx.wide_data, t_win, n_pairs=n_top), window
     )
-    truncated = slope_fit(nonescape_probability(ctx.data, t_win, n_pairs=40), window)
+    n_max = ctx.cfg.truncations[-1]
+    truncated = verdict.expansion_fits[n_max]
     # the same least-squares ln P vs ln t fit as slope_fit, on the same samples
-    own_tail = float(
-        np.polyfit(np.log(t_win.times), np.log(tails[40].evaluate(t_win.times)), 1)[0]
-    )
+    own = tail_expansion(ctx.data, n_pairs=n_max).evaluate(t_win.times)
+    own_tail = float(np.polyfit(np.log(t_win.times), np.log(own), 1)[0])
     tail_dev = abs(truncated.slope - own_tail)
 
-    direct_ok = -3.3 <= direct.slope <= -2.7
-    converged_ok = crossovers[n_top] >= t_need and -3.3 <= converged.slope <= -2.7
+    band = f"band [{T3_BAND[0]:g}, {T3_BAND[1]:g}]"
+    converged_ok = (
+        crossovers[n_top] >= t_need and T3_BAND[0] <= converged.slope <= T3_BAND[1]
+    )
     ladder_ok = all(a < b for a, b in zip(ladder, ladder[1:]))
-    passed = direct_ok and converged_ok and tail_dev <= 0.05 and ladder_ok
+    passed = verdict.t3 and converged_ok and tail_dev <= 0.05 and ladder_ok
     details = (
         f"direct slope {direct.slope:.3f} +- {direct.stderr:.3f} on "
-        f"[{window[0]:.2f}, {window[1]:.2f}] (band [-3.3, -2.7]); N={n_top} "
-        f"slope {converged.slope:.3f} in same window (band [-3.3, -2.7]; "
+        f"[{window[0]:.2f}, {window[1]:.2f}] ({band}); N={n_top} "
+        f"slope {converged.slope:.3f} in same window ({band}; "
         f"premise t_c = {crossovers[n_top]:.2f} >= 2.4 t_hi = {t_need:.2f}); "
-        f"N=40 slope {truncated.slope:.3f} vs its own tail {own_tail:.3f} "
+        f"N={n_max} slope {truncated.slope:.3f} vs its own tail {own_tail:.3f} "
         f"(tol 0.05); crossover times "
         + " < ".join(f"{c:.2f}" for c in ladder)
         + f" monotone: {ladder_ok}"
@@ -488,11 +474,13 @@ CHECKS: tuple[Callable[[SelftestContext], CheckResult], ...] = (
 )
 
 
-def run_selftest(stream: TextIO | None = None, verbose: bool = False) -> int:
+def run_selftest(cfg: RunConfig, stream: TextIO | None = None, verbose: bool = False) -> int:
     """Run all nine checks and print one PASS/FAIL line per check.
 
     Parameters
     ----------
+    cfg : RunConfig
+        The reference problem: the packaged default configuration.
     stream : TextIO, optional
         Destination for the result lines (default: stdout).
     verbose : bool
@@ -504,7 +492,7 @@ def run_selftest(stream: TextIO | None = None, verbose: bool = False) -> int:
         0 if every check passed, 1 otherwise.
     """
     out = sys.stdout if stream is None else stream
-    ctx = SelftestContext(verbose=verbose)
+    ctx = SelftestContext(cfg, verbose=verbose)
     results = []
     for fn in CHECKS:
         res = fn(ctx)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nonescape.cli import load_config
 from nonescape.gamow import ExpansionData
 from nonescape.poles import PoleSet
 from nonescape.selftest import SelftestContext
@@ -11,7 +12,7 @@ from nonescape.selftest import SelftestContext
 @pytest.fixture(scope="session")
 def ctx() -> SelftestContext:
     """Shared lazily-built artifacts (pole table, expansion, long runs)."""
-    return SelftestContext()
+    return SelftestContext(load_config(None))
 
 
 @pytest.fixture(scope="session")

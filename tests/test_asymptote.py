@@ -9,6 +9,7 @@ import nonescape.asymptote as asym
 from nonescape.asymptote import (
     SlopeFit,
     TailCoefficients,
+    adjudicate,
     convergence_study,
     crossover_time,
     moment_sum,
@@ -20,7 +21,9 @@ from nonescape.asymptote import (
 )
 from nonescape.dynamics import (
     NonescapeSeries,
+    ProbabilitySums,
     TimeGrid,
+    lifetime,
     nonescape_probability,
     probability_sums,
 )
@@ -32,6 +35,7 @@ from nonescape.errors import (
 )
 from nonescape.gamow import ExpansionData
 from nonescape.poles import ResonancePole
+from nonescape.selftest import SelftestContext
 from nonescape.specfn import TAIL_PREFACTOR
 
 # Frozen tail data for the reference problem (shell lam = 6, R = 1, psi0 the
@@ -259,15 +263,14 @@ def test_convergence_study_table(data: ExpansionData) -> None:
     )
     assert np.all(np.diff(report.t1_matrix) < 0.0)
     assert np.all(np.diff(report.crossover) > 0.0)
-    assert report.slope is None
+    assert np.isnan(report.slope).all() and np.isnan(report.slope_stderr).all()
 
 
 def test_convergence_study_with_slopes(data: ExpansionData) -> None:
     grid = TimeGrid.log(20.0, 40.0, per_decade=40)
-    report = convergence_study(
-        data, truncations=(5, 40), grid=grid, slope_window=(20.0, 40.0)
-    )
-    assert report.slope is not None and report.slope_stderr is not None
+    window = (20.0, 40.0)
+    report = convergence_study(data, (5, 40), window, probability_sums(data, grid, (5, 40)))
+    assert not np.isnan(report.slope).any() and not np.isnan(report.slope_stderr).any()
     assert report.slope.shape == (2,)
     # In a late window the heavily truncated expansion shows the shallow
     # spurious slope; at N = 40 the crossover (~23) sits inside the window,
@@ -275,39 +278,11 @@ def test_convergence_study_with_slopes(data: ExpansionData) -> None:
     assert report.slope[0] > -1.5
     assert -3.0 < report.slope[1] < -1.0
     assert np.all(report.slope_stderr >= 0.0)
-
-
-def test_convergence_study_reuses_largest_series(
-    data: ExpansionData, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    # A caller that opened the window from the largest truncation's P(t)
-    # hands over the whole pass; without it the study makes one pass itself.
-    grid = TimeGrid.log(20.0, 40.0, per_decade=40)
-    window = (20.0, 40.0)
-    sums = probability_sums(data, grid, (5, 40))
-    calls: list[tuple[int, ...]] = []
-
-    def counted(data, grid, truncations):
-        calls.append(tuple(truncations))
-        return probability_sums(data, grid, truncations)
-
-    monkeypatch.setattr(asym, "probability_sums", counted)
-    plain = convergence_study(data, (5, 40), grid=grid, slope_window=window)
-    assert calls == [(5, 40)]
-    reused = convergence_study(data, (5, 40), grid=grid, slope_window=window, sums=sums)
-    assert calls == [(5, 40)]
-    np.testing.assert_array_equal(reused.slope, plain.slope)
-    np.testing.assert_array_equal(reused.slope_stderr, plain.slope_stderr)
-    for n in (5, 40):
+    # each row is the fit of that truncation's own series
+    for i, n in enumerate((5, 40)):
         single = slope_fit(nonescape_probability(data, grid, n_pairs=n), window)
-        assert reused.slope[(5, 40).index(n)] == single.slope
-    with pytest.raises(ConfigError, match="sums must hold"):
-        convergence_study(data, (5, 10), grid=grid, slope_window=window, sums=sums)
-    with pytest.raises(ConfigError, match="sums must hold"):
-        convergence_study(
-            data, (5, 40), grid=TimeGrid.log(20.0, 40.0, per_decade=20),
-            slope_window=window, sums=sums,
-        )
+        assert report.slope[i] == single.slope
+        assert report.slope_stderr[i] == single.stderr
 
 
 def test_convergence_study_tail_matches_series(data: ExpansionData) -> None:
@@ -328,3 +303,100 @@ def test_convergence_study_validation(data: ExpansionData) -> None:
         convergence_study(data, truncations=(0, 5))
     with pytest.raises(ConfigError, match="exceeds built expansion"):
         convergence_study(data, truncations=(10_000,))
+
+
+def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
+    ctx: SelftestContext,
+) -> None:
+    # The verdict selftest checks 6-8 read, against the routes those checks
+    # took on their own before they shared it, and their printed numbers.
+    verdict, run, data = ctx.verdict, ctx.long_run, ctx.data
+    pole = ctx.pole_set.pole(1)
+    assert verdict.text.startswith("t^-3: direct integration shows slope -3.14")
+    assert verdict.t3 and verdict.vanishing and verdict.receding
+
+    d1 = {n: tail_expansion(data, n_pairs=n, max_order=1).t1 for n in (5, 40)}
+    assert verdict.d1_ratio == d1[40] / d1[5]
+    assert f"{verdict.d1_ratio:.2e}" == "2.32e-03"
+
+    t = run.series.times
+    tau = lifetime(pole)
+    mask = (t >= 0.1 * tau) & (t <= 5.0 * tau)
+    np.testing.assert_array_equal(verdict.lifetime_mask, mask)
+    expansion = nonescape_probability(data, TimeGrid(t[mask]), n_pairs=40).probability
+    direct = run.series.probability[mask]
+    assert verdict.lifetime_dev == float(np.max(np.abs(direct - expansion) / expansion))
+    assert f"{verdict.lifetime_dev:.2e}" == "3.53e-04" and int(mask.sum()) == 68
+
+    window = post_exponential_window(run.series, pole, horizon=run.horizon_time)
+    assert verdict.window == window
+    assert f"[{window[0]:.2f}, {window[1]:.2f}]" == "[18.76, 42.00]"
+    fit = verdict.direct_fit
+    assert fit == slope_fit(run.series, window)
+    assert f"{fit.slope:.3f} +- {fit.stderr:.3f}" == "-3.140 +- 0.092"
+    t_win = TimeGrid(t[(t >= window[0]) & (t <= window[1])])
+    n40 = slope_fit(nonescape_probability(data, t_win, n_pairs=40), window)
+    assert verdict.expansion_fits[40] == n40 and f"{n40.slope:.3f}" == "-1.811"
+    assert [f"{verdict.crossover[n]:.2f}" for n in (5, 10, 20, 40)] == [
+        "1.10", "3.05", "8.39", "23.15"
+    ]
+
+
+_UNIT_POLE = ResonancePole(n=1, k=1.0 - 0.25j, residual=0.0, scale=1.0)  # Gamma = 1
+
+
+def _synthetic_verdict(data: ExpansionData, slope: float, truncations: tuple[int, ...]):
+    """adjudicate on a direct run exp(-t) + 1e-3 t^slope that every
+    truncation's P(t) matches; D1 and the crossovers are ``data``'s."""
+    t = np.geomspace(0.05, 400.0, 161)
+    p = np.exp(-t) + 1e-3 * t ** slope
+    sums = ProbabilitySums(
+        times=t,
+        truncations=truncations,
+        sums=np.tile(p.astype(complex), (len(truncations), 1)),
+        mode="closed",
+    )
+    return adjudicate(_series(t, p), None, sums, data, _UNIT_POLE)
+
+
+# D1(20)/D1(9) = 0.0978 and D1(22)/D1(10) = 0.1006 straddle the ratio
+# bound, and the slopes straddle each edge of the t^-3 band by 0.01, so a
+# moved edge or bound changes some verdict below.
+@pytest.mark.parametrize(
+    "slope, truncations, expected",
+    [
+        (-3.29, (9, 20), "t^-3: "),
+        (-2.71, (9, 20), "t^-3: "),
+        (-3.31, (9, 20), "mixed evidence: "),
+        (-2.69, (9, 20), "mixed evidence: "),
+        (-3.0, (10, 22), "mixed evidence: "),
+        (-3.31, (10, 22), "t^-1: "),
+        (-2.69, (10, 22), "t^-1: "),
+        (-1.0, (10, 22), "t^-1: "),
+    ],
+)
+def test_adjudicate_branches_at_band_edges_and_ratio_bound(
+    data: ExpansionData, slope: float, truncations: tuple[int, ...], expected: str
+) -> None:
+    verdict = _synthetic_verdict(data, slope, truncations)
+    assert verdict.direct_fit is not None
+    assert abs(verdict.direct_fit.slope - slope) < 1e-3
+    assert verdict.text.startswith(expected), verdict.text
+    assert verdict.receding
+    assert verdict.lifetime_window == (0.1, 5.0) and verdict.lifetime_dev == 0.0
+    assert set(verdict.expansion_fits) == set(truncations)
+
+
+def test_adjudicate_without_a_tail_window_gives_no_adjudication(
+    data: ExpansionData,
+) -> None:
+    t = np.geomspace(0.05, 40.0, 120)
+    p = np.exp(-t)
+    sums = ProbabilitySums(
+        times=t, truncations=(5, 10), sums=np.tile(p.astype(complex), (2, 1)), mode="closed"
+    )
+    verdict = adjudicate(_series(t, p), None, sums, data, _UNIT_POLE)
+    assert verdict.text.startswith("no adjudication")
+    assert verdict.window is None and verdict.direct_fit is None
+    assert verdict.expansion_fits == {} and not verdict.t3
+    assert set(verdict.d1) == {5, 10}

@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -296,9 +295,8 @@ def test_bad_linear_grid_is_a_config_error(
     grid = {"kind": "linear", "t_min": t_min, "t_max": t_max, "points": points}
     path = tmp_path / "linear.json"
     path.write_text(json.dumps(_config(time_grid=grid)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy warning would print on stderr
-        assert main(["poles", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    # a numpy warning would print on stderr: pytest turns each into an error
+    assert main(["poles", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     error = _error_line(capsys)
     assert error["type"] == "ConfigError" and message in error["message"]
 
@@ -350,7 +348,10 @@ def _argv(draw) -> list[str]:
     argv = [command]
     for flag, values in _FLAGS[command].items():
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(values)}")  # "=": argparse reads "-1e+16" as a flag
+            value = str(draw(values))
+            # "--tmax -1e+16" is a usage error (argparse reads "-1e+16" as a
+            # flag), "--tmax=-1e+16" is not
+            argv.extend(draw(st.sampled_from([[f"{flag}={value}"], [flag, value]])))
     return argv
 
 
@@ -361,10 +362,9 @@ def test_main_exits_0_1_or_2_with_one_json_error_line(argv: list[str]) -> None:
         path = Path(tmp) / "run.json"
         path.write_text(json.dumps(_config()))
         stdout, stderr = io.StringIO(), io.StringIO()
+        # a numpy warning would print on stderr: pytest turns each into an error
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a numpy warning would print on stderr
-                code = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            code = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
     if code == 0:
         assert stderr.getvalue() == ""
@@ -394,7 +394,6 @@ def test_tail_evaluates_each_series_once(
     # One P(t) pass covers every truncation: the largest truncation's series
     # opens the slope window and gives that truncation's slope, and no
     # series is evaluated a second time.
-    import nonescape.asymptote as asymptote
     import nonescape.cli as cli
     import nonescape.dynamics as dynamics
 
@@ -405,7 +404,7 @@ def test_tail_evaluates_each_series_once(
         calls.append(tuple(truncations))
         return evaluate(data, grid, truncations)
 
-    for module in (cli, asymptote, dynamics):
+    for module in (cli, dynamics):
         monkeypatch.setattr(module, "probability_sums", counted)
     out = tmp_path / "out"
     assert main(["tail", "--config", str(_tail_config(tmp_path)), "--out", str(out)]) == 0
@@ -654,10 +653,70 @@ def test_selftest_parser_takes_no_config() -> None:
     parser = build_parser()
     args = parser.parse_args(["selftest", "--quiet"])
     assert args.quiet
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError, match="unrecognized arguments: --config"):
         parser.parse_args(["selftest", "--config", "x.json"])
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError, match="required"):
         parser.parse_args([])  # a subcommand is required
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nonescape", "--tmax", "-1e+16"],
+        ["poles", "--nmax", "x"],
+        ["tail", "--points", "1.5"],
+        ["oracle", "--refine"],
+        ["sumrule", "--bogus", "1"],
+        ["selftest", "--config", "x.json"],
+        ["frobnicate"],
+        [],
+    ],
+)
+def test_usage_errors_are_one_json_line(
+    argv: list[str], capsys: pytest.CaptureFixture
+) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError" and error["exit_code"] == 2
+    assert error["message"].startswith("nonescape")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["poles", "--help"], ["selftest", "-h"]])
+def test_help_prints_usage_and_exits_0(argv: list[str], capsys: pytest.CaptureFixture) -> None:
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: nonescape") and captured.err == ""
+
+
+@pytest.mark.parametrize("radii", ["1.5", "0.25,-0.1", "nan", "inf"])
+def test_sumrule_radius_outside_range_is_a_config_error(
+    radii: str, config_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    out = tmp_path / "out"
+    argv = ["sumrule", "--config", str(config_path), "--out", str(out), f"--r={radii}"]
+    assert main(argv) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and "outside [0, R = 1]" in error["message"]
+    assert not out.exists()  # rejected before any output is written
+
+
+@pytest.mark.parametrize("radii", [[1.5], [0.25, -0.1], [0.0, 1.0000001]])
+def test_config_radius_outside_range_is_a_config_error(
+    radii: list[float], tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(r_points=radii)))
+    out = tmp_path / "out"
+    assert main(["sumrule", "--config", str(path), "--out", str(out)]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and "outside [0, R = 1]" in error["message"]
+    assert not out.exists()
 
 
 def test_console_script_entry_point(config_path: Path, tmp_path: Path) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from _oracles import same_bits, state_values_per_state
 
+from nonescape.cli import load_config
 from nonescape.errors import (
     ConfigError,
     InvalidState,
@@ -40,7 +41,9 @@ from nonescape.model import (
 )
 from nonescape.poles import PoleSet, ResonancePole, SearchWindow, locate_poles
 from nonescape.segmath import panel_nodes
-from nonescape.selftest import REFERENCE_POTENTIAL, REFERENCE_STATE
+
+_REFERENCE = load_config(None)
+REFERENCE_POTENTIAL, REFERENCE_STATE = _REFERENCE.potential, _REFERENCE.psi0
 
 # Frozen reconstruction errors max_r |psi_N(r) - psi0(r)| on r in (0, 1) for
 # the reference problem (shell lam = 6, R = 1, psi0 = lowest box mode).

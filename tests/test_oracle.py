@@ -18,7 +18,11 @@ from nonescape.oracle import (
     refine_and_compare,
     sampled_gaussian,
 )
-from nonescape.selftest import REFERENCE_POTENTIAL, REFERENCE_STATE, SelftestContext
+from nonescape.cli import load_config
+from nonescape.selftest import SelftestContext
+
+_REFERENCE = load_config(None)
+REFERENCE_POTENTIAL, REFERENCE_STATE = _REFERENCE.potential, _REFERENCE.psi0
 
 _GAMMA1 = 1.549219
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonescape.poles as poles_module
+from nonescape.cli import load_config
 from nonescape.errors import AxisZero, ConfigError, RootPolishFailure, WindingMismatch
 from nonescape.model import DeltaShell, PiecewiseConstant
 from nonescape.poles import (
@@ -21,7 +22,9 @@ from nonescape.poles import (
     mirror_state_rule,
     winding_count,
 )
-from nonescape.selftest import REFERENCE_POTENTIAL, SEARCH_WINDOW
+
+_REFERENCE = load_config(None)
+REFERENCE_POTENTIAL, SEARCH_WINDOW = _REFERENCE.potential, _REFERENCE.window
 
 # Frozen 30-digit reference roots of J(k) = q cos q + (lam - i k) sin q / q,
 # q = k (delta shell lam = 6, R = 1), independently solved to high precision.
