@@ -285,6 +285,35 @@ def test_convergence_study_with_slopes(data: ExpansionData) -> None:
         assert report.slope_stderr[i] == single.stderr
 
 
+def test_convergence_study_reuses_largest_series(
+    data: ExpansionData, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The caller's single probability_sums pass is the only source of P(t):
+    # the study reads each truncation's series from it once and sums nothing
+    # itself.
+    grid = TimeGrid.log(20.0, 40.0, per_decade=40)
+    window = (20.0, 40.0)
+    sums = probability_sums(data, grid, (5, 40))
+    reads: list[int] = []
+    original = type(sums).series
+
+    def counted(self, n_pairs):
+        reads.append(n_pairs)
+        return original(self, n_pairs)
+
+    monkeypatch.setattr(type(sums), "series", counted)
+    report = convergence_study(data, (5, 40), window, sums)
+    assert reads == [5, 40]
+    convergence_study(data, (5, 40), None, sums)
+    convergence_study(data, (5, 40), window, None)
+    assert reads == [5, 40]
+    for i, n in enumerate((5, 40)):
+        single = slope_fit(nonescape_probability(data, grid, n_pairs=n), window)
+        assert report.slope[i] == single.slope
+    with pytest.raises(ConfigError, match="not among"):
+        convergence_study(data, (5, 10), window, sums)
+
+
 def test_convergence_study_tail_matches_series(data: ExpansionData) -> None:
     # Far beyond the crossover the truncated series itself must follow its
     # own three-term tail.
