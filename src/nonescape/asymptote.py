@@ -31,9 +31,11 @@ import numpy as np
 from .dynamics import (
     NonescapeSeries,
     ProbabilitySums,
+    exact_nested_sums,
     exact_row_sums,
     gamma_width,
     lifetime,
+    truncation_rings,
 )
 from .errors import (
     ConfigError,
@@ -50,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .poles import ResonancePole
 
 _QUAD_ORDER = 20  # Gauss-Legendre nodes per panel of the quadrature route to Q
+_CROSSOVER_PER_DECADE = 240  # log-grid points per decade of the crossover search
 _D1_ROUTE_RTOL = 1e-6  # allowed disagreement of the two routes to T_1
 _DECAY_MARGIN = 1e-3  # suppression of the exponential stage opening the tail window
 _LIFETIME_SPAN = (0.1, 5.0)  # lifetimes over which direct and expansion P(t) are compared
@@ -77,40 +80,38 @@ __all__ = [
 ]
 
 
-def moment_sum(data: ExpansionData, a: int, b: int, n_pairs: int | None = None) -> complex:
-    """Q[a, b] by the double sum over the overlap matrix."""
-    sub = data if n_pairs is None else data.truncate(n_pairs)
+def _moment_row(sub: ExpansionData, rings: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Q[a, b] of every ring group of ``sub``'s terms, each correctly rounded."""
     wa = sub.coefficients / sub.wavenumbers ** a
     wb = sub.coefficients / sub.wavenumbers ** b
     # named, so numpy cannot multiply it in place as the left operand (the
     # complex product is not bitwise commutative)
     outer = wa[:, None] * np.conj(wb)[None, :]
     terms = sub.overlap * outer
-    return complex(exact_row_sums(terms.reshape(1, -1))[0])
+    return exact_nested_sums(terms.reshape(1, -1), rings)[0]
 
 
-def moment_sum_quadrature(
-    data: ExpansionData, a: int, b: int, n_pairs: int | None = None
-) -> complex:
+def moment_sum(data: ExpansionData, a: int, b: int) -> complex:
+    """Q[a, b] by the double sum over the overlap matrix."""
+    return complex(_moment_row(data, np.zeros(data.overlap.size, dtype=np.intp), a, b)[0])
+
+
+def moment_sum_quadrature(data: ExpansionData, a: int, b: int) -> complex:
     """Q[a, b] as ``int conj(sigma_b) sigma_a dr`` by panel quadrature."""
-    sub = data if n_pairs is None else data.truncate(n_pairs)
-    radius = sub.states[0].radius
-    k_max = float(np.max(np.abs(sub.wavenumbers)))
+    radius = data.states[0].radius
+    k_max = float(np.max(np.abs(data.wavenumbers)))
     n_panels = int(radius * k_max / np.pi) + 2
     nodes, weights = panel_nodes(0.0, radius, n_panels, order=_QUAD_ORDER)
-    sigma_a = np.asarray(weighted_field(sub, nodes, sub.coefficients / sub.wavenumbers ** a))
-    if b == a:
-        sigma_b = sigma_a
-    else:
-        sigma_b = np.asarray(
-            weighted_field(sub, nodes, sub.coefficients / sub.wavenumbers ** b)
-        )
+    sigma_a = np.asarray(weighted_field(data, nodes, data.coefficients / data.wavenumbers ** a))
+    sigma_b = sigma_a if b == a else np.asarray(
+        weighted_field(data, nodes, data.coefficients / data.wavenumbers ** b)
+    )
     return complex(exact_row_sums((weights * np.conj(sigma_b) * sigma_a)[None, :])[0])
 
 
 @dataclass(frozen=True)
 class TailCoefficients:
-    """Coefficients T_p of P(t) ~ sum_p T_p / t^p, p = 1..max_order."""
+    """Coefficients T_p of P(t) ~ sum_p T_p / t^p, p = 1..3."""
 
     values: tuple[float, ...]
     n_pairs: int
@@ -130,70 +131,46 @@ class TailCoefficients:
         return acc
 
 
-def _tail_values(
-    data: ExpansionData, n_pairs: int | None, max_order: int
-) -> tuple[float, ...]:
-    """Shared moment-sum assembly of T_1..T_max_order."""
-    if not (1 <= max_order <= 3):
-        raise ConfigError("tail expansion is supported for orders 1..3")
-    sub = data if n_pairs is None else data.truncate(n_pairs)
-    # m_j of the Moshinsky series, m_0 = TAIL_PREFACTOR
-    m = asymptotic_coefficients(max_order)
+def tail_expansion(
+    data: ExpansionData, truncations: tuple[int, ...] | list[int] | range
+) -> tuple[TailCoefficients, ...]:
+    """T_1..T_3 of every truncation by the moment-sum route.
+
+    T_p needs Q[a, b] with a + b = 2p; each (a, b) row is one exact nested
+    pass over the largest truncation's terms (:func:`truncation_rings`), so
+    every truncation's Q equals :func:`moment_sum` of that truncation alone.
+    """
+    truncs, sub, rings = truncation_rings(data, truncations)
+    q = {(a, b): _moment_row(sub, rings, a, b) for a in (1, 3, 5) for b in (1, 3, 5) if a + b <= 6}
+    # m_j of the Moshinsky series, m_0 = TAIL_PREFACTOR;
     # alpha_j conj(alpha_j') = m_j m_j' i^(j - j')
-    q_cache: dict[tuple[int, int], complex] = {}
-
-    def q(aa: int, bb: int) -> complex:
-        if (aa, bb) not in q_cache:
-            q_cache[(aa, bb)] = moment_sum(sub, aa, bb)
-        return q_cache[(aa, bb)]
-
-    values = []
-    for p in range(1, max_order + 1):
-        acc = 0.0 + 0.0j
-        for j in range(p):
-            jp = p - 1 - j
-            acc += m[j] * m[jp] * (1j) ** (j - jp) * q(2 * j + 1, 2 * jp + 1)
-        values.append(float(acc.real))
-    return tuple(values)
+    m = asymptotic_coefficients(3)
+    tails = []
+    for i, n in enumerate(truncs):
+        values = []
+        for p in range(1, 4):
+            acc = 0.0 + 0.0j
+            for j in range(p):
+                jp = p - 1 - j
+                acc += m[j] * m[jp] * (1j) ** (j - jp) * complex(q[2 * j + 1, 2 * jp + 1][i])
+            values.append(float(acc.real))
+        tails.append(TailCoefficients(values=tuple(values), n_pairs=n))
+    return tuple(tails)
 
 
-def tail_coefficient_t1(data: ExpansionData, n_pairs: int | None = None) -> float:
+def tail_coefficient_t1(data: ExpansionData) -> float:
     """T_1 = TAIL_PREFACTOR^2 * Q[1, 1]: the weight of the spurious t^-1 tail.
 
-    The moment-sum route is verified against the independent quadrature
-    route ``TAIL_PREFACTOR^2 int |S_N|^2 dr``; callers that want the value
-    unchecked take ``tail_expansion(data, n_pairs, max_order=1).t1``.
-
-    Raises
-    ------
-    EquivalenceViolation
-        If the two routes disagree beyond 1e-6 relative to scale.
+    The one-truncation case of :func:`convergence_study`; raises
+    EquivalenceViolation if the quadrature route ``TAIL_PREFACTOR^2 int
+    |S_N|^2 dr`` disagrees beyond 1e-6 relative to scale.
     """
-    t1 = _tail_values(data, n_pairs, 1)[0]
-    alt = TAIL_PREFACTOR ** 2 * moment_sum_quadrature(data, 1, 1, n_pairs).real
-    scale = max(abs(t1), abs(alt), 1e-300)
-    if abs(t1 - alt) > _D1_ROUTE_RTOL * scale:
-        raise EquivalenceViolation(
-            f"t^-1 coefficient routes disagree: matrix {t1:.12e} vs "
-            f"quadrature {alt:.12e}"
-        )
-    return t1
+    report = convergence_study(data, (data.n_pairs,))
+    report.check_routes()
+    return float(report.t1_matrix[0])
 
 
-def tail_expansion(
-    data: ExpansionData, n_pairs: int | None = None, max_order: int = 3
-) -> TailCoefficients:
-    """T_1..T_max_order by the moment-sum route.
-
-    The first entry reproduces :func:`tail_coefficient_t1` (same code path,
-    bit-identical) minus its cross-check.
-    """
-    values = _tail_values(data, n_pairs, max_order)
-    sub_pairs = data.n_pairs if n_pairs is None else n_pairs
-    return TailCoefficients(values=values, n_pairs=sub_pairs)
-
-
-def crossover_time(coefficients: TailCoefficients, per_decade: int = 240) -> float:
+def crossover_time(coefficients: TailCoefficients) -> float:
     """First time at which the tail's local log-log slope exceeds -2.
 
     The slope is measured with two-point differences on a log time grid (the
@@ -203,7 +180,7 @@ def crossover_time(coefficients: TailCoefficients, per_decade: int = 240) -> flo
     returned.  For positive T_1 and T_3 the result approaches
     sqrt(T_3 / T_1) as the grid is refined.
     """
-    t = np.geomspace(1e-8, 1e16, int(24 * per_decade) + 1)
+    t = np.geomspace(1e-8, 1e16, 24 * _CROSSOVER_PER_DECADE + 1)
     p = np.asarray(coefficients.evaluate(t))
     # Keep the contiguous positive run that extends to the largest times:
     # that is where an asymptotic series is meaningful.  (With T_3 < 0 the
@@ -325,7 +302,8 @@ def post_exponential_window(
 class TailReport:
     """Truncation study of the tail: one row per truncation N.
 
-    ``t1_matrix``/``t1_quadrature`` are the two routes to the t^-1 weight;
+    ``tails`` holds each truncation's T_1..T_3 by the moment-sum route, and
+    ``t1_matrix``/``t1_quadrature`` are the two routes to T_1 = D1(N);
     ``sumrule_l2`` is ||S_N||_2 = sqrt(int_0^R |S_N|^2 dr), the object whose
     decay kills the t^-1 term; ``crossover`` is where each truncated tail's
     slope passes -2.  ``slope`` rows are NaN unless P(t) sums and a fit
@@ -333,6 +311,7 @@ class TailReport:
     """
 
     truncations: tuple[int, ...]
+    tails: tuple[TailCoefficients, ...]
     t1_matrix: np.ndarray
     t1_quadrature: np.ndarray
     sumrule_l2: np.ndarray
@@ -340,39 +319,67 @@ class TailReport:
     slope: np.ndarray
     slope_stderr: np.ndarray
 
+    @property
+    def route_dev(self) -> float:
+        """Largest disagreement of the two routes to T_1, relative to scale."""
+        t1m, t1q = self.t1_matrix, self.t1_quadrature
+        scale = np.maximum(np.maximum(np.abs(t1m), np.abs(t1q)), 1e-300)
+        return float(np.max(np.abs(t1m - t1q) / scale))
+
+    def check_routes(self) -> None:
+        """Raise EquivalenceViolation unless both routes to every T_1 agree."""
+        if self.route_dev > _D1_ROUTE_RTOL:
+            raise EquivalenceViolation(
+                f"t^-1 coefficient routes disagree by {self.route_dev:.3e} (N = "
+                f"{self.truncations}): matrix {self.t1_matrix} vs quadrature "
+                f"{self.t1_quadrature}"
+            )
+
+    @property
+    def d1_ratio(self) -> float | None:
+        """D1(N_max) / D1(N_min), or None when D1(N_min) is not positive."""
+        t1 = self.tails[0].t1
+        return self.tails[-1].t1 / t1 if t1 > 0 else None
+
+    @property
+    def vanishing(self) -> bool:
+        """D1(N_max) / D1(N_min) is at most :data:`D1_RATIO_BOUND`."""
+        return self.d1_ratio is not None and self.d1_ratio <= D1_RATIO_BOUND
+
+    @property
+    def receding(self) -> bool:
+        """The crossovers grow strictly with N."""
+        return bool(np.all(self.crossover[:-1] < self.crossover[1:]))
+
 
 def convergence_study(
     data: ExpansionData,
-    truncations: tuple[int, ...] | list[int],
+    truncations: tuple[int, ...] | list[int] | range,
     slope_window: tuple[float, float] | None = None,
     sums: ProbabilitySums | None = None,
 ) -> TailReport:
     """Tabulate tail coefficients, sum-rule norms, and crossovers versus N.
 
-    With ``slope_window`` and ``sums`` (one :func:`probability_sums` pass
-    holding every truncation) each truncation's P(t) is fitted for its
+    Every truncation's coefficients come from one :func:`tail_expansion`
+    table; the quadrature route to T_1 integrates each truncation's own
+    field.  With ``slope_window`` and ``sums`` (one :func:`probability_sums`
+    pass holding every truncation) each truncation's P(t) is fitted for its
     slope, and checked where its row of the table is made.
     """
-    truncs = tuple(int(n) for n in truncations)
-    if not truncs or any(n < 1 for n in truncs) or list(truncs) != sorted(set(truncs)):
-        raise ConfigError("truncations must be distinct positive integers, ascending")
-    if truncs[-1] > data.n_pairs:
-        raise ConfigError(
-            f"truncation {truncs[-1]} exceeds built expansion ({data.n_pairs} pairs)"
-        )
-    t1m, t1q, l2, cross = (np.empty(len(truncs)) for _ in range(4))
-    slopes, errs = np.full(len(truncs), np.nan), np.full(len(truncs), np.nan)
-    for i, n in enumerate(truncs):
-        coeffs = tail_expansion(data, n, 3)
-        t1m[i] = coeffs.t1
-        q11 = moment_sum_quadrature(data, 1, 1, n).real
+    tails = tail_expansion(data, truncations)
+    t1q, l2, cross = (np.empty(len(tails)) for _ in range(3))
+    slopes, errs = np.full(len(tails), np.nan), np.full(len(tails), np.nan)
+    for i, tail in enumerate(tails):
+        q11 = moment_sum_quadrature(data.truncate(tail.n_pairs), 1, 1).real
         t1q[i] = TAIL_PREFACTOR ** 2 * q11
         l2[i] = float(np.sqrt(max(q11, 0.0)))
-        cross[i] = crossover_time(coeffs)
+        cross[i] = crossover_time(tail)
         if slope_window is not None and sums is not None:
-            fit = slope_fit(sums.series(n), slope_window)
+            fit = slope_fit(sums.series(tail.n_pairs), slope_window)
             slopes[i], errs[i] = fit.slope, fit.stderr
-    return TailReport(truncs, t1m, t1q, l2, cross, slopes, errs)
+    truncs = tuple(tail.n_pairs for tail in tails)
+    t1m = np.array([tail.t1 for tail in tails])
+    return TailReport(truncs, tails, t1m, t1q, l2, cross, slopes, errs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,8 +390,8 @@ class Verdict:
     truncation from the direct run on ``lifetime_mask``: the samples in
     ``lifetime_window`` ([0.1, 5] lifetimes of pole 1) before any horizon.
     ``window`` and the slope fits are None/empty when the run never leaves
-    the exponential stage.  ``t3``, ``vanishing`` and ``receding`` are the
-    findings ``text`` rests on.
+    the exponential stage.  ``t3`` and the report's ``vanishing`` and
+    ``receding`` are the findings ``text`` rests on.
     """
 
     expansions: dict[int, NonescapeSeries]
@@ -394,12 +401,7 @@ class Verdict:
     window: tuple[float, float] | None
     direct_fit: SlopeFit | None
     expansion_fits: dict[int, SlopeFit]
-    d1: dict[int, float]
-    d1_ratio: float | None
-    crossover: dict[int, float]
     t3: bool
-    vanishing: bool
-    receding: bool
     text: str
 
 
@@ -407,21 +409,23 @@ def adjudicate(
     direct: NonescapeSeries,
     horizon: float | None,
     sums: ProbabilitySums,
-    data: ExpansionData,
+    report: TailReport,
     pole: ResonancePole,
 ) -> Verdict:
     """Judge the long-time law of a direct run against the expansion.
 
-    ``sums`` holds P(t) of every truncation on the direct run's times, and
-    ``pole`` is resonance 1.  The verdict is "t^-3" when the direct slope
-    lies in :data:`T3_BAND` (``t3``), D1(N_max)/D1(N_min) is at most
-    :data:`D1_RATIO_BOUND` (``vanishing``) and the crossovers grow with N
-    (``receding``); "t^-1" when neither slope nor weight supports t^-3;
+    ``sums`` holds P(t) of every truncation on the direct run's times,
+    ``report`` the same truncations' tail study, and ``pole`` is resonance
+    1.  The verdict is "t^-3" when the direct slope lies in :data:`T3_BAND`
+    (``t3``), the t^-1 weight is ``vanishing`` and the crossovers are
+    ``receding``; "t^-1" when neither slope nor weight supports t^-3;
     "mixed evidence" otherwise; "no adjudication" when no slope can be fit.
     A truncation failing its P(t) checks, or a t^-1 weight whose two routes
     disagree, raises.
     """
     truncs = sums.truncations
+    if report.truncations != truncs:
+        raise ConfigError(f"tail report truncations {report.truncations} differ from {truncs}")
     expansions = {n: sums.series(n) for n in truncs}
 
     try:
@@ -431,8 +435,7 @@ def adjudicate(
     except NonescapeError:
         window, direct_fit, expansion_fits = None, None, {}
 
-    d1 = {n: tail_coefficient_t1(data, n_pairs=n) for n in truncs}
-    crossover = {n: crossover_time(tail_expansion(data, n_pairs=n)) for n in truncs}
+    report.check_routes()
 
     tau = lifetime(pole)
     span = (_LIFETIME_SPAN[0] * tau, _LIFETIME_SPAN[1] * tau)
@@ -445,24 +448,20 @@ def adjudicate(
     lifetime_dev = float(np.max(np.abs(p_direct - p_full) / p_full)) if life.any() else None
 
     n_lo, n_hi = truncs[0], truncs[-1]
-    d1_ratio = d1[n_hi] / d1[n_lo] if d1[n_lo] > 0 else None
-    ladder = [crossover[n] for n in truncs]
-    receding = all(a < b for a, b in zip(ladder, ladder[1:]))
-    vanishing = d1_ratio is not None and d1_ratio <= D1_RATIO_BOUND
     t3 = direct_fit is not None and T3_BAND[0] <= direct_fit.slope <= T3_BAND[1]
     if direct_fit is None:
         text = (
             "no adjudication: the sampled window never leaves the exponential "
             "stage, so no long-time slope can be fit"
         )
-    elif t3 and vanishing and receding:
+    elif t3 and report.vanishing and report.receding:
         text = (
             f"t^-3: direct integration shows slope {direct_fit.slope:.2f}, the "
-            f"t^-1 weight falls by x{1.0 / d1_ratio:.0f} from N={n_lo} to "
-            f"N={n_hi}, and its onset recedes ({ladder[0]:.2f} -> "
-            f"{ladder[-1]:.2f}); the t^-1 stage is a truncation artifact"
+            f"t^-1 weight falls by x{1.0 / report.d1_ratio:.0f} from N={n_lo} to "
+            f"N={n_hi}, and its onset recedes ({report.crossover[0]:.2f} -> "
+            f"{report.crossover[-1]:.2f}); the t^-1 stage is a truncation artifact"
         )
-    elif not t3 and not vanishing:
+    elif not t3 and not report.vanishing:
         text = (
             f"t^-1: direct slope {direct_fit.slope:.2f} and a t^-1 weight "
             f"that does not vanish with N"
@@ -470,7 +469,7 @@ def adjudicate(
     else:
         text = (
             f"mixed evidence: direct slope {direct_fit.slope:.2f}, "
-            f"D1({n_hi})/D1({n_lo}) = {d1_ratio}"
+            f"D1({n_hi})/D1({n_lo}) = {report.d1_ratio}"
         )
     return Verdict(
         expansions=expansions,
@@ -480,11 +479,6 @@ def adjudicate(
         window=window,
         direct_fit=direct_fit,
         expansion_fits=expansion_fits,
-        d1=d1,
-        d1_ratio=d1_ratio,
-        crossover=crossover,
         t3=t3,
-        vanishing=vanishing,
-        receding=receding,
         text=text,
     )

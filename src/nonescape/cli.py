@@ -417,7 +417,7 @@ def cmd_sumrule(cfg: RunConfig, args: argparse.Namespace) -> int:
     data = _expanded(cfg, _located(cfg), truncations[-1])
     rows = []
     for n in truncations:
-        values = np.abs(sum_rule_residual(data, r, n_pairs=n))
+        values = np.abs(sum_rule_residual(data.truncate(n), r))
         rows.extend((n, rr, vv) for rr, vv in zip(r, values))
     _write_csv(out / "sumrule.csv", cfg, "sumrule", ("n_pairs", "r", "abs_s"), rows)
     return 0
@@ -529,7 +529,8 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     data = _expanded(cfg, pole_set, truncations[-1])
     run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=grid)
     sums = probability_sums(data, TimeGrid(times=run.series.times), truncations)
-    verdict = adjudicate(run.series, run.horizon_time, sums, data, pole_set.pole(1))
+    report = convergence_study(data, truncations)
+    verdict = adjudicate(run.series, run.horizon_time, sums, report, pole_set.pole(1))
 
     p_direct = run.series.probability
     header = ["t", "p_direct"]
@@ -554,9 +555,9 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
             str(n): {"value": f.slope, "stderr": f.stderr}
             for n, f in verdict.expansion_fits.items()
         },
-        "d1": {str(n): float(v) for n, v in verdict.d1.items()},
-        "d1_ratio": verdict.d1_ratio,
-        "crossover": {str(n): float(v) for n, v in verdict.crossover.items()},
+        "d1": {str(n): float(v) for n, v in zip(truncations, report.t1_matrix)},
+        "d1_ratio": report.d1_ratio,
+        "crossover": {str(n): float(v) for n, v in zip(truncations, report.crossover)},
         "max_rel_dev_lifetime_window": verdict.lifetime_dev,
         "verdict": verdict.text,
     }

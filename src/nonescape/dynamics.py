@@ -16,8 +16,8 @@ N = 160) is not drowned by cancellation noise and no term order matters.
 Every truncation's terms are, bit for bit, the central block of the largest
 truncation's (2N)^2 term array, so :func:`probability_sums` gives P(t) for
 a whole list of truncations from one pass over the largest one's terms.
-Each term carries a ring label, the index of the smallest listed truncation
-whose block holds it; the exact binning adds the label to its bin index,
+Each term carries its :func:`truncation_rings` label (the tail's moment
+sums share them); the exact binning adds the label to its bin index,
 integer sums over the rings 0..g give truncation g's bins, and each
 truncation is rounded once, so its samples equal ``math.fsum`` of its own
 terms.  The pass runs over blocks of samples; its outer product, weighted
@@ -46,6 +46,7 @@ __all__ = [
     "lifetime",
     "NonescapeSeries",
     "ProbabilitySums",
+    "truncation_rings",
     "probability_sums",
     "nonescape_probability",
     "exact_nested_sums",
@@ -318,18 +319,10 @@ class ProbabilitySums:
         )
 
 
-def probability_sums(
-    data: ExpansionData,
-    grid: TimeGrid,
-    truncations: tuple[int, ...] | list[int],
-) -> ProbabilitySums:
-    """P(t) sums of every truncation in one pass over the largest one's terms.
-
-    A truncation's terms are the central block of the largest truncation's
-    term array, so each term is labelled with the ring of the smallest
-    truncation holding it, and :func:`exact_nested_sums` rounds each
-    truncation's own sum once.
-    """
+def truncation_rings(
+    data: ExpansionData, truncations: tuple[int, ...] | list[int]
+) -> tuple[tuple[int, ...], ExpansionData, np.ndarray]:
+    """Checked truncations, the largest one's expansion, and its terms' rings."""
     truncs = tuple(int(n) for n in truncations)
     if not truncs or list(truncs) != sorted(set(truncs)):
         raise ConfigError("truncations must be distinct and ascending")
@@ -337,12 +330,22 @@ def probability_sums(
         bad = truncs[0] if truncs[0] < 1 else truncs[-1]
         raise ConfigError(f"truncation {bad} outside the built range 1..{data.n_pairs}")
     sub = data.truncate(truncs[-1])
+    state_ring = np.searchsorted(truncs, np.abs(sub.indices))
+    return truncs, sub, np.maximum.outer(state_ring, state_ring).ravel()
+
+
+def probability_sums(
+    data: ExpansionData,
+    grid: TimeGrid,
+    truncations: tuple[int, ...] | list[int],
+) -> ProbabilitySums:
+    """P(t) sums of every truncation in one pass over the largest one's terms.
+
+    Each term carries its :func:`truncation_rings` label, so
+    :func:`exact_nested_sums` rounds each truncation's own sum once.
+    """
+    truncs, sub, rings = truncation_rings(data, truncations)
     times = grid.times
-    big = sub.n_pairs
-    # pair number |n| of each position in the order -N..-1, 1..N
-    level = np.concatenate([np.arange(big, 0, -1), np.arange(1, big + 1)])
-    state_ring = np.searchsorted(truncs, level)
-    rings = np.maximum.outer(state_ring, state_ring).ravel()
     w_all = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, times))
     step = min(len(times), max(1, _BLOCK // sub.overlap.size))
     outer = np.empty((step,) + sub.overlap.shape, dtype=complex)

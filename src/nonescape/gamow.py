@@ -644,21 +644,15 @@ def weighted_field(
     return acc.reshape(np.shape(r))
 
 
-def sum_rule_residual(
-    data: ExpansionData, r: np.ndarray | float, n_pairs: int | None = None
-) -> np.ndarray | complex:
+def sum_rule_residual(data: ExpansionData, r: np.ndarray | float) -> np.ndarray | complex:
     """S_N(r) = sum_{|n| <= N} C_n u_n(r) / k_n, which must tend to 0.
 
     For real initial data S_N is purely imaginary, so Re S_N vanishes
     identically and the convergence content lives in Im S_N.
     """
-    sub = data if n_pairs is None else data.truncate(n_pairs)
-    return weighted_field(sub, r, sub.coefficients / sub.wavenumbers)
+    return weighted_field(data, r, data.coefficients / data.wavenumbers)
 
 
-def reconstruct_initial(
-    data: ExpansionData, r: np.ndarray | float, n_pairs: int | None = None
-) -> np.ndarray | complex:
+def reconstruct_initial(data: ExpansionData, r: np.ndarray | float) -> np.ndarray | complex:
     """Partial expansion (1/2) sum_{|n| <= N} C_n u_n(r) of the initial state."""
-    sub = data if n_pairs is None else data.truncate(n_pairs)
-    return weighted_field(sub, r, 0.5 * sub.coefficients)
+    return weighted_field(data, r, 0.5 * data.coefficients)

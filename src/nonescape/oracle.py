@@ -84,6 +84,7 @@ __all__ = [
 ]
 
 _NORM_DRIFT_LIMIT = 1e-7
+_MAX_NODES = 10_000_000  # nodes a grid may hold (16 MB per complex work vector)
 _NORM_CHECK_STRIDE = 200
 # Density within five nodes of r = L at which the contamination horizon is set.
 _LEAK_THRESHOLD = 1e-10
@@ -174,6 +175,8 @@ class OracleResult:
 
 
 def _validate_run(potential: Potential, psi0: InitialState, grid: GridSpec) -> int:
+    if grid.n_nodes > _MAX_NODES:
+        raise ConfigError(f"grid of {grid.n_nodes} nodes exceeds the cap of {_MAX_NODES}")
     radius = potential_range(potential)
     if grid.box_size < 10.0 * radius - 1e-9:
         raise ConfigError(
@@ -467,6 +470,7 @@ def refine_and_compare(
     of the two).  ``flagged`` is set when it exceeds ``tolerance``; no error
     is raised, since deliberate failure probes use this path too.
     """
+    _validate_run(potential, psi0, grid.refined(factor))  # before the base run is spent
     base = evolve_tdse(potential, psi0, grid, times)
     fine = evolve_tdse(potential, psi0, grid.refined(factor), times)
     tb = np.round(base.series.times / grid.dt).astype(int)

@@ -297,6 +297,7 @@ def _polish(potential: Potential, k: np.ndarray, rects: np.ndarray, tol: float) 
     diagonal of each estimate's rectangle, which the zero must not leave."""
     diag = np.hypot(rects[:, 1] - rects[:, 0], rects[:, 3] - rects[:, 2])
     active = np.arange(k.size)
+    moved = np.full(k.size, np.inf)  # |last step| of each active zero
     for _ in range(_NEWTON_MAX_ITER):
         if not active.size:
             break
@@ -308,9 +309,15 @@ def _polish(potential: Potential, k: np.ndarray, rects: np.ndarray, tol: float) 
         big = np.abs(step) > clip
         step[big] *= clip[big] / np.abs(step[big])
         k[active] -= step
-        active = active[np.abs(step) > tol]
-    if active.size:
-        raise RootPolishFailure(f"Newton missed |dk| <= {tol:g} near k = {k[active[0]]:.6g}")
+        moved = np.abs(step)
+        active, moved = active[moved > tol], moved[moved > tol]
+    # past the budget, a last step within tol max(1, |k|) is as close as the
+    # digits of a large |k| allow
+    missed = active[moved > tol * np.maximum(1.0, np.abs(k[active]))]
+    if missed.size:
+        raise RootPolishFailure(
+            f"Newton missed |dk| <= {tol:g} max(1, |k|) near k = {k[missed[0]]:.6g}"
+        )
     margin = 0.1 * diag + 10.0 * tol
     off_re = np.maximum(rects[:, 0] - k.real, k.real - rects[:, 1])
     off_im = np.maximum(rects[:, 2] - k.imag, k.imag - rects[:, 3])

@@ -26,11 +26,11 @@ import numpy as np
 from .asymptote import (
     D1_RATIO_BOUND,
     T3_BAND,
+    TailReport,
     Verdict,
     adjudicate,
+    convergence_study,
     crossover_time,
-    moment_sum,
-    moment_sum_quadrature,
     slope_fit,
     tail_expansion,
 )
@@ -179,13 +179,20 @@ class SelftestContext:
         return result
 
     @cached_property
+    def tail_report(self) -> TailReport:
+        """The tail study of the config's truncations, as ``nonescape tail`` makes it."""
+        return convergence_study(self.data, self.cfg.truncations)
+
+    @cached_property
     def verdict(self) -> Verdict:
         """The adjudication ``nonescape compare`` makes on the same run."""
         run = self.long_run
         sums = probability_sums(
             self.data, TimeGrid(times=run.series.times), self.cfg.truncations
         )
-        return adjudicate(run.series, run.horizon_time, sums, self.data, self.pole_set.pole(1))
+        return adjudicate(
+            run.series, run.horizon_time, sums, self.tail_report, self.pole_set.pole(1)
+        )
 
     @cached_property
     def gauss_run(self) -> OracleResult:
@@ -311,7 +318,7 @@ def check_completeness(ctx: SelftestContext) -> CheckResult:
     l2_dev = {}
     for n in (5, 40):
         r, w = panel_nodes(0.0, ctx.cfg.psi0.radius, 2 * n)
-        gap = reconstruct_initial(ctx.data, r, n_pairs=n) - initial_wavefunction(
+        gap = reconstruct_initial(ctx.data.truncate(n), r) - initial_wavefunction(
             ctx.cfg.psi0, r
         )
         l2 = float(np.sum(w * np.abs(gap) ** 2))
@@ -330,8 +337,8 @@ def check_completeness(ctx: SelftestContext) -> CheckResult:
 def check_sum_rule(ctx: SelftestContext) -> CheckResult:
     """|S_N| at interior radii must drop at least tenfold from N=5 to N=40."""
     r = np.array([0.25, 0.5, 0.75])
-    s5 = np.abs(sum_rule_residual(ctx.data, r, n_pairs=5))
-    s40 = np.abs(sum_rule_residual(ctx.data, r, n_pairs=40))
+    s5 = np.abs(sum_rule_residual(ctx.data.truncate(5), r))
+    s40 = np.abs(sum_rule_residual(ctx.data.truncate(40), r))
     ratios = s5 / s40
     passed = bool(np.all(ratios >= 10.0))
     details = "drop factors " + ", ".join(
@@ -342,27 +349,16 @@ def check_sum_rule(ctx: SelftestContext) -> CheckResult:
 
 def check_tail_coefficient(ctx: SelftestContext) -> CheckResult:
     """t^-1 weight: non-negative, route-consistent, vanishing with N."""
-    d1 = {
-        n: tail_expansion(ctx.data, n_pairs=n, max_order=1).t1
-        for n in range(1, 41)
-    }
-    nonneg = all(v >= 0.0 for v in d1.values())
-
-    route_dev = 0.0
-    for n in ctx.cfg.truncations:
-        a = moment_sum(ctx.data, 1, 1, n_pairs=n)
-        b = moment_sum_quadrature(ctx.data, 1, 1, n_pairs=n)
-        route_dev = max(route_dev, abs(a - b) / abs(a))
-
-    # the verdict checks each truncation's two routes to D1 (its
-    # tail_coefficient_t1 raises on a mismatch) and judges their ratio
-    verdict = ctx.verdict
-    n_lo, n_hi = ctx.cfg.truncations[0], ctx.cfg.truncations[-1]
-    passed = nonneg and route_dev <= 1e-6 and verdict.vanishing
+    d1 = [tail.t1 for tail in tail_expansion(ctx.data, range(1, 41))]
+    nonneg = all(v >= 0.0 for v in d1)
+    report = ctx.tail_report
+    report.check_routes()
+    n_lo, n_hi = report.truncations[0], report.truncations[-1]
+    passed = nonneg and report.vanishing
     details = (
-        f"min D1 {min(d1.values()):.2e} (all N <= 40 non-negative: {nonneg}); "
-        f"route dev {route_dev:.2e} (tol 1e-6); D1({n_hi})/D1({n_lo}) = "
-        f"{verdict.d1_ratio:.2e} (tol {D1_RATIO_BOUND:g})"
+        f"min D1 {min(d1):.2e} (all N <= 40 non-negative: {nonneg}); "
+        f"route dev {report.route_dev:.2e} (tol 1e-6); "
+        f"D1({n_hi})/D1({n_lo}) = {report.d1_ratio:.2e} (tol {D1_RATIO_BOUND:g})"
     )
     return CheckResult(6, "tail coefficient", passed, details)
 
@@ -383,7 +379,8 @@ def check_cross_validation(ctx: SelftestContext) -> CheckResult:
 def check_long_time_law(ctx: SelftestContext) -> CheckResult:
     """Slope of the algebraic tail, and the truncation crossover ladder.
 
-    The direct slope, the N <= 40 slopes and crossovers are the verdict's.
+    The direct and N <= 40 slopes are the verdict's, the N <= 40 crossovers
+    and N = 40's tail the tail report's.
     A truncation's tail T1/t + T3/t^3 has local slope -3 + 2x/(1+x) with
     x = (t/t_c)^2, which stays at or below -2.7 only for t <= 0.42 t_c.  So
     a truncation shows the t^-3 law on the fit window only if its crossover
@@ -397,10 +394,9 @@ def check_long_time_law(ctx: SelftestContext) -> CheckResult:
 
     t = ctx.long_run.series.times
     t_win = TimeGrid(times=t[(t >= window[0]) & (t <= window[1])])
-    crossovers = dict(verdict.crossover)
-    wide_tails = {n: tail_expansion(ctx.wide_data, n_pairs=n) for n in _WIDE_TRUNCATIONS}
-    crossovers.update({n: crossover_time(tail) for n, tail in wide_tails.items()})
-    ladder = list(crossovers.values())
+    report = ctx.tail_report
+    wide_tails = tail_expansion(ctx.wide_data, _WIDE_TRUNCATIONS)
+    ladder = report.crossover.tolist() + [crossover_time(tail) for tail in wide_tails]
 
     n_top = _WIDE_TRUNCATIONS[-1]
     t_need = 2.4 * window[1]
@@ -410,13 +406,13 @@ def check_long_time_law(ctx: SelftestContext) -> CheckResult:
     n_max = ctx.cfg.truncations[-1]
     truncated = verdict.expansion_fits[n_max]
     # the same least-squares ln P vs ln t fit as slope_fit, on the same samples
-    own = tail_expansion(ctx.data, n_pairs=n_max).evaluate(t_win.times)
+    own = report.tails[-1].evaluate(t_win.times)
     own_tail = float(np.polyfit(np.log(t_win.times), np.log(own), 1)[0])
     tail_dev = abs(truncated.slope - own_tail)
 
     band = f"band [{T3_BAND[0]:g}, {T3_BAND[1]:g}]"
     converged_ok = (
-        crossovers[n_top] >= t_need and T3_BAND[0] <= converged.slope <= T3_BAND[1]
+        ladder[-1] >= t_need and T3_BAND[0] <= converged.slope <= T3_BAND[1]
     )
     ladder_ok = all(a < b for a, b in zip(ladder, ladder[1:]))
     passed = verdict.t3 and converged_ok and tail_dev <= 0.05 and ladder_ok
@@ -424,7 +420,7 @@ def check_long_time_law(ctx: SelftestContext) -> CheckResult:
         f"direct slope {direct.slope:.3f} +- {direct.stderr:.3f} on "
         f"[{window[0]:.2f}, {window[1]:.2f}] ({band}); N={n_top} "
         f"slope {converged.slope:.3f} in same window ({band}; "
-        f"premise t_c = {crossovers[n_top]:.2f} >= 2.4 t_hi = {t_need:.2f}); "
+        f"premise t_c = {ladder[-1]:.2f} >= 2.4 t_hi = {t_need:.2f}); "
         f"N={n_max} slope {truncated.slope:.3f} vs its own tail {own_tail:.3f} "
         f"(tol 0.05); crossover times "
         + " < ".join(f"{c:.2f}" for c in ladder)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nonescape.asymptote as asym
 from nonescape.asymptote import (
     SlopeFit,
     TailCoefficients,
+    TailReport,
     adjudicate,
     convergence_study,
     crossover_time,
@@ -35,8 +39,8 @@ from nonescape.errors import (
 )
 from nonescape.gamow import ExpansionData
 from nonescape.poles import ResonancePole
-from nonescape.selftest import SelftestContext
-from nonescape.specfn import TAIL_PREFACTOR
+from nonescape.selftest import SelftestContext, check_tail_coefficient
+from nonescape.specfn import TAIL_PREFACTOR, asymptotic_coefficients
 
 # Frozen tail data for the reference problem (shell lam = 6, R = 1, psi0 the
 # lowest box mode): the spurious t^-1 weight versus truncation, the genuine
@@ -60,28 +64,28 @@ def _series(t: np.ndarray, p: np.ndarray) -> NonescapeSeries:
 def test_moment_sum_routes_agree(data: ExpansionData) -> None:
     for a, b in ((1, 1), (1, 3), (3, 3)):
         for n_pairs in (5, 20, 40):
-            q_mat = moment_sum(data, a, b, n_pairs)
-            q_quad = moment_sum_quadrature(data, a, b, n_pairs)
+            q_mat = moment_sum(data.truncate(n_pairs), a, b)
+            q_quad = moment_sum_quadrature(data.truncate(n_pairs), a, b)
             assert abs(q_mat - q_quad) <= 1e-9 + 1e-7 * abs(q_quad), (a, b, n_pairs)
 
 
 def test_moment_sum_hermitian_diagonal(data: ExpansionData) -> None:
     # Q[a, a] = int |sigma_a|^2 dr is real and non-negative.
     for a in (1, 3):
-        q = moment_sum(data, a, a, n_pairs=20)
+        q = moment_sum(data.truncate(20), a, a)
         assert abs(q.imag) <= 1e-14 * max(abs(q.real), 1e-300)
         assert q.real >= 0.0
 
 
 def test_t1_coefficient_frozen_values(data: ExpansionData) -> None:
     for n_pairs, frozen in _D1.items():
-        d1 = tail_coefficient_t1(data, n_pairs=n_pairs)
+        d1 = tail_coefficient_t1(data.truncate(n_pairs))
         assert d1 == pytest.approx(frozen, rel=1e-4), f"N = {n_pairs}"
         assert d1 >= 0.0
 
 
 def test_t1_decreases_with_truncation(data: ExpansionData) -> None:
-    values = [tail_expansion(data, n_pairs=n, max_order=1).t1 for n in range(1, 41)]
+    values = [tail.t1 for tail in tail_expansion(data, range(1, 41))]
     assert all(v >= 0.0 for v in values)
     assert values[-1] <= 0.1 * values[4]  # N = 40 vs N = 5
     assert values[-1] < values[0]
@@ -90,17 +94,17 @@ def test_t1_decreases_with_truncation(data: ExpansionData) -> None:
 def test_t1_cross_check_detects_inconsistency(data: ExpansionData, monkeypatch) -> None:
     original = asym.moment_sum_quadrature
 
-    def skewed(d, a, b, n_pairs=None):
-        return 1.01 * original(d, a, b, n_pairs)
+    def skewed(d, a, b):
+        return 1.01 * original(d, a, b)
 
     monkeypatch.setattr(asym, "moment_sum_quadrature", skewed)
-    with pytest.raises(EquivalenceViolation, match="routes disagree"):
-        tail_coefficient_t1(data, n_pairs=10)
+    with pytest.raises(EquivalenceViolation, match=r"routes disagree by .* \(N = \(10,\)\)"):
+        tail_coefficient_t1(data.truncate(10))
 
 
 def test_tail_expansion_first_entry_matches_t1(data: ExpansionData) -> None:
-    coeffs = tail_expansion(data, n_pairs=20, max_order=3)
-    t1 = tail_coefficient_t1(data, n_pairs=20)
+    (coeffs,) = tail_expansion(data, (20,))
+    t1 = tail_coefficient_t1(data.truncate(20))
     assert coeffs.t1 == t1  # same code path, bit-identical
     assert coeffs.values[0] == coeffs.t1
     assert len(coeffs.values) == 3
@@ -109,17 +113,60 @@ def test_tail_expansion_first_entry_matches_t1(data: ExpansionData) -> None:
 
 def test_tail_t2_vanishes_for_real_initial_state(data: ExpansionData) -> None:
     # T_2 ~ Im Q[1, 3], which vanishes when psi0 is real.
-    for n_pairs in (5, 20, 40):
-        coeffs = tail_expansion(data, n_pairs=n_pairs)
+    for coeffs in tail_expansion(data, (5, 20, 40)):
         assert abs(coeffs.values[1]) <= 1e-12 * max(abs(coeffs.values[0]), abs(coeffs.values[2]))
 
 
 def test_tail_t3_approaches_finite_limit(data: ExpansionData) -> None:
-    t3_40 = tail_expansion(data, n_pairs=40).values[2]
+    t3_20, t3_40 = (tail.values[2] for tail in tail_expansion(data, (20, 40)))
     assert t3_40 == pytest.approx(_T3_40, rel=1e-4)
-    t3_20 = tail_expansion(data, n_pairs=20).values[2]
     assert t3_20 == pytest.approx(t3_40, rel=0.05)  # converged, unlike T_1
     assert t3_40 > 0.0
+
+
+def _own_tail(sub: ExpansionData) -> tuple[float, ...]:
+    """T_1..T_3 of one truncation from ``math.fsum`` of its own terms."""
+
+    def q(a: int, b: int) -> complex:
+        wa = sub.coefficients / sub.wavenumbers ** a
+        wb = sub.coefficients / sub.wavenumbers ** b
+        outer = wa[:, None] * np.conj(wb)[None, :]
+        terms = (sub.overlap * outer).ravel()
+        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+    m = asymptotic_coefficients(3)
+    values = []
+    for p in (1, 2, 3):
+        acc = 0.0 + 0.0j
+        for j in range(p):
+            jp = p - 1 - j
+            acc += m[j] * m[jp] * (1j) ** (j - jp) * q(2 * j + 1, 2 * jp + 1)
+        values.append(float(acc.real))
+    return tuple(values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True).map(sorted),
+    st.booleans(),
+)
+def test_tail_table_equals_fsum_of_each_truncation(
+    data: ExpansionData, truncations: list[int], twist: bool
+) -> None:
+    # One nested pass per Q[a, b] row gives every truncation's T_1..T_3, bit
+    # for bit as if each truncation were summed on its own.  For the real
+    # psi0 each Q is real and Q[a, b] = Q[b, a]; a phase ramp on the
+    # coefficients (``twist``) makes every row differ.
+    if twist:
+        ramp = np.exp(0.1j * np.arange(data.coefficients.size))
+        data = dataclasses.replace(data, coefficients=data.coefficients * ramp)
+    tails = tail_expansion(data, truncations)
+    assert [tail.n_pairs for tail in tails] == truncations
+    for tail in tails:
+        own = _own_tail(data.truncate(tail.n_pairs))
+        assert np.array_equal(
+            np.array(tail.values).view(np.int64), np.array(own).view(np.int64)
+        ), tail.n_pairs
 
 
 def test_tail_evaluate() -> None:
@@ -127,13 +174,6 @@ def test_tail_evaluate() -> None:
     assert coeffs.evaluate(2.0) == pytest.approx(2.0 / 2.0 + 8.0 / 8.0)
     arr = coeffs.evaluate(np.array([1.0, 10.0]))
     np.testing.assert_allclose(arr, [10.0, 0.208], rtol=1e-12)
-
-
-def test_tail_expansion_rejects_bad_order(data: ExpansionData) -> None:
-    with pytest.raises(ConfigError, match="orders 1..3"):
-        tail_expansion(data, n_pairs=5, max_order=4)
-    with pytest.raises(ConfigError, match="orders 1..3"):
-        tail_expansion(data, n_pairs=5, max_order=0)
 
 
 def test_crossover_analytic_two_term_tail() -> None:
@@ -150,10 +190,10 @@ def test_crossover_pure_cubic_is_infinite() -> None:
 
 def test_crossover_frozen_ladder(data: ExpansionData) -> None:
     times = {}
-    for n_pairs, frozen in _CROSSOVER.items():
-        coeffs = tail_expansion(data, n_pairs=n_pairs)
+    for coeffs in tail_expansion(data, tuple(_CROSSOVER)):
+        n_pairs = coeffs.n_pairs
         times[n_pairs] = crossover_time(coeffs)
-        assert times[n_pairs] == pytest.approx(frozen, rel=1e-3), f"N = {n_pairs}"
+        assert times[n_pairs] == pytest.approx(_CROSSOVER[n_pairs], rel=1e-3), f"N = {n_pairs}"
     ladder = [times[n] for n in sorted(times)]
     assert ladder == sorted(ladder)  # monotone increase with N
     # A one-pair truncation leaves a strong spurious tail: early crossover.
@@ -166,15 +206,14 @@ def test_crossover_frozen_ladder(data: ExpansionData) -> None:
 def test_synthetic_zero_sum_rule_kills_t1(data: ExpansionData, monkeypatch) -> None:
     # If the sum rule were exactly satisfied (Q[1, .] = 0) the t^-1 and t^-2
     # terms would vanish identically and the tail would be pure t^-3.
-    original = asym.moment_sum
+    original = asym._moment_row
 
-    def forced(d, a, b, n_pairs=None):
-        if 1 in (a, b):
-            return 0.0 + 0.0j
-        return original(d, a, b, n_pairs)
+    def forced(sub, rings, a, b):
+        row = original(sub, rings, a, b)
+        return 0.0 * row if 1 in (a, b) else row
 
-    monkeypatch.setattr(asym, "moment_sum", forced)
-    coeffs = tail_expansion(data, n_pairs=10)
+    monkeypatch.setattr(asym, "_moment_row", forced)
+    (coeffs,) = tail_expansion(data, (10,))
     assert coeffs.values[0] == 0.0
     assert coeffs.values[1] == 0.0
     assert coeffs.values[2] > 0.0
@@ -317,7 +356,7 @@ def test_convergence_study_reuses_largest_series(
 def test_convergence_study_tail_matches_series(data: ExpansionData) -> None:
     # Far beyond the crossover the truncated series itself must follow its
     # own three-term tail.
-    coeffs = tail_expansion(data, n_pairs=10)
+    (coeffs,) = tail_expansion(data, (10,))
     t = np.array([400.0, 900.0, 2000.0])
     series = nonescape_probability(data, TimeGrid(t), n_pairs=10)
     np.testing.assert_allclose(series.probability, coeffs.evaluate(t), rtol=0.05)
@@ -328,25 +367,27 @@ def test_convergence_study_validation(data: ExpansionData) -> None:
         convergence_study(data, truncations=(10, 5))
     with pytest.raises(ConfigError, match="ascending"):
         convergence_study(data, truncations=(5, 5))
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="truncation 0 outside the built range 1..40"):
         convergence_study(data, truncations=(0, 5))
-    with pytest.raises(ConfigError, match="exceeds built expansion"):
+    with pytest.raises(ConfigError, match="truncation 10000 outside the built range 1..40"):
         convergence_study(data, truncations=(10_000,))
 
 
 def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
     ctx: SelftestContext,
 ) -> None:
-    # The verdict selftest checks 6-8 read, against the routes those checks
-    # took on their own before they shared it, and their printed numbers.
-    verdict, run, data = ctx.verdict, ctx.long_run, ctx.data
+    # The verdict and tail report selftest checks 6-8 read, against the
+    # routes those checks took on their own before they shared them, and
+    # their printed numbers.
+    verdict, report, run, data = ctx.verdict, ctx.tail_report, ctx.long_run, ctx.data
     pole = ctx.pole_set.pole(1)
     assert verdict.text.startswith("t^-3: direct integration shows slope -3.14")
-    assert verdict.t3 and verdict.vanishing and verdict.receding
+    assert verdict.t3 and report.vanishing and report.receding
+    assert f"{report.route_dev:.2e}" == "3.51e-09"
 
-    d1 = {n: tail_expansion(data, n_pairs=n, max_order=1).t1 for n in (5, 40)}
-    assert verdict.d1_ratio == d1[40] / d1[5]
-    assert f"{verdict.d1_ratio:.2e}" == "2.32e-03"
+    d1 = {tail.n_pairs: tail.t1 for tail in tail_expansion(data, (5, 40))}
+    assert report.d1_ratio == d1[40] / d1[5]
+    assert f"{report.d1_ratio:.2e}" == "2.32e-03"
 
     t = run.series.times
     tau = lifetime(pole)
@@ -366,26 +407,30 @@ def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
     t_win = TimeGrid(t[(t >= window[0]) & (t <= window[1])])
     n40 = slope_fit(nonescape_probability(data, t_win, n_pairs=40), window)
     assert verdict.expansion_fits[40] == n40 and f"{n40.slope:.3f}" == "-1.811"
-    assert [f"{verdict.crossover[n]:.2f}" for n in (5, 10, 20, 40)] == [
-        "1.10", "3.05", "8.39", "23.15"
-    ]
+    assert report.truncations == (5, 10, 20, 40)
+    assert [f"{c:.2f}" for c in report.crossover] == ["1.10", "3.05", "8.39", "23.15"]
 
 
 _UNIT_POLE = ResonancePole(n=1, k=1.0 - 0.25j, residual=0.0, scale=1.0)  # Gamma = 1
 
 
-def _synthetic_verdict(data: ExpansionData, slope: float, truncations: tuple[int, ...]):
-    """adjudicate on a direct run exp(-t) + 1e-3 t^slope that every
-    truncation's P(t) matches; D1 and the crossovers are ``data``'s."""
-    t = np.geomspace(0.05, 400.0, 161)
-    p = np.exp(-t) + 1e-3 * t ** slope
-    sums = ProbabilitySums(
+def _synthetic_sums(t: np.ndarray, p: np.ndarray, truncations: tuple[int, ...]):
+    """Sums in which every truncation's P(t) is ``p``."""
+    return ProbabilitySums(
         times=t,
         truncations=truncations,
         sums=np.tile(p.astype(complex), (len(truncations), 1)),
         mode="closed",
     )
-    return adjudicate(_series(t, p), None, sums, data, _UNIT_POLE)
+
+
+def _synthetic_verdict(report: TailReport, slope: float):
+    """adjudicate on a direct run exp(-t) + 1e-3 t^slope that every
+    truncation's P(t) matches; D1 and the crossovers are the report's."""
+    t = np.geomspace(0.05, 400.0, 161)
+    p = np.exp(-t) + 1e-3 * t ** slope
+    sums = _synthetic_sums(t, p, report.truncations)
+    return adjudicate(_series(t, p), None, sums, report, _UNIT_POLE)
 
 
 # D1(20)/D1(9) = 0.0978 and D1(22)/D1(10) = 0.1006 straddle the ratio
@@ -407,11 +452,12 @@ def _synthetic_verdict(data: ExpansionData, slope: float, truncations: tuple[int
 def test_adjudicate_branches_at_band_edges_and_ratio_bound(
     data: ExpansionData, slope: float, truncations: tuple[int, ...], expected: str
 ) -> None:
-    verdict = _synthetic_verdict(data, slope, truncations)
+    report = convergence_study(data, truncations)
+    verdict = _synthetic_verdict(report, slope)
     assert verdict.direct_fit is not None
     assert abs(verdict.direct_fit.slope - slope) < 1e-3
     assert verdict.text.startswith(expected), verdict.text
-    assert verdict.receding
+    assert report.receding
     assert verdict.lifetime_window == (0.1, 5.0) and verdict.lifetime_dev == 0.0
     assert set(verdict.expansion_fits) == set(truncations)
 
@@ -421,11 +467,28 @@ def test_adjudicate_without_a_tail_window_gives_no_adjudication(
 ) -> None:
     t = np.geomspace(0.05, 40.0, 120)
     p = np.exp(-t)
-    sums = ProbabilitySums(
-        times=t, truncations=(5, 10), sums=np.tile(p.astype(complex), (2, 1)), mode="closed"
-    )
-    verdict = adjudicate(_series(t, p), None, sums, data, _UNIT_POLE)
+    report = convergence_study(data, (5, 10))
+    verdict = adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 10)), report, _UNIT_POLE)
     assert verdict.text.startswith("no adjudication")
     assert verdict.window is None and verdict.direct_fit is None
     assert verdict.expansion_fits == {} and not verdict.t3
-    assert set(verdict.d1) == {5, 10}
+    # without a window the routes to D1 are still checked
+    skewed = dataclasses.replace(report, t1_quadrature=1.01 * report.t1_quadrature)
+    with pytest.raises(EquivalenceViolation, match="routes disagree by "):
+        adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 10)), skewed, _UNIT_POLE)
+    with pytest.raises(ConfigError, match=r"truncations \(5, 10\) differ from \(5, 20\)"):
+        adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 20)), report, _UNIT_POLE)
+
+
+def test_check_6_reads_the_tail_report_without_the_direct_run(ctx: SelftestContext) -> None:
+    # Check 6 judges the config truncations' tail report and one table over
+    # N = 1..40; the direct integration is left to checks 7 and 8.
+    fresh = SelftestContext(ctx.cfg)
+    vars(fresh).update(pole_set=ctx.pole_set, data=ctx.data)
+    result = check_tail_coefficient(fresh)
+    assert "long_run" not in vars(fresh) and "verdict" not in vars(fresh)
+    assert result.line == (
+        "check 6/9 PASS - tail coefficient: min D1 4.18e-09 (all N <= 40 "
+        "non-negative: True); route dev 3.51e-09 (tol 1e-6); D1(40)/D1(5) = "
+        "2.32e-03 (tol 0.1)"
+    )

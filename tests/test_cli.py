@@ -307,6 +307,33 @@ def test_oversized_log_grid_is_a_config_error() -> None:
 
 
 @pytest.mark.parametrize(
+    "overrides, argv",
+    [
+        # 2.4e14 nodes: refused before numpy is asked for petabytes
+        (
+            {
+                "potential": {"kind": "piecewise_constant", "pieces": [[0.0, 1.0, 0.0]]},
+                "oracle_grid": {"box_size": 240.0, "dr": 1e-12, "dt": 0.0004, "t_final": 1.0},
+            },
+            [],
+        ),
+        # a valid 2,401-node grid refined past the cap: refused before the base run
+        ({}, ["--refine", "100000"]),
+    ],
+)
+def test_oversized_oracle_grid_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, overrides: dict, argv: list[str]
+) -> None:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(**overrides)))
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(path), "--out", str(out), *argv]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and "exceeds the cap of 10000000" in error["message"]
+    assert not (out / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize(
     "command", ["poles", "expansion", "sumrule", "nonescape", "tail", "compare"]
 )
 @pytest.mark.parametrize("nmax", ["0", "-1"])

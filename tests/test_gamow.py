@@ -247,7 +247,7 @@ def test_reconstruction_converges_to_initial_state(data: ExpansionData) -> None:
     r = np.linspace(0.05, 0.95, 19)
     psi0 = np.asarray(initial_wavefunction(REFERENCE_STATE, r))
     for n_pairs, frozen in _RECONSTRUCTION_ERR.items():
-        rec = np.asarray(reconstruct_initial(data, r, n_pairs=n_pairs))
+        rec = np.asarray(reconstruct_initial(data.truncate(n_pairs), r))
         err = float(np.max(np.abs(rec - psi0)))
         assert err == pytest.approx(frozen, rel=2e-2), f"N = {n_pairs}"
     assert _RECONSTRUCTION_ERR[40] < _RECONSTRUCTION_ERR[5]
@@ -257,21 +257,21 @@ def test_sum_rule_residual_purely_imaginary(data: ExpansionData) -> None:
     # For real psi0 the paired terms cancel in the real part exactly.
     r = np.array([0.25, 0.5, 0.75])
     for n_pairs in (5, 20, 40):
-        s = np.asarray(sum_rule_residual(data, r, n_pairs=n_pairs))
+        s = np.asarray(sum_rule_residual(data.truncate(n_pairs), r))
         assert np.max(np.abs(s.real)) <= 1e-13
-    s40 = np.asarray(sum_rule_residual(data, r, n_pairs=40))
-    s5 = np.asarray(sum_rule_residual(data, r, n_pairs=5))
+    s40 = np.asarray(sum_rule_residual(data.truncate(40), r))
+    s5 = np.asarray(sum_rule_residual(data.truncate(5), r))
     assert np.all(np.abs(s40) <= 0.1 * np.abs(s5))
 
 
 def test_sum_rule_scalar_evaluation(data: ExpansionData) -> None:
-    value = sum_rule_residual(data, 0.5, n_pairs=10)
+    value = sum_rule_residual(data.truncate(10), 0.5)
     assert isinstance(value, complex)
-    arr = np.asarray(sum_rule_residual(data, np.array([0.5]), n_pairs=10))
+    arr = np.asarray(sum_rule_residual(data.truncate(10), np.array([0.5])))
     assert value == pytest.approx(complex(arr[0]), rel=1e-15)
     grid = np.array([[0.25, 0.5], [0.75, 1.0]])
-    assert np.asarray(sum_rule_residual(data, grid, n_pairs=10)).shape == (2, 2)
-    assert np.asarray(sum_rule_residual(data, np.array([]), n_pairs=10)).shape == (0,)
+    assert np.asarray(sum_rule_residual(data.truncate(10), grid)).shape == (2, 2)
+    assert np.asarray(sum_rule_residual(data.truncate(10), np.array([]))).shape == (0,)
 
 
 def test_expansion_norm_approaches_unity(data: ExpansionData) -> None:

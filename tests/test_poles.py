@@ -367,6 +367,19 @@ def test_winding_count_raises_typed_errors() -> None:
         winding_count(DeltaShell(1.0e6, 1.0), SearchWindow(re_max=4.0, im_min=-1.0))
 
 
+def test_barrier_poles_at_tight_tolerance() -> None:
+    # Near k = 383 - 5.03i an absolute tol of 1e-12 is 2.6e-15 of |k|, below
+    # what Newton's rounding reaches; those zeros are accepted once their
+    # last step is within tol max(1, |k|) and the budget is spent.  The
+    # result matches the tol 1e-10 search to 8.5e-15 relative.
+    barrier = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
+    window = SearchWindow(re_max=503.5, im_min=-6.0)
+    tight = np.array([p.k for p in locate_poles(barrier, window, tol=1e-12).poles])
+    loose = np.array([p.k for p in locate_poles(barrier, window, tol=1e-10).poles])
+    assert tight.size == loose.size == 160
+    assert np.max(np.abs(tight - loose) / np.abs(loose)) <= 1e-14
+
+
 def test_root_polish_failure_raised(monkeypatch: pytest.MonkeyPatch) -> None:
     for name, value, message in (
         ("_NEWTON_MAX_ITER", 1, "Newton missed"),
