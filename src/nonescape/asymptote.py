@@ -22,8 +22,8 @@ and cross-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import inf
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,10 +31,10 @@ import numpy as np
 from .dynamics import (
     NonescapeSeries,
     ProbabilitySums,
-    exact_nested_sums,
     exact_row_sums,
     gamma_width,
     lifetime,
+    nested_forms,
     truncation_rings,
 )
 from .errors import (
@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .poles import ResonancePole
 
 _QUAD_ORDER = 20  # Gauss-Legendre nodes per panel of the quadrature route to Q
-_CROSSOVER_PER_DECADE = 240  # log-grid points per decade of the crossover search
 _D1_ROUTE_RTOL = 1e-6  # allowed disagreement of the two routes to T_1
 _DECAY_MARGIN = 1e-3  # suppression of the exponential stage opening the tail window
 _LIFETIME_SPAN = (0.1, 5.0)  # lifetimes over which direct and expansion P(t) are compared
@@ -62,7 +61,6 @@ T3_BAND = (-3.3, -2.7)
 D1_RATIO_BOUND = 0.1
 
 __all__ = [
-    "moment_sum",
     "moment_sum_quadrature",
     "TailCoefficients",
     "tail_coefficient_t1",
@@ -80,28 +78,19 @@ __all__ = [
 ]
 
 
-def _moment_row(sub: ExpansionData, rings: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Q[a, b] of every ring group of ``sub``'s terms, each correctly rounded."""
-    wa = sub.coefficients / sub.wavenumbers ** a
-    wb = sub.coefficients / sub.wavenumbers ** b
-    # named, so numpy cannot multiply it in place as the left operand (the
-    # complex product is not bitwise commutative)
-    outer = wa[:, None] * np.conj(wb)[None, :]
-    terms = sub.overlap * outer
-    return exact_nested_sums(terms.reshape(1, -1), rings)[0]
-
-
-def moment_sum(data: ExpansionData, a: int, b: int) -> complex:
-    """Q[a, b] by the double sum over the overlap matrix."""
-    return complex(_moment_row(data, np.zeros(data.overlap.size, dtype=np.intp), a, b)[0])
-
-
 def moment_sum_quadrature(data: ExpansionData, a: int, b: int) -> complex:
-    """Q[a, b] as ``int conj(sigma_b) sigma_a dr`` by panel quadrature."""
-    radius = data.states[0].radius
+    """Q[a, b] as ``int conj(sigma_b) sigma_a dr`` by panel quadrature.
+
+    Each segment, of length L, gets int(L k_max / pi) + 2 panels of its own.
+    """
+    edges = data.states[0].r_edges.tolist()
     k_max = float(np.max(np.abs(data.wavenumbers)))
-    n_panels = int(radius * k_max / np.pi) + 2
-    nodes, weights = panel_nodes(0.0, radius, n_panels, order=_QUAD_ORDER)
+    panels = [
+        panel_nodes(lo, hi, int((hi - lo) * k_max / np.pi) + 2, order=_QUAD_ORDER)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    nodes = np.concatenate([x for x, _ in panels])
+    weights = np.concatenate([w for _, w in panels])
     sigma_a = np.asarray(weighted_field(data, nodes, data.coefficients / data.wavenumbers ** a))
     sigma_b = sigma_a if b == a else np.asarray(
         weighted_field(data, nodes, data.coefficients / data.wavenumbers ** b)
@@ -136,12 +125,15 @@ def tail_expansion(
 ) -> tuple[TailCoefficients, ...]:
     """T_1..T_3 of every truncation by the moment-sum route.
 
-    T_p needs Q[a, b] with a + b = 2p; each (a, b) row is one exact nested
-    pass over the largest truncation's terms (:func:`truncation_rings`), so
-    every truncation's Q equals :func:`moment_sum` of that truncation alone.
+    T_p needs Q[a, b], the form of x = C/k^a and y = C/k^b, with a + b = 2p.
+    One ``nested_forms`` call over the largest truncation's terms gives the
+    six rows, each truncation's Q correctly rounded from its own terms.
     """
     truncs, sub, rings = truncation_rings(data, truncations)
-    q = {(a, b): _moment_row(sub, rings, a, b) for a in (1, 3, 5) for b in (1, 3, 5) if a + b <= 6}
+    pairs = [(a, b) for a in (1, 3, 5) for b in (1, 3, 5) if a + b <= 6]
+    left = np.array([sub.coefficients / sub.wavenumbers ** a for a, _ in pairs])
+    right = np.array([sub.coefficients / sub.wavenumbers ** b for _, b in pairs])
+    q = dict(zip(pairs, nested_forms(sub, rings, left, right)))
     # m_j of the Moshinsky series, m_0 = TAIL_PREFACTOR;
     # alpha_j conj(alpha_j') = m_j m_j' i^(j - j')
     m = asymptotic_coefficients(3)
@@ -170,41 +162,34 @@ def tail_coefficient_t1(data: ExpansionData) -> float:
     return float(report.t1_matrix[0])
 
 
+def _last_zero(t1: float, t2: float, t3: float) -> float:
+    """Largest positive zero of T_1 t^2 + T_2 t + T_3, or 0 when it has none."""
+    disc = t2 * t2 - 4.0 * t1 * t3
+    if t1 == 0.0:
+        roots = [-t3 / t2] if t2 != 0.0 else []
+    elif disc < 0.0:
+        roots = []
+    else:  # the root pair without cancellation
+        q = -0.5 * (t2 + math.copysign(math.sqrt(disc), t2))
+        roots = [q / t1, t3 / q] if q != 0.0 else []
+    return max((r for r in roots if r > 0.0), default=0.0)
+
+
 def crossover_time(coefficients: TailCoefficients) -> float:
     """First time at which the tail's local log-log slope exceeds -2.
 
-    The slope is measured with two-point differences on a log time grid (the
-    same convention used for measured series), then the -2 crossing is
-    located by linear interpolation between adjacent slope estimates.  For a
-    pure t^-3 tail (T_1 = T_2 = 0) there is no crossing and ``inf`` is
-    returned.  For positive T_1 and T_3 the result approaches
-    sqrt(T_3 / T_1) as the grid is refined.
+    With f = t^3 P = T_1 t^2 + T_2 t + T_3 the slope is t f'/f - 3, so where
+    f > 0 it exceeds -2 exactly when T_1 t^2 > T_3, whatever T_2 is.  Past
+    f's last positive zero r the slope starts at +inf, so the result is
+    max(r, sqrt(T_3 / T_1)), that root read as 0 for T_3 <= 0 and as inf for
+    T_1 = 0 < T_3.  A tail not positive at large times is a ConfigError.
     """
-    t = np.geomspace(1e-8, 1e16, 24 * _CROSSOVER_PER_DECADE + 1)
-    p = np.asarray(coefficients.evaluate(t))
-    # Keep the contiguous positive run that extends to the largest times:
-    # that is where an asymptotic series is meaningful.  (With T_3 < 0 the
-    # series can dip negative at small t without affecting the tail.)
-    bad = p <= 0.0
-    if bad.any():
-        start = int(np.nonzero(bad)[0][-1]) + 1
-        t = t[start:]
-        p = p[start:]
-    if len(t) < 3:
+    t1, t2, t3 = coefficients.values
+    if not next((c for c in (t1, t2, t3) if c != 0.0), 0.0) > 0.0:
         raise ConfigError("tail series is non-positive at large times")
-    ln_t = np.log(t)
-    slopes = np.diff(np.log(p)) / np.diff(ln_t)
-    mid = 0.5 * (ln_t[:-1] + ln_t[1:])
-    above = slopes > -2.0
-    if not above.any():
-        return inf
-    i = int(np.argmax(above))
-    if i == 0:
-        return float(np.exp(mid[0]))
-    # linear interpolation of slope-vs-ln t across the crossing
-    s0, s1 = slopes[i - 1], slopes[i]
-    frac = (-2.0 - s0) / (s1 - s0)
-    return float(np.exp(mid[i - 1] + frac * (mid[i] - mid[i - 1])))
+    if t3 <= 0.0:
+        return _last_zero(t1, t2, t3)
+    return max(math.sqrt(t3 / t1) if t1 > 0.0 else math.inf, _last_zero(t1, t2, t3))
 
 
 @dataclass(frozen=True)

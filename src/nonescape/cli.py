@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn, Sequence
@@ -341,11 +341,9 @@ def _located(cfg: RunConfig) -> PoleSet:
     return locate_poles(cfg.potential, cfg.window, cfg.tol)
 
 
-def _expanded(
-    cfg: RunConfig, pole_set: PoleSet, n_pairs: int | None = None, overlap: str = "closed"
-) -> ExpansionData:
+def _expanded(cfg: RunConfig, pole_set: PoleSet, n_pairs: int | None = None) -> ExpansionData:
     """The expansion over the first ``n_pairs`` pole pairs (all when None)."""
-    return build_expansion(cfg.potential, pole_set, cfg.psi0, n_pairs=n_pairs, overlap=overlap)
+    return build_expansion(cfg.potential, pole_set, cfg.psi0, n_pairs=n_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +425,13 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args)
     truncations = _truncations(cfg, args)
     grid = _time_grid(cfg, args)
-    pole_set = _located(cfg)
+    # one expansion at the largest truncation, sliced for the rest
+    data = _expanded(cfg, _located(cfg), truncations[-1])
     rows = []
-    for overlap in ("closed", "quadrature"):
-        # one overlap matrix at the largest truncation, sliced for the rest
-        data = _expanded(cfg, pole_set, truncations[-1], overlap)
+    for mode in ("closed", "quadrature"):
+        if mode == "quadrature":  # the Gram matrix cmd_expansion writes
+            quad = overlap_matrix(data.states, method=mode)
+            data = replace(data, overlap=quad, overlap_method=mode)
         sums = probability_sums(data, grid, truncations)
         for n in truncations:
             series = sums.series(n)

@@ -16,15 +16,14 @@ N = 160) is not drowned by cancellation noise and no term order matters.
 Every truncation's terms are, bit for bit, the central block of the largest
 truncation's (2N)^2 term array, so :func:`probability_sums` gives P(t) for
 a whole list of truncations from one pass over the largest one's terms.
-Each term carries its :func:`truncation_rings` label (the tail's moment
-sums share them); the exact binning adds the label to its bin index,
-integer sums over the rings 0..g give truncation g's bins, and each
-truncation is rounded once, so its samples equal ``math.fsum`` of its own
-terms.  The pass runs over blocks of samples; its outer product, weighted
-terms and binning arrays are allocated once per call and reused for every
-block.  :meth:`ProbabilitySums.series` checks one truncation's samples, so
-callers check each truncation where they use it, and
-:func:`nonescape_probability` is the one-truncation case.
+Each term carries its :func:`truncation_rings` label; the exact binning adds
+the label to its bin index, integer sums over the rings 0..g give
+truncation g's bins, and each truncation is rounded once, so its samples
+equal ``math.fsum`` of its own terms.  The pass is :func:`nested_forms`, the
+one kernel for quadratic forms over the overlap matrix, which the tail's
+moment sums also call.  :meth:`ProbabilitySums.series` checks one
+truncation's samples, and :func:`nonescape_probability` is the
+one-truncation case.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ __all__ = [
     "NonescapeSeries",
     "ProbabilitySums",
     "truncation_rings",
+    "nested_forms",
     "probability_sums",
     "nonescape_probability",
     "exact_nested_sums",
@@ -126,11 +126,11 @@ class NonescapeSeries:
         return len(self.times)
 
 
-# Terms per block of P(t): a block holds max(1, _BLOCK // (2N)^2) samples,
-# so its term array holds 32,768 to 65,536 complex terms (0.5 to 1 MB)
-# while (2N)^2 <= _BLOCK, i.e. N <= 128, and one sample of (2N)^2 terms
-# beyond (102,400 terms, 1.6 MB, at N = 160).  Each block array is
-# allocated once per pass and reused for every block.
+# Terms per block of :func:`nested_forms`: a block holds max(1, _BLOCK //
+# (2N)^2) rows, so its term array holds 32,768 to 65,536 complex terms (0.5
+# to 1 MB) while (2N)^2 <= _BLOCK, i.e. N <= 128, and one row of (2N)^2
+# terms beyond (102,400 terms, 1.6 MB, at N = 160).  Each block array is
+# allocated once per call and reused for every block.
 _BLOCK = 1 << 16
 # Terms per bin sum.  High parts are integers below 2**27 and low parts
 # multiples of 2**-26 below 1, so 2**26 of either sum below 2**53 units:
@@ -334,39 +334,46 @@ def truncation_rings(
     return truncs, sub, np.maximum.outer(state_ring, state_ring).ravel()
 
 
+def nested_forms(
+    sub: ExpansionData, rings: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Ring-group sums of the quadratic forms sum_{n,l} x_n conj(y_l) I[n, l].
+
+    Row i of ``left``/``right`` holds x/y over ``sub``'s states; entry [i, g]
+    is the correctly rounded sum of row i's terms in the rings 0..g of
+    :func:`truncation_rings`.  Rows go in blocks whose arrays are allocated
+    once per call.
+    """
+    step = min(len(left), max(1, _BLOCK // sub.overlap.size))
+    outer = np.empty((step,) + sub.overlap.shape, dtype=complex)
+    weighted = np.empty_like(outer)
+    summer = _NestedSummer(step, rings)
+    out = np.empty((len(left), summer.n_rings), dtype=complex)
+    for i0 in range(0, len(left), step):
+        x, y = left[i0 : i0 + step], right[i0 : i0 + step]
+        n = len(x)
+        # numpy's complex product is not bitwise commutative (the imaginary
+        # part is fused): both products name their operands in a fixed
+        # order, where a temporary could be multiplied in place as its left
+        # operand once it reaches numpy's elision size.
+        np.multiply(x[:, :, None], np.conj(y)[:, None, :], out=outer[:n])
+        np.multiply(sub.overlap, outer[:n], out=weighted[:n])
+        terms = weighted[:n].reshape(n, -1)
+        out.real[i0 : i0 + n] = summer(terms.real)
+        out.imag[i0 : i0 + n] = summer(terms.imag)
+    return out
+
+
 def probability_sums(
     data: ExpansionData,
     grid: TimeGrid,
     truncations: tuple[int, ...] | list[int],
 ) -> ProbabilitySums:
-    """P(t) sums of every truncation in one pass over the largest one's terms.
-
-    Each term carries its :func:`truncation_rings` label, so
-    :func:`exact_nested_sums` rounds each truncation's own sum once.
-    """
+    """P(t) sums of every truncation: the :func:`nested_forms` of w = C M(k, t)."""
     truncs, sub, rings = truncation_rings(data, truncations)
-    times = grid.times
-    w_all = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, times))
-    step = min(len(times), max(1, _BLOCK // sub.overlap.size))
-    outer = np.empty((step,) + sub.overlap.shape, dtype=complex)
-    weighted = np.empty_like(outer)
-    summer = _NestedSummer(step, rings)
-    sums = np.empty((len(truncs), len(times)), dtype=complex)
-    for j0 in range(0, len(times), step):
-        w = w_all[j0 : j0 + step]
-        block = slice(j0, j0 + len(w))
-        # numpy's complex product is not bitwise commutative (the imaginary
-        # part is fused): both products name their operands in a fixed
-        # order, where a temporary could be multiplied in place as its left
-        # operand once it reaches numpy's elision size.
-        np.multiply(w[:, :, None], np.conj(w)[:, None, :], out=outer[: len(w)])
-        np.multiply(sub.overlap, outer[: len(w)], out=weighted[: len(w)])
-        terms = weighted[: len(w)].reshape(len(w), -1)
-        sums.real[:, block] = summer(terms.real).T
-        sums.imag[:, block] = summer(terms.imag).T
-    return ProbabilitySums(
-        times=times.copy(), truncations=truncs, sums=sums, mode=sub.overlap_method
-    )
+    w = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, grid.times))
+    sums = nested_forms(sub, rings, w, w).T
+    return ProbabilitySums(grid.times.copy(), truncs, sums, mode=sub.overlap_method)
 
 
 def nonescape_probability(

@@ -568,14 +568,14 @@ def build_expansion(
     pole_set: PoleSet,
     psi0: InitialState,
     n_pairs: int | None = None,
-    overlap: str = "closed",
 ) -> ExpansionData:
-    """Assemble coefficients, boundary data, and the overlap matrix.
+    """Assemble coefficients, boundary data, and the closed overlap matrix.
 
     All states are built in one batched pass, and so are their
     coefficients: in closed form for a :class:`BoxMode`, by quadrature for
-    sampled data.  ``overlap`` ("closed" or "quadrature") selects the route
-    to the overlap matrix, which P(t) and the moment sums then use.
+    sampled data.  The quadrature route to the overlap matrix is
+    ``dataclasses.replace(data, overlap=overlap_matrix(data.states,
+    "quadrature"), overlap_method="quadrature")``.
 
     The initial state must be normalized (checked to 1e-8).  Mirror-state
     coefficients are computed directly from the mirror states rather than by
@@ -583,8 +583,6 @@ def build_expansion(
     real data the expected relation C_{-n} = conj(C_n) emerges and is worth
     asserting in tests rather than assuming here.
     """
-    if overlap not in ("closed", "quadrature"):
-        raise ConfigError(f"unknown overlap method {overlap!r}")
     n_pairs = len(pole_set) if n_pairs is None else int(n_pairs)
     if not (1 <= n_pairs <= len(pole_set)):
         raise ConfigError(
@@ -600,7 +598,7 @@ def build_expansion(
     coeffs = _coefficients(states, psi0)
     ks = np.array([s.k for s in states])
     u_r = np.array([s.boundary_value for s in states])
-    mat = overlap_matrix(states, overlap)
+    mat = overlap_matrix(states, "closed")
     return ExpansionData(
         potential=potential,
         psi0=psi0,
@@ -610,7 +608,7 @@ def build_expansion(
         boundary_values=u_r,
         overlap=mat,
         states=states,
-        overlap_method=overlap,
+        overlap_method="closed",
     )
 
 

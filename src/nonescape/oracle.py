@@ -85,6 +85,7 @@ __all__ = [
 
 _NORM_DRIFT_LIMIT = 1e-7
 _MAX_NODES = 10_000_000  # nodes a grid may hold (16 MB per complex work vector)
+_MAX_STEPS = 10_000_000  # time steps a run may take
 _NORM_CHECK_STRIDE = 200
 # Density within five nodes of r = L at which the contamination horizon is set.
 _LEAK_THRESHOLD = 1e-10
@@ -177,6 +178,8 @@ class OracleResult:
 def _validate_run(potential: Potential, psi0: InitialState, grid: GridSpec) -> int:
     if grid.n_nodes > _MAX_NODES:
         raise ConfigError(f"grid of {grid.n_nodes} nodes exceeds the cap of {_MAX_NODES}")
+    if grid.n_steps > _MAX_STEPS:
+        raise ConfigError(f"run of {grid.n_steps} steps exceeds the cap of {_MAX_STEPS}")
     radius = potential_range(potential)
     if grid.box_size < 10.0 * radius - 1e-9:
         raise ConfigError(

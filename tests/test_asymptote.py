@@ -16,7 +16,6 @@ from nonescape.asymptote import (
     adjudicate,
     convergence_study,
     crossover_time,
-    moment_sum,
     moment_sum_quadrature,
     post_exponential_window,
     slope_fit,
@@ -28,6 +27,7 @@ from nonescape.dynamics import (
     ProbabilitySums,
     TimeGrid,
     lifetime,
+    nested_forms,
     nonescape_probability,
     probability_sums,
 )
@@ -37,8 +37,9 @@ from nonescape.errors import (
     EquivalenceViolation,
     NonPositiveProbability,
 )
-from nonescape.gamow import ExpansionData
-from nonescape.poles import ResonancePole
+from nonescape.gamow import ExpansionData, build_expansion
+from nonescape.model import BoxMode, PiecewiseConstant
+from nonescape.poles import ResonancePole, SearchWindow, locate_poles
 from nonescape.selftest import SelftestContext, check_tail_coefficient
 from nonescape.specfn import TAIL_PREFACTOR, asymptotic_coefficients
 
@@ -47,7 +48,7 @@ from nonescape.specfn import TAIL_PREFACTOR, asymptotic_coefficients
 # t^-3 weight, and the slope-crossing times.
 _D1 = {1: 1.822017e-4, 5: 1.799225e-6, 10: 2.390178e-7, 20: 3.175033e-8, 40: 4.176062e-9}
 _T3_40 = 2.238525e-6
-_CROSSOVER = {1: 0.0806, 5: 1.0994, 10: 3.0534, 20: 8.3941, 40: 23.1525}
+_CROSSOVER = {1: 0.0802, 5: 1.0994, 10: 3.0534, 20: 8.3941, 40: 23.1525}
 
 
 def _series(t: np.ndarray, p: np.ndarray) -> NonescapeSeries:
@@ -61,18 +62,37 @@ def _series(t: np.ndarray, p: np.ndarray) -> NonescapeSeries:
     )
 
 
+def _moment_sum(sub: ExpansionData, a: int, b: int) -> complex:
+    """Q[a, b] of one truncation by the matrix route: one nested_forms row."""
+    x = sub.coefficients / sub.wavenumbers ** a
+    y = sub.coefficients / sub.wavenumbers ** b
+    rings = np.zeros(sub.overlap.size, dtype=np.intp)
+    return complex(nested_forms(sub, rings, x[None, :], y[None, :])[0, 0])
+
+
 def test_moment_sum_routes_agree(data: ExpansionData) -> None:
     for a, b in ((1, 1), (1, 3), (3, 3)):
         for n_pairs in (5, 20, 40):
-            q_mat = moment_sum(data.truncate(n_pairs), a, b)
+            q_mat = _moment_sum(data.truncate(n_pairs), a, b)
             q_quad = moment_sum_quadrature(data.truncate(n_pairs), a, b)
             assert abs(q_mat - q_quad) <= 1e-9 + 1e-7 * abs(q_quad), (a, b, n_pairs)
+
+
+def test_d1_routes_agree_on_a_barrier() -> None:
+    # V = 25 on [0.6, 1] with psi0 the box mode of the inner well: u'' jumps
+    # at r = 0.6, so quadrature panels straddling it would cost the
+    # quadrature route to D1 about 1e-7 at N = 5.
+    barrier = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
+    pole_set = locate_poles(barrier, SearchWindow(re_max=127.5, im_min=-4.0))
+    data = build_expansion(barrier, pole_set, BoxMode(mode=1, radius=0.6), n_pairs=10)
+    report = convergence_study(data, (5, 10))
+    assert report.route_dev <= 1e-10, report.route_dev
 
 
 def test_moment_sum_hermitian_diagonal(data: ExpansionData) -> None:
     # Q[a, a] = int |sigma_a|^2 dr is real and non-negative.
     for a in (1, 3):
-        q = moment_sum(data.truncate(20), a, a)
+        q = _moment_sum(data.truncate(20), a, a)
         assert abs(q.imag) <= 1e-14 * max(abs(q.real), 1e-300)
         assert q.real >= 0.0
 
@@ -188,6 +208,107 @@ def test_crossover_pure_cubic_is_infinite() -> None:
     assert crossover_time(coeffs) == math.inf
 
 
+def test_crossover_is_the_exact_root() -> None:
+    coeffs = TailCoefficients(values=(1e-8, 0.0, 2e-6), n_pairs=1)
+    assert crossover_time(coeffs) == math.sqrt(200)
+
+
+def _grid_crossover(values: tuple[float, float, float]) -> float:
+    """The crossover as a 240-per-decade log-grid search with interpolation."""
+    t = np.geomspace(1e-8, 1e16, 24 * 240 + 1)
+    p = np.asarray(TailCoefficients(values=values, n_pairs=1).evaluate(t))
+    bad = p <= 0.0
+    if bad.any():  # keep the positive run that reaches the largest times
+        start = int(np.nonzero(bad)[0][-1]) + 1
+        t, p = t[start:], p[start:]
+    ln_t = np.log(t)
+    slopes = np.diff(np.log(p)) / np.diff(ln_t)
+    mid = 0.5 * (ln_t[:-1] + ln_t[1:])
+    above = slopes > -2.0
+    if not above.any():
+        return math.inf
+    i = int(np.argmax(above))
+    if i == 0:
+        return float(np.exp(mid[0]))
+    s0, s1 = slopes[i - 1], slopes[i]
+    frac = (-2.0 - s0) / (s1 - s0)
+    return float(np.exp(mid[i - 1] + frac * (mid[i] - mid[i - 1])))
+
+
+_GRID_STEP = 10.0 ** (1.0 / 240.0)
+_T1_SCALE = st.floats(-10.0, -2.0).map(lambda u: 10.0 ** u)
+_CROSSING = st.floats(-3.0, 6.0).map(lambda v: 10.0 ** v)
+
+
+def _f(values: tuple[float, float, float], t: float) -> tuple[float, float]:
+    """t^3 P(t) and the sum of its terms' magnitudes."""
+    t1, t2, t3 = values
+    return t1 * t * t + t2 * t + t3, abs(t1) * t * t + abs(t2) * t + abs(t3)
+
+
+def _assert_last_zero(values: tuple[float, float, float], r: float) -> None:
+    # the answer is P's last zero: f(r) = 0 and f > 0 beyond it, where the
+    # grid search returns its first samples, within 1.5 grid steps above r
+    f, size = _f(values, r)
+    assert abs(f) <= 1e-12 * size, (values, r)
+    assert _f(values, r * (1.0 + 1e-6))[0] > 0.0
+    grid = _grid_crossover(values)
+    assert r < grid <= r * _GRID_STEP ** 1.5 * (1.0 + 1e-12), (values, r, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_T1_SCALE, _CROSSING, st.floats(-1.5, 20.0))
+def test_crossover_with_positive_t3_is_where_the_slope_is_minus_2(
+    t1: float, c: float, s: float
+) -> None:
+    # f = T1 t^2 + T2 t + T3 with T2 = s T1 c, T3 = T1 c^2: no positive zero
+    values = (t1, s * t1 * c, t1 * c * c)
+    t = crossover_time(TailCoefficients(values=values, n_pairs=1))
+    assert t == math.sqrt(values[2] / values[0])
+    f, _ = _f(values, t)
+    slope = t * (2.0 * values[0] * t + values[1]) / f - 3.0
+    assert abs(slope + 2.0) <= 1e-12
+    assert _grid_crossover(values) == pytest.approx(t, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_T1_SCALE, _CROSSING, st.floats(0.0, 1.0))
+def test_crossover_with_t3_at_most_0_is_the_last_zero(t1: float, r: float, m: float) -> None:
+    # f = T1 (t - r)(t + m r): T3 = -T1 m r^2 <= 0 and one zero at r > 0
+    values = (t1, -t1 * r * (1.0 - m), -t1 * r * r * m)
+    t = crossover_time(TailCoefficients(values=values, n_pairs=1))
+    assert t == pytest.approx(r, rel=1e-12)
+    _assert_last_zero(values, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_T1_SCALE, _CROSSING, st.floats(0.01, 0.99))
+def test_crossover_with_two_positive_zeros_is_the_larger(t1: float, r: float, m: float) -> None:
+    # f = T1 (t - r)(t - m r): T3 > 0, and sqrt(T3/T1) lies between the zeros
+    values = (t1, -t1 * r * (1.0 + m), t1 * r * r * m)
+    t = crossover_time(TailCoefficients(values=values, n_pairs=1))
+    assert t == pytest.approx(r, rel=1e-9)
+    assert math.sqrt(values[2] / values[0]) < t
+    _assert_last_zero(values, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_T1_SCALE, _CROSSING)
+def test_crossover_without_t1_and_negative_t3_is_the_zero(t2: float, r: float) -> None:
+    values = (0.0, t2, -t2 * r)
+    t = crossover_time(TailCoefficients(values=values, n_pairs=1))
+    assert t == pytest.approx(r, rel=1e-12)
+    _assert_last_zero(values, t)
+    # with T3 > 0 instead the slope stays between -3 and -2
+    assert crossover_time(TailCoefficients(values=(0.0, t2, t2 * r), n_pairs=1)) == math.inf
+
+
+def test_crossover_needs_a_positive_tail() -> None:
+    for values in ((-1e-8, 0.0, 2e-6), (0.0, -1.0, 5.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(ConfigError, match="non-positive at large times"):
+            crossover_time(TailCoefficients(values=values, n_pairs=1))
+
+
 def test_crossover_frozen_ladder(data: ExpansionData) -> None:
     times = {}
     for coeffs in tail_expansion(data, tuple(_CROSSOVER)):
@@ -206,13 +327,17 @@ def test_crossover_frozen_ladder(data: ExpansionData) -> None:
 def test_synthetic_zero_sum_rule_kills_t1(data: ExpansionData, monkeypatch) -> None:
     # If the sum rule were exactly satisfied (Q[1, .] = 0) the t^-1 and t^-2
     # terms would vanish identically and the tail would be pure t^-3.
-    original = asym._moment_row
+    original = asym.nested_forms
 
-    def forced(sub, rings, a, b):
-        row = original(sub, rings, a, b)
-        return 0.0 * row if 1 in (a, b) else row
+    def forced(sub, rings, left, right):
+        rows = original(sub, rings, left, right)
+        sigma_1 = sub.coefficients / sub.wavenumbers ** 1
+        for i in range(len(rows)):
+            if np.array_equal(left[i], sigma_1) or np.array_equal(right[i], sigma_1):
+                rows[i] = 0.0
+        return rows
 
-    monkeypatch.setattr(asym, "_moment_row", forced)
+    monkeypatch.setattr(asym, "nested_forms", forced)
     (coeffs,) = tail_expansion(data, (10,))
     assert coeffs.values[0] == 0.0
     assert coeffs.values[1] == 0.0

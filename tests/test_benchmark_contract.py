@@ -49,11 +49,9 @@ def test_benchmark_configs_parse() -> None:
                 parse_config(config)
 
 
-@pytest.fixture(scope="module")
-def tiny_outputs(tmp_path_factory: pytest.TempPathFactory) -> dict:
-    """Every operation of the ``tiny`` workload, run as the harness runs it."""
-    root = tmp_path_factory.mktemp("tiny")
-    spec = workloads.WORKLOADS["tiny"].build(0)
+def _run_ops(root: Path, workload: str, names: set[str] | None = None) -> dict:
+    """Operations of a seed-0 workload (all, or those named), run as the harness runs them."""
+    spec = workloads.WORKLOADS[workload].build(0)
     spec["config_paths"] = {}
     for name, config in spec["configs"].items():
         path = root / f"{name}.json"
@@ -61,14 +59,15 @@ def tiny_outputs(tmp_path_factory: pytest.TempPathFactory) -> dict:
         spec["config_paths"][name] = str(path)
     results = {}
     for op in spec["ops"]:
-        out = root / op["name"]
-        results[op["name"]] = (op, out, *child.run_op("nonescape", op, spec, out))
+        if names is None or op["name"] in names:
+            out = root / op["name"]
+            results[op["name"]] = (op, out, *child.run_op("nonescape", op, spec, out))
     return {"spec": spec, "results": results}
 
 
-def test_tiny_workload_passes_its_checks(tiny_outputs: dict) -> None:
-    spec = tiny_outputs["spec"]
-    for name, (op, out, error, payload) in tiny_outputs["results"].items():
+def _assert_checks_pass(outputs: dict) -> None:
+    spec = outputs["spec"]
+    for name, (op, out, error, payload) in outputs["results"].items():
         assert error is None, f"{name}: {error}"
         ctx = checks.Context(
             config=cli.load_config(spec["config_paths"][op.get("config", "main")]),
@@ -77,6 +76,25 @@ def test_tiny_workload_passes_its_checks(tiny_outputs: dict) -> None:
             payload=payload,
         )
         assert checks.CHECKS[op["check"]](ctx) is None, name
+
+
+@pytest.fixture(scope="module")
+def tiny_outputs(tmp_path_factory: pytest.TempPathFactory) -> dict:
+    """Every operation of the ``tiny`` workload."""
+    return _run_ops(tmp_path_factory.mktemp("tiny"), "tiny")
+
+
+def test_tiny_workload_passes_its_checks(tiny_outputs: dict) -> None:
+    _assert_checks_pass(tiny_outputs)
+
+
+def test_wide_spectral_operations_pass_their_checks(tmp_path: Path) -> None:
+    # the 319-pole seed-0 operations, whose tail check holds the frozen
+    # crossover ladder up to N = 160 (64.26 and 179.38 at N = 80 and 160)
+    outputs = _run_ops(tmp_path, "spectral-pipeline", {"poles-wide", "tail-wide"})
+    assert set(outputs["results"]) == {"poles-wide", "tail-wide"}
+    assert outputs["spec"]["frozen"] and workloads.FROZEN_CROSSOVER[160] == 179.38
+    _assert_checks_pass(outputs)
 
 
 def test_oracle_csv_columns(tiny_outputs: dict) -> None:

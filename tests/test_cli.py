@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from nonescape.cli import build_parser, load_config, main, parse_config
 from nonescape.dynamics import MAX_TIME_SAMPLES, TimeGrid, nonescape_probability
 from nonescape.errors import ConfigError, InvalidPotential, InvalidState, TruncationUnstable
-from nonescape.gamow import build_expansion
+from nonescape.gamow import overlap_matrix
 from nonescape.specfn import moshinsky
 
 _K1 = "2.7579383212949247"
@@ -334,6 +334,28 @@ def test_oversized_oracle_grid_is_a_config_error(
 
 
 @pytest.mark.parametrize(
+    "dt, argv",
+    [
+        (1e-10, []),  # 1e10 steps
+        (2.0**-24, []),  # 16,777,216 steps
+        (2.0**-21, ["--refine", "8"]),  # 2**21 steps refined to 2**24: before the base run
+    ],
+)
+def test_oracle_step_count_over_the_cap_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, dt: float, argv: list[str]
+) -> None:
+    grid = {"box_size": 12.0, "dr": 0.005, "dt": dt, "t_final": 1.0}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(oracle_grid=grid)))
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(path), "--out", str(out), *argv]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError"
+    assert "steps exceeds the cap of 10000000" in error["message"]
+    assert not (out / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize(
     "command", ["poles", "expansion", "sumrule", "nonescape", "tail", "compare"]
 )
 @pytest.mark.parametrize("nmax", ["0", "-1"])
@@ -487,15 +509,16 @@ def _late_inner_fails(data):
 
 
 def _doctor(monkeypatch: pytest.MonkeyPatch, **by_mode) -> None:
+    """Doctor the expansion whose P(t) the CLI sums, by overlap mode."""
     import nonescape.cli as cli
 
-    build = cli._expanded
+    evaluate = cli.probability_sums
 
-    def doctored(cfg, pole_set, n_pairs=None, overlap="closed"):
-        data = build(cfg, pole_set, n_pairs, overlap)
-        return by_mode[overlap](data) if overlap in by_mode else data
+    def doctored(data, grid, truncations):
+        mode = data.overlap_method
+        return evaluate(by_mode[mode](data) if mode in by_mode else data, grid, truncations)
 
-    monkeypatch.setattr(cli, "_expanded", doctored)
+    monkeypatch.setattr(cli, "probability_sums", doctored)
 
 
 def _error_line(capsys: pytest.CaptureFixture) -> dict:
@@ -563,15 +586,17 @@ def test_nonescape_raises_truncations_in_order_before_times(
 
 def test_nonescape_raises_modes_in_order_before_truncations(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
-    data, pole_set,
+    data,
 ) -> None:
     # closed fails at N = 10 only, quadrature already at N = 5: closed is
     # reported
     closed = _outer_fails(data.truncate(10))
     _passes(closed, 5)
     first = _raised(closed, 10)
-    quadrature = build_expansion(
-        data.potential, pole_set, data.psi0, n_pairs=10, overlap="quadrature"
+    quadrature = dataclasses.replace(
+        data.truncate(10),
+        overlap=overlap_matrix(data.truncate(10).states, "quadrature"),
+        overlap_method="quadrature",
     )
     assert _raised(_skewed_inner(quadrature), 5) != first
     _doctor(monkeypatch, closed=_outer_fails, quadrature=_skewed_inner)

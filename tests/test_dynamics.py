@@ -21,8 +21,7 @@ from nonescape.dynamics import (
     probability_sums,
 )
 from nonescape.errors import ConfigError, NonPositiveProbability, TruncationUnstable
-from nonescape.gamow import ExpansionData, build_expansion
-from nonescape.poles import PoleSet
+from nonescape.gamow import ExpansionData, overlap_matrix
 from nonescape.selftest import SelftestContext
 from nonescape.specfn import moshinsky
 
@@ -90,10 +89,11 @@ def test_exponential_stage_slope(data: ExpansionData) -> None:
     assert slope == pytest.approx(-_GAMMA1, rel=0.05)
 
 
-def test_modes_agree(data: ExpansionData, pole_set: PoleSet) -> None:
+def test_modes_agree(data: ExpansionData) -> None:
     grid = TimeGrid(np.array([0.0, 0.3, 1.7, 8.0]))
-    quad_data = build_expansion(
-        data.potential, pole_set, data.psi0, n_pairs=6, overlap="quadrature"
+    sub = data.truncate(6)
+    quad_data = dataclasses.replace(
+        sub, overlap=overlap_matrix(sub.states, "quadrature"), overlap_method="quadrature"
     )
     closed = nonescape_probability(data, grid, n_pairs=6)
     quad = nonescape_probability(quad_data, grid)

@@ -216,10 +216,6 @@ def test_build_expansion_requires_normalized_state(pole_set: PoleSet) -> None:
 def test_build_expansion_bad_requests(pole_set: PoleSet) -> None:
     with pytest.raises(ConfigError, match="pole pairs"):
         build_expansion(pole_set.potential, pole_set, REFERENCE_STATE, n_pairs=10_000)
-    with pytest.raises(ConfigError, match="unknown overlap method"):
-        build_expansion(
-            pole_set.potential, pole_set, REFERENCE_STATE, n_pairs=2, overlap="fast"
-        )
     far_state = BoxMode(mode=1, radius=2.0)
     with pytest.raises(InvalidState, match="beyond the potential range"):
         build_expansion(pole_set.potential, pole_set, far_state, n_pairs=2)
