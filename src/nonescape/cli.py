@@ -227,7 +227,7 @@ def parse_config(raw: Any) -> RunConfig:
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:12]
 
-    return RunConfig(
+    cfg = RunConfig(
         potential=_parse_potential(_get(raw, "potential", "configuration")),
         psi0=_parse_state(_get(raw, "initial_state", "configuration")),
         window=window,
@@ -239,6 +239,19 @@ def parse_config(raw: Any) -> RunConfig:
         output_dir=str(_get(raw, "output_dir", "configuration", "nonescape-out")),
         digest=digest,
     )
+    _check_radii(cfg.r_points, cfg.potential)
+    return cfg
+
+
+def _check_radii(
+    values: tuple[float, ...], potential: DeltaShell | PiecewiseConstant
+) -> tuple[float, ...]:
+    """``values``, each checked to lie in [0, R]."""
+    radius = potential_range(potential)
+    for r in values:
+        if not 0.0 <= r <= radius:
+            raise ConfigError(f"radius {r!r} lies outside [0, R = {radius:g}]")
+    return values
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -259,6 +272,47 @@ def load_config(path: str | None) -> RunConfig:
     return parse_config(raw)
 
 
+def _configure(args: argparse.Namespace) -> RunConfig:
+    """The run configuration with every flag applied, each value checked.
+
+    ``--nmax`` caps the truncations (a cap below every one keeps just N),
+    ``--r`` sets the radii and ``--out`` the output directory.  ``--tmin``
+    and ``--tmax`` keep the configured times in their range or, with
+    ``--points``, bound a new log grid.  Commands read only the result.
+    """
+    nmax = getattr(args, "nmax", None)
+    if nmax is not None and nmax < 1:
+        raise ConfigError(f"--nmax must be at least 1, got {nmax}")
+    # selftest takes no --config: it runs on the packaged default
+    cfg = load_config(getattr(args, "config", None))
+    changes: dict[str, Any] = {}
+    if nmax is not None:
+        changes["truncations"] = tuple(n for n in cfg.truncations if n <= nmax) or (nmax,)
+    t_min, t_max, points = (getattr(args, flag, None) for flag in ("tmin", "tmax", "points"))
+    times = cfg.time_grid.times
+    lo = t_min if t_min is not None else float(times[0])
+    hi = t_max if t_max is not None else float(times[-1])
+    if points is not None:
+        if not (0.0 < lo < hi < math.inf):
+            raise ConfigError("need 0 < tmin < tmax < inf for a log grid")
+        changes["time_grid"] = TimeGrid(np.geomspace(lo, hi, _sample_count(points, "--points")))
+    elif t_min is not None or t_max is not None:
+        kept = (times >= lo) & (times <= hi)
+        if not kept.any():
+            raise ConfigError("tmin/tmax exclude every configured time sample")
+        changes["time_grid"] = TimeGrid(times[kept])
+    r_flag = getattr(args, "r", None)
+    if r_flag is not None:
+        try:
+            radii = tuple(float(tok) for tok in r_flag.split(","))
+        except ValueError:
+            raise ConfigError(f"--r expects comma-separated numbers, got {r_flag!r}")
+        changes["r_points"] = _check_radii(radii, cfg.potential)
+    if getattr(args, "out", None) is not None:
+        changes["output_dir"] = args.out
+    return replace(cfg, **changes)
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -271,13 +325,17 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _output_path(cfg: RunConfig, name: str) -> Path:
+    """``name`` in the output directory, which the first write makes."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
 def _write_csv(
-    path: Path,
-    cfg: RunConfig,
-    command: str,
-    header: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    name: str, cfg: RunConfig, command: str, header: Sequence[str], rows: Iterable[Sequence[Any]]
 ) -> None:
+    path = _output_path(cfg, name)
     with open(path, "w", newline="") as fh:
         fh.write(f"# nonescape {command}\n")
         fh.write(f"# config_hash: {cfg.digest}\n")
@@ -287,54 +345,6 @@ def _write_csv(
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
     print(path)
-
-
-def _out_dir(cfg: RunConfig, args: argparse.Namespace) -> Path:
-    out = Path(args.out if args.out is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _truncations(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, ...]:
-    if getattr(args, "nmax", None) is None:
-        return cfg.truncations
-    kept = tuple(n for n in cfg.truncations if n <= args.nmax)
-    if not kept:
-        kept = (args.nmax,)
-    return kept
-
-
-def _time_grid(cfg: RunConfig, args: argparse.Namespace) -> TimeGrid:
-    t_min = getattr(args, "tmin", None)
-    t_max = getattr(args, "tmax", None)
-    points = getattr(args, "points", None)
-    if t_min is None and t_max is None and points is None:
-        return cfg.time_grid
-    lo = t_min if t_min is not None else float(cfg.time_grid.times[0])
-    hi = t_max if t_max is not None else float(cfg.time_grid.times[-1])
-    if points is not None:
-        if not (0.0 < lo < hi < math.inf):
-            raise ConfigError("need 0 < tmin < tmax < inf for a log grid")
-        return TimeGrid(times=np.geomspace(lo, hi, _sample_count(points, "--points")))
-    mask = (cfg.time_grid.times >= lo) & (cfg.time_grid.times <= hi)
-    if not mask.any():
-        raise ConfigError("tmin/tmax exclude every configured time sample")
-    return TimeGrid(times=cfg.time_grid.times[mask])
-
-
-def _r_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[float, ...]:
-    """The radii of ``--r``, else of the config; each must lie in [0, R]."""
-    values = cfg.r_points
-    if getattr(args, "r", None) is not None:
-        try:
-            values = tuple(float(tok) for tok in args.r.split(","))
-        except ValueError:
-            raise ConfigError(f"--r expects comma-separated numbers, got {args.r!r}")
-    radius = potential_range(cfg.potential)
-    for r in values:
-        if not 0.0 <= r <= radius:
-            raise ConfigError(f"radius {r!r} lies outside [0, R = {radius:g}]")
-    return values
 
 
 def _located(cfg: RunConfig) -> PoleSet:
@@ -351,18 +361,13 @@ def _expanded(cfg: RunConfig, pole_set: PoleSet, n_pairs: int | None = None) -> 
 
 
 def cmd_poles(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    pole_set = _located(cfg)
-    poles = pole_set.poles
-    if args.nmax is not None:
-        poles = poles[: args.nmax]
+    poles = _located(cfg).poles[: args.nmax]
     rows = [(p.n, p.k.real, p.k.imag, p.residual) for p in poles]
-    _write_csv(out / "poles.csv", cfg, "poles", ("n", "re_k", "im_k", "residual"), rows)
+    _write_csv("poles.csv", cfg, "poles", ("n", "re_k", "im_k", "residual"), rows)
     return 0
 
 
 def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
     data = _expanded(cfg, _located(cfg), n_pairs=args.nmax)
     quad = overlap_matrix(data.states, method="quadrature")
 
@@ -371,7 +376,7 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
         for n, k, u_r in zip(data.indices, data.wavenumbers, data.boundary_values)
     ]
     _write_csv(
-        out / "states.csv",
+        "states.csv",
         cfg,
         "expansion",
         ("n", "re_k", "im_k", "re_u_edge", "im_u_edge"),
@@ -392,7 +397,7 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
                 )
             )
     _write_csv(
-        out / "overlaps.csv",
+        "overlaps.csv",
         cfg,
         "expansion",
         ("n", "l", "re_closed", "im_closed", "re_quadrature", "im_quadrature"),
@@ -403,28 +408,24 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
         (n, c.real, c.imag) for n, c in zip(data.indices, data.coefficients)
     ]
     _write_csv(
-        out / "coefficients.csv", cfg, "expansion", ("n", "re_c", "im_c"), coeff_rows
+        "coefficients.csv", cfg, "expansion", ("n", "re_c", "im_c"), coeff_rows
     )
     return 0
 
 
 def cmd_sumrule(cfg: RunConfig, args: argparse.Namespace) -> int:
-    r = np.asarray(_r_points(cfg, args))
-    out = _out_dir(cfg, args)
-    truncations = _truncations(cfg, args)
-    data = _expanded(cfg, _located(cfg), truncations[-1])
+    r = np.asarray(cfg.r_points)
+    data = _expanded(cfg, _located(cfg), cfg.truncations[-1])
     rows = []
-    for n in truncations:
+    for n in cfg.truncations:
         values = np.abs(sum_rule_residual(data.truncate(n), r))
         rows.extend((n, rr, vv) for rr, vv in zip(r, values))
-    _write_csv(out / "sumrule.csv", cfg, "sumrule", ("n_pairs", "r", "abs_s"), rows)
+    _write_csv("sumrule.csv", cfg, "sumrule", ("n_pairs", "r", "abs_s"), rows)
     return 0
 
 
 def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    truncations = _truncations(cfg, args)
-    grid = _time_grid(cfg, args)
+    truncations = cfg.truncations
     # one expansion at the largest truncation, sliced for the rest
     data = _expanded(cfg, _located(cfg), truncations[-1])
     rows = []
@@ -432,7 +433,7 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
         if mode == "quadrature":  # the Gram matrix cmd_expansion writes
             quad = overlap_matrix(data.states, method=mode)
             data = replace(data, overlap=quad, overlap_method=mode)
-        sums = probability_sums(data, grid, truncations)
+        sums = probability_sums(data, cfg.time_grid, truncations)
         for n in truncations:
             series = sums.series(n)
             rows.extend(
@@ -440,7 +441,7 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
                 for t, p in zip(series.times, series.probability)
             )
     _write_csv(
-        out / "nonescape.csv",
+        "nonescape.csv",
         cfg,
         "nonescape",
         ("mode", "n_pairs", "t", "p", "imag_residual"),
@@ -450,15 +451,13 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    truncations = _truncations(cfg, args)
-    grid = _time_grid(cfg, args)
+    truncations = cfg.truncations
     pole_set = _located(cfg)
     data = _expanded(cfg, pole_set, truncations[-1])
 
     # one pass gives every truncation's P(t); the largest opens the window
     try:
-        sums = probability_sums(data, grid, truncations)
+        sums = probability_sums(data, cfg.time_grid, truncations)
         slope_window = post_exponential_window(
             sums.series(truncations[-1]), pole_set.pole(1)
         )
@@ -475,7 +474,7 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
         report.slope_stderr,
     )
     _write_csv(
-        out / "tail.csv",
+        "tail.csv",
         cfg,
         "tail",
         ("N", "D1_sum", "D1_integral", "sumrule_L2", "crossover_t", "slope", "slope_stderr"),
@@ -485,15 +484,13 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    grid = _time_grid(cfg, args)
     if args.refine is not None:
         report = refine_and_compare(
-            cfg.potential, cfg.psi0, cfg.oracle_grid, factor=args.refine, times=grid
+            cfg.potential, cfg.psi0, cfg.oracle_grid, factor=args.refine, times=cfg.time_grid
         )
         run = report.base
         _write_csv(
-            out / "refinement.csv",
+            "refinement.csv",
             cfg,
             "oracle",
             ("factor", "max_abs_dev", "max_rel_dev", "tolerance", "flagged"),
@@ -508,26 +505,21 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> int:
             ],
         )
     else:
-        run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=grid)
+        run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=cfg.time_grid)
     horizon = run.horizon_time
     rows = [
         (t, p, norm, int(horizon is not None and t >= horizon))
         for t, p, norm in zip(run.series.times, run.series.probability, run.norms)
     ]
-    _write_csv(
-        out / "oracle.csv", cfg, "oracle", ("t", "p", "norm", "horizon_flag"), rows
-    )
+    _write_csv("oracle.csv", cfg, "oracle", ("t", "p", "norm", "horizon_flag"), rows)
     return 0
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args)
-    truncations = _truncations(cfg, args)
-    grid = _time_grid(cfg, args)
-
+    truncations = cfg.truncations
     pole_set = _located(cfg)
     data = _expanded(cfg, pole_set, truncations[-1])
-    run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=grid)
+    run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=cfg.time_grid)
     sums = probability_sums(data, TimeGrid(times=run.series.times), truncations)
     report = convergence_study(data, truncations)
     verdict = adjudicate(run.series, run.horizon_time, sums, report, pole_set.pole(1))
@@ -540,7 +532,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         columns.append(series.probability)
         header.append(f"rel_dev_n{n}")
         columns.append(np.abs(p_direct - series.probability) / series.probability)
-    _write_csv(out / "compare.csv", cfg, "compare", header, zip(*columns))
+    _write_csv("compare.csv", cfg, "compare", header, zip(*columns))
 
     fit = verdict.direct_fit
     summary = {
@@ -561,7 +553,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         "max_rel_dev_lifetime_window": verdict.lifetime_dev,
         "verdict": verdict.text,
     }
-    path = out / "summary.json"
+    path = _output_path(cfg, "summary.json")
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -594,47 +586,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, func: Callable) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    # the flag groups several commands share, each declared once
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", default=None, help="JSON run configuration")
+    io.add_argument("--out", default=None, help="output directory")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--nmax", type=int, default=None, help="cap the truncation list")
+    times = argparse.ArgumentParser(add_help=False)
+    times.add_argument("--tmin", type=float, default=None)
+    times.add_argument("--tmax", type=float, default=None)
+    times.add_argument("--points", type=int, default=None)
+
+    def add(name: str, help_text: str, func: Callable, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, parents=list(parents))
         p.set_defaults(func=func)
-        if name != "selftest":
-            p.add_argument("--config", default=None, help="JSON run configuration")
-            p.add_argument("--out", default=None, help="output directory")
         return p
 
-    p = add("poles", "locate matching-function zeros, write poles.csv", cmd_poles)
+    p = add("poles", "locate matching-function zeros, write poles.csv", cmd_poles, io)
     p.add_argument("--nmax", type=int, default=None, help="keep only the first N poles")
 
-    p = add("expansion", "write states.csv, overlaps.csv, coefficients.csv", cmd_expansion)
+    p = add("expansion", "write states.csv, overlaps.csv, coefficients.csv", cmd_expansion, io)
     p.add_argument("--nmax", type=int, default=None, help="truncate to N pole pairs")
 
-    p = add("sumrule", "write |S_N(r)| table (sumrule.csv)", cmd_sumrule)
-    p.add_argument("--nmax", type=int, default=None, help="cap the truncation list")
+    p = add("sumrule", "write |S_N(r)| table (sumrule.csv)", cmd_sumrule, io, cap)
     p.add_argument("--r", default=None, help="comma-separated radii")
 
-    p = add("nonescape", "write P(t) per truncation and overlap mode", cmd_nonescape)
-    p.add_argument("--nmax", type=int, default=None, help="cap the truncation list")
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
+    add("nonescape", "write P(t) per truncation and overlap mode", cmd_nonescape, io, cap, times)
+    add("tail", "write the truncation study (tail.csv)", cmd_tail, io, cap, times)
 
-    p = add("tail", "write the truncation study (tail.csv)", cmd_tail)
-    p.add_argument("--nmax", type=int, default=None, help="cap the truncation list")
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-
-    p = add("oracle", "direct Crank-Nicolson P(t) (oracle.csv)", cmd_oracle)
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
+    p = add("oracle", "direct Crank-Nicolson P(t) (oracle.csv)", cmd_oracle, io, times)
     p.add_argument("--refine", type=int, default=None, help="also run a refinement study")
 
-    p = add("compare", "joined curves, slopes, verdict (compare.csv, summary.json)", cmd_compare)
-    p.add_argument("--nmax", type=int, default=None, help="cap the truncation list")
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
+    verdict = "joined curves, slopes, verdict (compare.csv, summary.json)"
+    add("compare", verdict, cmd_compare, io, cap, times)
 
     p = add("selftest", "run the built-in acceptance checks", cmd_selftest)
     p.add_argument("--quiet", action="store_true", help="suppress progress logs")
@@ -658,10 +642,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map errors to exit codes (0/1/2)."""
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "nmax", None) is not None and args.nmax < 1:
-            raise ConfigError(f"--nmax must be at least 1, got {args.nmax}")
-        # selftest takes no --config: it runs on the packaged default
-        return args.func(load_config(getattr(args, "config", None)), args)
+        return args.func(_configure(args), args)
     except (ConfigError, InvalidPotential, InvalidState) as exc:
         _emit_error("config", 2, exc)
         return 2

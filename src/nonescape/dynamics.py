@@ -120,7 +120,6 @@ class NonescapeSeries:
     imag_residual: float
     n_pairs: int
     mode: str
-    provenance: str
 
     def __len__(self) -> int:
         return len(self.times)
@@ -315,7 +314,6 @@ class ProbabilitySums:
             imag_residual=worst_imag,
             n_pairs=self.truncations[i],
             mode=self.mode,
-            provenance="expansion",
         )
 
 

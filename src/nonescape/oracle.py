@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -151,16 +151,7 @@ class GridSpec:
         """Same physical run with dr and dt divided by ``factor``."""
         if factor < 2:
             raise ConfigError("refinement factor must be >= 2")
-        return GridSpec(
-            box_size=self.box_size,
-            dr=self.dr / factor,
-            dt=self.dt / factor,
-            t_final=self.t_final,
-            absorber_width=self.absorber_width,
-            absorber_strength=self.absorber_strength,
-            smooth_initial=self.smooth_initial,
-            enforce_resolution=self.enforce_resolution,
-        )
+        return replace(self, dr=self.dr / factor, dt=self.dt / factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +277,6 @@ class _Run:
             imag_residual=0.0,
             n_pairs=0,
             mode="crank-nicolson",
-            provenance="oracle",
         )
         return OracleResult(
             series=series,

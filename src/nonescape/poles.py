@@ -418,21 +418,8 @@ class PoleSet:
         base = self.poles[abs(n) - 1]
         return base if n > 0 else mirror_state_rule(base)
 
-    def wavenumber(self, n: int) -> complex:
-        return self.pole(n).k
-
-    def wavenumbers(self, n_pairs: int | None = None) -> np.ndarray:
-        """Wavenumbers ordered n = -N..-1, 1..N (mirrors first)."""
-        n_pairs = len(self.poles) if n_pairs is None else int(n_pairs)
-        if n_pairs > len(self.poles):
-            raise ConfigError(
-                f"requested {n_pairs} pole pairs but only {len(self.poles)} located"
-            )
-        ks = np.array([p.k for p in self.poles[:n_pairs]], dtype=complex)
-        return np.concatenate([-np.conj(ks[::-1]), ks])
-
     @staticmethod
     def index_order(n_pairs: int) -> np.ndarray:
-        """Signed indices in the same ordering as :meth:`wavenumbers`."""
+        """Signed indices n = -N..-1, 1..N (mirrors first)."""
         pos = np.arange(1, n_pairs + 1)
         return np.concatenate([-pos[::-1], pos])

@@ -38,7 +38,7 @@ from nonescape.errors import (
     NonPositiveProbability,
 )
 from nonescape.gamow import ExpansionData, build_expansion
-from nonescape.model import BoxMode, PiecewiseConstant
+from nonescape.model import BoxMode, DeltaShell, PiecewiseConstant
 from nonescape.poles import ResonancePole, SearchWindow, locate_poles
 from nonescape.selftest import SelftestContext, check_tail_coefficient
 from nonescape.specfn import TAIL_PREFACTOR, asymptotic_coefficients
@@ -58,7 +58,6 @@ def _series(t: np.ndarray, p: np.ndarray) -> NonescapeSeries:
         imag_residual=0.0,
         n_pairs=1,
         mode="closed",
-        provenance="synthetic",
     )
 
 
@@ -120,6 +119,51 @@ def test_t1_cross_check_detects_inconsistency(data: ExpansionData, monkeypatch) 
     monkeypatch.setattr(asym, "moment_sum_quadrature", skewed)
     with pytest.raises(EquivalenceViolation, match=r"routes disagree by .* \(N = \(10,\)\)"):
         tail_coefficient_t1(data.truncate(10))
+
+
+@pytest.fixture(scope="module")
+def wide() -> ExpansionData:
+    """The reference shell with re_max 1002: 319 pole pairs."""
+    shell = DeltaShell(strength=6.0, radius=1.0)
+    pole_set = locate_poles(shell, SearchWindow(re_max=1002.0, im_min=-3.0))
+    return build_expansion(shell, pole_set, BoxMode(mode=1, radius=1.0))
+
+
+def test_routes_agree_at_the_closed_route_rounding_floor(wide: ExpansionData) -> None:
+    # D1 by matrix and by quadrature differ by 1.5e-17 for every N: the
+    # closed overlaps' rounding, 1.5 eps of sum |x_n x_l I[n, l]|.  Relative
+    # to D1(319) = 8.9e-12 that is 1.7e-6, past the 1e-6 tolerance alone.
+    assert wide.n_pairs == 319
+    report = convergence_study(wide, (40, 160, 240, 319))
+    assert report.route_dev > 1e-6
+    assert np.all(np.abs(report.t1_matrix - report.t1_quadrature) < 2e-17)
+    report.check_routes()
+    assert tail_coefficient_t1(wide) == report.t1_matrix[-1]
+
+
+@pytest.mark.parametrize("n_pairs", [40, 319])
+@pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+def test_closed_overlap_perturbed_past_the_floor_raises(
+    wide: ExpansionData, n_pairs: int, factor: float, raises: bool
+) -> None:
+    # Move the closed route to D1 by ``factor`` times its allowed gap: one
+    # diagonal overlap entry of pole 1, whose x = C/k is the largest.
+    sub = wide.truncate(n_pairs)
+    report = convergence_study(sub, (n_pairs,))
+    allowed = max(1e-6 * report.t1_quadrature[0], report.t1_floor[0])
+    shift = factor * allowed - (report.t1_matrix[0] - report.t1_quadrature[0])
+    i = n_pairs  # index order n = -N..-1, 1..N
+    x = sub.coefficients[i] / sub.wavenumbers[i]
+    overlap = sub.overlap.copy()
+    overlap[i, i] += shift / (TAIL_PREFACTOR ** 2 * abs(x) ** 2)
+    skewed = convergence_study(dataclasses.replace(sub, overlap=overlap), (n_pairs,))
+    gap = skewed.t1_matrix[0] - skewed.t1_quadrature[0]
+    assert gap == pytest.approx(factor * allowed, rel=1e-3)
+    if raises:
+        with pytest.raises(EquivalenceViolation, match="routes disagree by "):
+            skewed.check_routes()
+    else:
+        skewed.check_routes()
 
 
 def test_tail_expansion_first_entry_matches_t1(data: ExpansionData) -> None:

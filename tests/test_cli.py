@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -709,6 +710,66 @@ def test_selftest_parser_takes_no_config() -> None:
         parser.parse_args(["selftest", "--config", "x.json"])
     with pytest.raises(ConfigError, match="required"):
         parser.parse_args([])  # a subcommand is required
+
+
+# Each subcommand's flags, in the order -h lists them.
+_OPTIONS = {
+    "poles": ["-h", "--help", "--config", "--out", "--nmax"],
+    "expansion": ["-h", "--help", "--config", "--out", "--nmax"],
+    "sumrule": ["-h", "--help", "--config", "--out", "--nmax", "--r"],
+    "nonescape": ["-h", "--help", "--config", "--out", "--nmax", "--tmin", "--tmax", "--points"],
+    "tail": ["-h", "--help", "--config", "--out", "--nmax", "--tmin", "--tmax", "--points"],
+    "oracle": ["-h", "--help", "--config", "--out", "--tmin", "--tmax", "--points", "--refine"],
+    "compare": ["-h", "--help", "--config", "--out", "--nmax", "--tmin", "--tmax", "--points"],
+    "selftest": ["-h", "--help", "--quiet"],
+}
+
+
+def test_subcommand_option_lists_are_pinned() -> None:
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [flag for action in p._actions for flag in action.option_strings]
+        for name, p in sub.choices.items()
+    }
+    assert options == _OPTIONS
+
+
+_TIMED = ("nonescape", "tail", "oracle", "compare")
+_CAPPED = ("poles", "expansion", "sumrule", "nonescape", "tail", "compare")
+_BAD_TIMES = (
+    ["--tmin", "5", "--tmax", "1", "--points", "10"],
+    ["--tmin", "1e9", "--tmax", "2e9"],
+    ["--points", "0"],
+)
+# (command, flags, config overrides) that exit 2
+_EXIT_2 = [
+    *[(command, argv, {}) for command in _TIMED for argv in _BAD_TIMES],
+    ("oracle", ["--refine", "1"], {}),
+    *[(command, ["--nmax", "0"], {}) for command in _CAPPED],
+    ("sumrule", ["--r", "1.5"], {}),
+    *[(command, [], {"r_points": [5.0]}) for command in (*_CAPPED, "oracle")],
+]
+
+
+@pytest.mark.parametrize(
+    "command, argv, overrides",
+    _EXIT_2,
+    ids=[f"{c}{''.join(a) or '-r_points'}" for c, a, _ in _EXIT_2],
+)
+def test_exit_2_leaves_no_output_directory(
+    tmp_path: Path,
+    capsys: pytest.CaptureFixture,
+    command: str,
+    argv: list[str],
+    overrides: dict,
+) -> None:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(**overrides)))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), *argv]) == 2
+    assert _error_line(capsys)["type"] == "ConfigError"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

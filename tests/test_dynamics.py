@@ -106,7 +106,7 @@ def test_series_bookkeeping(data: ExpansionData) -> None:
     series = nonescape_probability(data, grid, n_pairs=10)
     assert len(series) == len(grid)
     assert series.n_pairs == 10
-    assert series.provenance == "expansion"
+    assert series.mode == "closed"
     assert series.imag_residual <= 1e-10
     assert np.all(series.probability > 0.0)
     assert series.times is not grid.times  # defensive copy
@@ -128,7 +128,6 @@ def test_nonescape_series_is_lightweight() -> None:
         imag_residual=0.0,
         n_pairs=1,
         mode="closed",
-        provenance="synthetic",
     )
     assert len(series) == 2
 

@@ -232,7 +232,7 @@ def test_long_run_health(ctx: SelftestContext) -> None:
     assert run.norms[0] == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.diff(run.norms) <= 1e-12)  # absorber only removes norm
     series = run.series
-    assert series.provenance == "oracle"
+    assert series.mode == "crank-nicolson"
     assert np.all(series.probability > 0.0)
     # Exponential stage: ln P slope ~ -Gamma_1 between 0.5 and 3 lifetimes.
     tau = 1.0 / _GAMMA1

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import nonescape.poles as poles_module
 from nonescape.cli import load_config
 from nonescape.errors import AxisZero, ConfigError, RootPolishFailure, WindingMismatch
+from nonescape.gamow import ExpansionData
 from nonescape.model import DeltaShell, PiecewiseConstant
 from nonescape.poles import (
     PoleSet,
@@ -78,7 +79,7 @@ def test_free_potential_has_no_poles() -> None:
 
 def test_reference_pole_positions(pole_set: PoleSet) -> None:
     for n, k_ref in _REFERENCE_K.items():
-        k = pole_set.wavenumber(n)
+        k = pole_set.pole(n).k
         assert abs(k - k_ref) <= 1e-10 * abs(k_ref), f"n = {n}"
 
 
@@ -87,7 +88,7 @@ def test_pole_positions_match_independent_root_polish(pole_set: PoleSet) -> None
     # matching condition (a code path sharing nothing with locate_poles).
     for n, seed in _REFERENCE_K.items():
         k_ind = delta_shell_pole_reference(6.0, seed)
-        k = pole_set.wavenumber(n)
+        k = pole_set.pole(n).k
         assert abs(k - k_ind) <= 1e-12 * abs(k_ind), f"n = {n}"
 
 
@@ -116,7 +117,7 @@ def test_hard_shell_approaches_box_levels() -> None:
     found = locate_poles(shell, SearchWindow(re_max=10.5, im_min=-1.0))
     assert len(found) == 3
     for n in (1, 2, 3):
-        k = found.wavenumber(n)
+        k = found.pole(n).k
         assert abs(k.real - n * math.pi) <= 0.05
         assert -1e-2 < k.imag < 0.0
 
@@ -139,16 +140,15 @@ def test_pole_set_indexing(pole_set: PoleSet) -> None:
         pole_set.pole(0)
     with pytest.raises(ConfigError, match="outside"):
         pole_set.pole(len(pole_set) + 1)
-    with pytest.raises(ConfigError, match="only"):
-        pole_set.wavenumbers(len(pole_set) + 1)
     assert pole_set.pole(-2).k == -pole_set.pole(2).k.conjugate()
 
 
-def test_wavenumbers_ordering(pole_set: PoleSet) -> None:
-    ks = pole_set.wavenumbers(4)
+def test_wavenumbers_ordering(pole_set: PoleSet, data: ExpansionData) -> None:
+    # an expansion's wavenumbers follow index_order: mirrors first
     idx = PoleSet.index_order(4)
-    assert ks.shape == (8,)
     np.testing.assert_array_equal(idx, [-4, -3, -2, -1, 1, 2, 3, 4])
+    ks = data.truncate(4).wavenumbers
+    assert ks.shape == (8,)
     for i, n in enumerate(idx):
         assert ks[i] == pole_set.pole(int(n)).k
 
@@ -199,7 +199,7 @@ _BARRIER = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
 def _midway(potential, n: int) -> float:
     """Re k halfway between poles n and n + 1 (from a search to Re k = 140)."""
     found = locate_poles(potential, SearchWindow(re_max=140.0, im_min=-3.0))
-    return 0.5 * (found.wavenumber(n).real + found.wavenumber(n + 1).real)
+    return 0.5 * (found.pole(n).k.real + found.pole(n + 1).k.real)
 
 
 def _assert_same_poles(found: PoleSet, reference: PoleSet) -> None:
@@ -287,16 +287,16 @@ def test_pole_set_unchanged_as_window_grows(strength: float, n_small: int, extra
     large = locate_poles(shell, SearchWindow(_midway(shell, n_small + extra), -3.0))
     assert len(small) == n_small and len(large) == n_small + extra
     for p in small:
-        assert abs(p.k - large.wavenumber(p.n)) <= 1e-15 * abs(p.k)
+        assert abs(p.k - large.pole(p.n).k) <= 1e-15 * abs(p.k)
     for n in range(n_small + 1, n_small + extra + 1):
-        assert abs(large.wavenumber(n) - full.wavenumber(n)) <= 1e-15 * abs(full.wavenumber(n))
+        assert abs(large.pole(n).k - full.pole(n).k) <= 1e-15 * abs(full.pole(n).k)
 
 
 @settings(max_examples=15, deadline=None)
 @given(strength=st.floats(3.0, 12.0), n=st.integers(1, 40))
 def test_pole_just_above_the_bottom_edge_is_found(strength: float, n: int) -> None:
     shell = DeltaShell(strength, 1.0)
-    k = locate_poles(shell, SearchWindow(re_max=140.0, im_min=-3.0)).wavenumber(n)
+    k = locate_poles(shell, SearchWindow(re_max=140.0, im_min=-3.0)).pole(n).k
     found = locate_poles(shell, SearchWindow(_midway(shell, n), k.imag - 1e-3))
     assert min(abs(p.k - k) for p in found) <= 1e-15 * abs(k)
 
