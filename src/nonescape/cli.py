@@ -15,10 +15,11 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -325,18 +326,24 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _output_path(cfg: RunConfig, name: str) -> Path:
-    """``name`` in the output directory, which the first write makes."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+@contextmanager
+def _output_file(cfg: RunConfig, name: str) -> Iterator[TextIO]:
+    """``name`` in the output directory, which the first write makes, open
+    for writing; an OS error on the way is a ConfigError naming the path."""
+    path = Path(cfg.output_dir) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    print(path)
 
 
 def _write_csv(
     name: str, cfg: RunConfig, command: str, header: Sequence[str], rows: Iterable[Sequence[Any]]
 ) -> None:
-    path = _output_path(cfg, name)
-    with open(path, "w", newline="") as fh:
+    with _output_file(cfg, name) as fh:
         fh.write(f"# nonescape {command}\n")
         fh.write(f"# config_hash: {cfg.digest}\n")
         fh.write(f"# units: {_UNITS_NOTE}\n")
@@ -344,7 +351,6 @@ def _write_csv(
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    print(path)
 
 
 def _located(cfg: RunConfig) -> PoleSet:
@@ -553,11 +559,9 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         "max_rel_dev_lifetime_window": verdict.lifetime_dev,
         "verdict": verdict.text,
     }
-    path = _output_path(cfg, "summary.json")
-    with open(path, "w") as fh:
+    with _output_file(cfg, "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(path)
     return 0
 
 

@@ -21,7 +21,9 @@ the label to its bin index, integer sums over the rings 0..g give
 truncation g's bins, and each truncation is rounded once, so its samples
 equal ``math.fsum`` of its own terms.  The pass is :func:`nested_forms`, the
 one kernel for quadratic forms over the overlap matrix, which the tail's
-moment sums also call.  :meth:`ProbabilitySums.series` checks one
+moment sums also call.  Each block of its terms is one summer call that bins
+the real and imaginary parts together, over the block's interleaved float
+view, in cache-sized chunks.  :meth:`ProbabilitySums.series` checks one
 truncation's samples, and :func:`nonescape_probability` is the
 one-truncation case.
 """
@@ -128,13 +130,18 @@ class NonescapeSeries:
 # Terms per block of :func:`nested_forms`: a block holds max(1, _BLOCK //
 # (2N)^2) rows, so its term array holds 32,768 to 65,536 complex terms (0.5
 # to 1 MB) while (2N)^2 <= _BLOCK, i.e. N <= 128, and one row of (2N)^2
-# terms beyond (102,400 terms, 1.6 MB, at N = 160).  Each block array is
-# allocated once per call and reused for every block.
+# terms beyond (102,400 terms, 1.6 MB, at N = 160).  Each block is one
+# summer call on the term array's interleaved float view, whose work arrays
+# hold a fraction, an exponent and a bin key per float part (4 MB at
+# N = 160), and every array is allocated once per call and reused for every
+# block.
 _BLOCK = 1 << 16
-# Terms per bin sum.  High parts are integers below 2**27 and low parts
-# multiples of 2**-26 below 1, so 2**26 of either sum below 2**53 units:
-# exactly, in any order, in float64.
-_EXACT_TERMS = 1 << 26
+# Float parts per chunk of a summer call: the chunk's bin index and its high
+# and low parts (256 KB each) stay in cache between the passes that make
+# them and the ones that bin them.  A bin gets at most _CHUNK parts of one
+# chunk: high parts are integers below 2**27 and low parts multiples of
+# 2**-26 below 1, so either sum stays below 2**53 units, exact in float64.
+_CHUNK = 1 << 15
 _SPLIT = 2.0**26
 
 
@@ -147,70 +154,103 @@ def _round_scaled(total: int, exponent: int) -> float:
 
 
 class _NestedSummer:
-    """Exact nested-group sums of real (rows x cols) blocks.
+    """Exact nested-group sums of (rows x cols) blocks, real or complex.
 
     Column c lies in ring ``rings[c]``, and group g of a row is its columns
-    in rings 0..g.  The work arrays hold ``max_rows`` rows and are allocated
-    once, so a caller summing block after block allocates nothing per block
-    but the small bin arrays.
+    in rings 0..g.  With ``parts`` = 2 a block is complex, and one call sums
+    both parts of every term over the block's interleaved float view.  The
+    work arrays hold ``max_rows`` rows and are allocated once, so a caller
+    summing block after block allocates nothing per block but the small bin
+    arrays.
     """
 
-    def __init__(self, max_rows: int, rings: np.ndarray) -> None:
+    def __init__(self, max_rows: int, rings: np.ndarray, parts: int = 1) -> None:
         self.rings = np.asarray(rings, dtype=np.intp)
+        self.parts = parts
         self.n_rings = int(self.rings.max()) + 1 if self.rings.size else 1
-        shape = (max_rows, self.rings.size)
+        # (ring, part) of each float part of a row: its bin key above the exponent
+        self.keys = (self.rings[:, None] * parts + np.arange(parts)).ravel()
+        shape = (max_rows, self.keys.size)
         self.frac = np.empty(shape)
         self.exp = np.empty(shape, dtype=np.intc)
-        self.index = np.empty(shape, dtype=np.intp)
-        self.high = np.empty(shape)
-        self.ring_bins = np.empty(self.rings.size, dtype=np.intp)
+        # a chunk is whole rows, or one row's parts in pieces
+        self.chunk_cols = max(1, min(self.keys.size, _CHUNK))
+        self.chunk_rows = max(1, min(max_rows, _CHUNK // self.chunk_cols))
+        size = self.chunk_rows * self.chunk_cols
+        self.index = np.empty(size, dtype=np.intp)
+        self.high = np.empty(size)
+        self.low = np.empty(size)
+
+    def _fsum_groups(self, terms: np.ndarray) -> list[float]:
+        return [fsum(terms[self.rings <= g]) for g in range(self.n_rings)]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """(rows x n_rings) correctly rounded group sums of ``x``."""
-        n_rows, n_cols = x.shape
-        n_rings = self.n_rings
-        out = np.zeros((n_rows, n_rings))  # an exact zero rounds to +0.0, as in fsum
-        if x.size == 0:
-            return out
-        # rows whose plain sum is not finite hold an inf or NaN, or overflow
-        # on the way: math.fsum settles those
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(x.sum(axis=1))
-        frac, exp, index, high = (
-            a[:n_rows] for a in (self.frac, self.exp, self.index, self.high)
-        )
-        np.frexp(x, out=(frac, exp))
-        if not finite.all():
-            frac[~finite] = 0.0
-            exp[~finite] = 0
-        e_lo = int(exp.min())
-        width = int(exp.max()) - e_lo + 1
-        # bin of a term: (row, ring, exponent), exponents innermost
-        np.subtract(exp, e_lo, out=index, dtype=np.intp)
-        np.multiply(self.rings, width, out=self.ring_bins)
-        index += self.ring_bins
-        if n_rows > 1:
-            index += (np.arange(n_rows) * (n_rings * width))[:, None]
-        # frac 2**27 splits exactly into an integer part below 2**27 and a
-        # fraction in multiples of 2**-26; frac keeps the fraction
-        np.multiply(frac, 2.0**27, out=frac)
-        np.trunc(frac, out=high)
-        frac -= high
-        n_bins = n_rows * n_rings * width
-        hi_bins = np.zeros(n_bins, dtype=np.int64)
-        lo_bins = np.zeros(n_bins, dtype=np.int64)
-        for c0 in range(0, n_cols, _EXACT_TERMS):
-            cols = slice(c0, c0 + _EXACT_TERMS)
-            bins = index[:, cols].ravel()
-            hi_bins += np.bincount(bins, high[:, cols].ravel(), minlength=n_bins).astype(
-                np.int64
-            )
-            lo_bins += (
-                np.bincount(bins, frac[:, cols].ravel(), minlength=n_bins) * _SPLIT
-            ).astype(np.int64)
+        """(rows x n_rings) correctly rounded group sums of the C-contiguous
+        ``x``: float for ``parts`` 1, complex for 2."""
+        n_rows, n_cols, parts = x.shape[0], self.rings.size, self.parts
+        n_rings, n_floats = self.n_rings, self.keys.size
+        # float (row, ring, part): an exact zero rounds to +0.0, as in fsum
+        out = np.zeros((n_rows, n_rings * parts))
+        if out.size == 0 or n_cols == 0:
+            return out.view(x.dtype)
+        terms = x.view(float).reshape(n_rows, n_floats)
+        frac, exp = self.frac[:n_rows], self.exp[:n_rows]
+        np.frexp(terms, out=(frac, exp))
+        e_lo, e_hi = int(exp.min()), int(exp.max())
+        fallback = {}  # (row, part) -> its group sums by math.fsum
+        if e_hi + n_cols.bit_length() >= 1024:
+            # a plain sum may overflow: the (row, part)s whose plain sum is
+            # not finite hold an inf or NaN, or overflow on the way, and
+            # math.fsum settles them
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = terms.reshape(n_rows, n_cols, parts).sum(axis=1)
+            for i, p in zip(*np.nonzero(~np.isfinite(plain))):
+                fallback[i, p] = self._fsum_groups(terms[i, p::parts])
+                frac[i, p::parts] = 0.0
+                exp[i, p::parts] = 0
+            e_lo, e_hi = int(exp.min()), int(exp.max())
+        # Below that bound no plain sum overflows, and an inf or NaN term
+        # shows as a non-finite bin of its (row, part).
+        width = e_hi - e_lo + 1
+        row_bins = n_rings * parts * width
+        # bin of a part: (row, ring, part, exponent), exponents innermost
+        row_base = (np.arange(self.chunk_rows) * row_bins - e_lo)[:, None]
+        hi_bins = np.zeros(n_rows * row_bins, dtype=np.int64)
+        lo_bins = np.zeros(n_rows * row_bins, dtype=np.int64)
+        for r0 in range(0, n_rows, self.chunk_rows):
+            r1 = min(r0 + self.chunk_rows, n_rows)
+            span = slice(r0 * row_bins, r1 * row_bins)
+            for c0 in range(0, n_floats, self.chunk_cols):
+                c1 = min(c0 + self.chunk_cols, n_floats)
+                block = (slice(r0, r1), slice(c0, c1))
+                index, high, low = (
+                    a[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+                    for a in (self.index, self.high, self.low)
+                )
+                np.multiply(self.keys[c0:c1], width, out=index)
+                index += exp[block]
+                index += row_base[: r1 - r0]
+                # frac 2**27 splits exactly into an integer part below 2**27
+                # and a fraction in multiples of 2**-26
+                np.multiply(frac[block], 2.0**27, out=low)
+                np.trunc(low, out=high)
+                with np.errstate(invalid="ignore"):  # inf - inf from an infinite term
+                    low -= high
+                n_bins = span.stop - span.start
+                hi = np.bincount(index.ravel(), high.ravel(), minlength=n_bins)
+                lo = np.bincount(index.ravel(), low.ravel(), minlength=n_bins) * _SPLIT
+                bad = ~np.isfinite(hi)
+                if bad.any():
+                    for b in np.flatnonzero(bad).tolist():
+                        i, p = r0 + b // row_bins, b // width % parts
+                        if (i, p) not in fallback:
+                            fallback[i, p] = self._fsum_groups(terms[i, p::parts])
+                    hi[bad] = lo[bad] = 0.0
+                hi_bins[span] += hi.astype(np.int64)
+                lo_bins[span] += lo.astype(np.int64)
         if n_rings > 1:  # group g holds rings 0..g
             for bins in (hi_bins, lo_bins):
-                cube = bins.reshape(n_rows, n_rings, width)
+                cube = bins.reshape(n_rows, n_rings, parts * width)
                 np.cumsum(cube, axis=1, out=cube)
         used = np.flatnonzero(hi_bins | lo_bins)
         flat = out.reshape(-1)
@@ -228,10 +268,9 @@ class _NestedSummer:
             total += ((h << 26) + l) << (e - e0)
         if group >= 0:
             flat[group] = _round_scaled(total, e0 + e_lo - 53)
-        for i in np.flatnonzero(~finite):
-            for g in range(n_rings):
-                out[i, g] = fsum(x[i][self.rings <= g])
-        return out
+        for (i, p), sums in fallback.items():
+            out[i, p::parts] = sums
+        return out.view(x.dtype)
 
 
 def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
@@ -243,19 +282,16 @@ def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
     separately for complex rows), so no group depends on term order.
     ``frexp`` writes a finite double as m 2**(e - 53) with an integer
     |m| < 2**53; the high and low halves of m are summed exactly per
-    (row, ring, e) by ``np.bincount``, summed over the rings 0..g in
-    integers, and then each group's bins are combined in Python integers
-    and rounded once.  Rows holding an infinity or NaN are passed to
-    ``math.fsum`` itself.
+    (row, ring, part, e) by ``np.bincount``, both parts of complex rows in
+    the same call, summed over the rings 0..g in integers, and then each
+    group's bins are combined in Python integers and rounded once.  A row
+    part holding an infinity or NaN, or whose plain sum overflows, is passed
+    to ``math.fsum`` itself.
     """
     x = np.asarray(rows)
-    summer = _NestedSummer(x.shape[0], rings)
-    if np.iscomplexobj(x):
-        out = np.empty((x.shape[0], summer.n_rings), dtype=complex)
-        out.real = summer(x.real)
-        out.imag = summer(x.imag)
-        return out
-    return summer(np.asarray(x, dtype=float))
+    complex_rows = np.iscomplexobj(x)
+    terms = np.ascontiguousarray(x, dtype=complex if complex_rows else float)
+    return _NestedSummer(terms.shape[0], rings, 2 if complex_rows else 1)(terms)
 
 
 def exact_row_sums(rows: np.ndarray) -> np.ndarray:
@@ -343,9 +379,8 @@ def nested_forms(
     once per call.
     """
     step = min(len(left), max(1, _BLOCK // sub.overlap.size))
-    outer = np.empty((step,) + sub.overlap.shape, dtype=complex)
-    weighted = np.empty_like(outer)
-    summer = _NestedSummer(step, rings)
+    terms = np.empty((step,) + sub.overlap.shape, dtype=complex)
+    summer = _NestedSummer(step, rings, parts=2)
     out = np.empty((len(left), summer.n_rings), dtype=complex)
     for i0 in range(0, len(left), step):
         x, y = left[i0 : i0 + step], right[i0 : i0 + step]
@@ -354,11 +389,9 @@ def nested_forms(
         # part is fused): both products name their operands in a fixed
         # order, where a temporary could be multiplied in place as its left
         # operand once it reaches numpy's elision size.
-        np.multiply(x[:, :, None], np.conj(y)[:, None, :], out=outer[:n])
-        np.multiply(sub.overlap, outer[:n], out=weighted[:n])
-        terms = weighted[:n].reshape(n, -1)
-        out.real[i0 : i0 + n] = summer(terms.real)
-        out.imag[i0 : i0 + n] = summer(terms.imag)
+        np.multiply(x[:, :, None], np.conj(y)[:, None, :], out=terms[:n])
+        np.multiply(sub.overlap, terms[:n], out=terms[:n])
+        out[i0 : i0 + n] = summer(terms[:n].reshape(n, -1))
     return out
 
 

@@ -163,15 +163,24 @@ def _state_values(stack: _StateStack, idx: np.ndarray, x: np.ndarray) -> np.ndar
     """u_m at the located points (segment ``idx``, offset ``x``), one row per state.
 
     This is where every state value is formed.  The kernels run only for
-    the rows in ``stack.own``; each mirror row is the conjugate of its
-    source row.  Conjugation reproduces the bits of a direct evaluation
+    the rows in ``stack.own``, segment by segment: that segment's points
+    meet the (own states x 1) columns of its z, a and b, so each state
+    takes one square root per segment, and points all in one segment are
+    neither gathered nor scattered.  Each mirror row is the conjugate of
+    its source row.  Conjugation reproduces the bits of a direct evaluation
     except where the value has a zero (whose sign may differ) or a
     non-finite part, so those entries are evaluated directly.
     """
     out = np.empty((len(stack.z), idx.size), dtype=complex)
     own = stack.own
-    c, s = kernels(stack.z[own][:, idx], x)
-    out[own] = stack.a[own][:, idx] * c + stack.b[own][:, idx] * s
+    segs = np.unique(idx)
+    for j in segs:
+        cols = np.flatnonzero(idx == j) if len(segs) > 1 else slice(None)
+        c, s = kernels(stack.z[own, j, None], x[cols])
+        np.multiply(stack.a[own, j, None], c, out=c)
+        np.multiply(stack.b[own, j, None], s, out=s)
+        rows = np.ix_(own, cols) if len(segs) > 1 else own
+        out[rows] = np.add(c, s, out=c)
     if stack.mirror.size:
         values = out[stack.source]
         mirrored = np.conj(values)
@@ -620,8 +629,9 @@ def weighted_field(
     The points are taken in blocks, each block evaluating every state with
     a nonzero weight at once, so both states of a mirror pair share the
     kernel work (see :func:`_state_values`).  At each point the terms are
-    added in state order, so the result is the same, bit for bit, as adding
-    ``weights[m] u_m(r)`` one state at a time.
+    added in state order by one accumulate over the block, so the result is
+    the same, bit for bit, as adding ``weights[m] u_m(r)`` one state at a
+    time to a zero.
     """
     if len(weights) != len(data.states):
         raise ConfigError("one weight per state required")
@@ -631,12 +641,15 @@ def weighted_field(
     if live:
         idx, x = _locate(data.states[0].r_edges, r_arr)
         stack = _stack([data.states[m] for m in live])
+        live_weights = np.asarray(weights)[live][:, None]
         step = max(1, _FIELD_BLOCK // len(live))
         for p0 in range(0, r_arr.size, step):
             sl = slice(p0, p0 + step)
-            block = acc[sl]
-            for m, v in zip(live, _state_values(stack, idx[sl], x[sl])):
-                block += weights[m] * v
+            terms = _state_values(stack, idx[sl], x[sl])
+            np.multiply(live_weights, terms, out=terms)
+            np.add.accumulate(terms, axis=0, out=terms)
+            # the zero's add turns a zero sum's -0 into +0, as the loop did
+            acc[sl] += terms[-1]
     if np.ndim(r) == 0:
         return complex(acc[0])
     return acc.reshape(np.shape(r))

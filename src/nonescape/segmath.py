@@ -57,45 +57,69 @@ def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _series_family(w, length, derivative: bool, versine: bool) -> list:
+    """[C, S, dS/dz, W, dW/dz] from the Taylor series in w = z L^2."""
+    L = length
+    return [
+        _horner(_COS_COEFF, w),
+        L * _horner(_SINC_COEFF, w),
+        L ** 3 * _horner(_DSINC_COEFF, w) if derivative else None,
+        L * L * _horner(_VERS_COEFF, w) if versine else None,
+        L ** 4 * _horner(_DVERS_COEFF, w) if derivative and versine else None,
+    ]
+
+
+def _root_family(z, q, length, derivative: bool, versine: bool) -> list:
+    """[C, S, dS/dz, W, dW/dz] from q = sqrt(z) and cos(q L), sin(q L)."""
+    L = length
+    qL = q * L
+    with np.errstate(over="ignore", invalid="ignore"):  # |Im qL| beyond ~710
+        c = np.cos(qL)
+        s = np.sin(qL) / q
+        return [
+            c,
+            s,
+            (L * c - s) / (2.0 * z) if derivative else None,
+            (1.0 - c) / z if versine else None,
+            (0.5 * z * L * s - (1.0 - c)) / z ** 2 if derivative and versine else None,
+        ]
+
+
 def _kernel_family(z, length, derivative: bool = False, versine: bool = False) -> list:
     """[C, S, dS/dz, W, dW/dz] at the broadcast points of (z, length).
 
     Entries not asked for are None.  Each point takes one branch: the
     Taylor series in w = z L^2 runs only where |w| <= _SERIES_CUTOFF, and
     the sqrt/cos/sin route only on the other points, where z and L are
-    nonzero.
+    nonzero.  The root is taken once per value of z, before z meets the
+    lengths, so a column of z against a row of lengths takes one root per
+    row.  When every point takes one branch, that branch runs on the
+    broadcast operands with no gather or scatter.
     """
     z_arr = np.asarray(z, dtype=complex)
     L = np.asarray(length, dtype=float)
     w = z_arr * L * L
     small = np.abs(w) <= _SERIES_CUTOFF
+    flags = (derivative, versine)
+    # A single point takes the gathered route below as a one-element
+    # array: numpy's scalar arithmetic does not fuse the complex product
+    # as its array loops do, so 0-d operands would change bits.
+    if w.ndim and small.all():
+        return _series_family(w, L, *flags)
+    q = np.sqrt(z_arr)
+    if w.ndim and not small.any():
+        return _root_family(z_arr, q, L, *flags)
     wanted = (True, True, derivative, versine, derivative and versine)
     out = [np.empty(w.shape, dtype=complex) if flag else None for flag in wanted]
-    if small.any():
-        ws, ls = w[small], np.broadcast_to(L, w.shape)[small]
-        out[0][small] = _horner(_COS_COEFF, ws)
-        out[1][small] = ls * _horner(_SINC_COEFF, ws)
-        if derivative:
-            out[2][small] = ls ** 3 * _horner(_DSINC_COEFF, ws)
-        if versine:
-            out[3][small] = ls * ls * _horner(_VERS_COEFF, ws)
-        if derivative and versine:
-            out[4][small] = ls ** 4 * _horner(_DVERS_COEFF, ws)
-    big = ~small
-    if big.any():
-        zb, lb = np.broadcast_to(z_arr, w.shape)[big], np.broadcast_to(L, w.shape)[big]
-        q = np.sqrt(zb)
-        qL = q * lb
-        with np.errstate(over="ignore", invalid="ignore"):  # |Im qL| beyond ~710
-            c = np.cos(qL)
-            s = np.sin(qL) / q
-            out[0][big], out[1][big] = c, s
-            if derivative:
-                out[2][big] = (lb * c - s) / (2.0 * zb)
-            if versine:
-                out[3][big] = (1.0 - c) / zb
-            if derivative and versine:
-                out[4][big] = (0.5 * zb * lb * s - (1.0 - c)) / zb ** 2
+    for mask, family, operands in (
+        (small, _series_family, (w, L)),
+        (~small, _root_family, (z_arr, q, L)),
+    ):
+        if mask.any():
+            points = (np.broadcast_to(v, w.shape)[mask] for v in operands)
+            for target, values in zip(out, family(*points, *flags)):
+                if target is not None:
+                    target[mask] = values
     return out
 
 

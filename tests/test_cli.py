@@ -772,6 +772,27 @@ def test_exit_2_leaves_no_output_directory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["poles", "tail"])
+@pytest.mark.parametrize("below", ["sub", ""])
+def test_unwritable_output_is_a_config_error(
+    config_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture, command: str, below: str
+) -> None:
+    # a regular file where the output directory, or one of its parents,
+    # should be: mkdir fails whatever the permissions (tests may run as root)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError" and error["exit_code"] == 2
+    assert str(out / f"{command}.csv") in error["message"]
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

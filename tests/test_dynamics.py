@@ -10,7 +10,10 @@ from _oracles import nonescape_probability_loop
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nonescape import dynamics
+from nonescape.asymptote import tail_expansion
 from nonescape.dynamics import (
+    _CHUNK,
     NonescapeSeries,
     TimeGrid,
     exact_nested_sums,
@@ -291,6 +294,72 @@ def test_exact_nested_sums_equal_fsum_of_each_group(case) -> None:
     z = exact_nested_sums(z, labels)
     assert np.array_equal(_bits(z.real), _bits(expected))
     assert np.array_equal(_bits(z.imag), _bits(expected[::-1]))
+
+
+@st.composite
+def _complex_nested_case(draw):
+    """Complex rows whose real and imaginary parts are drawn independently.
+
+    Widths run to a row wider than a summer chunk (as N = 160 rows are);
+    "huge" puts a part's largest exponent at 1021, so the plain-sum
+    pre-check runs; now and then one part of a row holds an inf or NaN.
+    """
+    n_rows = draw(st.integers(1, 3))
+    n_cols = draw(st.sampled_from([0, 1, 5, 40, 3 * _CHUNK // 4 + 3]))
+    n_rings = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rings = rng.integers(0, n_rings, n_cols)
+    x = np.empty((n_rows, n_cols), dtype=complex)
+    for part in (x.real, x.imag):
+        scale = draw(st.sampled_from(["wide", "narrow", "huge"]))
+        lo, hi = {"wide": (-1080, 1000), "narrow": (-60, 4), "huge": (900, 1018)}[scale]
+        part[...] = np.ldexp(rng.uniform(-1.0, 1.0, x.shape), rng.integers(lo, hi, x.shape))
+        if scale == "huge" and n_cols:
+            part[:, 0] = np.ldexp(0.75, 1021)
+    for i in range(n_rows):
+        if n_cols and draw(st.integers(0, 3)) == 0:
+            part = x.real if draw(st.booleans()) else x.imag
+            part[i, draw(st.integers(0, n_cols - 1))] = draw(
+                st.sampled_from([math.inf, -math.inf, math.nan])
+            )
+    return x, rings
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complex_nested_case())
+def test_exact_nested_sums_of_independent_complex_parts(case) -> None:
+    x, rings = case
+    n_groups = int(rings.max()) + 1 if rings.size else 1
+    try:
+        expected = [
+            [
+                [math.fsum(part[i][rings <= g]) for g in range(n_groups)]
+                for part in (x.real, x.imag)
+            ]
+            for i in range(len(x))
+        ]
+    except (OverflowError, ValueError):  # fsum's intermediate overflow, inf - inf
+        assume(False)
+    got = exact_nested_sums(x, rings)
+    assert got.shape == (len(x), n_groups)
+    for i, (re, im) in enumerate(expected):
+        assert np.array_equal(_bits(got[i].real), _bits(re)), i
+        assert np.array_equal(_bits(got[i].imag), _bits(im)), i
+
+
+@pytest.mark.parametrize("name", ["reference", "wide"])
+def test_exact_sums_take_no_fsum_fallback(
+    ctx: SelftestContext, monkeypatch: pytest.MonkeyPatch, name: str
+) -> None:
+    # the P(t) and tail passes hold only finite terms far from overflow:
+    # every group is summed by the bins, none is left to math.fsum
+    data = ctx.data if name == "reference" else ctx.wide_data
+    calls = []
+    monkeypatch.setattr(dynamics, "fsum", lambda terms: calls.append(len(terms)))
+    truncations = (5, 10, 20, 40) if name == "reference" else (10, 20, 40, 80, 160)
+    probability_sums(data, TimeGrid.log(0.05, 1.0e5, per_decade=10), truncations)
+    tail_expansion(data, truncations)
+    assert calls == []
 
 
 def _loop_reference(data: ExpansionData, grid: TimeGrid, truncations) -> None:

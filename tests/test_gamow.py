@@ -319,6 +319,40 @@ def test_state_values_match_per_state_reference_bits(
     assert same_bits(_state_values(stack, idx, x), state_values_per_state(states, idx, x))
 
 
+@pytest.mark.parametrize("name", ["reference", "wide", "barrier"])
+@pytest.mark.parametrize("branch", ["series", "root"])
+def test_state_values_on_one_branch_match_per_state_reference_bits(
+    expansions: dict[str, ExpansionData], name: str, branch: str
+) -> None:
+    # Points of the first segment that all take one kernel branch for every
+    # state, so the kernels run on the broadcast (states x 1) columns.
+    states = expansions[name].states
+    edges = states[0].r_edges
+    z_abs = np.abs([s.z[0] for s in states])
+    if branch == "series":  # |z| x^2 <= 4 for the largest |z|
+        x = np.linspace(0.0, 1.9 / np.sqrt(z_abs.max()), 64)
+    else:  # |z| x^2 > 4 for the smallest |z|
+        x = np.linspace(2.1 / np.sqrt(z_abs.min()), edges[1], 64, endpoint=False)
+    w = np.abs(np.outer(z_abs, x * x))
+    assert np.all(w <= 4.0) if branch == "series" else np.all(w > 4.0)
+    idx, x = _locate(edges, edges[0] + x)
+    assert np.all(idx == 0)
+    assert same_bits(_state_values(_stack(states), idx, x), state_values_per_state(states, idx, x))
+
+
+def test_state_values_across_the_barrier_edge(expansions: dict[str, ExpansionData]) -> None:
+    # points on both sides of the edge at 0.6, and on it (offset 0 in the
+    # barrier), mixed in one call: each segment's points are gathered
+    states = expansions["barrier"].states
+    edges = states[0].r_edges
+    assert edges[1] == 0.6
+    delta = np.array([1e-15, 1e-9, 1e-4, 0.05])
+    r = np.concatenate([0.6 - delta, [0.6], 0.6 + delta, 0.6 - delta[::-1]])
+    idx, x = _locate(edges, r)
+    assert set(idx.tolist()) == {0, 1}
+    assert same_bits(_state_values(_stack(states), idx, x), state_values_per_state(states, idx, x))
+
+
 def test_state_values_pair_by_segment_data(
     expansions: dict[str, ExpansionData], rng: np.random.Generator
 ) -> None:
