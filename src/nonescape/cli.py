@@ -5,6 +5,10 @@ describes the reference delta-shell model), writes deterministic CSV files
 with a metadata comment block, and exits 0 on success, 1 on a numerical
 domain error, or 2 on a configuration error.  Errors are emitted to stderr
 as a one-line JSON object so drivers can dispatch without parsing prose.
+
+A field of DeltaShell, BoxMode, SearchWindow or GridSpec *is* its key in
+the delta-shell ``potential``, ``initial_state``, ``pole_search`` or
+``oracle_grid`` section, with the field's type and default (none: required).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
@@ -83,22 +87,48 @@ def _as_int(value: Any, where: str) -> int:
     return int(value)
 
 
+def _as_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be a boolean")
+    return value
+
+
+_CONVERTERS = {"float": _as_float, "int": _as_int, "bool": _as_bool}
+
+
+def _build(cls: type, section: dict, where: str, extra: tuple[str, ...] = ("kind",)) -> Any:
+    """``cls`` from a config section whose keys are its fields (plus ``extra``):
+    a field with no default is required, and each value is checked, in field
+    order, against the field's annotated type."""
+    kwargs: dict[str, Any] = {}
+    declared = fields(cls)
+    _reject_unknown(section, (*extra, *(f.name for f in declared)), where)
+    for f in declared:
+        if f.name in section or f.default is MISSING:
+            # a boolean's message has always named its section
+            label = f"{where}.{f.name}" if f.type == "bool" else f.name
+            kwargs[f.name] = _CONVERTERS[f.type](_get(section, f.name, where), label)
+    return cls(**kwargs)
+
+
+def _object(raw: dict, key: str) -> dict:
+    """The section ``raw[key]``, required and checked to be an object."""
+    section = _get(raw, key, "configuration")
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object")
+    return section
+
+
 def _sample_count(value: int, where: str) -> int:
     if not 1 <= value <= MAX_TIME_SAMPLES:
         raise ConfigError(f"{where} must lie in 1..{MAX_TIME_SAMPLES}, got {value}")
     return value
 
 
-def _parse_potential(section: Any) -> DeltaShell | PiecewiseConstant:
-    if not isinstance(section, dict):
-        raise ConfigError("potential must be an object")
+def _parse_potential(section: dict) -> DeltaShell | PiecewiseConstant:
     kind = _get(section, "kind", "potential")
     if kind == "delta_shell":
-        _reject_unknown(section, ("kind", "strength", "radius"), "potential")
-        return DeltaShell(
-            strength=_as_float(_get(section, "strength", "potential"), "strength"),
-            radius=_as_float(_get(section, "radius", "potential"), "radius"),
-        )
+        return _build(DeltaShell, section, "potential")
     if kind == "piecewise_constant":
         _reject_unknown(section, ("kind", "pieces"), "potential")
         pieces = _get(section, "pieces", "potential")
@@ -113,22 +143,7 @@ def _parse_potential(section: Any) -> DeltaShell | PiecewiseConstant:
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
-def _parse_state(section: Any) -> BoxMode:
-    if not isinstance(section, dict):
-        raise ConfigError("initial_state must be an object")
-    kind = _get(section, "kind", "initial_state")
-    if kind == "box_mode":
-        _reject_unknown(section, ("kind", "mode", "radius"), "initial_state")
-        return BoxMode(
-            mode=_as_int(_get(section, "mode", "initial_state"), "mode"),
-            radius=_as_float(_get(section, "radius", "initial_state"), "radius"),
-        )
-    raise ConfigError(f"unknown initial_state kind {kind!r}")
-
-
-def _parse_time_grid(section: Any) -> TimeGrid:
-    if not isinstance(section, dict):
-        raise ConfigError("time_grid must be an object")
+def _parse_time_grid(section: dict) -> TimeGrid:
     kind = _get(section, "kind", "time_grid")
     if kind == "log":
         _reject_unknown(section, ("kind", "t_min", "t_max", "per_decade"), "time_grid")
@@ -154,36 +169,6 @@ def _parse_time_grid(section: Any) -> TimeGrid:
     raise ConfigError(f"unknown time_grid kind {kind!r}")
 
 
-_GRID_KEYS = (
-    "box_size",
-    "dr",
-    "dt",
-    "t_final",
-    "absorber_width",
-    "absorber_strength",
-    "smooth_initial",
-    "enforce_resolution",
-)
-
-
-def _parse_oracle_grid(section: Any) -> GridSpec:
-    if not isinstance(section, dict):
-        raise ConfigError("oracle_grid must be an object")
-    _reject_unknown(section, _GRID_KEYS, "oracle_grid")
-    kwargs: dict[str, Any] = {}
-    for key in ("box_size", "dr", "dt", "t_final"):
-        kwargs[key] = _as_float(_get(section, key, "oracle_grid"), key)
-    for key in ("absorber_width", "absorber_strength"):
-        if key in section:
-            kwargs[key] = _as_float(section[key], key)
-    for key in ("smooth_initial", "enforce_resolution"):
-        if key in section:
-            if not isinstance(section[key], bool):
-                raise ConfigError(f"oracle_grid.{key} must be a boolean")
-            kwargs[key] = section[key]
-    return GridSpec(**kwargs)
-
-
 _TOP_KEYS = (
     "potential",
     "initial_state",
@@ -202,14 +187,8 @@ def parse_config(raw: Any) -> RunConfig:
         raise ConfigError("run configuration must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "configuration")
 
-    search = _get(raw, "pole_search", "configuration")
-    if not isinstance(search, dict):
-        raise ConfigError("pole_search must be an object")
-    _reject_unknown(search, ("re_max", "im_min", "tol"), "pole_search")
-    window = SearchWindow(
-        re_max=_as_float(_get(search, "re_max", "pole_search"), "re_max"),
-        im_min=_as_float(_get(search, "im_min", "pole_search"), "im_min"),
-    )
+    search = _object(raw, "pole_search")
+    window = _build(SearchWindow, search, "pole_search", extra=("tol",))
     tol = _as_float(_get(search, "tol", "pole_search", 1e-12), "tol")
 
     truncations = _get(raw, "truncations", "configuration")
@@ -228,14 +207,18 @@ def parse_config(raw: Any) -> RunConfig:
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:12]
 
+    potential = _parse_potential(_object(raw, "potential"))
+    state = _object(raw, "initial_state")
+    if _get(state, "kind", "initial_state") != "box_mode":
+        raise ConfigError(f"unknown initial_state kind {state['kind']!r}")
     cfg = RunConfig(
-        potential=_parse_potential(_get(raw, "potential", "configuration")),
-        psi0=_parse_state(_get(raw, "initial_state", "configuration")),
+        potential=potential,
+        psi0=_build(BoxMode, state, "initial_state"),
         window=window,
         tol=tol,
         truncations=n_list,
-        time_grid=_parse_time_grid(_get(raw, "time_grid", "configuration")),
-        oracle_grid=_parse_oracle_grid(_get(raw, "oracle_grid", "configuration")),
+        time_grid=_parse_time_grid(_object(raw, "time_grid")),
+        oracle_grid=_build(GridSpec, _object(raw, "oracle_grid"), "oracle_grid", extra=()),
         r_points=r_points,
         output_dir=str(_get(raw, "output_dir", "configuration", "nonescape-out")),
         digest=digest,
@@ -389,25 +372,22 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
         state_rows,
     )
 
-    overlap_rows = []
-    for i, n in enumerate(data.indices):
-        for j, l in enumerate(data.indices):
-            overlap_rows.append(
-                (
-                    n,
-                    l,
-                    data.overlap[i, j].real,
-                    data.overlap[i, j].imag,
-                    quad[i, j].real,
-                    quad[i, j].imag,
-                )
-            )
+    # row-major over (n, l), as the matrices ravel
+    size = len(data.indices)
+    overlap_columns = (
+        np.repeat(data.indices, size),
+        np.tile(data.indices, size),
+        data.overlap.real.ravel(),
+        data.overlap.imag.ravel(),
+        quad.real.ravel(),
+        quad.imag.ravel(),
+    )
     _write_csv(
         "overlaps.csv",
         cfg,
         "expansion",
         ("n", "l", "re_closed", "im_closed", "re_quadrature", "im_quadrature"),
-        overlap_rows,
+        zip(*overlap_columns),
     )
 
     coeff_rows = [

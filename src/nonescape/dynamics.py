@@ -319,7 +319,7 @@ class ProbabilitySums:
     mode: str
 
     def series(self, n_pairs: int) -> NonescapeSeries:
-        """P(t) of one truncation, checked sample by sample in time order.
+        """P(t) of one truncation; the first bad sample in time order raises.
 
         Raises
         ------
@@ -331,23 +331,22 @@ class ProbabilitySums:
         if n_pairs not in self.truncations:
             raise ConfigError(f"truncation {n_pairs} is not among {self.truncations}")
         i = self.truncations.index(n_pairs)
-        p_out = np.empty(self.times.shape)
-        worst_imag = 0.0
-        for j, total in enumerate(self.sums[i]):
-            re, im, t = total.real, total.imag, self.times[j]
-            scale = max(1.0, abs(re))
-            if abs(im) > _IMAG_HARD_LIMIT * scale:
+        re, im = self.sums[i].real.copy(), self.sums[i].imag
+        scale = np.fmax(1.0, np.abs(re))  # 1 at a NaN sample, as Python's max gives
+        unstable = np.abs(im) > _IMAG_HARD_LIMIT * scale
+        bad = unstable | (re < -1e-9)
+        if bad.any():
+            j = int(np.argmax(bad))  # the first bad sample; its imaginary part first
+            t, p = self.times[j], re[j]
+            if unstable[j]:
                 raise TruncationUnstable(
-                    f"imaginary residual {im:.3e} at t = {t:g} (P = {re:.3e})"
+                    f"imaginary residual {im[j]:.3e} at t = {t:g} (P = {p:.3e})"
                 )
-            if re < -1e-9:
-                raise NonPositiveProbability(f"P({t:g}) = {re:.3e} < -1e-9")
-            worst_imag = max(worst_imag, abs(im) / scale)
-            p_out[j] = re
+            raise NonPositiveProbability(f"P({t:g}) = {p:.3e} < -1e-9")
         return NonescapeSeries(
             times=self.times.copy(),
-            probability=p_out,
-            imag_residual=worst_imag,
+            probability=re,
+            imag_residual=float(np.fmax.reduce(np.abs(im) / scale, initial=0.0)),
             n_pairs=self.truncations[i],
             mode=self.mode,
         )

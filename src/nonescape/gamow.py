@@ -50,7 +50,6 @@ __all__ = [
     "validate_state",
     "overlap_quadrature",
     "overlap_matrix",
-    "expansion_coefficient",
     "ExpansionData",
     "build_expansion",
     "weighted_field",
@@ -475,31 +474,16 @@ def _coefficients_closed(states: tuple[GamowState, ...], psi0: BoxMode) -> np.nd
     return total
 
 
-def _coefficients(
-    states: tuple[GamowState, ...], psi0: InitialState, method: str = "auto"
-) -> np.ndarray:
-    """Expansion coefficients of ``psi0`` over ``states`` (see :func:`expansion_coefficient`)."""
-    if method not in ("auto", "closed", "quadrature"):
-        raise ConfigError(f"unknown coefficient method {method!r}")
-    if method == "closed" and not isinstance(psi0, BoxMode):
-        raise ConfigError("closed-form coefficients exist only for box modes")
-    if isinstance(psi0, BoxMode) and psi0.radius > states[0].radius * (1.0 + 1e-12):
-        raise InvalidState("initial state extends beyond the potential range")
-    if method != "quadrature" and isinstance(psi0, BoxMode):
-        return _coefficients_closed(states, psi0)
-    return _coefficients_quadrature(states, psi0)
+def _coefficients(states: tuple[GamowState, ...], psi0: InitialState) -> np.ndarray:
+    """Expansion coefficients ``C = int_0^R psi0(r) u(r) dr`` (no conjugate).
 
-
-def expansion_coefficient(
-    state: GamowState, psi0: InitialState, method: str = "auto"
-) -> complex:
-    """Expansion coefficient ``C = int_0^R psi0(r) u(r) dr`` (no conjugate).
-
-    The one-state case of the batched coefficients :func:`build_expansion`
-    uses.  ``method`` selects "closed" (hard-box modes only), "quadrature",
-    or "auto" (closed when available, as in :func:`build_expansion`).
+    In closed form for a box mode, by panel quadrature for a sampled state.
     """
-    return complex(_coefficients((state,), psi0, method)[0])
+    if not isinstance(psi0, BoxMode):
+        return _coefficients_quadrature(states, psi0)
+    if psi0.radius > states[0].radius * (1.0 + 1e-12):
+        raise InvalidState("initial state extends beyond the potential range")
+    return _coefficients_closed(states, psi0)
 
 
 def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np.ndarray:

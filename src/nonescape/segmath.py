@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "kernels",
     "kernels_with_dz",
@@ -37,6 +39,11 @@ __all__ = [
 # series in w = z L^2; 13 terms leave the remainder below 1e-18 at the cutoff.
 _SERIES_CUTOFF = 4.0
 _N_SERIES = 13
+# product_integral refuses |z| above this.  Below it every part of its
+# largest intermediates, z1 z2, (z1 - z2)^2 and the square of the midpoint
+# argument (|a| <= 4 |z|), stays under 4e301, far from overflow; a L^2 does
+# too for any segment length below 1e75.
+_MAX_ABS_Z = 1e150
 
 _COS_COEFF = np.array([(-1.0) ** j / math.factorial(2 * j) for j in range(_N_SERIES)])
 _SINC_COEFF = np.array([(-1.0) ** j / math.factorial(2 * j + 1) for j in range(_N_SERIES)])
@@ -239,9 +246,16 @@ def product_integral(length, z1, a1, b1, z2, a2, b2) -> np.ndarray | complex:
     series where |a L^2| <= 4, and by product-to-sum identities where the
     phases sqrt(a) L and sqrt(b) L differ by about 1/2 or less
     (|a - b| L <= sqrt|a|).
+
+    Raises
+    ------
+    DomainError
+        If |z1| or |z2| exceeds 1e150, beyond which its products can overflow.
     """
     L = np.asarray(length, dtype=float)
     z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    if np.any(np.abs(z1) > _MAX_ABS_Z) or np.any(np.abs(z2) > _MAX_ABS_Z):
+        raise DomainError(f"product_integral needs |z| <= {_MAX_ABS_Z:g}")
     s = np.sqrt(z1 * z2)
     # (q1 + q2)^2 and (q1 - q2)^2: the pair {a, b} is branch-free.  The
     # smaller root comes from the product a b = (z1 - z2)^2, because

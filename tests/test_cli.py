@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -20,10 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonescape.cli import build_parser, load_config, main, parse_config
+from nonescape.cli import _CONVERTERS, _TOP_KEYS, build_parser, load_config, main, parse_config
 from nonescape.dynamics import MAX_TIME_SAMPLES, TimeGrid, nonescape_probability
 from nonescape.errors import ConfigError, InvalidPotential, InvalidState, TruncationUnstable
 from nonescape.gamow import overlap_matrix
+from nonescape.model import BoxMode, DeltaShell
+from nonescape.oracle import GridSpec
+from nonescape.poles import SearchWindow
 from nonescape.specfn import moshinsky
 
 _K1 = "2.7579383212949247"
@@ -163,9 +167,78 @@ def _key_paths(node, prefix: tuple = ()):
         yield from _key_paths(child, (*prefix, key))
 
 
+def _with(base: dict, path: tuple, value) -> dict:
+    """A copy of ``base`` with ``value`` at ``path``; ``...`` deletes the key."""
+    raw = copy.deepcopy(base)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is ...:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return raw
+
+
 _DEFAULT_CONFIG = json.loads(
     resources.files("nonescape.data").joinpath("default_config.json").read_text()
 )
+_README_CONFIG = json.loads(
+    re.search(
+        r"Config schema \(all keys shown.*?```json\n(.*?)```",
+        (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+        re.S,
+    ).group(1)
+)
+# the config sections parsed from a dataclass, with the keys each adds to its fields
+_SECTIONS = {
+    "potential": (DeltaShell, {"kind"}),
+    "initial_state": (BoxMode, {"kind"}),
+    "pole_search": (SearchWindow, {"tol"}),
+    "oracle_grid": (GridSpec, set()),
+}
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _ in _SECTIONS.values()], ids=lambda c: c.__name__)
+def test_every_config_field_has_a_converted_type(cls: type) -> None:
+    # a field of any other type would fail the first config that sets it
+    for field in dataclasses.fields(cls):
+        assert field.type in _CONVERTERS, (cls.__name__, field.name, field.type)
+
+
+def test_readme_schema_parses_and_names_every_accepted_key() -> None:
+    cfg = parse_config(_README_CONFIG)
+    assert cfg.digest == "fe83ecec5a55"
+    assert set(_README_CONFIG) == set(_TOP_KEYS)
+    for name, (cls, extra) in _SECTIONS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert set(_README_CONFIG[name]) == fields | extra, name
+    log_keys = {"kind", "t_min", "t_max", "per_decade"}
+    assert set(_README_CONFIG["time_grid"]) == log_keys
+    # ... and every section refuses a key beyond them
+    for name in _SECTIONS.keys() | {"time_grid"}:
+        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) in {name}: extra"):
+            parse_config(_with(_README_CONFIG, (name, "extra"), 1.0))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("potential", "radius"), ..., "missing key 'radius' in potential"),
+        (("potential", "strength"), "6", "strength must be a number, got '6'"),
+        (("initial_state", "mode"), 1.0, "mode must be an integer, got 1.0"),
+        (("pole_search", "tol"), True, "tol must be a number, got True"),
+        (("oracle_grid", "dt"), ..., "missing key 'dt' in oracle_grid"),
+        (("oracle_grid", "smooth_initial"), 1, "oracle_grid.smooth_initial must be a boolean"),
+        (("oracle_grid",), [], "oracle_grid must be an object"),
+    ],
+)
+def test_dataclass_section_errors_name_the_key(path: tuple, value, message: str) -> None:
+    with pytest.raises(ConfigError) as info:
+        parse_config(_with(_README_CONFIG, path, value))
+    assert str(info.value) == message
+
+
 # Any JSON value, with the extremes drawn on their own as often as the rest.
 # Numbers stay within +-1e6 apart from those, and lists and objects stay
 # small, so that no draw builds a large time grid.
@@ -183,19 +256,22 @@ _JSON_VALUES = st.sampled_from(_EXTREMES) | st.recursive(
 )
 
 
-@pytest.mark.parametrize("path", list(_key_paths(_DEFAULT_CONFIG)), ids=str)
+# the packaged default and README's schema block, each fuzzed at its own keys
+_FUZZED = [(base, set(_key_paths(base))) for base in (_DEFAULT_CONFIG, _README_CONFIG)]
+
+
+@pytest.mark.parametrize(
+    "path", list(dict.fromkeys(p for base, _ in _FUZZED for p in _key_paths(base))), ids=str
+)
 @settings(max_examples=40, deadline=None)
 @given(value=_JSON_VALUES)
 def test_any_value_at_any_config_key_parses_or_raises_typed_error(path: tuple, value) -> None:
-    raw = copy.deepcopy(_DEFAULT_CONFIG)
-    node = raw
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    try:
-        parse_config(raw)
-    except (ConfigError, InvalidPotential, InvalidState):
-        pass
+    for base, paths in _FUZZED:
+        if path in paths:
+            try:
+                parse_config(_with(base, path, value))
+            except (ConfigError, InvalidPotential, InvalidState):
+                pass
 
 
 def test_outputs_byte_deterministic(config_path: Path, tmp_path: Path) -> None:

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from _oracles import nonescape_probability_loop
+from _oracles import nonescape_probability_loop, same_bits
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from nonescape.asymptote import tail_expansion
 from nonescape.dynamics import (
     _CHUNK,
     NonescapeSeries,
+    ProbabilitySums,
     TimeGrid,
     exact_nested_sums,
     exact_row_sums,
@@ -195,6 +196,50 @@ def test_negated_overlap_raises_nonpositive(data: ExpansionData) -> None:
     both = dataclasses.replace(sub, overlap=-sub.overlap * (1.0 + 1e-3j))
     with pytest.raises(TruncationUnstable, match=f"at t = {grid.times[0]:g} "):
         nonescape_probability(both, grid)
+
+
+def _checked_row_loop(times: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, float]:
+    """:meth:`ProbabilitySums.series`'s checks on one row, one sample at a time."""
+    p_out = np.empty(len(times))
+    worst_imag = 0.0
+    for j, total in enumerate(row):
+        re, im, t = total.real, total.imag, times[j]
+        scale = max(1.0, abs(re))
+        if abs(im) > 1e-6 * scale:
+            raise TruncationUnstable(
+                f"imaginary residual {im:.3e} at t = {t:g} (P = {re:.3e})"
+            )
+        if re < -1e-9:
+            raise NonPositiveProbability(f"P({t:g}) = {re:.3e} < -1e-9")
+        worst_imag = max(worst_imag, abs(im) / scale)
+        p_out[j] = re
+    return p_out, worst_imag
+
+
+# each sample's parts near the checks' thresholds, NaN among them
+_SAMPLE_PARTS = st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 3.0, -1e-9, -2e-9, 1e-6, -1e-6, 3e-6, 2e-7, math.nan]
+) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_SAMPLE_PARTS, _SAMPLE_PARTS), min_size=1, max_size=12))
+def test_series_checks_match_sample_loop(parts: list[tuple[float, float]]) -> None:
+    # the same error at the same first sample, or the same bits and the same
+    # worst imaginary residual (a NaN sample skipped, as Python's max skips it)
+    row = np.array([complex(re, im) for re, im in parts])
+    times = 0.25 * np.arange(1, len(row) + 1)
+    sums = ProbabilitySums(times=times, truncations=(3,), sums=row[None, :], mode="closed")
+    try:
+        p_ref, imag_ref = _checked_row_loop(times, row)
+    except (TruncationUnstable, NonPositiveProbability) as exc:
+        with pytest.raises(type(exc)) as got:
+            sums.series(3)
+        assert str(got.value) == str(exc)
+        return
+    series = sums.series(3)
+    assert same_bits(series.probability, p_ref)
+    assert series.imag_residual == imag_ref
 
 
 def _finite_rows():

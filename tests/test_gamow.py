@@ -17,13 +17,15 @@ from nonescape.errors import (
 )
 from nonescape.gamow import (
     ExpansionData,
+    _build_states,
+    _coefficients_closed,
+    _coefficients_quadrature,
     _locate,
     _quadrature_gram,
     _stack,
     _state_values,
     build_expansion,
     build_state,
-    expansion_coefficient,
     overlap_matrix,
     overlap_quadrature,
     reconstruct_initial,
@@ -149,29 +151,18 @@ def test_overlap_matrix_routes_agree(data: ExpansionData) -> None:
 
 
 def test_expansion_coefficient_methods_agree(pole_set: PoleSet) -> None:
-    for n in (1, 2, -1, 7):
-        state = build_state(pole_set.potential, pole_set.pole(n))
-        closed = expansion_coefficient(state, REFERENCE_STATE, "closed")
-        quad = expansion_coefficient(state, REFERENCE_STATE, "quadrature")
-        assert closed == pytest.approx(quad, rel=1e-9, abs=1e-12)
-    with pytest.raises(ConfigError, match="unknown coefficient method"):
-        expansion_coefficient(state, REFERENCE_STATE, "series")
+    states = _build_states(pole_set.potential, [pole_set.pole(n) for n in (1, 2, -1, 7)])
+    closed = _coefficients_closed(states, REFERENCE_STATE)
+    quad = _coefficients_quadrature(states, REFERENCE_STATE)
+    assert closed == pytest.approx(quad, rel=1e-9, abs=1e-12)
 
 
 def test_expansion_coefficient_sampled_state(pole_set: PoleSet) -> None:
-    # A sampled copy of the box mode must reproduce the closed-form
-    # coefficients to the sampling accuracy.
+    # A sampled copy of the box mode takes the quadrature route and must
+    # reproduce the closed-form coefficients to the sampling accuracy.
     r = np.linspace(0.0, 1.0, 2001)
-    psi = np.asarray(initial_wavefunction(REFERENCE_STATE, r))
-    sampled = Sampled(r, psi)
-    state = build_state(pole_set.potential, pole_set.pole(1))
-    c_box = expansion_coefficient(state, REFERENCE_STATE)
-    c_sampled = expansion_coefficient(state, sampled)
-    assert abs(c_sampled - c_box) <= 1e-6 * abs(c_box)
-    with pytest.raises(ConfigError, match="only for box modes"):
-        expansion_coefficient(state, sampled, "closed")
-    # build_expansion takes the quadrature route for sampled data
-    by_quadrature = build_expansion(pole_set.potential, pole_set, normalized(sampled), n_pairs=3)
+    sampled = normalized(Sampled(r, np.asarray(initial_wavefunction(REFERENCE_STATE, r))))
+    by_quadrature = build_expansion(pole_set.potential, pole_set, sampled, n_pairs=3)
     closed = build_expansion(pole_set.potential, pole_set, REFERENCE_STATE, n_pairs=3)
     np.testing.assert_allclose(by_quadrature.coefficients, closed.coefficients, rtol=1e-6)
 

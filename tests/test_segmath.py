@@ -5,11 +5,13 @@ import cmath
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import kernel_family_two_branch, product_integral_six_kernels, same_bits
+from nonescape.errors import DomainError
 from nonescape.segmath import (
+    _MAX_ABS_Z,
     gauss_legendre,
     kernels,
     kernels_with_dz,
@@ -243,6 +245,20 @@ def test_product_integral_symmetry() -> None:
     assert fwd == pytest.approx(rev, rel=1e-13)
 
 
+def test_product_integral_refuses_arguments_beyond_its_bound() -> None:
+    # z1 z2 overflowed for this pair and the result was NaN
+    z1 = 4.42263214632701e197
+    with pytest.raises(DomainError, match="1e\\+150"):
+        product_integral(1.0, z1, 1, 1, z1 * (1 + 1e-9), 1, 1)
+    with pytest.raises(DomainError):
+        product_integral(np.ones(2), np.array([1.0, 2e150]), 1, 1, 1.0, 1, 1)
+    # just below the bound no intermediate overflows (warnings are errors)
+    below = np.nextafter(_MAX_ABS_Z, 0.0)
+    for length in (0.2, 1.0, 3.0):
+        for z2 in (below, below * (1 - 1e-9), below / 2, 1.0, 0.0):
+            assert np.isfinite(product_integral(length, below, 1, 1, z2, 1, 1))
+
+
 def test_product_integral_bits_match_six_kernel_reference(rng: np.random.Generator) -> None:
     # With |q_i L| >= 2.5 both kernel arguments lie past the series cutoff and
     # sqrt(a) L, sqrt(b) L differ by more than 1: the divided differences are
@@ -303,6 +319,8 @@ def _segment_pair(draw, branch: str):
         else:
             side = draw(st.sampled_from((-1e-9, 1e-9)))
             z1, z2 = (zz * 4.0 * (1.0 + side) / abs(w) for zz in (z1, z2))
+    # larger |z| raises DomainError (tested on its own)
+    assume(max(abs(z1), abs(z2)) <= _MAX_ABS_Z)
     coeffs = [complex(draw(_UNIT), draw(_UNIT)) for _ in range(4)]
     return (length, z1, coeffs[0], coeffs[1], z2, coeffs[2], coeffs[3])
 
