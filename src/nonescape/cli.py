@@ -301,12 +301,18 @@ def _configure(args: argparse.Namespace) -> RunConfig:
 # output helpers
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+# The %-conversion of a CSV cell, looked up by the value's exact type: bools
+# as 0 or 1, floats to 17 significant digits (round-trip).  Other floating
+# types take %.17g too and everything else str, so a numpy bool prints
+# True or False.
+_CONVERSIONS = {bool: "%d", int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g"}
+
+
+def _cell(value: Any) -> str:
+    conversion = _CONVERSIONS.get(type(value))
+    if conversion is None:
+        conversion = "%.17g" if isinstance(value, (float, np.floating)) else "%s"
+    return conversion % (value,)
 
 
 @contextmanager
@@ -332,8 +338,7 @@ def _write_csv(
         fh.write(f"# units: {_UNITS_NOTE}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _located(cfg: RunConfig) -> PoleSet:

@@ -92,8 +92,14 @@ class GamowState:
 
 
 # States x points per block when many states are evaluated at once: keeps
-# each kernel array near 1 MB.
+# each kernel array near 1 MB.  The quadrature sums add block by block, so
+# this size is part of their rounding.
 _FIELD_BLOCK = 1 << 16
+# weighted_field's block: its sums are per point, so the blocking changes
+# no bit, and half the block above keeps a block's values, S and pre-check
+# parts within a 2 MB L2 cache (on such a host the N = 160 field of
+# tail-wide took 78 ms at 1 << 16 and 59 ms at 1 << 15).
+_WEIGHTED_BLOCK = 1 << 15
 # Stencil centres per segment at which validate_state probes the ODE.
 _ODE_PROBES = 40
 
@@ -158,6 +164,26 @@ def _stack(states: tuple[GamowState, ...] | list[GamowState]) -> _StateStack:
     return _StateStack(z, a, b, own, np.array(source, dtype=int), mirror_arr)
 
 
+def _odd(values: np.ndarray) -> np.ndarray:
+    """Entries with a zero or a non-finite part."""
+    return (values.real == 0) | (values.imag == 0) | ~np.isfinite(values)
+
+
+def _redo_odd(
+    stack: _StateStack, values: np.ndarray, rows: np.ndarray, idx: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """``values`` (state ``rows`` x points at segment ``idx``, offset ``x``)
+    with each :func:`_odd` entry evaluated directly as a C + b S."""
+    parts = np.abs(np.ascontiguousarray(values).view(float))
+    if not parts.size or (parts.min() > 0.0 and parts.max() < np.inf):
+        return values  # no zero, inf or NaN part (a NaN fails both tests)
+    i, j = np.nonzero(_odd(values))
+    rows, seg = rows[i], idx[j]
+    c, s = kernels(stack.z[rows, seg], x[j])
+    values[i, j] = stack.a[rows, seg] * c + stack.b[rows, seg] * s
+    return values
+
+
 def _state_values(stack: _StateStack, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """u_m at the located points (segment ``idx``, offset ``x``), one row per state.
 
@@ -166,30 +192,33 @@ def _state_values(stack: _StateStack, idx: np.ndarray, x: np.ndarray) -> np.ndar
     meet the (own states x 1) columns of its z, a and b, so each state
     takes one square root per segment, and points all in one segment are
     neither gathered nor scattered.  Each mirror row is the conjugate of
-    its source row.  Conjugation reproduces the bits of a direct evaluation
-    except where the value has a zero (whose sign may differ) or a
-    non-finite part, so those entries are evaluated directly.
+    its source row.
+
+    On a segment where a = 0 for every own row, as on the first (u(0) = 0),
+    the cosine kernel is not evaluated and the value is b S: where C is
+    finite, a C is a pair of signed zeros and adding it keeps the bits of
+    b S.  Conjugation keeps the bits of a direct evaluation too.  Both can
+    differ only where the value has a zero (whose sign may differ) or a
+    non-finite part, so those entries are evaluated directly as a C + b S.
     """
     out = np.empty((len(stack.z), idx.size), dtype=complex)
     own = stack.own
     segs = np.unique(idx)
     for j in segs:
         cols = np.flatnonzero(idx == j) if len(segs) > 1 else slice(None)
-        c, s = kernels(stack.z[own, j, None], x[cols])
-        np.multiply(stack.a[own, j, None], c, out=c)
+        a = stack.a[own, j, None]
+        sine_only = not a.any()
+        c, s = kernels(stack.z[own, j, None], x[cols], cosine=not sine_only)
         np.multiply(stack.b[own, j, None], s, out=s)
-        rows = np.ix_(own, cols) if len(segs) > 1 else own
-        out[rows] = np.add(c, s, out=c)
+        if sine_only:
+            values = _redo_odd(stack, s, own, idx[cols], x[cols])
+        else:
+            values = np.add(np.multiply(a, c, out=c), s, out=c)
+        out[np.ix_(own, cols) if len(segs) > 1 else own] = values
     if stack.mirror.size:
-        values = out[stack.source]
-        mirrored = np.conj(values)
-        odd = (values.real == 0) | (values.imag == 0) | ~np.isfinite(values)
-        if odd.any():
-            i, j = np.nonzero(odd)
-            rows, seg = stack.mirror[i], idx[j]
-            c, s = kernels(stack.z[rows, seg], x[j])
-            mirrored[i, j] = stack.a[rows, seg] * c + stack.b[rows, seg] * s
-        out[stack.mirror] = mirrored
+        mirrored = out[stack.source]
+        np.conjugate(mirrored, out=mirrored)
+        out[stack.mirror] = _redo_odd(stack, mirrored, stack.mirror, idx, x)
     return out
 
 
@@ -626,7 +655,7 @@ def weighted_field(
         idx, x = _locate(data.states[0].r_edges, r_arr)
         stack = _stack([data.states[m] for m in live])
         live_weights = np.asarray(weights)[live][:, None]
-        step = max(1, _FIELD_BLOCK // len(live))
+        step = max(1, _WEIGHTED_BLOCK // len(live))
         for p0 in range(0, r_arr.size, step):
             sl = slice(p0, p0 + step)
             terms = _state_values(stack, idx[sl], x[sl])

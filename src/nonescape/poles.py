@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigvals
 
-from .errors import AxisZero, ConfigError, RootPolishFailure, WindingMismatch
+from .errors import AxisZero, ConfigError, DomainError, RootPolishFailure, WindingMismatch
 from .model import Potential, delta_jump, potential_range, segments
 from .segmath import gauss_legendre, propagate_with_dk
 
@@ -89,6 +89,8 @@ def matching_function(
 
     J is entire in k; both outputs are produced in a single propagation pass
     through the segment kernels with the k-derivative carried alongside.
+    Where the kernels overflow (|Im q| L beyond about 710 on a segment), the
+    outputs are not finite, without a warning; the pole search refuses them.
     """
     k_arr = np.asarray(k, dtype=complex)
     u = np.zeros_like(k_arr)
@@ -96,14 +98,30 @@ def matching_function(
     uk = np.zeros_like(k_arr)
     duk = np.zeros_like(k_arr)
     dzdk = 2.0 * k_arr
-    for r_start, r_end, height in segments(potential):
-        z = k_arr * k_arr - height
-        u, du, uk, duk = propagate_with_dk(u, du, uk, duk, z, dzdk, r_end - r_start)
     lam = delta_jump(potential)
-    j = du + (lam - 1j * k_arr) * u
-    dj = duk + (lam - 1j * k_arr) * uk - 1j * u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r_start, r_end, height in segments(potential):
+            z = k_arr * k_arr - height
+            u, du, uk, duk = propagate_with_dk(u, du, uk, duk, z, dzdk, r_end - r_start)
+        j = du + (lam - 1j * k_arr) * u
+        dj = duk + (lam - 1j * k_arr) * uk - 1j * u
     if np.ndim(k) == 0:
         return complex(j), complex(dj)
+    return j, dj
+
+
+def _finite_matching(potential: Potential, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J, dJ/dk) at the points ``k``.
+
+    Raises
+    ------
+    DomainError
+        At the first point where J or dJ/dk is not finite.
+    """
+    j, dj = matching_function(potential, k)
+    bad = np.flatnonzero(~(np.isfinite(j) & np.isfinite(dj)))
+    if bad.size:
+        raise DomainError(f"J is not finite near k = {k[bad[0]]:.6g}")
     return j, dj
 
 
@@ -116,7 +134,7 @@ def _march(
     n0 = np.maximum(8, (4.0 + np.abs(dz) * density).astype(int))
     ts = np.concatenate([np.linspace(0.0, 1.0, n) for n in n0])
     seg = np.repeat(np.arange(z0.size), n0)
-    j = matching_function(potential, z0[seg] + dz[seg] * ts)[0]
+    j = _finite_matching(potential, z0[seg] + dz[seg] * ts)[0]
     while True:
         firsts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
         peak = np.maximum.reduceat(np.abs(j), firsts)
@@ -136,7 +154,7 @@ def _march(
                 "varies too rapidly (zero almost on the contour?)"
             )
         mid_ts, mid_seg = 0.5 * (ts[bad] + ts[bad + 1]), seg[bad]
-        mid_j = matching_function(potential, z0[mid_seg] + dz[mid_seg] * mid_ts)[0]
+        mid_j = _finite_matching(potential, z0[mid_seg] + dz[mid_seg] * mid_ts)[0]
         ts, seg, j = np.r_[ts, mid_ts], np.r_[seg, mid_seg], np.r_[j, mid_j]
         order = np.lexsort((ts, seg))
         ts, seg, j = ts[order], seg[order], j[order]
@@ -186,6 +204,8 @@ def winding_count(potential: Potential, window: SearchWindow) -> int:
     WindingMismatch
         If J vanishes elsewhere on the boundary, or its phase cannot be
         resolved within the sampling budget.
+    DomainError
+        If J or dJ/dk is not finite on the boundary (the kernels overflow).
     """
     density = max(1.0, 2.0 * potential_range(potential))
     rect: _Rect = (0.0, window.re_max, window.im_min, 0.0)
@@ -301,7 +321,7 @@ def _polish(potential: Potential, k: np.ndarray, rects: np.ndarray, tol: float) 
     for _ in range(_NEWTON_MAX_ITER):
         if not active.size:
             break
-        j, dj = matching_function(potential, k[active])
+        j, dj = _finite_matching(potential, k[active])
         if (dj == 0).any():
             raise RootPolishFailure(f"dJ/dk vanished near k = {k[active][0]:.6g}")
         step = j / dj
@@ -346,6 +366,8 @@ def locate_poles(
         polished zeros do not match the counts.
     RootPolishFailure
         If Newton refinement fails to converge or verify.
+    DomainError
+        If J or dJ/dk is not finite on a contour or at a Newton iterate.
     """
     if not (np.isfinite(tol) and 0.0 < tol <= 1e-6):
         raise ConfigError(f"tol must lie in (0, 1e-6], got {tol}")

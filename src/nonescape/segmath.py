@@ -44,6 +44,10 @@ _N_SERIES = 13
 # argument (|a| <= 4 |z|), stays under 4e301, far from overflow; a L^2 does
 # too for any segment length below 1e75.
 _MAX_ABS_Z = 1e150
+# product_integral also refuses |Im sqrt(a)| L or |Im sqrt(b)| L above this,
+# where sqrt(a) and sqrt(b) are q1 + q2 and q1 - q2: its kernels at a and b
+# grow like exp(|Im sqrt(a)| L), and cosh overflows past 710.5.
+_MAX_IM_QL = 700.0
 
 _COS_COEFF = np.array([(-1.0) ** j / math.factorial(2 * j) for j in range(_N_SERIES)])
 _SINC_COEFF = np.array([(-1.0) ** j / math.factorial(2 * j + 1) for j in range(_N_SERIES)])
@@ -64,11 +68,11 @@ def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _series_family(w, length, derivative: bool, versine: bool) -> list:
+def _series_family(w, length, cosine: bool, derivative: bool, versine: bool) -> list:
     """[C, S, dS/dz, W, dW/dz] from the Taylor series in w = z L^2."""
     L = length
     return [
-        _horner(_COS_COEFF, w),
+        _horner(_COS_COEFF, w) if cosine else None,
         L * _horner(_SINC_COEFF, w),
         L ** 3 * _horner(_DSINC_COEFF, w) if derivative else None,
         L * L * _horner(_VERS_COEFF, w) if versine else None,
@@ -76,15 +80,15 @@ def _series_family(w, length, derivative: bool, versine: bool) -> list:
     ]
 
 
-def _root_family(z, q, length, derivative: bool, versine: bool) -> list:
+def _root_family(z, q, length, cosine: bool, derivative: bool, versine: bool) -> list:
     """[C, S, dS/dz, W, dW/dz] from q = sqrt(z) and cos(q L), sin(q L)."""
     L = length
     qL = q * L
     with np.errstate(over="ignore", invalid="ignore"):  # |Im qL| beyond ~710
-        c = np.cos(qL)
+        c = np.cos(qL) if cosine or derivative or versine else None
         s = np.sin(qL) / q
         return [
-            c,
+            c if cosine else None,
             s,
             (L * c - s) / (2.0 * z) if derivative else None,
             (1.0 - c) / z if versine else None,
@@ -92,22 +96,24 @@ def _root_family(z, q, length, derivative: bool, versine: bool) -> list:
         ]
 
 
-def _kernel_family(z, length, derivative: bool = False, versine: bool = False) -> list:
+def _kernel_family(
+    z, length, derivative: bool = False, versine: bool = False, cosine: bool = True
+) -> list:
     """[C, S, dS/dz, W, dW/dz] at the broadcast points of (z, length).
 
-    Entries not asked for are None.  Each point takes one branch: the
-    Taylor series in w = z L^2 runs only where |w| <= _SERIES_CUTOFF, and
-    the sqrt/cos/sin route only on the other points, where z and L are
-    nonzero.  The root is taken once per value of z, before z meets the
-    lengths, so a column of z against a row of lengths takes one root per
-    row.  When every point takes one branch, that branch runs on the
-    broadcast operands with no gather or scatter.
+    S is always formed; the other entries are None when not asked for.
+    Each point takes one branch: the Taylor series in w = z L^2 runs only
+    where |w| <= _SERIES_CUTOFF, and the sqrt/cos/sin route only on the
+    other points, where z and L are nonzero.  The root is taken once per
+    value of z, before z meets the lengths, so a column of z against a row
+    of lengths takes one root per row.  When every point takes one branch,
+    that branch runs on the broadcast operands with no gather or scatter.
     """
     z_arr = np.asarray(z, dtype=complex)
     L = np.asarray(length, dtype=float)
     w = z_arr * L * L
     small = np.abs(w) <= _SERIES_CUTOFF
-    flags = (derivative, versine)
+    flags = (cosine, derivative, versine)
     # A single point takes the gathered route below as a one-element
     # array: numpy's scalar arithmetic does not fuse the complex product
     # as its array loops do, so 0-d operands would change bits.
@@ -116,7 +122,7 @@ def _kernel_family(z, length, derivative: bool = False, versine: bool = False) -
     q = np.sqrt(z_arr)
     if w.ndim and not small.any():
         return _root_family(z_arr, q, L, *flags)
-    wanted = (True, True, derivative, versine, derivative and versine)
+    wanted = (cosine, True, derivative, versine, derivative and versine)
     out = [np.empty(w.shape, dtype=complex) if flag else None for flag in wanted]
     for mask, family, operands in (
         (small, _series_family, (w, L)),
@@ -132,17 +138,20 @@ def _kernel_family(z, length, derivative: bool = False, versine: bool = False) -
 
 def _scalar_or_array(values: list, z, length) -> tuple:
     if np.ndim(z) == 0 and np.ndim(length) == 0:
-        return tuple(complex(v) for v in values)
+        return tuple(None if v is None else complex(v) for v in values)
     return tuple(values)
 
 
-def kernels(z: np.ndarray | complex, length: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+def kernels(
+    z: np.ndarray | complex, length: np.ndarray | float, cosine: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Return (C, S) = (cos(qL), sin(qL)/q) with q^2 = z, entire in z.
 
     Each point is evaluated on one branch only: the Taylor series where
-    |z L^2| <= 4, the sqrt/cos/sin route elsewhere.
+    |z L^2| <= 4, the sqrt/cos/sin route elsewhere.  With ``cosine=False``
+    C is not evaluated and is None; S keeps its bits.
     """
-    c, s = _kernel_family(z, length)[:2]
+    c, s = _kernel_family(z, length, cosine=cosine)[:2]
     return _scalar_or_array([c, s], z, length)
 
 
@@ -250,7 +259,8 @@ def product_integral(length, z1, a1, b1, z2, a2, b2) -> np.ndarray | complex:
     Raises
     ------
     DomainError
-        If |z1| or |z2| exceeds 1e150, beyond which its products can overflow.
+        If |z1| or |z2| exceeds 1e150, beyond which its products can overflow,
+        or |Im(q1 +- q2)| L exceeds 700, beyond which its kernels can.
     """
     L = np.asarray(length, dtype=float)
     z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
@@ -265,6 +275,8 @@ def product_integral(length, z1, a1, b1, z2, a2, b2) -> np.ndarray | complex:
     a = np.where(np.abs(minus) > np.abs(plus), minus, plus)
     nonzero = a != 0
     b = np.where(nonzero, (z1 - z2) ** 2 / np.where(nonzero, a, 1.0), 0j)
+    if np.any(np.maximum(np.abs(np.sqrt(a).imag), np.abs(np.sqrt(b).imag)) * L > _MAX_IM_QL):
+        raise DomainError(f"product_integral needs |Im(q1 +- q2)| L <= {_MAX_IM_QL:g}")
     mid = 0.5 * (a + b)
     # The G of the closed form is the S kernel evaluated at w; W is the versine.
     _, ga, _, wa, _ = _kernel_family(a, L, versine=True)

@@ -17,8 +17,10 @@ P(t) that the batched evaluation replaced, :func:`evolve_tdse_full`, which
 keeps the Crank-Nicolson loop that solves every step on the whole box,
 :func:`locate_poles_bisection`, which keeps the pole search by rectangle
 bisection that the contour moments replaced, :func:`kernel_family_two_branch`,
-which evaluates both branches of the segment kernels at every point, and
-:func:`state_values_per_state`, which evaluates every state on its own.
+which evaluates both branches of the segment kernels at every point,
+:func:`state_values_per_state`, which evaluates every state on its own, and
+:func:`csv_cell_chain`, which keeps the isinstance chain that formatted each
+CSV cell before the formats were looked up by type.
 """
 
 from __future__ import annotations
@@ -156,6 +158,15 @@ def state_values_per_state(states, idx: np.ndarray, x: np.ndarray) -> np.ndarray
         c, s = kernel_family_two_branch(st.z[idx], x)[:2]
         rows.append(st.a[idx] * c + st.b[idx] * s)
     return np.array(rows).reshape(len(states), np.size(idx))
+
+
+def csv_cell_chain(value) -> str:
+    """One CSV cell: a bool as 0 or 1, a float to 17 significant digits, else str."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
 
 
 def product_integral_six_kernels(length, z1, a1, b1, z2, a2, b2) -> np.ndarray:

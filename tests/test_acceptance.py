@@ -89,6 +89,7 @@ def test_06_tail_coefficient(
     assert result.passed, result.line
 
 
+@pytest.mark.slow
 def test_07_cross_validation(
     ctx: SelftestContext, announce: Callable[[CheckResult], None]
 ) -> None:
@@ -97,6 +98,7 @@ def test_07_cross_validation(
     assert result.passed, result.line
 
 
+@pytest.mark.slow
 def test_08_long_time_law(
     ctx: SelftestContext, announce: Callable[[CheckResult], None]
 ) -> None:

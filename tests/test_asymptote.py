@@ -542,6 +542,7 @@ def test_convergence_study_validation(data: ExpansionData) -> None:
         convergence_study(data, truncations=(10_000,))
 
 
+@pytest.mark.slow
 def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
     ctx: SelftestContext,
 ) -> None:

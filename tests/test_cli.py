@@ -21,7 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonescape.cli import _CONVERTERS, _TOP_KEYS, build_parser, load_config, main, parse_config
+from _oracles import csv_cell_chain
+
+from nonescape.cli import (
+    _CONVERTERS,
+    _TOP_KEYS,
+    _UNITS_NOTE,
+    _write_csv,
+    build_parser,
+    load_config,
+    main,
+    parse_config,
+)
 from nonescape.dynamics import MAX_TIME_SAMPLES, TimeGrid, nonescape_probability
 from nonescape.errors import ConfigError, InvalidPotential, InvalidState, TruncationUnstable
 from nonescape.gamow import overlap_matrix
@@ -942,3 +953,52 @@ def test_console_script_entry_point(config_path: Path, tmp_path: Path) -> None:
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("poles.csv")
     assert (out / "poles.csv").exists()
+
+
+def test_non_finite_matching_function_exits_1_without_warnings(tmp_path: Path) -> None:
+    # V = 1e8 on [0.5, 1]: J overflows on the whole contour.  Under -W error
+    # a numpy warning would end in a traceback.
+    path = tmp_path / "barrier.json"
+    barrier = {"kind": "piecewise_constant", "pieces": [[0.0, 0.5, 0.0], [0.5, 1.0, 1.0e8]]}
+    path.write_text(json.dumps(_config(
+        potential=barrier,
+        initial_state={"kind": "box_mode", "mode": 1, "radius": 0.5},
+        pole_search={"re_max": 40.0, "im_min": -3.0},
+    )))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nonescape.cli", "poles",
+         "--config", str(path), "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "DomainError" and error["exit_code"] == 1
+    assert error["message"].startswith("J is not finite near k = ")
+    assert not out.exists()
+
+
+def test_csv_cells_keep_the_bytes_of_the_isinstance_chain(tmp_path: Path) -> None:
+    # Each cell's format is looked up by the value's type; the bytes are
+    # those of the isinstance chain, through the same csv.writer quoting.
+    floats = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e-310, 2.0**60, 1 / 3]
+    ints = [0, -7, 2**70, True, False]
+    numpy_values = [np.float64(v) for v in floats] + [
+        np.float32(0.1), np.float16(-2.5), np.longdouble(0.1), np.int64(-3), np.int32(5),
+        np.uint8(200), np.bool_(True), np.bool_(False), np.complex128(1 - 2j), np.str_("x"),
+    ]
+    strings = ["closed", "a,b", 'say "hi"', "", "line\nbreak"]
+    values = floats + ints + numpy_values + strings + [None, 1 + 2j]
+    rows = [values[i : i + 5] for i in range(0, len(values), 5)]
+    cfg = dataclasses.replace(load_config(None), output_dir=str(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        _write_csv("cells.csv", cfg, "test", ("a", "b", "c", "d", "e"), iter(rows))
+    expected = io.StringIO()
+    expected.write(f"# nonescape test\n# config_hash: {cfg.digest}\n# units: {_UNITS_NOTE}\n")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("a", "b", "c", "d", "e"))
+    writer.writerows([csv_cell_chain(v) for v in row] for row in rows)
+    assert (tmp_path / "cells.csv").read_bytes() == expected.getvalue().encode()

@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 from _oracles import same_bits, state_values_per_state
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonescape.cli import load_config
 from nonescape.errors import (
@@ -15,8 +17,10 @@ from nonescape.errors import (
     ToleranceNotMet,
     ZeroWavenumber,
 )
+from nonescape import gamow
 from nonescape.gamow import (
     ExpansionData,
+    GamowState,
     _build_states,
     _coefficients_closed,
     _coefficients_quadrature,
@@ -40,9 +44,10 @@ from nonescape.model import (
     Sampled,
     initial_wavefunction,
     normalized,
+    segments,
 )
 from nonescape.poles import PoleSet, ResonancePole, SearchWindow, locate_poles
-from nonescape.segmath import panel_nodes
+from nonescape.segmath import panel_nodes, propagate
 
 _REFERENCE = load_config(None)
 REFERENCE_POTENTIAL, REFERENCE_STATE = _REFERENCE.potential, _REFERENCE.psi0
@@ -381,3 +386,100 @@ def test_weighted_field_adds_in_state_order(
         if w != 0:
             expected += w * values
     assert same_bits(weighted_field(data, r, weights), expected)
+
+
+@st.composite
+def _state_case(draw) -> tuple[list[GamowState], np.ndarray]:
+    """Unnormalized states on a delta shell or a two- or three-piece barrier,
+    some with their mirrors, and radii to evaluate them at.
+
+    Each state is a regular solution (a = 0 on the first segment, a != 0 on
+    the later ones) times a drawn complex factor, which puts signed zeros in
+    a.  Wavenumbers with |Im k| from 400 to 1200 put |Im q x| past cosh's
+    overflow at 710 inside the first segment, where values are not finite.
+    The radii are r = 0, every segment edge and points just past it, points
+    near each segment's left edge on the series branch of every state, and
+    uniform draws, mostly on the root branch.
+    """
+    radius = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        potential = DeltaShell(strength=draw(st.floats(0.5, 20.0)), radius=radius)
+    else:
+        cuts = draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=2, unique=True))
+        bounds = [0.0, *sorted(c * radius for c in cuts), radius]
+        assume(min(np.diff(bounds)) > 0.05 * radius)
+        potential = PiecewiseConstant(tuple(
+            (lo, hi, draw(st.floats(0.0, 60.0))) for lo, hi in zip(bounds[:-1], bounds[1:])
+        ))
+    segs = segments(potential)
+    edges = np.array([0.0] + [end for _, end, _ in segs])
+    heights = np.array([h for _, _, h in segs])
+    unit = st.floats(-2.0, 2.0)
+    states = []
+    for n in range(1, draw(st.integers(1, 5)) + 1):
+        im_k = draw(st.one_of(st.floats(-6.0, -0.01), st.floats(-1200.0, -400.0)))
+        k = complex(draw(st.floats(0.1, 80.0)), im_k)
+        factor = complex(draw(unit), draw(unit))
+        z = k * k - heights
+        a, b = np.empty_like(z), np.empty_like(z)
+        u, du = 0j, 1.0 + 0j
+        with np.errstate(all="ignore"):  # solutions past the overflow are inf or NaN
+            for j, (start, end, _) in enumerate(segs):
+                a[j], b[j] = u * factor, du * factor
+                u, du = propagate(u, du, z[j], end - start)
+        pole = ResonancePole(n, k, 0.0, 1.0)
+        states.append(GamowState(pole, edges, z, a, b, 0j))
+        if draw(st.booleans()):
+            mirror = ResonancePole(-n, -k.conjugate(), 0.0, 1.0)
+            states.append(GamowState(mirror, edges, z.conj(), a.conj(), b.conj(), 0j))
+    z_top = max(float(np.max(np.abs(s.z))) for s in states)
+    fracs = np.array(draw(st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4)))
+    series = (edges[:-1, None] + fracs * 2.0 / np.sqrt(z_top)).ravel()
+    uniform = draw(st.lists(st.floats(0.0, radius), max_size=12))
+    r = np.concatenate([edges, edges[:-1] + 1e-12, series, uniform])
+    return states, np.clip(r, 0.0, radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_state_case())
+def test_state_values_match_per_state_reference_on_drawn_states(case) -> None:
+    # Sine-only first segments, full later segments and mirrors by
+    # conjugation, with zero and non-finite values among them.
+    # A NaN's sign and payload depend on numpy's inner loop (broadcast or
+    # not), so NaN parts are compared as NaN and every other part by bits.
+    states, r = case
+    idx, x = _locate(states[0].r_edges, r)
+    with np.errstate(all="ignore"):  # values past |Im q x| ~ 710 overflow
+        got = _state_values(_stack(states), idx, x)
+        want = state_values_per_state(states, idx, x)
+    for values in (got, want):
+        values.view(float)[np.isnan(values.view(float))] = np.nan
+    assert same_bits(got, want)
+    assert _state_values(_stack(states), idx[:0], x[:0]).shape == (len(states), 0)
+
+
+@pytest.mark.parametrize("name", ["reference", "barrier"])
+def test_state_values_take_no_cosine_where_a_vanishes(
+    expansions: dict[str, ExpansionData], name: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The first segment's states are b S (u(0) = 0): away from values with a
+    # zero part, no kernel call asks for the cosine there.  The barrier's
+    # second segment has a != 0 and asks for it.
+    states = expansions[name].states
+    edges = states[0].r_edges
+    asked = []
+    kernels = gamow.kernels
+
+    def spy(z, length, cosine=True):
+        asked.append((np.asarray(z).copy(), cosine))
+        return kernels(z, length, cosine)
+
+    monkeypatch.setattr(gamow, "kernels", spy)
+    stack = _stack(states)
+    for seg, want_cosine in ((0, False), (1, True))[: len(edges) - 1]:
+        r = np.linspace(edges[seg], edges[seg + 1], 203)[1:-1]
+        asked.clear()
+        values = _state_values(stack, *_locate(edges, r))
+        assert not gamow._odd(values).any()
+        assert [cosine for _, cosine in asked] == [want_cosine]
+        assert np.array_equal(asked[0][0].ravel(), stack.z[stack.own, seg])

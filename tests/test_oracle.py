@@ -225,6 +225,7 @@ def test_refinement_second_order(ctx: SelftestContext) -> None:
     assert not rep2.flagged and not rep4.flagged
 
 
+@pytest.mark.slow
 def test_long_run_health(ctx: SelftestContext) -> None:
     run = ctx.long_run
     assert run.grid.absorber_width > 0.0

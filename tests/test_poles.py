@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import nonescape.poles as poles_module
 from nonescape.cli import load_config
-from nonescape.errors import AxisZero, ConfigError, RootPolishFailure, WindingMismatch
+from nonescape.errors import AxisZero, ConfigError, DomainError, RootPolishFailure, WindingMismatch
 from nonescape.gamow import ExpansionData
 from nonescape.model import DeltaShell, PiecewiseConstant
 from nonescape.poles import (
@@ -399,3 +399,19 @@ def test_root_polish_failure_raised(monkeypatch: pytest.MonkeyPatch) -> None:
         m.setattr(poles_module, "matching_function", lambda p, k: (function(p, k)[0], 0.0 * k))
         with pytest.raises(RootPolishFailure, match="dJ/dk vanished"):
             locate_poles(REFERENCE_POTENTIAL, SearchWindow(re_max=10.0, im_min=-1.0))
+
+
+def test_non_finite_matching_function_is_a_domain_error() -> None:
+    # sqrt(V) L = 5,000 on the barrier: the kernels overflow everywhere, and
+    # J is inf or NaN without a warning (warnings are errors here).  The
+    # search refused it with a winding number cast from NaN.
+    barrier = PiecewiseConstant(((0.0, 0.5, 0.0), (0.5, 1.0, 1.0e8)))
+    window = SearchWindow(re_max=40.0, im_min=-3.0)
+    j, dj = matching_function(barrier, np.array([5.0 - 1.0j, 20.0]))
+    assert not np.isfinite(j).any() and not np.isfinite(dj).any()
+    for search in (locate_poles, winding_count):
+        with pytest.raises(DomainError, match="J is not finite near k = 0-3j"):
+            search(barrier, window)
+    rect = np.array([[0.0, 40.0, -3.0, 0.0]])
+    with pytest.raises(DomainError, match="J is not finite near k = 5-1j"):
+        poles_module._polish(barrier, np.array([5.0 - 1.0j]), rect, 1e-12)

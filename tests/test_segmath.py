@@ -12,6 +12,7 @@ from _oracles import kernel_family_two_branch, product_integral_six_kernels, sam
 from nonescape.errors import DomainError
 from nonescape.segmath import (
     _MAX_ABS_Z,
+    _MAX_IM_QL,
     gauss_legendre,
     kernels,
     kernels_with_dz,
@@ -259,6 +260,48 @@ def test_product_integral_refuses_arguments_beyond_its_bound() -> None:
             assert np.isfinite(product_integral(length, below, 1, 1, z2, 1, 1))
 
 
+def _b_branch_pair(q1: complex, q2: complex, length: float) -> tuple[complex, complex]:
+    """z1, z2 scaled as ``_segment_pair``'s "b" branch scales them: |b L^2| = 4."""
+    plus, minus = (q1 + q2) ** 2, (q1 - q2) ** 2
+    b = minus if abs(plus) >= abs(minus) else plus
+    return tuple(q * q * 4.0 / abs(b * length**2) for q in (q1, q2))
+
+
+def test_product_integral_refuses_large_imaginary_phase() -> None:
+    # |Im(q1 + q2)| L = 6 L: NaN with "invalid value" warnings for L = 300
+    # and, scaled to |z| = 3e33, for L = 1; warnings are errors here
+    q1, q2 = 0.5 + 3j, complex(np.nextafter(0.5, 1.0), 3.0)
+    for length, (z1, z2) in ((1.0, _b_branch_pair(q1, q2, 1.0)), (300.0, (q1 * q1, q2 * q2))):
+        with pytest.raises(DomainError, match=r"\|Im\(q1 \+- q2\)\| L <= 700"):
+            product_integral(length, z1, 1, 1, z2, 1, 1)
+    # the bound holds for q1 - q2 too, and for one entry of an array
+    with pytest.raises(DomainError):
+        product_integral(1.0, (-350.5j) ** 2, 1, 1, (350.5j) ** 2, 1, 1)
+    with pytest.raises(DomainError):
+        product_integral(np.array([1.0, 117.0]), q1 * q1, 1, 1, q2 * q2, 1, 1)
+
+
+def test_product_integral_is_finite_just_inside_the_phase_bound() -> None:
+    q1, q2 = 0.5 + 3j, complex(np.nextafter(0.5, 1.0), 3.0)
+    inside = _MAX_IM_QL * (1 - 1e-9) / 6.0  # |Im(q1 + q2)| L just below 700
+    value = product_integral(inside, q1 * q1, 1, 1, q2 * q2, 1, 1)
+    assert np.isfinite(value) and abs(value) > 1e300
+    # a pair whose difference carries the phase, and a distinct pair
+    assert np.isfinite(product_integral(1.0, (349.9j) ** 2, 1, 1, (-349.9j + 0.1) ** 2, 1, 1))
+    assert np.isfinite(product_integral(1.0, (3 + 200j) ** 2, 1, 1, (5 + 149j) ** 2, 1, 1))
+
+
+def test_kernels_without_the_cosine_keep_the_sine_bits(rng: np.random.Generator) -> None:
+    # Series, root and mixed points, arrays and scalars: S keeps its bits.
+    z = _sample_points(rng, 200)
+    lengths = rng.uniform(0.0, 3.0, 200)
+    for args in ((z, lengths), (z[:, None], lengths[None, :]), (z[:8], 1.0), (z[0], 0.5)):
+        c, s = kernels(*args)
+        none, sine = kernels(*args, cosine=False)
+        assert none is None
+        assert same_bits(sine, s)
+
+
 def test_product_integral_bits_match_six_kernel_reference(rng: np.random.Generator) -> None:
     # With |q_i L| >= 2.5 both kernel arguments lie past the series cutoff and
     # sqrt(a) L, sqrt(b) L differ by more than 1: the divided differences are
@@ -319,8 +362,14 @@ def _segment_pair(draw, branch: str):
         else:
             side = draw(st.sampled_from((-1e-9, 1e-9)))
             z1, z2 = (zz * 4.0 * (1.0 + side) / abs(w) for zz in (z1, z2))
-    # larger |z| raises DomainError (tested on its own)
+    # larger |z|, or |Im(q1 +- q2)| L near its bound, raises DomainError
+    # (tested on its own); the margin covers the rounding of the roots
     assume(max(abs(z1), abs(z2)) <= _MAX_ABS_Z)
+    q1, q2 = cmath.sqrt(z1), cmath.sqrt(z2)
+    assume(max(abs((q1 + q2).imag), abs((q1 - q2).imag)) * length <= 0.99 * _MAX_IM_QL)
+    # the quadrature reference takes (|q1| + |q2|) L / pi panels: nearly
+    # equal q's scaled by "b" reach |q| L ~ 1e16, which it cannot integrate
+    assume(max(abs(q1), abs(q2)) * length <= 1e4)
     coeffs = [complex(draw(_UNIT), draw(_UNIT)) for _ in range(4)]
     return (length, z1, coeffs[0], coeffs[1], z2, coeffs[2], coeffs[3])
 
