@@ -403,8 +403,7 @@ def test_root_polish_failure_raised(monkeypatch: pytest.MonkeyPatch) -> None:
 
 def test_non_finite_matching_function_is_a_domain_error() -> None:
     # sqrt(V) L = 5,000 on the barrier: the kernels overflow everywhere, and
-    # J is inf or NaN without a warning (warnings are errors here).  The
-    # search refused it with a winding number cast from NaN.
+    # J is inf or NaN without a warning (warnings are errors here).
     barrier = PiecewiseConstant(((0.0, 0.5, 0.0), (0.5, 1.0, 1.0e8)))
     window = SearchWindow(re_max=40.0, im_min=-3.0)
     j, dj = matching_function(barrier, np.array([5.0 - 1.0j, 20.0]))
