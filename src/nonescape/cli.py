@@ -476,8 +476,8 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.refine is not None:
-        report = refine_and_compare(
-            cfg.potential, cfg.psi0, cfg.oracle_grid, factor=args.refine, times=cfg.time_grid
+        (report,) = refine_and_compare(
+            cfg.potential, cfg.psi0, cfg.oracle_grid, (args.refine,), times=cfg.time_grid
         )
         run = report.base
         _write_csv(

@@ -45,9 +45,6 @@ from .segmath import kernels, panel_nodes, product_integral, propagate
 
 __all__ = [
     "GamowState",
-    "build_state",
-    "StateDiagnostics",
-    "validate_state",
     "overlap_quadrature",
     "overlap_matrix",
     "ExpansionData",
@@ -100,8 +97,13 @@ _FIELD_BLOCK = 1 << 16
 # parts within a 2 MB L2 cache (on such a host the N = 160 field of
 # tail-wide took 78 ms at 1 << 16 and 59 ms at 1 << 15).
 _WEIGHTED_BLOCK = 1 << 15
-# Stencil centres per segment at which validate_state probes the ODE.
-_ODE_PROBES = 40
+# Pole pairs an expansion may hold.  Its closed overlap matrix takes
+# 64 N^2 bytes, 420 MB at this cap, where the reference shell's build peaked
+# at 871 MB RSS in 1.0 s on a 2-vCPU host (1,280 pairs: 269 MB, 0.19 s).
+_MAX_PAIRS = 2_560
+# Doubling the quadrature panels may move a Gram entry by at most this,
+# relative to its magnitude (absolutely, below magnitude 1).
+_GRAM_RTOL = 1e-10
 
 
 def _locate(r_edges: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,103 +282,7 @@ def _build_states(
     )
 
 
-def build_state(potential: Potential, pole: ResonancePole) -> GamowState:
-    """Construct the normalized resonant state for one pole (or mirror).
-
-    The one-pole case of the batched build :func:`build_expansion` uses.
-    Mirror poles are handled by the same propagation; because the segment
-    kernels have real Taylor coefficients, the state built at -conj(k_n) is
-    the pointwise conjugate of the one built at k_n.
-
-    Raises
-    ------
-    ZeroWavenumber
-        If the pole wavenumber vanishes (normalization divides by k).
-    NormalizationSingular
-        If the normalization integral vanishes (degenerate pole).
-    """
-    return _build_states(potential, [pole])[0]
-
-
-@dataclass(frozen=True)
-class StateDiagnostics:
-    """Residuals of the defining properties of a resonant state.
-
-    All residuals are relative to natural scales: the ODE residual to
-    |k^2| max|u|, the boundary-condition residual to |k| |u(R)|, and the
-    normalization residual is the absolute deviation from 1.
-    """
-
-    ode_residual: float
-    origin_residual: float
-    outgoing_residual: float
-    normalization_residual: float
-
-
-def validate_state(
-    potential: Potential,
-    state: GamowState,
-    rtol: float = 1e-8,
-) -> StateDiagnostics:
-    """Check the ODE, both boundary conditions, and the normalization rule.
-
-    The ODE residual u'' + (k^2 - V) u is probed on a five-point stencil at
-    40 interior points of every segment (stencils never straddle a kink).
-
-    Raises
-    ------
-    ToleranceNotMet
-        If any relative residual exceeds ``rtol``.
-    """
-    k = state.k
-    h = 0.01 / max(1.0, abs(k))
-    worst = 0.0
-    for j, (r_start, r_end, height) in enumerate(segments(potential)):
-        length = r_end - r_start
-        h_j = min(h, length / 8.0)
-        pts = np.linspace(r_start + 2.5 * h_j, r_end - 2.5 * h_j, _ODE_PROBES)
-        offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h_j
-        grid = pts[:, None] + offsets[None, :]
-        u = np.asarray(state.evaluate(grid.ravel())).reshape(grid.shape)
-        upp = (
-            -u[:, 0] + 16.0 * u[:, 1] - 30.0 * u[:, 2] + 16.0 * u[:, 3] - u[:, 4]
-        ) / (12.0 * h_j * h_j)
-        resid = upp + (k * k - height) * u[:, 2]
-        scale = abs(k * k) * float(np.max(np.abs(u))) + 1e-300
-        worst = max(worst, float(np.max(np.abs(resid))) / scale)
-    origin = abs(state.evaluate(0.0))
-    u_scale = float(np.abs(state.boundary_value)) + abs(origin)
-    origin_res = float(origin / max(u_scale, 1e-300))
-    # outgoing condition u'(R+) = i k u(R), with u'(R+) from the matching residual
-    out_res = state.pole.residual / max(abs(k) * abs(state.boundary_value), 1e-300)
-    norm2, _ = _normalization(
-        state.r_edges, np.array([k]), state.z[None], state.a[None], state.b[None],
-        np.array([state.boundary_value]),
-    )
-    norm_res = float(abs(norm2[0] - 1.0))
-    diag = StateDiagnostics(
-        ode_residual=worst,
-        origin_residual=origin_res,
-        outgoing_residual=out_res,
-        normalization_residual=norm_res,
-    )
-    for name, value in (
-        ("ode", worst),
-        ("origin", origin_res),
-        ("outgoing", out_res),
-        ("normalization", norm_res),
-    ):
-        if value > rtol:
-            raise ToleranceNotMet(
-                f"{name} residual {value:.3e} exceeds rtol = {rtol:g} "
-                f"for the state at k = {k:.6g}"
-            )
-    return diag
-
-
-def _quadrature_gram(
-    states: tuple[GamowState, ...], rtol: float = 1e-10
-) -> np.ndarray:
+def _quadrature_gram(states: tuple[GamowState, ...]) -> np.ndarray:
     """Panel Gauss-Legendre matrix ``G[i, j] = int_0^R conj(u_j) u_i dr``.
 
     All states share one set of panels per segment, sized to at most half an
@@ -389,7 +295,7 @@ def _quadrature_gram(
     Raises
     ------
     ToleranceNotMet
-        If doubling the panels moves an entry by more than ``rtol``
+        If doubling the panels moves an entry by more than ``_GRAM_RTOL``
         relative to its magnitude (or absolutely, below magnitude 1).
     """
     edges = states[0].r_edges
@@ -415,7 +321,7 @@ def _quadrature_gram(
     coarse = eval_panels(1)
     fine = eval_panels(2)
     delta = np.abs(fine - coarse)
-    bad = delta > rtol * np.maximum(np.abs(fine), 1.0)
+    bad = delta > _GRAM_RTOL * np.maximum(np.abs(fine), 1.0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ToleranceNotMet(
@@ -427,9 +333,7 @@ def _quadrature_gram(
     return fine
 
 
-def overlap_quadrature(
-    ket: GamowState, bra: GamowState, rtol: float = 1e-10
-) -> complex:
+def overlap_quadrature(ket: GamowState, bra: GamowState) -> complex:
     """Panel Gauss-Legendre evaluation of ``int_0^R conj(u_bra) u_ket dr``.
 
     The two-state case of the quadrature overlap matrix (see
@@ -438,10 +342,10 @@ def overlap_quadrature(
     Raises
     ------
     ToleranceNotMet
-        If doubling the panels moves the value by more than ``rtol``
+        If doubling the panels moves the value by more than ``_GRAM_RTOL``
         relative to its magnitude.
     """
-    return complex(_quadrature_gram((ket, bra), rtol)[0, 1])
+    return complex(_quadrature_gram((ket, bra))[0, 1])
 
 
 def _coefficients_quadrature(
@@ -610,6 +514,8 @@ def build_expansion(
         raise ConfigError(
             f"requested {n_pairs} pole pairs but the set holds {len(pole_set)}"
         )
+    if n_pairs > _MAX_PAIRS:
+        raise ConfigError(f"{n_pairs} pole pairs exceed the cap of {_MAX_PAIRS}")
     norm = state_norm(psi0)
     if abs(norm - 1.0) > 1e-8:
         raise InvalidState(

@@ -126,6 +126,8 @@ class GridSpec:
         if self.dt > self.t_final:
             raise ConfigError("dt must not exceed t_final")
         w, s = self.absorber_width, self.absorber_strength
+        if not (np.isfinite(w) and np.isfinite(s)):
+            raise ConfigError(f"absorber parameters must be finite, got {w} and {s}")
         if (w > 0.0) != (s > 0.0):
             raise ConfigError("absorber width and strength must be enabled together")
         if w < 0.0 or s < 0.0:
@@ -453,40 +455,37 @@ def refine_and_compare(
     potential: Potential,
     psi0: InitialState,
     grid: GridSpec,
-    factor: int = 2,
+    factors: tuple[int, ...],
     times: TimeGrid | None = None,
     tolerance: float = 1e-6,
-) -> RefinementReport:
-    """Run ``grid`` and ``grid.refined(factor)``, comparing P at shared times.
+) -> tuple[RefinementReport, ...]:
+    """Run ``grid`` once and ``grid.refined(f)`` for each of ``factors``,
+    comparing P at shared times; one report per factor, in order.
 
     The relative deviation is measured against the refined values (the better
     of the two).  ``flagged`` is set when it exceeds ``tolerance``; no error
     is raised, since deliberate failure probes use this path too.
     """
-    _validate_run(potential, psi0, grid.refined(factor))  # before the base run is spent
+    fine_grids = [grid.refined(f) for f in factors]
+    for fine_grid in fine_grids:  # before the base run is spent
+        _validate_run(potential, psi0, fine_grid)
     base = evolve_tdse(potential, psi0, grid, times)
-    fine = evolve_tdse(potential, psi0, grid.refined(factor), times)
     tb = np.round(base.series.times / grid.dt).astype(int)
-    tf = np.round(fine.series.times / (grid.dt / factor)).astype(int)
-    common, ib, if_ = np.intersect1d(tb * factor, tf, return_indices=True)
-    if common.size == 0:
-        raise ConfigError("no common output times between base and refined runs")
-    pb = base.series.probability[ib]
-    pf = fine.series.probability[if_]
-    abs_dev = np.abs(pb - pf)
-    scale = np.maximum(np.abs(pf), 1e-300)
-    rel_dev = abs_dev / scale
-    max_abs = float(np.max(abs_dev))
-    max_rel = float(np.max(rel_dev))
-    return RefinementReport(
-        base=base,
-        refined=fine,
-        factor=factor,
-        max_abs_dev=max_abs,
-        max_rel_dev=max_rel,
-        tolerance=tolerance,
-        flagged=bool(max_rel > tolerance),
-    )
+    reports = []
+    for factor, fine_grid in zip(factors, fine_grids):
+        fine = evolve_tdse(potential, psi0, fine_grid, times)
+        tf = np.round(fine.series.times / fine_grid.dt).astype(int)
+        common, ib, if_ = np.intersect1d(tb * factor, tf, return_indices=True)
+        if common.size == 0:
+            raise ConfigError("no common output times between base and refined runs")
+        pf = fine.series.probability[if_]
+        abs_dev = np.abs(base.series.probability[ib] - pf)
+        max_rel = float(np.max(abs_dev / np.maximum(np.abs(pf), 1e-300)))
+        reports.append(RefinementReport(
+            base=base, refined=fine, factor=factor, max_abs_dev=float(np.max(abs_dev)),
+            max_rel_dev=max_rel, tolerance=tolerance, flagged=bool(max_rel > tolerance),
+        ))
+    return tuple(reports)
 
 
 def gaussian_packet_exact(

@@ -27,7 +27,6 @@ from .errors import DomainError
 __all__ = [
     "kernels",
     "kernels_with_dz",
-    "versine_kernel",
     "propagate",
     "propagate_with_dk",
     "product_integral",
@@ -162,16 +161,6 @@ def kernels_with_dz(
     c, s, ds = _kernel_family(z, length, derivative=True)[:3]
     dc = -0.5 * np.asarray(length, dtype=float) * s
     return _scalar_or_array([c, s, dc, ds], z, length)
-
-
-def versine_kernel(
-    w: np.ndarray | complex, length: np.ndarray | float, with_derivative: bool = False
-):
-    """W(w, L) = (1 - cos(sqrt(w) L)) / w, entire in w; optionally dW/dw."""
-    _, _, _, v, dv = _kernel_family(w, length, derivative=with_derivative, versine=True)
-    if not with_derivative:
-        return _scalar_or_array([v], w, length)[0]
-    return _scalar_or_array([v, dv], w, length)
 
 
 def propagate(

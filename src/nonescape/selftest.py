@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, TextIO
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -215,7 +215,8 @@ class SelftestContext:
 
     @cached_property
     def refinement_pair(self) -> tuple[RefinementReport, RefinementReport]:
-        """The reference problem in a short hard-wall box, refined x2 and x4."""
+        """The reference problem in a short hard-wall box, refined x2 and x4
+        against one shared base run."""
         self._log("refinement study ...")
         cfg = self.cfg
         grid = dataclasses.replace(
@@ -223,10 +224,7 @@ class SelftestContext:
             absorber_width=0.0, absorber_strength=0.0, enforce_resolution=False,
         )
         times = TimeGrid.log(0.05, 1.2, per_decade=20)
-        return (
-            refine_and_compare(cfg.potential, cfg.psi0, grid, 2, times, tolerance=2e-3),
-            refine_and_compare(cfg.potential, cfg.psi0, grid, 4, times, tolerance=2e-3),
-        )
+        return refine_and_compare(cfg.potential, cfg.psi0, grid, (2, 4), times, tolerance=2e-3)
 
 
 def check_special_functions(ctx: SelftestContext) -> CheckResult:
@@ -470,15 +468,13 @@ CHECKS: tuple[Callable[[SelftestContext], CheckResult], ...] = (
 )
 
 
-def run_selftest(cfg: RunConfig, stream: TextIO | None = None, verbose: bool = False) -> int:
-    """Run all nine checks and print one PASS/FAIL line per check.
+def run_selftest(cfg: RunConfig, verbose: bool = False) -> int:
+    """Run all nine checks and print one PASS/FAIL line per check to stdout.
 
     Parameters
     ----------
     cfg : RunConfig
         The reference problem: the packaged default configuration.
-    stream : TextIO, optional
-        Destination for the result lines (default: stdout).
     verbose : bool
         Also log progress of the heavy artifact builds to stderr.
 
@@ -487,13 +483,12 @@ def run_selftest(cfg: RunConfig, stream: TextIO | None = None, verbose: bool = F
     int
         0 if every check passed, 1 otherwise.
     """
-    out = sys.stdout if stream is None else stream
     ctx = SelftestContext(cfg, verbose=verbose)
     results = []
     for fn in CHECKS:
         res = fn(ctx)
-        print(res.line, file=out, flush=True)
+        print(res.line, flush=True)
         results.append(res)
     n_pass = sum(r.passed for r in results)
-    print(f"{n_pass}/{len(results)} checks passed", file=out, flush=True)
+    print(f"{n_pass}/{len(results)} checks passed", flush=True)
     return 0 if n_pass == len(results) else 1

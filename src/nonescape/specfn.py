@@ -17,7 +17,6 @@ overflow guard on the exponential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import wofz
@@ -27,9 +26,7 @@ from .errors import DomainError, OverflowGuard
 __all__ = [
     "faddeeva",
     "moshinsky",
-    "moshinsky_asymptotic",
     "asymptotic_coefficients",
-    "MoshinskyArg",
     "TAIL_PREFACTOR",
 ]
 
@@ -41,11 +38,6 @@ _PHASE = complex(math.cos(-math.pi / 4.0), math.sin(-math.pi / 4.0))  # exp(-i p
 # |exp(-z^2)| = exp(Im(z)^2 - Re(z)^2); beyond this the reflection term
 # overflows double precision.
 _LOG_OVERFLOW = 705.0
-
-# Minimum |y| for the asymptotic series (error of a few terms < 1e-9 there).
-ASYMPTOTIC_MIN_ABS = 4.0
-
-_SECTOR = 0.75 * math.pi  # |arg y| bound for validity of the erfc expansion
 
 
 def faddeeva(z: np.ndarray | complex) -> np.ndarray | complex:
@@ -75,32 +67,6 @@ def faddeeva(z: np.ndarray | complex) -> np.ndarray | complex:
     if np.ndim(z) == 0:
         return complex(out)
     return out
-
-
-@dataclass(frozen=True)
-class MoshinskyArg:
-    """Validated argument pair (k, t) with its diffraction variable y.
-
-    Construction enforces t >= 0 and the defining identity y^2 = -i k^2 t to
-    near machine precision, which pins the phase convention used everywhere.
-    """
-
-    k: complex
-    t: float
-    y: complex
-
-    @classmethod
-    def make(cls, k: complex, t: float) -> "MoshinskyArg":
-        t = float(t)
-        if t < 0.0:
-            raise DomainError(f"time must be non-negative, got t = {t}")
-        k = complex(k)
-        y = -_PHASE * k * math.sqrt(t)
-        target = -1j * k * k * t
-        scale = abs(target)
-        if scale > 0.0 and abs(y * y - target) > 1e-14 * scale:
-            raise DomainError("phase convention violated: y^2 != -i k^2 t")
-        return cls(k=k, t=t, y=y)
 
 
 def moshinsky(
@@ -137,30 +103,3 @@ def asymptotic_coefficients(n_terms: int) -> np.ndarray:
         coeffs[j] = -coeffs[j - 1] * (2 * j - 1) / 2.0
     return coeffs
 
-
-def moshinsky_asymptotic(k: complex, t: float, order: int) -> complex:
-    """Truncated large-argument series sum_{j=0..order} m_j y^-(2j+1).
-
-    Valid only for |y| >= 4 and |arg y| < 3 pi / 4 (both resonant families
-    in the fourth quadrant and their mirrors satisfy the sector condition);
-    a :class:`DomainError` is raised outside that region rather than
-    returning a silently wrong value.
-    """
-    if order < 0:
-        raise DomainError("series order must be >= 0")
-    arg = MoshinskyArg.make(k, t)
-    y = arg.y
-    if abs(y) < ASYMPTOTIC_MIN_ABS:
-        raise DomainError(
-            f"|y| = {abs(y):.4g} < {ASYMPTOTIC_MIN_ABS}: asymptotic series unreliable"
-        )
-    if abs(np.angle(y)) >= _SECTOR:
-        raise DomainError(
-            f"arg y = {np.angle(y):.4f} outside (-3pi/4, 3pi/4): series invalid"
-        )
-    coeffs = asymptotic_coefficients(order + 1)
-    inv2 = 1.0 / (y * y)
-    acc = complex(coeffs[order])
-    for j in range(order - 1, -1, -1):
-        acc = acc * inv2 + coeffs[j]
-    return acc / y

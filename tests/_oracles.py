@@ -18,13 +18,19 @@ keeps the Crank-Nicolson loop that solves every step on the whole box,
 :func:`locate_poles_bisection`, which keeps the pole search by rectangle
 bisection that the contour moments replaced, :func:`kernel_family_two_branch`,
 which evaluates both branches of the segment kernels at every point,
-:func:`state_values_per_state`, which evaluates every state on its own, and
+:func:`state_values_per_state`, which evaluates every state on its own,
 :func:`csv_cell_chain`, which keeps the isinstance chain that formatted each
-CSV cell before the formats were looked up by type.
+CSV cell before the formats were looked up by type, :func:`moshinsky_series`,
+which sums the large-argument series of M(k, t) from the package's
+coefficients, and :func:`one_state` with :func:`state_residuals`, which
+build one resonant state and measure how well it satisfies its defining
+equations.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from math import fsum
 
 import mpmath as mp
@@ -32,8 +38,8 @@ import numpy as np
 
 from nonescape.dynamics import TimeGrid
 from nonescape.errors import NonPositiveProbability, TruncationUnstable
-from nonescape.gamow import ExpansionData
-from nonescape.model import InitialState, Potential, potential_range
+from nonescape.gamow import ExpansionData, GamowState, _build_states, _normalization
+from nonescape.model import InitialState, Potential, potential_range, segments
 from nonescape.oracle import GridSpec, OracleResult, _prepare
 from nonescape.poles import PoleSet, ResonancePole, SearchWindow, matching_function
 from nonescape.segmath import (
@@ -45,7 +51,7 @@ from nonescape.segmath import (
     _VERS_COEFF,
     _horner,
 )
-from nonescape.specfn import moshinsky
+from nonescape.specfn import asymptotic_coefficients, moshinsky
 
 
 def faddeeva_reference(z: complex, dps: int = 50) -> complex:
@@ -158,6 +164,62 @@ def state_values_per_state(states, idx: np.ndarray, x: np.ndarray) -> np.ndarray
         c, s = kernel_family_two_branch(st.z[idx], x)[:2]
         rows.append(st.a[idx] * c + st.b[idx] * s)
     return np.array(rows).reshape(len(states), np.size(idx))
+
+
+def moshinsky_series(k: complex, t: float, order: int) -> complex:
+    """Truncated large-argument series sum_{j <= order} m_j y^-(2j+1) of M(k, t).
+
+    y = -exp(-i pi/4) k sqrt(t) is formed here; the m_j are the package's
+    :func:`asymptotic_coefficients`.  The series holds for large |y| with
+    |arg y| < 3 pi / 4, which both resonant families in the fourth quadrant
+    and their mirrors satisfy at late times.
+    """
+    y = -cmath.exp(-0.25j * math.pi) * k * math.sqrt(t)
+    coeffs = asymptotic_coefficients(order + 1)
+    inv2 = 1.0 / (y * y)
+    acc = complex(coeffs[order])
+    for j in range(order - 1, -1, -1):
+        acc = acc * inv2 + coeffs[j]
+    return acc / y
+
+
+def one_state(potential: Potential, pole: ResonancePole) -> GamowState:
+    """The normalized resonant state of one pole (or mirror), built alone."""
+    return _build_states(potential, [pole])[0]
+
+
+def state_residuals(potential: Potential, state: GamowState) -> tuple[float, float, float, float]:
+    """(ODE, origin, outgoing, normalization) residuals of a resonant state.
+
+    The ODE residual u'' + (k^2 - V) u is probed on a five-point stencil at
+    40 interior points of every segment (stencils never straddle a kink),
+    relative to |k^2| max|u|.  The origin residual is |u(0)| relative to
+    |u(R)| + |u(0)|, the outgoing one |J(k)| relative to |k| |u(R)|, and the
+    normalization residual the absolute deviation of the rule from 1.
+    """
+    k = state.k
+    h = 0.01 / max(1.0, abs(k))
+    ode = 0.0
+    for r_start, r_end, height in segments(potential):
+        h_j = min(h, (r_end - r_start) / 8.0)
+        pts = np.linspace(r_start + 2.5 * h_j, r_end - 2.5 * h_j, 40)
+        grid = pts[:, None] + np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h_j
+        u = np.asarray(state.evaluate(grid.ravel())).reshape(grid.shape)
+        upp = (-u[:, 0] + 16.0 * u[:, 1] - 30.0 * u[:, 2] + 16.0 * u[:, 3] - u[:, 4]) / (
+            12.0 * h_j * h_j
+        )
+        resid = upp + (k * k - height) * u[:, 2]
+        scale = abs(k * k) * float(np.max(np.abs(u))) + 1e-300
+        ode = max(ode, float(np.max(np.abs(resid))) / scale)
+    origin = abs(state.evaluate(0.0))
+    u_scale = abs(state.boundary_value) + origin
+    # outgoing condition u'(R+) = i k u(R), with u'(R+) from the matching residual
+    outgoing = state.pole.residual / max(abs(k) * abs(state.boundary_value), 1e-300)
+    norm2, _ = _normalization(
+        state.r_edges, np.array([k]), state.z[None], state.a[None], state.b[None],
+        np.array([state.boundary_value]),
+    )
+    return ode, origin / max(u_scale, 1e-300), outgoing, float(abs(norm2[0] - 1.0))
 
 
 def csv_cell_chain(value) -> str:

@@ -3,12 +3,15 @@
 The harness runs CLI commands, wraps package functions by name, parses its
 own configs and reads output columns.  These tests read ``perfbench/`` and
 change nothing there, so a later trim of the package that would break a
-benchmark run fails here first.
+benchmark run fails here first.  Conversely, every public name of the
+package must have a caller in the package or the harness.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -17,7 +20,8 @@ import pytest
 import nonescape.cli as cli
 from nonescape.cli import parse_config
 
-_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_ROOT = Path(__file__).resolve().parent.parent
+_PERFBENCH = _ROOT / "perfbench"
 sys.path.insert(0, str(_PERFBENCH))
 
 import checks  # noqa: E402
@@ -104,3 +108,38 @@ def test_oracle_csv_columns(tiny_outputs: dict) -> None:
         if not line.startswith("#")
     ][0]
     assert header == "t,p,norm,horizon_flag"
+
+
+def _exports(text: str) -> dict[str, str]:
+    """Each name in a module's ``__all__``, with the module's text less that
+    name's top-level definition and less ``__all__``."""
+    lines = text.splitlines()
+    spans, exported, listing = {}, [], range(0)
+    for node in ast.parse(text).body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        names = [getattr(node, "name", None), *(getattr(t, "id", None) for t in targets)]
+        for name in names:
+            spans[name] = range(node.lineno - 1, node.end_lineno)
+        if "__all__" in names:
+            exported, listing = ast.literal_eval(node.value), spans["__all__"]
+    return {
+        name: "\n".join(
+            line for i, line in enumerate(lines) if i not in spans[name] and i not in listing
+        )
+        for name in exported
+    }
+
+
+def test_every_public_name_has_a_caller_in_the_package_or_the_harness() -> None:
+    # Tracer target strings count; the frozen copy in perfbench/baseline/ does not.
+    modules = {p: p.read_text() for p in (_ROOT / "src" / "nonescape").glob("*.py")}
+    harness = [p.read_text() for p in _PERFBENCH.glob("*.py")]
+    unused = [
+        f"{path.stem}.{name}"
+        for path, text in sorted(modules.items())
+        for name, rest in _exports(text).items()
+        if not re.search(
+            rf"\b{name}\b", "\n".join([rest, *harness, *(t for q, t in modules.items() if q != path)])
+        )
+    ]
+    assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -441,6 +442,50 @@ def test_oracle_step_count_over_the_cap_is_a_config_error(
     assert error["type"] == "ConfigError"
     assert "steps exceeds the cap of 10000000" in error["message"]
     assert not (out / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        # about 3e8 zeros: refused before the strips are cut
+        ("poles", {"pole_search": {"re_max": 1e9, "im_min": -3.0}}, "over the cap of 20480"),
+        # 8,000 pairs: refused before the 16,000 x 16,000 overlap matrix
+        (
+            "tail",
+            {"pole_search": {"re_max": 8000.5 * math.pi, "im_min": -6.0}, "truncations": [8000]},
+            "8000 pole pairs exceed the cap of 2560",
+        ),
+    ],
+)
+def test_oversized_spectral_run_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, command: str, overrides: dict, message: str
+) -> None:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(**overrides)))
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert time.perf_counter() - started < 30.0
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and message in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width, strength", [(math.nan, math.nan), (math.nan, 0.0), (0.0, math.nan)])
+def test_non_finite_absorber_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, width: float, strength: float
+) -> None:
+    grid = {
+        "box_size": 12.0, "dr": 0.005, "dt": 0.0004, "t_final": 1.0,
+        "absorber_width": width, "absorber_strength": strength,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(oracle_grid=grid)))  # writes the NaN literal
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and "must be finite" in error["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

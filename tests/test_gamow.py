@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from _oracles import same_bits, state_values_per_state
+from _oracles import one_state, same_bits, state_residuals, state_values_per_state
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,12 +29,10 @@ from nonescape.gamow import (
     _stack,
     _state_values,
     build_expansion,
-    build_state,
     overlap_matrix,
     overlap_quadrature,
     reconstruct_initial,
     sum_rule_residual,
-    validate_state,
     weighted_field,
 )
 from nonescape.model import (
@@ -59,17 +57,17 @@ _RECONSTRUCTION_ERR = {5: 0.1799, 10: 0.0609, 20: 0.0622, 40: 0.0329}
 
 def test_state_satisfies_defining_equations(pole_set: PoleSet) -> None:
     for n in (1, 5, 40):
-        state = build_state(pole_set.potential, pole_set.pole(n))
-        diag = validate_state(pole_set.potential, state, rtol=1e-6)
-        assert diag.ode_residual <= 1e-6
-        assert diag.origin_residual <= 1e-12
-        assert diag.outgoing_residual <= 1e-8
-        assert diag.normalization_residual <= 1e-10
+        state = one_state(pole_set.potential, pole_set.pole(n))
+        ode, origin, outgoing, normalization = state_residuals(pole_set.potential, state)
+        assert ode <= 1e-6
+        assert origin <= 1e-12
+        assert outgoing <= 1e-8
+        assert normalization <= 1e-10
 
 
 def test_state_is_sine_inside_delta_shell(pole_set: PoleSet) -> None:
     # With a free interior the regular solution is proportional to sin(k r).
-    state = build_state(pole_set.potential, pole_set.pole(2))
+    state = one_state(pole_set.potential, pole_set.pole(2))
     k = state.k
     r = np.linspace(0.05, 0.95, 13)
     vals = np.asarray(state.evaluate(r))
@@ -80,8 +78,8 @@ def test_state_is_sine_inside_delta_shell(pole_set: PoleSet) -> None:
 
 
 def test_mirror_state_is_conjugate(pole_set: PoleSet) -> None:
-    plus = build_state(pole_set.potential, pole_set.pole(3))
-    minus = build_state(pole_set.potential, pole_set.pole(-3))
+    plus = one_state(pole_set.potential, pole_set.pole(3))
+    minus = one_state(pole_set.potential, pole_set.pole(-3))
     r = np.linspace(0.0, 1.0, 21)
     np.testing.assert_array_equal(
         np.asarray(minus.evaluate(r)), np.conj(np.asarray(plus.evaluate(r)))
@@ -92,7 +90,7 @@ def test_mirror_state_is_conjugate(pole_set: PoleSet) -> None:
 def test_build_state_rejects_zero_wavenumber(pole_set: PoleSet) -> None:
     fake = ResonancePole(n=1, k=0.0 + 0.0j, residual=0.0, scale=1.0)
     with pytest.raises(ZeroWavenumber):
-        build_state(pole_set.potential, fake)
+        one_state(pole_set.potential, fake)
 
 
 def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
@@ -109,7 +107,7 @@ def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
     assert abs(k - (3.73 + 1.04j)) <= 0.01
     fake = ResonancePole(n=2, k=k, residual=0.0, scale=1.0)
     with pytest.raises(NormalizationSingular, match="normalization integral vanishes"):
-        build_state(pole_set.potential, fake)
+        one_state(pole_set.potential, fake)
     with pytest.raises(NormalizationSingular):
         build_expansion(
             pole_set.potential,
@@ -118,17 +116,16 @@ def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
         )
 
 
-def test_tolerance_not_met_raised(pole_set: PoleSet) -> None:
-    states = tuple(build_state(pole_set.potential, pole_set.pole(n)) for n in (1, 2))
-    with pytest.raises(ToleranceNotMet, match="ode residual"):
-        validate_state(pole_set.potential, states[0], rtol=1e-20)
+def test_tolerance_not_met_raised(pole_set: PoleSet, monkeypatch: pytest.MonkeyPatch) -> None:
+    states = tuple(one_state(pole_set.potential, pole_set.pole(n)) for n in (1, 2))
+    monkeypatch.setattr(gamow, "_GRAM_RTOL", 1e-20)
     with pytest.raises(ToleranceNotMet, match="overlap quadrature unconverged"):
-        _quadrature_gram(states, rtol=1e-20)
+        _quadrature_gram(states)
 
 
 def test_overlap_closed_matches_quadrature(pole_set: PoleSet) -> None:
     ns = (-4, -1, 1, 2, 4)
-    states = tuple(build_state(pole_set.potential, pole_set.pole(n)) for n in ns)
+    states = tuple(one_state(pole_set.potential, pole_set.pole(n)) for n in ns)
     closed = overlap_matrix(states, "closed")
     for i, ket in enumerate(states):
         for j, bra in enumerate(states):
@@ -139,8 +136,8 @@ def test_overlap_closed_matches_quadrature(pole_set: PoleSet) -> None:
 def test_overlap_anti_diagonal_from_normalization(pole_set: PoleSet) -> None:
     # l = -n: the Green's identity degenerates; the value follows from the
     # normalization rule int u^2 = 1 - i u(R)^2 / (2k).
-    ket = build_state(pole_set.potential, pole_set.pole(2))
-    bra = build_state(pole_set.potential, pole_set.pole(-2))
+    ket = one_state(pole_set.potential, pole_set.pole(2))
+    bra = one_state(pole_set.potential, pole_set.pole(-2))
     expected = 1.0 - 1j * ket.boundary_value ** 2 / (2.0 * ket.k)
     assert overlap_matrix((ket, bra), "closed")[0, 1] == pytest.approx(expected, rel=1e-14)
     assert overlap_quadrature(ket, bra) == pytest.approx(expected, rel=1e-9)
@@ -276,8 +273,8 @@ def test_expansion_norm_approaches_unity(data: ExpansionData) -> None:
 
 def test_states_from_different_potentials_rejected(pole_set: PoleSet) -> None:
     other = DeltaShell(strength=6.0, radius=0.5)
-    other_set_state = build_state(other, ResonancePole(n=1, k=5.0 - 0.3j, residual=0.0, scale=1.0))
-    ref_state = build_state(pole_set.potential, pole_set.pole(1))
+    other_set_state = one_state(other, ResonancePole(n=1, k=5.0 - 0.3j, residual=0.0, scale=1.0))
+    ref_state = one_state(pole_set.potential, pole_set.pole(1))
     with pytest.raises(ConfigError, match="different segmentations"):
         overlap_quadrature(ref_state, other_set_state)
 

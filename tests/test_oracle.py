@@ -44,6 +44,9 @@ def test_grid_spec_validation() -> None:
         _small_grid(absorber_width=2.0)
     with pytest.raises(ConfigError, match="fill the whole box"):
         _small_grid(absorber_width=10.0, absorber_strength=1.0)
+    for w, s in ((math.nan, math.nan), (math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            _small_grid(absorber_width=w, absorber_strength=s)
 
 
 def test_grid_spec_step_counts() -> None:
@@ -197,21 +200,51 @@ def test_horizon_recorded() -> None:
     assert 0.0 < result.horizon_time < 2.0
 
 
+_COARSE = GridSpec(box_size=10.0, dr=0.05, dt=4.0e-3, t_final=2.0, enforce_resolution=False)
+_COARSE_TIMES = TimeGrid.log(0.1, 2.0, per_decade=10)
+
+
+def _refine(factors: tuple[int, ...]) -> tuple:
+    return refine_and_compare(
+        REFERENCE_POTENTIAL, REFERENCE_STATE, _COARSE, factors, _COARSE_TIMES, tolerance=1e-3
+    )
+
+
 def test_coarse_grid_flagged_by_refinement() -> None:
-    coarse = GridSpec(
-        box_size=10.0, dr=0.05, dt=4.0e-3, t_final=2.0, enforce_resolution=False
-    )
-    report = refine_and_compare(
-        REFERENCE_POTENTIAL,
-        REFERENCE_STATE,
-        coarse,
-        factor=2,
-        times=TimeGrid.log(0.1, 2.0, per_decade=10),
-        tolerance=1e-3,
-    )
+    (report,) = _refine((2,))
     assert report.flagged
     assert 5e-3 <= report.max_rel_dev <= 0.1
     assert report.factor == 2
+
+
+def test_refinement_runs_the_base_grid_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    singles = [_refine((f,))[0] for f in (2, 4)]
+    grids = []
+
+    def spy(potential, psi0, grid, times=None, sample_times=()):
+        grids.append(grid)
+        return evolve_tdse(potential, psi0, grid, times, sample_times)
+
+    monkeypatch.setattr(oracle, "evolve_tdse", spy)
+    reports = _refine((2, 4))
+    assert grids == [_COARSE, _COARSE.refined(2), _COARSE.refined(4)]
+    assert reports[0].base is reports[1].base
+    for shared, single in zip(reports, singles):
+        for run in ("base", "refined"):
+            got, want = getattr(shared, run).series, getattr(single, run).series
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.probability, want.probability)
+        for name in ("factor", "max_abs_dev", "max_rel_dev", "flagged"):
+            assert getattr(shared, name) == getattr(single, name)
+
+
+@pytest.mark.parametrize("factors", [(2, 1), (1,)])
+def test_bad_refinement_factor_refused_before_any_run(
+    monkeypatch: pytest.MonkeyPatch, factors: tuple[int, ...]
+) -> None:
+    monkeypatch.setattr(oracle, "evolve_tdse", None)  # a run would raise TypeError
+    with pytest.raises(ConfigError, match="refinement factor must be >= 2"):
+        _refine(factors)
 
 
 def test_refinement_second_order(ctx: SelftestContext) -> None:

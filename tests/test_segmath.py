@@ -13,6 +13,7 @@ from nonescape.errors import DomainError
 from nonescape.segmath import (
     _MAX_ABS_Z,
     _MAX_IM_QL,
+    _kernel_family,
     gauss_legendre,
     kernels,
     kernels_with_dz,
@@ -20,8 +21,13 @@ from nonescape.segmath import (
     product_integral,
     propagate,
     propagate_with_dk,
-    versine_kernel,
 )
+
+
+def _versine(w, length, with_derivative: bool = False) -> list:
+    """[W] or [W, dW/dw] of the kernel family, W(w, L) = (1 - cos(sqrt(w) L)) / w."""
+    family = _kernel_family(w, length, derivative=with_derivative, versine=True)
+    return family[3:] if with_derivative else family[3:4]
 
 
 def _reference_kernels(z: complex, length: float) -> tuple[complex, complex]:
@@ -102,8 +108,8 @@ def test_kernels_bits_match_two_branch_reference(rng: np.random.Generator) -> No
         for got, want in (
             (kernels(zz, L), (c, s)),
             (kernels_with_dz(zz, L), (c, s, dc, ds)),
-            (versine_kernel(zz, L, with_derivative=True), (w, dw)),
-            ((versine_kernel(zz, L),), (w,)),
+            (_versine(zz, L, with_derivative=True), (w, dw)),
+            (_versine(zz, L), (w,)),
         ):
             assert all(same_bits(g, r) for g, r in zip(got, want))
 
@@ -111,10 +117,10 @@ def test_kernels_bits_match_two_branch_reference(rng: np.random.Generator) -> No
 def test_kernels_scalar_call_matches_array_call(rng: np.random.Generator) -> None:
     # A scalar call is the one-point array call: the same bits on either branch.
     z, length = _points_across_cutoff(rng, 200)
-    arrays = [*kernels_with_dz(z, length), *versine_kernel(z, length, True)]
+    arrays = [*kernels_with_dz(z, length), *_versine(z, length, True)]
     for i, (zi, li) in enumerate(zip(z, length)):
-        scalars = [*kernels_with_dz(zi, li), *versine_kernel(zi, li, True)]
-        assert all(isinstance(v, complex) for v in scalars)
+        scalars = [*kernels_with_dz(zi, li), *_versine(zi, li, True)]
+        assert all(isinstance(v, complex) for v in scalars[:4])
         assert same_bits(scalars, [v[i] for v in arrays]), (zi, li)
 
 
@@ -143,7 +149,7 @@ def test_kernels_with_dz_at_zero() -> None:
 def test_versine_kernel_values_and_derivative() -> None:
     L = 1.7
     for w in (0.0, 1e-22, 0.5, -3.0, 4.0 + 2.0j, 25.0):
-        v = versine_kernel(w, L)
+        (v,) = _versine(w, L)
         if w == 0.0 or abs(w) < 1e-12:
             assert v == pytest.approx(L * L / 2.0, rel=1e-12)
         else:
@@ -151,9 +157,9 @@ def test_versine_kernel_values_and_derivative() -> None:
             assert v == pytest.approx((1.0 - c_ref) / w, rel=1e-12)
     h = 1e-6
     for w in (0.7, -2.0, 3.0 + 1.0j):
-        _, dv = versine_kernel(w, L, with_derivative=True)
-        vp = versine_kernel(w + h, L)
-        vm = versine_kernel(w - h, L)
+        _, dv = _versine(w, L, with_derivative=True)
+        (vp,) = _versine(w + h, L)
+        (vm,) = _versine(w - h, L)
         assert dv == pytest.approx((vp - vm) / (2 * h), rel=1e-5)
 
 
@@ -414,7 +420,7 @@ def _reference_kernel_values(z: complex, length: float) -> np.ndarray:
 
 
 def _kernel_values(z: complex, length: float) -> np.ndarray:
-    return np.array([*kernels_with_dz(z, length), *versine_kernel(z, length, True)])
+    return np.array([*kernels_with_dz(z, length), *_versine(z, length, True)])
 
 
 @settings(max_examples=200, deadline=None)

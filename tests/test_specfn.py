@@ -6,20 +6,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from _oracles import faddeeva_reference, moshinsky_reference
+from _oracles import faddeeva_reference, moshinsky_reference, moshinsky_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonescape.errors import DomainError, OverflowGuard
-from nonescape.specfn import (
-    ASYMPTOTIC_MIN_ABS,
-    TAIL_PREFACTOR,
-    MoshinskyArg,
-    asymptotic_coefficients,
-    faddeeva,
-    moshinsky,
-    moshinsky_asymptotic,
-)
+from nonescape.specfn import TAIL_PREFACTOR, asymptotic_coefficients, faddeeva, moshinsky
 
 _K_RES = 2.7579383212949247 - 0.14043273246623328j  # lowest resonance, shell (6, 1)
 
@@ -179,16 +171,6 @@ def test_moshinsky_rejects_negative_time() -> None:
         moshinsky(1.0, -0.1)
 
 
-def test_moshinsky_arg_validation() -> None:
-    arg = MoshinskyArg.make(1.0, 1.0)
-    assert arg.y == pytest.approx(complex(-math.sqrt(0.5), math.sqrt(0.5)), rel=1e-15)
-    assert arg.y ** 2 == pytest.approx(-1j, rel=1e-14)
-    arg = MoshinskyArg.make(_K_RES, 3.7)
-    assert arg.y ** 2 == pytest.approx(-1j * _K_RES ** 2 * 3.7, rel=1e-13)
-    with pytest.raises(DomainError, match="non-negative"):
-        MoshinskyArg.make(1.0, -1e-9)
-
-
 def test_asymptotic_coefficients_closed_form() -> None:
     coeffs = asymptotic_coefficients(5)
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -209,34 +191,16 @@ def test_moshinsky_asymptotic_matches_exact() -> None:
     for k in (3.0 - 0.5j, -3.0 - 0.5j, _K_RES, -_K_RES.conjugate()):
         t = 40.0
         exact = moshinsky(k, t)
-        approx = moshinsky_asymptotic(k, t, order=8)
+        approx = moshinsky_series(k, t, order=8)
         assert abs(approx - exact) <= 1e-9 * abs(exact)
         # Accuracy improves with order until optimal truncation.
-        worse = moshinsky_asymptotic(k, t, order=1)
+        worse = moshinsky_series(k, t, order=1)
         assert abs(approx - exact) < abs(worse - exact)
 
 
 def test_moshinsky_asymptotic_leading_term() -> None:
     k = 2.0 - 0.3j
     t = 50.0
-    y = MoshinskyArg.make(k, t).y
-    assert moshinsky_asymptotic(k, t, order=0) == pytest.approx(
-        TAIL_PREFACTOR / y, rel=1e-15
-    )
-
-
-def test_moshinsky_asymptotic_domain_guards() -> None:
-    with pytest.raises(DomainError, match="unreliable"):
-        moshinsky_asymptotic(1.0 - 0.1j, 0.5, order=3)  # |y| ~ 0.7 < 4
-    with pytest.raises(DomainError, match="series invalid"):
-        moshinsky_asymptotic(5.0, 4.0, order=3)  # real k: arg y = 3 pi / 4
-    with pytest.raises(DomainError, match="series invalid"):
-        moshinsky_asymptotic(4.0 + 0.5j, 9.0, order=3)  # first quadrant
-    with pytest.raises(DomainError, match=">= 0"):
-        moshinsky_asymptotic(3.0 - 0.5j, 12.0, order=-1)
-    with pytest.raises(DomainError, match="non-negative"):
-        moshinsky_asymptotic(3.0 - 0.5j, -1.0, order=2)
-
-
-def test_asymptotic_min_abs_constant() -> None:
-    assert ASYMPTOTIC_MIN_ABS == 4.0
+    y = complex(-math.sqrt(0.5), math.sqrt(0.5)) * k * math.sqrt(t)
+    assert y * y == pytest.approx(-1j * k * k * t, rel=1e-14)
+    assert moshinsky_series(k, t, order=0) == pytest.approx(TAIL_PREFACTOR / y, rel=1e-15)
