@@ -220,11 +220,17 @@ def parse_config(raw: Any) -> RunConfig:
         time_grid=_parse_time_grid(_object(raw, "time_grid")),
         oracle_grid=_build(GridSpec, _object(raw, "oracle_grid"), "oracle_grid", extra=()),
         r_points=r_points,
-        output_dir=str(_get(raw, "output_dir", "configuration", "nonescape-out")),
+        output_dir=_output_dir(_get(raw, "output_dir", "configuration", "nonescape-out")),
         digest=digest,
     )
     _check_radii(cfg.r_points, cfg.potential)
     return cfg
+
+
+def _output_dir(value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"output_dir must be a non-empty string, got {value!r}")
+    return value
 
 
 def _check_radii(

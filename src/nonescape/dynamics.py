@@ -81,6 +81,8 @@ class TimeGrid:
     def log(cls, t_min: float, t_max: float, per_decade: int = 40) -> "TimeGrid":
         if not (0.0 < t_min < t_max):
             raise ConfigError("need 0 < t_min < t_max for a log grid")
+        if not per_decade >= 1:
+            raise ConfigError(f"a log grid needs per_decade >= 1, got {per_decade}")
         try:
             n = max(2, int(np.ceil(np.log10(t_max / t_min) * per_decade)) + 1)
         except (OverflowError, ValueError) as exc:  # an infinite or NaN point count
@@ -132,15 +134,15 @@ class NonescapeSeries:
 # to 1 MB) while (2N)^2 <= _BLOCK, i.e. N <= 128, and one row of (2N)^2
 # terms beyond (102,400 terms, 1.6 MB, at N = 160).  Each block is one
 # summer call on the term array's interleaved float view, whose work arrays
-# hold a fraction, an exponent and a bin key per float part (4 MB at
+# hold a fraction, an exponent and a bin slot per float part (4 MB at
 # N = 160), and every array is allocated once per call and reused for every
 # block.
 _BLOCK = 1 << 16
-# Float parts per chunk of a summer call: the chunk's bin index and its high
-# and low parts (256 KB each) stay in cache between the passes that make
-# them and the ones that bin them.  A bin gets at most _CHUNK parts of one
-# chunk: high parts are integers below 2**27 and low parts multiples of
-# 2**-26 below 1, so either sum stays below 2**53 units, exact in float64.
+# Float parts per chunk, a slice of a summer call's flat float view: its bin
+# index and high and low parts (256 KB each) stay in cache between the passes
+# that make them and the ones that bin them.  A bin gets at most _CHUNK parts
+# of one chunk: high parts are integers below 2**27 and low parts multiples
+# of 2**-26 below 1, so either sum stays below 2**53 units, exact in float64.
 _CHUNK = 1 << 15
 _SPLIT = 2.0**26
 
@@ -158,25 +160,23 @@ class _NestedSummer:
 
     Column c lies in ring ``rings[c]``, and group g of a row is its columns
     in rings 0..g.  With ``parts`` = 2 a block is complex, and one call sums
-    both parts of every term over the block's interleaved float view.  The
-    work arrays hold ``max_rows`` rows and are allocated once, so a caller
-    summing block after block allocates nothing per block but the small bin
-    arrays.
+    both parts of every term over the block's interleaved float view, in
+    one loop over ``_CHUNK``-sized slices of it; a float's bin comes from
+    its precomputed slot.  The work arrays hold ``max_rows`` rows and are
+    allocated once, so a caller summing block after block allocates nothing
+    per block but the small bin arrays.
     """
 
     def __init__(self, max_rows: int, rings: np.ndarray, parts: int = 1) -> None:
         self.rings = np.asarray(rings, dtype=np.intp)
         self.parts = parts
         self.n_rings = int(self.rings.max()) + 1 if self.rings.size else 1
-        # (ring, part) of each float part of a row: its bin key above the exponent
-        self.keys = (self.rings[:, None] * parts + np.arange(parts)).ravel()
-        shape = (max_rows, self.keys.size)
-        self.frac = np.empty(shape)
-        self.exp = np.empty(shape, dtype=np.intc)
-        # a chunk is whole rows, or one row's parts in pieces
-        self.chunk_cols = max(1, min(self.keys.size, _CHUNK))
-        self.chunk_rows = max(1, min(max_rows, _CHUNK // self.chunk_cols))
-        size = self.chunk_rows * self.chunk_cols
+        # slot (row, ring, part) of each float of a full block, in order
+        keys = self.rings[:, None] * parts + np.arange(parts)
+        self.slots = (np.arange(max_rows)[:, None, None] * (self.n_rings * parts) + keys).ravel()
+        self.frac = np.empty(self.slots.size)
+        self.exp = np.empty(self.slots.size, dtype=np.intc)
+        size = min(self.slots.size, _CHUNK)
         self.index = np.empty(size, dtype=np.intp)
         self.high = np.empty(size)
         self.low = np.empty(size)
@@ -188,13 +188,13 @@ class _NestedSummer:
         """(rows x n_rings) correctly rounded group sums of the C-contiguous
         ``x``: float for ``parts`` 1, complex for 2."""
         n_rows, n_cols, parts = x.shape[0], self.rings.size, self.parts
-        n_rings, n_floats = self.n_rings, self.keys.size
+        n_rings, n_floats = self.n_rings, n_cols * parts
         # float (row, ring, part): an exact zero rounds to +0.0, as in fsum
         out = np.zeros((n_rows, n_rings * parts))
         if out.size == 0 or n_cols == 0:
             return out.view(x.dtype)
         terms = x.view(float).reshape(n_rows, n_floats)
-        frac, exp = self.frac[:n_rows], self.exp[:n_rows]
+        frac, exp = (a[: terms.size].reshape(terms.shape) for a in (self.frac, self.exp))
         np.frexp(terms, out=(frac, exp))
         e_lo, e_hi = int(exp.min()), int(exp.max())
         fallback = {}  # (row, part) -> its group sums by math.fsum
@@ -214,40 +214,33 @@ class _NestedSummer:
         width = e_hi - e_lo + 1
         row_bins = n_rings * parts * width
         # bin of a part: (row, ring, part, exponent), exponents innermost
-        row_base = (np.arange(self.chunk_rows) * row_bins - e_lo)[:, None]
         hi_bins = np.zeros(n_rows * row_bins, dtype=np.int64)
         lo_bins = np.zeros(n_rows * row_bins, dtype=np.int64)
-        for r0 in range(0, n_rows, self.chunk_rows):
-            r1 = min(r0 + self.chunk_rows, n_rows)
-            span = slice(r0 * row_bins, r1 * row_bins)
-            for c0 in range(0, n_floats, self.chunk_cols):
-                c1 = min(c0 + self.chunk_cols, n_floats)
-                block = (slice(r0, r1), slice(c0, c1))
-                index, high, low = (
-                    a[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-                    for a in (self.index, self.high, self.low)
-                )
-                np.multiply(self.keys[c0:c1], width, out=index)
-                index += exp[block]
-                index += row_base[: r1 - r0]
-                # frac 2**27 splits exactly into an integer part below 2**27
-                # and a fraction in multiples of 2**-26
-                np.multiply(frac[block], 2.0**27, out=low)
-                np.trunc(low, out=high)
-                with np.errstate(invalid="ignore"):  # inf - inf from an infinite term
-                    low -= high
-                n_bins = span.stop - span.start
-                hi = np.bincount(index.ravel(), high.ravel(), minlength=n_bins)
-                lo = np.bincount(index.ravel(), low.ravel(), minlength=n_bins) * _SPLIT
-                bad = ~np.isfinite(hi)
-                if bad.any():
-                    for b in np.flatnonzero(bad).tolist():
-                        i, p = r0 + b // row_bins, b // width % parts
-                        if (i, p) not in fallback:
-                            fallback[i, p] = self._fsum_groups(terms[i, p::parts])
-                    hi[bad] = lo[bad] = 0.0
-                hi_bins[span] += hi.astype(np.int64)
-                lo_bins[span] += lo.astype(np.int64)
+        for f0 in range(0, terms.size, _CHUNK):
+            f1 = min(f0 + _CHUNK, terms.size)
+            index, high, low = (a[: f1 - f0] for a in (self.index, self.high, self.low))
+            # the chunk's bins: those of the rows it touches
+            b0, b1 = f0 // n_floats * row_bins, ((f1 - 1) // n_floats + 1) * row_bins
+            np.multiply(self.slots[f0:f1], width, out=index)
+            index += self.exp[f0:f1]
+            index -= b0 + e_lo
+            # frac 2**27 splits exactly into an integer part below 2**27
+            # and a fraction in multiples of 2**-26
+            np.multiply(self.frac[f0:f1], 2.0**27, out=low)
+            np.trunc(low, out=high)
+            with np.errstate(invalid="ignore"):  # inf - inf from an infinite term
+                low -= high
+            hi = np.bincount(index, high, minlength=b1 - b0)
+            lo = np.bincount(index, low, minlength=b1 - b0) * _SPLIT
+            bad = ~np.isfinite(hi)
+            if bad.any():
+                for b in (np.flatnonzero(bad) + b0).tolist():
+                    i, p = b // row_bins, b // width % parts
+                    if (i, p) not in fallback:
+                        fallback[i, p] = self._fsum_groups(terms[i, p::parts])
+                hi[bad] = lo[bad] = 0.0
+            hi_bins[b0:b1] += hi.astype(np.int64)
+            lo_bins[b0:b1] += lo.astype(np.int64)
         if n_rings > 1:  # group g holds rings 0..g
             for bins in (hi_bins, lo_bins):
                 cube = bins.reshape(n_rows, n_rings, parts * width)

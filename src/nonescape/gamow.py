@@ -97,9 +97,12 @@ _FIELD_BLOCK = 1 << 16
 # parts within a 2 MB L2 cache (on such a host the N = 160 field of
 # tail-wide took 78 ms at 1 << 16 and 59 ms at 1 << 15).
 _WEIGHTED_BLOCK = 1 << 15
+# Entries per block of rows of the closed overlap matrix: the block's few
+# temporaries (256 KB each) are all that its build holds beyond the matrix.
+_OVERLAP_BLOCK = 1 << 14
 # Pole pairs an expansion may hold.  Its closed overlap matrix takes
 # 64 N^2 bytes, 420 MB at this cap, where the reference shell's build peaked
-# at 871 MB RSS in 1.0 s on a 2-vCPU host (1,280 pairs: 269 MB, 0.19 s).
+# at 466 MB RSS in 0.4 s on a 2-vCPU host (1,280 pairs: 165 MB, 0.13 s).
 _MAX_PAIRS = 2_560
 # Doubling the quadrature panels may move a Gram entry by at most this,
 # relative to its magnitude (absolutely, below magnitude 1).
@@ -423,7 +426,8 @@ def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np
     """Matrix ``I[i, j] = int conj(u_j) u_i dr`` over a state list.
 
     "closed" uses the boundary-value formulas (with the anti-diagonal
-    normalization identity); "quadrature" integrates all pairs at once on
+    normalization identity) in blocks of rows, so no temporary is
+    matrix-sized; "quadrature" integrates all pairs at once on
     shared panels, filling the upper triangle by Hermitian symmetry of the
     integral.
     """
@@ -432,9 +436,13 @@ def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np
     if method == "closed":
         ks = np.array([s.k for s in states])
         u_r = np.array([s.boundary_value for s in states])
-        mat = u_r[:, None] * np.conj(u_r)[None, :] / (
-            1j * (ks[:, None] - np.conj(ks)[None, :])
-        )
+        mat = np.empty((len(states), len(states)), dtype=complex)
+        step = max(1, _OVERLAP_BLOCK // max(1, len(states)))
+        for i0 in range(0, len(states), step):
+            rows = slice(i0, i0 + step)
+            mat[rows] = u_r[rows, None] * np.conj(u_r)[None, :] / (
+                1j * (ks[rows, None] - np.conj(ks)[None, :])
+            )
         index_of = {s.pole.n: i for i, s in enumerate(states)}
         for i, s in enumerate(states):
             j = index_of.get(-s.pole.n)
@@ -548,7 +556,8 @@ def weighted_field(
     The points are taken in blocks, each block evaluating every state with
     a nonzero weight at once, so both states of a mirror pair share the
     kernel work (see :func:`_state_values`).  At each point the terms are
-    added in state order by one accumulate over the block, so the result is
+    added in state order by one reduce over the block's state axis (numpy
+    reduces axis 0 of a C-contiguous array row by row), so the result is
     the same, bit for bit, as adding ``weights[m] u_m(r)`` one state at a
     time to a zero.
     """
@@ -566,9 +575,8 @@ def weighted_field(
             sl = slice(p0, p0 + step)
             terms = _state_values(stack, idx[sl], x[sl])
             np.multiply(live_weights, terms, out=terms)
-            np.add.accumulate(terms, axis=0, out=terms)
-            # the zero's add turns a zero sum's -0 into +0, as the loop did
-            acc[sl] += terms[-1]
+            # adding to the zero turns a zero sum's -0 into +0, as the loop did
+            acc[sl] += np.add.reduce(terms, axis=0)
     if np.ndim(r) == 0:
         return complex(acc[0])
     return acc.reshape(np.shape(r))

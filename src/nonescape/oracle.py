@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 _NORM_DRIFT_LIMIT = 1e-7
-_MAX_NODES = 10_000_000  # nodes a grid may hold (16 MB per complex work vector)
+_MAX_NODES = 10_000_000  # nodes a grid may hold (160 MB per complex work vector)
 _MAX_STEPS = 10_000_000  # time steps a run may take
 _NORM_CHECK_STRIDE = 200
 # Density within five nodes of r = L at which the contamination horizon is set.

@@ -364,6 +364,14 @@ def _polish(potential: Potential, k: np.ndarray, rects: np.ndarray, tol: float) 
     return k
 
 
+def _owners(rects: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Strip of each k, or -1 outside them all; the strips tile [0, re_max) in Re k order."""
+    i = np.minimum(np.searchsorted(rects[:, 1], k.real, side="right"), len(rects) - 1)
+    re_lo, re_hi, im_lo, im_hi = rects[i].T
+    inside = (re_lo <= k.real) & (k.real < re_hi) & (im_lo <= k.imag) & (k.imag < im_hi)
+    return np.where(inside, i, -1)
+
+
 def locate_poles(
     potential: Potential, window: SearchWindow, tol: float = 1e-12
 ) -> "PoleSet":
@@ -396,10 +404,7 @@ def locate_poles(
     source = np.repeat([b.rect for b in live], [b.count for b in live], axis=0).reshape(-1, 4)
     k = _polish(potential, _estimates(potential, live), source, tol)
     k = k[np.argsort(k.real, kind="stable")]
-    rects = np.array([b.rect for b in boxes])
-    inside = (rects[:, 0] <= k.real[:, None]) & (k.real[:, None] < rects[:, 1])
-    inside &= (rects[:, 2] <= k.imag[:, None]) & (k.imag[:, None] < rects[:, 3])
-    owner = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    owner = _owners(np.array([b.rect for b in boxes]), k)
     found = np.bincount(owner[owner >= 0], minlength=len(boxes))
     for box, n in zip(boxes, found):
         if n != box.count:

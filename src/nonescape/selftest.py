@@ -180,7 +180,9 @@ class SelftestContext:
 
     @cached_property
     def tail_report(self) -> TailReport:
-        """The tail study of the config's truncations, as ``nonescape tail`` makes it."""
+        """The tail study of the config's truncations, as ``nonescape tail``
+        makes it but without the P(t) sums: ``tail`` also fits each
+        truncation's slope, and here the slope rows are NaN."""
         return convergence_study(self.data, self.cfg.truncations)
 
     @cached_property

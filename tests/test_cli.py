@@ -395,6 +395,40 @@ def test_oversized_log_grid_is_a_config_error() -> None:
         TimeGrid.log(1e-3, 1e3, per_decade=MAX_TIME_SAMPLES)
 
 
+@pytest.mark.parametrize("per_decade", [0, -5, 0.5])
+def test_log_grid_below_one_point_per_decade_is_refused(per_decade: float) -> None:
+    with pytest.raises(ConfigError, match="per_decade >= 1"):
+        TimeGrid.log(0.05, 42.0, per_decade=per_decade)
+
+
+@pytest.mark.parametrize("command", ["nonescape", "tail"])
+@pytest.mark.parametrize("per_decade", [0, -5])
+def test_log_grid_below_one_point_per_decade_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, command: str, per_decade: int
+) -> None:
+    grid = {"kind": "log", "t_min": 0.05, "t_max": 2.0, "per_decade": per_decade}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(time_grid=grid)))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and "per_decade >= 1" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [None, 5, ["a"], {"x": 1}, True, ""])
+def test_output_dir_must_be_a_non_empty_string(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, value
+) -> None:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(output_dir=value)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["poles", "--config", str(path)]) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError" and "output_dir" in error["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 @pytest.mark.parametrize(
     "overrides, argv",
     [

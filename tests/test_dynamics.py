@@ -346,11 +346,12 @@ def _complex_nested_case(draw):
     """Complex rows whose real and imaginary parts are drawn independently.
 
     Widths run to a row wider than a summer chunk (as N = 160 rows are);
-    "huge" puts a part's largest exponent at 1021, so the plain-sum
+    10,007 columns make rows narrower than a chunk, so a chunk that starts
+    mid-row holds the start of the next row.  "huge" puts a part's largest exponent at 1021, so the plain-sum
     pre-check runs; now and then one part of a row holds an inf or NaN.
     """
     n_rows = draw(st.integers(1, 3))
-    n_cols = draw(st.sampled_from([0, 1, 5, 40, 3 * _CHUNK // 4 + 3]))
+    n_cols = draw(st.sampled_from([0, 1, 5, 40, 10_007, 3 * _CHUNK // 4 + 3]))
     n_rings = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rings = rng.integers(0, n_rings, n_cols)

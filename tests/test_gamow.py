@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,28 @@ def test_overlap_anti_diagonal_from_normalization(pole_set: PoleSet) -> None:
     expected = 1.0 - 1j * ket.boundary_value ** 2 / (2.0 * ket.k)
     assert overlap_matrix((ket, bra), "closed")[0, 1] == pytest.approx(expected, rel=1e-14)
     assert overlap_quadrature(ket, bra) == pytest.approx(expected, rel=1e-9)
+
+
+def test_closed_overlaps_are_built_in_row_blocks() -> None:
+    # 300 pole pairs of the reference shell: the blocked build gives the
+    # whole-array expression's bits and holds little beyond its result
+    window = SearchWindow(re_max=300.5 * np.pi, im_min=-6.0)
+    shell_poles = locate_poles(REFERENCE_POTENTIAL, window)
+    order = shell_poles.index_order(300)
+    states = _build_states(REFERENCE_POTENTIAL, [shell_poles.pole(n) for n in order])
+    tracemalloc.start()
+    try:
+        closed = overlap_matrix(states, "closed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * closed.nbytes
+    ks = np.array([s.k for s in states])
+    u_r = np.array([s.boundary_value for s in states])
+    whole = u_r[:, None] * np.conj(u_r)[None, :] / (1j * (ks[:, None] - np.conj(ks)[None, :]))
+    anti = (np.arange(order.size), np.arange(order.size)[::-1])  # pairs n, -n
+    whole[anti] = closed[anti]  # the normalization entries, set after either build
+    assert same_bits(closed, whole)
 
 
 def test_overlap_matrix_routes_agree(data: ExpansionData) -> None:

@@ -18,6 +18,7 @@ from nonescape.poles import (
     PoleSet,
     ResonancePole,
     SearchWindow,
+    _owners,
     locate_poles,
     matching_function,
     mirror_state_rule,
@@ -414,3 +415,39 @@ def test_non_finite_matching_function_is_a_domain_error() -> None:
     rect = np.array([[0.0, 40.0, -3.0, 0.0]])
     with pytest.raises(DomainError, match="J is not finite near k = 5-1j"):
         poles_module._polish(barrier, np.array([5.0 - 1.0j]), rect, 1e-12)
+
+
+def _owners_by_mask(rects: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The first strip holding each k, or -1, from a poles x strips mask."""
+    inside = (rects[:, 0] <= k.real[:, None]) & (k.real[:, None] < rects[:, 1])
+    inside &= (rects[:, 2] <= k.imag[:, None]) & (k.imag[:, None] < rects[:, 3])
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+
+@pytest.mark.parametrize("n_strips", [1, 2, 7, 64])
+def test_pole_owners_from_strip_order_match_the_mask(n_strips: int) -> None:
+    # Strips cut as _strips cuts them.  The k lie on every cut and one ulp
+    # to either side, on and beside both imaginary edges, outside the
+    # window, at NaN, and all over strip 0, which stands for a strip that
+    # counts no zero: its k are still its own, so the count check sees them.
+    re_max, im_min = 127.5, -3.0
+    cuts = np.linspace(0.0, re_max, n_strips + 1)
+    rects = np.array([(a, b, im_min, 0.0) for a, b in zip(cuts[:-1], cuts[1:])])
+    rng = np.random.default_rng(n_strips)
+    re = np.concatenate(
+        [
+            cuts,
+            np.nextafter(cuts, -np.inf),
+            np.nextafter(cuts, np.inf),
+            rng.uniform(-10.0, re_max + 10.0, 300),
+            rng.uniform(cuts[0], cuts[1], 50),
+            [-np.inf, np.inf, np.nan],
+        ]
+    )
+    ims = [im_min, np.nextafter(im_min, -1.0), np.nextafter(im_min, 0.0), -1.0, -0.0, 0.0]
+    im = np.concatenate([ims, [np.nextafter(0.0, -1.0)], rng.uniform(-4.0, 1.0, 20), [np.nan]])
+    k = (re[:, None] + 1j * im[None, :]).ravel()
+    got = _owners(rects, k)
+    assert np.array_equal(got, _owners_by_mask(rects, k))
+    assert (got == 0).sum() > 50 and (got == -1).any()
+
