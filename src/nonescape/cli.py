@@ -299,7 +299,7 @@ def _configure(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--r expects comma-separated numbers, got {r_flag!r}")
         changes["r_points"] = _check_radii(radii, cfg.potential)
     if getattr(args, "out", None) is not None:
-        changes["output_dir"] = args.out
+        changes["output_dir"] = _output_dir(args.out)
     return replace(cfg, **changes)
 
 

@@ -134,9 +134,9 @@ class NonescapeSeries:
 # to 1 MB) while (2N)^2 <= _BLOCK, i.e. N <= 128, and one row of (2N)^2
 # terms beyond (102,400 terms, 1.6 MB, at N = 160).  Each block is one
 # summer call on the term array's interleaved float view, whose work arrays
-# hold a fraction, an exponent and a bin slot per float part (4 MB at
-# N = 160), and every array is allocated once per call and reused for every
-# block.
+# hold a fraction and an exponent per float part and a bin slot per float of
+# the rows one chunk touches (4 MB at N = 160), and every array is allocated
+# once per call and reused for every block.
 _BLOCK = 1 << 16
 # Float parts per chunk, a slice of a summer call's flat float view: its bin
 # index and high and low parts (256 KB each) stay in cache between the passes
@@ -171,12 +171,14 @@ class _NestedSummer:
         self.rings = np.asarray(rings, dtype=np.intp)
         self.parts = parts
         self.n_rings = int(self.rings.max()) + 1 if self.rings.size else 1
-        # slot (row, ring, part) of each float of a full block, in order
+        # slot (row, ring, part) of each float of the rows a chunk can
+        # touch, counted from the chunk's first row
         keys = self.rings[:, None] * parts + np.arange(parts)
-        self.slots = (np.arange(max_rows)[:, None, None] * (self.n_rings * parts) + keys).ravel()
-        self.frac = np.empty(self.slots.size)
-        self.exp = np.empty(self.slots.size, dtype=np.intc)
-        size = min(self.slots.size, _CHUNK)
+        touched = min(max_rows, -(-_CHUNK // max(1, keys.size)) + 1)
+        self.slots = (np.arange(touched)[:, None, None] * (self.n_rings * parts) + keys).ravel()
+        self.frac = np.empty(max_rows * keys.size)
+        self.exp = np.empty(max_rows * keys.size, dtype=np.intc)
+        size = min(self.frac.size, _CHUNK)
         self.index = np.empty(size, dtype=np.intp)
         self.high = np.empty(size)
         self.low = np.empty(size)
@@ -220,10 +222,11 @@ class _NestedSummer:
             f1 = min(f0 + _CHUNK, terms.size)
             index, high, low = (a[: f1 - f0] for a in (self.index, self.high, self.low))
             # the chunk's bins: those of the rows it touches
-            b0, b1 = f0 // n_floats * row_bins, ((f1 - 1) // n_floats + 1) * row_bins
-            np.multiply(self.slots[f0:f1], width, out=index)
+            r0 = f0 // n_floats
+            b0, b1 = r0 * row_bins, ((f1 - 1) // n_floats + 1) * row_bins
+            np.multiply(self.slots[f0 - r0 * n_floats : f1 - r0 * n_floats], width, out=index)
             index += self.exp[f0:f1]
-            index -= b0 + e_lo
+            index -= e_lo
             # frac 2**27 splits exactly into an integer part below 2**27
             # and a fraction in multiples of 2**-26
             np.multiply(self.frac[f0:f1], 2.0**27, out=low)

@@ -429,6 +429,18 @@ def test_output_dir_must_be_a_non_empty_string(
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+def test_empty_out_flag_is_a_config_error(
+    config_path: Path,
+    tmp_path: Path,
+    monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture,
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert main(["poles", "--config", str(config_path), "--out", ""]) == 2
+    assert "output_dir" in _error_line(capsys)["message"]
+    assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+
 @pytest.mark.parametrize(
     "overrides, argv",
     [
