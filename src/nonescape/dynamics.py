@@ -173,11 +173,12 @@ class _NestedSummer:
         self.n_rings = int(self.rings.max()) + 1 if self.rings.size else 1
         # slot (row, ring, part) of each float of the rows a chunk can
         # touch, counted from the chunk's first row
-        keys = self.rings[:, None] * parts + np.arange(parts)
-        touched = min(max_rows, -(-_CHUNK // max(1, keys.size)) + 1)
-        self.slots = (np.arange(touched)[:, None, None] * (self.n_rings * parts) + keys).ravel()
-        self.frac = np.empty(max_rows * keys.size)
-        self.exp = np.empty(max_rows * keys.size, dtype=np.intc)
+        n_floats = self.rings.size * parts
+        touched = min(max_rows, -(-_CHUNK // max(1, n_floats)) + 1)
+        row_slots = np.arange(touched)[:, None, None] * (self.n_rings * parts)
+        self.slots = (row_slots + self.rings[:, None] * parts + np.arange(parts)).ravel()
+        self.frac = np.empty(max_rows * n_floats)
+        self.exp = np.empty(max_rows * n_floats, dtype=np.intc)
         size = min(self.frac.size, _CHUNK)
         self.index = np.empty(size, dtype=np.intp)
         self.high = np.empty(size)
