@@ -160,11 +160,10 @@ class _NestedSummer:
 
     Column c lies in ring ``rings[c]``, and group g of a row is its columns
     in rings 0..g.  With ``parts`` = 2 a block is complex, and one call sums
-    both parts of every term over the block's interleaved float view, in
-    one loop over ``_CHUNK``-sized slices of it; a float's bin comes from
-    its precomputed slot.  The work arrays hold ``max_rows`` rows and are
-    allocated once, so a caller summing block after block allocates nothing
-    per block but the small bin arrays.
+    both parts of every term in one loop over ``_CHUNK``-sized slices of the
+    block's interleaved float view.  The work arrays are allocated once, so
+    a caller summing block after block allocates nothing per block but the
+    small bin arrays.
     """
 
     def __init__(self, max_rows: int, rings: np.ndarray, parts: int = 1) -> None:

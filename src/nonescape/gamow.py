@@ -555,11 +555,10 @@ def weighted_field(
 
     The points are taken in blocks, each block evaluating every state with
     a nonzero weight at once, so both states of a mirror pair share the
-    kernel work (see :func:`_state_values`).  At each point the terms are
-    added in state order by one reduce over the block's state axis (numpy
-    reduces axis 0 of a C-contiguous array row by row), so the result is
-    the same, bit for bit, as adding ``weights[m] u_m(r)`` one state at a
-    time to a zero.
+    kernel work (see :func:`_state_values`).  At each point one reduce over
+    the block's rows, which numpy adds row by row, sums the terms in state
+    order, so the result is the same, bit for bit, as adding
+    ``weights[m] u_m(r)`` one state at a time to a zero.
     """
     if len(weights) != len(data.states):
         raise ConfigError("one weight per state required")

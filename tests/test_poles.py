@@ -450,4 +450,3 @@ def test_pole_owners_from_strip_order_match_the_mask(n_strips: int) -> None:
     got = _owners(rects, k)
     assert np.array_equal(got, _owners_by_mask(rects, k))
     assert (got == 0).sum() > 50 and (got == -1).any()
-
