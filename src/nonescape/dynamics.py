@@ -143,16 +143,11 @@ _BLOCK = 1 << 16
 # that make them and the ones that bin them.  A bin gets at most _CHUNK parts
 # of one chunk: high parts are integers below 2**27 and low parts multiples
 # of 2**-26 below 1, so either sum stays below 2**53 units, exact in float64.
+# The int64 bins of a whole row of fewer than 2**26 terms stay below 2**53
+# units too, so each converts to a double exactly; rows of nested_forms
+# hold at most (2 gamow._MAX_PAIRS)^2 < 2**25 terms.
 _CHUNK = 1 << 15
 _SPLIT = 2.0**26
-
-
-def _round_scaled(total: int, exponent: int) -> float:
-    """total * 2**exponent, correctly rounded to a double."""
-    # int / int is correctly rounded in Python, subnormal results included
-    if exponent >= 0:
-        return float(total << exponent)
-    return total / (1 << -exponent)
 
 
 class _NestedSummer:
@@ -200,19 +195,18 @@ class _NestedSummer:
         np.frexp(terms, out=(frac, exp))
         e_lo, e_hi = int(exp.min()), int(exp.max())
         fallback = {}  # (row, part) -> its group sums by math.fsum
-        if e_hi + n_cols.bit_length() >= 1024:
-            # a plain sum may overflow: the (row, part)s whose plain sum is
-            # not finite hold an inf or NaN, or overflow on the way, and
-            # math.fsum settles them
-            with np.errstate(over="ignore", invalid="ignore"):
-                plain = terms.reshape(n_rows, n_cols, parts).sum(axis=1)
-            for i, p in zip(*np.nonzero(~np.isfinite(plain))):
+        # Bins stay below 2**53 units in a row of fewer than 2**26 terms, and
+        # below the largest double in a (row, part) whose terms all lie below
+        # exponent `top`; math.fsum settles every other (row, part).
+        top = 1024 - n_cols.bit_length() if n_cols < 1 << 26 else e_lo
+        if e_hi >= top:
+            big = exp.reshape(n_rows, n_cols, parts).max(axis=1) >= top
+            for i, p in zip(*np.nonzero(big)):
                 fallback[i, p] = self._fsum_groups(terms[i, p::parts])
                 frac[i, p::parts] = 0.0
                 exp[i, p::parts] = 0
             e_lo, e_hi = int(exp.min()), int(exp.max())
-        # Below that bound no plain sum overflows, and an inf or NaN term
-        # shows as a non-finite bin of its (row, part).
+        # An inf or NaN term shows as a non-finite bin of its (row, part).
         width = e_hi - e_lo + 1
         row_bins = n_rings * parts * width
         # bin of a part: (row, ring, part, exponent), exponents innermost
@@ -248,22 +242,16 @@ class _NestedSummer:
             for bins in (hi_bins, lo_bins):
                 cube = bins.reshape(n_rows, n_rings, parts * width)
                 np.cumsum(cube, axis=1, out=cube)
-        used = np.flatnonzero(hi_bins | lo_bins)
-        flat = out.reshape(-1)
-        group, e0, total = -1, 0, 0
-        for g, e, h, l in zip(
-            (used // width).tolist(),
-            (used % width).tolist(),
-            hi_bins[used].tolist(),
-            lo_bins[used].tolist(),
-        ):
-            if g != group:  # bins come group by group, lowest exponent first
-                if group >= 0:
-                    flat[group] = _round_scaled(total, e0 + e_lo - 53)
-                group, e0, total = g, e, 0
-            total += ((h << 26) + l) << (e - e0)
-        if group >= 0:
-            flat[group] = _round_scaled(total, e0 + e_lo - 53)
+        # every bin scales to an exact double; math.fsum rounds each group's
+        # nonzero bins once
+        e = np.arange(e_lo, e_lo + width)
+        hi = np.ldexp(hi_bins.reshape(-1, width), e - 27)
+        lo = np.ldexp(lo_bins.reshape(-1, width), e - 53)
+        bins = np.hstack((hi, lo))
+        used = np.flatnonzero(bins)  # group by group
+        ends = np.searchsorted(used, 2 * width * np.arange(out.size + 1)).tolist()
+        vals = bins.ravel()[used].tolist()
+        out.reshape(-1)[:] = [fsum(vals[a:b]) for a, b in zip(ends, ends[1:])]
         for (i, p), sums in fallback.items():
             out[i, p::parts] = sums
         return out.view(x.dtype)
@@ -279,10 +267,14 @@ def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
     ``frexp`` writes a finite double as m 2**(e - 53) with an integer
     |m| < 2**53; the high and low halves of m are summed exactly per
     (row, ring, part, e) by ``np.bincount``, both parts of complex rows in
-    the same call, summed over the rings 0..g in integers, and then each
-    group's bins are combined in Python integers and rounded once.  A row
-    part holding an infinity or NaN, or whose plain sum overflows, is passed
-    to ``math.fsum`` itself.
+    the same call, and summed over the rings 0..g in int64.  Each group is
+    then one ``math.fsum`` over its bins scaled to doubles, and each scaled
+    bin is exact: a row of fewer than 2**26 terms keeps every bin below
+    2**53 units; both halves of any double, subnormals included, are
+    multiples of 2**-1074; and a bin can pass the largest double only in a
+    row part holding a term at exponent 1024 - bit_length(cols) or above.
+    Such a row part, one holding an infinity or NaN, and every row of
+    2**26 terms or more are passed to ``math.fsum`` itself.
     """
     x = np.asarray(rows)
     complex_rows = np.iscomplexobj(x)

@@ -39,6 +39,7 @@ from .model import (
     initial_wavefunction,
     segments,
     state_norm,
+    support_radius,
 )
 from .poles import PoleSet, ResonancePole
 from .segmath import kernels, panel_nodes, product_integral, propagate
@@ -413,13 +414,14 @@ def _coefficients_closed(states: tuple[GamowState, ...], psi0: BoxMode) -> np.nd
 def _coefficients(states: tuple[GamowState, ...], psi0: InitialState) -> np.ndarray:
     """Expansion coefficients ``C = int_0^R psi0(r) u(r) dr`` (no conjugate).
 
-    In closed form for a box mode, by panel quadrature for a sampled state.
+    In closed form for a box mode, by panel quadrature for a sampled state;
+    a state of either kind reaching past R is refused.
     """
-    if not isinstance(psi0, BoxMode):
-        return _coefficients_quadrature(states, psi0)
-    if psi0.radius > states[0].radius * (1.0 + 1e-12):
+    if support_radius(psi0) > states[0].radius * (1.0 + 1e-12):
         raise InvalidState("initial state extends beyond the potential range")
-    return _coefficients_closed(states, psi0)
+    if isinstance(psi0, BoxMode):
+        return _coefficients_closed(states, psi0)
+    return _coefficients_quadrature(states, psi0)
 
 
 def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np.ndarray:

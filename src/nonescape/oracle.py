@@ -341,8 +341,9 @@ def _prepare(
 
     if times is None:
         times = TimeGrid.log(max(10.0 * dt, 1e-12), grid.t_final, per_decade=40)
-    step_of = np.unique(np.round(times.times / dt).astype(int))
-    step_of = step_of[(step_of >= 0) & (step_of <= grid.n_steps)]
+    # steps past the run go before the cast, where they could overflow int
+    steps = np.round(times.times / dt)
+    step_of = np.unique(steps[steps <= grid.n_steps].astype(int))
     if step_of.size == 0 or step_of[0] != 0:
         step_of = np.concatenate([[0], step_of])
 

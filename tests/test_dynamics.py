@@ -288,6 +288,20 @@ def test_exact_row_sums_complex_and_nonfinite() -> None:
     assert got[1].real == math.inf and got[1].imag == 0.0
 
 
+def test_exact_row_sums_near_overflow() -> None:
+    # The plain sum stays finite, but the three terms at frexp exponent 1023
+    # add up past the largest double: the row part must go to math.fsum.
+    a, b = math.ldexp(1.5, 1022), -math.ldexp(1.9, 1021)
+    row = np.array([a, b, a, b, a, b, b, b])
+    assert np.isfinite(row.sum())
+    expected = _bits([math.fsum(row)])[0]
+    assert _bits(exact_row_sums(row[None, :]))[0] == expected
+    other = np.arange(8.0)
+    got = exact_row_sums(np.array([row + 1j * other, other + 1j * row]))
+    assert _bits(got.real)[0] == expected and _bits(got.imag)[1] == expected
+    assert got[0].imag == got[1].real == math.fsum(other)
+
+
 def _finite_term():
     # mantissas at exponents across the whole range, the subnormal end
     # included, and edge values
@@ -347,8 +361,9 @@ def _complex_nested_case(draw):
 
     Widths run to a row wider than a summer chunk (as N = 160 rows are);
     10,007 columns make rows narrower than a chunk, so a chunk that starts
-    mid-row holds the start of the next row.  "huge" puts a part's largest exponent at 1021, so the plain-sum
-    pre-check runs; now and then one part of a row holds an inf or NaN.
+    mid-row holds the start of the next row.  "huge" puts a part's largest
+    exponent at 1021, so the overflow pre-check runs; now and then one part
+    of a row holds an inf or NaN.
     """
     n_rows = draw(st.integers(1, 3))
     n_cols = draw(st.sampled_from([0, 1, 5, 40, 10_007, 3 * _CHUNK // 4 + 3]))
@@ -401,7 +416,9 @@ def test_exact_sums_take_no_fsum_fallback(
     # every group is summed by the bins, none is left to math.fsum
     data = ctx.data if name == "reference" else ctx.wide_data
     calls = []
-    monkeypatch.setattr(dynamics, "fsum", lambda terms: calls.append(len(terms)))
+    monkeypatch.setattr(
+        dynamics._NestedSummer, "_fsum_groups", lambda self, terms: calls.append(len(terms))
+    )
     truncations = (5, 10, 20, 40) if name == "reference" else (10, 20, 40, 80, 160)
     probability_sums(data, TimeGrid.log(0.05, 1.0e5, per_decade=10), truncations)
     tail_expansion(data, truncations)

@@ -232,9 +232,12 @@ def test_build_expansion_requires_normalized_state(pole_set: PoleSet) -> None:
 def test_build_expansion_bad_requests(pole_set: PoleSet) -> None:
     with pytest.raises(ConfigError, match="pole pairs"):
         build_expansion(pole_set.potential, pole_set, REFERENCE_STATE, n_pairs=10_000)
-    far_state = BoxMode(mode=1, radius=2.0)
-    with pytest.raises(InvalidState, match="beyond the potential range"):
-        build_expansion(pole_set.potential, pole_set, far_state, n_pairs=2)
+    # either kind of state reaching past R = 1 is refused
+    r = np.linspace(0.0, 1.5, 301)
+    sampled = normalized(Sampled(r, np.sin(np.pi * r / 1.5)))
+    for far_state in (BoxMode(mode=1, radius=2.0), sampled):
+        with pytest.raises(InvalidState, match="beyond the potential range"):
+            build_expansion(pole_set.potential, pole_set, far_state, n_pairs=2)
 
 
 def test_truncate_slices_symmetrically(data: ExpansionData) -> None:

@@ -134,6 +134,15 @@ def test_output_times_snapped_to_steps() -> None:
     assert t[1] == pytest.approx(251 * grid.dt)  # 0.1003 -> nearest step
 
 
+def test_output_times_past_the_run_are_dropped() -> None:
+    # 1e300 has no integer step count: it is dropped before the cast, so no
+    # "invalid value encountered in cast" warning (an error under pytest)
+    grid = _small_grid(t_final=0.04)
+    times = TimeGrid(np.array([0.01, 0.04, 1e300]))
+    result = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, times)
+    np.testing.assert_allclose(result.series.times, [0.0, 0.01, 0.04], rtol=0, atol=1e-15)
+
+
 def test_initial_probability_is_unity() -> None:
     grid = _small_grid()
     result = evolve_tdse(
