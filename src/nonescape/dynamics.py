@@ -35,7 +35,7 @@ from math import fsum
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveProbability, TruncationUnstable
+from .errors import ConfigError, NonPositiveProbability, OverflowGuard, TruncationUnstable
 from .gamow import ExpansionData
 from .poles import ResonancePole
 from .specfn import moshinsky
@@ -178,12 +178,29 @@ class _NestedSummer:
         self.high = np.empty(size)
         self.low = np.empty(size)
 
-    def _fsum_groups(self, terms: np.ndarray) -> list[float]:
-        return [fsum(terms[self.rings <= g]) for g in range(self.n_rings)]
+    def _fsum_groups(self, terms: np.ndarray, row: int, part: int) -> list[float]:
+        """``math.fsum`` of each group of one row part: NaN where +inf meets
+        -inf, as IEEE addition gives, and OverflowGuard where the partial
+        sums of finite terms overflow."""
+        sums = []
+        for g in range(self.n_rings):
+            group = terms[self.rings <= g]
+            special = group[~np.isfinite(group)]
+            try:  # finite terms cannot move an infinite or NaN sum
+                sums.append(fsum(special if special.size else group))
+            except ValueError:  # -inf + inf
+                sums.append(np.nan)
+            except OverflowError as exc:
+                raise OverflowGuard(
+                    f"exact sum of row {row} ({('real', 'imaginary')[part]} part) "
+                    "overflows in an intermediate sum"
+                ) from exc
+        return sums
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, first_row: int = 0) -> np.ndarray:
         """(rows x n_rings) correctly rounded group sums of the C-contiguous
-        ``x``: float for ``parts`` 1, complex for 2."""
+        ``x``: float for ``parts`` 1, complex for 2.  Errors number the rows
+        from ``first_row``."""
         n_rows, n_cols, parts = x.shape[0], self.rings.size, self.parts
         n_rings, n_floats = self.n_rings, n_cols * parts
         # float (row, ring, part): an exact zero rounds to +0.0, as in fsum
@@ -202,7 +219,7 @@ class _NestedSummer:
         if e_hi >= top:
             big = exp.reshape(n_rows, n_cols, parts).max(axis=1) >= top
             for i, p in zip(*np.nonzero(big)):
-                fallback[i, p] = self._fsum_groups(terms[i, p::parts])
+                fallback[i, p] = self._fsum_groups(terms[i, p::parts], first_row + i, p)
                 frac[i, p::parts] = 0.0
                 exp[i, p::parts] = 0
             e_lo, e_hi = int(exp.min()), int(exp.max())
@@ -234,7 +251,7 @@ class _NestedSummer:
                 for b in (np.flatnonzero(bad) + b0).tolist():
                     i, p = b // row_bins, b // width % parts
                     if (i, p) not in fallback:
-                        fallback[i, p] = self._fsum_groups(terms[i, p::parts])
+                        fallback[i, p] = self._fsum_groups(terms[i, p::parts], first_row + i, p)
                 hi[bad] = lo[bad] = 0.0
             hi_bins[b0:b1] += hi.astype(np.int64)
             lo_bins[b0:b1] += lo.astype(np.int64)
@@ -274,7 +291,14 @@ def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
     multiples of 2**-1074; and a bin can pass the largest double only in a
     row part holding a term at exponent 1024 - bit_length(cols) or above.
     Such a row part, one holding an infinity or NaN, and every row of
-    2**26 terms or more are passed to ``math.fsum`` itself.
+    2**26 terms or more are passed to ``math.fsum`` itself.  There a group
+    holding +inf and -inf sums to NaN, as IEEE addition gives.
+
+    Raises
+    ------
+    OverflowGuard
+        If a group of finite terms, passed to ``math.fsum``, overflows in
+        an intermediate sum (its exact sum may still be a double).
     """
     x = np.asarray(rows)
     complex_rows = np.iscomplexobj(x)
@@ -378,7 +402,7 @@ def nested_forms(
         # operand once it reaches numpy's elision size.
         np.multiply(x[:, :, None], np.conj(y)[:, None, :], out=terms[:n])
         np.multiply(sub.overlap, terms[:n], out=terms[:n])
-        out[i0 : i0 + n] = summer(terms[:n].reshape(n, -1))
+        out[i0 : i0 + n] = summer(terms[:n].reshape(n, -1), i0)
     return out
 
 

@@ -49,7 +49,8 @@ class DomainError(NonescapeError):
 
 
 class OverflowGuard(NonescapeError):
-    """Evaluating an exponential prefactor would overflow double precision."""
+    """An exponential prefactor, or an exact sum's intermediate, would overflow
+    double precision."""
 
 
 class ZeroWavenumber(NonescapeError):

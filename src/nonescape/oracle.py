@@ -46,6 +46,15 @@ chunk and the step is solved again.  The whole box is solved once the
 state reaches it, or at once if gttrf ever swaps rows.  This keeps the
 early steps out of the tens of thousands of untouched nodes, where
 subnormal arithmetic costs ten times normal arithmetic.
+
+A run holds about seven complex vectors of interior length: the nodes
+(half of one), the initial state (the steps start on it, not on a copy),
+the right-hand diagonal, gttrf's four factor diagonals, the pivots and the
+absorber mask over [L - W, L].  Set-up builds them in place wherever it
+can: gttrf factors its own inputs (its overwrite flags), both diagonals
+come from one 2/dr^2 + V array in V's buffer, and the absorber profile is
+evaluated only past L - W, so set-up peaks at about as much as the run
+keeps.
 """
 
 from __future__ import annotations
@@ -84,7 +93,9 @@ __all__ = [
 ]
 
 _NORM_DRIFT_LIMIT = 1e-7
-_MAX_NODES = 10_000_000  # nodes a grid may hold (160 MB per complex work vector)
+# Nodes a grid may hold.  A complex interior vector then takes 160 MB, and a
+# capped run keeps about seven of them (1.1 GB) and steps with up to four more.
+_MAX_NODES = 10_000_000
 _MAX_STEPS = 10_000_000  # time steps a run may take
 _NORM_CHECK_STRIDE = 200
 # Density within five nodes of r = L at which the contamination horizon is set.
@@ -297,53 +308,74 @@ def _prepare(
     times: TimeGrid | None,
     sample_times: tuple[float, ...],
 ) -> _Run:
-    """Validate, sample and normalize psi0, and factor the Crank-Nicolson step."""
+    """Validate, sample and normalize psi0, and factor the Crank-Nicolson step
+    in place (see the module docstring)."""
     j_r = _validate_run(potential, psi0, grid)
-    n_nodes = grid.n_nodes
+    n_nodes, n_steps = grid.n_nodes, grid.n_steps
     dr, dt = grid.dr, grid.dt
+    snap_steps = set()
+    for t in map(float, sample_times):
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ConfigError(f"sample times must be finite and non-negative, got {t}")
+        # past t_final + dt first, where t / dt could overflow
+        if t > grid.t_final + dt or round(t / dt) > n_steps:
+            raise ConfigError(f"sample time {t:g} lies past the run (t_final = {grid.t_final:g})")
+        snap_steps.add(round(t / dt))
+
     r_int = dr * np.arange(1, n_nodes - 1)
     m = r_int.size
-
-    v = np.asarray(evaluate_potential(potential, r_int), dtype=float)
-    lam = delta_jump(potential)
-    if lam:
-        v = v.copy()
-        v[j_r - 1] += lam / dr
 
     psi = np.asarray(initial_wavefunction(psi0, r_int), dtype=complex)
     if grid.smooth_initial:
         padded = np.concatenate([[0.0], psi, [0.0]])
         psi = 0.25 * padded[:-2] + 0.5 * padded[1:-1] + 0.25 * padded[2:]
+        del padded  # before the factors are built, as is level below
     norm2 = dr * float(np.sum(np.abs(psi) ** 2))
     if norm2 <= 0.0:
         raise InvalidState("initial state vanishes on the grid")
     psi /= math.sqrt(norm2)
 
+    mask_start, mask = m, np.empty(0)
+    if grid.absorber_width > 0.0:
+        # The ramp (r - L + W) / W is positive from the first node past
+        # L - W on, and the mask starts there (where sin^2 of the ramp
+        # underflowed to 0 the mask would hold exactly 1).
+        ramp_start = grid.box_size - grid.absorber_width
+        mask_start = int(np.searchsorted(r_int, ramp_start, side="right"))
+        mask = r_int[mask_start:] - ramp_start
+        mask /= grid.absorber_width
+        np.clip(mask, 0.0, 1.0, out=mask)
+        np.multiply(0.5 * np.pi, mask, out=mask)
+        np.sin(mask, out=mask)
+        mask **= 2
+        np.multiply(-dt * grid.absorber_strength, mask, out=mask)
+        np.exp(mask, out=mask)
+
     inv_dr2 = 1.0 / (dr * dr)
     half = 0.5j * dt
-    diag_a = 1.0 + half * (2.0 * inv_dr2 + v)
+    level = evaluate_potential(potential, r_int)  # a new array: V, then 2/dr^2 + V
+    lam = delta_jump(potential)
+    if lam:
+        level[j_r - 1] += lam / dr
+    np.add(2.0 * inv_dr2, level, out=level)
+    diag_a = np.multiply(half, level)
+    np.add(1.0, diag_a, out=diag_a)
+    diag_b = np.multiply(half, level)
+    np.subtract(1.0, diag_b, out=diag_b)
+    del level
     off_a = np.full(m - 1, -half * inv_dr2)
-    diag_b = 1.0 - half * (2.0 * inv_dr2 + v)
-    off_b = half * inv_dr2
 
     # With V >= 0 every pivot has Re d_i >= 1 and |d_i| > |off-diagonal|, so
     # gttrf neither meets a zero pivot nor swaps rows: its info is always 0.
+    # The overwrite flags let it factor off_a, diag_a and off_a's copy in place.
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag_a,))
-    dl, d, du, du2, ipiv, _ = gttrf(off_a.copy(), diag_a.copy(), off_a.copy())
-
-    mask_start, mask = m, np.empty(0)
-    if grid.absorber_width > 0.0:
-        ramp_start = grid.box_size - grid.absorber_width
-        ramp = (r_int - ramp_start) / grid.absorber_width
-        profile = np.where(ramp > 0.0, np.sin(0.5 * np.pi * np.clip(ramp, 0.0, 1.0)) ** 2, 0.0)
-        mask_start = int(np.argmax(profile > 0.0))
-        mask = np.exp(-dt * grid.absorber_strength * profile)[mask_start:]
+    dl, d, du, du2, ipiv, _ = gttrf(off_a, diag_a, off_a.copy(), 1, 1, 1)
 
     if times is None:
         times = TimeGrid.log(max(10.0 * dt, 1e-12), grid.t_final, per_decade=40)
     # steps past the run go before the cast, where they could overflow int
     steps = np.round(times.times / dt)
-    step_of = np.unique(steps[steps <= grid.n_steps].astype(int))
+    step_of = np.unique(steps[steps <= n_steps].astype(int))
     if step_of.size == 0 or step_of[0] != 0:
         step_of = np.concatenate([[0], step_of])
 
@@ -353,13 +385,13 @@ def _prepare(
         r_int=r_int,
         psi0=psi,
         diag_b=diag_b,
-        off_b=off_b,
+        off_b=half * inv_dr2,
         factors=(dl, d, du, du2, ipiv),
         gttrs=gttrs,
         mask_start=mask_start,
         mask=mask,
         out_steps=frozenset(int(s) for s in step_of),
-        snap_steps=frozenset(int(round(t / dt)) for t in sample_times),
+        snap_steps=frozenset(snap_steps),
     )
 
 
@@ -407,7 +439,7 @@ def evolve_tdse(
     dl, d, du, du2, ipiv = run.factors
     diag_b, off_b, gttrs = run.diag_b, run.off_b, run.gttrs
     start, mask = run.mask_start, run.mask
-    psi = run.psi0.copy()
+    psi = run.psi0
     m = psi.size
     # The factors of a leading k x k block are the leading slices of A's
     # factors only while gttrf swaps no rows.

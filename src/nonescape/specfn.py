@@ -11,7 +11,10 @@ asymptotics produce the inverse-power tail.  Everything is evaluated through
 the Faddeeva function w(z) = exp(-z^2) erfc(-i z), for which scipy provides a
 machine-accurate upper-half-plane implementation; the lower half plane is
 reached through the reflection w(z) = 2 exp(-z^2) - w(-z) with an explicit
-overflow guard on the exponential.
+overflow guard on the exponential.  ``scipy.special`` is imported at the
+first Faddeeva evaluation, not with this module, so commands that never
+evaluate one (``poles``, ``expansion``, ``sumrule``, ``oracle``) do not pay
+for it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import DomainError, OverflowGuard
 
@@ -49,6 +51,8 @@ def faddeeva(z: np.ndarray | complex) -> np.ndarray | complex:
         If a lower-half-plane point requires an exp(-z^2) factor beyond
         double-precision range.
     """
+    from scipy.special import wofz  # about 60 ms and 3.5 MB, paid on first use
+
     z_arr = np.asarray(z, dtype=complex)
     out = np.empty_like(z_arr)
     upper = z_arr.imag >= 0.0

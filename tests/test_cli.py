@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -1044,6 +1045,38 @@ def test_console_script_entry_point(config_path: Path, tmp_path: Path) -> None:
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("poles.csv")
     assert (out / "poles.csv").exists()
+
+
+_IMPORT_PROBE = """
+import json, sys
+import nonescape.cli
+loaded = ["scipy.special" in sys.modules]
+for command in sys.argv[3:]:
+    if nonescape.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2] + command]):
+        sys.exit(f"{command} failed")
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_special_loaded_only_by_faddeeva_commands(tmp_path: Path) -> None:
+    # A fresh interpreter: the package, oracle and poles leave
+    # scipy.special unloaded, and nonescape's Moshinsky evaluation loads it.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(
+        oracle_grid={"box_size": 12.0, "dr": 0.005, "dt": 0.0004, "t_final": 0.04},
+    )))
+    import nonescape
+
+    src = str(Path(nonescape.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _IMPORT_PROBE, str(path), str(tmp_path / "out-"),
+         "oracle", "poles", "nonescape"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
 
 
 def test_non_finite_matching_function_exits_1_without_warnings(tmp_path: Path) -> None:

@@ -24,7 +24,12 @@ from nonescape.dynamics import (
     nonescape_probability,
     probability_sums,
 )
-from nonescape.errors import ConfigError, NonPositiveProbability, TruncationUnstable
+from nonescape.errors import (
+    ConfigError,
+    NonPositiveProbability,
+    OverflowGuard,
+    TruncationUnstable,
+)
 from nonescape.gamow import ExpansionData, overlap_matrix
 from nonescape.selftest import SelftestContext
 from nonescape.specfn import moshinsky
@@ -302,6 +307,44 @@ def test_exact_row_sums_near_overflow() -> None:
     assert got[0].imag == got[1].real == math.fsum(other)
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(np.shape(re), dtype=complex)  # no 1j * inf, which makes a NaN
+    z.real, z.imag = re, im
+    return z
+
+
+def test_exact_sums_where_fsum_raises() -> None:
+    # math.fsum raises on both rows: +inf with -inf must sum to NaN, and the
+    # partial sums of the finite row overflow, though its exact sum is 1e308
+    clash = np.array([math.inf, -math.inf, 1.0])
+    big = np.array([1e308, 1e308, -1e308])
+    other = np.arange(3.0)
+    assert math.isnan(exact_row_sums(clash[None, :])[0])
+    got = exact_row_sums(_complex([clash, other], [other, clash]))
+    assert math.isnan(got[0].real) and got[0].imag == 3.0
+    assert got[1].real == 3.0 and math.isnan(got[1].imag)
+    nested = exact_nested_sums(_complex([clash, other], [other, clash]), np.array([1, 0, 1]))
+    assert nested[0, 0].real == nested[1, 0].imag == -math.inf  # group 0: -inf alone
+    assert math.isnan(nested[0, 1].real) and math.isnan(nested[1, 1].imag)
+    assert nested[0, 0].imag == nested[1, 0].real == 1.0
+    assert nested[0, 1].imag == nested[1, 1].real == 3.0
+    # an infinite term settles the sum even where the finite ones overflow
+    assert exact_row_sums(np.array([[math.inf, 1e308, 1e308]]))[0] == math.inf
+
+    with pytest.raises(OverflowGuard, match=r"row 0 \(real part\) overflows"):
+        exact_row_sums(big[None, :])
+    with pytest.raises(OverflowGuard, match=r"row 1 \(real part\) overflows"):
+        exact_row_sums(_complex([other, big], [other, other]))
+    with pytest.raises(OverflowGuard, match=r"row 1 \(imaginary part\) overflows"):
+        exact_row_sums(_complex([other, other], [other, big]))
+    # group 0 holds 1e308 alone; group 1 overflows
+    rings = np.array([0, 1, 1])
+    with pytest.raises(OverflowGuard, match=r"row 0 \(real part\) overflows"):
+        exact_nested_sums(big[None, :], rings)
+    with pytest.raises(OverflowGuard, match=r"row 0 \(imaginary part\) overflows"):
+        exact_nested_sums(_complex([other], [big]), rings)
+
+
 def _finite_term():
     # mantissas at exponents across the whole range, the subnormal end
     # included, and edge values
@@ -417,7 +460,7 @@ def test_exact_sums_take_no_fsum_fallback(
     data = ctx.data if name == "reference" else ctx.wide_data
     calls = []
     monkeypatch.setattr(
-        dynamics._NestedSummer, "_fsum_groups", lambda self, terms: calls.append(len(terms))
+        dynamics._NestedSummer, "_fsum_groups", lambda self, terms, *where: calls.append(len(terms))
     )
     truncations = (5, 10, 20, 40) if name == "reference" else (10, 20, 40, 80, 160)
     probability_sums(data, TimeGrid.log(0.05, 1.0e5, per_decade=10), truncations)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,50 @@ def test_output_times_past_the_run_are_dropped() -> None:
     times = TimeGrid(np.array([0.01, 0.04, 1e300]))
     result = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, times)
     np.testing.assert_allclose(result.series.times, [0.0, 0.01, 0.04], rtol=0, atol=1e-15)
+
+
+# The oracle-start benchmark grid: the reference run's box, absorber and
+# steps, cut to t = 0.08; 47,999 interior nodes.
+_START_GRID = GridSpec(
+    box_size=240.0, dr=0.005, dt=4.0e-4, t_final=0.08,
+    absorber_width=120.0, absorber_strength=15.0,
+)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.01, 0.0805, 1.0, 1e300])
+def test_sample_times_outside_the_run_refused(t: float) -> None:
+    # refused before any interior array is allocated; 0.0805 snaps to step
+    # 201 of 200
+    m = _START_GRID.n_nodes - 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="sample time"):
+            evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, _START_GRID, sample_times=(0.04, t))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m
+
+
+def test_sample_time_snapped_onto_the_last_step() -> None:
+    grid = _small_grid(t_final=0.008)
+    result = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, sample_times=(0.0, 0.0081))
+    assert [t for t, _ in result.snapshots] == [0.0, 0.008]
+
+
+def test_prepare_peak_memory() -> None:
+    # The run keeps r (half a complex vector), psi0, diag_b, gttrf's four
+    # factor diagonals, ipiv and the absorber mask over the outer half: about
+    # 7 complex interior vectors.  Building them may add at most 1.5 more.
+    m = _START_GRID.n_nodes - 2
+    assert m == 47_999
+    tracemalloc.start()
+    try:
+        oracle._prepare(REFERENCE_POTENTIAL, REFERENCE_STATE, _START_GRID, None, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 16 * m
 
 
 def test_initial_probability_is_unity() -> None:
