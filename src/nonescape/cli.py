@@ -285,7 +285,9 @@ def _configure(args: argparse.Namespace) -> RunConfig:
     if points is not None:
         if not (0.0 < lo < hi < math.inf):
             raise ConfigError("need 0 < tmin < tmax < inf for a log grid")
-        changes["time_grid"] = TimeGrid(np.geomspace(lo, hi, _sample_count(points, "--points")))
+        n = _sample_count(points, "--points")
+        with np.errstate(over="ignore"):  # geomspace sets its end points exactly
+            changes["time_grid"] = TimeGrid(np.geomspace(lo, hi, n))
     elif t_min is not None or t_max is not None:
         kept = (times >= lo) & (times <= hi)
         if not kept.any():

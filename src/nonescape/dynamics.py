@@ -95,7 +95,10 @@ class TimeGrid:
                 f"log grid from {t_min:g} to {t_max:g} at {per_decade} per decade "
                 f"has {n} points, more than {MAX_TIME_SAMPLES}"
             )
-        return cls(times=np.geomspace(t_min, t_max, n))
+        # 10**log10(t_max) may overflow near the largest double; geomspace then
+        # sets its end points exactly
+        with np.errstate(over="ignore"):
+            return cls(times=np.geomspace(t_min, t_max, n))
 
     def __len__(self) -> int:
         return len(self.times)

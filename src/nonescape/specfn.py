@@ -38,8 +38,9 @@ TAIL_PREFACTOR = 1.0 / (2.0 * math.sqrt(math.pi))
 _PHASE = complex(math.cos(-math.pi / 4.0), math.sin(-math.pi / 4.0))  # exp(-i pi/4)
 
 # |exp(-z^2)| = exp(Im(z)^2 - Re(z)^2); beyond this the reflection term
-# overflows double precision.
+# overflows double precision, and below _LOG_UNDERFLOW it rounds to 0.
 _LOG_OVERFLOW = 705.0
+_LOG_UNDERFLOW = -746.0
 
 
 def faddeeva(z: np.ndarray | complex) -> np.ndarray | complex:
@@ -49,9 +50,10 @@ def faddeeva(z: np.ndarray | complex) -> np.ndarray | complex:
     ------
     OverflowGuard
         If a lower-half-plane point requires an exp(-z^2) factor beyond
-        double-precision range.
+        double-precision range, or one whose phase overflows (|z| past about
+        1e154 with the factor not negligible).
     """
-    from scipy.special import wofz  # about 60 ms and 3.5 MB, paid on first use
+    from scipy.special import wofz  # about 45 ms and 3.5 MB, paid on first use
 
     z_arr = np.asarray(z, dtype=complex)
     out = np.empty_like(z_arr)
@@ -61,13 +63,31 @@ def faddeeva(z: np.ndarray | complex) -> np.ndarray | complex:
     lower = ~upper
     if np.any(lower):
         zl = z_arr[lower]
-        growth = zl.imag ** 2 - zl.real ** 2
-        if np.any(growth > _LOG_OVERFLOW):
-            worst = zl[np.argmax(growth)]
-            raise OverflowGuard(
-                f"faddeeva reflection term exp(-z^2) overflows at z = {worst:.6g}"
-            )
-        out[lower] = 2.0 * np.exp(-zl * zl) - wofz(-zl)
+        # Past |z| ~ 1e154 the squares overflow (growth is then inf or NaN)
+        # and so does z^2.  Such a reflection term is 0 where its growth,
+        # recomputed as (|y| - |x|)(|y| + |x|), rounds it to 0 whatever its
+        # phase; elsewhere it has no finite phase.
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = zl.imag ** 2 - zl.real ** 2
+            if np.any(growth > _LOG_OVERFLOW):
+                worst = zl[np.nanargmax(growth)]
+                raise OverflowGuard(
+                    f"faddeeva reflection term exp(-z^2) overflows at z = {worst:.6g}"
+                )
+            reflection = np.exp(-zl * zl)
+        lost = ~np.isfinite(reflection)
+        if lost.any():
+            y, x = np.abs(zl[lost].imag), np.abs(zl[lost].real)
+            with np.errstate(over="ignore", invalid="ignore"):
+                phaseless = zl[lost][~((y - x) * (y + x) < _LOG_UNDERFLOW)]
+            if phaseless.size:
+                raise OverflowGuard(
+                    "faddeeva reflection term exp(-z^2) has no finite phase at "
+                    f"z = {phaseless[0]:.6g}"
+                )
+            reflection[lost] = 0.0
+        np.multiply(2.0, reflection, out=reflection)
+        out[lower] = np.subtract(reflection, wofz(-zl), out=reflection)
     if np.ndim(z) == 0:
         return complex(out)
     return out

@@ -603,6 +603,20 @@ def test_main_exits_0_1_or_2_with_one_json_error_line(argv: list[str]) -> None:
         assert json.loads(lines[0])["error"]["exit_code"] == code
 
 
+@pytest.mark.parametrize("t_max", ["1.7976931348622103e+308", "4.129797479570478e+306"])
+def test_nonescape_out_to_the_largest_times(tmp_path: Path, capsys: pytest.CaptureFixture, t_max: str) -> None:
+    # --points 2 puts a sample at t_max: geomspace's 10**log10(t_max) and
+    # the Moshinsky argument's square overflow there, and neither may warn
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config()))
+    out = tmp_path / "out"
+    argv = ["nonescape", "--points=2", f"--tmax={t_max}", "--config", str(path), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    _, _, rows = _read_csv(out / "nonescape.csv")
+    assert float(rows[-1]["t"]) == float(t_max)
+
+
 _TAIL_GRID = {"kind": "log", "t_min": 0.05, "t_max": 42.0, "per_decade": 40}
 
 

@@ -64,6 +64,8 @@ def test_time_grid_log_spacing() -> None:
     with pytest.raises(ConfigError, match="0 < t_min < t_max"):
         TimeGrid.log(0.0, 1.0)
     assert len(TimeGrid.log(1.0, 1.0001, per_decade=5)) == 2  # floor of 2 points
+    # 10**log10(t_max) overflows here, with no warning; the end point is exact
+    assert TimeGrid.log(1.0, 1.7976931348622103e308, per_decade=1).times[-1] == 1.7976931348622103e308
 
 
 def test_gamma_width_and_lifetime() -> None:

@@ -88,6 +88,18 @@ def test_faddeeva_overflow_guard() -> None:
         faddeeva(np.array([1.0 + 1.0j, 0.1 - 30.0j]))
 
 
+def test_faddeeva_past_the_squares_range() -> None:
+    # |z| past 1e154: z^2 overflows.  Where Im(z)^2 - Re(z)^2 is hugely
+    # negative the reflection term is 0 and w(z) = -w(-z); elsewhere it has no
+    # finite phase.  Neither may warn (an error under pytest).
+    z = np.array([-2.7e154 - 2.4e154j, -1e200 - 1e100j, 0.5 - 0.5j])
+    got = faddeeva(z)
+    assert np.array_equal(got[:2], -faddeeva(-z[:2]))
+    assert got[2] == faddeeva(0.5 - 0.5j)
+    with pytest.raises(OverflowGuard, match="no finite phase at z = -2.7e"):
+        faddeeva(np.array([0.5 - 0.5j, -2.7e154 - 2.7e154j]))
+
+
 def test_moshinsky_initial_value(rng: np.random.Generator) -> None:
     k = rng.normal(0, 5, 100) + 1j * rng.normal(0, 2, 100)
     m = moshinsky(k, 0.0)
