@@ -270,6 +270,10 @@ def _configure(args: argparse.Namespace) -> RunConfig:
     and ``--tmax`` keep the configured times in their range or, with
     ``--points``, bound a new log grid.  Commands read only the result.
     """
+    # argparse reads "--flag=--" as an empty list, past the flag's type
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            raise ConfigError(f"--{name} takes one value, got {value!r}")
     nmax = getattr(args, "nmax", None)
     if nmax is not None and nmax < 1:
         raise ConfigError(f"--nmax must be at least 1, got {nmax}")

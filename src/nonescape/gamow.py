@@ -42,7 +42,7 @@ from .model import (
     support_radius,
 )
 from .poles import PoleSet, ResonancePole
-from .segmath import kernels, panel_nodes, product_integral, propagate
+from .segmath import kernels, panel_nodes, product_integral, regular_solutions
 
 __all__ = [
     "GamowState",
@@ -250,9 +250,9 @@ def _build_states(
 ) -> tuple[GamowState, ...]:
     """Normalized resonant states for all ``poles`` in one pass.
 
-    The regular solutions u(0) = 0, u'(0) = 1 are propagated through the
-    segments for every wavenumber at once, and the normalization integrals
-    take one array-valued product integral per segment.
+    One regular-solution pass gives every wavenumber's segment rows at
+    once, and the normalization integrals take one array-valued product
+    integral per segment.
 
     Raises
     ------
@@ -264,15 +264,8 @@ def _build_states(
     ks = np.array([complex(p.k) for p in poles])
     if np.any(ks == 0):
         raise ZeroWavenumber("cannot normalize a zero-wavenumber state")
-    segs = segments(potential)
-    edges = np.array([0.0] + [r_end for _, r_end, _ in segs])
-    z = np.empty((len(ks), len(segs)), dtype=complex)
-    a = np.empty_like(z)
-    b = np.empty_like(z)
-    u, du = np.zeros_like(ks), np.ones_like(ks)
-    for j, (r_start, r_end, height) in enumerate(segs):
-        z[:, j], a[:, j], b[:, j] = ks * ks - height, u, du
-        u, du = propagate(u, du, z[:, j], r_end - r_start)
+    edges = np.array([0.0] + [r_end for _, r_end, _ in segments(potential)])
+    z, a, b, (u, _) = regular_solutions(potential, ks)
     norm2, scale = _normalization(edges, ks, z, a, b, u)
     for i in np.flatnonzero(np.abs(norm2) <= 1e-10 * np.maximum(scale, 1e-300))[:1]:
         raise NormalizationSingular(

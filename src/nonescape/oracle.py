@@ -113,7 +113,8 @@ class GridSpec:
 
     ``box_size`` (L) and ``t_final`` must be integer multiples of ``dr`` and
     ``dt``.  ``absorber_width``/``absorber_strength`` switch on the
-    absorbing mask over [L - W, L]; both must be positive together.
+    absorbing mask over [L - W, L]; both must be positive together, and W
+    must exceed ``dr`` so that a node lies on the ramp.
     ``enforce_resolution`` may be dropped for deliberate under-resolution
     studies (Richardson checks); production validation keeps it on.
     """
@@ -145,6 +146,8 @@ class GridSpec:
             raise ConfigError("absorber parameters must be non-negative")
         if w >= self.box_size:
             raise ConfigError("absorber cannot fill the whole box")
+        if 0.0 < w <= self.dr:
+            raise ConfigError(f"absorber width {w:g} must exceed dr = {self.dr:g}")
 
     @property
     def n_steps(self) -> int:

@@ -11,7 +11,7 @@ a few zeros each.  The contour moments (1/2 pi i) oint (z - c)^p J'/J dz of
 a strip give all its zeros as the eigenvalues of a small Hankel pencil
 (Delves & Lyness, Math. Comp. 21 (1967) 543; Kravanja & Van Barel, LNM 1727
 (2000)), and Newton iteration polishes them all at once, both with the
-analytically propagated derivative dJ/dk (no finite differences).
+derivative dJ/dk carried along analytically (no finite differences).
 
 Zeros come in Schwarz pairs: for every fourth-quadrant zero k_n there is a
 third-quadrant mirror at -conj(k_n).  Only the fourth quadrant is searched;
@@ -27,8 +27,8 @@ import numpy as np
 from scipy.linalg import eigvals
 
 from .errors import AxisZero, ConfigError, DomainError, RootPolishFailure, WindingMismatch
-from .model import Potential, delta_jump, potential_range, segments
-from .segmath import gauss_legendre, propagate_with_dk
+from .model import Potential, delta_jump, potential_range
+from .segmath import gauss_legendre, regular_solutions
 
 __all__ = [
     "SearchWindow", "ResonancePole", "PoleSet", "matching_function",
@@ -87,46 +87,42 @@ class _GridZero(Exception):
 
 
 def matching_function(
-    potential: Potential, k: np.ndarray | complex
-) -> tuple[np.ndarray | complex, np.ndarray | complex]:
-    """Return (J(k), dJ/dk), vectorized over k.
+    potential: Potential, k: np.ndarray | complex, with_dk: bool = True
+) -> tuple[np.ndarray | complex, np.ndarray | complex] | np.ndarray | complex:
+    """Return (J(k), dJ/dk), or J alone when ``with_dk`` is false, vectorized over k.
 
-    J is entire in k; both outputs are produced in a single propagation pass
-    through the segment kernels with the k-derivative carried alongside.
-    Where the kernels overflow (|Im q| L beyond about 710 on a segment), the
-    outputs are not finite, without a warning; the pole search refuses them.
+    J is entire in k; both come from one regular-solution pass through the
+    segment kernels, with the k-derivative carried alongside when asked for.
+    J has the same bits either way.  Where the kernels overflow (|Im q| L
+    beyond about 710 on a segment), the outputs are not finite, without a
+    warning; the pole search refuses them.
     """
     k_arr = np.asarray(k, dtype=complex)
-    u = np.zeros_like(k_arr)
-    du = np.ones_like(k_arr)
-    uk = np.zeros_like(k_arr)
-    duk = np.zeros_like(k_arr)
-    dzdk = 2.0 * k_arr
-    lam = delta_jump(potential)
+    u, du, *dk = regular_solutions(potential, k_arr, with_dk)[3]
+    outgoing = delta_jump(potential) - 1j * k_arr
     with np.errstate(over="ignore", invalid="ignore"):
-        for r_start, r_end, height in segments(potential):
-            z = k_arr * k_arr - height
-            u, du, uk, duk = propagate_with_dk(u, du, uk, duk, z, dzdk, r_end - r_start)
-        j = du + (lam - 1j * k_arr) * u
-        dj = duk + (lam - 1j * k_arr) * uk - 1j * u
+        values = [du + outgoing * u]
+        if with_dk:
+            values.append(dk[1] + outgoing * dk[0] - 1j * u)
     if np.ndim(k) == 0:
-        return complex(j), complex(dj)
-    return j, dj
+        values = [complex(v) for v in values]
+    return tuple(values) if with_dk else values[0]
 
 
-def _finite_matching(potential: Potential, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J, dJ/dk) at the points ``k``.
+def _finite_matching(potential: Potential, k: np.ndarray, with_dk: bool = True):
+    """(J, dJ/dk) at the points ``k``, or J alone without ``with_dk``.
 
     Raises
     ------
     DomainError
-        At the first point where J or dJ/dk is not finite.
+        At the first point where J, or dJ/dk when asked for, is not finite.
     """
-    j, dj = matching_function(potential, k)
-    bad = np.flatnonzero(~(np.isfinite(j) & np.isfinite(dj)))
+    values = matching_function(potential, k, with_dk)
+    finite = np.isfinite(values[0]) & np.isfinite(values[1]) if with_dk else np.isfinite(values)
+    bad = np.flatnonzero(~finite)
     if bad.size:
         raise DomainError(f"J is not finite near k = {k[bad[0]]:.6g}")
-    return j, dj
+    return values
 
 
 def _march(
@@ -138,7 +134,7 @@ def _march(
     n0 = np.maximum(8, (4.0 + np.abs(dz) * density).astype(int))
     ts = np.concatenate([np.linspace(0.0, 1.0, n) for n in n0])
     seg = np.repeat(np.arange(z0.size), n0)
-    j = _finite_matching(potential, z0[seg] + dz[seg] * ts)[0]
+    j = _finite_matching(potential, z0[seg] + dz[seg] * ts, with_dk=False)
     while True:
         firsts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
         peak = np.maximum.reduceat(np.abs(j), firsts)
@@ -146,7 +142,11 @@ def _march(
         i = int(np.argmin(ratio))
         if ratio[i] <= _AXIS_ABS_TOL:
             raise _GridZero(complex(z0[seg[i]] + dz[seg[i]] * ts[i]))
-        dphi = np.angle(j[1:] / j[:-1])
+        # Scaled by a power of two near its edge's peak, each |J| lies in
+        # (1e-9 / 2, 1), so no ratio overflows even where |J| nears the float
+        # limit, and the ratios keep their bits.
+        unit = j * np.ldexp(1.0, -np.frexp(peak)[1])[seg]
+        dphi = np.angle(unit[1:] / unit[:-1])
         inner = seg[1:] == seg[:-1]
         bad = np.flatnonzero(inner & (np.abs(dphi) > _PHASE_STEP_LIMIT))
         if not bad.size:
@@ -158,7 +158,7 @@ def _march(
                 "varies too rapidly (zero almost on the contour?)"
             )
         mid_ts, mid_seg = 0.5 * (ts[bad] + ts[bad + 1]), seg[bad]
-        mid_j = _finite_matching(potential, z0[mid_seg] + dz[mid_seg] * mid_ts)[0]
+        mid_j = _finite_matching(potential, z0[mid_seg] + dz[mid_seg] * mid_ts, with_dk=False)
         ts, seg, j = np.r_[ts, mid_ts], np.r_[seg, mid_seg], np.r_[j, mid_j]
         order = np.lexsort((ts, seg))
         ts, seg, j = ts[order], seg[order], j[order]
@@ -209,7 +209,7 @@ def winding_count(potential: Potential, window: SearchWindow) -> int:
         If J vanishes elsewhere on the boundary, or its phase cannot be
         resolved within the sampling budget.
     DomainError
-        If J or dJ/dk is not finite on the boundary (the kernels overflow).
+        If J is not finite on the boundary (the kernels overflow).
     ConfigError
         If the window holds over ``_MAX_SEARCH_ZEROS`` zeros.
     """
@@ -288,7 +288,7 @@ def _moments(potential: Potential, boxes: list[_Box], center, rho, order: int) -
         e, h = edge[s : s + block], half[s : s + block, None]
         dz = (z1 - z0)[e, None]
         z = (z0[e, None] + dz * (lo[s : s + block, None] + h * (1.0 + x))).ravel()
-        j, dj = matching_function(potential, z)
+        j, dj = _finite_matching(potential, z)
         term = (h * dz * w).ravel() * dj / (2j * np.pi * j)
         box = np.repeat(e // 4, _GL_ORDER)
         zeta = (z - center[box]) / rho[box]
@@ -414,7 +414,7 @@ def locate_poles(
     for i in np.flatnonzero(ends > np.arange(1, k.size + 1)):
         if (np.abs(k[i + 1 : ends[i]] - k[i]) <= near[i]).any():
             raise WindingMismatch(f"zeros near {k[i]:.6g} are numerically indistinct")
-    residuals = np.abs(matching_function(potential, k)[0])
+    residuals = np.abs(matching_function(potential, k, with_dk=False))
     poles = []
     scales = [boxes[r].peak for r in owner]
     for i, (k_n, residual, scale) in enumerate(zip(k.tolist(), residuals, scales)):

@@ -10,6 +10,8 @@ which are entire *even* functions of q, hence entire in z and in k: no
 square-root branch ever enters, so downstream matching functions are entire
 and safe for argument-principle root counting.
 
+:func:`regular_solutions` carries u(0) = 0, u'(0) = 1 across the segments;
+it is the one pass behind the matching function and the resonant states.
 The module also provides closed-form products ``int_0^L u1 u2 dx`` of two
 such solutions (used for normalization integrals and expansion coefficients)
 and Gauss-Legendre panel quadrature helpers.
@@ -23,12 +25,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
+from .model import Potential, segments
 
 __all__ = [
     "kernels",
-    "kernels_with_dz",
-    "propagate",
-    "propagate_with_dk",
+    "regular_solutions",
     "product_integral",
     "gauss_legendre",
     "panel_nodes",
@@ -154,42 +155,37 @@ def kernels(
     return _scalar_or_array([c, s], z, length)
 
 
-def kernels_with_dz(
-    z: np.ndarray | complex, length: np.ndarray | float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(C, S, dC/dz, dS/dz); derivatives are entire in z as well."""
-    c, s, ds = _kernel_family(z, length, derivative=True)[:3]
-    dc = -0.5 * np.asarray(length, dtype=float) * s
-    return _scalar_or_array([c, s, dc, ds], z, length)
+def regular_solutions(potential: Potential, k, with_dk: bool = False) -> tuple:
+    """The regular solution u(0) = 0, u'(0) = 1 carried across every segment.
 
-
-def propagate(
-    u: np.ndarray | complex,
-    du: np.ndarray | complex,
-    z: np.ndarray | complex,
-    length: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (u, u') across one constant segment of length ``length``."""
-    c, s = kernels(z, length)
-    u2 = u * c + du * s
-    du2 = -u * np.asarray(z) * np.asarray(s) + du * c
-    return u2, du2
-
-
-def propagate_with_dk(
-    u, du, uk, duk, z, dzdk, length: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Advance (u, u', du/dk, du'/dk) across one segment.
-
-    ``uk``/``duk`` are derivatives with respect to the global wavenumber k;
-    the segment parameter z = k^2 - V has dz/dk = 2k passed explicitly.
+    Returns (z, a, b, ends).  z = k^2 - V and (a, b) = (u, u') at each
+    segment's left edge are stacked on a last axis, one entry per segment,
+    so ``a cos(q x) + b sin(q x)/q`` is u within a segment.  ``ends`` is
+    (u, u') at R-, followed by (du/dk, du'/dk) when ``with_dk`` is set; only
+    then is dS/dz formed.  Where the kernels overflow (|Im q| L beyond about
+    710 on a segment) the values are not finite, without a warning.
     """
-    c, s, dc, ds = kernels_with_dz(z, length)
-    u2 = u * c + du * s
-    du2 = -u * z * s + du * c
-    uk2 = uk * c + duk * s + dzdk * (u * dc + du * ds)
-    duk2 = -uk * z * s + duk * c + dzdk * (-u * s - u * z * ds + du * dc)
-    return u2, du2, uk2, duk2
+    k = np.asarray(k, dtype=complex)
+    segs = segments(potential)
+    z = np.empty(k.shape + (len(segs),), dtype=complex)
+    a, b = np.empty_like(z), np.empty_like(z)
+    u, du = np.zeros_like(k), np.ones_like(k)
+    uk, duk = np.zeros_like(k), np.zeros_like(k)
+    dzdk = 2.0 * k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (r_start, r_end, height) in enumerate(segs):
+            length = r_end - r_start
+            zj = k * k - height
+            z[..., j], a[..., j], b[..., j] = zj, u, du
+            c, s, ds = _kernel_family(zj, length, derivative=with_dk)[:3]
+            if with_dk:
+                dc = -0.5 * length * s
+                uk, duk = (
+                    uk * c + duk * s + dzdk * (u * dc + du * ds),
+                    -uk * zj * s + duk * c + dzdk * (-u * s - u * zj * ds + du * dc),
+                )
+            u, du = u * c + du * s, -u * zj * s + du * c
+    return z, a, b, (u, du, uk, duk) if with_dk else (u, du)
 
 
 def _series_differences(a, b, length) -> tuple[np.ndarray, np.ndarray]:

@@ -536,6 +536,24 @@ def test_non_finite_absorber_is_a_config_error(
 
 
 @pytest.mark.parametrize(
+    "command, flag",
+    [("sumrule", "--r"), ("poles", "--config"), ("nonescape", "--nmax"),
+     ("nonescape", "--tmin"), ("oracle", "--refine")],
+)
+def test_flag_given_a_double_dash_is_a_config_error(
+    config_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture, command: str, flag: str
+) -> None:
+    # argparse reads "--r=--" as the empty list [], past the flag's type
+    out = tmp_path / "o"
+    argv = [command, "--config", str(config_path), "--out", str(out), f"{flag}=--"]
+    assert main(argv) == 2
+    error = _error_line(capsys)
+    assert error["type"] == "ConfigError"
+    assert error["message"] == f"{flag} takes one value, got []"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command", ["poles", "expansion", "sumrule", "nonescape", "tail", "compare"]
 )
 @pytest.mark.parametrize("nmax", ["0", "-1"])
@@ -1094,29 +1112,36 @@ def test_scipy_special_loaded_only_by_faddeeva_commands(tmp_path: Path) -> None:
 
 
 def test_non_finite_matching_function_exits_1_without_warnings(tmp_path: Path) -> None:
-    # V = 1e8 on [0.5, 1]: J overflows on the whole contour.  Under -W error
-    # a numpy warning would end in a traceback.
-    path = tmp_path / "barrier.json"
-    barrier = {"kind": "piecewise_constant", "pieces": [[0.0, 0.5, 0.0], [0.5, 1.0, 1.0e8]]}
-    path.write_text(json.dumps(_config(
-        potential=barrier,
-        initial_state={"kind": "box_mode", "mode": 1, "radius": 0.5},
-        pole_search={"re_max": 40.0, "im_min": -3.0},
-    )))
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "nonescape.cli", "poles",
-         "--config", str(path), "--out", str(out)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    error = json.loads(lines[0])["error"]
-    assert error["type"] == "DomainError" and error["exit_code"] == 1
-    assert error["message"].startswith("J is not finite near k = ")
-    assert not out.exists()
+    # V on [0.5, 1].  Under -W error a numpy warning would end in a traceback.
+    cases = [
+        # J overflows on the whole contour
+        (1.0e8, "DomainError", "J is not finite near k = "),
+        # |J| reaches 1.8e308 on the contour; the phase step's ratio of two
+        # such values overflowed before they were scaled
+        (1.98e6, "AxisZero", "J vanishes on a coordinate axis near k = "),
+    ]
+    for height, kind, message in cases:
+        path = tmp_path / f"barrier-{height:g}.json"
+        barrier = {"kind": "piecewise_constant", "pieces": [[0.0, 0.5, 0.0], [0.5, 1.0, height]]}
+        path.write_text(json.dumps(_config(
+            potential=barrier,
+            initial_state={"kind": "box_mode", "mode": 1, "radius": 0.5},
+            pole_search={"re_max": 40.0, "im_min": -3.0},
+        )))
+        out = tmp_path / f"out-{height:g}"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nonescape.cli", "poles",
+             "--config", str(path), "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1, height
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == kind and error["exit_code"] == 1
+        assert error["message"].startswith(message)
+        assert not out.exists()
 
 
 def test_csv_cells_keep_the_bytes_of_the_isinstance_chain(tmp_path: Path) -> None:

@@ -46,7 +46,7 @@ from nonescape.model import (
     segments,
 )
 from nonescape.poles import PoleSet, ResonancePole, SearchWindow, locate_poles
-from nonescape.segmath import panel_nodes, propagate
+from nonescape.segmath import panel_nodes, regular_solutions
 
 _REFERENCE = load_config(None)
 REFERENCE_POTENTIAL, REFERENCE_STATE = _REFERENCE.potential, _REFERENCE.psi0
@@ -434,22 +434,16 @@ def _state_case(draw) -> tuple[list[GamowState], np.ndarray]:
         potential = PiecewiseConstant(tuple(
             (lo, hi, draw(st.floats(0.0, 60.0))) for lo, hi in zip(bounds[:-1], bounds[1:])
         ))
-    segs = segments(potential)
-    edges = np.array([0.0] + [end for _, end, _ in segs])
-    heights = np.array([h for _, _, h in segs])
+    edges = np.array([0.0] + [end for _, end, _ in segments(potential)])
     unit = st.floats(-2.0, 2.0)
     states = []
     for n in range(1, draw(st.integers(1, 5)) + 1):
         im_k = draw(st.one_of(st.floats(-6.0, -0.01), st.floats(-1200.0, -400.0)))
         k = complex(draw(st.floats(0.1, 80.0)), im_k)
         factor = complex(draw(unit), draw(unit))
-        z = k * k - heights
-        a, b = np.empty_like(z), np.empty_like(z)
-        u, du = 0j, 1.0 + 0j
+        z, a, b, _ = regular_solutions(potential, np.array([k]))
         with np.errstate(all="ignore"):  # solutions past the overflow are inf or NaN
-            for j, (start, end, _) in enumerate(segs):
-                a[j], b[j] = u * factor, du * factor
-                u, du = propagate(u, du, z[j], end - start)
+            z, a, b = z[0], a[0] * factor, b[0] * factor
         pole = ResonancePole(n, k, 0.0, 1.0)
         states.append(GamowState(pole, edges, z, a, b, 0j))
         if draw(st.booleans()):

@@ -48,6 +48,12 @@ def test_grid_spec_validation() -> None:
     for w, s in ((math.nan, math.nan), (math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)):
         with pytest.raises(ConfigError, match="must be finite"):
             _small_grid(absorber_width=w, absorber_strength=s)
+    # With W <= dr no interior node lies past L - W: the mask would absorb
+    # nothing, yet an absorber switches the norm check off.
+    for w in (0.001, 0.005):
+        with pytest.raises(ConfigError, match="must exceed dr"):
+            _small_grid(absorber_width=w, absorber_strength=15.0)
+    _small_grid(absorber_width=0.01, absorber_strength=15.0)
 
 
 def test_grid_spec_step_counts() -> None:

@@ -64,6 +64,28 @@ def test_matching_function_schwarz_symmetry(rng: np.random.Generator) -> None:
             assert j_mirror == pytest.approx(j.conjugate(), rel=1e-13, abs=1e-13)
 
 
+_CUT_BARRIER = PiecewiseConstant(((0.0, 0.4, 0.0), (0.4, 1.0, 30.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi), side=st.floats(1e-12, 0.5))
+def test_matching_function_j_keeps_its_bits_without_dk(theta: float, side: float) -> None:
+    # |z L^2| = 4 switches a segment's kernels from series to roots.  Points
+    # on both sides of it on each segment, and a mix of both in one call:
+    # J alone has the bits of J beside dJ/dk.
+    ks = []
+    for start, end, height in _CUT_BARRIER.pieces:
+        for w in (4.0 * (1.0 - side), 4.0 * (1.0 + side)):
+            ks.append(cmath.sqrt(w * cmath.exp(1j * theta) / (end - start) ** 2 + height))
+    k = np.array(ks)
+    for potential in (_CUT_BARRIER, DeltaShell(6.0, 1.0)):
+        j, _ = matching_function(potential, k)
+        alone = matching_function(potential, k, with_dk=False)
+        assert np.array_equal(alone.view(float), j.view(float))
+        for one in k[:2]:
+            assert matching_function(potential, one, False) == matching_function(potential, one)[0]
+
+
 def test_matching_function_entire_at_origin() -> None:
     # J is entire: k = 0 must evaluate finitely (no sin(kR)/k singularity).
     j, dj = matching_function(DeltaShell(6.0, 1.0), 0.0)
@@ -397,7 +419,10 @@ def test_root_polish_failure_raised(monkeypatch: pytest.MonkeyPatch) -> None:
             locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
     function = poles_module.matching_function
     with monkeypatch.context() as m:
-        m.setattr(poles_module, "matching_function", lambda p, k: (function(p, k)[0], 0.0 * k))
+        m.setattr(
+            poles_module, "matching_function",
+            lambda p, k, with_dk=True: (function(p, k)[0], 0.0 * k) if with_dk else function(p, k, False),
+        )
         with pytest.raises(RootPolishFailure, match="dJ/dk vanished"):
             locate_poles(REFERENCE_POTENTIAL, SearchWindow(re_max=10.0, im_min=-1.0))
 

@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 
 from _oracles import kernel_family_two_branch, product_integral_six_kernels, same_bits
 from nonescape.errors import DomainError
+from nonescape.model import DeltaShell, PiecewiseConstant
 from nonescape.segmath import (
     _MAX_ABS_Z,
     _MAX_IM_QL,
     _kernel_family,
     gauss_legendre,
     kernels,
-    kernels_with_dz,
     panel_nodes,
     product_integral,
-    propagate,
-    propagate_with_dk,
+    regular_solutions,
 )
 
 
@@ -104,10 +103,9 @@ def test_kernels_bits_match_two_branch_reference(rng: np.random.Generator) -> No
     z, length = _points_across_cutoff(rng)
     for zz, L in ((z, length), (z * np.where(length == 0.0, 1.0, length) ** 2 / 1.69, 1.3)):
         c, s, ds, w, dw = kernel_family_two_branch(zz, L)
-        dc = -0.5 * np.asarray(L) * s
         for got, want in (
             (kernels(zz, L), (c, s)),
-            (kernels_with_dz(zz, L), (c, s, dc, ds)),
+            (_kernel_family(zz, L, derivative=True)[:3], (c, s, ds)),
             (_versine(zz, L, with_derivative=True), (w, dw)),
             (_versine(zz, L), (w,)),
         ):
@@ -117,32 +115,32 @@ def test_kernels_bits_match_two_branch_reference(rng: np.random.Generator) -> No
 def test_kernels_scalar_call_matches_array_call(rng: np.random.Generator) -> None:
     # A scalar call is the one-point array call: the same bits on either branch.
     z, length = _points_across_cutoff(rng, 200)
-    arrays = [*kernels_with_dz(z, length), *_versine(z, length, True)]
+    arrays = _kernel_family(z, length, derivative=True, versine=True)
     for i, (zi, li) in enumerate(zip(z, length)):
-        scalars = [*kernels_with_dz(zi, li), *_versine(zi, li, True)]
-        assert all(isinstance(v, complex) for v in scalars[:4])
+        assert all(isinstance(v, complex) for v in kernels(zi, li))
+        scalars = [*kernels(zi, li), *_kernel_family(zi, li, derivative=True, versine=True)[2:]]
         assert same_bits(scalars, [v[i] for v in arrays]), (zi, li)
 
 
-def test_kernels_with_dz_matches_finite_difference(rng: np.random.Generator) -> None:
+def test_kernel_derivative_matches_finite_difference(rng: np.random.Generator) -> None:
+    # dS/dz from the family, and dC/dz = -L S / 2 as the regular-solution pass forms it.
     h = 1e-6
     for z in _sample_points(rng, 24):
         if abs(z) < 1e-4:
             continue
-        c, s, dc, ds = kernels_with_dz(z, 1.3)
+        c, s, ds = _kernel_family(z, 1.3, derivative=True)[:3]
         cp, sp = kernels(z + h, 1.3)
         cm, sm = kernels(z - h, 1.3)
-        assert dc == pytest.approx((cp - cm) / (2 * h), rel=1e-5, abs=1e-8)
+        assert -0.65 * s == pytest.approx((cp - cm) / (2 * h), rel=1e-5, abs=1e-8)
         assert ds == pytest.approx((sp - sm) / (2 * h), rel=1e-5, abs=1e-8)
 
 
-def test_kernels_with_dz_at_zero() -> None:
+def test_kernel_derivative_at_zero() -> None:
     # Series: C = 1 - w/2 + ..., S = L(1 - w/6 + ...) with w = z L^2.
     L = 2.0
-    c, s, dc, ds = kernels_with_dz(0.0, L)
+    c, s, ds = _kernel_family(0.0, L, derivative=True)[:3]
     assert c == 1.0
     assert s == L
-    assert dc == pytest.approx(-L * L / 2.0, rel=1e-14)
     assert ds == pytest.approx(-L ** 3 / 6.0, rel=1e-14)
 
 
@@ -163,49 +161,57 @@ def test_versine_kernel_values_and_derivative() -> None:
         assert dv == pytest.approx((vp - vm) / (2 * h), rel=1e-5)
 
 
-def test_propagate_reproduces_fundamental_solutions() -> None:
-    z = 2.0 - 0.5j
-    L = 0.8
-    c, s = kernels(z, L)
-    # u = cos(qx): (1, 0) -> (C, -zS).  u = sin(qx)/q: (0, 1) -> (S, C).
-    u, du = propagate(1.0, 0.0, z, L)
-    assert u == pytest.approx(c, rel=1e-14)
-    assert du == pytest.approx(-z * s, rel=1e-14)
-    u, du = propagate(0.0, 1.0, z, L)
-    assert u == pytest.approx(s, rel=1e-14)
-    assert du == pytest.approx(c, rel=1e-14)
+def test_regular_solutions_reproduce_fundamental_solutions() -> None:
+    # u(0) = 0, u'(0) = 1 is sin(q x)/q on the first segment: (u, u') = (S, C)
+    # at its end.  On the next, (a, b) = (S1, C1) starts the combination
+    # a cos(q x) + b sin(q x)/q, so (u, u') = (a C2 + b S2, -a z2 S2 + b C2).
+    k = np.array([2.0 - 0.5j, 7.0 - 1.0j, 0.3 + 0.0j])
+    one = PiecewiseConstant(((0.0, 0.8, 3.0),))
+    z, a, b, (u, du) = regular_solutions(one, k)
+    c, s = kernels(k * k - 3.0, 0.8)
+    assert z.shape == a.shape == b.shape == (3, 1)
+    assert same_bits(z[:, 0], k * k - 3.0)
+    assert np.all(a == 0.0) and np.all(b == 1.0)
+    assert same_bits(u, s) and same_bits(du, c)
+    two = PiecewiseConstant(((0.0, 0.8, 3.0), (0.8, 1.1, 40.0)))
+    z, a, b, (u, du) = regular_solutions(two, k)
+    assert same_bits(a[:, 1], s) and same_bits(b[:, 1], c)
+    c2, s2 = kernels(z[:, 1], 0.3)
+    assert u == pytest.approx(s * c2 + c * s2, rel=1e-14)
+    assert du == pytest.approx(-s * z[:, 1] * s2 + c * c2, rel=1e-14)
 
 
-def test_propagate_composition_equals_single_segment() -> None:
-    # Two half-segments of equal z must compose to one full segment.
-    z = -1.3 + 0.4j
-    u0, du0 = 0.3 + 0.1j, -0.7 + 0.2j
-    u1, du1 = propagate(u0, du0, z, 0.45)
-    u2, du2 = propagate(u1, du1, z, 0.45)
-    u_full, du_full = propagate(u0, du0, z, 0.9)
-    assert u2 == pytest.approx(u_full, rel=1e-13)
-    assert du2 == pytest.approx(du_full, rel=1e-13)
+def test_regular_solutions_of_two_equal_pieces_equal_one_piece() -> None:
+    # Two half-segments of equal height must compose to one full segment,
+    # with the k-derivatives too.
+    k = np.array([1.3 - 0.4j, 9.0 - 2.0j, 0.0 + 0.0j, 25.0 - 0.1j])
+    halves = PiecewiseConstant(((0.0, 0.45, 5.0), (0.45, 0.9, 5.0)))
+    whole = PiecewiseConstant(((0.0, 0.9, 5.0),))
+    got = regular_solutions(halves, k, with_dk=True)[3]
+    want = regular_solutions(whole, k, with_dk=True)[3]
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=1e-13)
 
 
-def test_propagate_with_dk_matches_finite_difference() -> None:
-    length = 0.6
-    v = 3.0
-
-    def run(k: complex) -> tuple[complex, complex]:
-        u, du = 1.0 + 0j, 1j * k
-        u, du = propagate(u, du, k * k - v, length)
-        return u, du
-
-    k0 = 2.0 - 0.3j
+def test_regular_solutions_dk_matches_finite_difference() -> None:
+    barrier = PiecewiseConstant(((0.0, 0.3, 0.0), (0.3, 0.6, 12.0), (0.6, 1.0, 4.0)))
+    k = np.array([2.0 - 0.3j, 0.7 - 0.05j, 11.0 - 1.2j])
     h = 1e-6
-    u, du, uk, duk = propagate_with_dk(
-        1.0 + 0j, 1j * k0, 0.0 + 0j, 1j, k0 * k0 - v, 2.0 * k0, length
-    )
-    up, dup = run(k0 + h)
-    um, dum = run(k0 - h)
-    assert u == pytest.approx(run(k0)[0], rel=1e-14)
+    u, du, uk, duk = regular_solutions(barrier, k, with_dk=True)[3]
+    up, dup = regular_solutions(barrier, k + h)[3]
+    um, dum = regular_solutions(barrier, k - h)[3]
+    assert same_bits([u, du], regular_solutions(barrier, k)[3])
     assert uk == pytest.approx((up - um) / (2 * h), rel=1e-6)
     assert duk == pytest.approx((dup - dum) / (2 * h), rel=1e-6)
+
+
+def test_regular_solutions_on_the_delta_shell_ignore_the_delta() -> None:
+    # The delta sits at R: the pass stops at R-, so u = sin(k r)/k inside.
+    k = np.array([2.5 - 0.2j])
+    z, a, b, (u, du) = regular_solutions(DeltaShell(6.0, 1.0), k)
+    assert same_bits(z[:, 0], k * k)
+    assert u == pytest.approx(np.sin(k) / k, rel=1e-14)
+    assert du == pytest.approx(np.cos(k), rel=1e-14)
 
 
 def _quadrature_product(length: float, z1, a1, b1, z2, a2, b2) -> tuple[complex, float]:
@@ -403,7 +409,7 @@ def test_product_integral_array_matches_quadrature(cases) -> None:
 
 
 def _reference_kernel_values(z: complex, length: float) -> np.ndarray:
-    """C, S, dC/dz, dS/dz, W and dW/dz at 40 digits."""
+    """C, S, dS/dz, W and dW/dz at 40 digits."""
     with mpmath.workdps(40):
         zm, L = mpmath.mpc(z.real, z.imag), mpmath.mpf(length)
         q = mpmath.sqrt(zm)
@@ -411,7 +417,6 @@ def _reference_kernel_values(z: complex, length: float) -> np.ndarray:
         values = (
             c,
             s,
-            -L * s / 2,
             (L * c - s) / (2 * zm),
             (1 - c) / zm,
             (zm * L * s / 2 - (1 - c)) / zm**2,
@@ -420,7 +425,7 @@ def _reference_kernel_values(z: complex, length: float) -> np.ndarray:
 
 
 def _kernel_values(z: complex, length: float) -> np.ndarray:
-    return np.array([*kernels_with_dz(z, length), *_versine(z, length, True)])
+    return np.array(_kernel_family(z, length, derivative=True, versine=True))
 
 
 @settings(max_examples=200, deadline=None)
