@@ -91,7 +91,7 @@ def moment_sum_quadrature(data: ExpansionData, a: int, b: int) -> complex:
 
     Each segment, of length L, gets int(L k_max / pi) + 2 panels of its own.
     """
-    edges = data.states[0].r_edges.tolist()
+    edges = data.states.r_edges.tolist()
     k_max = float(np.max(np.abs(data.wavenumbers)))
     panels = [
         panel_nodes(lo, hi, int((hi - lo) * k_max / np.pi) + 2, order=_QUAD_ORDER)

@@ -20,7 +20,8 @@ itself.  The closed forms are cross-checked against panel quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -56,37 +57,71 @@ __all__ = [
 ]
 
 
+# The per-state fields of a GamowState; r_edges is shared by every row.
+_ROW_FIELDS = ("n", "k", "z", "a", "b", "boundary_value")
+
+
 @dataclass(frozen=True, eq=False)
 class GamowState:
-    """One normalized resonant state on [0, R], stored per segment.
+    """Normalized resonant states on [0, R], one row per state, stored per segment.
 
-    Within segment j (local coordinate x from the segment's left edge) the
-    state is ``a[j] cos(q_j x) + b[j] sin(q_j x)/q_j`` with q_j^2 = z[j].
+    Row i is the state of signed label ``n[i]`` at wavenumber ``k[i]``: within
+    segment j (local coordinate x from the segment's left edge) it is
+    ``a[i, j] cos(q x) + b[i, j] sin(q x)/q`` with q^2 = z[i, j], and
+    ``boundary_value[i]`` is u(R).  The arrays are read-only views, so the
+    cached :attr:`pairing` stays true; a slice or an index array selects rows.
     """
 
-    pole: ResonancePole
+    n: np.ndarray
+    k: np.ndarray
     r_edges: np.ndarray
     z: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    boundary_value: complex  # u(R)
+    boundary_value: np.ndarray
 
-    @property
-    def k(self) -> complex:
-        return self.pole.k
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            view = np.asarray(getattr(self, f.name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, f.name, view)
 
-    @property
-    def radius(self) -> float:
-        return float(self.r_edges[-1])
+    def __len__(self) -> int:
+        return len(self.k)
 
-    def evaluate(self, r: np.ndarray | float) -> np.ndarray | complex:
-        """u(r) for r in [0, R], vectorized (through :func:`_state_values`)."""
+    def __getitem__(self, rows: slice | np.ndarray) -> GamowState:
+        return replace(self, **{f: getattr(self, f)[rows] for f in _ROW_FIELDS})
+
+    @cached_property
+    def pairing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``(own, source, mirror)``: row ``mirror[i]`` is the exact
+        conjugate of row ``source[i]`` in all of z, a and b; ``own`` holds the rest.
+
+        Pairs follow the stored values, not the labels, so a relabelled state
+        or an unpaired mirror is simply evaluated.  Values compare as numbers
+        (+0 equals -0): a zero's sign can only reach a zero part of a state
+        value, which :func:`_state_values` evaluates directly.
+        """
+        # adding 0 turns -0 into +0, so the keys compare values
+        rows = np.concatenate([self.z, self.a, self.b], axis=1) + 0.0
+        waiting: dict[bytes, list[int]] = {}
+        source, mirror = [], []
+        for i, row in enumerate(rows):
+            partners = waiting.get((np.conj(row) + 0.0).tobytes())
+            if partners:
+                source.append(partners.pop())
+                mirror.append(i)
+            else:
+                waiting.setdefault(row.tobytes(), []).append(i)
+        mirror_arr = np.array(mirror, dtype=int)
+        own = np.setdiff1d(np.arange(len(self)), mirror_arr)
+        return own, np.array(source, dtype=int), mirror_arr
+
+    def evaluate(self, r: np.ndarray | float) -> np.ndarray:
+        """u(r) for r in [0, R]: one row per state, each of r's shape."""
         r_arr = np.asarray(r, dtype=float)
         idx, x = _locate(self.r_edges, r_arr.ravel())
-        val = _state_values(_stack((self,)), idx, x)[0].reshape(r_arr.shape)
-        if np.ndim(r) == 0:
-            return complex(val)
-        return val
+        return _state_values(self, idx, x).reshape(len(self), *r_arr.shape)
 
 
 # States x points per block when many states are evaluated at once: keeps
@@ -125,58 +160,13 @@ def _locate(r_edges: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return idx, r - r_edges[idx]
 
 
-@dataclass(frozen=True)
-class _StateStack:
-    """Segment data of a state list, one row per state, and its mirror pairs.
-
-    Row ``mirror[i]`` holds the exact conjugate of row ``source[i]`` in all
-    of z, a and b (as values: +0 equals -0); ``own`` lists the rows that are
-    not such a mirror.
-    """
-
-    z: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    own: np.ndarray
-    source: np.ndarray
-    mirror: np.ndarray
-
-
-def _stack(states: tuple[GamowState, ...] | list[GamowState]) -> _StateStack:
-    """Stack the segment data of ``states`` and pair each state with its mirror.
-
-    Pairs are decided from the stored values of (z, a, b), not from the
-    pole labels, so a relabelled pole or an unpaired mirror is simply
-    evaluated.  The values compare as numbers (+0 equals -0): the sign of a
-    zero in the data can only reach a zero part of a state value, and
-    :func:`_state_values` evaluates those entries directly.
-    """
-    z = np.array([s.z for s in states])
-    a = np.array([s.a for s in states])
-    b = np.array([s.b for s in states])
-    # adding 0 turns -0 into +0, so the keys compare values
-    rows = np.concatenate([z, a, b], axis=1) + 0.0
-    waiting: dict[bytes, list[int]] = {}
-    source, mirror = [], []
-    for i, row in enumerate(rows):
-        partners = waiting.get((np.conj(row) + 0.0).tobytes())
-        if partners:
-            source.append(partners.pop())
-            mirror.append(i)
-        else:
-            waiting.setdefault(row.tobytes(), []).append(i)
-    mirror_arr = np.array(mirror, dtype=int)
-    own = np.setdiff1d(np.arange(len(states)), mirror_arr)
-    return _StateStack(z, a, b, own, np.array(source, dtype=int), mirror_arr)
-
-
 def _odd(values: np.ndarray) -> np.ndarray:
     """Entries with a zero or a non-finite part."""
     return (values.real == 0) | (values.imag == 0) | ~np.isfinite(values)
 
 
 def _redo_odd(
-    stack: _StateStack, values: np.ndarray, rows: np.ndarray, idx: np.ndarray, x: np.ndarray
+    states: GamowState, values: np.ndarray, rows: np.ndarray, idx: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """``values`` (state ``rows`` x points at segment ``idx``, offset ``x``)
     with each :func:`_odd` entry evaluated directly as a C + b S."""
@@ -185,20 +175,20 @@ def _redo_odd(
         return values  # no zero, inf or NaN part (a NaN fails both tests)
     i, j = np.nonzero(_odd(values))
     rows, seg = rows[i], idx[j]
-    c, s = kernels(stack.z[rows, seg], x[j])
-    values[i, j] = stack.a[rows, seg] * c + stack.b[rows, seg] * s
+    c, s = kernels(states.z[rows, seg], x[j])
+    values[i, j] = states.a[rows, seg] * c + states.b[rows, seg] * s
     return values
 
 
-def _state_values(stack: _StateStack, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _state_values(states: GamowState, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """u_m at the located points (segment ``idx``, offset ``x``), one row per state.
 
     This is where every state value is formed.  The kernels run only for
-    the rows in ``stack.own``, segment by segment: that segment's points
-    meet the (own states x 1) columns of its z, a and b, so each state
-    takes one square root per segment, and points all in one segment are
-    neither gathered nor scattered.  Each mirror row is the conjugate of
-    its source row.
+    the own rows of :attr:`GamowState.pairing`, segment by segment: that
+    segment's points meet the (own states x 1) columns of its z, a and b,
+    so each state takes one square root per segment, and points all in one
+    segment are neither gathered nor scattered.  Each mirror row is the
+    conjugate of its source row.
 
     On a segment where a = 0 for every own row, as on the first (u(0) = 0),
     the cosine kernel is not evaluated and the value is b S: where C is
@@ -207,48 +197,43 @@ def _state_values(stack: _StateStack, idx: np.ndarray, x: np.ndarray) -> np.ndar
     differ only where the value has a zero (whose sign may differ) or a
     non-finite part, so those entries are evaluated directly as a C + b S.
     """
-    out = np.empty((len(stack.z), idx.size), dtype=complex)
-    own = stack.own
+    out = np.empty((len(states), idx.size), dtype=complex)
+    own, source, mirror = states.pairing
     segs = np.unique(idx)
     for j in segs:
         cols = np.flatnonzero(idx == j) if len(segs) > 1 else slice(None)
-        a = stack.a[own, j, None]
+        a = states.a[own, j, None]
         sine_only = not a.any()
-        c, s = kernels(stack.z[own, j, None], x[cols], cosine=not sine_only)
-        np.multiply(stack.b[own, j, None], s, out=s)
+        c, s = kernels(states.z[own, j, None], x[cols], cosine=not sine_only)
+        np.multiply(states.b[own, j, None], s, out=s)
         if sine_only:
-            values = _redo_odd(stack, s, own, idx[cols], x[cols])
+            values = _redo_odd(states, s, own, idx[cols], x[cols])
         else:
             values = np.add(np.multiply(a, c, out=c), s, out=c)
         out[np.ix_(own, cols) if len(segs) > 1 else own] = values
-    if stack.mirror.size:
-        mirrored = out[stack.source]
+    if mirror.size:
+        mirrored = out[source]
         np.conjugate(mirrored, out=mirrored)
-        out[stack.mirror] = _redo_odd(stack, mirrored, stack.mirror, idx, x)
+        out[mirror] = _redo_odd(states, mirrored, mirror, idx, x)
     return out
 
 
-def _normalization(
-    edges: np.ndarray, k: np.ndarray, z: np.ndarray, a: np.ndarray, b: np.ndarray,
-    u_r: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``int_0^R u^2 dr + i u(R)^2 / (2k)`` for each row of segment coefficients,
-    and the sum of the magnitudes of its terms (one per segment, and the surface)."""
-    norm2 = np.zeros(len(k), dtype=complex)
-    scale = np.zeros(len(k))
-    for j in range(z.shape[1]):
-        length = edges[j + 1] - edges[j]
+def _normalization(states: GamowState) -> tuple[np.ndarray, np.ndarray]:
+    """``int_0^R u^2 dr + i u(R)^2 / (2k)`` for each row of the table, and the
+    sum of the magnitudes of its terms (one per segment, and the surface)."""
+    z, a, b, u_r = states.z, states.a, states.b, states.boundary_value
+    norm2 = np.zeros(len(states), dtype=complex)
+    scale = np.zeros(len(states))
+    for j, length in enumerate(np.diff(states.r_edges)):
         part = product_integral(length, z[:, j], a[:, j], b[:, j], z[:, j], a[:, j], b[:, j])
         norm2 += part
         scale += np.abs(part)
-    surface = 1j * u_r * u_r / (2.0 * k)
+    surface = 1j * u_r * u_r / (2.0 * states.k)
     return norm2 + surface, scale + np.abs(surface)
 
 
-def _build_states(
-    potential: Potential, poles: list[ResonancePole]
-) -> tuple[GamowState, ...]:
-    """Normalized resonant states for all ``poles`` in one pass.
+def _build_states(potential: Potential, poles: list[ResonancePole]) -> GamowState:
+    """The table of normalized resonant states of ``poles``, built in one pass.
 
     One regular-solution pass gives every wavenumber's segment rows at
     once, and the normalization integrals take one array-valued product
@@ -266,20 +251,15 @@ def _build_states(
         raise ZeroWavenumber("cannot normalize a zero-wavenumber state")
     edges = np.array([0.0] + [r_end for _, r_end, _ in segments(potential)])
     z, a, b, (u, _) = regular_solutions(potential, ks)
-    norm2, scale = _normalization(edges, ks, z, a, b, u)
+    raw = GamowState(np.array([p.n for p in poles], dtype=int), ks, edges, z, a, b, u)
+    norm2, scale = _normalization(raw)
     for i in np.flatnonzero(np.abs(norm2) <= 1e-10 * np.maximum(scale, 1e-300))[:1]:
-        raise NormalizationSingular(
-            f"normalization integral vanishes at k = {ks[i]:.6g}"
-        )
+        raise NormalizationSingular(f"normalization integral vanishes at k = {ks[i]:.6g}")
     norm = np.sqrt(norm2)
-    a, b, u = a / norm[:, None], b / norm[:, None], u / norm
-    return tuple(
-        GamowState(pole=p, r_edges=edges, z=z[i], a=a[i], b=b[i], boundary_value=complex(u[i]))
-        for i, p in enumerate(poles)
-    )
+    return replace(raw, a=a / norm[:, None], b=b / norm[:, None], boundary_value=u / norm)
 
 
-def _quadrature_gram(states: tuple[GamowState, ...]) -> np.ndarray:
+def _quadrature_gram(states: GamowState) -> np.ndarray:
     """Panel Gauss-Legendre matrix ``G[i, j] = int_0^R conj(u_j) u_i dr``.
 
     All states share one set of panels per segment, sized to at most half an
@@ -295,13 +275,10 @@ def _quadrature_gram(states: tuple[GamowState, ...]) -> np.ndarray:
         If doubling the panels moves an entry by more than ``_GRAM_RTOL``
         relative to its magnitude (or absolutely, below magnitude 1).
     """
-    edges = states[0].r_edges
-    if any(not np.array_equal(s.r_edges, edges) for s in states):
-        raise ConfigError("overlap of states from different segmentations")
-    freq = 2.0 * max(abs(s.k) for s in states)
+    edges = states.r_edges
+    freq = 2.0 * np.max(np.abs(states.k))
     m = len(states)
     step = max(1, _FIELD_BLOCK // m)
-    stack = _stack(states)
 
     def eval_panels(mult: int) -> np.ndarray:
         total = np.zeros((m, m), dtype=complex)
@@ -311,19 +288,18 @@ def _quadrature_gram(states: tuple[GamowState, ...]) -> np.ndarray:
             nodes, weights = panel_nodes(lo, hi, n_panels)
             for p0 in range(0, len(nodes), step):
                 sl = slice(p0, p0 + step)
-                u = _state_values(stack, *_locate(edges, nodes[sl]))
+                u = _state_values(states, *_locate(edges, nodes[sl]))
                 total += (u * weights[sl]) @ u.conj().T
         return total
 
-    coarse = eval_panels(1)
-    fine = eval_panels(2)
+    coarse, fine = eval_panels(1), eval_panels(2)
     delta = np.abs(fine - coarse)
     bad = delta > _GRAM_RTOL * np.maximum(np.abs(fine), 1.0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ToleranceNotMet(
             f"overlap quadrature unconverged: |delta| = {delta[i, j]:.3e} "
-            f"at k_ket = {states[i].k:.6g}, k_bra = {states[j].k:.6g}"
+            f"at k_ket = {states.k[i]:.6g}, k_bra = {states.k[j]:.6g}"
         )
     fine = np.tril(fine) + np.tril(fine, -1).conj().T
     np.fill_diagonal(fine, fine.diagonal().real)
@@ -334,28 +310,31 @@ def overlap_quadrature(ket: GamowState, bra: GamowState) -> complex:
     """Panel Gauss-Legendre evaluation of ``int_0^R conj(u_bra) u_ket dr``.
 
     The two-state case of the quadrature overlap matrix (see
-    :func:`overlap_matrix`).
+    :func:`overlap_matrix`), for one-row tables ``ket`` and ``bra``.
 
     Raises
     ------
+    ConfigError
+        If the two states come from different segmentations.
     ToleranceNotMet
         If doubling the panels moves the value by more than ``_GRAM_RTOL``
         relative to its magnitude.
     """
-    return complex(_quadrature_gram((ket, bra))[0, 1])
+    if not np.array_equal(ket.r_edges, bra.r_edges):
+        raise ConfigError("overlap of states from different segmentations")
+    both = {f: np.concatenate([getattr(ket, f), getattr(bra, f)]) for f in _ROW_FIELDS}
+    return complex(_quadrature_gram(replace(ket, **both))[0, 1])
 
 
-def _coefficients_quadrature(
-    states: tuple[GamowState, ...], psi0: InitialState
-) -> np.ndarray:
+def _coefficients_quadrature(states: GamowState, psi0: InitialState) -> np.ndarray:
     """C = int psi0 u dr for every state by Gauss-Legendre panels (no conjugation).
 
     All states share one set of panels between the breakpoints of the
     segmentation and of psi0, sized for the largest |k|, so each state gets
     at least the panels it would need alone.
     """
-    edges = states[0].r_edges
-    k_max = max(abs(s.k) for s in states)
+    edges = states.r_edges
+    k_max = np.max(np.abs(states.k))
     if isinstance(psi0, BoxMode):
         cuts, support = [psi0.radius], psi0.radius
         # kink-free integrand: panels follow the product's oscillation
@@ -373,20 +352,16 @@ def _coefficients_quadrature(
     nodes = np.concatenate([x for x, _ in panels])
     weights = np.concatenate([w for _, w in panels]) * initial_wavefunction(psi0, nodes)
     total = np.zeros(len(states), dtype=complex)
-    stack = _stack(states)
     step = max(1, _FIELD_BLOCK // len(states))
     for p0 in range(0, len(nodes), step):
         sl = slice(p0, p0 + step)
-        total += _state_values(stack, *_locate(edges, nodes[sl])) @ weights[sl]
+        total += _state_values(states, *_locate(edges, nodes[sl])) @ weights[sl]
     return total
 
 
-def _coefficients_closed(states: tuple[GamowState, ...], psi0: BoxMode) -> np.ndarray:
+def _coefficients_closed(states: GamowState, psi0: BoxMode) -> np.ndarray:
     """Closed form of ``int psi0 u dr`` for a hard-box eigenmode, every state at once."""
-    edges = states[0].r_edges
-    z = np.array([s.z for s in states])
-    a = np.array([s.a for s in states])
-    b = np.array([s.b for s in states])
+    edges, z, a, b = states.r_edges, states.z, states.a, states.b
     kappa = np.pi * psi0.mode / psi0.radius
     amp = np.sqrt(2.0 / psi0.radius)
     total = np.zeros(len(states), dtype=complex)
@@ -404,21 +379,21 @@ def _coefficients_closed(states: tuple[GamowState, ...], psi0: BoxMode) -> np.nd
     return total
 
 
-def _coefficients(states: tuple[GamowState, ...], psi0: InitialState) -> np.ndarray:
+def _coefficients(states: GamowState, psi0: InitialState) -> np.ndarray:
     """Expansion coefficients ``C = int_0^R psi0(r) u(r) dr`` (no conjugate).
 
     In closed form for a box mode, by panel quadrature for a sampled state;
     a state of either kind reaching past R is refused.
     """
-    if support_radius(psi0) > states[0].radius * (1.0 + 1e-12):
+    if support_radius(psi0) > states.r_edges[-1] * (1.0 + 1e-12):
         raise InvalidState("initial state extends beyond the potential range")
     if isinstance(psi0, BoxMode):
         return _coefficients_closed(states, psi0)
     return _coefficients_quadrature(states, psi0)
 
 
-def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np.ndarray:
-    """Matrix ``I[i, j] = int conj(u_j) u_i dr`` over a state list.
+def overlap_matrix(states: GamowState, method: str = "closed") -> np.ndarray:
+    """Matrix ``I[i, j] = int conj(u_j) u_i dr`` over a state table.
 
     "closed" uses the boundary-value formulas (with the anti-diagonal
     normalization identity) in blocks of rows, so no temporary is
@@ -429,8 +404,7 @@ def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np
     if method not in ("closed", "quadrature"):
         raise ConfigError(f"unknown overlap method {method!r}")
     if method == "closed":
-        ks = np.array([s.k for s in states])
-        u_r = np.array([s.boundary_value for s in states])
+        ks, u_r = states.k, states.boundary_value
         mat = np.empty((len(states), len(states)), dtype=complex)
         step = max(1, _OVERLAP_BLOCK // max(1, len(states)))
         for i0 in range(0, len(states), step):
@@ -438,11 +412,8 @@ def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np
             mat[rows] = u_r[rows, None] * np.conj(u_r)[None, :] / (
                 1j * (ks[rows, None] - np.conj(ks)[None, :])
             )
-        index_of = {s.pole.n: i for i, s in enumerate(states)}
-        for i, s in enumerate(states):
-            j = index_of.get(-s.pole.n)
-            if j is not None:
-                mat[i, j] = 1.0 - 1j * u_r[i] * u_r[i] / (2.0 * ks[i])
+        for i, j in zip(*np.intersect1d(states.n, -states.n, return_indices=True)[1:]):  # n, -n
+            mat[i, j] = 1.0 - 1j * u_r[i] * u_r[i] / (2.0 * ks[i])
         return mat
     return _quadrature_gram(states)
 
@@ -451,23 +422,33 @@ def overlap_matrix(states: tuple[GamowState, ...], method: str = "closed") -> np
 class ExpansionData:
     """Everything needed to evaluate the resonant expansion of one state.
 
-    Arrays are ordered by signed index n = -N..-1, 1..N (mirrors first);
-    ``overlap[i, j]`` is ``int conj(u_j) u_i dr`` in that ordering.
+    Rows are ordered by signed index n = -N..-1, 1..N (mirrors first);
+    ``overlap[i, j]`` is ``int conj(u_j) u_i dr`` in that ordering.  The
+    labels, wavenumbers and u(R) live in ``states`` alone.
     """
 
     potential: Potential
     psi0: InitialState
-    indices: np.ndarray
-    wavenumbers: np.ndarray
     coefficients: np.ndarray
-    boundary_values: np.ndarray
     overlap: np.ndarray
-    states: tuple[GamowState, ...]
+    states: GamowState
     overlap_method: str
 
     @property
+    def indices(self) -> np.ndarray:
+        return self.states.n
+
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        return self.states.k
+
+    @property
+    def boundary_values(self) -> np.ndarray:
+        return self.states.boundary_value
+
+    @property
     def n_pairs(self) -> int:
-        return len(self.indices) // 2
+        return len(self.states) // 2
 
     def truncate(self, n_pairs: int) -> "ExpansionData":
         """Restrict to |n| <= n_pairs (symmetric truncation)."""
@@ -482,12 +463,9 @@ class ExpansionData:
         return ExpansionData(
             potential=self.potential,
             psi0=self.psi0,
-            indices=self.indices[sl],
-            wavenumbers=self.wavenumbers[sl],
             coefficients=self.coefficients[sl],
-            boundary_values=self.boundary_values[sl],
             overlap=self.overlap[sl, sl],
-            states=self.states[sl.start : sl.stop],
+            states=self.states[sl],
             overlap_method=self.overlap_method,
         )
 
@@ -524,20 +502,13 @@ def build_expansion(
         raise InvalidState(
             f"initial state must be normalized: ||psi0||^2 = {norm:.12g}"
         )
-    indices = PoleSet.index_order(n_pairs)
-    states = _build_states(potential, [pole_set.pole(int(n)) for n in indices])
-    coeffs = _coefficients(states, psi0)
-    ks = np.array([s.k for s in states])
-    u_r = np.array([s.boundary_value for s in states])
-    mat = overlap_matrix(states, "closed")
+    poles = [pole_set.pole(int(n)) for n in PoleSet.index_order(n_pairs)]
+    states = _build_states(potential, poles)
     return ExpansionData(
         potential=potential,
         psi0=psi0,
-        indices=indices,
-        wavenumbers=ks,
-        coefficients=coeffs,
-        boundary_values=u_r,
-        overlap=mat,
+        coefficients=_coefficients(states, psi0),
+        overlap=overlap_matrix(states, "closed"),
         states=states,
         overlap_method="closed",
     )
@@ -559,15 +530,15 @@ def weighted_field(
         raise ConfigError("one weight per state required")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float)).ravel()
     acc = np.zeros(r_arr.shape, dtype=complex)
-    live = [m for m, w in enumerate(weights) if w != 0]
-    if live:
-        idx, x = _locate(data.states[0].r_edges, r_arr)
-        stack = _stack([data.states[m] for m in live])
+    live = np.flatnonzero(np.asarray(weights) != 0)
+    if live.size:
+        states = data.states if live.size == len(weights) else data.states[live]
+        idx, x = _locate(states.r_edges, r_arr)
         live_weights = np.asarray(weights)[live][:, None]
-        step = max(1, _WEIGHTED_BLOCK // len(live))
+        step = max(1, _WEIGHTED_BLOCK // live.size)
         for p0 in range(0, r_arr.size, step):
             sl = slice(p0, p0 + step)
-            terms = _state_values(stack, idx[sl], x[sl])
+            terms = _state_values(states, idx[sl], x[sl])
             np.multiply(live_weights, terms, out=terms)
             # adding to the zero turns a zero sum's -0 into +0, as the loop did
             acc[sl] += np.add.reduce(terms, axis=0)

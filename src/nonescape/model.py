@@ -110,6 +110,8 @@ class BoxMode:
             raise InvalidState("box mode index must be >= 1")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise InvalidState("box mode radius must be positive and finite")
+        if self.mode >= 2**1023 or not math.isfinite(math.pi * self.mode / self.radius):
+            raise InvalidState("box mode wavenumber m pi / R must be a finite float")
 
 
 class Sampled:

@@ -48,13 +48,14 @@ early steps out of the tens of thousands of untouched nodes, where
 subnormal arithmetic costs ten times normal arithmetic.
 
 A run holds about seven complex vectors of interior length: the nodes
-(half of one), the initial state (the steps start on it, not on a copy),
+(half of one), the state (stepped in place from psi0, not from a copy),
 the right-hand diagonal, gttrf's four factor diagonals, the pivots and the
 absorber mask over [L - W, L].  Set-up builds them in place wherever it
 can: gttrf factors its own inputs (its overwrite flags), both diagonals
 come from one 2/dr^2 + V array in V's buffer, and the absorber profile is
 evaluated only past L - W, so set-up peaks at about as much as the run
-keeps.
+keeps.  Stepping adds 3.3: a right-hand side that gttrs solves in place, a
+buffer of off-diagonal products and the norm's temporaries.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ __all__ = [
 
 _NORM_DRIFT_LIMIT = 1e-7
 # Nodes a grid may hold.  A complex interior vector then takes 160 MB, and a
-# capped run keeps about seven of them (1.1 GB) and steps with up to four more.
+# capped run keeps about seven of them (1.1 GB) and steps with 3.3 more.
 _MAX_NODES = 10_000_000
 _MAX_STEPS = 10_000_000  # time steps a run may take
 _NORM_CHECK_STRIDE = 200
@@ -135,6 +136,9 @@ class GridSpec:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.dr >= self.box_size:
             raise ConfigError("dr must be smaller than the box")
+        for total, step in (("box_size", "dr"), ("t_final", "dt")):
+            if not math.isfinite(getattr(self, total) / getattr(self, step)):
+                raise ConfigError(f"{total} / {step} overflows a float")
         if self.dt > self.t_final:
             raise ConfigError("dt must not exceed t_final")
         w, s = self.absorber_width, self.absorber_strength
@@ -165,8 +169,8 @@ class GridSpec:
 
     def refined(self, factor: int) -> "GridSpec":
         """Same physical run with dr and dt divided by ``factor``."""
-        if factor < 2:
-            raise ConfigError("refinement factor must be >= 2")
+        if not 2 <= factor <= _MAX_NODES:  # a larger factor exceeds the node cap
+            raise ConfigError(f"refinement factor must be >= 2 and <= {_MAX_NODES}")
         return replace(self, dr=self.dr / factor, dt=self.dt / factor)
 
 
@@ -444,6 +448,8 @@ def evolve_tdse(
     start, mask = run.mask_start, run.mask
     psi = run.psi0
     m = psi.size
+    # made once: gttrs solves in the right-hand side's buffer
+    rhs_buf, prod = np.empty(m, dtype=complex), np.empty(m - 1, dtype=complex)
     # The factors of a leading k x k block are the leading slices of A's
     # factors only while gttrf swaps no rows.
     k = _reach(psi, m) if np.array_equal(ipiv, np.arange(1, m + 1)) else m
@@ -451,18 +457,17 @@ def evolve_tdse(
     run.record(0, psi)
     for step in range(1, grid.n_steps + 1):
         while True:
-            head = psi[:k]
-            rhs = diag_b[:k] * head
-            rhs[:-1] += off_b * head[1:]
-            rhs[1:] += off_b * head[:-1]
-            x, _ = gttrs(dl[: k - 1], d[:k], du[: k - 1], du2[: k - 2], ipiv[:k], rhs)
+            head, rhs, off = psi[:k], rhs_buf[:k], prod[: k - 1]
+            np.multiply(diag_b[:k], head, out=rhs)
+            rhs[:-1] += np.multiply(off_b, head[1:], out=off)
+            rhs[1:] += np.multiply(off_b, head[:-1], out=off)
+            x, _ = gttrs(
+                dl[: k - 1], d[:k], du[: k - 1], du2[: k - 2], ipiv[:k], rhs, overwrite_b=1
+            )
             if k == m or not x[k - _WINDOW_GUARD :].any():
                 break
             k = min(m, k + _WINDOW_CHUNK)
-        if k == m:
-            psi = x
-        else:
-            psi[:k] = x
+        psi[:k] = x
         if k > start:
             psi[start:k] *= mask[: k - start]
         if k > m - 5:

@@ -222,7 +222,8 @@ def winding_count(potential: Potential, window: SearchWindow) -> int:
 
 def _density(potential: Potential, window: SearchWindow) -> float:
     """Contour samples per unit length (zeros lie about 2 pi / density apart);
-    a ConfigError if the window should hold over ``_MAX_SEARCH_ZEROS`` zeros."""
+    a ConfigError if the window should hold over ``_MAX_SEARCH_ZEROS`` zeros or
+    a vertical edge start with over ``_MAX_EDGE_POINTS`` samples."""
     density = max(1.0, 2.0 * potential_range(potential))
     work = window.re_max * density / (2.0 * np.pi)
     if work > _MAX_SEARCH_ZEROS:
@@ -230,6 +231,8 @@ def _density(potential: Potential, window: SearchWindow) -> float:
             f"window re_max = {window.re_max:g} holds about {work:.3g} zeros, "
             f"over the cap of {_MAX_SEARCH_ZEROS}"
         )
+    if 4.0 - window.im_min * density > _MAX_EDGE_POINTS:  # _march's first pass
+        raise ConfigError(f"im_min = {window.im_min:g}: edge over {_MAX_EDGE_POINTS} samples")
     return density
 
 

@@ -157,12 +157,12 @@ def same_bits(got, want) -> bool:
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def state_values_per_state(states, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u_m at the located points, each state evaluated on its own, one row per state."""
+def state_values_per_state(states: GamowState, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u_m at the located points, each row of the table evaluated on its own."""
     rows = []
-    for st in states:
-        c, s = kernel_family_two_branch(st.z[idx], x)[:2]
-        rows.append(st.a[idx] * c + st.b[idx] * s)
+    for z, a, b in zip(states.z, states.a, states.b):
+        c, s = kernel_family_two_branch(z[idx], x)[:2]
+        rows.append(a[idx] * c + b[idx] * s)
     return np.array(rows).reshape(len(states), np.size(idx))
 
 
@@ -184,12 +184,16 @@ def moshinsky_series(k: complex, t: float, order: int) -> complex:
 
 
 def one_state(potential: Potential, pole: ResonancePole) -> GamowState:
-    """The normalized resonant state of one pole (or mirror), built alone."""
-    return _build_states(potential, [pole])[0]
+    """The one-row table of the normalized resonant state of one pole (or
+    mirror), built alone."""
+    return _build_states(potential, [pole])
 
 
-def state_residuals(potential: Potential, state: GamowState) -> tuple[float, float, float, float]:
-    """(ODE, origin, outgoing, normalization) residuals of a resonant state.
+def state_residuals(
+    potential: Potential, pole: ResonancePole
+) -> tuple[float, float, float, float]:
+    """(ODE, origin, outgoing, normalization) residuals of the resonant state
+    of ``pole``, built alone.
 
     The ODE residual u'' + (k^2 - V) u is probed on a five-point stencil at
     40 interior points of every segment (stencils never straddle a kink),
@@ -197,28 +201,26 @@ def state_residuals(potential: Potential, state: GamowState) -> tuple[float, flo
     |u(R)| + |u(0)|, the outgoing one |J(k)| relative to |k| |u(R)|, and the
     normalization residual the absolute deviation of the rule from 1.
     """
-    k = state.k
+    state = one_state(potential, pole)
+    k, u_r = complex(state.k[0]), complex(state.boundary_value[0])
     h = 0.01 / max(1.0, abs(k))
     ode = 0.0
     for r_start, r_end, height in segments(potential):
         h_j = min(h, (r_end - r_start) / 8.0)
         pts = np.linspace(r_start + 2.5 * h_j, r_end - 2.5 * h_j, 40)
         grid = pts[:, None] + np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h_j
-        u = np.asarray(state.evaluate(grid.ravel())).reshape(grid.shape)
+        u = state.evaluate(grid)[0]
         upp = (-u[:, 0] + 16.0 * u[:, 1] - 30.0 * u[:, 2] + 16.0 * u[:, 3] - u[:, 4]) / (
             12.0 * h_j * h_j
         )
         resid = upp + (k * k - height) * u[:, 2]
         scale = abs(k * k) * float(np.max(np.abs(u))) + 1e-300
         ode = max(ode, float(np.max(np.abs(resid))) / scale)
-    origin = abs(state.evaluate(0.0))
-    u_scale = abs(state.boundary_value) + origin
+    origin = abs(complex(state.evaluate(0.0)[0]))
+    u_scale = abs(u_r) + origin
     # outgoing condition u'(R+) = i k u(R), with u'(R+) from the matching residual
-    outgoing = state.pole.residual / max(abs(k) * abs(state.boundary_value), 1e-300)
-    norm2, _ = _normalization(
-        state.r_edges, np.array([k]), state.z[None], state.a[None], state.b[None],
-        np.array([state.boundary_value]),
-    )
+    outgoing = pole.residual / max(abs(k) * abs(u_r), 1e-300)
+    norm2, _ = _normalization(state)
     return ode, origin / max(u_scale, 1e-300), outgoing, float(abs(norm2[0] - 1.0))
 
 

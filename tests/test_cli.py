@@ -700,11 +700,12 @@ def _skewed_inner(data):
 
 def _inner_fails(data):
     # a skew on n = 2, cancelled in the largest truncation by the opposite
-    # skew on n = -N, which is made a copy of n = 2
+    # skew on n = -N, which is made a copy of n = 2 (k through the state table)
     big = data.n_pairs
     wavenumbers, coefficients = data.wavenumbers.copy(), data.coefficients.copy()
     wavenumbers[0], coefficients[0] = wavenumbers[big + 1], coefficients[big + 1]
-    copied = dataclasses.replace(data, wavenumbers=wavenumbers, coefficients=coefficients)
+    states = dataclasses.replace(data.states, k=wavenumbers)
+    copied = dataclasses.replace(data, states=states, coefficients=coefficients)
     return _skewed(_skewed(copied, big + 1, 1e-3), 0, 1e-3, sign=-1.0)
 
 
@@ -1142,6 +1143,51 @@ def test_non_finite_matching_function_exits_1_without_warnings(tmp_path: Path) -
         assert error["type"] == kind and error["exit_code"] == 1
         assert error["message"].startswith(message)
         assert not out.exists()
+
+
+_GRID = {"box_size": 12.0, "dr": 0.005, "dt": 0.0004, "t_final": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, argv, message",
+    [
+        # a node or step count that overflows a float: round() raised OverflowError
+        ("oracle", {"oracle_grid": {**_GRID, "box_size": 1e308}}, [], "box_size / dr overflows"),
+        ("compare", {"oracle_grid": {**_GRID, "dr": 1e-320}}, [], "box_size / dr overflows"),
+        ("oracle", {"oracle_grid": {**_GRID, "t_final": 1e308}}, [], "t_final / dt overflows"),
+        ("compare", {"oracle_grid": {**_GRID, "dt": 1e-320}}, [], "t_final / dt overflows"),
+        # dr / 10**400 raised OverflowError
+        ("oracle", {}, ["--refine", "1" + "0" * 400], "refinement factor must be >= 2 and <="),
+        # poles exited 0, then 10**400 pi / R raised OverflowError
+        (
+            "expansion",
+            {"initial_state": {"kind": "box_mode", "mode": 10**400, "radius": 1.0}},
+            [],
+            "box mode wavenumber m pi / R must be a finite float",
+        ),
+        # the first contour pass: an invalid cast of 2e100 samples, then overflow
+        ("poles", {"pole_search": {"re_max": 12.0, "im_min": -1e100}}, [], "edge over 400000"),
+        ("poles", {"pole_search": {"re_max": 12.0, "im_min": -1e308}}, [], "edge over 400000"),
+    ],
+)
+def test_overflowing_inputs_exit_2_without_warnings(
+    tmp_path: Path, command: str, overrides: dict, argv: list[str], message: str
+) -> None:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config(**overrides)))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nonescape.cli", command,
+         "--config", str(path), "--out", str(out), *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == ("InvalidState" if command == "expansion" else "ConfigError")
+    assert message in error["message"]
+    assert not out.exists()
 
 
 def test_csv_cells_keep_the_bytes_of_the_isinstance_chain(tmp_path: Path) -> None:

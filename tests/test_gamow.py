@@ -27,7 +27,6 @@ from nonescape.gamow import (
     _coefficients_quadrature,
     _locate,
     _quadrature_gram,
-    _stack,
     _state_values,
     build_expansion,
     overlap_matrix,
@@ -58,8 +57,8 @@ _RECONSTRUCTION_ERR = {5: 0.1799, 10: 0.0609, 20: 0.0622, 40: 0.0329}
 
 def test_state_satisfies_defining_equations(pole_set: PoleSet) -> None:
     for n in (1, 5, 40):
-        state = one_state(pole_set.potential, pole_set.pole(n))
-        ode, origin, outgoing, normalization = state_residuals(pole_set.potential, state)
+        residuals = state_residuals(pole_set.potential, pole_set.pole(n))
+        ode, origin, outgoing, normalization = residuals
         assert ode <= 1e-6
         assert origin <= 1e-12
         assert outgoing <= 1e-8
@@ -69,23 +68,22 @@ def test_state_satisfies_defining_equations(pole_set: PoleSet) -> None:
 def test_state_is_sine_inside_delta_shell(pole_set: PoleSet) -> None:
     # With a free interior the regular solution is proportional to sin(k r).
     state = one_state(pole_set.potential, pole_set.pole(2))
-    k = state.k
+    k = state.k[0]
     r = np.linspace(0.05, 0.95, 13)
-    vals = np.asarray(state.evaluate(r))
+    (vals,) = state.evaluate(r)
     ratio = vals / np.sin(k * r)
     assert np.max(np.abs(ratio - ratio[0])) <= 1e-12 * abs(ratio[0])
-    assert state.evaluate(0.0) == 0.0
-    assert state.evaluate(1.0) == pytest.approx(state.boundary_value, rel=1e-13)
+    assert state.evaluate(0.0).shape == (1,)
+    assert state.evaluate(0.0)[0] == 0.0
+    assert state.evaluate(1.0)[0] == pytest.approx(state.boundary_value[0], rel=1e-13)
 
 
 def test_mirror_state_is_conjugate(pole_set: PoleSet) -> None:
     plus = one_state(pole_set.potential, pole_set.pole(3))
     minus = one_state(pole_set.potential, pole_set.pole(-3))
     r = np.linspace(0.0, 1.0, 21)
-    np.testing.assert_array_equal(
-        np.asarray(minus.evaluate(r)), np.conj(np.asarray(plus.evaluate(r)))
-    )
-    assert minus.boundary_value == plus.boundary_value.conjugate()
+    np.testing.assert_array_equal(minus.evaluate(r), np.conj(plus.evaluate(r)))
+    np.testing.assert_array_equal(minus.boundary_value, plus.boundary_value.conj())
 
 
 def test_build_state_rejects_zero_wavenumber(pole_set: PoleSet) -> None:
@@ -118,7 +116,7 @@ def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
 
 
 def test_tolerance_not_met_raised(pole_set: PoleSet, monkeypatch: pytest.MonkeyPatch) -> None:
-    states = tuple(one_state(pole_set.potential, pole_set.pole(n)) for n in (1, 2))
+    states = _build_states(pole_set.potential, [pole_set.pole(n) for n in (1, 2)])
     monkeypatch.setattr(gamow, "_GRAM_RTOL", 1e-20)
     with pytest.raises(ToleranceNotMet, match="overlap quadrature unconverged"):
         _quadrature_gram(states)
@@ -126,22 +124,21 @@ def test_tolerance_not_met_raised(pole_set: PoleSet, monkeypatch: pytest.MonkeyP
 
 def test_overlap_closed_matches_quadrature(pole_set: PoleSet) -> None:
     ns = (-4, -1, 1, 2, 4)
-    states = tuple(one_state(pole_set.potential, pole_set.pole(n)) for n in ns)
+    states = _build_states(pole_set.potential, [pole_set.pole(n) for n in ns])
     closed = overlap_matrix(states, "closed")
-    for i, ket in enumerate(states):
-        for j, bra in enumerate(states):
-            quad = overlap_quadrature(ket, bra)
+    for i in range(len(ns)):
+        for j in range(len(ns)):
+            quad = overlap_quadrature(states[i : i + 1], states[j : j + 1])
             assert abs(closed[i, j] - quad) <= 1e-10 * max(1.0, abs(quad)), (ns[i], ns[j])
 
 
 def test_overlap_anti_diagonal_from_normalization(pole_set: PoleSet) -> None:
     # l = -n: the Green's identity degenerates; the value follows from the
     # normalization rule int u^2 = 1 - i u(R)^2 / (2k).
-    ket = one_state(pole_set.potential, pole_set.pole(2))
-    bra = one_state(pole_set.potential, pole_set.pole(-2))
-    expected = 1.0 - 1j * ket.boundary_value ** 2 / (2.0 * ket.k)
-    assert overlap_matrix((ket, bra), "closed")[0, 1] == pytest.approx(expected, rel=1e-14)
-    assert overlap_quadrature(ket, bra) == pytest.approx(expected, rel=1e-9)
+    pair = _build_states(pole_set.potential, [pole_set.pole(2), pole_set.pole(-2)])
+    expected = 1.0 - 1j * pair.boundary_value[0] ** 2 / (2.0 * pair.k[0])
+    assert overlap_matrix(pair, "closed")[0, 1] == pytest.approx(expected, rel=1e-14)
+    assert overlap_quadrature(pair[:1], pair[1:]) == pytest.approx(expected, rel=1e-9)
 
 
 def test_closed_overlaps_are_built_in_row_blocks() -> None:
@@ -158,8 +155,7 @@ def test_closed_overlaps_are_built_in_row_blocks() -> None:
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * closed.nbytes
-    ks = np.array([s.k for s in states])
-    u_r = np.array([s.boundary_value for s in states])
+    ks, u_r = states.k, states.boundary_value
     whole = u_r[:, None] * np.conj(u_r)[None, :] / (1j * (ks[:, None] - np.conj(ks)[None, :]))
     anti = (np.arange(order.size), np.arange(order.size)[::-1])  # pairs n, -n
     whole[anti] = closed[anti]  # the normalization entries, set after either build
@@ -251,6 +247,10 @@ def test_truncate_slices_symmetrically(data: ExpansionData) -> None:
     np.testing.assert_array_equal(
         sub.overlap, data.overlap[full - 3 : full + 3, full - 3 : full + 3]
     )
+    # labels, wavenumbers and u(R) are read-only views of the one table
+    assert sub.wavenumbers is sub.states.k and sub.boundary_values is sub.states.boundary_value
+    with pytest.raises(ValueError, match="read-only"):
+        data.wavenumbers[0] = 0.0
     assert data.truncate(full) is data
     with pytest.raises(ConfigError, match="outside the built range"):
         data.truncate(0)
@@ -332,10 +332,9 @@ def test_state_values_match_per_state_reference_bits(
 ) -> None:
     # One state of each mirror pair runs the kernels, the other is its conjugate.
     states = expansions[name].states
-    stack = _stack(states)
-    assert stack.mirror.size == len(states) // 2
-    idx, x = _locate(states[0].r_edges, _nodes(states[0].r_edges, rng))
-    assert same_bits(_state_values(stack, idx, x), state_values_per_state(states, idx, x))
+    assert states.pairing[2].size == len(states) // 2
+    idx, x = _locate(states.r_edges, _nodes(states.r_edges, rng))
+    assert same_bits(_state_values(states, idx, x), state_values_per_state(states, idx, x))
 
 
 @pytest.mark.parametrize("name", ["reference", "wide", "barrier"])
@@ -346,8 +345,8 @@ def test_state_values_on_one_branch_match_per_state_reference_bits(
     # Points of the first segment that all take one kernel branch for every
     # state, so the kernels run on the broadcast (states x 1) columns.
     states = expansions[name].states
-    edges = states[0].r_edges
-    z_abs = np.abs([s.z[0] for s in states])
+    edges = states.r_edges
+    z_abs = np.abs(states.z[:, 0])
     if branch == "series":  # |z| x^2 <= 4 for the largest |z|
         x = np.linspace(0.0, 1.9 / np.sqrt(z_abs.max()), 64)
     else:  # |z| x^2 > 4 for the smallest |z|
@@ -356,41 +355,41 @@ def test_state_values_on_one_branch_match_per_state_reference_bits(
     assert np.all(w <= 4.0) if branch == "series" else np.all(w > 4.0)
     idx, x = _locate(edges, edges[0] + x)
     assert np.all(idx == 0)
-    assert same_bits(_state_values(_stack(states), idx, x), state_values_per_state(states, idx, x))
+    assert same_bits(_state_values(states, idx, x), state_values_per_state(states, idx, x))
 
 
 def test_state_values_across_the_barrier_edge(expansions: dict[str, ExpansionData]) -> None:
     # points on both sides of the edge at 0.6, and on it (offset 0 in the
     # barrier), mixed in one call: each segment's points are gathered
     states = expansions["barrier"].states
-    edges = states[0].r_edges
+    edges = states.r_edges
     assert edges[1] == 0.6
     delta = np.array([1e-15, 1e-9, 1e-4, 0.05])
     r = np.concatenate([0.6 - delta, [0.6], 0.6 + delta, 0.6 - delta[::-1]])
     idx, x = _locate(edges, r)
     assert set(idx.tolist()) == {0, 1}
-    assert same_bits(_state_values(_stack(states), idx, x), state_values_per_state(states, idx, x))
+    assert same_bits(_state_values(states, idx, x), state_values_per_state(states, idx, x))
 
 
 def test_state_values_pair_by_segment_data(
     expansions: dict[str, ExpansionData], rng: np.random.Generator
 ) -> None:
-    # Order -40..-1, 1..40.  Drop n = -39 (n = 39 is left unpaired), relabel
+    # Rows -40..-1, 1..40.  Drop n = -39 (n = 39 is left unpaired), relabel
     # n = 1 as n = 999 (still the mirror of n = -1), repeat n = -35 and
-    # reverse the list (the mirror states come after their sources).
-    states = list(expansions["reference"].states)
+    # reverse the rows (the mirror states come after their sources).
+    states = expansions["reference"].states
     half = len(states) // 2
-    relabelled = dataclasses.replace(
-        states[half], pole=dataclasses.replace(states[half].pole, n=999)
-    )
-    varied = [states[0], *states[2:half], relabelled, *states[half + 1 :], states[5]][::-1]
-    stack = _stack(varied)
-    pairs = {(varied[i].pole.n, varied[j].pole.n) for i, j in zip(stack.source, stack.mirror)}
+    labels = states.n.copy()
+    labels[half] = 999
+    varied = dataclasses.replace(states, n=labels)[[0, *range(2, len(states)), 5][::-1]]
+    own, source, mirror = varied.pairing
+    n = varied.n.tolist()
+    pairs = {(n[i], n[j]) for i, j in zip(source, mirror)}
     assert (999, -1) in pairs
     assert not any(39 in pair for pair in pairs)
-    assert len(pairs) == half - 1 and stack.own.size == len(varied) - (half - 1)
-    idx, x = _locate(states[0].r_edges, _nodes(states[0].r_edges, rng))
-    assert same_bits(_state_values(stack, idx, x), state_values_per_state(varied, idx, x))
+    assert len(pairs) == half - 1 and own.size == len(varied) - (half - 1)
+    idx, x = _locate(states.r_edges, _nodes(states.r_edges, rng))
+    assert same_bits(_state_values(varied, idx, x), state_values_per_state(varied, idx, x))
 
 
 @pytest.mark.parametrize("name", ["reference", "wide"])
@@ -403,7 +402,7 @@ def test_weighted_field_adds_in_state_order(
     r = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 1500)])
     weights = data.coefficients / data.wavenumbers
     weights[3] = 0.0
-    idx, x = _locate(data.states[0].r_edges, r)
+    idx, x = _locate(data.states.r_edges, r)
     expected = np.zeros(r.size, dtype=complex)
     for w, values in zip(weights, state_values_per_state(data.states, idx, x)):
         if w != 0:
@@ -412,7 +411,7 @@ def test_weighted_field_adds_in_state_order(
 
 
 @st.composite
-def _state_case(draw) -> tuple[list[GamowState], np.ndarray]:
+def _state_case(draw) -> tuple[GamowState, np.ndarray]:
     """Unnormalized states on a delta shell or a two- or three-piece barrier,
     some with their mirrors, and radii to evaluate them at.
 
@@ -436,7 +435,7 @@ def _state_case(draw) -> tuple[list[GamowState], np.ndarray]:
         ))
     edges = np.array([0.0] + [end for _, end, _ in segments(potential)])
     unit = st.floats(-2.0, 2.0)
-    states = []
+    labels, ks, rows = [], [], []
     for n in range(1, draw(st.integers(1, 5)) + 1):
         im_k = draw(st.one_of(st.floats(-6.0, -0.01), st.floats(-1200.0, -400.0)))
         k = complex(draw(st.floats(0.1, 80.0)), im_k)
@@ -444,12 +443,16 @@ def _state_case(draw) -> tuple[list[GamowState], np.ndarray]:
         z, a, b, _ = regular_solutions(potential, np.array([k]))
         with np.errstate(all="ignore"):  # solutions past the overflow are inf or NaN
             z, a, b = z[0], a[0] * factor, b[0] * factor
-        pole = ResonancePole(n, k, 0.0, 1.0)
-        states.append(GamowState(pole, edges, z, a, b, 0j))
+        labels.append(n)
+        ks.append(k)
+        rows.append((z, a, b))
         if draw(st.booleans()):
-            mirror = ResonancePole(-n, -k.conjugate(), 0.0, 1.0)
-            states.append(GamowState(mirror, edges, z.conj(), a.conj(), b.conj(), 0j))
-    z_top = max(float(np.max(np.abs(s.z))) for s in states)
+            labels.append(-n)
+            ks.append(-k.conjugate())
+            rows.append((z.conj(), a.conj(), b.conj()))
+    z, a, b = (np.array(part) for part in zip(*rows))
+    states = GamowState(np.array(labels), np.array(ks), edges, z, a, b, np.zeros(len(ks), complex))
+    z_top = float(np.max(np.abs(z)))
     fracs = np.array(draw(st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4)))
     series = (edges[:-1, None] + fracs * 2.0 / np.sqrt(z_top)).ravel()
     uniform = draw(st.lists(st.floats(0.0, radius), max_size=12))
@@ -465,14 +468,34 @@ def test_state_values_match_per_state_reference_on_drawn_states(case) -> None:
     # A NaN's sign and payload depend on numpy's inner loop (broadcast or
     # not), so NaN parts are compared as NaN and every other part by bits.
     states, r = case
-    idx, x = _locate(states[0].r_edges, r)
+    idx, x = _locate(states.r_edges, r)
     with np.errstate(all="ignore"):  # values past |Im q x| ~ 710 overflow
-        got = _state_values(_stack(states), idx, x)
+        got = _state_values(states, idx, x)
         want = state_values_per_state(states, idx, x)
-    for values in (got, want):
-        values.view(float)[np.isnan(values.view(float))] = np.nan
-    assert same_bits(got, want)
-    assert _state_values(_stack(states), idx[:0], x[:0]).shape == (len(states), 0)
+    assert same_bits(_nan_as_nan(got), _nan_as_nan(want))
+    assert _state_values(states, idx[:0], x[:0]).shape == (len(states), 0)
+
+
+def _nan_as_nan(values: np.ndarray) -> np.ndarray:
+    """``values`` with every NaN part made numpy's own NaN (in place)."""
+    values.view(float)[np.isnan(values.view(float))] = np.nan
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(_state_case(), st.data())
+def test_selected_rows_evaluate_as_in_the_whole_table(case, data) -> None:
+    # A selection is a table of its own, with its pairing recomputed: a
+    # mirror kept without its source runs the kernels itself.  Each row
+    # keeps the bits it has in the whole table (NaN parts compared as NaN).
+    states, r = case
+    drawn = data.draw(st.lists(st.integers(0, len(states) - 1), max_size=8))
+    mirrors = np.flatnonzero(states.n < 0)
+    assert states[mirrors].pairing[2].size == 0
+    with np.errstate(all="ignore"):  # values past |Im q x| ~ 710 overflow
+        whole = _nan_as_nan(states.evaluate(r))
+        for rows in (np.array(drawn, dtype=int), mirrors, slice(1, None)):
+            assert same_bits(_nan_as_nan(states[rows].evaluate(r)), whole[rows])
 
 
 @pytest.mark.parametrize("name", ["reference", "barrier"])
@@ -483,7 +506,7 @@ def test_state_values_take_no_cosine_where_a_vanishes(
     # zero part, no kernel call asks for the cosine there.  The barrier's
     # second segment has a != 0 and asks for it.
     states = expansions[name].states
-    edges = states[0].r_edges
+    edges = states.r_edges
     asked = []
     kernels = gamow.kernels
 
@@ -492,11 +515,11 @@ def test_state_values_take_no_cosine_where_a_vanishes(
         return kernels(z, length, cosine)
 
     monkeypatch.setattr(gamow, "kernels", spy)
-    stack = _stack(states)
+    own = states.pairing[0]
     for seg, want_cosine in ((0, False), (1, True))[: len(edges) - 1]:
         r = np.linspace(edges[seg], edges[seg + 1], 203)[1:-1]
         asked.clear()
-        values = _state_values(stack, *_locate(edges, r))
+        values = _state_values(states, *_locate(edges, r))
         assert not gamow._odd(values).any()
         assert [cosine for _, cosine in asked] == [want_cosine]
-        assert np.array_equal(asked[0][0].ravel(), stack.z[stack.own, seg])
+        assert np.array_equal(asked[0][0].ravel(), states.z[own, seg])

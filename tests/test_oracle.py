@@ -194,6 +194,28 @@ def test_prepare_peak_memory() -> None:
     assert peak <= 8.5 * 16 * m
 
 
+def test_stepping_peak_memory() -> None:
+    # Box 10 with hard walls to t = 2 (1,999 interior nodes) steps on the
+    # whole box.  Beyond what set-up keeps, stepping holds a right-hand side
+    # that gttrs solves in place, a buffer of off-diagonal products and the
+    # norm's temporaries: 3.3 complex vectors (4.3 when each step made its
+    # right-hand side and gttrs copied it).
+    grid = _small_grid(t_final=2.0)
+    vector = 16 * (grid.n_nodes - 2)
+    tracemalloc.start()
+    try:
+        run = oracle._prepare(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, None, ())
+        kept = tracemalloc.get_traced_memory()[0]
+        del run
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (peak - kept) / vector <= 3.5
+
+
 def test_initial_probability_is_unity() -> None:
     grid = _small_grid()
     result = evolve_tdse(

@@ -475,3 +475,19 @@ def test_pole_owners_from_strip_order_match_the_mask(n_strips: int) -> None:
     got = _owners(rects, k)
     assert np.array_equal(got, _owners_by_mask(rects, k))
     assert (got == 0).sum() > 50 and (got == -1).any()
+
+
+@pytest.mark.parametrize("im_min", [-1e100, -1e308])
+def test_window_deeper_than_the_edge_budget_is_refused_before_any_j(
+    monkeypatch: pytest.MonkeyPatch, im_min: float
+) -> None:
+    # The first contour pass would put 2e100 or inf samples on each vertical
+    # edge: a ConfigError before J is evaluated anywhere.
+    def no_j(*args, **kwargs):
+        raise AssertionError("J evaluated")
+
+    monkeypatch.setattr(poles_module, "matching_function", no_j)
+    window = SearchWindow(re_max=12.0, im_min=im_min)
+    for search in (locate_poles, winding_count):
+        with pytest.raises(ConfigError, match="edge over 400000 samples"):
+            search(REFERENCE_POTENTIAL, window)
