@@ -16,20 +16,25 @@ N = 160) is not drowned by cancellation noise and no term order matters.
 Every truncation's terms are, bit for bit, the central block of the largest
 truncation's (2N)^2 term array, so :func:`probability_sums` gives P(t) for
 a whole list of truncations from one pass over the largest one's terms.
-Each term carries its :func:`truncation_rings` label; the exact binning adds
-the label to its bin index, integer sums over the rings 0..g give
-truncation g's bins, and each truncation is rounded once, so its samples
-equal ``math.fsum`` of its own terms.  The pass is :func:`nested_forms`, the
-one kernel for quadratic forms over the overlap matrix, which the tail's
-moment sums also call.  Each block of its terms is one summer call that bins
-the real and imaginary parts together, over the block's interleaved float
-view, in cache-sized chunks.  :meth:`ProbabilitySums.series` checks one
-truncation's samples, and :func:`nonescape_probability` is the
+Each state carries its :func:`truncation_rings` label, and term (n, l) lies
+in ring max(g_n, g_l); the exact binning adds the ring to its bin index,
+sums over the rings 0..g give truncation g's bins, and each truncation is
+rounded once, so its samples equal ``math.fsum`` of its own terms.  The
+pass is :func:`nested_forms`, the one kernel for quadratic forms over the
+overlap matrix, which the tail's moment sums also call.  It streams: the
+terms of a run of whole matrix rows (or of whole samples, for N <= 64) are
+formed into one reused buffer of ``_CHUNK`` float parts and binned at once,
+real and imaginary parts together, each term's ring the larger of its two
+states' rings; a sample's bins add up in float64 accumulators keyed by
+absolute exponent.  So the pass holds no array that grows with
+(2N)^2 beside the overlap matrix.  :meth:`ProbabilitySums.series` checks
+one truncation's samples, and :func:`nonescape_probability` is the
 one-truncation case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import fsum
 
@@ -132,62 +137,85 @@ class NonescapeSeries:
         return len(self.times)
 
 
-# Terms per block of :func:`nested_forms`: a block holds max(1, _BLOCK //
-# (2N)^2) rows, so its term array holds 32,768 to 65,536 complex terms (0.5
-# to 1 MB) while (2N)^2 <= _BLOCK, i.e. N <= 128, and one row of (2N)^2
-# terms beyond (102,400 terms, 1.6 MB, at N = 160).  Each block is one
-# summer call on the term array's interleaved float view, whose work arrays
-# hold a fraction and an exponent per float part and a bin slot per float of
-# the rows one chunk touches (4 MB at N = 160), and every array is allocated
-# once per call and reused for every block.
-_BLOCK = 1 << 16
-# Float parts per chunk, a slice of a summer call's flat float view: its bin
-# index and high and low parts (256 KB each) stay in cache between the passes
-# that make them and the ones that bin them.  A bin gets at most _CHUNK parts
-# of one chunk: high parts are integers below 2**27 and low parts multiples
-# of 2**-26 below 1, so either sum stays below 2**53 units, exact in float64.
-# The int64 bins of a whole row of fewer than 2**26 terms stay below 2**53
-# units too, so each converts to a double exactly; rows of nested_forms
-# hold at most (2 gamow._MAX_PAIRS)^2 < 2**25 terms.
+# Float parts per chunk.  nested_forms forms the terms of a run of whole
+# matrix rows of one sample, or of whole samples when one holds at most
+# _CHUNK parts (N <= 64), in one reused buffer of at most _CHUNK parts, and
+# the summer bins each chunk at once: the terms, their fractions, bin
+# indices and high and low parts (256 KB each) and exponents (128 KB) stay
+# in cache between the passes that make them and the ones that bin them.
 _CHUNK = 1 << 15
-_SPLIT = 2.0**26
+# frac * 2**27 splits exactly into a high part, an integer below 2**27, and
+# a low part, a multiple of 2**-26 below 1.  A row of nested_forms holds
+# fewer than 2**25 terms, since (2 gamow._MAX_PAIRS)^2 < 2**25, so every
+# bin stays below 2**52 units (of 1 and of 2**-26): the float64 accumulators
+# of a row, and their sums over rings, are exact.  exact_nested_sums sends
+# rows of 2**26 terms or more to math.fsum, which keeps its bins below 2**53.
+_SPLIT = 2.0**27
+_EXP_MIN = -1073  # frexp exponent of the least subnormal
+_N_EXP = 1024 - _EXP_MIN + 1  # frexp exponents of every double
 
 
 class _NestedSummer:
-    """Exact nested-group sums of (rows x cols) blocks, real or complex.
+    """Exact nested-group sums of rows of real or complex terms, by chunks.
 
-    Column c lies in ring ``rings[c]``, and group g of a row is its columns
-    in rings 0..g.  With ``parts`` = 2 a block is complex, and one call sums
-    both parts of every term in one loop over ``_CHUNK``-sized slices of the
-    block's interleaved float view.  The work arrays are allocated once, so
-    a caller summing block after block allocates nothing per block but the
-    small bin arrays.
+    A row's terms form a (sub-rows x columns) grid, and term (s, c) lies in
+    ring max(row_rings[s], col_rings[c]); group g of a row is its terms in
+    rings 0..g.  With ``parts`` = 2 the terms are complex and both parts are
+    summed in one pass.  :meth:`add` bins one chunk of float parts, either
+    whole rows or a run of one row that its last run finishes.  A row fed
+    in runs adds each run's bins into float64 accumulators keyed by
+    absolute exponent.  :meth:`_finish` rounds every group of finished rows
+    once.  ``row_terms(i)`` forms row i's terms again for a row part that
+    ``math.fsum`` settles.
     """
 
-    def __init__(self, max_rows: int, rings: np.ndarray, parts: int = 1) -> None:
-        self.rings = np.asarray(rings, dtype=np.intp)
-        self.parts = parts
-        self.n_rings = int(self.rings.max()) + 1 if self.rings.size else 1
-        # slot (row, ring, part) of each float of the rows a chunk can
-        # touch, counted from the chunk's first row
-        n_floats = self.rings.size * parts
-        touched = min(max_rows, -(-_CHUNK // max(1, n_floats)) + 1)
-        row_slots = np.arange(touched)[:, None, None] * (self.n_rings * parts)
-        self.slots = (row_slots + self.rings[:, None] * parts + np.arange(parts)).ravel()
-        self.frac = np.empty(max_rows * n_floats)
-        self.exp = np.empty(max_rows * n_floats, dtype=np.intc)
-        size = min(self.frac.size, _CHUNK)
-        self.index = np.empty(size, dtype=np.intp)
-        self.high = np.empty(size)
-        self.low = np.empty(size)
+    def __init__(
+        self,
+        n_rows: int,
+        row_rings: np.ndarray,
+        col_rings: np.ndarray,
+        parts: int,
+        chunk: int,
+        row_terms: Callable[[int], np.ndarray],
+    ) -> None:
+        n_cols = row_rings.size * col_rings.size
+        n_rings = max(int(row_rings.max(initial=0)), int(col_rings.max(initial=0))) + 1
+        self.n_rings, self.parts, self.n_slots = n_rings, parts, n_rings * parts
+        self.row_terms = row_terms
+        # Bins stay below the largest double in a row part whose terms all
+        # lie below exponent `top`; math.fsum settles every other row part,
+        # and every row of 2**26 terms or more.
+        self.top = 1024 - n_cols.bit_length() if n_cols < 1 << 26 else _EXP_MIN
+        # bin indices in int32 where a chunk's bins cannot reach 2**31
+        rows = max(1, chunk // max(1, n_cols * parts))
+        itype = np.intc if rows * self.n_slots * _N_EXP < 1 << 31 else np.intp
+        self.row_rings = row_rings.astype(itype)
+        self.col_rings = np.repeat(col_rings.astype(itype), parts)  # of each float
+        self.part = np.arange(self.col_rings.size, dtype=itype) % parts
+        self.rows = np.arange(rows, dtype=itype)[:, None, None]
+        # float (row, ring, part): an exact zero rounds to +0.0, as in fsum
+        self.out = np.zeros((n_rows, self.n_slots))
+        self.frac = np.empty(chunk)
+        self.exp = np.empty(chunk, dtype=np.intc)
+        self.slot = np.empty(chunk, dtype=itype)
+        self.index = np.empty(chunk, dtype=np.intp)
+        self.high = np.empty(chunk)
+        self.low = np.empty(chunk)
+        # a row fed in runs: its high and low bins, their exponent range
+        # and its row parts left to math.fsum
+        self.acc: np.ndarray | None = None
+        self.span: tuple[int, int] | None = None
+        self.pending: set[tuple[int, int]] = set()
 
-    def _fsum_groups(self, terms: np.ndarray, row: int, part: int) -> list[float]:
+    def _fsum_groups(
+        self, terms: np.ndarray, rings: np.ndarray, row: int, part: int
+    ) -> list[float]:
         """``math.fsum`` of each group of one row part: NaN where +inf meets
         -inf, as IEEE addition gives, and OverflowGuard where the partial
         sums of finite terms overflow."""
         sums = []
         for g in range(self.n_rings):
-            group = terms[self.rings <= g]
+            group = terms[rings <= g]
             special = group[~np.isfinite(group)]
             try:  # finite terms cannot move an infinite or NaN sum
                 sums.append(fsum(special if special.size else group))
@@ -200,81 +228,100 @@ class _NestedSummer:
                 ) from exc
         return sums
 
-    def __call__(self, x: np.ndarray, first_row: int = 0) -> np.ndarray:
-        """(rows x n_rings) correctly rounded group sums of the C-contiguous
-        ``x``: float for ``parts`` 1, complex for 2.  Errors number the rows
-        from ``first_row``."""
-        n_rows, n_cols, parts = x.shape[0], self.rings.size, self.parts
-        n_rings, n_floats = self.n_rings, n_cols * parts
-        # float (row, ring, part): an exact zero rounds to +0.0, as in fsum
-        out = np.zeros((n_rows, n_rings * parts))
-        if out.size == 0 or n_cols == 0:
-            return out.view(x.dtype)
-        terms = x.view(float).reshape(n_rows, n_floats)
-        frac, exp = (a[: terms.size].reshape(terms.shape) for a in (self.frac, self.exp))
-        np.frexp(terms, out=(frac, exp))
+    def _bin(
+        self, terms: np.ndarray, sub: slice, cols: slice
+    ) -> tuple[np.ndarray, np.ndarray, int, set[tuple[int, int]]]:
+        """High and low bins (row, ring, part, exponent) of a chunk, its least
+        exponent, and its (row, part) pairs left to math.fsum.
+
+        ``terms`` holds float parts as (rows, sub-rows ``sub``, floats
+        ``cols`` of a sub-row).
+        """
+        n_rows, size, parts = len(terms), terms.size, self.parts
+        frac, exp = self.frac[:size], self.exp[:size]
+        np.frexp(terms, out=(frac.reshape(terms.shape), exp.reshape(terms.shape)))
         e_lo, e_hi = int(exp.min()), int(exp.max())
-        fallback = {}  # (row, part) -> its group sums by math.fsum
-        # Bins stay below 2**53 units in a row of fewer than 2**26 terms, and
-        # below the largest double in a (row, part) whose terms all lie below
-        # exponent `top`; math.fsum settles every other (row, part).
-        top = 1024 - n_cols.bit_length() if n_cols < 1 << 26 else e_lo
-        if e_hi >= top:
-            big = exp.reshape(n_rows, n_cols, parts).max(axis=1) >= top
-            for i, p in zip(*np.nonzero(big)):
-                fallback[i, p] = self._fsum_groups(terms[i, p::parts], first_row + i, p)
-                frac[i, p::parts] = 0.0
-                exp[i, p::parts] = 0
-            e_lo, e_hi = int(exp.min()), int(exp.max())
-        # An inf or NaN term shows as a non-finite bin of its (row, part).
+        bad = set()
+        if e_hi >= self.top:
+            big = exp.reshape(n_rows, -1, parts).max(axis=1) >= self.top
+            bad.update(zip(*(a.tolist() for a in np.nonzero(big))))
+        # bin of a float: ((row * n_rings + ring) * parts + part) * width +
+        # e - e_lo, built in the index type chosen in __init__
         width = e_hi - e_lo + 1
-        row_bins = n_rings * parts * width
-        # bin of a part: (row, ring, part, exponent), exponents innermost
-        hi_bins = np.zeros(n_rows * row_bins, dtype=np.int64)
-        lo_bins = np.zeros(n_rows * row_bins, dtype=np.int64)
-        for f0 in range(0, terms.size, _CHUNK):
-            f1 = min(f0 + _CHUNK, terms.size)
-            index, high, low = (a[: f1 - f0] for a in (self.index, self.high, self.low))
-            # the chunk's bins: those of the rows it touches
-            r0 = f0 // n_floats
-            b0, b1 = r0 * row_bins, ((f1 - 1) // n_floats + 1) * row_bins
-            np.multiply(self.slots[f0 - r0 * n_floats : f1 - r0 * n_floats], width, out=index)
-            index += self.exp[f0:f1]
-            index -= e_lo
-            # frac 2**27 splits exactly into an integer part below 2**27
-            # and a fraction in multiples of 2**-26
-            np.multiply(self.frac[f0:f1], 2.0**27, out=low)
-            np.trunc(low, out=high)
-            with np.errstate(invalid="ignore"):  # inf - inf from an infinite term
-                low -= high
-            hi = np.bincount(index, high, minlength=b1 - b0)
-            lo = np.bincount(index, low, minlength=b1 - b0) * _SPLIT
-            bad = ~np.isfinite(hi)
-            if bad.any():
-                for b in (np.flatnonzero(bad) + b0).tolist():
-                    i, p = b // row_bins, b // width % parts
-                    if (i, p) not in fallback:
-                        fallback[i, p] = self._fsum_groups(terms[i, p::parts], first_row + i, p)
-                hi[bad] = lo[bad] = 0.0
-            hi_bins[b0:b1] += hi.astype(np.int64)
-            lo_bins[b0:b1] += lo.astype(np.int64)
+        scale = parts * width
+        slot = self.slot[:size]
+        cube = slot.reshape(terms.shape)
+        np.maximum(self.row_rings[sub, None] * scale, self.col_rings[cols] * scale, out=cube)
+        rows = self.rows[:n_rows] * (self.n_rings * scale) - e_lo
+        cube += self.part[cols] * width + rows
+        index = np.add(slot, exp, out=self.index[:size])
+        high, low = self.high[:size], self.low[:size]
+        np.multiply(frac, _SPLIT, out=low)
+        np.trunc(low, out=high)
+        with np.errstate(invalid="ignore"):  # inf - inf from an infinite term
+            low -= high
+        n_bins = n_rows * self.n_rings * scale
+        hi = np.bincount(index, high, minlength=n_bins)
+        lo = np.bincount(index, low, minlength=n_bins)
+        finite = np.isfinite(hi)
+        if not finite.all():  # an inf or NaN term shows as a non-finite bin
+            for b in np.flatnonzero(~finite).tolist():
+                bad.add((b // (self.n_rings * scale), b // width % parts))
+        shape = (n_rows, self.n_rings, parts, width)
+        return hi.reshape(shape), lo.reshape(shape), e_lo, bad
+
+    def _finish(
+        self, row0: int, hi: np.ndarray, lo: np.ndarray, e_lo: int, bad: set[tuple[int, int]]
+    ) -> None:
+        """Round every group of the rows from ``row0`` from their (row, ring,
+        part, exponent) bins, which it overwrites."""
+        n_rows, n_rings, parts, width = hi.shape
+        for i, p in bad:
+            hi[i, :, p] = lo[i, :, p] = 0.0
         if n_rings > 1:  # group g holds rings 0..g
-            for bins in (hi_bins, lo_bins):
-                cube = bins.reshape(n_rows, n_rings, parts * width)
-                np.cumsum(cube, axis=1, out=cube)
+            hi.cumsum(axis=1, out=hi)
+            lo.cumsum(axis=1, out=lo)
         # every bin scales to an exact double; math.fsum rounds each group's
         # nonzero bins once
-        e = np.arange(e_lo, e_lo + width)
-        hi = np.ldexp(hi_bins.reshape(-1, width), e - 27)
-        lo = np.ldexp(lo_bins.reshape(-1, width), e - 53)
-        bins = np.hstack((hi, lo))
-        used = np.flatnonzero(bins)  # group by group
-        ends = np.searchsorted(used, 2 * width * np.arange(out.size + 1)).tolist()
-        vals = bins.ravel()[used].tolist()
+        e = np.arange(e_lo - 27, e_lo - 27 + width)
+        bins = np.concatenate((np.ldexp(hi, e), np.ldexp(lo, e)), axis=3).ravel()
+        used = bins.nonzero()[0]  # group by group
+        ends = used.searchsorted(2 * width * np.arange(n_rows * self.n_slots + 1)).tolist()
+        vals = bins[used].tolist()
+        out = self.out[row0 : row0 + n_rows]
         out.reshape(-1)[:] = [fsum(vals[a:b]) for a, b in zip(ends, ends[1:])]
-        for (i, p), sums in fallback.items():
-            out[i, p::parts] = sums
-        return out.view(x.dtype)
+        if bad:
+            rings = np.maximum.outer(self.row_rings, self.col_rings[::parts]).ravel()
+        for i, p in bad:
+            part = np.ascontiguousarray(self.row_terms(row0 + i)).view(float)[p::parts]
+            out[i, p::parts] = self._fsum_groups(part, rings, row0 + i, p)
+
+    def add(
+        self, row0: int, terms: np.ndarray, sub: slice, cols: slice, last: bool = True
+    ) -> None:
+        """Bin a chunk of float parts, (rows, sub-rows ``sub``, floats
+        ``cols`` of a sub-row): whole rows from ``row0``, or a run of row
+        ``row0`` that finishes it when ``last``."""
+        hi, lo, e_lo, bad = self._bin(terms, sub, cols)
+        if self.span is None and last:
+            self._finish(row0, hi, lo, e_lo, bad)
+            return
+        if self.acc is None:
+            self.acc = np.zeros((2, self.n_rings, self.parts, _N_EXP))
+        width = hi.shape[-1]
+        a = e_lo - _EXP_MIN
+        self.acc[0, ..., a : a + width] += hi[0]
+        self.acc[1, ..., a : a + width] += lo[0]
+        e_hi = e_lo + width - 1
+        if self.span is not None:
+            e_lo, e_hi = min(e_lo, self.span[0]), max(e_hi, self.span[1])
+        self.span = (e_lo, e_hi)
+        self.pending |= bad
+        if last:
+            bins = self.acc[:, None, ..., e_lo - _EXP_MIN : e_hi - _EXP_MIN + 1]
+            self._finish(row0, bins[0], bins[1], e_lo, self.pending)
+            bins[...] = 0.0
+            self.span, self.pending = None, set()
 
 
 def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
@@ -287,15 +334,16 @@ def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
     ``frexp`` writes a finite double as m 2**(e - 53) with an integer
     |m| < 2**53; the high and low halves of m are summed exactly per
     (row, ring, part, e) by ``np.bincount``, both parts of complex rows in
-    the same call, and summed over the rings 0..g in int64.  Each group is
-    then one ``math.fsum`` over its bins scaled to doubles, and each scaled
-    bin is exact: a row of fewer than 2**26 terms keeps every bin below
-    2**53 units; both halves of any double, subnormals included, are
-    multiples of 2**-1074; and a bin can pass the largest double only in a
-    row part holding a term at exponent 1024 - bit_length(cols) or above.
-    Such a row part, one holding an infinity or NaN, and every row of
-    2**26 terms or more are passed to ``math.fsum`` itself.  There a group
-    holding +inf and -inf sums to NaN, as IEEE addition gives.
+    one pass over ``_CHUNK``-sized runs of float parts, and summed over the
+    rings 0..g in float64.  Each group is then one ``math.fsum`` over its
+    bins scaled to doubles, and each scaled bin is exact: a row of fewer
+    than 2**26 terms keeps every bin below 2**53 units; both halves of any
+    double, subnormals included, are multiples of 2**-1074; and a bin can
+    pass the largest double only in a row part holding a term at exponent
+    1024 - bit_length(cols) or above.  Such a row part, one holding an
+    infinity or NaN, and every row of 2**26 terms or more are passed to
+    ``math.fsum`` itself.  There a group holding +inf and -inf sums to NaN,
+    as IEEE addition gives.
 
     Raises
     ------
@@ -304,9 +352,23 @@ def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
         an intermediate sum (its exact sum may still be a double).
     """
     x = np.asarray(rows)
-    complex_rows = np.iscomplexobj(x)
-    terms = np.ascontiguousarray(x, dtype=complex if complex_rows else float)
-    return _NestedSummer(terms.shape[0], rings, 2 if complex_rows else 1)(terms)
+    parts = 2 if np.iscomplexobj(x) else 1
+    terms = np.ascontiguousarray(x, dtype=complex if parts == 2 else float)
+    labels = np.asarray(rings, dtype=np.intp)
+    n_rows, n_cols = terms.shape
+    # a row is one sub-row, in ring 0, of columns in their rings
+    no_ring = np.zeros(1, dtype=np.intp)
+    summer = _NestedSummer(n_rows, no_ring, labels, parts, _CHUNK, terms.__getitem__)
+    floats = terms.view(float).reshape(n_rows, 1, n_cols * parts)
+    # whole rows per chunk, or one row in runs of _CHUNK parts
+    width = max(1, floats.shape[2])
+    step, run = max(1, _CHUNK // width), min(width, _CHUNK)
+    for i0 in range(0, n_rows if n_cols else 0, step):
+        for f0 in range(0, width, run):
+            cols = slice(f0, f0 + run)
+            chunk = floats[i0 : i0 + step, :, cols]
+            summer.add(i0, chunk, slice(None), cols, last=f0 + run >= width)
+    return summer.out.view(terms.dtype)
 
 
 def exact_row_sums(rows: np.ndarray) -> np.ndarray:
@@ -370,7 +432,11 @@ class ProbabilitySums:
 def truncation_rings(
     data: ExpansionData, truncations: tuple[int, ...] | list[int]
 ) -> tuple[tuple[int, ...], ExpansionData, np.ndarray]:
-    """Checked truncations, the largest one's expansion, and its terms' rings."""
+    """Checked truncations, the largest one's expansion, and its states' rings.
+
+    State n lies in ring g when ``truncations[g]`` is the smallest that
+    holds it; term (n, l) of a quadratic form lies in ring max(g_n, g_l).
+    """
     truncs = tuple(int(n) for n in truncations)
     if not truncs or list(truncs) != sorted(set(truncs)):
         raise ConfigError("truncations must be distinct and ascending")
@@ -378,8 +444,7 @@ def truncation_rings(
         bad = truncs[0] if truncs[0] < 1 else truncs[-1]
         raise ConfigError(f"truncation {bad} outside the built range 1..{data.n_pairs}")
     sub = data.truncate(truncs[-1])
-    state_ring = np.searchsorted(truncs, np.abs(sub.indices))
-    return truncs, sub, np.maximum.outer(state_ring, state_ring).ravel()
+    return truncs, sub, np.searchsorted(truncs, np.abs(sub.indices))
 
 
 def nested_forms(
@@ -387,26 +452,36 @@ def nested_forms(
 ) -> np.ndarray:
     """Ring-group sums of the quadratic forms sum_{n,l} x_n conj(y_l) I[n, l].
 
-    Row i of ``left``/``right`` holds x/y over ``sub``'s states; entry [i, g]
-    is the correctly rounded sum of row i's terms in the rings 0..g of
-    :func:`truncation_rings`.  Rows go in blocks whose arrays are allocated
-    once per call.
+    Row i of ``left``/``right`` holds x/y over ``sub``'s states, and
+    ``rings`` labels the states as :func:`truncation_rings` does; entry
+    [i, g] is the correctly rounded sum of row i's terms in the rings 0..g.
+    Each chunk of terms, a run of whole matrix rows of one form or whole
+    forms when one fits, is formed in one buffer and binned at once, term
+    (n, l) in ring max(rings[n], rings[l]).
     """
-    step = min(len(left), max(1, _BLOCK // sub.overlap.size))
-    terms = np.empty((step,) + sub.overlap.shape, dtype=complex)
-    summer = _NestedSummer(step, rings, parts=2)
-    out = np.empty((len(left), summer.n_rings), dtype=complex)
+    overlap, n = sub.overlap, len(sub.overlap)
+    state_ring = np.asarray(rings, dtype=np.intp)
+    span = max(1, min(n, _CHUNK // max(1, 2 * n)))  # matrix rows per chunk
+    step = max(1, _CHUNK // max(1, 2 * n * n)) if span == n else 1  # forms per chunk
+    terms = np.empty((step, span, n), dtype=complex)
+
+    def row_terms(i: int) -> np.ndarray:  # for math.fsum
+        outer = left[i][:, None] * np.conj(right[i])[None, :]
+        return (overlap * outer).ravel()
+
+    summer = _NestedSummer(len(left), state_ring, state_ring, 2, terms.size * 2, row_terms)
     for i0 in range(0, len(left), step):
-        x, y = left[i0 : i0 + step], right[i0 : i0 + step]
-        n = len(x)
-        # numpy's complex product is not bitwise commutative (the imaginary
-        # part is fused): both products name their operands in a fixed
-        # order, where a temporary could be multiplied in place as its left
-        # operand once it reaches numpy's elision size.
-        np.multiply(x[:, :, None], np.conj(y)[:, None, :], out=terms[:n])
-        np.multiply(sub.overlap, terms[:n], out=terms[:n])
-        out[i0 : i0 + n] = summer(terms[:n].reshape(n, -1), i0)
-    return out
+        x, cy = left[i0 : i0 + step], np.conj(right[i0 : i0 + step])[:, None, :]
+        for n0 in range(0, n, span):
+            n1 = min(n, n0 + span)
+            t = terms[: len(x), : n1 - n0]
+            # numpy's complex product is not bitwise commutative (the
+            # imaginary part is fused): both products name their operands
+            # in a fixed order, the order of the term I[n, l] (x_n conj(y_l))
+            np.multiply(x[:, n0:n1, None], cy, out=t)
+            np.multiply(overlap[n0:n1], t, out=t)
+            summer.add(i0, t.view(float), slice(n0, n1), slice(None), last=n1 == n)
+    return summer.out.view(complex)
 
 
 def probability_sums(

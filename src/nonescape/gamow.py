@@ -129,16 +129,21 @@ class GamowState:
 # this size is part of their rounding.
 _FIELD_BLOCK = 1 << 16
 # weighted_field's block: its sums are per point, so the blocking changes
-# no bit, and half the block above keeps a block's values, S and pre-check
-# parts within a 2 MB L2 cache (on such a host the N = 160 field of
-# tail-wide took 78 ms at 1 << 16 and 59 ms at 1 << 15).
-_WEIGHTED_BLOCK = 1 << 15
+# no bit.  A block's arrays hold at most 8,192 complex values (128 KiB), so
+# glibc serves them from freed heap, not from fresh pages: the N = 160
+# moment_sum_quadrature call of tail-wide took 11.7k minor page faults and
+# 71 ms at 1 << 15, and 105 faults and 54 ms at 1 << 13 (medians of 12
+# interleaved calls in one process on a 2-vCPU host; same value bits).
+_WEIGHTED_BLOCK = 1 << 13
 # Entries per block of rows of the closed overlap matrix: the block's few
 # temporaries (256 KB each) are all that its build holds beyond the matrix.
 _OVERLAP_BLOCK = 1 << 14
 # Pole pairs an expansion may hold.  Its closed overlap matrix takes
 # 64 N^2 bytes, 420 MB at this cap, where the reference shell's build peaked
 # at 466 MB RSS in 0.4 s on a 2-vCPU host (1,280 pairs: 165 MB, 0.13 s).
+# A P(t) or tail pass streams over the matrix and adds only a few chunk
+# buffers: at 1,280 pairs, probability_sums over 8 samples peaked 2.8 MB
+# above its inputs in tracemalloc (1.2 s) and tail_expansion 2.9 MB (1.0 s).
 _MAX_PAIRS = 2_560
 # Doubling the quadrature panels may move a Gram entry by at most this,
 # relative to its magnitude (absolutely, below magnitude 1).

@@ -65,7 +65,7 @@ def _moment_sum(sub: ExpansionData, a: int, b: int) -> complex:
     """Q[a, b] of one truncation by the matrix route: one nested_forms row."""
     x = sub.coefficients / sub.wavenumbers ** a
     y = sub.coefficients / sub.wavenumbers ** b
-    rings = np.zeros(sub.overlap.size, dtype=np.intp)
+    rings = np.zeros(len(sub.overlap), dtype=np.intp)
     return complex(nested_forms(sub, rings, x[None, :], y[None, :])[0, 0])
 
 

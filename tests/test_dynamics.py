@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from nonescape.dynamics import (
     exact_row_sums,
     gamma_width,
     lifetime,
+    nested_forms,
     nonescape_probability,
     probability_sums,
+    truncation_rings,
 )
 from nonescape.errors import (
     ConfigError,
@@ -30,7 +33,9 @@ from nonescape.errors import (
     OverflowGuard,
     TruncationUnstable,
 )
-from nonescape.gamow import ExpansionData, overlap_matrix
+from nonescape.gamow import ExpansionData, build_expansion, overlap_matrix
+from nonescape.model import BoxMode, DeltaShell
+from nonescape.poles import SearchWindow, locate_poles
 from nonescape.selftest import SelftestContext
 from nonescape.specfn import moshinsky
 
@@ -493,6 +498,82 @@ def test_nested_probability_matches_loop_wide(ctx: SelftestContext) -> None:
     # one sample per block at N = 160, deep into the tail
     grid = TimeGrid.log(0.05, 1.0e5, per_decade=3)
     _loop_reference(ctx.wide_data, grid, (1, 9, 10, 80, 117, 160))
+
+
+@pytest.fixture(scope="module")
+def data_320() -> ExpansionData:
+    """The reference shell's expansion over 320 pole pairs (6.55 MB overlap)."""
+    shell = DeltaShell(strength=6.0, radius=1.0)
+    poles = locate_poles(shell, SearchWindow(re_max=320.5 * math.pi, im_min=-6.0))
+    return build_expansion(shell, poles, BoxMode(mode=1, radius=1.0), n_pairs=320)
+
+
+# Ring edges at 40, 41 and 160 pairs fall inside chunks of 25 matrix rows.
+_TRUNCATIONS_320 = (1, 40, 41, 160, 320)
+
+
+def test_nested_probability_matches_loop_at_320_pairs(data_320: ExpansionData) -> None:
+    # rows of 409,600 terms, 25 chunks each
+    _loop_reference(data_320, TimeGrid(np.array([0.05, 3.0, 1.0e4])), _TRUNCATIONS_320)
+
+
+def test_streamed_passes_hold_no_term_array(data_320: ExpansionData) -> None:
+    # The P(t) and tail passes hold O(chunk) memory: a few buffers of _CHUNK
+    # float parts and one row's exponent accumulators, measured at 2.2 and
+    # 2.3 MB.  One array of the (2N)^2 terms would take 6.55 MB, and the
+    # pass that held whole rows peaked at 27 MB here.  The traced call is
+    # the second, past the first Faddeeva call's import of scipy.special.
+    grid = TimeGrid(np.array([0.05, 3.0, 1.0e4]))
+    _, _, rings = truncation_rings(data_320, _TRUNCATIONS_320)
+    assert rings.shape == (2 * 320,)
+    for run in (
+        lambda: probability_sums(data_320, grid, _TRUNCATIONS_320),
+        lambda: tail_expansion(data_320, _TRUNCATIONS_320),
+    ):
+        run()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0e6, peak
+
+
+def test_fsum_fallback_in_a_late_chunk_settles_that_row_alone(
+    ctx: SelftestContext, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # N = 160: each form's row of 102,400 terms goes in seven chunks of 51
+    # matrix rows.  One overlap entry in the sixth chunk makes form 1's term
+    # there reach exponent 1012, past the binning's bound (1007), so that
+    # form alone goes to math.fsum; the others stay in the bins.
+    truncations = (10, 80, 160)
+    _, sub, rings = truncation_rings(ctx.wide_data, truncations)
+    w = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, 0.7))
+    rows = w * np.array([1.0, 2.0**60, 0.5])[:, None]
+    n, l = 300, 5
+    doctored = sub.overlap.copy()
+    doctored[n, l] = 2.0**1012 / abs(rows[1, n] * np.conj(rows[1, l]))
+    sub = dataclasses.replace(sub, overlap=doctored)
+    calls = []
+    original = dynamics._NestedSummer._fsum_groups
+
+    def spy(self, terms, *where):  # where ends with (row, part)
+        calls.append(where[-2])
+        return original(self, terms, *where)
+
+    monkeypatch.setattr(dynamics._NestedSummer, "_fsum_groups", spy)
+    got = nested_forms(sub, rings, rows, rows)
+    assert set(calls) == {1}
+    term_rings = np.maximum.outer(rings, rings).ravel()
+    for i, x in enumerate(rows):
+        outer = x[:, None] * np.conj(x)[None, :]  # named: numpy elides no operand
+        terms = (doctored * outer).ravel()
+        for g in range(len(truncations)):
+            group = terms[term_rings <= g]
+            want = complex(math.fsum(group.real), math.fsum(group.imag))
+            assert same_bits(got[i, g], want), (i, g)
 
 
 def test_probability_sums_validation(data: ExpansionData) -> None:
