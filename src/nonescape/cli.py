@@ -78,7 +78,12 @@ def _get(section: dict, key: str, where: str, default: Any = ...) -> Any:
 def _as_float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the largest double
+        raise ConfigError(
+            f"{where} overflows a float, got a {value.bit_length()}-bit integer"
+        ) from exc
 
 
 def _as_int(value: Any, where: str) -> int:

@@ -25,11 +25,13 @@ overlap matrix, which the tail's moment sums also call.  It streams: the
 terms of a run of whole matrix rows (or of whole samples, for N <= 64) are
 formed into one reused buffer of ``_CHUNK`` float parts and binned at once,
 real and imaginary parts together, each term's ring the larger of its two
-states' rings; a sample's bins add up in float64 accumulators keyed by
-absolute exponent.  So the pass holds no array that grows with
-(2N)^2 beside the overlap matrix.  :meth:`ProbabilitySums.series` checks
-one truncation's samples, and :func:`nonescape_probability` is the
-one-truncation case.
+states' rings.  Each part splits into a high and a low half, and both go
+into one float64 bin per (sample, ring, part, exponent), the low half 26
+exponents down; a sample's bins add up in accumulators keyed by absolute
+exponent.  Every bin stays exact because a sample has fewer than 2**25
+terms.  So the pass holds no array that grows with (2N)^2 beside the
+overlap matrix.  :meth:`ProbabilitySums.series` checks one truncation's
+samples, and :func:`nonescape_probability` is the one-truncation case.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "nested_forms",
     "probability_sums",
     "nonescape_probability",
-    "exact_nested_sums",
     "exact_row_sums",
 ]
 
@@ -138,71 +139,82 @@ class NonescapeSeries:
 
 
 # Float parts per chunk.  nested_forms forms the terms of a run of whole
-# matrix rows of one sample, or of whole samples when one holds at most
-# _CHUNK parts (N <= 64), in one reused buffer of at most _CHUNK parts, and
-# the summer bins each chunk at once: the terms, their fractions, bin
-# indices and high and low parts (256 KB each) and exponents (128 KB) stay
-# in cache between the passes that make them and the ones that bin them.
+# matrix rows of one form, or of whole forms when one holds at most _CHUNK
+# parts (N <= 64), in one reused buffer of at most _CHUNK parts, and the
+# summer bins each chunk at once: the terms, their fractions, bin indices
+# and high and low parts (256 KB each) and exponents (128 KB) stay in cache
+# between the passes that make them and the ones that bin them.
 _CHUNK = 1 << 15
 # frac * 2**27 splits exactly into a high part, an integer below 2**27, and
-# a low part, a multiple of 2**-26 below 1.  A row of nested_forms holds
-# fewer than 2**25 terms, since (2 gamow._MAX_PAIRS)^2 < 2**25, so every
-# bin stays below 2**52 units (of 1 and of 2**-26): the float64 accumulators
-# of a row, and their sums over rings, are exact.  exact_nested_sums sends
-# rows of 2**26 terms or more to math.fsum, which keeps its bins below 2**53.
+# a low part, a multiple of 2**-26 below 1.  A low part times 2**26 is an
+# integer below 2**26 in the units of the high parts _LOW exponents down, so
+# both go into one bin array per exponent, and each term adds at most one
+# part to a bin.  A row of nested_forms holds fewer than 2**25 terms, since
+# (2 gamow._MAX_PAIRS)^2 < 2**25, so every bin stays below 2**52 units: the
+# float64 bins of a row, and their sums over rings, are exact.
 _SPLIT = 2.0**27
+_LOW = 26
 _EXP_MIN = -1073  # frexp exponent of the least subnormal
-_N_EXP = 1024 - _EXP_MIN + 1  # frexp exponents of every double
+_BIN_MIN = _EXP_MIN - _LOW  # exponent of the lowest bin, its low parts
+_N_EXP = 1024 - _BIN_MIN + 1  # bin exponents of every double's parts
+
+
+def _fsum_part(terms: np.ndarray, row: int, part: int) -> float:
+    """``math.fsum`` of one row part: NaN where +inf meets -inf, as IEEE
+    addition gives, and OverflowGuard where the partial sums of finite terms
+    overflow."""
+    special = terms[~np.isfinite(terms)]
+    try:  # finite terms cannot move an infinite or NaN sum
+        return fsum(memoryview(special if special.size else terms))
+    except ValueError:  # -inf + inf
+        return np.nan
+    except OverflowError as exc:
+        raise OverflowGuard(
+            f"exact sum of row {row} ({('real', 'imaginary')[part]} part) "
+            "overflows in an intermediate sum"
+        ) from exc
 
 
 class _NestedSummer:
-    """Exact nested-group sums of rows of real or complex terms, by chunks.
+    """Exact ring-group sums of rows of complex terms, by chunks.
 
-    A row's terms form a (sub-rows x columns) grid, and term (s, c) lies in
-    ring max(row_rings[s], col_rings[c]); group g of a row is its terms in
-    rings 0..g.  With ``parts`` = 2 the terms are complex and both parts are
-    summed in one pass.  :meth:`add` bins one chunk of float parts, either
-    whole rows or a run of one row that its last run finishes.  A row fed
-    in runs adds each run's bins into float64 accumulators keyed by
-    absolute exponent.  :meth:`_finish` rounds every group of finished rows
-    once.  ``row_terms(i)`` forms row i's terms again for a row part that
-    ``math.fsum`` settles.
+    A row's terms form an (n x n) grid over the states, and term (n, l)
+    lies in ring max(rings[n], rings[l]); group g of a row is its terms in
+    rings 0..g, and both parts are summed in one pass.  :meth:`add` bins
+    one chunk of terms, either whole rows or a run of matrix rows of one
+    row that its last run finishes.  A row fed in runs adds each run's bins
+    into float64 accumulators keyed by absolute exponent.  :meth:`_finish`
+    rounds every group of finished rows once.  ``row_terms(i)`` forms row
+    i's terms again for a row part that ``math.fsum`` settles.
     """
 
     def __init__(
-        self,
-        n_rows: int,
-        row_rings: np.ndarray,
-        col_rings: np.ndarray,
-        parts: int,
-        chunk: int,
-        row_terms: Callable[[int], np.ndarray],
+        self, n_rows: int, rings: np.ndarray, chunk: int, row_terms: Callable[[int], np.ndarray]
     ) -> None:
-        n_cols = row_rings.size * col_rings.size
-        n_rings = max(int(row_rings.max(initial=0)), int(col_rings.max(initial=0))) + 1
-        self.n_rings, self.parts, self.n_slots = n_rings, parts, n_rings * parts
+        n_terms = rings.size**2
+        self.n_rings = int(rings.max(initial=0)) + 1
         self.row_terms = row_terms
         # Bins stay below the largest double in a row part whose terms all
         # lie below exponent `top`; math.fsum settles every other row part,
-        # and every row of 2**26 terms or more.
-        self.top = 1024 - n_cols.bit_length() if n_cols < 1 << 26 else _EXP_MIN
-        # bin indices in int32 where a chunk's bins cannot reach 2**31
-        rows = max(1, chunk // max(1, n_cols * parts))
-        itype = np.intc if rows * self.n_slots * _N_EXP < 1 << 31 else np.intp
-        self.row_rings = row_rings.astype(itype)
-        self.col_rings = np.repeat(col_rings.astype(itype), parts)  # of each float
-        self.part = np.arange(self.col_rings.size, dtype=itype) % parts
-        self.rows = np.arange(rows, dtype=itype)[:, None, None]
+        # and every row of 2**25 terms or more.
+        self.top = 1024 - n_terms.bit_length() if n_terms < 1 << 25 else _EXP_MIN
+        # int32 bin indices: under gamow._MAX_PAIRS a chunk has at most
+        # about 1.8e7 bins
+        self.rings = rings.astype(np.intc)
+        self.float_rings = np.repeat(self.rings, 2)  # of each float
+        self.part = np.arange(self.float_rings.size, dtype=np.intc) % 2
+        rows = max(1, chunk // max(1, 2 * n_terms))
+        self.rows = np.arange(rows, dtype=np.intc)[:, None, None]
         # float (row, ring, part): an exact zero rounds to +0.0, as in fsum
-        self.out = np.zeros((n_rows, self.n_slots))
+        self.out = np.zeros((n_rows, 2 * self.n_rings))
         self.frac = np.empty(chunk)
         self.exp = np.empty(chunk, dtype=np.intc)
-        self.slot = np.empty(chunk, dtype=itype)
+        self.slot = np.empty(chunk, dtype=np.intc)
         self.index = np.empty(chunk, dtype=np.intp)
         self.high = np.empty(chunk)
         self.low = np.empty(chunk)
-        # a row fed in runs: its high and low bins, their exponent range
-        # and its row parts left to math.fsum
+        # a row fed in runs: its bins, their exponent range and its row
+        # parts left to math.fsum
         self.acc: np.ndarray | None = None
         self.span: tuple[int, int] | None = None
         self.pending: set[tuple[int, int]] = set()
@@ -210,50 +222,34 @@ class _NestedSummer:
     def _fsum_groups(
         self, terms: np.ndarray, rings: np.ndarray, row: int, part: int
     ) -> list[float]:
-        """``math.fsum`` of each group of one row part: NaN where +inf meets
-        -inf, as IEEE addition gives, and OverflowGuard where the partial
-        sums of finite terms overflow."""
-        sums = []
-        for g in range(self.n_rings):
-            group = terms[rings <= g]
-            special = group[~np.isfinite(group)]
-            try:  # finite terms cannot move an infinite or NaN sum
-                sums.append(fsum(special if special.size else group))
-            except ValueError:  # -inf + inf
-                sums.append(np.nan)
-            except OverflowError as exc:
-                raise OverflowGuard(
-                    f"exact sum of row {row} ({('real', 'imaginary')[part]} part) "
-                    "overflows in an intermediate sum"
-                ) from exc
-        return sums
+        """:func:`_fsum_part` of each group of one row part."""
+        return [_fsum_part(terms[rings <= g], row, part) for g in range(self.n_rings)]
 
     def _bin(
-        self, terms: np.ndarray, sub: slice, cols: slice
-    ) -> tuple[np.ndarray, np.ndarray, int, set[tuple[int, int]]]:
-        """High and low bins (row, ring, part, exponent) of a chunk, its least
-        exponent, and its (row, part) pairs left to math.fsum.
+        self, terms: np.ndarray, sub: slice
+    ) -> tuple[np.ndarray, int, set[tuple[int, int]]]:
+        """(row, ring, part, exponent) bins of a chunk, the exponent of its
+        first bin, and its (row, part) pairs left to math.fsum.
 
-        ``terms`` holds float parts as (rows, sub-rows ``sub``, floats
-        ``cols`` of a sub-row).
+        ``terms`` holds complex terms as (rows, matrix rows ``sub``, states).
         """
-        n_rows, size, parts = len(terms), terms.size, self.parts
+        floats = terms.view(float)
+        n_rows, size = len(floats), floats.size
         frac, exp = self.frac[:size], self.exp[:size]
-        np.frexp(terms, out=(frac.reshape(terms.shape), exp.reshape(terms.shape)))
-        e_lo, e_hi = int(exp.min()), int(exp.max())
+        np.frexp(floats, out=(frac.reshape(floats.shape), exp.reshape(floats.shape)))
+        e_lo, e_hi = int(exp.min()) - _LOW, int(exp.max())
         bad = set()
         if e_hi >= self.top:
-            big = exp.reshape(n_rows, -1, parts).max(axis=1) >= self.top
+            big = exp.reshape(n_rows, -1, 2).max(axis=1) >= self.top
             bad.update(zip(*(a.tolist() for a in np.nonzero(big))))
-        # bin of a float: ((row * n_rings + ring) * parts + part) * width +
-        # e - e_lo, built in the index type chosen in __init__
+        # bin of a high part: ((row * n_rings + ring) * 2 + part) * width +
+        # e - e_lo, built in int32; its low part goes _LOW bins down
         width = e_hi - e_lo + 1
-        scale = parts * width
+        scale = 2 * width
         slot = self.slot[:size]
-        cube = slot.reshape(terms.shape)
-        np.maximum(self.row_rings[sub, None] * scale, self.col_rings[cols] * scale, out=cube)
-        rows = self.rows[:n_rows] * (self.n_rings * scale) - e_lo
-        cube += self.part[cols] * width + rows
+        cube = slot.reshape(floats.shape)
+        np.maximum(self.rings[sub, None] * scale, self.float_rings * scale, out=cube)
+        cube += self.part * width + (self.rows[:n_rows] * (self.n_rings * scale) - e_lo)
         index = np.add(slot, exp, out=self.index[:size])
         high, low = self.high[:size], self.low[:size]
         np.multiply(frac, _SPLIT, out=low)
@@ -261,124 +257,80 @@ class _NestedSummer:
         with np.errstate(invalid="ignore"):  # inf - inf from an infinite term
             low -= high
         n_bins = n_rows * self.n_rings * scale
-        hi = np.bincount(index, high, minlength=n_bins)
-        lo = np.bincount(index, low, minlength=n_bins)
-        finite = np.isfinite(hi)
+        bins = np.bincount(index, high, minlength=n_bins)
+        bins[:-_LOW] += np.bincount(index, low, minlength=n_bins)[_LOW:] * 2.0**_LOW
+        finite = np.isfinite(bins)
         if not finite.all():  # an inf or NaN term shows as a non-finite bin
             for b in np.flatnonzero(~finite).tolist():
-                bad.add((b // (self.n_rings * scale), b // width % parts))
-        shape = (n_rows, self.n_rings, parts, width)
-        return hi.reshape(shape), lo.reshape(shape), e_lo, bad
+                bad.add((b // (self.n_rings * scale), b // width % 2))
+        return bins.reshape(n_rows, self.n_rings, 2, width), e_lo, bad
 
-    def _finish(
-        self, row0: int, hi: np.ndarray, lo: np.ndarray, e_lo: int, bad: set[tuple[int, int]]
-    ) -> None:
+    def _finish(self, row0: int, bins: np.ndarray, e_lo: int, bad: set[tuple[int, int]]) -> None:
         """Round every group of the rows from ``row0`` from their (row, ring,
         part, exponent) bins, which it overwrites."""
-        n_rows, n_rings, parts, width = hi.shape
+        n_rows, n_rings, _, width = bins.shape
         for i, p in bad:
-            hi[i, :, p] = lo[i, :, p] = 0.0
+            bins[i, :, p] = 0.0
         if n_rings > 1:  # group g holds rings 0..g
-            hi.cumsum(axis=1, out=hi)
-            lo.cumsum(axis=1, out=lo)
+            bins.cumsum(axis=1, out=bins)
         # every bin scales to an exact double; math.fsum rounds each group's
         # nonzero bins once
-        e = np.arange(e_lo - 27, e_lo - 27 + width)
-        bins = np.concatenate((np.ldexp(hi, e), np.ldexp(lo, e)), axis=3).ravel()
-        used = bins.nonzero()[0]  # group by group
-        ends = used.searchsorted(2 * width * np.arange(n_rows * self.n_slots + 1)).tolist()
-        vals = bins[used].tolist()
+        scaled = np.ldexp(bins, np.arange(e_lo - 27, e_lo - 27 + width)).ravel()
+        used = scaled.nonzero()[0]  # group by group
+        ends = used.searchsorted(width * np.arange(bins.size // width + 1)).tolist()
+        vals = scaled[used].tolist()
         out = self.out[row0 : row0 + n_rows]
         out.reshape(-1)[:] = [fsum(vals[a:b]) for a, b in zip(ends, ends[1:])]
         if bad:
-            rings = np.maximum.outer(self.row_rings, self.col_rings[::parts]).ravel()
+            rings = np.maximum.outer(self.rings, self.rings).ravel()
         for i, p in bad:
-            part = np.ascontiguousarray(self.row_terms(row0 + i)).view(float)[p::parts]
-            out[i, p::parts] = self._fsum_groups(part, rings, row0 + i, p)
+            part = np.ascontiguousarray(self.row_terms(row0 + i)).view(float)[p::2]
+            out[i, p::2] = self._fsum_groups(part, rings, row0 + i, p)
 
-    def add(
-        self, row0: int, terms: np.ndarray, sub: slice, cols: slice, last: bool = True
-    ) -> None:
-        """Bin a chunk of float parts, (rows, sub-rows ``sub``, floats
-        ``cols`` of a sub-row): whole rows from ``row0``, or a run of row
-        ``row0`` that finishes it when ``last``."""
-        hi, lo, e_lo, bad = self._bin(terms, sub, cols)
+    def add(self, row0: int, terms: np.ndarray, sub: slice, last: bool = True) -> None:
+        """Bin a chunk of complex terms, (rows, matrix rows ``sub``,
+        states): whole rows from ``row0``, or a run of row ``row0`` that
+        finishes it when ``last``."""
+        bins, e_lo, bad = self._bin(terms, sub)
         if self.span is None and last:
-            self._finish(row0, hi, lo, e_lo, bad)
+            self._finish(row0, bins, e_lo, bad)
             return
         if self.acc is None:
-            self.acc = np.zeros((2, self.n_rings, self.parts, _N_EXP))
-        width = hi.shape[-1]
-        a = e_lo - _EXP_MIN
-        self.acc[0, ..., a : a + width] += hi[0]
-        self.acc[1, ..., a : a + width] += lo[0]
+            self.acc = np.zeros((self.n_rings, 2, _N_EXP))
+        width = bins.shape[-1]
+        a = e_lo - _BIN_MIN
+        self.acc[..., a : a + width] += bins[0]
         e_hi = e_lo + width - 1
         if self.span is not None:
             e_lo, e_hi = min(e_lo, self.span[0]), max(e_hi, self.span[1])
         self.span = (e_lo, e_hi)
         self.pending |= bad
         if last:
-            bins = self.acc[:, None, ..., e_lo - _EXP_MIN : e_hi - _EXP_MIN + 1]
-            self._finish(row0, bins[0], bins[1], e_lo, self.pending)
+            bins = self.acc[None, ..., e_lo - _BIN_MIN : e_hi - _BIN_MIN + 1]
+            self._finish(row0, bins, e_lo, self.pending)
             bins[...] = 0.0
             self.span, self.pending = None, set()
-
-
-def exact_nested_sums(rows: np.ndarray, rings: np.ndarray) -> np.ndarray:
-    """Correctly rounded sums of nested column groups of every row.
-
-    ``rings[c] >= 0`` labels column c; entry [i, g] of the (rows x
-    (max(rings) + 1)) result equals ``math.fsum`` of the columns of row i
-    whose ring is at most g, bit for bit (real and imaginary parts
-    separately for complex rows), so no group depends on term order.
-    ``frexp`` writes a finite double as m 2**(e - 53) with an integer
-    |m| < 2**53; the high and low halves of m are summed exactly per
-    (row, ring, part, e) by ``np.bincount``, both parts of complex rows in
-    one pass over ``_CHUNK``-sized runs of float parts, and summed over the
-    rings 0..g in float64.  Each group is then one ``math.fsum`` over its
-    bins scaled to doubles, and each scaled bin is exact: a row of fewer
-    than 2**26 terms keeps every bin below 2**53 units; both halves of any
-    double, subnormals included, are multiples of 2**-1074; and a bin can
-    pass the largest double only in a row part holding a term at exponent
-    1024 - bit_length(cols) or above.  Such a row part, one holding an
-    infinity or NaN, and every row of 2**26 terms or more are passed to
-    ``math.fsum`` itself.  There a group holding +inf and -inf sums to NaN,
-    as IEEE addition gives.
-
-    Raises
-    ------
-    OverflowGuard
-        If a group of finite terms, passed to ``math.fsum``, overflows in
-        an intermediate sum (its exact sum may still be a double).
-    """
-    x = np.asarray(rows)
-    parts = 2 if np.iscomplexobj(x) else 1
-    terms = np.ascontiguousarray(x, dtype=complex if parts == 2 else float)
-    labels = np.asarray(rings, dtype=np.intp)
-    n_rows, n_cols = terms.shape
-    # a row is one sub-row, in ring 0, of columns in their rings
-    no_ring = np.zeros(1, dtype=np.intp)
-    summer = _NestedSummer(n_rows, no_ring, labels, parts, _CHUNK, terms.__getitem__)
-    floats = terms.view(float).reshape(n_rows, 1, n_cols * parts)
-    # whole rows per chunk, or one row in runs of _CHUNK parts
-    width = max(1, floats.shape[2])
-    step, run = max(1, _CHUNK // width), min(width, _CHUNK)
-    for i0 in range(0, n_rows if n_cols else 0, step):
-        for f0 in range(0, width, run):
-            cols = slice(f0, f0 + run)
-            chunk = floats[i0 : i0 + step, :, cols]
-            summer.add(i0, chunk, slice(None), cols, last=f0 + run >= width)
-    return summer.out.view(terms.dtype)
 
 
 def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of every row of a 2-d array, real or complex.
 
-    Each entry equals ``math.fsum`` of the row, bit for bit: the one-group
-    case of :func:`exact_nested_sums`.
+    Each entry equals ``math.fsum`` of the row, bit for bit (real and
+    imaginary parts separately for complex rows), so no sum depends on term
+    order.  A row holding +inf and -inf sums to NaN, as IEEE addition gives.
+
+    Raises
+    ------
+    OverflowGuard
+        If a row of finite terms overflows in an intermediate sum of
+        ``math.fsum`` (its exact sum may still be a double).
     """
     x = np.asarray(rows)
-    return exact_nested_sums(x, np.zeros(x.shape[1], dtype=np.intp))[:, 0]
+    terms = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    parts = terms.itemsize // 8
+    floats = terms.view(float).reshape(*terms.shape, parts)
+    sums = [[_fsum_part(row[:, p], i, p) for p in range(parts)] for i, row in enumerate(floats)]
+    return np.array(sums, dtype=float).reshape(len(terms), parts).view(terms.dtype)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,7 +412,6 @@ def nested_forms(
     (n, l) in ring max(rings[n], rings[l]).
     """
     overlap, n = sub.overlap, len(sub.overlap)
-    state_ring = np.asarray(rings, dtype=np.intp)
     span = max(1, min(n, _CHUNK // max(1, 2 * n)))  # matrix rows per chunk
     step = max(1, _CHUNK // max(1, 2 * n * n)) if span == n else 1  # forms per chunk
     terms = np.empty((step, span, n), dtype=complex)
@@ -469,7 +420,7 @@ def nested_forms(
         outer = left[i][:, None] * np.conj(right[i])[None, :]
         return (overlap * outer).ravel()
 
-    summer = _NestedSummer(len(left), state_ring, state_ring, 2, terms.size * 2, row_terms)
+    summer = _NestedSummer(len(left), np.asarray(rings), terms.size * 2, row_terms)
     for i0 in range(0, len(left), step):
         x, cy = left[i0 : i0 + step], np.conj(right[i0 : i0 + step])[:, None, :]
         for n0 in range(0, n, span):
@@ -480,7 +431,7 @@ def nested_forms(
             # in a fixed order, the order of the term I[n, l] (x_n conj(y_l))
             np.multiply(x[:, n0:n1, None], cy, out=t)
             np.multiply(overlap[n0:n1], t, out=t)
-            summer.add(i0, t.view(float), slice(n0, n1), slice(None), last=n1 == n)
+            summer.add(i0, t, slice(n0, n1), last=n1 == n)
     return summer.out.view(complex)
 
 

@@ -1168,6 +1168,27 @@ _GRID = {"box_size": 12.0, "dr": 0.005, "dt": 0.0004, "t_final": 1.0}
         # the first contour pass: an invalid cast of 2e100 samples, then overflow
         ("poles", {"pole_search": {"re_max": 12.0, "im_min": -1e100}}, [], "edge over 400000"),
         ("poles", {"pole_search": {"re_max": 12.0, "im_min": -1e308}}, [], "edge over 400000"),
+        # a float value given as an integer past the largest double: float()
+        # raised OverflowError
+        (
+            "poles",
+            {"potential": {"kind": "delta_shell", "strength": 10**400, "radius": 1.0}},
+            [],
+            "strength overflows a float",
+        ),
+        (
+            "poles",
+            {"pole_search": {"re_max": 12.0, "im_min": -2.0, "tol": 10**400}},
+            [],
+            "tol overflows a float",
+        ),
+        (
+            "poles",
+            {"time_grid": {"kind": "log", "t_min": 10**400, "t_max": 2.0, "per_decade": 12}},
+            [],
+            "t_min overflows a float",
+        ),
+        ("poles", {"r_points": [0.25, 10**400, 0.75]}, [], "r_points overflows a float"),
     ],
 )
 def test_overflowing_inputs_exit_2_without_warnings(

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from hypothesis import strategies as st
 from nonescape import dynamics
 from nonescape.asymptote import tail_expansion
 from nonescape.dynamics import (
-    _CHUNK,
     NonescapeSeries,
     ProbabilitySums,
     TimeGrid,
-    exact_nested_sums,
     exact_row_sums,
     gamma_width,
     lifetime,
@@ -330,11 +329,6 @@ def test_exact_sums_where_fsum_raises() -> None:
     got = exact_row_sums(_complex([clash, other], [other, clash]))
     assert math.isnan(got[0].real) and got[0].imag == 3.0
     assert got[1].real == 3.0 and math.isnan(got[1].imag)
-    nested = exact_nested_sums(_complex([clash, other], [other, clash]), np.array([1, 0, 1]))
-    assert nested[0, 0].real == nested[1, 0].imag == -math.inf  # group 0: -inf alone
-    assert math.isnan(nested[0, 1].real) and math.isnan(nested[1, 1].imag)
-    assert nested[0, 0].imag == nested[1, 0].real == 1.0
-    assert nested[0, 1].imag == nested[1, 1].real == 3.0
     # an infinite term settles the sum even where the finite ones overflow
     assert exact_row_sums(np.array([[math.inf, 1e308, 1e308]]))[0] == math.inf
 
@@ -344,12 +338,39 @@ def test_exact_sums_where_fsum_raises() -> None:
         exact_row_sums(_complex([other, big], [other, other]))
     with pytest.raises(OverflowGuard, match=r"row 1 \(imaginary part\) overflows"):
         exact_row_sums(_complex([other, other], [other, big]))
-    # group 0 holds 1e308 alone; group 1 overflows
-    rings = np.array([0, 1, 1])
-    with pytest.raises(OverflowGuard, match=r"row 0 \(real part\) overflows"):
-        exact_nested_sums(big[None, :], rings)
+
+
+def _forms(overlap: np.ndarray, rings, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`nested_forms` on a bare overlap matrix, without warnings: an
+    infinite entry times a zero part of x_n conj(y_l) is NaN, and numpy's
+    vectorized complex product can raise the overflow flag on an entry near
+    the largest double though the product is exact (3 forms of one state,
+    entry 1e300 + 1.797e308j)."""
+    sub = types.SimpleNamespace(overlap=overlap)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return nested_forms(sub, np.asarray(rings, dtype=np.intp), x, y)
+
+
+def test_nested_forms_where_fsum_raises() -> None:
+    # States in rings 0 and 1: term (0, 0) lies in ring 0, the other three
+    # in ring 1.  Each form's terms reach math.fsum, which raises on them.
+    rings = [0, 1]
+    ones = np.ones((1, 2))
+    # x conj(y) = 1 + 1j: term (0, 0) is -inf in both parts and term (0, 1)
+    # +inf, so group 0 is -inf alone and group 1 sums +inf with -inf to NaN
+    clash = np.array([[-math.inf, math.inf], [1.0, 0.0]]) + 0j
+    got = _forms(clash, rings, ones + 1j, ones)
+    assert got[0, 0] == complex(-math.inf, -math.inf)
+    assert math.isnan(got[0, 1].real) and math.isnan(got[0, 1].imag)
+    # group 0 holds 1e308 alone; the partial sums of group 1 overflow.  At
+    # x = y = 1/2 form 0's terms are a quarter as large and sum exactly.
+    big = np.array([[1e308, 1e308], [-1e308, 0.0]])
+    rows = np.array([[0.5, 0.5], [1.0, 1.0]])
+    with pytest.raises(OverflowGuard, match=r"row 1 \(real part\) overflows"):
+        _forms(big + 0j, rings, rows, rows)
     with pytest.raises(OverflowGuard, match=r"row 0 \(imaginary part\) overflows"):
-        exact_nested_sums(_complex([other], [big]), rings)
+        _forms(1j * big, rings, ones, ones)
+    assert _forms(big + 0j, rings, rows[:1], rows[:1])[0].tolist() == [2.5e307, 2.5e307]
 
 
 def _finite_term():
@@ -362,100 +383,111 @@ def _finite_term():
     )
 
 
+# x_n conj(y_l) of a form whose x is one of these and y = 1: every term is
+# an overlap entry (times a unit), whatever inner loop numpy picks
+_UNITS = st.sampled_from([1.0, -1.0, 1j, -1j])
+
+
+def _expected_groups(overlap, rings, x, y) -> list:
+    """``math.fsum`` of each part of each ring group of each form, or None
+    where math.fsum raises."""
+    term_rings = np.maximum.outer(rings, rings).ravel()
+    n_groups = int(max(rings, default=0)) + 1
+    expected = []
+    for xi, yi in zip(x, y):
+        with np.errstate(invalid="ignore", over="ignore"):  # as in _forms
+            terms = (overlap * (xi[:, None] * np.conj(yi)[None, :])).ravel()
+        try:
+            expected.append([
+                complex(math.fsum(terms.real[term_rings <= g]), math.fsum(terms.imag[term_rings <= g]))
+                for g in range(n_groups)
+            ])
+        except (OverflowError, ValueError):  # fsum's intermediate overflow, inf - inf
+            return None
+    return expected
+
+
+def _same_values(got, want) -> bool:
+    """The same bits, NaN matching NaN of any sign or payload."""
+    got, want = np.asarray(got, dtype=complex).view(float), np.asarray(want, dtype=complex).view(float)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+
 @st.composite
 def _nested_case(draw):
-    n_rows = draw(st.integers(1, 3))
-    n_cols = draw(st.integers(0, 40))
+    n = draw(st.integers(0, 7))
     n_rings = draw(st.integers(1, 5))
-    rings = draw(st.lists(st.integers(0, n_rings - 1), min_size=n_cols, max_size=n_cols))
-    rows = [
-        draw(st.lists(_finite_term(), min_size=n_cols, max_size=n_cols))
-        for _ in range(n_rows)
-    ]
-    for row in rows:  # now and then an infinity or NaN in some ring
-        if n_cols and draw(st.integers(0, 5)) == 0:
-            row[draw(st.integers(0, n_cols - 1))] = draw(
-                st.sampled_from([math.inf, -math.inf, math.nan])
-            )
-    return rows, rings
+    rings = draw(st.lists(st.integers(0, n_rings - 1), min_size=n, max_size=n))
+    overlap = np.array(
+        [
+            [complex(draw(_finite_term()), draw(_finite_term())) for _ in range(n)]
+            for _ in range(n)
+        ],
+        dtype=complex,
+    ).reshape(n, n)
+    if n and draw(st.integers(0, 5)) == 0:  # now and then an infinity or NaN
+        part = overlap.real if draw(st.booleans()) else overlap.imag
+        part[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan])
+        )
+    units = draw(st.lists(_UNITS, min_size=1, max_size=3))
+    return overlap, rings, np.array(units)[:, None] * np.ones(n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_nested_case())
-def test_exact_nested_sums_equal_fsum_of_each_group(case) -> None:
-    rows, rings = case
-    x = np.array(rows, dtype=float).reshape(len(rows), len(rings))
-    labels = np.array(rings, dtype=np.intp)
-    n_groups = int(labels.max()) + 1 if len(rings) else 1
-    try:
-        expected = [
-            [math.fsum(v for v, r in zip(row, rings) if r <= g) for g in range(n_groups)]
-            for row in rows
-        ]
-    except (OverflowError, ValueError):  # fsum's intermediate overflow, inf - inf
-        assume(False)
-    got = exact_nested_sums(x, labels)
-    assert got.shape == (len(rows), n_groups)
-    assert np.array_equal(_bits(got), _bits(expected))
-    # complex rows: each part on its own
-    z = np.empty(x.shape, dtype=complex)
-    z.real, z.imag = x, x[::-1]
-    z = exact_nested_sums(z, labels)
-    assert np.array_equal(_bits(z.real), _bits(expected))
-    assert np.array_equal(_bits(z.imag), _bits(expected[::-1]))
+def test_nested_forms_equal_fsum_of_each_group(case) -> None:
+    overlap, rings, x = case
+    y = np.ones_like(x)
+    expected = _expected_groups(overlap, rings, x, y)
+    assume(expected is not None)
+    got = _forms(overlap, rings, x, y)
+    assert got.shape == (len(x), int(max(rings, default=0)) + 1)
+    assert _same_values(got, expected)
 
 
 @st.composite
 def _complex_nested_case(draw):
-    """Complex rows whose real and imaginary parts are drawn independently.
+    """Overlaps whose real and imaginary parts are drawn independently.
 
-    Widths run to a row wider than a summer chunk (as N = 160 rows are);
-    10,007 columns make rows narrower than a chunk, so a chunk that starts
-    mid-row holds the start of the next row.  "huge" puts a part's largest
+    Sizes run to n = 130, whose forms of 16,900 terms are wider than a
+    summer chunk and go in two runs of matrix rows; at n = 64 four forms
+    share a chunk, and at n = 65 three.  "huge" puts a part's largest
     exponent at 1021, so the overflow pre-check runs; now and then one part
-    of a row holds an inf or NaN.
+    of an entry holds an inf or NaN.
     """
-    n_rows = draw(st.integers(1, 3))
-    n_cols = draw(st.sampled_from([0, 1, 5, 40, 10_007, 3 * _CHUNK // 4 + 3]))
+    n = draw(st.sampled_from([0, 1, 5, 40, 64, 65, 130]))
     n_rings = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rings = rng.integers(0, n_rings, n_cols)
-    x = np.empty((n_rows, n_cols), dtype=complex)
-    for part in (x.real, x.imag):
+    rings = rng.integers(0, n_rings, n)
+    overlap = np.empty((n, n), dtype=complex)
+    for part in (overlap.real, overlap.imag):
         scale = draw(st.sampled_from(["wide", "narrow", "huge"]))
         lo, hi = {"wide": (-1080, 1000), "narrow": (-60, 4), "huge": (900, 1018)}[scale]
-        part[...] = np.ldexp(rng.uniform(-1.0, 1.0, x.shape), rng.integers(lo, hi, x.shape))
-        if scale == "huge" and n_cols:
-            part[:, 0] = np.ldexp(0.75, 1021)
-    for i in range(n_rows):
-        if n_cols and draw(st.integers(0, 3)) == 0:
-            part = x.real if draw(st.booleans()) else x.imag
-            part[i, draw(st.integers(0, n_cols - 1))] = draw(
-                st.sampled_from([math.inf, -math.inf, math.nan])
-            )
-    return x, rings
+        part[...] = np.ldexp(rng.uniform(-1.0, 1.0, part.shape), rng.integers(lo, hi, part.shape))
+        if scale == "huge" and n:
+            part[0, 0] = np.ldexp(0.75, 1021)
+    if n and draw(st.integers(0, 3)) == 0:
+        part = overlap.real if draw(st.booleans()) else overlap.imag
+        part[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan])
+        )
+    units = draw(st.lists(_UNITS, min_size=1, max_size=3))
+    return overlap, rings, np.array(units)[:, None] * np.ones(n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_complex_nested_case())
-def test_exact_nested_sums_of_independent_complex_parts(case) -> None:
-    x, rings = case
-    n_groups = int(rings.max()) + 1 if rings.size else 1
-    try:
-        expected = [
-            [
-                [math.fsum(part[i][rings <= g]) for g in range(n_groups)]
-                for part in (x.real, x.imag)
-            ]
-            for i in range(len(x))
-        ]
-    except (OverflowError, ValueError):  # fsum's intermediate overflow, inf - inf
-        assume(False)
-    got = exact_nested_sums(x, rings)
-    assert got.shape == (len(x), n_groups)
-    for i, (re, im) in enumerate(expected):
-        assert np.array_equal(_bits(got[i].real), _bits(re)), i
-        assert np.array_equal(_bits(got[i].imag), _bits(im)), i
+def test_nested_forms_of_independent_complex_parts(case) -> None:
+    overlap, rings, x = case
+    y = np.ones_like(x)
+    expected = _expected_groups(overlap, rings, x, y)
+    assume(expected is not None)
+    got = _forms(overlap, rings, x, y)
+    assert got.shape == (len(x), int(rings.max(initial=0)) + 1)
+    for i, want in enumerate(expected):
+        assert _same_values(got[i], want), i
 
 
 @pytest.mark.parametrize("name", ["reference", "wide"])
