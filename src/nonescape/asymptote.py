@@ -92,16 +92,16 @@ def moment_sum_quadrature(data: ExpansionData, a: int, b: int) -> complex:
     Each segment, of length L, gets int(L k_max / pi) + 2 panels of its own.
     """
     edges = data.states.r_edges.tolist()
-    k_max = float(np.max(np.abs(data.wavenumbers)))
+    k_max = float(np.max(np.abs(data.states.k)))
     panels = [
         panel_nodes(lo, hi, int((hi - lo) * k_max / np.pi) + 2, order=_QUAD_ORDER)
         for lo, hi in zip(edges[:-1], edges[1:])
     ]
     nodes = np.concatenate([x for x, _ in panels])
     weights = np.concatenate([w for _, w in panels])
-    sigma_a = np.asarray(weighted_field(data, nodes, data.coefficients / data.wavenumbers ** a))
+    sigma_a = np.asarray(weighted_field(data, nodes, data.coefficients / data.states.k ** a))
     sigma_b = sigma_a if b == a else np.asarray(
-        weighted_field(data, nodes, data.coefficients / data.wavenumbers ** b)
+        weighted_field(data, nodes, data.coefficients / data.states.k ** b)
     )
     return complex(exact_row_sums((weights * np.conj(sigma_b) * sigma_a)[None, :])[0])
 
@@ -139,8 +139,8 @@ def tail_expansion(
     """
     truncs, sub, rings = truncation_rings(data, truncations)
     pairs = [(a, b) for a in (1, 3, 5) for b in (1, 3, 5) if a + b <= 6]
-    left = np.array([sub.coefficients / sub.wavenumbers ** a for a, _ in pairs])
-    right = np.array([sub.coefficients / sub.wavenumbers ** b for _, b in pairs])
+    left = np.array([sub.coefficients / sub.states.k ** a for a, _ in pairs])
+    right = np.array([sub.coefficients / sub.states.k ** b for _, b in pairs])
     q = dict(zip(pairs, nested_forms(sub, rings, left, right)))
     # m_j of the Moshinsky series, m_0 = TAIL_PREFACTOR;
     # alpha_j conj(alpha_j') = m_j m_j' i^(j - j')
@@ -207,8 +207,6 @@ class SlopeFit:
 
     slope: float
     stderr: float
-    n_points: int
-    window: tuple[float, float]
 
 
 def slope_fit(series: NonescapeSeries, window: tuple[float, float]) -> SlopeFit:
@@ -236,12 +234,7 @@ def slope_fit(series: NonescapeSeries, window: tuple[float, float]) -> SlopeFit:
     x = np.log(t)
     y = np.log(p)
     coeffs, cov = np.polyfit(x, y, 1, cov=True)
-    return SlopeFit(
-        slope=float(coeffs[0]),
-        stderr=float(np.sqrt(cov[0, 0])),
-        n_points=int(mask.sum()),
-        window=(float(t_lo), float(t_hi)),
-    )
+    return SlopeFit(slope=float(coeffs[0]), stderr=float(np.sqrt(cov[0, 0])))
 
 
 def post_exponential_window(
@@ -378,7 +371,7 @@ def convergence_study(
         sub = data.truncate(tail.n_pairs)
         q11 = moment_sum_quadrature(sub, 1, 1).real
         t1q[i] = TAIL_PREFACTOR ** 2 * q11
-        x = np.abs(sub.coefficients / sub.wavenumbers)
+        x = np.abs(sub.coefficients / sub.states.k)
         floor[i] = _D1_ROUTE_FLOOR * TAIL_PREFACTOR ** 2 * (x @ np.abs(sub.overlap) @ x)
         l2[i] = float(np.sqrt(max(q11, 0.0)))
         cross[i] = crossover_time(tail)

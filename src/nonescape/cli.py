@@ -384,7 +384,7 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     state_rows = [
         (n, k.real, k.imag, u_r.real, u_r.imag)
-        for n, k, u_r in zip(data.indices, data.wavenumbers, data.boundary_values)
+        for n, k, u_r in zip(data.states.n, data.states.k, data.states.boundary_value)
     ]
     _write_csv(
         "states.csv",
@@ -395,10 +395,10 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
 
     # row-major over (n, l), as the matrices ravel
-    size = len(data.indices)
+    size = len(data.states)
     overlap_columns = (
-        np.repeat(data.indices, size),
-        np.tile(data.indices, size),
+        np.repeat(data.states.n, size),
+        np.tile(data.states.n, size),
         data.overlap.real.ravel(),
         data.overlap.imag.ravel(),
         quad.real.ravel(),
@@ -413,7 +413,7 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
 
     coeff_rows = [
-        (n, c.real, c.imag) for n, c in zip(data.indices, data.coefficients)
+        (n, c.real, c.imag) for n, c in zip(data.states.n, data.coefficients)
     ]
     _write_csv(
         "coefficients.csv", cfg, "expansion", ("n", "re_c", "im_c"), coeff_rows
@@ -439,13 +439,12 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = []
     for mode in ("closed", "quadrature"):
         if mode == "quadrature":  # the Gram matrix cmd_expansion writes
-            quad = overlap_matrix(data.states, method=mode)
-            data = replace(data, overlap=quad, overlap_method=mode)
+            data = replace(data, overlap=overlap_matrix(data.states, method=mode))
         sums = probability_sums(data, cfg.time_grid, truncations)
         for n in truncations:
             series = sums.series(n)
             rows.extend(
-                (series.mode, n, t, p, series.imag_residual)
+                (mode, n, t, p, series.imag_residual)
                 for t, p in zip(series.times, series.probability)
             )
     _write_csv(

@@ -132,7 +132,6 @@ class NonescapeSeries:
     probability: np.ndarray
     imag_residual: float
     n_pairs: int
-    mode: str
 
     def __len__(self) -> int:
         return len(self.times)
@@ -345,7 +344,6 @@ class ProbabilitySums:
     times: np.ndarray
     truncations: tuple[int, ...]
     sums: np.ndarray
-    mode: str
 
     def series(self, n_pairs: int) -> NonescapeSeries:
         """P(t) of one truncation; the first bad sample in time order raises.
@@ -377,7 +375,6 @@ class ProbabilitySums:
             probability=re,
             imag_residual=float(np.fmax.reduce(np.abs(im) / scale, initial=0.0)),
             n_pairs=self.truncations[i],
-            mode=self.mode,
         )
 
 
@@ -396,7 +393,7 @@ def truncation_rings(
         bad = truncs[0] if truncs[0] < 1 else truncs[-1]
         raise ConfigError(f"truncation {bad} outside the built range 1..{data.n_pairs}")
     sub = data.truncate(truncs[-1])
-    return truncs, sub, np.searchsorted(truncs, np.abs(sub.indices))
+    return truncs, sub, np.searchsorted(truncs, np.abs(sub.states.n))
 
 
 def nested_forms(
@@ -417,8 +414,9 @@ def nested_forms(
     terms = np.empty((step, span, n), dtype=complex)
 
     def row_terms(i: int) -> np.ndarray:  # for math.fsum
-        outer = left[i][:, None] * np.conj(right[i])[None, :]
-        return (overlap * outer).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            outer = left[i][:, None] * np.conj(right[i])[None, :]
+            return (overlap * outer).ravel()
 
     summer = _NestedSummer(len(left), np.asarray(rings), terms.size * 2, row_terms)
     for i0 in range(0, len(left), step):
@@ -428,9 +426,12 @@ def nested_forms(
             t = terms[: len(x), : n1 - n0]
             # numpy's complex product is not bitwise commutative (the
             # imaginary part is fused): both products name their operands
-            # in a fixed order, the order of the term I[n, l] (x_n conj(y_l))
-            np.multiply(x[:, n0:n1, None], cy, out=t)
-            np.multiply(overlap[n0:n1], t, out=t)
+            # in a fixed order, the order of the term I[n, l] (x_n conj(y_l)).
+            # An inf or NaN term warns nothing: the summer sends its row part
+            # to math.fsum, through row_terms
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(x[:, n0:n1, None], cy, out=t)
+                np.multiply(overlap[n0:n1], t, out=t)
             summer.add(i0, t, slice(n0, n1), last=n1 == n)
     return summer.out.view(complex)
 
@@ -442,9 +443,9 @@ def probability_sums(
 ) -> ProbabilitySums:
     """P(t) sums of every truncation: the :func:`nested_forms` of w = C M(k, t)."""
     truncs, sub, rings = truncation_rings(data, truncations)
-    w = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, grid.times))
+    w = sub.coefficients * np.asarray(moshinsky(sub.states.k, grid.times))
     sums = nested_forms(sub, rings, w, w).T
-    return ProbabilitySums(grid.times.copy(), truncs, sums, mode=sub.overlap_method)
+    return ProbabilitySums(grid.times.copy(), truncs, sums)
 
 
 def nonescape_probability(
@@ -454,9 +455,8 @@ def nonescape_probability(
 ) -> NonescapeSeries:
     """Evaluate the truncated double series for P(t) on a time grid.
 
-    The overlap matrix is the expansion's own, so the series is labelled
-    with its ``overlap_method``; expansions built with "closed" and with
-    "quadrature" overlaps must agree.
+    The overlap matrix is the expansion's own: expansions built with
+    "closed" and with "quadrature" overlaps must agree.
 
     Every sample is the correctly rounded sum of its (2N)^2 terms.  Samples
     are checked in time order and the first offending one raises.  This is

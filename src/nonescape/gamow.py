@@ -293,7 +293,7 @@ def _quadrature_gram(states: GamowState) -> np.ndarray:
             nodes, weights = panel_nodes(lo, hi, n_panels)
             for p0 in range(0, len(nodes), step):
                 sl = slice(p0, p0 + step)
-                u = _state_values(states, *_locate(edges, nodes[sl]))
+                u = states.evaluate(nodes[sl])
                 total += (u * weights[sl]) @ u.conj().T
         return total
 
@@ -360,7 +360,7 @@ def _coefficients_quadrature(states: GamowState, psi0: InitialState) -> np.ndarr
     step = max(1, _FIELD_BLOCK // len(states))
     for p0 in range(0, len(nodes), step):
         sl = slice(p0, p0 + step)
-        total += _state_values(states, *_locate(edges, nodes[sl])) @ weights[sl]
+        total += states.evaluate(nodes[sl]) @ weights[sl]
     return total
 
 
@@ -432,24 +432,9 @@ class ExpansionData:
     labels, wavenumbers and u(R) live in ``states`` alone.
     """
 
-    potential: Potential
-    psi0: InitialState
     coefficients: np.ndarray
     overlap: np.ndarray
     states: GamowState
-    overlap_method: str
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.states.n
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return self.states.k
-
-    @property
-    def boundary_values(self) -> np.ndarray:
-        return self.states.boundary_value
 
     @property
     def n_pairs(self) -> int:
@@ -465,14 +450,7 @@ class ExpansionData:
         if n_pairs == big:
             return self
         sl = slice(big - n_pairs, big + n_pairs)
-        return ExpansionData(
-            potential=self.potential,
-            psi0=self.psi0,
-            coefficients=self.coefficients[sl],
-            overlap=self.overlap[sl, sl],
-            states=self.states[sl],
-            overlap_method=self.overlap_method,
-        )
+        return ExpansionData(self.coefficients[sl], self.overlap[sl, sl], self.states[sl])
 
 
 def build_expansion(
@@ -487,7 +465,7 @@ def build_expansion(
     coefficients: in closed form for a :class:`BoxMode`, by quadrature for
     sampled data.  The quadrature route to the overlap matrix is
     ``dataclasses.replace(data, overlap=overlap_matrix(data.states,
-    "quadrature"), overlap_method="quadrature")``.
+    "quadrature"))``.
 
     The initial state must be normalized (checked to 1e-8).  Mirror-state
     coefficients are computed directly from the mirror states rather than by
@@ -510,12 +488,9 @@ def build_expansion(
     poles = [pole_set.pole(int(n)) for n in PoleSet.index_order(n_pairs)]
     states = _build_states(potential, poles)
     return ExpansionData(
-        potential=potential,
-        psi0=psi0,
         coefficients=_coefficients(states, psi0),
         overlap=overlap_matrix(states, "closed"),
         states=states,
-        overlap_method="closed",
     )
 
 
@@ -558,7 +533,7 @@ def sum_rule_residual(data: ExpansionData, r: np.ndarray | float) -> np.ndarray 
     For real initial data S_N is purely imaginary, so Re S_N vanishes
     identically and the convergence content lives in Im S_N.
     """
-    return weighted_field(data, r, data.coefficients / data.wavenumbers)
+    return weighted_field(data, r, data.coefficients / data.states.k)
 
 
 def reconstruct_initial(data: ExpansionData, r: np.ndarray | float) -> np.ndarray | complex:

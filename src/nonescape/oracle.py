@@ -63,6 +63,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -155,15 +156,16 @@ class GridSpec:
             raise ConfigError("absorber cannot fill the whole box")
         if 0.0 < w <= self.dr:
             raise ConfigError(f"absorber width {w:g} must exceed dr = {self.dr:g}")
+        self.n_nodes, self.n_steps  # each checks its integer multiple, once
 
-    @property
+    @cached_property
     def n_steps(self) -> int:
         steps = round(self.t_final / self.dt)
         if abs(steps * self.dt - self.t_final) > 1e-6 * self.dt:
             raise ConfigError("t_final must be an integer multiple of dt")
         return int(steps)
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         nodes = round(self.box_size / self.dr)
         if abs(nodes * self.dr - self.box_size) > 1e-6 * self.dr:
@@ -299,7 +301,6 @@ class _Run:
             probability=np.asarray(self.out_p),
             imag_residual=0.0,
             n_pairs=0,
-            mode="crank-nicolson",
         )
         return OracleResult(
             series=series,
@@ -488,7 +489,6 @@ class RefinementReport:
     """Agreement between a run and its grid-refined repeat."""
 
     base: OracleResult
-    refined: OracleResult
     factor: int
     max_abs_dev: float
     max_rel_dev: float
@@ -527,7 +527,7 @@ def refine_and_compare(
         abs_dev = np.abs(base.series.probability[ib] - pf)
         max_rel = float(np.max(abs_dev / np.maximum(np.abs(pf), 1e-300)))
         reports.append(RefinementReport(
-            base=base, refined=fine, factor=factor, max_abs_dev=float(np.max(abs_dev)),
+            base=base, factor=factor, max_abs_dev=float(np.max(abs_dev)),
             max_rel_dev=max_rel, tolerance=tolerance, flagged=bool(max_rel > tolerance),
         ))
     return tuple(reports)

@@ -429,7 +429,7 @@ def locate_poles(
         if k_n.imag > -axis_margin or k_n.real < axis_margin:
             raise AxisZero(f"zero at k = {k_n:.6g} hugs a coordinate axis; not a resonance")
         poles.append(ResonancePole(i + 1, k_n, float(residual), scale))
-    return PoleSet(potential=potential, window=window, tol=tol, poles=tuple(poles))
+    return PoleSet(tuple(poles))
 
 
 def mirror_state_rule(pole: ResonancePole) -> ResonancePole:
@@ -444,11 +444,8 @@ def mirror_state_rule(pole: ResonancePole) -> ResonancePole:
 
 @dataclass(frozen=True)
 class PoleSet:
-    """Ordered fourth-quadrant poles of one potential plus search metadata."""
+    """Ordered fourth-quadrant poles of one potential."""
 
-    potential: Potential
-    window: SearchWindow
-    tol: float
     poles: tuple[ResonancePole, ...]
 
     def __len__(self) -> int:

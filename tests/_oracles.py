@@ -275,7 +275,7 @@ def nonescape_probability_loop(
     p_out = np.empty(len(times))
     worst_imag = 0.0
     for j, t in enumerate(times):
-        w = data.coefficients * np.asarray(moshinsky(data.wavenumbers, float(t)))
+        w = data.coefficients * np.asarray(moshinsky(data.states.k, float(t)))
         outer = w[:, None] * np.conj(w)[None, :]
         flat = (data.overlap * outer).ravel()
         flat = flat[np.argsort(-np.abs(flat), kind="stable")]
@@ -402,4 +402,4 @@ def locate_poles_bisection(
         isolate((0.0, window.re_max, window.im_min, 0.0), count, scale)
     found.sort(key=lambda item: item[0].real)
     poles = tuple(ResonancePole(i + 1, k, r, s) for i, (k, r, s) in enumerate(found))
-    return PoleSet(potential=potential, window=window, tol=tol, poles=poles)
+    return PoleSet(poles)

@@ -57,14 +57,13 @@ def _series(t: np.ndarray, p: np.ndarray) -> NonescapeSeries:
         probability=np.asarray(p, dtype=float),
         imag_residual=0.0,
         n_pairs=1,
-        mode="closed",
     )
 
 
 def _moment_sum(sub: ExpansionData, a: int, b: int) -> complex:
     """Q[a, b] of one truncation by the matrix route: one nested_forms row."""
-    x = sub.coefficients / sub.wavenumbers ** a
-    y = sub.coefficients / sub.wavenumbers ** b
+    x = sub.coefficients / sub.states.k ** a
+    y = sub.coefficients / sub.states.k ** b
     rings = np.zeros(len(sub.overlap), dtype=np.intp)
     return complex(nested_forms(sub, rings, x[None, :], y[None, :])[0, 0])
 
@@ -153,7 +152,7 @@ def test_closed_overlap_perturbed_past_the_floor_raises(
     allowed = max(1e-6 * report.t1_quadrature[0], report.t1_floor[0])
     shift = factor * allowed - (report.t1_matrix[0] - report.t1_quadrature[0])
     i = n_pairs  # index order n = -N..-1, 1..N
-    x = sub.coefficients[i] / sub.wavenumbers[i]
+    x = sub.coefficients[i] / sub.states.k[i]
     overlap = sub.overlap.copy()
     overlap[i, i] += shift / (TAIL_PREFACTOR ** 2 * abs(x) ** 2)
     skewed = convergence_study(dataclasses.replace(sub, overlap=overlap), (n_pairs,))
@@ -192,8 +191,8 @@ def _own_tail(sub: ExpansionData) -> tuple[float, ...]:
     """T_1..T_3 of one truncation from ``math.fsum`` of its own terms."""
 
     def q(a: int, b: int) -> complex:
-        wa = sub.coefficients / sub.wavenumbers ** a
-        wb = sub.coefficients / sub.wavenumbers ** b
+        wa = sub.coefficients / sub.states.k ** a
+        wb = sub.coefficients / sub.states.k ** b
         outer = wa[:, None] * np.conj(wb)[None, :]
         terms = (sub.overlap * outer).ravel()
         return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
@@ -375,7 +374,7 @@ def test_synthetic_zero_sum_rule_kills_t1(data: ExpansionData, monkeypatch) -> N
 
     def forced(sub, rings, left, right):
         rows = original(sub, rings, left, right)
-        sigma_1 = sub.coefficients / sub.wavenumbers ** 1
+        sigma_1 = sub.coefficients / sub.states.k ** 1
         for i in range(len(rows)):
             if np.array_equal(left[i], sigma_1) or np.array_equal(right[i], sigma_1):
                 rows[i] = 0.0
@@ -395,7 +394,8 @@ def test_slope_fit_recovers_pure_power_law() -> None:
     assert isinstance(fit, SlopeFit)
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)
     assert fit.stderr <= 1e-12
-    assert fit.n_points == 60
+    # both ends of the window count: 8 samples, the least a fit takes
+    assert slope_fit(_series(t[:8], 7.0 / t[:8]), (1.0, t[7])).slope == pytest.approx(-1.0)
     fit3 = slope_fit(_series(t, 5.0 / t ** 3), (1.0, 100.0))
     assert fit3.slope == pytest.approx(-3.0, abs=1e-12)
 
@@ -590,7 +590,6 @@ def _synthetic_sums(t: np.ndarray, p: np.ndarray, truncations: tuple[int, ...]):
         times=t,
         truncations=truncations,
         sums=np.tile(p.astype(complex), (len(truncations), 1)),
-        mode="closed",
     )
 
 

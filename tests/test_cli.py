@@ -682,7 +682,7 @@ _TIMES = TimeGrid.log(_T0, _TAIL_GRID["t_max"], _TAIL_GRID["per_decade"])
 
 def _skewed(data, position: int, size: float, sign: float = 1.0):
     """Add i*sign*size/|w(t0)|^2 to one diagonal overlap entry (a copy)."""
-    w0 = data.coefficients[position] * moshinsky(data.wavenumbers[position], _T0)
+    w0 = data.coefficients[position] * moshinsky(data.states.k[position], _T0)
     overlap = data.overlap.copy()
     overlap[position, position] += 1j * sign * size / abs(w0) ** 2
     return dataclasses.replace(data, overlap=overlap)
@@ -702,7 +702,7 @@ def _inner_fails(data):
     # a skew on n = 2, cancelled in the largest truncation by the opposite
     # skew on n = -N, which is made a copy of n = 2 (k through the state table)
     big = data.n_pairs
-    wavenumbers, coefficients = data.wavenumbers.copy(), data.coefficients.copy()
+    wavenumbers, coefficients = data.states.k.copy(), data.coefficients.copy()
     wavenumbers[0], coefficients[0] = wavenumbers[big + 1], coefficients[big + 1]
     states = dataclasses.replace(data.states, k=wavenumbers)
     copied = dataclasses.replace(data, states=states, coefficients=coefficients)
@@ -714,7 +714,7 @@ def _late_inner_fails(data):
     # decays faster, so N = 5 first fails after t0
     big = data.n_pairs
     i1, i5 = big, big + 4
-    w = data.coefficients[[i1, i5]] * moshinsky(data.wavenumbers[[i1, i5]], _T0)
+    w = data.coefficients[[i1, i5]] * moshinsky(data.states.k[[i1, i5]], _T0)
     overlap = data.overlap.copy()
     overlap[i1, i1] += 1.0j
     overlap[i5, i5] -= 1.0j * abs(w[0]) ** 2 / abs(w[1]) ** 2
@@ -722,13 +722,15 @@ def _late_inner_fails(data):
 
 
 def _doctor(monkeypatch: pytest.MonkeyPatch, **by_mode) -> None:
-    """Doctor the expansion whose P(t) the CLI sums, by overlap mode."""
+    """Doctor the expansion whose P(t) the CLI sums, by overlap mode: the
+    pass with closed overlaps comes first, then the one with quadrature."""
     import nonescape.cli as cli
 
     evaluate = cli.probability_sums
+    modes = iter(("closed", "quadrature"))
 
     def doctored(data, grid, truncations):
-        mode = data.overlap_method
+        mode = next(modes)
         return evaluate(by_mode[mode](data) if mode in by_mode else data, grid, truncations)
 
     monkeypatch.setattr(cli, "probability_sums", doctored)
@@ -809,7 +811,6 @@ def test_nonescape_raises_modes_in_order_before_truncations(
     quadrature = dataclasses.replace(
         data.truncate(10),
         overlap=overlap_matrix(data.truncate(10).states, "quadrature"),
-        overlap_method="quadrature",
     )
     assert _raised(_skewed_inner(quadrature), 5) != first
     _doctor(monkeypatch, closed=_outer_fails, quadrature=_skewed_inner)
@@ -1189,6 +1190,19 @@ _GRID = {"box_size": 12.0, "dr": 0.005, "dt": 0.0004, "t_final": 1.0}
             "t_min overflows a float",
         ),
         ("poles", {"r_points": [0.25, 10**400, 0.75]}, [], "r_points overflows a float"),
+        # counts off an integer multiple: only the oracle's runs refused them
+        (
+            "poles",
+            {"oracle_grid": {**_GRID, "box_size": 240.001}},
+            [],
+            "box_size must be an integer multiple of dr",
+        ),
+        (
+            "poles",
+            {"oracle_grid": {**_GRID, "t_final": 1.0001}},
+            [],
+            "t_final must be an integer multiple of dt",
+        ),
     ],
 )
 def test_overflowing_inputs_exit_2_without_warnings(

@@ -107,13 +107,10 @@ def test_exponential_stage_slope(data: ExpansionData) -> None:
 def test_modes_agree(data: ExpansionData) -> None:
     grid = TimeGrid(np.array([0.0, 0.3, 1.7, 8.0]))
     sub = data.truncate(6)
-    quad_data = dataclasses.replace(
-        sub, overlap=overlap_matrix(sub.states, "quadrature"), overlap_method="quadrature"
-    )
+    quad_data = dataclasses.replace(sub, overlap=overlap_matrix(sub.states, "quadrature"))
     closed = nonescape_probability(data, grid, n_pairs=6)
     quad = nonescape_probability(quad_data, grid)
     np.testing.assert_allclose(closed.probability, quad.probability, atol=1e-10)
-    assert closed.mode == "closed" and quad.mode == "quadrature"
 
 
 def test_series_bookkeeping(data: ExpansionData) -> None:
@@ -121,7 +118,6 @@ def test_series_bookkeeping(data: ExpansionData) -> None:
     series = nonescape_probability(data, grid, n_pairs=10)
     assert len(series) == len(grid)
     assert series.n_pairs == 10
-    assert series.mode == "closed"
     assert series.imag_residual <= 1e-10
     assert np.all(series.probability > 0.0)
     assert series.times is not grid.times  # defensive copy
@@ -142,7 +138,6 @@ def test_nonescape_series_is_lightweight() -> None:
         probability=np.array([1.0, 0.5]),
         imag_residual=0.0,
         n_pairs=1,
-        mode="closed",
     )
     assert len(series) == 2
 
@@ -180,7 +175,7 @@ def test_nonhermitian_overlap_raises_at_first_offending_time(
     data: ExpansionData,
 ) -> None:
     sub = data.truncate(10)
-    i1, i5 = (int(np.flatnonzero(sub.indices == n)[0]) for n in (1, 5))
+    i1, i5 = (int(np.flatnonzero(sub.states.n == n)[0]) for n in (1, 5))
     w0 = 0.5 * sub.coefficients  # M(k, 0) = 1/2
     # an anti-Hermitian part whose term cancels at t = 0 and grows as the
     # n = 5 state decays faster than n = 1
@@ -240,7 +235,7 @@ def test_series_checks_match_sample_loop(parts: list[tuple[float, float]]) -> No
     # worst imaginary residual (a NaN sample skipped, as Python's max skips it)
     row = np.array([complex(re, im) for re, im in parts])
     times = 0.25 * np.arange(1, len(row) + 1)
-    sums = ProbabilitySums(times=times, truncations=(3,), sums=row[None, :], mode="closed")
+    sums = ProbabilitySums(times=times, truncations=(3,), sums=row[None, :])
     try:
         p_ref, imag_ref = _checked_row_loop(times, row)
     except (TruncationUnstable, NonPositiveProbability) as exc:
@@ -341,14 +336,13 @@ def test_exact_sums_where_fsum_raises() -> None:
 
 
 def _forms(overlap: np.ndarray, rings, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`nested_forms` on a bare overlap matrix, without warnings: an
-    infinite entry times a zero part of x_n conj(y_l) is NaN, and numpy's
-    vectorized complex product can raise the overflow flag on an entry near
-    the largest double though the product is exact (3 forms of one state,
-    entry 1e300 + 1.797e308j)."""
+    """:func:`nested_forms` on a bare overlap matrix.  It warns nothing,
+    though an infinite entry times a zero part of x_n conj(y_l) is NaN, and
+    numpy's vectorized complex product can raise the overflow flag on an
+    entry near the largest double though the product is exact (3 forms of
+    one state, entry 1e300 + 1.797e308j)."""
     sub = types.SimpleNamespace(overlap=overlap)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return nested_forms(sub, np.asarray(rings, dtype=np.intp), x, y)
+    return nested_forms(sub, np.asarray(rings, dtype=np.intp), x, y)
 
 
 def test_nested_forms_where_fsum_raises() -> None:
@@ -373,6 +367,21 @@ def test_nested_forms_where_fsum_raises() -> None:
     assert _forms(big + 0j, rings, rows[:1], rows[:1])[0].tolist() == [2.5e307, 2.5e307]
 
 
+def test_nested_forms_warn_nothing_at_an_infinite_overlap(data: ExpansionData) -> None:
+    # (inf + 0j) x_0 conj(x_1) with x = 1 is inf + NaN j: inf times the zero
+    # imaginary part.  Under warnings-as-errors the pass still ends, with
+    # math.fsum of each part of the terms
+    _, sub, rings = truncation_rings(data, (3,))
+    overlap = sub.overlap.copy()
+    overlap[0, 1] = complex(math.inf, 0.0)
+    ones = np.ones((1, len(overlap)))
+    (got,) = nested_forms(dataclasses.replace(sub, overlap=overlap), rings, ones, ones)
+    with np.errstate(invalid="ignore"):
+        terms = (overlap * np.ones_like(overlap)).ravel()
+    assert got[0].real == math.fsum(terms.real) == math.inf
+    assert math.isnan(got[0].imag) and math.isnan(math.fsum(terms.imag))
+
+
 def _finite_term():
     # mantissas at exponents across the whole range, the subnormal end
     # included, and edge values
@@ -395,7 +404,7 @@ def _expected_groups(overlap, rings, x, y) -> list:
     n_groups = int(max(rings, default=0)) + 1
     expected = []
     for xi, yi in zip(x, y):
-        with np.errstate(invalid="ignore", over="ignore"):  # as in _forms
+        with np.errstate(invalid="ignore", over="ignore"):  # as nested_forms does
             terms = (overlap * (xi[:, None] * np.conj(yi)[None, :])).ravel()
         try:
             expected.append([
@@ -515,7 +524,7 @@ def _loop_reference(data: ExpansionData, grid: TimeGrid, truncations) -> None:
         p_ref, imag_ref = nonescape_probability_loop(data.truncate(n), grid.times)
         assert np.array_equal(_bits(series.probability), _bits(p_ref)), n
         assert series.imag_residual == imag_ref, n
-        assert series.n_pairs == n and series.mode == data.overlap_method
+        assert series.n_pairs == n
 
 
 @pytest.mark.parametrize("truncations", [(1, 2, 7, 33, 40), (1, 40), (3, 4, 39)])
@@ -582,7 +591,7 @@ def test_fsum_fallback_in_a_late_chunk_settles_that_row_alone(
     # form alone goes to math.fsum; the others stay in the bins.
     truncations = (10, 80, 160)
     _, sub, rings = truncation_rings(ctx.wide_data, truncations)
-    w = sub.coefficients * np.asarray(moshinsky(sub.wavenumbers, 0.7))
+    w = sub.coefficients * np.asarray(moshinsky(sub.states.k, 0.7))
     rows = w * np.array([1.0, 2.0**60, 0.5])[:, None]
     n, l = 300, 5
     doctored = sub.overlap.copy()
@@ -627,7 +636,7 @@ def test_nested_probability_checks_each_truncation_alone(data: ExpansionData) ->
     # smaller truncation's series is still checked and returned
     sub = data.truncate(10)
     grid = TimeGrid.log(0.05, 2.0, per_decade=8)
-    w0 = sub.coefficients[0] * moshinsky(sub.wavenumbers[0], grid.times[0])
+    w0 = sub.coefficients[0] * moshinsky(sub.states.k[0], grid.times[0])
     skew = np.zeros_like(sub.overlap)
     skew[0, 0] = 1e-3j / abs(w0) ** 2  # imaginary residual 1e-3 at the first sample
     doctored = dataclasses.replace(sub, overlap=sub.overlap + skew)

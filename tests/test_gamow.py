@@ -57,7 +57,7 @@ _RECONSTRUCTION_ERR = {5: 0.1799, 10: 0.0609, 20: 0.0622, 40: 0.0329}
 
 def test_state_satisfies_defining_equations(pole_set: PoleSet) -> None:
     for n in (1, 5, 40):
-        residuals = state_residuals(pole_set.potential, pole_set.pole(n))
+        residuals = state_residuals(REFERENCE_POTENTIAL, pole_set.pole(n))
         ode, origin, outgoing, normalization = residuals
         assert ode <= 1e-6
         assert origin <= 1e-12
@@ -67,7 +67,7 @@ def test_state_satisfies_defining_equations(pole_set: PoleSet) -> None:
 
 def test_state_is_sine_inside_delta_shell(pole_set: PoleSet) -> None:
     # With a free interior the regular solution is proportional to sin(k r).
-    state = one_state(pole_set.potential, pole_set.pole(2))
+    state = one_state(REFERENCE_POTENTIAL, pole_set.pole(2))
     k = state.k[0]
     r = np.linspace(0.05, 0.95, 13)
     (vals,) = state.evaluate(r)
@@ -79,8 +79,8 @@ def test_state_is_sine_inside_delta_shell(pole_set: PoleSet) -> None:
 
 
 def test_mirror_state_is_conjugate(pole_set: PoleSet) -> None:
-    plus = one_state(pole_set.potential, pole_set.pole(3))
-    minus = one_state(pole_set.potential, pole_set.pole(-3))
+    plus = one_state(REFERENCE_POTENTIAL, pole_set.pole(3))
+    minus = one_state(REFERENCE_POTENTIAL, pole_set.pole(-3))
     r = np.linspace(0.0, 1.0, 21)
     np.testing.assert_array_equal(minus.evaluate(r), np.conj(plus.evaluate(r)))
     np.testing.assert_array_equal(minus.boundary_value, plus.boundary_value.conj())
@@ -89,7 +89,7 @@ def test_mirror_state_is_conjugate(pole_set: PoleSet) -> None:
 def test_build_state_rejects_zero_wavenumber(pole_set: PoleSet) -> None:
     fake = ResonancePole(n=1, k=0.0 + 0.0j, residual=0.0, scale=1.0)
     with pytest.raises(ZeroWavenumber):
-        one_state(pole_set.potential, fake)
+        one_state(REFERENCE_POTENTIAL, fake)
 
 
 def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
@@ -106,17 +106,40 @@ def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
     assert abs(k - (3.73 + 1.04j)) <= 0.01
     fake = ResonancePole(n=2, k=k, residual=0.0, scale=1.0)
     with pytest.raises(NormalizationSingular, match="normalization integral vanishes"):
-        one_state(pole_set.potential, fake)
+        one_state(REFERENCE_POTENTIAL, fake)
     with pytest.raises(NormalizationSingular):
         build_expansion(
-            pole_set.potential,
-            PoleSet(pole_set.potential, pole_set.window, pole_set.tol, (pole_set.pole(1), fake)),
+            REFERENCE_POTENTIAL,
+            PoleSet((pole_set.pole(1), fake)),
             REFERENCE_STATE,
         )
 
 
+def test_quadrature_routes_evaluate_through_the_state_table(
+    pole_set: PoleSet, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # the Gram matrix and the sampled-state coefficients form their state
+    # values in GamowState.evaluate, one call per block of nodes
+    states = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(n) for n in (-2, -1, 1, 2)])
+    calls = []
+    original = GamowState.evaluate
+
+    def spy(self, r):
+        calls.append(np.size(r))
+        return original(self, r)
+
+    monkeypatch.setattr(GamowState, "evaluate", spy)
+    overlap_matrix(states, "quadrature")
+    assert len(calls) >= 2  # the panels, then the panels doubled
+    calls.clear()
+    r = np.linspace(0.0, 1.0, 101)
+    sampled = normalized(Sampled(r, np.asarray(initial_wavefunction(REFERENCE_STATE, r))))
+    _coefficients_quadrature(states, sampled)
+    assert calls
+
+
 def test_tolerance_not_met_raised(pole_set: PoleSet, monkeypatch: pytest.MonkeyPatch) -> None:
-    states = _build_states(pole_set.potential, [pole_set.pole(n) for n in (1, 2)])
+    states = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(n) for n in (1, 2)])
     monkeypatch.setattr(gamow, "_GRAM_RTOL", 1e-20)
     with pytest.raises(ToleranceNotMet, match="overlap quadrature unconverged"):
         _quadrature_gram(states)
@@ -124,7 +147,7 @@ def test_tolerance_not_met_raised(pole_set: PoleSet, monkeypatch: pytest.MonkeyP
 
 def test_overlap_closed_matches_quadrature(pole_set: PoleSet) -> None:
     ns = (-4, -1, 1, 2, 4)
-    states = _build_states(pole_set.potential, [pole_set.pole(n) for n in ns])
+    states = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(n) for n in ns])
     closed = overlap_matrix(states, "closed")
     for i in range(len(ns)):
         for j in range(len(ns)):
@@ -135,7 +158,7 @@ def test_overlap_closed_matches_quadrature(pole_set: PoleSet) -> None:
 def test_overlap_anti_diagonal_from_normalization(pole_set: PoleSet) -> None:
     # l = -n: the Green's identity degenerates; the value follows from the
     # normalization rule int u^2 = 1 - i u(R)^2 / (2k).
-    pair = _build_states(pole_set.potential, [pole_set.pole(2), pole_set.pole(-2)])
+    pair = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(2), pole_set.pole(-2)])
     expected = 1.0 - 1j * pair.boundary_value[0] ** 2 / (2.0 * pair.k[0])
     assert overlap_matrix(pair, "closed")[0, 1] == pytest.approx(expected, rel=1e-14)
     assert overlap_quadrature(pair[:1], pair[1:]) == pytest.approx(expected, rel=1e-9)
@@ -172,7 +195,7 @@ def test_overlap_matrix_routes_agree(data: ExpansionData) -> None:
 
 
 def test_expansion_coefficient_methods_agree(pole_set: PoleSet) -> None:
-    states = _build_states(pole_set.potential, [pole_set.pole(n) for n in (1, 2, -1, 7)])
+    states = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(n) for n in (1, 2, -1, 7)])
     closed = _coefficients_closed(states, REFERENCE_STATE)
     quad = _coefficients_quadrature(states, REFERENCE_STATE)
     assert closed == pytest.approx(quad, rel=1e-9, abs=1e-12)
@@ -183,8 +206,8 @@ def test_expansion_coefficient_sampled_state(pole_set: PoleSet) -> None:
     # reproduce the closed-form coefficients to the sampling accuracy.
     r = np.linspace(0.0, 1.0, 2001)
     sampled = normalized(Sampled(r, np.asarray(initial_wavefunction(REFERENCE_STATE, r))))
-    by_quadrature = build_expansion(pole_set.potential, pole_set, sampled, n_pairs=3)
-    closed = build_expansion(pole_set.potential, pole_set, REFERENCE_STATE, n_pairs=3)
+    by_quadrature = build_expansion(REFERENCE_POTENTIAL, pole_set, sampled, n_pairs=3)
+    closed = build_expansion(REFERENCE_POTENTIAL, pole_set, REFERENCE_STATE, n_pairs=3)
     np.testing.assert_allclose(by_quadrature.coefficients, closed.coefficients, rtol=1e-6)
 
 
@@ -204,15 +227,15 @@ def test_box_mode_coefficient_tail_law(data: ExpansionData) -> None:
     # normalization rule drives u_n(R)^2 -> i k_n / lam.  Together
     # |C_n u_n(R)| ~ 1/|k_n|: the Fourier-type decay behind the 1/N
     # completeness rate of selftest check 4.
-    radius = data.potential.radius
-    lam = data.potential.strength
-    ks = data.wavenumbers
-    u_r = data.boundary_values
+    radius = REFERENCE_POTENTIAL.radius
+    lam = REFERENCE_POTENTIAL.strength
+    ks = data.states.k
+    u_r = data.states.boundary_value
     kappa = np.pi / radius
     green = np.sqrt(2.0 / radius) * kappa * u_r / (kappa**2 - ks**2)
     np.testing.assert_allclose(data.coefficients, green, rtol=1e-11, atol=0.0)
 
-    positive = data.indices > 0
+    positive = data.states.n > 0
     dev = np.abs(u_r[positive] ** 2 / (1j * ks[positive] / lam) - 1.0)
     assert np.all(np.diff(dev) < 0.0)
     assert dev[-1] <= 0.03
@@ -222,35 +245,34 @@ def test_build_expansion_requires_normalized_state(pole_set: PoleSet) -> None:
     r = np.linspace(0.0, 1.0, 101)
     lopsided = Sampled(r, 2.0 * np.sin(np.pi * r))
     with pytest.raises(InvalidState, match="normalized"):
-        build_expansion(pole_set.potential, pole_set, lopsided, n_pairs=2)
+        build_expansion(REFERENCE_POTENTIAL, pole_set, lopsided, n_pairs=2)
 
 
 def test_build_expansion_bad_requests(pole_set: PoleSet) -> None:
     with pytest.raises(ConfigError, match="pole pairs"):
-        build_expansion(pole_set.potential, pole_set, REFERENCE_STATE, n_pairs=10_000)
+        build_expansion(REFERENCE_POTENTIAL, pole_set, REFERENCE_STATE, n_pairs=10_000)
     # either kind of state reaching past R = 1 is refused
     r = np.linspace(0.0, 1.5, 301)
     sampled = normalized(Sampled(r, np.sin(np.pi * r / 1.5)))
     for far_state in (BoxMode(mode=1, radius=2.0), sampled):
         with pytest.raises(InvalidState, match="beyond the potential range"):
-            build_expansion(pole_set.potential, pole_set, far_state, n_pairs=2)
+            build_expansion(REFERENCE_POTENTIAL, pole_set, far_state, n_pairs=2)
 
 
 def test_truncate_slices_symmetrically(data: ExpansionData) -> None:
     sub = data.truncate(3)
     assert sub.n_pairs == 3
-    np.testing.assert_array_equal(sub.indices, [-3, -2, -1, 1, 2, 3])
+    np.testing.assert_array_equal(sub.states.n, [-3, -2, -1, 1, 2, 3])
     full = data.n_pairs
     np.testing.assert_array_equal(
-        sub.wavenumbers, data.wavenumbers[full - 3 : full + 3]
+        sub.states.k, data.states.k[full - 3 : full + 3]
     )
     np.testing.assert_array_equal(
         sub.overlap, data.overlap[full - 3 : full + 3, full - 3 : full + 3]
     )
     # labels, wavenumbers and u(R) are read-only views of the one table
-    assert sub.wavenumbers is sub.states.k and sub.boundary_values is sub.states.boundary_value
     with pytest.raises(ValueError, match="read-only"):
-        data.wavenumbers[0] = 0.0
+        data.states.k[0] = 0.0
     assert data.truncate(full) is data
     with pytest.raises(ConfigError, match="outside the built range"):
         data.truncate(0)
@@ -300,7 +322,7 @@ def test_expansion_norm_approaches_unity(data: ExpansionData) -> None:
 def test_states_from_different_potentials_rejected(pole_set: PoleSet) -> None:
     other = DeltaShell(strength=6.0, radius=0.5)
     other_set_state = one_state(other, ResonancePole(n=1, k=5.0 - 0.3j, residual=0.0, scale=1.0))
-    ref_state = one_state(pole_set.potential, pole_set.pole(1))
+    ref_state = one_state(REFERENCE_POTENTIAL, pole_set.pole(1))
     with pytest.raises(ConfigError, match="different segmentations"):
         overlap_quadrature(ref_state, other_set_state)
 
@@ -400,7 +422,7 @@ def test_weighted_field_adds_in_state_order(
     # state order: the same bits as adding weights[m] u_m(r) state by state.
     data = expansions[name]
     r = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 1500)])
-    weights = data.coefficients / data.wavenumbers
+    weights = data.coefficients / data.states.k
     weights[3] = 0.0
     idx, x = _locate(data.states.r_edges, r)
     expected = np.zeros(r.size, dtype=complex)

@@ -116,7 +116,7 @@ def test_pole_positions_match_independent_root_polish(pole_set: PoleSet) -> None
 
 
 def test_pole_count_matches_independent_winding(pole_set: PoleSet) -> None:
-    assert winding_count(pole_set.potential, pole_set.window) == len(pole_set)
+    assert winding_count(REFERENCE_POTENTIAL, SEARCH_WINDOW) == len(pole_set)
     assert len(pole_set) >= 40
 
 
@@ -154,7 +154,7 @@ def test_mirror_rule_involution_and_zero(pole_set: PoleSet) -> None:
         back = mirror_state_rule(m)
         assert back.k == p.k and back.n == n
         # The mirror is an exact zero of J to the same resolved tolerance.
-        j_m = matching_function(pole_set.potential, m.k)[0]
+        j_m = matching_function(REFERENCE_POTENTIAL, m.k)[0]
         assert abs(j_m) <= 1e-10 * p.scale
 
 
@@ -170,7 +170,7 @@ def test_wavenumbers_ordering(pole_set: PoleSet, data: ExpansionData) -> None:
     # an expansion's wavenumbers follow index_order: mirrors first
     idx = PoleSet.index_order(4)
     np.testing.assert_array_equal(idx, [-4, -3, -2, -1, 1, 2, 3, 4])
-    ks = data.truncate(4).wavenumbers
+    ks = data.truncate(4).states.k
     assert ks.shape == (8,)
     for i, n in enumerate(idx):
         assert ks[i] == pole_set.pole(int(n)).k
@@ -206,8 +206,8 @@ def test_search_window_validation() -> None:
 
 
 def test_reference_window_is_selftest_window(pole_set: PoleSet) -> None:
-    assert pole_set.window == SEARCH_WINDOW
-    assert pole_set.potential == REFERENCE_POTENTIAL
+    # the shared pole set is the reference potential's, in the reference window
+    assert locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW).poles == pole_set.poles
 
 
 def test_resonance_pole_is_frozen() -> None:
