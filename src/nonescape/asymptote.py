@@ -70,9 +70,9 @@ D1_RATIO_BOUND = 0.1
 
 __all__ = [
     "moment_sum_quadrature",
-    "TailCoefficients",
     "tail_coefficient_t1",
     "tail_expansion",
+    "tail_series",
     "crossover_time",
     "SlopeFit",
     "slope_fit",
@@ -106,32 +106,11 @@ def moment_sum_quadrature(data: ExpansionData, a: int, b: int) -> complex:
     return complex(exact_row_sums((weights * np.conj(sigma_b) * sigma_a)[None, :])[0])
 
 
-@dataclass(frozen=True)
-class TailCoefficients:
-    """Coefficients T_p of P(t) ~ sum_p T_p / t^p, p = 1..3."""
-
-    values: tuple[float, ...]
-    n_pairs: int
-
-    @property
-    def t1(self) -> float:
-        return self.values[0]
-
-    def evaluate(self, t: np.ndarray | float) -> np.ndarray | float:
-        """The truncated tail series at time(s) t."""
-        t_arr = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t_arr)
-        for p, coeff in enumerate(self.values, start=1):
-            acc = acc + coeff / t_arr ** p
-        if np.ndim(t) == 0:
-            return float(acc)
-        return acc
-
-
 def tail_expansion(
     data: ExpansionData, truncations: tuple[int, ...] | list[int] | range
-) -> tuple[TailCoefficients, ...]:
-    """T_1..T_3 of every truncation by the moment-sum route.
+) -> np.ndarray:
+    """T_1..T_3 of every truncation by the moment-sum route: row i of the
+    (len(truncations), 3) table holds those of ``truncations[i]``.
 
     T_p needs Q[a, b], the form of x = C/k^a and y = C/k^b, with a + b = 2p.
     One ``nested_forms`` call over the largest truncation's terms gives the
@@ -145,17 +124,21 @@ def tail_expansion(
     # m_j of the Moshinsky series, m_0 = TAIL_PREFACTOR;
     # alpha_j conj(alpha_j') = m_j m_j' i^(j - j')
     m = asymptotic_coefficients(3)
-    tails = []
-    for i, n in enumerate(truncs):
-        values = []
+    tails = np.empty((len(truncs), 3))
+    for i in range(len(truncs)):
         for p in range(1, 4):
             acc = 0.0 + 0.0j
             for j in range(p):
                 jp = p - 1 - j
                 acc += m[j] * m[jp] * (1j) ** (j - jp) * complex(q[2 * j + 1, 2 * jp + 1][i])
-            values.append(float(acc.real))
-        tails.append(TailCoefficients(values=tuple(values), n_pairs=n))
-    return tuple(tails)
+            tails[i, p - 1] = acc.real
+    return tails
+
+
+def tail_series(tail: np.ndarray, t: np.ndarray | float) -> np.ndarray:
+    """The truncated tail sum_p T_p / t^p at time(s) t, from one table row."""
+    t = np.asarray(t, dtype=float)
+    return sum((coeff / t ** p for p, coeff in enumerate(tail, start=1)), np.zeros_like(t))
 
 
 def tail_coefficient_t1(data: ExpansionData) -> float:
@@ -168,7 +151,7 @@ def tail_coefficient_t1(data: ExpansionData) -> float:
     """
     report = convergence_study(data, (data.n_pairs,))
     report.check_routes()
-    return float(report.t1_matrix[0])
+    return float(report.tails[0, 0])
 
 
 def _last_zero(t1: float, t2: float, t3: float) -> float:
@@ -184,7 +167,7 @@ def _last_zero(t1: float, t2: float, t3: float) -> float:
     return max((r for r in roots if r > 0.0), default=0.0)
 
 
-def crossover_time(coefficients: TailCoefficients) -> float:
+def crossover_time(t1: float, t2: float, t3: float) -> float:
     """First time at which the tail's local log-log slope exceeds -2.
 
     With f = t^3 P = T_1 t^2 + T_2 t + T_3 the slope is t f'/f - 3, so where
@@ -193,7 +176,7 @@ def crossover_time(coefficients: TailCoefficients) -> float:
     max(r, sqrt(T_3 / T_1)), that root read as 0 for T_3 <= 0 and as inf for
     T_1 = 0 < T_3.  A tail not positive at large times is a ConfigError.
     """
-    t1, t2, t3 = coefficients.values
+    t1, t2, t3 = float(t1), float(t2), float(t3)  # overflow to inf, not a numpy warning
     if not next((c for c in (t1, t2, t3) if c != 0.0), 0.0) > 0.0:
         raise ConfigError("tail series is non-positive at large times")
     if t3 <= 0.0:
@@ -289,8 +272,9 @@ def post_exponential_window(
 class TailReport:
     """Truncation study of the tail: one row per truncation N.
 
-    ``tails`` holds each truncation's T_1..T_3 by the moment-sum route, and
-    ``t1_matrix``/``t1_quadrature`` are the two routes to T_1 = D1(N);
+    ``tails`` is the :func:`tail_expansion` table of T_1..T_3 by the
+    moment-sum route; its column 0 and ``t1_quadrature`` are the two routes
+    to T_1 = D1(N);
     ``t1_floor`` is the closed route's rounding floor on T_1;
     ``sumrule_l2`` is ||S_N||_2 = sqrt(int_0^R |S_N|^2 dr), the object whose
     decay kills the t^-1 term; ``crossover`` is where each truncated tail's
@@ -299,8 +283,7 @@ class TailReport:
     """
 
     truncations: tuple[int, ...]
-    tails: tuple[TailCoefficients, ...]
-    t1_matrix: np.ndarray
+    tails: np.ndarray
     t1_quadrature: np.ndarray
     t1_floor: np.ndarray
     sumrule_l2: np.ndarray
@@ -310,7 +293,7 @@ class TailReport:
 
     def _route_gap(self) -> tuple[np.ndarray, np.ndarray]:
         """|T_1 by matrix - T_1 by quadrature| per truncation, and its scale."""
-        t1m, t1q = self.t1_matrix, self.t1_quadrature
+        t1m, t1q = self.tails[:, 0], self.t1_quadrature
         return np.abs(t1m - t1q), np.maximum(np.maximum(np.abs(t1m), np.abs(t1q)), 1e-300)
 
     @property
@@ -329,15 +312,15 @@ class TailReport:
         if np.any(gap > np.maximum(_D1_ROUTE_RTOL * scale, self.t1_floor)):
             raise EquivalenceViolation(
                 f"t^-1 coefficient routes disagree by {self.route_dev:.3e} (N = "
-                f"{self.truncations}): matrix {self.t1_matrix} vs quadrature "
+                f"{self.truncations}): matrix {self.tails[:, 0]} vs quadrature "
                 f"{self.t1_quadrature}"
             )
 
     @property
     def d1_ratio(self) -> float | None:
         """D1(N_max) / D1(N_min), or None when D1(N_min) is not positive."""
-        t1 = self.tails[0].t1
-        return self.tails[-1].t1 / t1 if t1 > 0 else None
+        t1 = float(self.tails[0, 0])
+        return float(self.tails[-1, 0]) / t1 if t1 > 0 else None
 
     @property
     def vanishing(self) -> bool:
@@ -365,22 +348,21 @@ def convergence_study(
     slope, and checked where its row of the table is made.
     """
     tails = tail_expansion(data, truncations)
-    t1q, floor, l2, cross = (np.empty(len(tails)) for _ in range(4))
-    slopes, errs = np.full(len(tails), np.nan), np.full(len(tails), np.nan)
-    for i, tail in enumerate(tails):
-        sub = data.truncate(tail.n_pairs)
+    truncs = tuple(int(n) for n in truncations)  # checked by tail_expansion
+    t1q, floor, l2, cross = (np.empty(len(truncs)) for _ in range(4))
+    slopes, errs = np.full(len(truncs), np.nan), np.full(len(truncs), np.nan)
+    for i, n in enumerate(truncs):
+        sub = data.truncate(n)
         q11 = moment_sum_quadrature(sub, 1, 1).real
         t1q[i] = TAIL_PREFACTOR ** 2 * q11
         x = np.abs(sub.coefficients / sub.states.k)
         floor[i] = _D1_ROUTE_FLOOR * TAIL_PREFACTOR ** 2 * (x @ np.abs(sub.overlap) @ x)
         l2[i] = float(np.sqrt(max(q11, 0.0)))
-        cross[i] = crossover_time(tail)
+        cross[i] = crossover_time(*tails[i])
         if slope_window is not None and sums is not None:
-            fit = slope_fit(sums.series(tail.n_pairs), slope_window)
+            fit = slope_fit(sums.series(n), slope_window)
             slopes[i], errs[i] = fit.slope, fit.stderr
-    truncs = tuple(tail.n_pairs for tail in tails)
-    t1m = np.array([tail.t1 for tail in tails])
-    return TailReport(truncs, tails, t1m, t1q, floor, l2, cross, slopes, errs)
+    return TailReport(truncs, tails, t1q, floor, l2, cross, slopes, errs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -473,7 +473,7 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = convergence_study(data, truncations, slope_window, sums)
     rows = zip(
         report.truncations,
-        report.t1_matrix,
+        report.tails[:, 0],
         report.t1_quadrature,
         report.sumrule_l2,
         report.crossover,
@@ -554,7 +554,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
             str(n): {"value": f.slope, "stderr": f.stderr}
             for n, f in verdict.expansion_fits.items()
         },
-        "d1": {str(n): float(v) for n, v in zip(truncations, report.t1_matrix)},
+        "d1": {str(n): float(v) for n, v in zip(truncations, report.tails[:, 0])},
         "d1_ratio": report.d1_ratio,
         "crossover": {str(n): float(v) for n, v in zip(truncations, report.crossover)},
         "max_rel_dev_lifetime_window": verdict.lifetime_dev,

@@ -89,8 +89,11 @@ class TimeGrid:
             raise ConfigError("need 0 < t_min < t_max for a log grid")
         if not per_decade >= 1:
             raise ConfigError(f"a log grid needs per_decade >= 1, got {per_decade}")
+        # past about 308 decades the end ratio overflows: count its logs instead
+        ratio = float(t_max) / float(t_min)
+        decades = np.log10(ratio) if np.isfinite(ratio) else np.log10(t_max) - np.log10(t_min)
         try:
-            n = max(2, int(np.ceil(np.log10(t_max / t_min) * per_decade)) + 1)
+            n = max(2, int(np.ceil(decades * per_decade)) + 1)
         except (OverflowError, ValueError) as exc:  # an infinite or NaN point count
             raise ConfigError(
                 f"log grid from {t_min:g} to {t_max:g} at {per_decade} per decade "

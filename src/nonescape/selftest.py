@@ -33,6 +33,7 @@ from .asymptote import (
     crossover_time,
     slope_fit,
     tail_expansion,
+    tail_series,
 )
 from .dynamics import TimeGrid, nonescape_probability, probability_sums
 from .gamow import (
@@ -349,7 +350,7 @@ def check_sum_rule(ctx: SelftestContext) -> CheckResult:
 
 def check_tail_coefficient(ctx: SelftestContext) -> CheckResult:
     """t^-1 weight: non-negative, route-consistent, vanishing with N."""
-    d1 = [tail.t1 for tail in tail_expansion(ctx.data, range(1, 41))]
+    d1 = tail_expansion(ctx.data, range(1, 41))[:, 0]
     nonneg = all(v >= 0.0 for v in d1)
     report = ctx.tail_report
     report.check_routes()
@@ -396,7 +397,7 @@ def check_long_time_law(ctx: SelftestContext) -> CheckResult:
     t_win = TimeGrid(times=t[(t >= window[0]) & (t <= window[1])])
     report = ctx.tail_report
     wide_tails = tail_expansion(ctx.wide_data, _WIDE_TRUNCATIONS)
-    ladder = report.crossover.tolist() + [crossover_time(tail) for tail in wide_tails]
+    ladder = report.crossover.tolist() + [crossover_time(*row) for row in wide_tails]
 
     n_top = _WIDE_TRUNCATIONS[-1]
     t_need = 2.4 * window[1]
@@ -406,7 +407,7 @@ def check_long_time_law(ctx: SelftestContext) -> CheckResult:
     n_max = ctx.cfg.truncations[-1]
     truncated = verdict.expansion_fits[n_max]
     # the same least-squares ln P vs ln t fit as slope_fit, on the same samples
-    own = report.tails[-1].evaluate(t_win.times)
+    own = tail_series(report.tails[-1], t_win.times)
     own_tail = float(np.polyfit(np.log(t_win.times), np.log(own), 1)[0])
     tail_dev = abs(truncated.slope - own_tail)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 import nonescape.asymptote as asym
 from nonescape.asymptote import (
     SlopeFit,
-    TailCoefficients,
     TailReport,
     adjudicate,
     convergence_study,
@@ -21,6 +21,7 @@ from nonescape.asymptote import (
     slope_fit,
     tail_coefficient_t1,
     tail_expansion,
+    tail_series,
 )
 from nonescape.dynamics import (
     NonescapeSeries,
@@ -103,7 +104,7 @@ def test_t1_coefficient_frozen_values(data: ExpansionData) -> None:
 
 
 def test_t1_decreases_with_truncation(data: ExpansionData) -> None:
-    values = [tail.t1 for tail in tail_expansion(data, range(1, 41))]
+    values = tail_expansion(data, range(1, 41))[:, 0].tolist()
     assert all(v >= 0.0 for v in values)
     assert values[-1] <= 0.1 * values[4]  # N = 40 vs N = 5
     assert values[-1] < values[0]
@@ -135,9 +136,9 @@ def test_routes_agree_at_the_closed_route_rounding_floor(wide: ExpansionData) ->
     assert wide.n_pairs == 319
     report = convergence_study(wide, (40, 160, 240, 319))
     assert report.route_dev > 1e-6
-    assert np.all(np.abs(report.t1_matrix - report.t1_quadrature) < 2e-17)
+    assert np.all(np.abs(report.tails[:, 0] - report.t1_quadrature) < 2e-17)
     report.check_routes()
-    assert tail_coefficient_t1(wide) == report.t1_matrix[-1]
+    assert tail_coefficient_t1(wide) == report.tails[-1, 0]
 
 
 @pytest.mark.parametrize("n_pairs", [40, 319])
@@ -150,13 +151,13 @@ def test_closed_overlap_perturbed_past_the_floor_raises(
     sub = wide.truncate(n_pairs)
     report = convergence_study(sub, (n_pairs,))
     allowed = max(1e-6 * report.t1_quadrature[0], report.t1_floor[0])
-    shift = factor * allowed - (report.t1_matrix[0] - report.t1_quadrature[0])
+    shift = factor * allowed - (report.tails[0, 0] - report.t1_quadrature[0])
     i = n_pairs  # index order n = -N..-1, 1..N
     x = sub.coefficients[i] / sub.states.k[i]
     overlap = sub.overlap.copy()
     overlap[i, i] += shift / (TAIL_PREFACTOR ** 2 * abs(x) ** 2)
     skewed = convergence_study(dataclasses.replace(sub, overlap=overlap), (n_pairs,))
-    gap = skewed.t1_matrix[0] - skewed.t1_quadrature[0]
+    gap = skewed.tails[0, 0] - skewed.t1_quadrature[0]
     assert gap == pytest.approx(factor * allowed, rel=1e-3)
     if raises:
         with pytest.raises(EquivalenceViolation, match="routes disagree by "):
@@ -166,22 +167,21 @@ def test_closed_overlap_perturbed_past_the_floor_raises(
 
 
 def test_tail_expansion_first_entry_matches_t1(data: ExpansionData) -> None:
-    (coeffs,) = tail_expansion(data, (20,))
+    table = tail_expansion(data, (20,))
     t1 = tail_coefficient_t1(data.truncate(20))
-    assert coeffs.t1 == t1  # same code path, bit-identical
-    assert coeffs.values[0] == coeffs.t1
-    assert len(coeffs.values) == 3
-    assert coeffs.n_pairs == 20
+    assert table.shape == (1, 3) and table.dtype == np.float64
+    assert table[0, 0] == t1  # same code path, bit-identical
+    assert type(t1) is float
 
 
 def test_tail_t2_vanishes_for_real_initial_state(data: ExpansionData) -> None:
     # T_2 ~ Im Q[1, 3], which vanishes when psi0 is real.
-    for coeffs in tail_expansion(data, (5, 20, 40)):
-        assert abs(coeffs.values[1]) <= 1e-12 * max(abs(coeffs.values[0]), abs(coeffs.values[2]))
+    for t1, t2, t3 in tail_expansion(data, (5, 20, 40)):
+        assert abs(t2) <= 1e-12 * max(abs(t1), abs(t3))
 
 
 def test_tail_t3_approaches_finite_limit(data: ExpansionData) -> None:
-    t3_20, t3_40 = (tail.values[2] for tail in tail_expansion(data, (20, 40)))
+    t3_20, t3_40 = tail_expansion(data, (20, 40))[:, 2]
     assert t3_40 == pytest.approx(_T3_40, rel=1e-4)
     assert t3_20 == pytest.approx(t3_40, rel=0.05)  # converged, unlike T_1
     assert t3_40 > 0.0
@@ -224,42 +224,41 @@ def test_tail_table_equals_fsum_of_each_truncation(
         ramp = np.exp(0.1j * np.arange(data.coefficients.size))
         data = dataclasses.replace(data, coefficients=data.coefficients * ramp)
     tails = tail_expansion(data, truncations)
-    assert [tail.n_pairs for tail in tails] == truncations
-    for tail in tails:
-        own = _own_tail(data.truncate(tail.n_pairs))
-        assert np.array_equal(
-            np.array(tail.values).view(np.int64), np.array(own).view(np.int64)
-        ), tail.n_pairs
+    assert tails.shape == (len(truncations), 3)
+    for n, tail in zip(truncations, tails):
+        own = _own_tail(data.truncate(n))
+        assert np.array_equal(tail.view(np.int64), np.array(own).view(np.int64)), n
 
 
 def test_tail_evaluate() -> None:
-    coeffs = TailCoefficients(values=(2.0, 0.0, 8.0), n_pairs=1)
-    assert coeffs.evaluate(2.0) == pytest.approx(2.0 / 2.0 + 8.0 / 8.0)
-    arr = coeffs.evaluate(np.array([1.0, 10.0]))
+    tail = np.array([2.0, 0.0, 8.0])
+    assert tail_series(tail, 2.0) == pytest.approx(2.0 / 2.0 + 8.0 / 8.0)
+    arr = tail_series(tail, np.array([1.0, 10.0]))
     np.testing.assert_allclose(arr, [10.0, 0.208], rtol=1e-12)
 
 
 def test_crossover_analytic_two_term_tail() -> None:
     # P = T1/t + T3/t^3: slope crosses -2 at sqrt(T3/T1) (grid-refined limit).
     t1, t3 = 1e-8, 2e-6
-    coeffs = TailCoefficients(values=(t1, 0.0, t3), n_pairs=1)
-    assert crossover_time(coeffs) == pytest.approx(math.sqrt(t3 / t1), rel=1e-3)
+    assert crossover_time(t1, 0.0, t3) == pytest.approx(math.sqrt(t3 / t1), rel=1e-3)
 
 
 def test_crossover_pure_cubic_is_infinite() -> None:
-    coeffs = TailCoefficients(values=(0.0, 0.0, 5.0), n_pairs=1)
-    assert crossover_time(coeffs) == math.inf
+    assert crossover_time(0.0, 0.0, 5.0) == math.inf
+    # a table row of numpy floats whose T3/T1 overflows: inf, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert crossover_time(*np.array([1e-300, 0.0, 1e300])) == math.inf
 
 
 def test_crossover_is_the_exact_root() -> None:
-    coeffs = TailCoefficients(values=(1e-8, 0.0, 2e-6), n_pairs=1)
-    assert crossover_time(coeffs) == math.sqrt(200)
+    assert crossover_time(1e-8, 0.0, 2e-6) == math.sqrt(200)
 
 
 def _grid_crossover(values: tuple[float, float, float]) -> float:
     """The crossover as a 240-per-decade log-grid search with interpolation."""
     t = np.geomspace(1e-8, 1e16, 24 * 240 + 1)
-    p = np.asarray(TailCoefficients(values=values, n_pairs=1).evaluate(t))
+    p = tail_series(np.array(values), t)
     bad = p <= 0.0
     if bad.any():  # keep the positive run that reaches the largest times
         start = int(np.nonzero(bad)[0][-1]) + 1
@@ -306,7 +305,7 @@ def test_crossover_with_positive_t3_is_where_the_slope_is_minus_2(
 ) -> None:
     # f = T1 t^2 + T2 t + T3 with T2 = s T1 c, T3 = T1 c^2: no positive zero
     values = (t1, s * t1 * c, t1 * c * c)
-    t = crossover_time(TailCoefficients(values=values, n_pairs=1))
+    t = crossover_time(*values)
     assert t == math.sqrt(values[2] / values[0])
     f, _ = _f(values, t)
     slope = t * (2.0 * values[0] * t + values[1]) / f - 3.0
@@ -319,7 +318,7 @@ def test_crossover_with_positive_t3_is_where_the_slope_is_minus_2(
 def test_crossover_with_t3_at_most_0_is_the_last_zero(t1: float, r: float, m: float) -> None:
     # f = T1 (t - r)(t + m r): T3 = -T1 m r^2 <= 0 and one zero at r > 0
     values = (t1, -t1 * r * (1.0 - m), -t1 * r * r * m)
-    t = crossover_time(TailCoefficients(values=values, n_pairs=1))
+    t = crossover_time(*values)
     assert t == pytest.approx(r, rel=1e-12)
     _assert_last_zero(values, t)
 
@@ -329,7 +328,7 @@ def test_crossover_with_t3_at_most_0_is_the_last_zero(t1: float, r: float, m: fl
 def test_crossover_with_two_positive_zeros_is_the_larger(t1: float, r: float, m: float) -> None:
     # f = T1 (t - r)(t - m r): T3 > 0, and sqrt(T3/T1) lies between the zeros
     values = (t1, -t1 * r * (1.0 + m), t1 * r * r * m)
-    t = crossover_time(TailCoefficients(values=values, n_pairs=1))
+    t = crossover_time(*values)
     assert t == pytest.approx(r, rel=1e-9)
     assert math.sqrt(values[2] / values[0]) < t
     _assert_last_zero(values, t)
@@ -339,24 +338,23 @@ def test_crossover_with_two_positive_zeros_is_the_larger(t1: float, r: float, m:
 @given(_T1_SCALE, _CROSSING)
 def test_crossover_without_t1_and_negative_t3_is_the_zero(t2: float, r: float) -> None:
     values = (0.0, t2, -t2 * r)
-    t = crossover_time(TailCoefficients(values=values, n_pairs=1))
+    t = crossover_time(*values)
     assert t == pytest.approx(r, rel=1e-12)
     _assert_last_zero(values, t)
     # with T3 > 0 instead the slope stays between -3 and -2
-    assert crossover_time(TailCoefficients(values=(0.0, t2, t2 * r), n_pairs=1)) == math.inf
+    assert crossover_time(0.0, t2, t2 * r) == math.inf
 
 
 def test_crossover_needs_a_positive_tail() -> None:
     for values in ((-1e-8, 0.0, 2e-6), (0.0, -1.0, 5.0), (0.0, 0.0, 0.0)):
         with pytest.raises(ConfigError, match="non-positive at large times"):
-            crossover_time(TailCoefficients(values=values, n_pairs=1))
+            crossover_time(*values)
 
 
 def test_crossover_frozen_ladder(data: ExpansionData) -> None:
     times = {}
-    for coeffs in tail_expansion(data, tuple(_CROSSOVER)):
-        n_pairs = coeffs.n_pairs
-        times[n_pairs] = crossover_time(coeffs)
+    for n_pairs, row in zip(_CROSSOVER, tail_expansion(data, tuple(_CROSSOVER))):
+        times[n_pairs] = crossover_time(*row)
         assert times[n_pairs] == pytest.approx(_CROSSOVER[n_pairs], rel=1e-3), f"N = {n_pairs}"
     ladder = [times[n] for n in sorted(times)]
     assert ladder == sorted(ladder)  # monotone increase with N
@@ -381,11 +379,11 @@ def test_synthetic_zero_sum_rule_kills_t1(data: ExpansionData, monkeypatch) -> N
         return rows
 
     monkeypatch.setattr(asym, "nested_forms", forced)
-    (coeffs,) = tail_expansion(data, (10,))
-    assert coeffs.values[0] == 0.0
-    assert coeffs.values[1] == 0.0
-    assert coeffs.values[2] > 0.0
-    assert crossover_time(coeffs) == math.inf
+    ((t1, t2, t3),) = tail_expansion(data, (10,))
+    assert t1 == 0.0
+    assert t2 == 0.0
+    assert t3 > 0.0
+    assert crossover_time(t1, t2, t3) == math.inf
 
 
 def test_slope_fit_recovers_pure_power_law() -> None:
@@ -410,8 +408,7 @@ def test_slope_fit_sees_constructed_crossover() -> None:
     late = slope_fit(_series(t_late, p(t_late)), (1e7, 1e8))
     assert early.slope == pytest.approx(-3.0, abs=0.01)
     assert late.slope == pytest.approx(-1.0, abs=0.01)
-    coeffs = TailCoefficients(values=(1e-9, 0.0, 2.0), n_pairs=1)
-    assert crossover_time(coeffs) == pytest.approx(math.sqrt(2e9), rel=1e-3)
+    assert crossover_time(1e-9, 0.0, 2.0) == pytest.approx(math.sqrt(2e9), rel=1e-3)
 
 
 def test_slope_fit_guards() -> None:
@@ -459,9 +456,9 @@ def test_convergence_study_table(data: ExpansionData) -> None:
     report = convergence_study(data, truncations=(5, 10, 20, 40))
     assert report.truncations == (5, 10, 20, 40)
     np.testing.assert_allclose(
-        report.t1_matrix, [_D1[5], _D1[10], _D1[20], _D1[40]], rtol=1e-4
+        report.tails[:, 0], [_D1[5], _D1[10], _D1[20], _D1[40]], rtol=1e-4
     )
-    np.testing.assert_allclose(report.t1_quadrature, report.t1_matrix, rtol=1e-6)
+    np.testing.assert_allclose(report.t1_quadrature, report.tails[:, 0], rtol=1e-6)
     np.testing.assert_allclose(
         report.sumrule_l2, np.sqrt(report.t1_quadrature) / TAIL_PREFACTOR, rtol=1e-12
     )
@@ -469,7 +466,7 @@ def test_convergence_study_table(data: ExpansionData) -> None:
         report.crossover, [_CROSSOVER[5], _CROSSOVER[10], _CROSSOVER[20], _CROSSOVER[40]],
         rtol=1e-3,
     )
-    assert np.all(np.diff(report.t1_matrix) < 0.0)
+    assert np.all(np.diff(report.tails[:, 0]) < 0.0)
     assert np.all(np.diff(report.crossover) > 0.0)
     assert np.isnan(report.slope).all() and np.isnan(report.slope_stderr).all()
 
@@ -525,10 +522,10 @@ def test_convergence_study_reuses_largest_series(
 def test_convergence_study_tail_matches_series(data: ExpansionData) -> None:
     # Far beyond the crossover the truncated series itself must follow its
     # own three-term tail.
-    (coeffs,) = tail_expansion(data, (10,))
+    (tail,) = tail_expansion(data, (10,))
     t = np.array([400.0, 900.0, 2000.0])
     series = nonescape_probability(data, TimeGrid(t), n_pairs=10)
-    np.testing.assert_allclose(series.probability, coeffs.evaluate(t), rtol=0.05)
+    np.testing.assert_allclose(series.probability, tail_series(tail, t), rtol=0.05)
 
 
 def test_convergence_study_validation(data: ExpansionData) -> None:
@@ -555,8 +552,8 @@ def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
     assert verdict.t3 and report.vanishing and report.receding
     assert f"{report.route_dev:.2e}" == "3.51e-09"
 
-    d1 = {tail.n_pairs: tail.t1 for tail in tail_expansion(data, (5, 40))}
-    assert report.d1_ratio == d1[40] / d1[5]
+    d1_5, d1_40 = tail_expansion(data, (5, 40))[:, 0].tolist()
+    assert report.d1_ratio == d1_40 / d1_5
     assert f"{report.d1_ratio:.2e}" == "2.32e-03"
 
     t = run.series.times

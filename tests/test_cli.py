@@ -234,6 +234,23 @@ def test_readme_schema_parses_and_names_every_accepted_key() -> None:
             parse_config(_with(_README_CONFIG, (name, "extra"), 1.0))
 
 
+def test_readme_python_quick_start_runs() -> None:
+    # the first python block; the oracle block after it is a three-minute run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("0.9638")  # P(0.05)
+    tail = [line.split() for line in lines[-4:]]
+    assert [int(n) for n, _, _ in tail] == [5, 10, 20, 40]
+    t1 = [float(v) for _, v, _ in tail]
+    crossover = [float(c) for _, _, c in tail]
+    assert t1 == sorted(t1, reverse=True) and crossover == sorted(crossover)
+    assert len(set(crossover)) == 4
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ def test_time_grid_log_spacing() -> None:
     assert len(TimeGrid.log(1.0, 1.0001, per_decade=5)) == 2  # floor of 2 points
     # 10**log10(t_max) overflows here, with no warning; the end point is exact
     assert TimeGrid.log(1.0, 1.7976931348622103e308, per_decade=1).times[-1] == 1.7976931348622103e308
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max, per_decade, n",
+    [
+        (1e-200, 1e200, 2, 801),
+        (np.float64(1e-200), np.float64(1e200), 2, 801),
+        (1e-300, 1e300, 1, 601),
+        (5e-324, 1.0, 1, 325),
+    ],
+)
+def test_log_grid_whose_end_ratio_overflows(
+    t_min: float, t_max: float, per_decade: int, n: int
+) -> None:
+    # t_max / t_min is inf, yet the span has a finite number of decades
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = TimeGrid.log(t_min, t_max, per_decade=per_decade)
+    assert len(grid) == n
+    assert grid.times[0] == t_min and grid.times[-1] == t_max
 
 
 def test_gamma_width_and_lifetime() -> None:
