@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,9 +46,6 @@ from .errors import (
 from .gamow import ExpansionData, weighted_field
 from .segmath import panel_nodes
 from .specfn import TAIL_PREFACTOR, asymptotic_coefficients
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .poles import ResonancePole
 
 _QUAD_ORDER = 20  # Gauss-Legendre nodes per panel of the quadrature route to Q
 _D1_ROUTE_RTOL = 1e-6  # allowed disagreement of the two routes to T_1 ...
@@ -222,7 +218,7 @@ def slope_fit(series: NonescapeSeries, window: tuple[float, float]) -> SlopeFit:
 
 def post_exponential_window(
     series: NonescapeSeries,
-    pole: ResonancePole,
+    k1: complex,
     horizon: float | None = None,
 ) -> tuple[float, float]:
     """Time window where the algebraic tail dominates the sampled P(t).
@@ -236,8 +232,8 @@ def post_exponential_window(
     ----------
     series : NonescapeSeries
         Sampled nonescape probability, e.g. from the direct integrator.
-    pole : ResonancePole
-        Resonance setting the width Gamma_1 of the exponential stage.
+    k1 : complex
+        Wavenumber of resonance 1, whose width Gamma_1 sets the exponential stage.
     horizon : float, optional
         Contamination time, if the integration run reported one.
 
@@ -247,7 +243,7 @@ def post_exponential_window(
         If the exponential stage never decays below the margin before the
         window closes, or the calibration range holds no samples.
     """
-    gamma = gamma_width(pole)
+    gamma = gamma_width(k1)
     tau = 1.0 / gamma
     t = series.times
     p = series.probability
@@ -393,18 +389,18 @@ def adjudicate(
     horizon: float | None,
     sums: ProbabilitySums,
     report: TailReport,
-    pole: ResonancePole,
+    k1: complex,
 ) -> Verdict:
     """Judge the long-time law of a direct run against the expansion.
 
     ``sums`` holds P(t) of every truncation on the direct run's times,
-    ``report`` the same truncations' tail study, and ``pole`` is resonance
-    1.  The verdict is "t^-3" when the direct slope lies in :data:`T3_BAND`
-    (``t3``), the t^-1 weight is ``vanishing`` and the crossovers are
-    ``receding``; "t^-1" when neither slope nor weight supports t^-3;
-    "mixed evidence" otherwise; "no adjudication" when no slope can be fit.
-    A truncation failing its P(t) checks, or a t^-1 weight whose two routes
-    disagree, raises.
+    ``report`` the same truncations' tail study, and ``k1`` is resonance 1's
+    wavenumber.  The verdict is "t^-3" when the direct slope lies in
+    :data:`T3_BAND` (``t3``), the t^-1 weight is ``vanishing`` and the
+    crossovers are ``receding``; "t^-1" when neither slope nor weight supports
+    t^-3; "mixed evidence" otherwise; "no adjudication" when no slope can be
+    fit.  A truncation failing its P(t) checks, or a t^-1 weight whose two
+    routes disagree, raises.
     """
     truncs = sums.truncations
     if report.truncations != truncs:
@@ -412,7 +408,7 @@ def adjudicate(
     expansions = {n: sums.series(n) for n in truncs}
 
     try:
-        window = post_exponential_window(direct, pole, horizon=horizon)
+        window = post_exponential_window(direct, k1, horizon=horizon)
         direct_fit = slope_fit(direct, window)
         expansion_fits = {n: slope_fit(s, window) for n, s in expansions.items()}
     except NonescapeError:
@@ -420,7 +416,7 @@ def adjudicate(
 
     report.check_routes()
 
-    tau = lifetime(pole)
+    tau = lifetime(k1)
     span = (_LIFETIME_SPAN[0] * tau, _LIFETIME_SPAN[1] * tau)
     t = direct.times
     life = (t >= span[0]) & (t <= span[1])

@@ -372,8 +372,9 @@ def _expanded(cfg: RunConfig, pole_set: PoleSet, n_pairs: int | None = None) -> 
 
 
 def cmd_poles(cfg: RunConfig, args: argparse.Namespace) -> int:
-    poles = _located(cfg).poles[: args.nmax]
-    rows = [(p.n, p.k.real, p.k.imag, p.residual) for p in poles]
+    pole_set = _located(cfg)
+    k, residual = pole_set.k[: args.nmax], pole_set.residual[: args.nmax]
+    rows = zip(range(1, k.size + 1), k.real, k.imag, residual)
     _write_csv("poles.csv", cfg, "poles", ("n", "re_k", "im_k", "residual"), rows)
     return 0
 

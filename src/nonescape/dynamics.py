@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import ConfigError, NonPositiveProbability, OverflowGuard, TruncationUnstable
 from .gamow import ExpansionData
-from .poles import ResonancePole
 from .specfn import moshinsky
 
 __all__ = [
@@ -113,18 +112,18 @@ class TimeGrid:
         return len(self.times)
 
 
-def gamma_width(pole: ResonancePole | complex) -> float:
-    """Decay width of one resonance: Gamma = -2 Im(k^2) (so e^{-Gamma t} in P)."""
-    k = pole.k if isinstance(pole, ResonancePole) else complex(pole)
+def gamma_width(k: complex) -> float:
+    """Decay width Gamma = -2 Im(k^2) of the resonance at k (so e^{-Gamma t} in P)."""
+    k = complex(k)
     gamma = -2.0 * (k * k).imag
     if gamma <= 0.0:
         raise ConfigError(f"nonpositive width for k = {k:.6g}; not a decaying pole")
     return gamma
 
 
-def lifetime(pole: ResonancePole | complex) -> float:
-    """tau = 1 / Gamma for the given pole."""
-    return 1.0 / gamma_width(pole)
+def lifetime(k: complex) -> float:
+    """tau = 1 / Gamma of the resonance at wavenumber k."""
+    return 1.0 / gamma_width(k)
 
 
 @dataclass(frozen=True, eq=False)

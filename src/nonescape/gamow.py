@@ -42,7 +42,7 @@ from .model import (
     state_norm,
     support_radius,
 )
-from .poles import PoleSet, ResonancePole
+from .poles import PoleSet
 from .segmath import kernels, panel_nodes, product_integral, regular_solutions
 
 __all__ = [
@@ -237,8 +237,8 @@ def _normalization(states: GamowState) -> tuple[np.ndarray, np.ndarray]:
     return norm2 + surface, scale + np.abs(surface)
 
 
-def _build_states(potential: Potential, poles: list[ResonancePole]) -> GamowState:
-    """The table of normalized resonant states of ``poles``, built in one pass.
+def _build_states(potential: Potential, n: np.ndarray, k: np.ndarray) -> GamowState:
+    """The table of normalized resonant states of labels n at wavenumbers k.
 
     One regular-solution pass gives every wavenumber's segment rows at
     once, and the normalization integrals take one array-valued product
@@ -251,12 +251,12 @@ def _build_states(potential: Potential, poles: list[ResonancePole]) -> GamowStat
     NormalizationSingular
         If a normalization integral vanishes (degenerate pole).
     """
-    ks = np.array([complex(p.k) for p in poles])
+    ks = np.asarray(k, dtype=complex)
     if np.any(ks == 0):
         raise ZeroWavenumber("cannot normalize a zero-wavenumber state")
     edges = np.array([0.0] + [r_end for _, r_end, _ in segments(potential)])
     z, a, b, (u, _) = regular_solutions(potential, ks)
-    raw = GamowState(np.array([p.n for p in poles], dtype=int), ks, edges, z, a, b, u)
+    raw = GamowState(np.asarray(n, dtype=int), ks, edges, z, a, b, u)
     norm2, scale = _normalization(raw)
     for i in np.flatnonzero(np.abs(norm2) <= 1e-10 * np.maximum(scale, 1e-300))[:1]:
         raise NormalizationSingular(f"normalization integral vanishes at k = {ks[i]:.6g}")
@@ -453,6 +453,11 @@ class ExpansionData:
         return ExpansionData(self.coefficients[sl], self.overlap[sl, sl], self.states[sl])
 
 
+def _index_order(n_pairs: int) -> np.ndarray:
+    """Row labels n = -N..-1, 1..N: mirrors first, so a truncation is a central slice."""
+    return np.concatenate([np.arange(-n_pairs, 0), np.arange(1, n_pairs + 1)])
+
+
 def build_expansion(
     potential: Potential,
     pole_set: PoleSet,
@@ -485,8 +490,8 @@ def build_expansion(
         raise InvalidState(
             f"initial state must be normalized: ||psi0||^2 = {norm:.12g}"
         )
-    poles = [pole_set.pole(int(n)) for n in PoleSet.index_order(n_pairs)]
-    states = _build_states(potential, poles)
+    labels = _index_order(n_pairs)
+    states = _build_states(potential, labels, pole_set.pole(labels))
     return ExpansionData(
         coefficients=_coefficients(states, psi0),
         overlap=overlap_matrix(states, "closed"),

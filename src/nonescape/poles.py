@@ -15,12 +15,12 @@ derivative dJ/dk carried along analytically (no finite differences).
 
 Zeros come in Schwarz pairs: for every fourth-quadrant zero k_n there is a
 third-quadrant mirror at -conj(k_n).  Only the fourth quadrant is searched;
-mirrors are produced by :func:`mirror_state_rule`.
+:meth:`PoleSet.pole` gives the mirrors for negative indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +31,7 @@ from .model import Potential, delta_jump, potential_range
 from .segmath import gauss_legendre, regular_solutions
 
 __all__ = [
-    "SearchWindow", "ResonancePole", "PoleSet", "matching_function",
-    "winding_count", "locate_poles", "mirror_state_rule",
+    "SearchWindow", "PoleSet", "matching_function", "winding_count", "locate_poles",
 ]
 
 _PHASE_STEP_LIMIT = 0.5 * np.pi  # refine contour sampling beyond this |phase step|
@@ -64,22 +63,6 @@ class SearchWindow:
             raise ConfigError(f"re_max must be positive and finite, got {self.re_max}")
         if not (np.isfinite(self.im_min) and self.im_min < 0.0):
             raise ConfigError(f"im_min must be negative and finite, got {self.im_min}")
-
-
-@dataclass(frozen=True)
-class ResonancePole:
-    """A single zero of the matching function.
-
-    ``n`` is 1-based ascending in Re k for fourth-quadrant poles and negative
-    for their third-quadrant mirrors; ``residual`` is |J(k)| at the polished
-    zero and ``scale`` the largest |J| met on the contour of the strip that
-    holds it, so ``residual / scale`` measures how well the zero is resolved.
-    """
-
-    n: int
-    k: complex
-    residual: float
-    scale: float
 
 
 class _GridZero(Exception):
@@ -403,70 +386,64 @@ def locate_poles(
     if not (np.isfinite(tol) and 0.0 < tol <= 1e-6):
         raise ConfigError(f"tol must lie in (0, 1e-6], got {tol}")
     boxes = _strips(potential, window, _density(potential, window))
+    rects = np.array([b.rect for b in boxes])
+    counts = np.array([b.count for b in boxes])
     live = [b for b in boxes if b.count]
-    source = np.repeat([b.rect for b in live], [b.count for b in live], axis=0).reshape(-1, 4)
-    k = _polish(potential, _estimates(potential, live), source, tol)
+    k = _polish(potential, _estimates(potential, live), np.repeat(rects, counts, axis=0), tol)
     k = k[np.argsort(k.real, kind="stable")]
-    owner = _owners(np.array([b.rect for b in boxes]), k)
+    owner = _owners(rects, k)
     found = np.bincount(owner[owner >= 0], minlength=len(boxes))
-    for box, n in zip(boxes, found):
-        if n != box.count:
-            raise WindingMismatch(f"{n} zeros polished in {box.rect}, which counts {box.count}")
+    for i in np.flatnonzero(found != counts)[:1]:
+        raise WindingMismatch(
+            f"{found[i]} zeros polished in {boxes[i].rect}, which counts {counts[i]}"
+        )
     near = 100.0 * max(tol, 1e-13) * (1.0 + np.abs(k))
     ends = np.searchsorted(k.real, k.real + near, side="right")
     for i in np.flatnonzero(ends > np.arange(1, k.size + 1)):
         if (np.abs(k[i + 1 : ends[i]] - k[i]) <= near[i]).any():
             raise WindingMismatch(f"zeros near {k[i]:.6g} are numerically indistinct")
-    residuals = np.abs(matching_function(potential, k, with_dk=False))
-    poles = []
-    scales = [boxes[r].peak for r in owner]
-    for i, (k_n, residual, scale) in enumerate(zip(k.tolist(), residuals, scales)):
-        if residual > _RESIDUAL_TOL * scale:
+    residual = np.abs(matching_function(potential, k, with_dk=False))
+    scale = np.array([b.peak for b in boxes])[owner]
+    unresolved = residual > _RESIDUAL_TOL * scale
+    axis_margin = max(10.0 * tol, 1e-12) * (1.0 + np.abs(k))
+    for i in np.flatnonzero(unresolved | (k.imag > -axis_margin) | (k.real < axis_margin))[:1]:
+        if unresolved[i]:
             raise RootPolishFailure(
-                f"|J| = {residual:.3e} > {_RESIDUAL_TOL:g} * scale {scale:.3e} at k = {k_n:.6g}"
+                f"|J| = {residual[i]:.3e} > {_RESIDUAL_TOL:g} * scale {scale[i]:.3e} "
+                f"at k = {k[i]:.6g}"
             )
-        axis_margin = max(10.0 * tol, 1e-12) * (1.0 + abs(k_n))
-        if k_n.imag > -axis_margin or k_n.real < axis_margin:
-            raise AxisZero(f"zero at k = {k_n:.6g} hugs a coordinate axis; not a resonance")
-        poles.append(ResonancePole(i + 1, k_n, float(residual), scale))
-    return PoleSet(tuple(poles))
+        raise AxisZero(f"zero at k = {k[i]:.6g} hugs a coordinate axis; not a resonance")
+    return PoleSet(k, residual, scale)
 
 
-def mirror_state_rule(pole: ResonancePole) -> ResonancePole:
-    """Map a pole to its Schwarz mirror: n -> -n, k -> -conj(k).
-
-    Applying the rule twice returns the original pole.
-    """
-    return ResonancePole(
-        n=-pole.n, k=-np.conj(pole.k), residual=pole.residual, scale=pole.scale
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleSet:
-    """Ordered fourth-quadrant poles of one potential."""
+    """Fourth-quadrant poles of one potential in read-only arrays, ascending in
+    Re k: row n - 1 holds pole n.  ``residual`` is |J(k)| at each polished
+    zero and ``scale`` the largest |J| on the contour of the strip that holds
+    it, so ``residual / scale`` measures how well the zero is resolved."""
 
-    poles: tuple[ResonancePole, ...]
+    k: np.ndarray
+    residual: np.ndarray
+    scale: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            view = np.asarray(getattr(self, f.name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, f.name, view)
 
     def __len__(self) -> int:
-        return len(self.poles)
+        return len(self.k)
 
-    def __iter__(self):
-        return iter(self.poles)
-
-    def pole(self, n: int) -> ResonancePole:
-        """Pole with signed index n (negative indices give mirrors)."""
-        if n == 0:
+    def pole(self, n: int | np.ndarray) -> complex | np.ndarray:
+        """Wavenumber of the signed index n, or of each of an integer array:
+        k_n for n > 0 and its Schwarz mirror -conj(k_|n|) for n < 0."""
+        n_arr = np.asarray(n)
+        if not np.issubdtype(n_arr.dtype, np.integer) or (n_arr == 0).any():
             raise ConfigError("pole indices are nonzero integers")
-        if abs(n) > len(self.poles):
-            raise ConfigError(
-                f"pole index {n} outside the located range 1..{len(self.poles)}"
-            )
-        base = self.poles[abs(n) - 1]
-        return base if n > 0 else mirror_state_rule(base)
-
-    @staticmethod
-    def index_order(n_pairs: int) -> np.ndarray:
-        """Signed indices n = -N..-1, 1..N (mirrors first)."""
-        pos = np.arange(1, n_pairs + 1)
-        return np.concatenate([-pos[::-1], pos])
+        for bad in n_arr[np.abs(n_arr) > len(self)][:1]:
+            raise ConfigError(f"pole index {bad} outside the located range 1..{len(self)}")
+        k = self.k[np.abs(n_arr) - 1]
+        k = np.where(n_arr > 0, k, -np.conj(k))
+        return complex(k) if np.ndim(n) == 0 else k

@@ -36,6 +36,7 @@ from .asymptote import (
     tail_series,
 )
 from .dynamics import TimeGrid, nonescape_probability, probability_sums
+from .errors import NonescapeError
 from .gamow import (
     ExpansionData,
     build_expansion,
@@ -53,18 +54,19 @@ from .oracle import (
     refine_and_compare,
     sampled_gaussian,
 )
-from .poles import PoleSet, SearchWindow, locate_poles, winding_count
+from .poles import PoleSet, SearchWindow, locate_poles, matching_function, winding_count
 from .segmath import panel_nodes
 from .specfn import faddeeva, moshinsky
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cli import RunConfig
 
-__all__ = ["CheckResult", "SelftestContext", "CHECKS", "run_selftest"]
+__all__ = ["CheckResult", "SelftestContext", "CHECKS", "run_check", "run_selftest"]
 
 # Re k midway between poles 160 and 161: the rungs past N = 40 of check 8.
 _WIDE_RE_MAX = 503.5
 _WIDE_TRUNCATIONS = (80, 160)
+_HARD_SHELL = DeltaShell(strength=1.0e4, radius=1.0)  # check 2: Re k_n -> n pi
 
 # w(z) references frozen from 50-digit evaluations of the defining series
 # (Taylor about the origin for |z| <= 4, Laplace continued fraction beyond,
@@ -103,9 +105,12 @@ class CheckResult:
     """Outcome of one numbered check."""
 
     index: int
-    name: str
     passed: bool
     details: str
+
+    @property
+    def name(self) -> str:
+        return list(CHECKS)[self.index - 1]
 
     @property
     def line(self) -> str:
@@ -155,9 +160,7 @@ class SelftestContext:
 
     @cached_property
     def hard_shell_pole_set(self) -> PoleSet:
-        return locate_poles(
-            DeltaShell(strength=1.0e4, radius=1.0), SearchWindow(re_max=10.5, im_min=-1.0)
-        )
+        return locate_poles(_HARD_SHELL, SearchWindow(re_max=10.5, im_min=-1.0))
 
     @cached_property
     def long_run(self) -> OracleResult:
@@ -259,24 +262,25 @@ def check_special_functions(ctx: SelftestContext) -> CheckResult:
         f"|M(k,0)-1/2| {m0_dev:.2e} (tol 1e-14); "
         f"reflection rel dev {refl_dev:.2e} (tol 1e-11)"
     )
-    return CheckResult(1, "special functions", passed, details)
+    return CheckResult(1, passed, details)
 
 
 def check_poles(ctx: SelftestContext) -> CheckResult:
-    """Pole table: free case, hard-shell limit, residuals, winding."""
-    n_free = len(ctx.free_pole_set.poles)
+    """Pole table: free case, hard-shell limit, |J| at the tables' k, winding."""
+    n_free = len(ctx.free_pole_set)
 
     hard = ctx.hard_shell_pole_set
     hard_dev = max(
-        abs(hard.pole(n).k.real - n * np.pi) for n in (1, 2, 3)
-    ) if len(hard.poles) >= 3 else np.inf
+        abs(hard.pole(n).real - n * np.pi) for n in (1, 2, 3)
+    ) if len(hard) >= 3 else np.inf
 
-    res = max(
-        p.residual / p.scale for p in ctx.pole_set.poles + ctx.hard_shell_pole_set.poles
-    )
+    res = float(np.max(np.concatenate([
+        np.abs(matching_function(potential, found.k, with_dk=False)) / found.scale
+        for potential, found in ((ctx.cfg.potential, ctx.pole_set), (_HARD_SHELL, hard))
+    ])))
 
     audit = winding_count(ctx.cfg.potential, ctx.cfg.window)
-    n_found = len(ctx.pole_set.poles)
+    n_found = len(ctx.pole_set)
 
     passed = n_free == 0 and hard_dev <= 0.05 and res <= 1e-10 and audit == n_found
     details = (
@@ -284,7 +288,7 @@ def check_poles(ctx: SelftestContext) -> CheckResult:
         f"{hard_dev:.2e} (tol 0.05); max residual/scale {res:.2e} (tol 1e-10); "
         f"winding {audit} vs {n_found} located"
     )
-    return CheckResult(2, "resonance poles", passed, details)
+    return CheckResult(2, passed, details)
 
 
 def check_overlap_identity(ctx: SelftestContext) -> CheckResult:
@@ -295,7 +299,7 @@ def check_overlap_identity(ctx: SelftestContext) -> CheckResult:
     rel = float(np.max(np.abs(closed - quad) / np.maximum(np.abs(closed), 1e-30)))
     passed = rel <= 1e-8
     details = f"max rel dev {rel:.2e} over 20x20 overlaps (tol 1e-8)"
-    return CheckResult(3, "overlap identity", passed, details)
+    return CheckResult(3, passed, details)
 
 
 def check_completeness(ctx: SelftestContext) -> CheckResult:
@@ -332,7 +336,7 @@ def check_completeness(ctx: SelftestContext) -> CheckResult:
         f"||psi_N - psi0||^2 by quadrature vs P_N(0)-1: rel dev "
         f"{l2_dev[5]:.1e} at N=5, {l2_dev[40]:.1e} at N=40 (tol 0.05)"
     )
-    return CheckResult(4, "completeness at t = 0", passed, details)
+    return CheckResult(4, passed, details)
 
 
 def check_sum_rule(ctx: SelftestContext) -> CheckResult:
@@ -345,7 +349,7 @@ def check_sum_rule(ctx: SelftestContext) -> CheckResult:
     details = "drop factors " + ", ".join(
         f"x{f:.0f} at r={rr:.2f}" for f, rr in zip(ratios, r)
     ) + " (need >= x10)"
-    return CheckResult(5, "sum rule residual", passed, details)
+    return CheckResult(5, passed, details)
 
 
 def check_tail_coefficient(ctx: SelftestContext) -> CheckResult:
@@ -361,7 +365,7 @@ def check_tail_coefficient(ctx: SelftestContext) -> CheckResult:
         f"route dev {report.route_dev:.2e} (tol 1e-6); "
         f"D1({n_hi})/D1({n_lo}) = {report.d1_ratio:.2e} (tol {D1_RATIO_BOUND:g})"
     )
-    return CheckResult(6, "tail coefficient", passed, details)
+    return CheckResult(6, passed, details)
 
 
 def check_cross_validation(ctx: SelftestContext) -> CheckResult:
@@ -374,7 +378,7 @@ def check_cross_validation(ctx: SelftestContext) -> CheckResult:
         f"max rel dev {rel:.2e} over {int(verdict.lifetime_mask.sum())} samples in "
         f"[{t_lo:.3f}, {t_hi:.3f}] (tol 0.02)"
     )
-    return CheckResult(7, "expansion vs direct integration", passed, details)
+    return CheckResult(7, passed, details)
 
 
 def check_long_time_law(ctx: SelftestContext) -> CheckResult:
@@ -391,7 +395,7 @@ def check_long_time_law(ctx: SelftestContext) -> CheckResult:
     verdict = ctx.verdict
     window, direct = verdict.window, verdict.direct_fit
     if direct is None:
-        return CheckResult(8, "long-time power law", False, verdict.text)
+        return CheckResult(8, False, verdict.text)
 
     t = ctx.long_run.series.times
     t_win = TimeGrid(times=t[(t >= window[0]) & (t <= window[1])])
@@ -427,7 +431,7 @@ def check_long_time_law(ctx: SelftestContext) -> CheckResult:
         + " < ".join(f"{c:.2f}" for c in ladder)
         + f" monotone: {ladder_ok}"
     )
-    return CheckResult(8, "long-time power law", passed, details)
+    return CheckResult(8, passed, details)
 
 
 def check_oracle_integrity(ctx: SelftestContext) -> CheckResult:
@@ -455,20 +459,30 @@ def check_oracle_integrity(ctx: SelftestContext) -> CheckResult:
         f"{rep2.max_rel_dev:.2e} (x2) vs {rep4.max_rel_dev:.2e} (x4), "
         f"second-order consistent: {second_order}"
     )
-    return CheckResult(9, "integrator integrity", passed, details)
+    return CheckResult(9, passed, details)
 
 
-CHECKS: tuple[Callable[[SelftestContext], CheckResult], ...] = (
-    check_special_functions,
-    check_poles,
-    check_overlap_identity,
-    check_completeness,
-    check_sum_rule,
-    check_tail_coefficient,
-    check_cross_validation,
-    check_long_time_law,
-    check_oracle_integrity,
-)
+# The nine checks by name, in order: check i is the i-th entry.
+CHECKS: dict[str, Callable[[SelftestContext], CheckResult]] = {
+    "special functions": check_special_functions,
+    "resonance poles": check_poles,
+    "overlap identity": check_overlap_identity,
+    "completeness at t = 0": check_completeness,
+    "sum rule residual": check_sum_rule,
+    "tail coefficient": check_tail_coefficient,
+    "expansion vs direct integration": check_cross_validation,
+    "long-time power law": check_long_time_law,
+    "integrator integrity": check_oracle_integrity,
+}
+
+
+def run_check(check: Callable[..., CheckResult], ctx: SelftestContext) -> CheckResult:
+    """``check(ctx)``, or its FAIL line when it raises a :class:`NonescapeError`."""
+    try:
+        return check(ctx)
+    except NonescapeError as exc:
+        index = list(CHECKS.values()).index(check) + 1
+        return CheckResult(index, False, f"{type(exc).__name__}: {exc}")
 
 
 def run_selftest(cfg: RunConfig, verbose: bool = False) -> int:
@@ -487,11 +501,10 @@ def run_selftest(cfg: RunConfig, verbose: bool = False) -> int:
         0 if every check passed, 1 otherwise.
     """
     ctx = SelftestContext(cfg, verbose=verbose)
-    results = []
-    for fn in CHECKS:
-        res = fn(ctx)
-        print(res.line, flush=True)
-        results.append(res)
-    n_pass = sum(r.passed for r in results)
-    print(f"{n_pass}/{len(results)} checks passed", flush=True)
-    return 0 if n_pass == len(results) else 1
+    n_pass = 0
+    for check in CHECKS.values():
+        result = run_check(check, ctx)
+        print(result.line, flush=True)
+        n_pass += result.passed
+    print(f"{n_pass}/{len(CHECKS)} checks passed", flush=True)
+    return 0 if n_pass == len(CHECKS) else 1

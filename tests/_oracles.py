@@ -41,7 +41,7 @@ from nonescape.errors import NonPositiveProbability, TruncationUnstable
 from nonescape.gamow import ExpansionData, GamowState, _build_states, _normalization
 from nonescape.model import InitialState, Potential, potential_range, segments
 from nonescape.oracle import GridSpec, OracleResult, _prepare
-from nonescape.poles import PoleSet, ResonancePole, SearchWindow, matching_function
+from nonescape.poles import PoleSet, SearchWindow, matching_function
 from nonescape.segmath import (
     _COS_COEFF,
     _DSINC_COEFF,
@@ -183,17 +183,17 @@ def moshinsky_series(k: complex, t: float, order: int) -> complex:
     return acc / y
 
 
-def one_state(potential: Potential, pole: ResonancePole) -> GamowState:
-    """The one-row table of the normalized resonant state of one pole (or
-    mirror), built alone."""
-    return _build_states(potential, [pole])
+def one_state(potential: Potential, n: int, k: complex) -> GamowState:
+    """The one-row table of the normalized resonant state of label ``n`` at
+    the pole (or mirror) ``k``, built alone."""
+    return _build_states(potential, np.array([n]), np.array([k]))
 
 
 def state_residuals(
-    potential: Potential, pole: ResonancePole
+    potential: Potential, n: int, k: complex
 ) -> tuple[float, float, float, float]:
     """(ODE, origin, outgoing, normalization) residuals of the resonant state
-    of ``pole``, built alone.
+    of label ``n`` at the pole ``k``, built alone.
 
     The ODE residual u'' + (k^2 - V) u is probed on a five-point stencil at
     40 interior points of every segment (stencils never straddle a kink),
@@ -201,7 +201,7 @@ def state_residuals(
     |u(R)| + |u(0)|, the outgoing one |J(k)| relative to |k| |u(R)|, and the
     normalization residual the absolute deviation of the rule from 1.
     """
-    state = one_state(potential, pole)
+    state = one_state(potential, n, k)
     k, u_r = complex(state.k[0]), complex(state.boundary_value[0])
     h = 0.01 / max(1.0, abs(k))
     ode = 0.0
@@ -219,7 +219,8 @@ def state_residuals(
     origin = abs(complex(state.evaluate(0.0)[0]))
     u_scale = abs(u_r) + origin
     # outgoing condition u'(R+) = i k u(R), with u'(R+) from the matching residual
-    outgoing = pole.residual / max(abs(k) * abs(u_r), 1e-300)
+    j = matching_function(potential, k, with_dk=False)
+    outgoing = abs(j) / max(abs(k) * abs(u_r), 1e-300)
     norm2, _ = _normalization(state)
     return ode, origin / max(u_scale, 1e-300), outgoing, float(abs(norm2[0] - 1.0))
 
@@ -401,5 +402,5 @@ def locate_poles_bisection(
     if count:
         isolate((0.0, window.re_max, window.im_min, 0.0), count, scale)
     found.sort(key=lambda item: item[0].real)
-    poles = tuple(ResonancePole(i + 1, k, r, s) for i, (k, r, s) in enumerate(found))
-    return PoleSet(poles)
+    k, residual, scale = np.array(found, dtype=complex).reshape(-1, 3).T
+    return PoleSet(k, residual.real, scale.real)

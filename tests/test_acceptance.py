@@ -11,6 +11,8 @@ from typing import Callable
 
 import pytest
 
+from nonescape import selftest
+from nonescape.errors import ConfigError
 from nonescape.selftest import (
     CheckResult,
     SelftestContext,
@@ -113,3 +115,34 @@ def test_09_oracle_integrity(
     result = check_oracle_integrity(ctx)
     announce(result)
     assert result.passed, result.line
+
+
+def test_selftest_prints_a_raising_check_as_fail_and_runs_the_rest(
+    ctx: SelftestContext, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # stand-in checks: a package error becomes that check's FAIL line and
+    # the later checks still run; any other exception ends the selftest
+    def passing(index: int) -> Callable[[SelftestContext], CheckResult]:
+        return lambda _: CheckResult(index, True, "ok")
+
+    def raising(_: SelftestContext) -> CheckResult:
+        raise ConfigError("tail series is non-positive at large times")
+
+    checks = {name: passing(i) for i, name in enumerate(selftest.CHECKS, start=1)}
+    checks["tail coefficient"] = raising
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    assert selftest.run_selftest(ctx.cfg) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5] == (
+        "check 6/9 FAIL - tail coefficient: ConfigError: "
+        "tail series is non-positive at large times"
+    )
+    assert lines[8] == "check 9/9 PASS - integrator integrity: ok"
+    assert lines[9:] == ["8/9 checks passed"]
+
+    def broken(_: SelftestContext) -> CheckResult:
+        raise ValueError("not a package error")
+
+    checks["tail coefficient"] = broken
+    with pytest.raises(ValueError, match="not a package error"):
+        selftest.run_selftest(ctx.cfg)

@@ -40,7 +40,7 @@ from nonescape.errors import (
 )
 from nonescape.gamow import ExpansionData, build_expansion
 from nonescape.model import BoxMode, DeltaShell, PiecewiseConstant
-from nonescape.poles import ResonancePole, SearchWindow, locate_poles
+from nonescape.poles import SearchWindow, locate_poles
 from nonescape.selftest import SelftestContext, check_tail_coefficient
 from nonescape.specfn import TAIL_PREFACTOR, asymptotic_coefficients
 
@@ -425,31 +425,30 @@ def test_slope_fit_guards() -> None:
 
 def test_post_exponential_window_synthetic() -> None:
     k = 1.0 - 0.25j  # Im k^2 = -0.5, so Gamma = -2 Im k^2 = 1
-    pole = ResonancePole(n=1, k=k, residual=0.0, scale=1.0)
     t = np.geomspace(0.05, 200.0, 400)
     p = np.exp(-t) + 1e-6 / t
     series = _series(t, p)
-    t_lo, t_hi = post_exponential_window(series, pole)
+    t_lo, t_hi = post_exponential_window(series, k)
     assert t_hi == pytest.approx(200.0)
     # Window opens once exp(-t) <= 1e-3 * (1e-6 / t): around t ~ 25.
     expected_open = 25.0
     assert t_lo == pytest.approx(expected_open, rel=0.15)
     assert slope_fit(series, (t_lo, t_hi)).slope == pytest.approx(-1.0, abs=0.01)
     # A supplied horizon clips the window.
-    t_lo_h, t_hi_h = post_exponential_window(series, pole, horizon=100.0)
+    t_lo_h, t_hi_h = post_exponential_window(series, k, horizon=100.0)
     assert t_hi_h == 100.0
     assert t_lo_h == t_lo
 
 
 def test_post_exponential_window_never_opens() -> None:
-    pole = ResonancePole(n=1, k=1.0 - 0.25j, residual=0.0, scale=1.0)
+    k = 1.0 - 0.25j
     t = np.geomspace(0.05, 10.0, 200)
     series = _series(t, np.exp(-t))  # purely exponential over the whole run
     with pytest.raises(EmptyWindow, match="never"):
-        post_exponential_window(series, pole)
+        post_exponential_window(series, k)
     short = _series(np.array([0.01, 0.02, 0.03]), np.array([1.0, 0.9, 0.8]))
     with pytest.raises(EmptyWindow, match="3 positive samples"):
-        post_exponential_window(short, pole)
+        post_exponential_window(short, k)
 
 
 def test_convergence_study_table(data: ExpansionData) -> None:
@@ -547,7 +546,7 @@ def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
     # routes those checks took on their own before they shared them, and
     # their printed numbers.
     verdict, report, run, data = ctx.verdict, ctx.tail_report, ctx.long_run, ctx.data
-    pole = ctx.pole_set.pole(1)
+    k1 = ctx.pole_set.pole(1)
     assert verdict.text.startswith("t^-3: direct integration shows slope -3.14")
     assert verdict.t3 and report.vanishing and report.receding
     assert f"{report.route_dev:.2e}" == "3.51e-09"
@@ -557,7 +556,7 @@ def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
     assert f"{report.d1_ratio:.2e}" == "2.32e-03"
 
     t = run.series.times
-    tau = lifetime(pole)
+    tau = lifetime(k1)
     mask = (t >= 0.1 * tau) & (t <= 5.0 * tau)
     np.testing.assert_array_equal(verdict.lifetime_mask, mask)
     expansion = nonescape_probability(data, TimeGrid(t[mask]), n_pairs=40).probability
@@ -565,7 +564,7 @@ def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
     assert verdict.lifetime_dev == float(np.max(np.abs(direct - expansion) / expansion))
     assert f"{verdict.lifetime_dev:.2e}" == "3.53e-04" and int(mask.sum()) == 68
 
-    window = post_exponential_window(run.series, pole, horizon=run.horizon_time)
+    window = post_exponential_window(run.series, k1, horizon=run.horizon_time)
     assert verdict.window == window
     assert f"[{window[0]:.2f}, {window[1]:.2f}]" == "[18.76, 42.00]"
     fit = verdict.direct_fit
@@ -578,7 +577,7 @@ def test_adjudicate_reference_run_gives_t3_with_checks_6_to_8_numbers(
     assert [f"{c:.2f}" for c in report.crossover] == ["1.10", "3.05", "8.39", "23.15"]
 
 
-_UNIT_POLE = ResonancePole(n=1, k=1.0 - 0.25j, residual=0.0, scale=1.0)  # Gamma = 1
+_UNIT_K = 1.0 - 0.25j  # Gamma = 1
 
 
 def _synthetic_sums(t: np.ndarray, p: np.ndarray, truncations: tuple[int, ...]):
@@ -596,7 +595,7 @@ def _synthetic_verdict(report: TailReport, slope: float):
     t = np.geomspace(0.05, 400.0, 161)
     p = np.exp(-t) + 1e-3 * t ** slope
     sums = _synthetic_sums(t, p, report.truncations)
-    return adjudicate(_series(t, p), None, sums, report, _UNIT_POLE)
+    return adjudicate(_series(t, p), None, sums, report, _UNIT_K)
 
 
 # D1(20)/D1(9) = 0.0978 and D1(22)/D1(10) = 0.1006 straddle the ratio
@@ -634,16 +633,16 @@ def test_adjudicate_without_a_tail_window_gives_no_adjudication(
     t = np.geomspace(0.05, 40.0, 120)
     p = np.exp(-t)
     report = convergence_study(data, (5, 10))
-    verdict = adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 10)), report, _UNIT_POLE)
+    verdict = adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 10)), report, _UNIT_K)
     assert verdict.text.startswith("no adjudication")
     assert verdict.window is None and verdict.direct_fit is None
     assert verdict.expansion_fits == {} and not verdict.t3
     # without a window the routes to D1 are still checked
     skewed = dataclasses.replace(report, t1_quadrature=1.01 * report.t1_quadrature)
     with pytest.raises(EquivalenceViolation, match="routes disagree by "):
-        adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 10)), skewed, _UNIT_POLE)
+        adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 10)), skewed, _UNIT_K)
     with pytest.raises(ConfigError, match=r"truncations \(5, 10\) differ from \(5, 20\)"):
-        adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 20)), report, _UNIT_POLE)
+        adjudicate(_series(t, p), None, _synthetic_sums(t, p, (5, 20)), report, _UNIT_K)
 
 
 def test_check_6_reads_the_tail_report_without_the_direct_run(ctx: SelftestContext) -> None:

@@ -25,6 +25,7 @@ from nonescape.gamow import (
     _build_states,
     _coefficients_closed,
     _coefficients_quadrature,
+    _index_order,
     _locate,
     _quadrature_gram,
     _state_values,
@@ -44,7 +45,7 @@ from nonescape.model import (
     normalized,
     segments,
 )
-from nonescape.poles import PoleSet, ResonancePole, SearchWindow, locate_poles
+from nonescape.poles import PoleSet, SearchWindow, locate_poles
 from nonescape.segmath import panel_nodes, regular_solutions
 
 _REFERENCE = load_config(None)
@@ -57,7 +58,7 @@ _RECONSTRUCTION_ERR = {5: 0.1799, 10: 0.0609, 20: 0.0622, 40: 0.0329}
 
 def test_state_satisfies_defining_equations(pole_set: PoleSet) -> None:
     for n in (1, 5, 40):
-        residuals = state_residuals(REFERENCE_POTENTIAL, pole_set.pole(n))
+        residuals = state_residuals(REFERENCE_POTENTIAL, n, pole_set.pole(n))
         ode, origin, outgoing, normalization = residuals
         assert ode <= 1e-6
         assert origin <= 1e-12
@@ -67,7 +68,7 @@ def test_state_satisfies_defining_equations(pole_set: PoleSet) -> None:
 
 def test_state_is_sine_inside_delta_shell(pole_set: PoleSet) -> None:
     # With a free interior the regular solution is proportional to sin(k r).
-    state = one_state(REFERENCE_POTENTIAL, pole_set.pole(2))
+    state = one_state(REFERENCE_POTENTIAL, 2, pole_set.pole(2))
     k = state.k[0]
     r = np.linspace(0.05, 0.95, 13)
     (vals,) = state.evaluate(r)
@@ -79,17 +80,16 @@ def test_state_is_sine_inside_delta_shell(pole_set: PoleSet) -> None:
 
 
 def test_mirror_state_is_conjugate(pole_set: PoleSet) -> None:
-    plus = one_state(REFERENCE_POTENTIAL, pole_set.pole(3))
-    minus = one_state(REFERENCE_POTENTIAL, pole_set.pole(-3))
+    plus = one_state(REFERENCE_POTENTIAL, 3, pole_set.pole(3))
+    minus = one_state(REFERENCE_POTENTIAL, -3, pole_set.pole(-3))
     r = np.linspace(0.0, 1.0, 21)
     np.testing.assert_array_equal(minus.evaluate(r), np.conj(plus.evaluate(r)))
     np.testing.assert_array_equal(minus.boundary_value, plus.boundary_value.conj())
 
 
 def test_build_state_rejects_zero_wavenumber(pole_set: PoleSet) -> None:
-    fake = ResonancePole(n=1, k=0.0 + 0.0j, residual=0.0, scale=1.0)
     with pytest.raises(ZeroWavenumber):
-        one_state(REFERENCE_POTENTIAL, fake)
+        one_state(REFERENCE_POTENTIAL, 1, 0.0 + 0.0j)
 
 
 def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
@@ -104,13 +104,12 @@ def test_build_state_rejects_vanishing_normalization(pole_set: PoleSet) -> None:
         if abs(step) <= 1e-15 * abs(k):
             break
     assert abs(k - (3.73 + 1.04j)) <= 0.01
-    fake = ResonancePole(n=2, k=k, residual=0.0, scale=1.0)
     with pytest.raises(NormalizationSingular, match="normalization integral vanishes"):
-        one_state(REFERENCE_POTENTIAL, fake)
+        one_state(REFERENCE_POTENTIAL, 2, k)
     with pytest.raises(NormalizationSingular):
         build_expansion(
             REFERENCE_POTENTIAL,
-            PoleSet((pole_set.pole(1), fake)),
+            PoleSet(np.array([pole_set.pole(1), k]), np.zeros(2), np.ones(2)),
             REFERENCE_STATE,
         )
 
@@ -120,7 +119,8 @@ def test_quadrature_routes_evaluate_through_the_state_table(
 ) -> None:
     # the Gram matrix and the sampled-state coefficients form their state
     # values in GamowState.evaluate, one call per block of nodes
-    states = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(n) for n in (-2, -1, 1, 2)])
+    ns = np.array([-2, -1, 1, 2])
+    states = _build_states(REFERENCE_POTENTIAL, ns, pole_set.pole(ns))
     calls = []
     original = GamowState.evaluate
 
@@ -139,15 +139,16 @@ def test_quadrature_routes_evaluate_through_the_state_table(
 
 
 def test_tolerance_not_met_raised(pole_set: PoleSet, monkeypatch: pytest.MonkeyPatch) -> None:
-    states = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(n) for n in (1, 2)])
+    ns = np.array([1, 2])
+    states = _build_states(REFERENCE_POTENTIAL, ns, pole_set.pole(ns))
     monkeypatch.setattr(gamow, "_GRAM_RTOL", 1e-20)
     with pytest.raises(ToleranceNotMet, match="overlap quadrature unconverged"):
         _quadrature_gram(states)
 
 
 def test_overlap_closed_matches_quadrature(pole_set: PoleSet) -> None:
-    ns = (-4, -1, 1, 2, 4)
-    states = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(n) for n in ns])
+    ns = np.array([-4, -1, 1, 2, 4])
+    states = _build_states(REFERENCE_POTENTIAL, ns, pole_set.pole(ns))
     closed = overlap_matrix(states, "closed")
     for i in range(len(ns)):
         for j in range(len(ns)):
@@ -158,7 +159,8 @@ def test_overlap_closed_matches_quadrature(pole_set: PoleSet) -> None:
 def test_overlap_anti_diagonal_from_normalization(pole_set: PoleSet) -> None:
     # l = -n: the Green's identity degenerates; the value follows from the
     # normalization rule int u^2 = 1 - i u(R)^2 / (2k).
-    pair = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(2), pole_set.pole(-2)])
+    ns = np.array([2, -2])
+    pair = _build_states(REFERENCE_POTENTIAL, ns, pole_set.pole(ns))
     expected = 1.0 - 1j * pair.boundary_value[0] ** 2 / (2.0 * pair.k[0])
     assert overlap_matrix(pair, "closed")[0, 1] == pytest.approx(expected, rel=1e-14)
     assert overlap_quadrature(pair[:1], pair[1:]) == pytest.approx(expected, rel=1e-9)
@@ -169,8 +171,8 @@ def test_closed_overlaps_are_built_in_row_blocks() -> None:
     # whole-array expression's bits and holds little beyond its result
     window = SearchWindow(re_max=300.5 * np.pi, im_min=-6.0)
     shell_poles = locate_poles(REFERENCE_POTENTIAL, window)
-    order = shell_poles.index_order(300)
-    states = _build_states(REFERENCE_POTENTIAL, [shell_poles.pole(n) for n in order])
+    order = _index_order(300)
+    states = _build_states(REFERENCE_POTENTIAL, order, shell_poles.pole(order))
     tracemalloc.start()
     try:
         closed = overlap_matrix(states, "closed")
@@ -195,7 +197,8 @@ def test_overlap_matrix_routes_agree(data: ExpansionData) -> None:
 
 
 def test_expansion_coefficient_methods_agree(pole_set: PoleSet) -> None:
-    states = _build_states(REFERENCE_POTENTIAL, [pole_set.pole(n) for n in (1, 2, -1, 7)])
+    ns = np.array([1, 2, -1, 7])
+    states = _build_states(REFERENCE_POTENTIAL, ns, pole_set.pole(ns))
     closed = _coefficients_closed(states, REFERENCE_STATE)
     quad = _coefficients_quadrature(states, REFERENCE_STATE)
     assert closed == pytest.approx(quad, rel=1e-9, abs=1e-12)
@@ -321,8 +324,8 @@ def test_expansion_norm_approaches_unity(data: ExpansionData) -> None:
 
 def test_states_from_different_potentials_rejected(pole_set: PoleSet) -> None:
     other = DeltaShell(strength=6.0, radius=0.5)
-    other_set_state = one_state(other, ResonancePole(n=1, k=5.0 - 0.3j, residual=0.0, scale=1.0))
-    ref_state = one_state(REFERENCE_POTENTIAL, pole_set.pole(1))
+    other_set_state = one_state(other, 1, 5.0 - 0.3j)
+    ref_state = one_state(REFERENCE_POTENTIAL, 1, pole_set.pole(1))
     with pytest.raises(ConfigError, match="different segmentations"):
         overlap_quadrature(ref_state, other_set_state)
 

@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 import nonescape.poles as poles_module
 from nonescape.cli import load_config
 from nonescape.errors import AxisZero, ConfigError, DomainError, RootPolishFailure, WindingMismatch
-from nonescape.gamow import ExpansionData
+from nonescape.gamow import ExpansionData, _index_order
 from nonescape.model import DeltaShell, PiecewiseConstant
 from nonescape.poles import (
     PoleSet,
-    ResonancePole,
     SearchWindow,
     _owners,
     locate_poles,
     matching_function,
-    mirror_state_rule,
     winding_count,
 )
 
@@ -102,7 +100,7 @@ def test_free_potential_has_no_poles() -> None:
 
 def test_reference_pole_positions(pole_set: PoleSet) -> None:
     for n, k_ref in _REFERENCE_K.items():
-        k = pole_set.pole(n).k
+        k = pole_set.pole(n)
         assert abs(k - k_ref) <= 1e-10 * abs(k_ref), f"n = {n}"
 
 
@@ -111,7 +109,7 @@ def test_pole_positions_match_independent_root_polish(pole_set: PoleSet) -> None
     # matching condition (a code path sharing nothing with locate_poles).
     for n, seed in _REFERENCE_K.items():
         k_ind = delta_shell_pole_reference(6.0, seed)
-        k = pole_set.pole(n).k
+        k = pole_set.pole(n)
         assert abs(k - k_ind) <= 1e-12 * abs(k_ind), f"n = {n}"
 
 
@@ -121,16 +119,16 @@ def test_pole_count_matches_independent_winding(pole_set: PoleSet) -> None:
 
 
 def test_poles_ordered_fourth_quadrant(pole_set: PoleSet) -> None:
-    res = np.array([p.k.real for p in pole_set])
-    ims = np.array([p.k.imag for p in pole_set])
+    res, ims = pole_set.k.real, pole_set.k.imag
     assert np.all(np.diff(res) > 0)
     assert np.all(res > 0) and np.all(ims < 0)
-    assert [p.n for p in pole_set] == list(range(1, len(pole_set) + 1))
+    # row n - 1 holds pole n
+    ns = np.arange(1, len(pole_set) + 1)
+    np.testing.assert_array_equal(pole_set.pole(ns), pole_set.k)
 
 
 def test_pole_residuals_resolved(pole_set: PoleSet) -> None:
-    for p in pole_set:
-        assert p.residual <= 1e-10 * p.scale
+    assert np.all(pole_set.residual <= 1e-10 * pole_set.scale)
 
 
 def test_hard_shell_approaches_box_levels() -> None:
@@ -140,22 +138,19 @@ def test_hard_shell_approaches_box_levels() -> None:
     found = locate_poles(shell, SearchWindow(re_max=10.5, im_min=-1.0))
     assert len(found) == 3
     for n in (1, 2, 3):
-        k = found.pole(n).k
+        k = found.pole(n)
         assert abs(k.real - n * math.pi) <= 0.05
         assert -1e-2 < k.imag < 0.0
 
 
 def test_mirror_rule_involution_and_zero(pole_set: PoleSet) -> None:
     for n in (1, 2, 5):
-        p = pole_set.pole(n)
-        m = mirror_state_rule(p)
-        assert m.n == -n
-        assert m.k == -p.k.conjugate()
-        back = mirror_state_rule(m)
-        assert back.k == p.k and back.n == n
+        k, m = pole_set.pole(n), pole_set.pole(-n)
+        assert m == -k.conjugate()
+        assert -m.conjugate() == k
         # The mirror is an exact zero of J to the same resolved tolerance.
-        j_m = matching_function(REFERENCE_POTENTIAL, m.k)[0]
-        assert abs(j_m) <= 1e-10 * p.scale
+        j_m = matching_function(REFERENCE_POTENTIAL, m)[0]
+        assert abs(j_m) <= 1e-10 * pole_set.scale[n - 1]
 
 
 def test_pole_set_indexing(pole_set: PoleSet) -> None:
@@ -163,17 +158,25 @@ def test_pole_set_indexing(pole_set: PoleSet) -> None:
         pole_set.pole(0)
     with pytest.raises(ConfigError, match="outside"):
         pole_set.pole(len(pole_set) + 1)
-    assert pole_set.pole(-2).k == -pole_set.pole(2).k.conjugate()
+    with pytest.raises(ConfigError, match="outside"):
+        pole_set.pole(np.array([1, -len(pole_set) - 1]))
+    with pytest.raises(ConfigError, match="nonzero"):
+        pole_set.pole(1.0)  # type: ignore[arg-type]
+    assert pole_set.pole(-2) == -pole_set.pole(2).conjugate()
+    assert isinstance(pole_set.pole(2), complex)
+    np.testing.assert_array_equal(
+        pole_set.pole(np.array([-2, 3])), [pole_set.pole(-2), pole_set.pole(3)]
+    )
 
 
 def test_wavenumbers_ordering(pole_set: PoleSet, data: ExpansionData) -> None:
-    # an expansion's wavenumbers follow index_order: mirrors first
-    idx = PoleSet.index_order(4)
+    # an expansion's wavenumbers follow its label order: mirrors first
+    idx = _index_order(4)
     np.testing.assert_array_equal(idx, [-4, -3, -2, -1, 1, 2, 3, 4])
     ks = data.truncate(4).states.k
     assert ks.shape == (8,)
     for i, n in enumerate(idx):
-        assert ks[i] == pole_set.pole(int(n)).k
+        assert ks[i] == pole_set.pole(int(n))
 
 
 def test_locate_poles_deterministic() -> None:
@@ -182,18 +185,16 @@ def test_locate_poles_deterministic() -> None:
     a = locate_poles(shell, window)
     b = locate_poles(shell, window)
     assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert pa.k == pb.k  # bitwise identical
-        assert pa.residual == pb.residual
+    np.testing.assert_array_equal(a.k, b.k)  # bitwise identical
+    np.testing.assert_array_equal(a.residual, b.residual)
 
 
 def test_locate_poles_barrier_potential() -> None:
     barrier = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
     found = locate_poles(barrier, SearchWindow(re_max=12.0, im_min=-4.0))
     assert len(found) >= 2
-    for p in found:
-        j, _ = matching_function(barrier, p.k)
-        assert abs(j) <= 1e-10 * p.scale
+    j, _ = matching_function(barrier, found.k)
+    assert np.all(np.abs(j) <= 1e-10 * found.scale)
 
 
 def test_search_window_validation() -> None:
@@ -207,13 +208,19 @@ def test_search_window_validation() -> None:
 
 def test_reference_window_is_selftest_window(pole_set: PoleSet) -> None:
     # the shared pole set is the reference potential's, in the reference window
-    assert locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW).poles == pole_set.poles
+    found = locate_poles(REFERENCE_POTENTIAL, SEARCH_WINDOW)
+    for name in ("k", "residual", "scale"):
+        np.testing.assert_array_equal(getattr(found, name), getattr(pole_set, name))
 
 
 def test_resonance_pole_is_frozen() -> None:
-    p = ResonancePole(n=1, k=1.0 - 0.1j, residual=0.0, scale=1.0)
+    # the pole table the tests share refuses edits, of a field or in place
+    p = PoleSet(np.array([1.0 - 0.1j]), np.zeros(1), np.ones(1))
     with pytest.raises(AttributeError):
-        p.k = 2.0  # type: ignore[misc]
+        p.k = np.array([2.0 + 0j])  # type: ignore[misc]
+    for values in (p.k, p.residual, p.scale):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 2.0
 
 
 _BARRIER = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
@@ -222,13 +229,13 @@ _BARRIER = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
 def _midway(potential, n: int) -> float:
     """Re k halfway between poles n and n + 1 (from a search to Re k = 140)."""
     found = locate_poles(potential, SearchWindow(re_max=140.0, im_min=-3.0))
-    return 0.5 * (found.pole(n).k.real + found.pole(n + 1).k.real)
+    return 0.5 * (found.pole(n).real + found.pole(n + 1).real)
 
 
 def _assert_same_poles(found: PoleSet, reference: PoleSet) -> None:
     assert len(found) == len(reference)
-    for p, q in zip(found, reference):
-        assert abs(p.k - q.k) <= 1e-15 * abs(q.k), (p.n, p.k, q.k)
+    for n, (p, q) in enumerate(zip(found.k, reference.k), start=1):
+        assert abs(p - q) <= 1e-15 * abs(q), (n, p, q)
 
 
 _CASES = {
@@ -252,8 +259,7 @@ def test_moment_search_matches_bisection(case: str) -> None:
     found = locate_poles(potential, window)
     _assert_same_poles(found, locate_poles_bisection(potential, window))
     assert count is None or len(found) == count
-    for p in found:
-        assert p.residual <= 1e-10 * p.scale
+    assert np.all(found.residual <= 1e-10 * found.scale)
 
 
 def test_cut_through_a_pole_is_moved(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -309,19 +315,19 @@ def test_pole_set_unchanged_as_window_grows(strength: float, n_small: int, extra
     small = locate_poles(shell, SearchWindow(_midway(shell, n_small), -3.0))
     large = locate_poles(shell, SearchWindow(_midway(shell, n_small + extra), -3.0))
     assert len(small) == n_small and len(large) == n_small + extra
-    for p in small:
-        assert abs(p.k - large.pole(p.n).k) <= 1e-15 * abs(p.k)
+    for n, k in enumerate(small.k, start=1):
+        assert abs(k - large.pole(n)) <= 1e-15 * abs(k)
     for n in range(n_small + 1, n_small + extra + 1):
-        assert abs(large.pole(n).k - full.pole(n).k) <= 1e-15 * abs(full.pole(n).k)
+        assert abs(large.pole(n) - full.pole(n)) <= 1e-15 * abs(full.pole(n))
 
 
 @settings(max_examples=15, deadline=None)
 @given(strength=st.floats(3.0, 12.0), n=st.integers(1, 40))
 def test_pole_just_above_the_bottom_edge_is_found(strength: float, n: int) -> None:
     shell = DeltaShell(strength, 1.0)
-    k = locate_poles(shell, SearchWindow(re_max=140.0, im_min=-3.0)).pole(n).k
+    k = locate_poles(shell, SearchWindow(re_max=140.0, im_min=-3.0)).pole(n)
     found = locate_poles(shell, SearchWindow(_midway(shell, n), k.imag - 1e-3))
-    assert min(abs(p.k - k) for p in found) <= 1e-15 * abs(k)
+    assert np.min(np.abs(found.k - k)) <= 1e-15 * abs(k)
 
 
 def test_axis_zero_raised() -> None:
@@ -397,8 +403,8 @@ def test_barrier_poles_at_tight_tolerance() -> None:
     # result matches the tol 1e-10 search to 8.5e-15 relative.
     barrier = PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))
     window = SearchWindow(re_max=503.5, im_min=-6.0)
-    tight = np.array([p.k for p in locate_poles(barrier, window, tol=1e-12).poles])
-    loose = np.array([p.k for p in locate_poles(barrier, window, tol=1e-10).poles])
+    tight = locate_poles(barrier, window, tol=1e-12).k
+    loose = locate_poles(barrier, window, tol=1e-10).k
     assert tight.size == loose.size == 160
     assert np.max(np.abs(tight - loose) / np.abs(loose)) <= 1e-14
 
