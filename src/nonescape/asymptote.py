@@ -99,6 +99,9 @@ def moment_sum_quadrature(data: ExpansionData, a: int, b: int) -> complex:
     sigma_b = sigma_a if b == a else np.asarray(
         weighted_field(data, nodes, data.coefficients / data.states.k ** b)
     )
+    # numpy may reuse the conj temporary in place, as conj * weights; the
+    # weights are real, so each part of that product is one rounded product
+    # plus an exact zero whichever operand comes first, and no bit moves
     return complex(exact_row_sums((weights * np.conj(sigma_b) * sigma_a)[None, :])[0])
 
 

@@ -414,6 +414,8 @@ def overlap_matrix(states: GamowState, method: str = "closed") -> np.ndarray:
         step = max(1, _OVERLAP_BLOCK // max(1, len(states)))
         for i0 in range(0, len(states), step):
             rows = slice(i0, i0 + step)
+            # numpy may reuse the bracket in place, as bracket * 1j; every
+            # product by 1j is exact, so that swap moves no bit
             mat[rows] = u_r[rows, None] * np.conj(u_r)[None, :] / (
                 1j * (ks[rows, None] - np.conj(ks)[None, :])
             )

@@ -231,6 +231,8 @@ def state_norm(state: InitialState) -> float:
     dr = np.diff(state.r_grid)
     a = np.abs(v[:-1]) ** 2
     b = np.abs(v[1:]) ** 2
+    # numpy may reuse the conj temporary in place, as conj * v[:-1]; that
+    # swap moves only bits of the imaginary part, which is dropped here
     cross = (v[:-1] * np.conj(v[1:])).real
     total = float(np.sum(dr * (a + b + cross) / 3.0))
     return math.sqrt(total)

@@ -406,11 +406,20 @@ def _prepare(
     )
 
 
+def _support_end(psi: np.ndarray) -> int:
+    """One past the last nonzero node of ``psi``, or 0 when it is all zero,
+    in one search.  It holds an index per nonzero node and no mask of the
+    box, which would add to the run's peak memory."""
+    nonzero = np.flatnonzero(psi)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 def _reach(psi: np.ndarray, end: int) -> int:
     """Block size for the next step: one chunk past the last nonzero node.
 
     ``psi`` is zero from ``end`` on.  The search steps back from there a
-    chunk at a time, since the state's front moves a few nodes per step.
+    chunk at a time, since the state's front moves a few nodes per step;
+    the first step starts it from :func:`_support_end`.
     """
     while end > 0:
         start = max(0, end - _WINDOW_CHUNK)
@@ -456,7 +465,7 @@ def evolve_tdse(
     rhs_buf, prod = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
     # The factors of a leading k x k block are the leading slices of A's
     # factors only while gttrf swaps no rows.
-    k = _reach(psi, m) if np.array_equal(ipiv, np.arange(1, m + 1)) else m
+    k = _reach(psi, _support_end(psi)) if np.array_equal(ipiv, np.arange(1, m + 1)) else m
 
     run.record(0, psi)
     for step in range(1, grid.n_steps + 1):

@@ -44,10 +44,17 @@ _MAX_RECUTS = 8  # times a cut that grazes a zero is moved
 _GL_ORDER = 8  # Gauss-Legendre nodes per moment panel
 _MOMENT_TOL = 1e-3  # |s_0 - count| beyond which a strip's panels are halved
 _MOMENT_ROUNDS = 6
-_BLOCK_POINTS = 16_384  # points per vectorized matching-function call
+# Moment nodes per summation block: the block fixes how the moment sums
+# associate, so it stays whatever J is evaluated in.
+_BLOCK_POINTS = 16_384
+# Points per matching-function call.  Each point holds about 21 complex
+# temporaries during the call, so this bounds them to about 0.7 MB.  J and
+# dJ/dk have the same bits whatever the batch.
+_EVAL_POINTS = 2_048
 # Zeros a window may be expected to hold, re_max * density / (2 pi).  The
-# reference shell's 20,000 zeros took 4.9 s and 399 MB RSS on a 2-vCPU host;
-# the strips and contour samples grow in proportion.
+# reference shell's 19,990 zeros (re_max 62,800, im_min -10) took 2.8 s and
+# 170 MB RSS on a 2-vCPU host; the strips and contour samples grow in
+# proportion.
 _MAX_SEARCH_ZEROS = 20_480
 
 
@@ -76,9 +83,12 @@ def matching_function(
 
     J is entire in k; both come from one regular-solution pass through the
     segment kernels, with the k-derivative carried alongside when asked for.
-    J has the same bits either way.  Where the kernels overflow (|Im q| L
-    beyond about 710 on a segment), the outputs are not finite, without a
-    warning; the pole search refuses them.
+    J has the same bits either way, and the same bits whatever the batch:
+    a point of an array k gives the same J and dJ/dk alone or among 40,000
+    (a scalar k takes numpy's scalar arithmetic, which can differ in the
+    last bit).  Where the kernels overflow (|Im q| L beyond about 710 on a
+    segment), the outputs are not finite, without a warning; the pole
+    search refuses them.
     """
     k_arr = np.asarray(k, dtype=complex)
     u, du, *dk = regular_solutions(potential, k_arr, with_dk)[3]
@@ -93,19 +103,23 @@ def matching_function(
 
 
 def _finite_matching(potential: Potential, k: np.ndarray, with_dk: bool = True):
-    """(J, dJ/dk) at the points ``k``, or J alone without ``with_dk``.
+    """(J, dJ/dk) at the points ``k``, or J alone without ``with_dk``, in
+    calls of ``_EVAL_POINTS`` points.
 
     Raises
     ------
     DomainError
         At the first point where J, or dJ/dk when asked for, is not finite.
     """
-    values = matching_function(potential, k, with_dk)
-    finite = np.isfinite(values[0]) & np.isfinite(values[1]) if with_dk else np.isfinite(values)
-    bad = np.flatnonzero(~finite)
+    values = np.empty((1 + with_dk,) + k.shape, dtype=complex)
+    for s in range(0, k.size, _EVAL_POINTS):
+        values[:, s : s + _EVAL_POINTS] = matching_function(
+            potential, k[s : s + _EVAL_POINTS], with_dk
+        )
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
     if bad.size:
         raise DomainError(f"J is not finite near k = {k[bad[0]]:.6g}")
-    return values
+    return values if with_dk else values[0]
 
 
 def _march(
@@ -281,6 +295,7 @@ def _moments(potential: Potential, boxes: list[_Box], center, rho, order: int) -
         for p in range(order):
             mu[:, p] += np.bincount(box, term.real, n) + 1j * np.bincount(box, term.imag, n)
             term = term * zeta
+        del z, j, dj, term, zeta  # before the next block's are built
     return mu
 
 

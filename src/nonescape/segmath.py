@@ -162,7 +162,8 @@ def regular_solutions(potential: Potential, k, with_dk: bool = False) -> tuple:
     segment's left edge are stacked on a last axis, one entry per segment,
     so ``a cos(q x) + b sin(q x)/q`` is u within a segment.  ``ends`` is
     (u, u') at R-, followed by (du/dk, du'/dk) when ``with_dk`` is set; only
-    then is dS/dz formed.  Where the kernels overflow (|Im q| L beyond about
+    then is dS/dz formed.  Each point of an array k has the same bits
+    whatever the batch.  Where the kernels overflow (|Im q| L beyond about
     710 on a segment) the values are not finite, without a warning.
     """
     k = np.asarray(k, dtype=complex)
@@ -180,9 +181,15 @@ def regular_solutions(potential: Potential, k, with_dk: bool = False) -> tuple:
             c, s, ds = _kernel_family(zj, length, derivative=with_dk)[:3]
             if with_dk:
                 dc = -0.5 * length * s
+                # d/dz of (u, u') at the segment's end, bound to names before
+                # they meet dzdk: numpy reuses a nameless right operand of
+                # 256 KiB or more in place, as bracket * dzdk, and that swap
+                # changes the bits of a complex product with the batch size.
+                u_z = u * dc + du * ds
+                du_z = -u * s - u * zj * ds + du * dc
                 uk, duk = (
-                    uk * c + duk * s + dzdk * (u * dc + du * ds),
-                    -uk * zj * s + duk * c + dzdk * (-u * s - u * zj * ds + du * dc),
+                    uk * c + duk * s + dzdk * u_z,
+                    -uk * zj * s + duk * c + dzdk * du_z,
                 )
             u, du = u * c + du * s, -u * zj * s + du * c
     return z, a, b, (u, du, uk, duk) if with_dk else (u, du)

@@ -157,6 +157,17 @@ def same_bits(got, want) -> bool:
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def batch_points(rng: np.random.Generator) -> np.ndarray:
+    """40,000 fourth-quadrant points.  The first 1,000 (|k| < 1.5) take the
+    series branch on the shell's segment and on the barrier's first, the
+    next 1,000 (near k = 5) on the barrier's second; the rest, up to
+    Re k = 400, mostly the root branch."""
+    k = rng.uniform(0.0, 400.0, 40_000) - 1j * rng.uniform(0.0, 6.0, 40_000)
+    k[:1_000] = rng.uniform(0.0, 1.0, 1_000) - 1j * rng.uniform(0.0, 1.0, 1_000)
+    k[1_000:2_000] = 5.0 + rng.uniform(-0.2, 0.2, 1_000) - 0.2j * rng.uniform(0.0, 1.0, 1_000)
+    return k
+
+
 def state_values_per_state(states: GamowState, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """u_m at the located points, each row of the table evaluated on its own."""
     rows = []

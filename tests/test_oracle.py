@@ -12,8 +12,11 @@ from nonescape.dynamics import TimeGrid
 from nonescape.errors import ConfigError, InvalidState, UnstableParameters
 from nonescape.model import BoxMode, DeltaShell, PiecewiseConstant, state_norm
 from nonescape.oracle import (
+    _WINDOW_CHUNK,
     GridSpec,
     OracleResult,
+    _reach,
+    _support_end,
     evolve_tdse,
     gaussian_packet_exact,
     refine_and_compare,
@@ -356,6 +359,26 @@ def test_long_run_health(ctx: SelftestContext) -> None:
     mask = (series.times >= 0.5 * tau) & (series.times <= 3.0 * tau)
     slope = np.polyfit(series.times[mask], np.log(series.probability[mask]), 1)[0]
     assert slope == pytest.approx(-_GAMMA1, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "nonzero, want",
+    [
+        ([], _WINDOW_CHUNK),  # an all-zero state
+        (list(range(1_000)), 1_000),  # fills the whole box
+        ([999], 1_000),  # the last node alone
+        ([0], 1 + _WINDOW_CHUNK),
+        ([3, 500], 501 + _WINDOW_CHUNK),
+        ([10, 967], 1_000),  # less than a chunk from the end
+        ([12, 13, 640], 641 + _WINDOW_CHUNK),
+    ],
+)
+def test_first_block_is_one_chunk_past_the_last_nonzero_node(nonzero, want) -> None:
+    psi = np.zeros(1_000, dtype=complex)
+    psi[nonzero] = 1e-300 - 2.0j
+    assert _support_end(psi) == (nonzero[-1] + 1 if nonzero else 0)
+    # the same block as the chunk-by-chunk walk back from the box's end
+    assert _reach(psi, _support_end(psi)) == _reach(psi, psi.size) == want
 
 
 @pytest.fixture()

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import delta_shell_pole_reference, locate_poles_bisection
+from _oracles import (
+    batch_points,
+    delta_shell_pole_reference,
+    locate_poles_bisection,
+    same_bits,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +40,33 @@ _REFERENCE_K = {
     3: 8.77522818235715 - 0.5553466505878303j,
     40: 124.8828545054643 - 1.864402593809498j,
 }
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [DeltaShell(6.0, 1.0), PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))],
+    ids=["delta-shell", "barrier"],
+)
+def test_matching_function_bits_do_not_depend_on_the_batch(potential, rng) -> None:
+    k = batch_points(rng)
+    parts = [matching_function(potential, k[s : s + 1_000]) for s in range(0, k.size, 1_000)]
+    for whole, part in zip(matching_function(potential, k), zip(*parts)):
+        assert same_bits(whole, np.concatenate(part))
+
+
+def test_wide_search_works_in_bounded_memory() -> None:
+    # 319 zeros, with moment blocks of 16,384 nodes: J and dJ/dk are taken
+    # 2,048 points at a time, where the whole block at once peaked at 6.6 MB.
+    window = SearchWindow(re_max=1002.0, im_min=-3.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        found = locate_poles(DeltaShell(6.0, 1.0), window)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 319
+    assert peak <= 3.5e6, peak
 
 
 def test_matching_function_delta_shell_closed_form(rng: np.random.Generator) -> None:

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import kernel_family_two_branch, product_integral_six_kernels, same_bits
+from _oracles import (
+    batch_points,
+    kernel_family_two_branch,
+    product_integral_six_kernels,
+    same_bits,
+)
 from nonescape.errors import DomainError
 from nonescape.model import DeltaShell, PiecewiseConstant
 from nonescape.segmath import (
@@ -212,6 +217,26 @@ def test_regular_solutions_on_the_delta_shell_ignore_the_delta() -> None:
     assert same_bits(z[:, 0], k * k)
     assert u == pytest.approx(np.sin(k) / k, rel=1e-14)
     assert du == pytest.approx(np.cos(k), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [DeltaShell(6.0, 1.0), PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))],
+    ids=["delta-shell", "barrier"],
+)
+def test_regular_solutions_bits_do_not_depend_on_the_batch(potential, rng) -> None:
+    # numpy reuses a nameless temporary of 256 KiB or more in place, which
+    # swaps the operands of a complex product: 40,000 points cross that size.
+    k = batch_points(rng)
+    whole = regular_solutions(potential, k, with_dk=True)
+    parts = [
+        regular_solutions(potential, k[s : s + 1_000], with_dk=True)
+        for s in range(0, k.size, 1_000)
+    ]
+    for i in range(3):
+        assert same_bits(whole[i], np.concatenate([p[i] for p in parts]))
+    for i in range(4):
+        assert same_bits(whole[3][i], np.concatenate([p[3][i] for p in parts]))
 
 
 def _quadrature_product(length: float, z1, a1, b1, z2, a2, b2) -> tuple[complex, float]:
