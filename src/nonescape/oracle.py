@@ -33,29 +33,34 @@ countermeasures, all optional and off by default except smoothing:
   is recorded as the contamination horizon.
 
 Each step solves only on the leading block of nodes the state has reached.
-A = I + i (dt/2) H is factored once; with V >= 0 every pivot exceeds the
-off-diagonal in modulus, so gttrf swaps no rows and the factors of a
-leading k x k block are the leading slices of A's factors.  Past the last
-nonzero node a full-box solve decays by about |off-diagonal / pivot| per
-node, down to the smallest subnormal, and its back substitution rounds
-those values to exactly zero.  A block one chunk longer than the state's
-reach is accepted when its last few values are exactly zero: the full-box
-solution is zero from there on, and the two agree bit for bit on every
-nonzero value (zeros may differ in sign).  Otherwise the block grows by a
-chunk and the step is solved again.  The whole box is solved once the
-state reaches it, or at once if gttrf ever swaps rows.  This keeps the
-early steps out of the tens of thousands of untouched nodes, where
-subnormal arithmetic costs ten times normal arithmetic.
+A = I + i (dt/2) H is factored row by row, ahead of the state; with V >= 0
+every pivot exceeds the off-diagonal in modulus, so gttrf swaps no rows and
+the factors of a leading k x k block are the leading slices of A's factors.
+Past the last nonzero node a full-box solve decays by about
+|off-diagonal / pivot| per node, down to the smallest subnormal, and its
+back substitution rounds those values to exactly zero.  A block one chunk
+longer than the state's reach is accepted when its last few values are
+exactly zero: the full-box solution is zero from there on, and the two
+agree bit for bit on every nonzero value (zeros may differ in sign).
+Otherwise the block grows by a chunk and the step is solved again.  The
+whole box is solved once the state reaches it, or from the first row
+interchange gttrf reports on.  This keeps the early steps out of the tens
+of thousands of untouched nodes, where subnormal arithmetic costs ten times
+normal arithmetic.
 
-A run holds about seven complex vectors of interior length: the nodes
-(half of one), the state (stepped in place from psi0, not from a copy),
-the right-hand diagonal, gttrf's four factor diagonals, the pivots and the
-absorber mask over [L - W, L].  Set-up builds them in place wherever it
-can: gttrf factors its own inputs (its overwrite flags), both diagonals
-come from one 2/dr^2 + V array in V's buffer, and the absorber profile is
-evaluated only past L - W, so set-up peaks at about as much as the run
-keeps.  Stepping adds 3.3: a right-hand side that gttrs solves in place, a
-buffer of off-diagonal products and the norm's temporaries.
+Memory follows the rows the state has reached, not the box.  A run
+allocates its interior vectors untouched (the state, the right-hand
+diagonal, gttrf's four factor diagonals and pivots, the right-hand side,
+a buffer of off-diagonal products and the density buffer the norm is
+summed from), so the pages of rows no step reaches are never written.
+Set-up writes the nodes r (a float per node), the absorber mask over
+[L - W, L], and the initial state only up to one node past its support.
+Rows are built and factored in pieces that double, each starting from the
+previous piece's last pivot, which gives the same bits as one whole-box
+gttrf.  A built row keeps 140 bytes: the state, the right-hand diagonal
+and side, the product buffer, four factor entries, a pivot index and a
+density; a run that reaches the whole box (every long run) keeps them
+all, as it did before rows were built on demand.
 """
 
 from __future__ import annotations
@@ -95,8 +100,8 @@ __all__ = [
 ]
 
 _NORM_DRIFT_LIMIT = 1e-7
-# Nodes a grid may hold.  A complex interior vector then takes 160 MB, and a
-# capped run keeps about seven of them (1.1 GB) and steps with 3.3 more.
+# Nodes a grid may hold.  A run that reaches the whole box then keeps 140
+# bytes per node (1.4 GB) besides the nodes and the absorber mask.
 _MAX_NODES = 10_000_000
 _MAX_STEPS = 10_000_000  # time steps a run may take
 _NORM_CHECK_STRIDE = 200
@@ -110,6 +115,12 @@ _LEAK_THRESHOLD = 1e-10
 _WINDOW_CHUNK = 32
 # A block solve is accepted when its last _WINDOW_GUARD values are exactly 0.
 _WINDOW_GUARD = 8
+# Rows the first piece builds; each later piece at least doubles the rows
+# built, so a run builds in O(log m) pieces.
+_FIRST_ROWS = 1024
+# Runs of at most this many steps output every step by default; longer
+# runs sample a log grid from this many steps on.
+_FIRST_OUTPUT_STEP = 10
 
 
 @dataclass(frozen=True)
@@ -237,31 +248,99 @@ class _Run:
     :func:`evolve_tdse` and the full-box loop kept as a test reference both
     step with this, so the two differ only in how each step is solved.
     ``psi0`` is the normalized (smoothed) initial state on the interior
-    nodes; ``factors`` are gttrf's ``(dl, d, du, du2, ipiv)`` of
-    A = I + i (dt/2) H; the absorber multiplies nodes ``mask_start:`` by
-    ``mask`` after each step (an empty mask at ``mask_start = m`` when off).
+    nodes, zero from node ``span`` on; ``diag_b`` and ``factors``, gttrf's
+    ``(dl, d, du, du2, ipiv)`` of A = I + i (dt/2) H, hold their rows only
+    once :meth:`rows` has built them.  The absorber multiplies nodes
+    ``mask_start:`` by ``mask`` after each step (an empty mask at
+    ``mask_start = m`` when off).  ``density`` is the buffer the norm is
+    summed from.
     """
 
     grid: GridSpec
+    potential: Potential
     j_r: int
     r_int: np.ndarray
     psi0: np.ndarray
+    span: int
     diag_b: np.ndarray
-    off_b: complex
     factors: tuple[np.ndarray, ...]
+    density: np.ndarray
+    gttrf: Callable[..., tuple]
     gttrs: Callable[..., tuple[np.ndarray, int]]
     mask_start: int
     mask: np.ndarray
     out_steps: frozenset[int]
     snap_steps: frozenset[int]
+    off_b: complex
+    factored: int = 0
+    swapped: bool = False
     out_t: list[float] = field(default_factory=list)
     out_p: list[float] = field(default_factory=list)
     out_norm: list[float] = field(default_factory=list)
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     horizon_time: float | None = None
 
+    def rows(self, k: int) -> int:
+        """Build the rows a solve on the leading ``k`` nodes uses, and return
+        the block size that solve takes: ``k``, or the whole box once gttrf
+        has swapped rows.
+
+        A piece is factored one row past the rows it makes usable, so every
+        row a solve uses has had its interchange decided.  Pieces at least
+        double the rows factored.  Should one report an interchange, the
+        whole box is built afresh in one piece and solved from then on.
+        """
+        m = self.r_int.size
+        if not self.swapped and self.factored < min(m, k + 1):
+            end = min(m, max(k + 1, 2 * self.factored, _FIRST_ROWS))
+            if not self._factor(self.factored, end):
+                self._factor(0, m)
+                self.swapped = True
+        return m if self.swapped else k
+
+    def _factor(self, start: int, end: int) -> bool:
+        """Build rows ``start:end`` and factor them with gttrf from row
+        ``start - 1`` on, whose pivot is final; true when no rows swapped.
+
+        Level, diagonals and factors come from the same ufuncs, in the same
+        order, as a whole-box build, and a piece starting from the previous
+        pivot continues gttrf's elimination exactly, so the rows hold the
+        same bits as one whole-box gttrf.
+        """
+        dr, half = self.grid.dr, 0.5j * self.grid.dt
+        inv_dr2 = 1.0 / (dr * dr)
+        dl, d, du, du2, ipiv = self.factors
+        level = evaluate_potential(self.potential, self.r_int[start:end])
+        lam = delta_jump(self.potential)
+        if lam and start < self.j_r <= end:
+            level[self.j_r - 1 - start] += lam / dr
+        np.add(2.0 * inv_dr2, level, out=level)
+        diag_a = np.multiply(half, level, out=d[start:end])
+        np.add(1.0, diag_a, out=diag_a)
+        diag_b = np.multiply(half, level, out=self.diag_b[start:end])
+        np.subtract(1.0, diag_b, out=diag_b)
+        del level
+        low = max(start - 1, 0)
+        dl[low : end - 1] = du[low : end - 1] = -self.off_b
+        # the overwrite flags let gttrf factor the slices in place
+        *_, piece_du2, piece_ipiv, _ = self.gttrf(
+            dl[low : end - 1], d[low:end], du[low : end - 1], 1, 1, 1
+        )
+        # The piece leaves du2 unset on its last decided row, end - 2, where
+        # a whole-box gttrf, swapping no rows there, writes 0.
+        du2[low : end - 2] = piece_du2
+        du2[end - 2 : end - 1] = 0.0
+        np.add(piece_ipiv, low, out=ipiv[low:end])
+        self.factored = end
+        return bool(np.array_equal(piece_ipiv, np.arange(1, end - low + 1)))
+
     def total_norm(self, psi: np.ndarray) -> float:
-        return self.grid.dr * float(np.sum(np.abs(psi) ** 2))
+        """dr sum |psi|^2 over the whole box, the density written only where
+        the state may be nonzero: over psi0's span and the rows factored."""
+        n = max(self.span, self.factored)
+        dens = np.abs(psi[:n], out=self.density[:n])
+        np.square(dens, out=dens)
+        return self.grid.dr * float(np.sum(self.density))
 
     def record(self, step: int, psi: np.ndarray) -> None:
         """Keep P, the norm and a snapshot of the full-length ``psi`` if due."""
@@ -319,8 +398,8 @@ def _prepare(
     times: TimeGrid | None,
     sample_times: tuple[float, ...],
 ) -> _Run:
-    """Validate, sample and normalize psi0, and factor the Crank-Nicolson step
-    in place (see the module docstring)."""
+    """Validate, sample and normalize psi0, and allocate the Crank-Nicolson
+    step's rows, which :meth:`_Run.rows` builds (see the module docstring)."""
     j_r = _validate_run(potential, psi0, grid)
     n_nodes, n_steps = grid.n_nodes, grid.n_steps
     dr, dt = grid.dr, grid.dt
@@ -336,15 +415,25 @@ def _prepare(
     r_int = dr * np.arange(1, n_nodes - 1)
     m = r_int.size
 
-    psi = np.asarray(initial_wavefunction(psi0, r_int), dtype=complex)
+    # Allocated untouched: only the rows a step reaches are ever written.
+    psi = np.zeros(m, dtype=complex)
+    density = np.zeros(m)
+    # psi0 is zero from the first node past its support on, and so is its
+    # smoothed copy from one node further
+    span = min(m, int(np.searchsorted(r_int, support_radius(psi0), side="right")) + 1)
+    head = np.asarray(initial_wavefunction(psi0, r_int[:span]), dtype=complex)
     if grid.smooth_initial:
-        padded = np.concatenate([[0.0], psi, [0.0]])
-        psi = 0.25 * padded[:-2] + 0.5 * padded[1:-1] + 0.25 * padded[2:]
-        del padded  # before the factors are built, as is level below
-    norm2 = dr * float(np.sum(np.abs(psi) ** 2))
+        padded = np.concatenate([[0.0], head, [0.0]])
+        head = 0.25 * padded[:-2] + 0.5 * padded[1:-1] + 0.25 * padded[2:]
+        del padded
+    psi[:span] = head
+    # the density over the whole box, as from np.abs(psi) ** 2
+    np.square(np.abs(head, out=density[:span]), out=density[:span])
+    del head
+    norm2 = dr * float(np.sum(density))
     if norm2 <= 0.0:
         raise InvalidState("initial state vanishes on the grid")
-    psi /= math.sqrt(norm2)
+    psi[:span] /= math.sqrt(norm2)
 
     mask_start, mask = m, np.empty(0)
     if grid.absorber_width > 0.0:
@@ -362,28 +451,19 @@ def _prepare(
         np.multiply(-dt * grid.absorber_strength, mask, out=mask)
         np.exp(mask, out=mask)
 
-    inv_dr2 = 1.0 / (dr * dr)
-    half = 0.5j * dt
-    level = evaluate_potential(potential, r_int)  # a new array: V, then 2/dr^2 + V
-    lam = delta_jump(potential)
-    if lam:
-        level[j_r - 1] += lam / dr
-    np.add(2.0 * inv_dr2, level, out=level)
-    diag_a = np.multiply(half, level)
-    np.add(1.0, diag_a, out=diag_a)
-    diag_b = np.multiply(half, level)
-    np.subtract(1.0, diag_b, out=diag_b)
-    del level
-    off_a = np.full(m - 1, -half * inv_dr2)
-
     # With V >= 0 every pivot has Re d_i >= 1 and |d_i| > |off-diagonal|, so
     # gttrf neither meets a zero pivot nor swaps rows: its info is always 0.
-    # The overwrite flags let it factor off_a, diag_a and off_a's copy in place.
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag_a,))
-    dl, d, du, du2, ipiv, _ = gttrf(off_a, diag_a, off_a.copy(), 1, 1, 1)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (psi,))
+    factors = tuple(np.empty(n, dtype=complex) for n in (m - 1, m, m - 1, m - 2))
+    factors += (np.empty(m, dtype=np.int32),)
 
     if times is None:
-        times = TimeGrid.log(max(10.0 * dt, 1e-12), grid.t_final, per_decade=40)
+        if n_steps > _FIRST_OUTPUT_STEP:
+            times = TimeGrid.log(
+                max(_FIRST_OUTPUT_STEP * dt, 1e-12), grid.t_final, per_decade=40
+            )
+        else:
+            times = TimeGrid(dt * np.arange(1, n_steps + 1))
     # steps past the run go before the cast, where they could overflow int
     steps = np.round(times.times / dt)
     step_of = np.unique(steps[steps <= n_steps].astype(int))
@@ -392,15 +472,19 @@ def _prepare(
 
     return _Run(
         grid=grid,
+        potential=potential,
         j_r=j_r,
         r_int=r_int,
         psi0=psi,
-        diag_b=diag_b,
-        off_b=half * inv_dr2,
-        factors=(dl, d, du, du2, ipiv),
+        span=span,
+        diag_b=np.empty(m, dtype=complex),
+        factors=factors,
+        density=density,
+        gttrf=gttrf,
         gttrs=gttrs,
         mask_start=mask_start,
         mask=mask,
+        off_b=0.5j * dt * (1.0 / (dr * dr)),
         out_steps=frozenset(int(s) for s in step_of),
         snap_steps=frozenset(snap_steps),
     )
@@ -446,7 +530,8 @@ def evolve_tdse(
 
     Each step solves only on the leading block of nodes the state has
     reached, plus a margin, and gives the same bits as a solve on the whole
-    box (see the module docstring).
+    box; rows are built and factored only as the state reaches them (see
+    the module docstring).
 
     Raises
     ------
@@ -461,11 +546,10 @@ def evolve_tdse(
     start, mask = run.mask_start, run.mask
     psi = run.psi0
     m = psi.size
-    # made once: gttrs solves in the right-hand side's buffer
+    # made once, and written only over the block: gttrs solves in the
+    # right-hand side's buffer
     rhs_buf, prod = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
-    # The factors of a leading k x k block are the leading slices of A's
-    # factors only while gttrf swaps no rows.
-    k = _reach(psi, _support_end(psi)) if np.array_equal(ipiv, np.arange(1, m + 1)) else m
+    k = run.rows(_reach(psi, _support_end(psi[: run.span])))
 
     run.record(0, psi)
     for step in range(1, grid.n_steps + 1):
@@ -480,7 +564,7 @@ def evolve_tdse(
             )
             if k == m or not x[k - _WINDOW_GUARD :].any():
                 break
-            k = min(m, k + _WINDOW_CHUNK)
+            k = run.rows(min(m, k + _WINDOW_CHUNK))
         psi[:k] = x
         if k > start:
             psi[start:k] *= mask[: k - start]
@@ -489,7 +573,7 @@ def evolve_tdse(
         run.check_norm(step, psi)
         run.record(step, psi)
         if k < m:
-            k = _reach(psi, k)
+            k = run.rows(_reach(psi, k))
     return run.result()
 
 

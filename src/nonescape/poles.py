@@ -84,21 +84,25 @@ def matching_function(
     J is entire in k; both come from one regular-solution pass through the
     segment kernels, with the k-derivative carried alongside when asked for.
     J has the same bits either way, and the same bits whatever the batch:
-    a point of an array k gives the same J and dJ/dk alone or among 40,000
-    (a scalar k takes numpy's scalar arithmetic, which can differ in the
-    last bit).  Where the kernels overflow (|Im q| L beyond about 710 on a
-    segment), the outputs are not finite, without a warning; the pole
-    search refuses them.
+    a point gives the same J and dJ/dk as a scalar, alone in an array or
+    among 40,000.  A scalar k is evaluated as a one-element array, since
+    numpy's scalar arithmetic can round a complex product differently, and
+    comes back as complex scalars.  Where the kernels overflow (|Im q| L
+    beyond about 710 on a segment), the outputs are not finite, without a
+    warning; the pole search refuses them.
     """
+    scalar = np.ndim(k) == 0
     k_arr = np.asarray(k, dtype=complex)
+    if scalar:
+        k_arr = k_arr.reshape(1)
     u, du, *dk = regular_solutions(potential, k_arr, with_dk)[3]
     outgoing = delta_jump(potential) - 1j * k_arr
     with np.errstate(over="ignore", invalid="ignore"):
         values = [du + outgoing * u]
         if with_dk:
             values.append(dk[1] + outgoing * dk[0] - 1j * u)
-    if np.ndim(k) == 0:
-        values = [complex(v) for v in values]
+    if scalar:
+        values = [complex(v[0]) for v in values]
     return tuple(values) if with_dk else values[0]
 
 

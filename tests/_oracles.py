@@ -313,10 +313,12 @@ def evolve_tdse_full(
 ) -> OracleResult:
     """``evolve_tdse`` with every step solved on all interior nodes.
 
-    Same set-up and bookkeeping as the package; the leak monitor looks at
-    the far wall after every step.
+    Same set-up and bookkeeping as the package; every row is built and
+    factored before the first step, and the leak monitor looks at the far
+    wall after every step.
     """
     run = _prepare(potential, psi0, grid, times, sample_times)
+    run.rows(grid.n_nodes - 2)
     psi = run.psi0
     run.record(0, psi)
     for step in range(1, grid.n_steps + 1):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nonescape.oracle as oracle
-from _oracles import evolve_tdse_full
+from _oracles import evolve_tdse_full, same_bits
 from nonescape.dynamics import TimeGrid
 from nonescape.errors import ConfigError, InvalidState, UnstableParameters
 from nonescape.model import BoxMode, DeltaShell, PiecewiseConstant, state_norm
@@ -153,6 +153,23 @@ def test_output_times_past_the_run_are_dropped() -> None:
     np.testing.assert_allclose(result.series.times, [0.0, 0.01, 0.04], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 10])
+def test_default_output_grid_of_a_short_run_takes_every_step(n_steps: int) -> None:
+    grid = _small_grid(t_final=n_steps * 4.0e-4)
+    result = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
+    np.testing.assert_array_equal(result.series.times, grid.dt * np.arange(n_steps + 1))
+
+
+@pytest.mark.parametrize("n_steps", [11, 250])
+def test_default_output_grid_of_a_longer_run_starts_at_step_ten(n_steps: int) -> None:
+    grid = _small_grid(t_final=n_steps * 4.0e-4)
+    result = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
+    log = TimeGrid.log(10.0 * grid.dt, grid.t_final, per_decade=40)
+    given = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid, log)
+    np.testing.assert_array_equal(result.series.times, given.series.times)
+    assert result.series.times[1] == 10 * grid.dt
+
+
 # The oracle-start benchmark grid: the reference run's box, absorber and
 # steps, cut to t = 0.08; 47,999 interior nodes.
 _START_GRID = GridSpec(
@@ -183,9 +200,12 @@ def test_sample_time_snapped_onto_the_last_step() -> None:
 
 
 def test_prepare_peak_memory() -> None:
-    # The run keeps r (half a complex vector), psi0, diag_b, gttrf's four
-    # factor diagonals, ipiv and the absorber mask over the outer half: about
-    # 7 complex interior vectors.  Building them may add at most 1.5 more.
+    # tracemalloc counts allocations, not touched pages.  Set-up allocates
+    # r (half a complex vector), the state, its density buffer (half),
+    # diag_b, gttrf's four factor diagonals, ipiv and the absorber mask over
+    # the outer half: 7.5 complex interior vectors, of which it writes only
+    # r, the mask and psi0's first 201 nodes.  Sampling may add at most one
+    # more.
     m = _START_GRID.n_nodes - 2
     assert m == 47_999
     tracemalloc.start()
@@ -198,11 +218,13 @@ def test_prepare_peak_memory() -> None:
 
 
 def test_stepping_peak_memory() -> None:
-    # Box 10 with hard walls to t = 2 (1,999 interior nodes) steps on the
-    # whole box.  Beyond what set-up keeps, stepping holds a right-hand side
-    # that gttrs solves in place, a buffer of off-diagonal products and the
-    # norm's temporaries: 3.3 complex vectors (4.3 when each step made its
-    # right-hand side and gttrs copied it).
+    # tracemalloc counts allocations, not touched pages.  Box 10 with hard
+    # walls to t = 2 (1,999 interior nodes) reaches the whole box.  Beyond
+    # what set-up allocates, stepping holds a right-hand side that gttrs
+    # solves in place and a buffer of off-diagonal products, and building
+    # the last and largest piece of rows holds its level, du2 and pivots:
+    # 3.3 complex vectors (4.3 when each step made its right-hand side and
+    # gttrs copied it).
     grid = _small_grid(t_final=2.0)
     vector = 16 * (grid.n_nodes - 2)
     tracemalloc.start()
@@ -497,6 +519,69 @@ def test_row_interchange_solves_whole_box(
     full = evolve_tdse_full(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
     _assert_same_run(windowed, full)
     assert blocks == [full.r_interior.size] * grid.n_steps
+
+
+_BARRIER = PiecewiseConstant(((0.0, 0.5, 0.0), (0.5, 1.0, 40.0)))
+
+
+@pytest.mark.parametrize(
+    "potential, first",
+    [(REFERENCE_POTENTIAL, 199), (REFERENCE_POTENTIAL, 200), (_BARRIER, 99), (_BARRIER, 100)],
+    ids=["delta-opens-piece", "delta-closes-piece", "edge-opens-piece", "edge-closes-piece"],
+)
+def test_rows_built_in_pieces_match_one_whole_box_gttrf(
+    monkeypatch: pytest.MonkeyPatch, potential, first: int
+) -> None:
+    # The delta sits on node 199 (r = 1) and the barrier's edge on node 99
+    # (r = 0.5).  The first piece builds rows up to just before the node
+    # or just past it, so the node is the first row of the second piece or
+    # the last pivot the second piece starts from.
+    monkeypatch.setattr(oracle, "_FIRST_ROWS", first)
+    grid = GridSpec(box_size=30.0, dr=0.005, dt=4.0e-4, t_final=0.02)
+    m = grid.n_nodes - 2
+    pieces = oracle._prepare(potential, REFERENCE_STATE, grid, None, ())
+    # fresh pages read as zeros, which would hide an entry no piece wrote
+    for rows in (pieces.diag_b, *pieces.factors):
+        rows.fill(-1)
+    ends = []
+    while pieces.factored < m:
+        k = pieces.factored
+        assert pieces.rows(k) == k  # one more piece
+        ends.append(pieces.factored)
+    whole = oracle._prepare(potential, REFERENCE_STATE, grid, None, ())
+    assert whole.rows(m) == m and whole.factored == m
+    assert ends == [first << i for i in range(len(ends) - 1)] + [m]
+    for got, want in zip((pieces.diag_b, *pieces.factors[:4]), (whole.diag_b, *whole.factors[:4])):
+        assert same_bits(got, want)
+    np.testing.assert_array_equal(pieces.factors[4], whole.factors[4])
+    np.testing.assert_array_equal(pieces.factors[4], np.arange(1, m + 1))
+
+
+def test_start_grid_run_builds_under_a_quarter_of_the_rows(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # The oracle-start run solves blocks of at most 5,726 of 47,999 rows and
+    # builds 8,192 of them in four pieces.
+    sizes: list[int] = []
+    lapack = oracle.get_lapack_funcs
+
+    def recording(names, arrays):
+        gttrf, gttrs = lapack(names, arrays)
+
+        def factor(dl, d, du, *flags):
+            sizes.append(len(d))
+            return gttrf(dl, d, du, *flags)
+
+        return factor, gttrs
+
+    monkeypatch.setattr(oracle, "get_lapack_funcs", recording)
+    windowed = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, _START_GRID)
+    # each piece after the first starts from the previous piece's last row
+    built = sum(sizes) - (len(sizes) - 1)
+    full = evolve_tdse_full(REFERENCE_POTENTIAL, REFERENCE_STATE, _START_GRID)
+    _assert_same_run(windowed, full)
+    assert 4 * built <= full.r_interior.size
+    assert len(sizes) <= 5
 
 
 def test_norm_drift_raises(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -54,6 +54,22 @@ def test_matching_function_bits_do_not_depend_on_the_batch(potential, rng) -> No
         assert same_bits(whole, np.concatenate(part))
 
 
+@pytest.mark.parametrize(
+    "potential",
+    [DeltaShell(6.0, 1.0), PiecewiseConstant(((0.0, 0.6, 0.0), (0.6, 1.0, 25.0)))],
+    ids=["delta-shell", "barrier"],
+)
+def test_matching_function_scalar_bits_match_the_batch(potential, rng) -> None:
+    # 200 points, the first of each branch group in batch_points' order
+    k = batch_points(rng)[np.r_[:50, 1_000:1_050, 2_000:2_100]]
+    batch = matching_function(potential, k)
+    for i, point in enumerate(k):
+        values = matching_function(potential, complex(point))
+        assert all(type(v) is complex for v in values)
+        assert same_bits(values, [part[i] for part in batch])
+        assert same_bits(matching_function(potential, point, with_dk=False), batch[0][i])
+
+
 def test_wide_search_works_in_bounded_memory() -> None:
     # 319 zeros, with moment blocks of 16,384 nodes: J and dJ/dk are taken
     # 2,048 points at a time, where the whole block at once peaked at 6.6 MB.
