@@ -33,9 +33,10 @@ countermeasures, all optional and off by default except smoothing:
   is recorded as the contamination horizon.
 
 Each step solves only on the leading block of nodes the state has reached.
-A = I + i (dt/2) H is factored row by row, ahead of the state; with V >= 0
-every pivot exceeds the off-diagonal in modulus, so gttrf swaps no rows and
-the factors of a leading k x k block are the leading slices of A's factors.
+A = I + i (dt/2) H is factored row by row, as the state reaches the rows;
+with V >= 0 every pivot exceeds the off-diagonal in modulus, so gttrf swaps
+no rows and the factors of a leading k x k block are the leading slices of
+A's factors (a row interchange would raise UnstableParameters).
 Past the last nonzero node a full-box solve decays by about
 |off-diagonal / pivot| per node, down to the smallest subnormal, and its
 back substitution rounds those values to exactly zero.  A block one chunk
@@ -43,22 +44,23 @@ longer than the state's reach is accepted when its last few values are
 exactly zero: the full-box solution is zero from there on, and the two
 agree bit for bit on every nonzero value (zeros may differ in sign).
 Otherwise the block grows by a chunk and the step is solved again.  The
-whole box is solved once the state reaches it, or from the first row
-interchange gttrf reports on.  This keeps the early steps out of the tens
-of thousands of untouched nodes, where subnormal arithmetic costs ten times
-normal arithmetic.
+whole box is solved once the state reaches it.  This keeps the early steps
+out of the tens of thousands of untouched nodes, where subnormal arithmetic
+costs ten times normal arithmetic.
 
 Memory follows the rows the state has reached, not the box.  A run
 allocates its interior vectors untouched (the state, the right-hand
 diagonal, gttrf's four factor diagonals and pivots, the right-hand side,
 a buffer of off-diagonal products and the density buffer the norm is
-summed from), so the pages of rows no step reaches are never written.
+summed from), so the pages of rows no step reaches are never written;
+gttrf's second superdiagonal, which only a row interchange fills, is never
+written at all.
 Set-up writes the nodes r (a float per node), the absorber mask over
 [L - W, L], and the initial state only up to one node past its support.
 Rows are built and factored in pieces that double, each starting from the
 previous piece's last pivot, which gives the same bits as one whole-box
-gttrf.  A built row keeps 140 bytes: the state, the right-hand diagonal
-and side, the product buffer, four factor entries, a pivot index and a
+gttrf.  A built row keeps 124 bytes: the state, the right-hand diagonal
+and side, the product buffer, three factor entries, a pivot index and a
 density; a run that reaches the whole box (every long run) keeps them
 all, as it did before rows were built on demand.
 """
@@ -100,8 +102,8 @@ __all__ = [
 ]
 
 _NORM_DRIFT_LIMIT = 1e-7
-# Nodes a grid may hold.  A run that reaches the whole box then keeps 140
-# bytes per node (1.4 GB) besides the nodes and the absorber mask.
+# Nodes a grid may hold.  A run that reaches the whole box then keeps 124
+# bytes per node (1.24 GB) besides the nodes and the absorber mask.
 _MAX_NODES = 10_000_000
 _MAX_STEPS = 10_000_000  # time steps a run may take
 _NORM_CHECK_STRIDE = 200
@@ -246,14 +248,15 @@ class _Run:
     """Operators, output plan and running record of one evolution.
 
     :func:`evolve_tdse` and the full-box loop kept as a test reference both
-    step with this, so the two differ only in how each step is solved.
-    ``psi0`` is the normalized (smoothed) initial state on the interior
-    nodes, zero from node ``span`` on; ``diag_b`` and ``factors``, gttrf's
+    build rows with :meth:`rows` and close each step with :meth:`end_step`,
+    so the two differ only in how each step is solved.  ``psi0`` is the
+    normalized (smoothed) initial state on the interior nodes, zero from
+    node ``span`` on; ``diag_b`` and ``factors``, gttrf's
     ``(dl, d, du, du2, ipiv)`` of A = I + i (dt/2) H, hold their rows only
-    once :meth:`rows` has built them.  The absorber multiplies nodes
-    ``mask_start:`` by ``mask`` after each step (an empty mask at
-    ``mask_start = m`` when off).  ``density`` is the buffer the norm is
-    summed from.
+    once :meth:`rows` has built them, and ``du2`` is 0 throughout.  The
+    absorber multiplies nodes ``mask_start:`` by ``mask`` after each step
+    (an empty mask at ``mask_start = m`` when off).  ``density`` is the
+    buffer the norm is summed from.
     """
 
     grid: GridSpec
@@ -273,43 +276,35 @@ class _Run:
     snap_steps: frozenset[int]
     off_b: complex
     factored: int = 0
-    swapped: bool = False
     out_t: list[float] = field(default_factory=list)
     out_p: list[float] = field(default_factory=list)
     out_norm: list[float] = field(default_factory=list)
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     horizon_time: float | None = None
 
-    def rows(self, k: int) -> int:
-        """Build the rows a solve on the leading ``k`` nodes uses, and return
-        the block size that solve takes: ``k``, or the whole box once gttrf
-        has swapped rows.
+    def rows(self, k: int) -> None:
+        """Build and factor the rows a solve on the leading ``k`` nodes uses.
 
-        A piece is factored one row past the rows it makes usable, so every
-        row a solve uses has had its interchange decided.  Pieces at least
-        double the rows factored.  Should one report an interchange, the
-        whole box is built afresh in one piece and solved from then on.
-        """
-        m = self.r_int.size
-        if not self.swapped and self.factored < min(m, k + 1):
-            end = min(m, max(k + 1, 2 * self.factored, _FIRST_ROWS))
-            if not self._factor(self.factored, end):
-                self._factor(0, m)
-                self.swapped = True
-        return m if self.swapped else k
-
-    def _factor(self, start: int, end: int) -> bool:
-        """Build rows ``start:end`` and factor them with gttrf from row
-        ``start - 1`` on, whose pivot is final; true when no rows swapped.
-
-        Level, diagonals and factors come from the same ufuncs, in the same
-        order, as a whole-box build, and a piece starting from the previous
-        pivot continues gttrf's elimination exactly, so the rows hold the
+        Pieces at least double the rows factored.  Each continues gttrf's
+        elimination from the previous piece's last pivot, with the same
+        ufuncs in the same order as a whole-box build, so the rows hold the
         same bits as one whole-box gttrf.
+
+        With V >= 0, which :mod:`.model` enforces, A has off-diagonal -i b,
+        b = dt / (2 dr^2), and diagonal 1 + i a_i with a_i >= 2 b.  Every
+        pivot u_i = d_i + b^2 / u_(i-1) then has Re u_i >= 1 and
+        Im u_i >= b, so gttrf neither meets a zero pivot nor swaps rows: it
+        leaves ``du2`` at 0 and ``ipiv`` the identity (Golub & Van Loan,
+        *Matrix Computations*, 4.3).  A piece that swaps rows all the same
+        raises :class:`UnstableParameters`.
         """
+        if self.factored >= k:
+            return
+        start = self.factored
+        end = min(self.r_int.size, max(k, 2 * start, _FIRST_ROWS))
         dr, half = self.grid.dr, 0.5j * self.grid.dt
         inv_dr2 = 1.0 / (dr * dr)
-        dl, d, du, du2, ipiv = self.factors
+        dl, d, du, _, ipiv = self.factors
         level = evaluate_potential(self.potential, self.r_int[start:end])
         lam = delta_jump(self.potential)
         if lam and start < self.j_r <= end:
@@ -323,24 +318,44 @@ class _Run:
         low = max(start - 1, 0)
         dl[low : end - 1] = du[low : end - 1] = -self.off_b
         # the overwrite flags let gttrf factor the slices in place
-        *_, piece_du2, piece_ipiv, _ = self.gttrf(
-            dl[low : end - 1], d[low:end], du[low : end - 1], 1, 1, 1
-        )
-        # The piece leaves du2 unset on its last decided row, end - 2, where
-        # a whole-box gttrf, swapping no rows there, writes 0.
-        du2[low : end - 2] = piece_du2
-        du2[end - 2 : end - 1] = 0.0
+        *_, piece_ipiv, _ = self.gttrf(dl[low : end - 1], d[low:end], du[low : end - 1], 1, 1, 1)
+        swaps = np.flatnonzero(piece_ipiv != np.arange(1, end - low + 1))
+        if swaps.size:
+            row = low + int(swaps[0])
+            raise UnstableParameters(
+                f"gttrf swapped rows {row} and {row + 1} (r = {self.r_int[row]:g}): "
+                "the Crank-Nicolson matrix is not diagonally dominant"
+            )
         np.add(piece_ipiv, low, out=ipiv[low:end])
         self.factored = end
-        return bool(np.array_equal(piece_ipiv, np.arange(1, end - low + 1)))
 
     def total_norm(self, psi: np.ndarray) -> float:
-        """dr sum |psi|^2 over the whole box, the density written only where
-        the state may be nonzero: over psi0's span and the rows factored."""
-        n = max(self.span, self.factored)
-        dens = np.abs(psi[:n], out=self.density[:n])
+        """dr sum |psi|^2 over the whole box, the density written only over
+        the rows built: past them psi is zero, as set-up wrote it."""
+        dens = np.abs(psi[: self.factored], out=self.density[: self.factored])
         np.square(dens, out=dens)
         return self.grid.dr * float(np.sum(self.density))
+
+    def end_step(self, step: int, psi: np.ndarray, k: int) -> None:
+        """Finish ``step`` once its solve has written the leading ``k`` nodes
+        of ``psi``: damp them with the absorber, set the horizon when density
+        within five nodes of r = L first leaks in, hold the norm to 1 every
+        few hundred steps when the absorber is off, and record."""
+        if k > self.mask_start:
+            psi[self.mask_start : k] *= self.mask[: k - self.mask_start]
+        if k > psi.size - 5 and self.horizon_time is None:
+            if float(np.max(np.abs(psi[-5:]) ** 2)) >= _LEAK_THRESHOLD:
+                self.horizon_time = step * self.grid.dt
+        if self.grid.absorber_width == 0.0 and (
+            step % _NORM_CHECK_STRIDE == 0 or step == self.grid.n_steps
+        ):
+            drift = abs(self.total_norm(psi) - 1.0)
+            if drift > _NORM_DRIFT_LIMIT:
+                raise UnstableParameters(
+                    f"norm drift {drift:.3e} at t = {step * self.grid.dt:g} exceeds "
+                    f"{_NORM_DRIFT_LIMIT:g}"
+                )
+        self.record(step, psi)
 
     def record(self, step: int, psi: np.ndarray) -> None:
         """Keep P, the norm and a snapshot of the full-length ``psi`` if due."""
@@ -353,26 +368,6 @@ class _Run:
             self.out_norm.append(self.total_norm(psi))
         if step in self.snap_steps:
             self.snapshots.append((t, psi.copy()))
-
-    def watch_far_wall(self, step: int, psi: np.ndarray) -> None:
-        """Set the horizon when density within five nodes of r = L leaks in."""
-        if self.horizon_time is not None:
-            return
-        if float(np.max(np.abs(psi[-5:]) ** 2)) >= _LEAK_THRESHOLD:
-            self.horizon_time = step * self.grid.dt
-
-    def check_norm(self, step: int, psi: np.ndarray) -> None:
-        """Without the absorber, hold the norm to 1 every few hundred steps."""
-        if self.grid.absorber_width > 0.0 or not (
-            step % _NORM_CHECK_STRIDE == 0 or step == self.grid.n_steps
-        ):
-            return
-        drift = abs(self.total_norm(psi) - 1.0)
-        if drift > _NORM_DRIFT_LIMIT:
-            raise UnstableParameters(
-                f"norm drift {drift:.3e} at t = {step * self.grid.dt:g} exceeds "
-                f"{_NORM_DRIFT_LIMIT:g}"
-            )
 
     def result(self) -> OracleResult:
         series = NonescapeSeries(
@@ -451,11 +446,11 @@ def _prepare(
         np.multiply(-dt * grid.absorber_strength, mask, out=mask)
         np.exp(mask, out=mask)
 
-    # With V >= 0 every pivot has Re d_i >= 1 and |d_i| > |off-diagonal|, so
-    # gttrf neither meets a zero pivot nor swaps rows: its info is always 0.
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (psi,))
-    factors = tuple(np.empty(n, dtype=complex) for n in (m - 1, m, m - 1, m - 2))
-    factors += (np.empty(m, dtype=np.int32),)
+    # du2 holds gttrf's second superdiagonal, which only a row interchange
+    # fills: it stays 0 (see _Run.rows)
+    dl, d, du = (np.empty(n, dtype=complex) for n in (m - 1, m, m - 1))
+    factors = (dl, d, du, np.zeros(m - 2, dtype=complex), np.empty(m, dtype=np.int32))
 
     if times is None:
         if n_steps > _FIRST_OUTPUT_STEP:
@@ -490,20 +485,12 @@ def _prepare(
     )
 
 
-def _support_end(psi: np.ndarray) -> int:
-    """One past the last nonzero node of ``psi``, or 0 when it is all zero,
-    in one search.  It holds an index per nonzero node and no mask of the
-    box, which would add to the run's peak memory."""
-    nonzero = np.flatnonzero(psi)
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
-
-
 def _reach(psi: np.ndarray, end: int) -> int:
     """Block size for the next step: one chunk past the last nonzero node.
 
     ``psi`` is zero from ``end`` on.  The search steps back from there a
     chunk at a time, since the state's front moves a few nodes per step;
-    the first step starts it from :func:`_support_end`.
+    the first step starts it from psi0's ``span``.
     """
     while end > 0:
         start = max(0, end - _WINDOW_CHUNK)
@@ -538,18 +525,19 @@ def evolve_tdse(
     ConfigError
         For any inconsistency between grid, potential, and absorber.
     UnstableParameters
-        If, with the absorber off, total norm drifts by more than 1e-7.
+        If, with the absorber off, total norm drifts by more than 1e-7, or
+        if gttrf swaps rows in factoring A, which V >= 0 rules out.
     """
     run = _prepare(potential, psi0, grid, times, sample_times)
     dl, d, du, du2, ipiv = run.factors
     diag_b, off_b, gttrs = run.diag_b, run.off_b, run.gttrs
-    start, mask = run.mask_start, run.mask
     psi = run.psi0
     m = psi.size
     # made once, and written only over the block: gttrs solves in the
     # right-hand side's buffer
     rhs_buf, prod = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
-    k = run.rows(_reach(psi, _support_end(psi[: run.span])))
+    k = _reach(psi, run.span)
+    run.rows(k)
 
     run.record(0, psi)
     for step in range(1, grid.n_steps + 1):
@@ -564,16 +552,13 @@ def evolve_tdse(
             )
             if k == m or not x[k - _WINDOW_GUARD :].any():
                 break
-            k = run.rows(min(m, k + _WINDOW_CHUNK))
+            k = min(m, k + _WINDOW_CHUNK)
+            run.rows(k)
         psi[:k] = x
-        if k > start:
-            psi[start:k] *= mask[: k - start]
-        if k > m - 5:
-            run.watch_far_wall(step, psi)
-        run.check_norm(step, psi)
-        run.record(step, psi)
+        run.end_step(step, psi, k)
         if k < m:
-            k = run.rows(_reach(psi, k))
+            k = _reach(psi, k)
+            run.rows(k)
     return run.result()
 
 

@@ -313,12 +313,13 @@ def evolve_tdse_full(
 ) -> OracleResult:
     """``evolve_tdse`` with every step solved on all interior nodes.
 
-    Same set-up and bookkeeping as the package; every row is built and
-    factored before the first step, and the leak monitor looks at the far
-    wall after every step.
+    Same set-up and per-step epilogue as the package; every row is built
+    and factored before the first step, and each step closes on the whole
+    box, so the leak monitor looks at the far wall after every step.
     """
     run = _prepare(potential, psi0, grid, times, sample_times)
-    run.rows(grid.n_nodes - 2)
+    m = grid.n_nodes - 2
+    run.rows(m)
     psi = run.psi0
     run.record(0, psi)
     for step in range(1, grid.n_steps + 1):
@@ -326,10 +327,7 @@ def evolve_tdse_full(
         rhs[:-1] += run.off_b * psi[1:]
         rhs[1:] += run.off_b * psi[:-1]
         psi, _ = run.gttrs(*run.factors, rhs)
-        psi[run.mask_start :] *= run.mask
-        run.watch_far_wall(step, psi)
-        run.check_norm(step, psi)
-        run.record(step, psi)
+        run.end_step(step, psi, m)
     return run.result()
 
 

@@ -5,18 +5,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import get_lapack_funcs
 
 import nonescape.oracle as oracle
 from _oracles import evolve_tdse_full, same_bits
 from nonescape.dynamics import TimeGrid
 from nonescape.errors import ConfigError, InvalidState, UnstableParameters
-from nonescape.model import BoxMode, DeltaShell, PiecewiseConstant, state_norm
+from nonescape.model import (
+    BoxMode,
+    DeltaShell,
+    PiecewiseConstant,
+    Sampled,
+    normalized,
+    state_norm,
+)
 from nonescape.oracle import (
     _WINDOW_CHUNK,
     GridSpec,
     OracleResult,
     _reach,
-    _support_end,
     evolve_tdse,
     gaussian_packet_exact,
     refine_and_compare,
@@ -204,8 +213,8 @@ def test_prepare_peak_memory() -> None:
     # r (half a complex vector), the state, its density buffer (half),
     # diag_b, gttrf's four factor diagonals, ipiv and the absorber mask over
     # the outer half: 7.5 complex interior vectors, of which it writes only
-    # r, the mask and psi0's first 201 nodes.  Sampling may add at most one
-    # more.
+    # r, the mask and psi0's first 201 nodes (du2 is never written).
+    # Sampling may add at most one more.
     m = _START_GRID.n_nodes - 2
     assert m == 47_999
     tracemalloc.start()
@@ -222,9 +231,10 @@ def test_stepping_peak_memory() -> None:
     # walls to t = 2 (1,999 interior nodes) reaches the whole box.  Beyond
     # what set-up allocates, stepping holds a right-hand side that gttrs
     # solves in place and a buffer of off-diagonal products, and building
-    # the last and largest piece of rows holds its level, du2 and pivots:
-    # 3.3 complex vectors (4.3 when each step made its right-hand side and
-    # gttrs copied it).
+    # the last and largest piece of rows holds its level and the du2 (all
+    # zeros, kept by no row) and pivots that gttrf returns: 3.3 complex
+    # vectors (4.3 when each step made its right-hand side and gttrs
+    # copied it).
     grid = _small_grid(t_final=2.0)
     vector = 16 * (grid.n_nodes - 2)
     tracemalloc.start()
@@ -398,9 +408,11 @@ def test_long_run_health(ctx: SelftestContext) -> None:
 def test_first_block_is_one_chunk_past_the_last_nonzero_node(nonzero, want) -> None:
     psi = np.zeros(1_000, dtype=complex)
     psi[nonzero] = 1e-300 - 2.0j
-    assert _support_end(psi) == (nonzero[-1] + 1 if nonzero else 0)
-    # the same block as the chunk-by-chunk walk back from the box's end
-    assert _reach(psi, _support_end(psi)) == _reach(psi, psi.size) == want
+    end = nonzero[-1] + 1 if nonzero else 0
+    # The first block walks back from psi0's span, from which psi0 is zero:
+    # right at the last nonzero node, chunks past it, or the box's end.
+    for span in (end, min(end + 3 * _WINDOW_CHUNK + 5, psi.size), psi.size):
+        assert _reach(psi, span) == want
 
 
 @pytest.fixture()
@@ -490,15 +502,38 @@ def test_windowed_solve_matches_full_box_for_packet(ctx: SelftestContext) -> Non
     _assert_same_run(run, full)
 
 
-def test_row_interchange_solves_whole_box(
-    solve_sizes: list[int], monkeypatch: pytest.MonkeyPatch
+def test_state_zero_past_a_chunk_before_its_span_matches_full_box(
+    solve_sizes: list[int],
 ) -> None:
-    # Leading slices factor the leading block only when gttrf swapped no
-    # rows; any interchange in ipiv must send every step to the whole box.
-    recording = oracle.get_lapack_funcs
+    # A free well of range 6 and a state whose last 80 sample nodes are
+    # exactly 0: psi0's span (node 1,201) lies 80 nodes past its last
+    # nonzero one, so the first block and the first piece of rows stop
+    # short of the span, and the norm reads the zeros set-up wrote there.
+    well = PiecewiseConstant(((0.0, 6.0, 0.0),))
+    r = np.linspace(0.0, 6.0, 1_201)
+    psi0 = normalized(Sampled(r, np.where(r < 5.6, np.sin(np.pi * r / 5.6), 0.0)))
+    grid = GridSpec(box_size=60.0, dr=0.005, dt=4.0e-4, t_final=0.08)
+    run = oracle._prepare(well, psi0, grid, None, ())
+    assert run.span == 1_201
+    assert _reach(run.psi0, run.span) + _WINDOW_CHUNK < run.span
+    run.rows(_reach(run.psi0, run.span))
+    assert run.factored < run.span
+    snaps = (0.04, 0.08)
+    windowed = evolve_tdse(well, psi0, grid, sample_times=snaps)
+    first_block = solve_sizes[0]
+    full = evolve_tdse_full(well, psi0, grid, sample_times=snaps)
+    _assert_same_run(windowed, full)
+    assert first_block < run.span
+
+
+def test_row_interchange_raises_naming_the_row(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A gttrf that reports rows 1,022 and 1,023 swapped in the first piece
+    # (rows 0 to 1,023): leading slices would no longer factor the leading
+    # block, so the run stops.
+    lapack = oracle.get_lapack_funcs
 
     def interchanged(names, arrays):
-        gttrf, gttrs = recording(names, arrays)
+        gttrf, gttrs = lapack(names, arrays)
 
         def factor(*args):
             dl, d, du, du2, ipiv, info = gttrf(*args)
@@ -506,19 +541,36 @@ def test_row_interchange_solves_whole_box(
             swapped[-2] += 1
             return dl, d, du, du2, swapped, info
 
-        def solve(dl, d, du, du2, ipiv, b, **kwargs):
-            identity = np.arange(1, len(b) + 1, dtype=ipiv.dtype)
-            return gttrs(dl, d, du, du2, identity, b, **kwargs)
-
-        return factor, solve
+        return factor, gttrs
 
     monkeypatch.setattr(oracle, "get_lapack_funcs", interchanged)
     grid = GridSpec(box_size=30.0, dr=0.005, dt=4.0e-4, t_final=0.02)
-    windowed = evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
-    blocks = list(solve_sizes)
-    full = evolve_tdse_full(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
-    _assert_same_run(windowed, full)
-    assert blocks == [full.r_interior.size] * grid.n_steps
+    with pytest.raises(UnstableParameters, match=r"swapped rows 1022 and 1023 \(r = 5.115\)"):
+        evolve_tdse(REFERENCE_POTENTIAL, REFERENCE_STATE, grid)
+
+
+_RATIOS = st.floats(1e-6, 1e12) | st.sampled_from([1e-6, 1.0, 1e12])
+_HEIGHTS = st.floats(0.0, 0.5) | st.sampled_from([0.0, 0.5 * (1.0 - 1e-12), 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio=_RATIOS, heights=st.lists(_HEIGHTS, min_size=3, max_size=80))
+@example(ratio=1e-6, heights=[0.0] * 80)
+@example(ratio=1e12, heights=[0.0] * 80)
+@example(ratio=1e-6, heights=[0.5] * 80)
+@example(ratio=1e12, heights=[0.0, 0.5] * 40)
+def test_crank_nicolson_rows_factor_without_interchange(ratio: float, heights: list[float]) -> None:
+    # A = I + i (dt/2) H on V >= 0: off-diagonal -i b with b = dt / (2 dr^2),
+    # diagonal 1 + i (2 b + dt V / 2).  ``ratio`` is dt / dr^2 and each
+    # height dt V, up to the dt E_pot <= 0.5 that every run keeps to.
+    b = 0.5 * ratio
+    d = 1.0 + 1j * (2.0 * b + 0.5 * np.asarray(heights))
+    off = np.full(d.size - 1, -1j * b)
+    gttrf = get_lapack_funcs("gttrf", (d,))
+    *_, du2, ipiv, info = gttrf(off, d, off.copy())
+    assert info == 0
+    np.testing.assert_array_equal(ipiv, np.arange(1, d.size + 1))
+    assert same_bits(du2, np.zeros(d.size - 2))
 
 
 _BARRIER = PiecewiseConstant(((0.0, 0.5, 0.0), (0.5, 1.0, 40.0)))
@@ -540,21 +592,40 @@ def test_rows_built_in_pieces_match_one_whole_box_gttrf(
     grid = GridSpec(box_size=30.0, dr=0.005, dt=4.0e-4, t_final=0.02)
     m = grid.n_nodes - 2
     pieces = oracle._prepare(potential, REFERENCE_STATE, grid, None, ())
+    dl, d, du, du2, ipiv = pieces.factors
     # fresh pages read as zeros, which would hide an entry no piece wrote
-    for rows in (pieces.diag_b, *pieces.factors):
+    for rows in (pieces.diag_b, dl, d, du, ipiv):
         rows.fill(-1)
     ends = []
     while pieces.factored < m:
-        k = pieces.factored
-        assert pieces.rows(k) == k  # one more piece
+        pieces.rows(pieces.factored + 1)  # one more piece
         ends.append(pieces.factored)
+    # the whole box in one gttrf, keeping the du2 that gttrf writes
+    written = []
+    lapack = oracle.get_lapack_funcs
+
+    def recording(names, arrays):
+        gttrf, gttrs = lapack(names, arrays)
+
+        def factor(*args):
+            out = gttrf(*args)
+            written.append(out[3])
+            return out
+
+        return factor, gttrs
+
+    monkeypatch.setattr(oracle, "get_lapack_funcs", recording)
     whole = oracle._prepare(potential, REFERENCE_STATE, grid, None, ())
-    assert whole.rows(m) == m and whole.factored == m
+    whole.rows(m)
+    assert whole.factored == m and len(written) == 1
     assert ends == [first << i for i in range(len(ends) - 1)] + [m]
-    for got, want in zip((pieces.diag_b, *pieces.factors[:4]), (whole.diag_b, *whole.factors[:4])):
+    for got, want in zip((pieces.diag_b, dl, d, du), (whole.diag_b, *whole.factors[:3])):
         assert same_bits(got, want)
-    np.testing.assert_array_equal(pieces.factors[4], whole.factors[4])
-    np.testing.assert_array_equal(pieces.factors[4], np.arange(1, m + 1))
+    # no piece writes du2: it stays +0.0, as one whole-box gttrf writes it
+    assert same_bits(du2, np.zeros(m - 2))
+    assert same_bits(du2, written[0])
+    np.testing.assert_array_equal(ipiv, whole.factors[4])
+    np.testing.assert_array_equal(ipiv, np.arange(1, m + 1))
 
 
 def test_start_grid_run_builds_under_a_quarter_of_the_rows(
