@@ -27,14 +27,14 @@ from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
-from .asymptote import adjudicate, convergence_study, post_exponential_window
+from .asymptote import convergence_study, post_exponential_window
 from .dynamics import MAX_TIME_SAMPLES, TimeGrid, probability_sums
 from .errors import ConfigError, InvalidPotential, InvalidState, NonescapeError
-from .gamow import ExpansionData, build_expansion, overlap_matrix, sum_rule_residual
+from .gamow import build_expansion, overlap_matrix, sum_rule_residual
 from .model import BoxMode, DeltaShell, PiecewiseConstant, potential_range
-from .oracle import GridSpec, evolve_tdse, refine_and_compare
-from .poles import PoleSet, SearchWindow, locate_poles
-from .selftest import run_selftest
+from .oracle import GridSpec, refine_and_compare
+from .poles import SearchWindow
+from .selftest import SelftestContext, run_selftest
 
 __all__ = ["RunConfig", "load_config", "build_parser", "main"]
 
@@ -358,29 +358,22 @@ def _write_csv(
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _located(cfg: RunConfig) -> PoleSet:
-    return locate_poles(cfg.potential, cfg.window, cfg.tol)
-
-
-def _expanded(cfg: RunConfig, pole_set: PoleSet, n_pairs: int | None = None) -> ExpansionData:
-    """The expansion over the first ``n_pairs`` pole pairs (all when None)."""
-    return build_expansion(cfg.potential, pole_set, cfg.psi0, n_pairs=n_pairs)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_poles(cfg: RunConfig, args: argparse.Namespace) -> int:
-    pole_set = _located(cfg)
+def cmd_poles(ctx: SelftestContext, args: argparse.Namespace) -> int:
+    cfg, pole_set = ctx.cfg, ctx.pole_set
     k, residual = pole_set.k[: args.nmax], pole_set.residual[: args.nmax]
     rows = zip(range(1, k.size + 1), k.real, k.imag, residual)
     _write_csv("poles.csv", cfg, "poles", ("n", "re_k", "im_k", "residual"), rows)
     return 0
 
 
-def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
-    data = _expanded(cfg, _located(cfg), n_pairs=args.nmax)
+def cmd_expansion(ctx: SelftestContext, args: argparse.Namespace) -> int:
+    # --nmax counts the pole pairs here, not the truncations the run keeps
+    cfg = ctx.cfg
+    data = build_expansion(cfg.potential, ctx.pole_set, cfg.psi0, n_pairs=args.nmax)
     quad = overlap_matrix(data.states, method="quadrature")
 
     state_rows = [
@@ -422,9 +415,9 @@ def cmd_expansion(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sumrule(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_sumrule(ctx: SelftestContext, args: argparse.Namespace) -> int:
+    cfg, data = ctx.cfg, ctx.data
     r = np.asarray(cfg.r_points)
-    data = _expanded(cfg, _located(cfg), cfg.truncations[-1])
     rows = []
     for n in cfg.truncations:
         values = np.abs(sum_rule_residual(data.truncate(n), r))
@@ -433,10 +426,9 @@ def cmd_sumrule(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_nonescape(ctx: SelftestContext, args: argparse.Namespace) -> int:
+    cfg, data = ctx.cfg, ctx.data
     truncations = cfg.truncations
-    # one expansion at the largest truncation, sliced for the rest
-    data = _expanded(cfg, _located(cfg), truncations[-1])
     rows = []
     for mode in ("closed", "quadrature"):
         if mode == "quadrature":  # the Gram matrix cmd_expansion writes
@@ -458,16 +450,15 @@ def cmd_nonescape(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_tail(ctx: SelftestContext, args: argparse.Namespace) -> int:
+    cfg, data = ctx.cfg, ctx.data
     truncations = cfg.truncations
-    pole_set = _located(cfg)
-    data = _expanded(cfg, pole_set, truncations[-1])
 
     # one pass gives every truncation's P(t); the largest opens the window
     try:
         sums = probability_sums(data, cfg.time_grid, truncations)
         slope_window = post_exponential_window(
-            sums.series(truncations[-1]), pole_set.pole(1)
+            sums.series(truncations[-1]), ctx.pole_set.pole(1)
         )
     except NonescapeError:
         sums, slope_window = None, None
@@ -491,7 +482,8 @@ def cmd_tail(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_oracle(ctx: SelftestContext, args: argparse.Namespace) -> int:
+    cfg = ctx.cfg
     if args.refine is not None:
         (report,) = refine_and_compare(
             cfg.potential, cfg.psi0, cfg.oracle_grid, (args.refine,), times=cfg.time_grid
@@ -513,7 +505,7 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> int:
             ],
         )
     else:
-        run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=cfg.time_grid)
+        run = ctx.long_run
     horizon = run.horizon_time
     rows = [
         (t, p, norm, int(horizon is not None and t >= horizon))
@@ -523,14 +515,10 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    truncations = cfg.truncations
-    pole_set = _located(cfg)
-    data = _expanded(cfg, pole_set, truncations[-1])
-    run = evolve_tdse(cfg.potential, cfg.psi0, cfg.oracle_grid, times=cfg.time_grid)
-    sums = probability_sums(data, TimeGrid(times=run.series.times), truncations)
-    report = convergence_study(data, truncations)
-    verdict = adjudicate(run.series, run.horizon_time, sums, report, pole_set.pole(1))
+def cmd_compare(ctx: SelftestContext, args: argparse.Namespace) -> int:
+    # the verdict, run and tail report that selftest checks 6-8 judge
+    cfg, verdict = ctx.cfg, ctx.verdict
+    run, report, truncations = ctx.long_run, ctx.tail_report, cfg.truncations
 
     p_direct = run.series.probability
     header = ["t", "p_direct"]
@@ -567,8 +555,8 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return run_selftest(cfg, verbose=not args.quiet)
+def cmd_selftest(ctx: SelftestContext, args: argparse.Namespace) -> int:
+    return run_selftest(ctx.cfg, verbose=not args.quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +633,14 @@ def _emit_error(category: str, exit_code: int, exc: BaseException) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, dispatch, and map errors to exit codes (0/1/2)."""
+    """Parse arguments, dispatch, and map errors to exit codes (0/1/2).
+
+    The command reads its configuration and the run's stages from one
+    :class:`~nonescape.selftest.SelftestContext`, as the acceptance checks do.
+    """
     try:
         args = build_parser().parse_args(argv)
-        return args.func(_configure(args), args)
+        return args.func(SelftestContext(_configure(args)), args)
     except (ConfigError, InvalidPotential, InvalidState) as exc:
         _emit_error("config", 2, exc)
         return 2

@@ -9,7 +9,7 @@ Crank-Nicolson integration, the long-time power law with its truncation
 crossovers, and the integrator's own health.  Each check prints one
 PASS/FAIL line with the measured numbers; heavy artifacts (pole table,
 expansion, long integrations) are built lazily once and shared through
-:class:`SelftestContext`.
+:class:`SelftestContext`, the same run context every CLI command reads.
 """
 
 from __future__ import annotations
@@ -119,12 +119,14 @@ class CheckResult:
 
 
 class SelftestContext:
-    """Lazily-built artifacts shared by the checks.
+    """The stages of one run, built lazily, which every command and check reads.
 
-    ``cfg`` is the reference problem: the packaged default configuration.
-    Every property is computed at most once; a full :func:`run_selftest`
-    costs a few minutes, dominated by the long direct integration that
-    backs the cross-validation and power-law checks.
+    ``pole_set``, ``data``, ``long_run``, ``tail_report`` and ``verdict`` are
+    the pole table, expansion, direct run, tail report and verdict, so
+    ``nonescape compare`` writes the verdict that checks 7 and 8 judge.  The
+    checks run on the packaged default configuration.  Each property is
+    computed at most once; a full :func:`run_selftest` costs a few minutes,
+    most of them in the direct run.
     """
 
     def __init__(self, cfg: RunConfig, verbose: bool = False):
@@ -142,7 +144,11 @@ class SelftestContext:
 
     @cached_property
     def data(self) -> ExpansionData:
-        return build_expansion(self.cfg.potential, self.pole_set, self.cfg.psi0)
+        """The largest truncation's expansion, which the smaller ones slice."""
+        cfg = self.cfg
+        return build_expansion(
+            cfg.potential, self.pole_set, cfg.psi0, n_pairs=cfg.truncations[-1]
+        )
 
     @cached_property
     def wide_data(self) -> ExpansionData:
@@ -184,18 +190,18 @@ class SelftestContext:
 
     @cached_property
     def tail_report(self) -> TailReport:
-        """The tail study of the config's truncations, as ``nonescape tail``
-        makes it but without the P(t) sums: ``tail`` also fits each
-        truncation's slope, and here the slope rows are NaN."""
+        """The tail study of the config's truncations without the P(t) sums,
+        so its slope rows are NaN: the D1 and crossover columns ``compare``
+        writes and check 6 judges.  ``nonescape tail`` makes its own study,
+        which also fits each truncation's slope."""
         return convergence_study(self.data, self.cfg.truncations)
 
     @cached_property
     def verdict(self) -> Verdict:
-        """The adjudication ``nonescape compare`` makes on the same run."""
-        run = self.long_run
-        sums = probability_sums(
-            self.data, TimeGrid(times=run.series.times), self.cfg.truncations
-        )
+        """The expansion judged against ``long_run`` on its samples: the
+        verdict ``nonescape compare`` writes and checks 7 and 8 judge."""
+        data, run = self.data, self.long_run  # a spectral error is reported first
+        sums = probability_sums(data, TimeGrid(times=run.series.times), self.cfg.truncations)
         return adjudicate(
             run.series, run.horizon_time, sums, self.tail_report, self.pole_set.pole(1)
         )
@@ -248,13 +254,13 @@ def check_special_functions(ctx: SelftestContext) -> CheckResult:
     # right side is exponentially small and the two M's cancel to produce
     # it, so a denominator |rhs| would demand digits float64 cannot hold.
     k_r = rng.uniform(-6.0, 6.0, 100) + 1j * rng.uniform(-1.5, 1.5, 100)
-    refl_dev = 0.0
-    for kk, tt in zip(k_r, rng.uniform(0.01, 10.0, 100)):
-        rhs = np.exp(-1j * kk**2 * tt)
-        m_pos = moshinsky(kk, tt)
-        m_neg = moshinsky(-kk, tt)
-        scale = max(abs(m_pos), abs(m_neg), abs(rhs))
-        refl_dev = max(refl_dev, abs(m_pos + m_neg - rhs) / scale)
+    t_r = rng.uniform(0.01, 10.0, 100)
+    # M(+-k_i, t_i): the diagonal of the every-time-against-every-k table
+    pair = np.arange(t_r.size)
+    m_pos, m_neg = moshinsky(np.stack([k_r, -k_r]), t_r)[pair, :, pair].T
+    rhs = np.exp(-1j * k_r**2 * t_r)
+    scale = np.max(np.abs([m_pos, m_neg, rhs]), axis=0)
+    refl_dev = float(np.max(np.abs(m_pos + m_neg - rhs) / scale))
 
     passed = w_dev <= 1e-12 and m0_dev <= 1e-14 and refl_dev <= 1e-11
     details = (

@@ -98,6 +98,10 @@ def test_07_cross_validation(
     result = check_cross_validation(ctx)
     announce(result)
     assert result.passed, result.line
+    assert result.line == (
+        "check 7/9 PASS - expansion vs direct integration: max rel dev 3.53e-04 "
+        "over 68 samples in [0.065, 3.227] (tol 0.02)"
+    )
 
 
 @pytest.mark.slow
@@ -107,6 +111,13 @@ def test_08_long_time_law(
     result = check_long_time_law(ctx)
     announce(result)
     assert result.passed, result.line
+    assert result.line == (
+        "check 8/9 PASS - long-time power law: direct slope -3.140 +- 0.092 on "
+        "[18.76, 42.00] (band [-3.3, -2.7]); N=160 slope -2.941 in same window "
+        "(band [-3.3, -2.7]; premise t_c = 179.38 >= 2.4 t_hi = 100.80); N=40 "
+        "slope -1.811 vs its own tail -1.816 (tol 0.05); crossover times "
+        "1.10 < 3.05 < 8.39 < 23.15 < 64.26 < 179.38 monotone: True"
+    )
 
 
 def test_09_oracle_integrity(

@@ -41,6 +41,7 @@ from nonescape.gamow import overlap_matrix
 from nonescape.model import BoxMode, DeltaShell
 from nonescape.oracle import GridSpec
 from nonescape.poles import SearchWindow
+from nonescape.selftest import SelftestContext
 from nonescape.specfn import moshinsky
 
 _K1 = "2.7579383212949247"
@@ -917,6 +918,64 @@ def test_compare_verdict_degrades_gracefully(config_path: Path, tmp_path: Path) 
     assert summary["crossover"]["2"] < summary["crossover"]["3"]
     assert summary["max_rel_dev_lifetime_window"] <= 0.05
     assert summary["units"] == "hbar=2m=1"
+
+
+def _short_config(tmp_path: Path) -> Path:
+    """The packaged default on CI's short oracle grid: box 20, absorber 10,
+    t <= 3.2."""
+    raw = copy.deepcopy(_DEFAULT_CONFIG)
+    raw["oracle_grid"].update(box_size=20.0, absorber_width=10.0, t_final=3.2)
+    raw["time_grid"]["t_max"] = 3.2
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _spy(monkeypatch: pytest.MonkeyPatch, module: str, name: str) -> list[int]:
+    """Count the calls to ``module.name`` through every package module that
+    binds it; one entry per call."""
+    original = getattr(sys.modules[f"nonescape.{module}"], name)
+    calls: list[int] = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for key, bound in list(sys.modules.items()):
+        if key.startswith("nonescape.") and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
+    return calls
+
+
+_STAGES = (("poles", "locate_poles"), ("gamow", "build_expansion"), ("oracle", "evolve_tdse"))
+
+
+def test_compare_writes_the_verdict_checks_7_and_8_judge(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # compare reads one run: each stage is built once, and summary.json
+    # holds the verdict SelftestContext makes, which checks 7 and 8 read
+    path = _short_config(tmp_path)
+    calls = {name: _spy(monkeypatch, module, name) for module, name in _STAGES}
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+    verdict = SelftestContext(load_config(str(path))).verdict
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == verdict.text
+    assert summary["window"] == (None if verdict.window is None else list(verdict.window))
+    assert summary["max_rel_dev_lifetime_window"] == verdict.lifetime_dev
+
+
+def test_tail_builds_the_pole_table_and_expansion_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    calls = {name: _spy(monkeypatch, module, name) for module, name in _STAGES}
+    path = _short_config(tmp_path)
+    assert main(["tail", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert {name: len(c) for name, c in calls.items()} == {
+        "locate_poles": 1, "build_expansion": 1, "evolve_tdse": 0
+    }
 
 
 def test_default_config_is_packaged(tmp_path: Path) -> None:
