@@ -277,8 +277,7 @@ class TailReport:
     ``t1_floor`` is the closed route's rounding floor on T_1;
     ``sumrule_l2`` is ||S_N||_2 = sqrt(int_0^R |S_N|^2 dr), the object whose
     decay kills the t^-1 term; ``crossover`` is where each truncated tail's
-    slope passes -2.  ``slope`` rows are NaN unless P(t) sums and a fit
-    window are supplied.
+    slope passes -2.
     """
 
     truncations: tuple[int, ...]
@@ -287,8 +286,6 @@ class TailReport:
     t1_floor: np.ndarray
     sumrule_l2: np.ndarray
     crossover: np.ndarray
-    slope: np.ndarray
-    slope_stderr: np.ndarray
 
     def _route_gap(self) -> tuple[np.ndarray, np.ndarray]:
         """|T_1 by matrix - T_1 by quadrature| per truncation, and its scale."""
@@ -333,23 +330,17 @@ class TailReport:
 
 
 def convergence_study(
-    data: ExpansionData,
-    truncations: tuple[int, ...] | list[int] | range,
-    slope_window: tuple[float, float] | None = None,
-    sums: ProbabilitySums | None = None,
+    data: ExpansionData, truncations: tuple[int, ...] | list[int] | range
 ) -> TailReport:
     """Tabulate tail coefficients, sum-rule norms, and crossovers versus N.
 
     Every truncation's coefficients come from one :func:`tail_expansion`
     table; the quadrature route to T_1 integrates each truncation's own
-    field.  With ``slope_window`` and ``sums`` (one :func:`probability_sums`
-    pass holding every truncation) each truncation's P(t) is fitted for its
-    slope, and checked where its row of the table is made.
+    field.  The study needs no P(t): a slope is fitted where P(t) is summed.
     """
     tails = tail_expansion(data, truncations)
     truncs = tuple(int(n) for n in truncations)  # checked by tail_expansion
     t1q, floor, l2, cross = (np.empty(len(truncs)) for _ in range(4))
-    slopes, errs = np.full(len(truncs), np.nan), np.full(len(truncs), np.nan)
     for i, n in enumerate(truncs):
         sub = data.truncate(n)
         q11 = moment_sum_quadrature(sub, 1, 1).real
@@ -358,10 +349,7 @@ def convergence_study(
         floor[i] = _D1_ROUTE_FLOOR * TAIL_PREFACTOR ** 2 * (x @ np.abs(sub.overlap) @ x)
         l2[i] = float(np.sqrt(max(q11, 0.0)))
         cross[i] = crossover_time(*tails[i])
-        if slope_window is not None and sums is not None:
-            fit = slope_fit(sums.series(n), slope_window)
-            slopes[i], errs[i] = fit.slope, fit.stderr
-    return TailReport(truncs, tails, t1q, floor, l2, cross, slopes, errs)
+    return TailReport(truncs, tails, t1q, floor, l2, cross)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
-from .asymptote import convergence_study, post_exponential_window
+from .asymptote import SlopeFit, post_exponential_window, slope_fit
 from .dynamics import MAX_TIME_SAMPLES, TimeGrid, probability_sums
 from .errors import ConfigError, InvalidPotential, InvalidState, NonescapeError
 from .gamow import build_expansion, overlap_matrix, sum_rule_residual
@@ -451,26 +451,29 @@ def cmd_nonescape(ctx: SelftestContext, args: argparse.Namespace) -> int:
 
 
 def cmd_tail(ctx: SelftestContext, args: argparse.Namespace) -> int:
-    cfg, data = ctx.cfg, ctx.data
+    # the run's tail report, and each truncation's slope from one P(t) pass;
+    # the slopes are NaN unless the largest truncation's series opens a
+    # window that it can fit (8 samples or more)
+    cfg = ctx.cfg
     truncations = cfg.truncations
-
-    # one pass gives every truncation's P(t); the largest opens the window
     try:
-        sums = probability_sums(data, cfg.time_grid, truncations)
-        slope_window = post_exponential_window(
-            sums.series(truncations[-1]), ctx.pole_set.pole(1)
-        )
+        sums = probability_sums(ctx.data, cfg.time_grid, truncations)
+        largest = sums.series(truncations[-1])
+        window = post_exponential_window(largest, ctx.pole_set.pole(1))
+        slope_fit(largest, window)
     except NonescapeError:
-        sums, slope_window = None, None
-    report = convergence_study(data, truncations, slope_window, sums)
+        window = None
+    report = ctx.tail_report
+    nan = SlopeFit(math.nan, math.nan)
+    fits = [slope_fit(sums.series(n), window) if window else nan for n in truncations]
     rows = zip(
         report.truncations,
         report.tails[:, 0],
         report.t1_quadrature,
         report.sumrule_l2,
         report.crossover,
-        report.slope,
-        report.slope_stderr,
+        [fit.slope for fit in fits],
+        [fit.stderr for fit in fits],
     )
     _write_csv(
         "tail.csv",

@@ -35,7 +35,7 @@ from .asymptote import (
     tail_expansion,
     tail_series,
 )
-from .dynamics import TimeGrid, nonescape_probability, probability_sums
+from .dynamics import NonescapeSeries, TimeGrid, nonescape_probability, probability_sums
 from .errors import NonescapeError
 from .gamow import (
     ExpansionData,
@@ -190,10 +190,9 @@ class SelftestContext:
 
     @cached_property
     def tail_report(self) -> TailReport:
-        """The tail study of the config's truncations without the P(t) sums,
-        so its slope rows are NaN: the D1 and crossover columns ``compare``
-        writes and check 6 judges.  ``nonescape tail`` makes its own study,
-        which also fits each truncation's slope."""
+        """The tail study of the config's truncations: the table ``nonescape
+        tail`` writes beside its slopes, the D1 and crossovers ``compare``
+        writes, and what checks 6 and 8 judge."""
         return convergence_study(self.data, self.cfg.truncations)
 
     @cached_property
@@ -416,9 +415,8 @@ def check_long_time_law(ctx: SelftestContext) -> CheckResult:
     )
     n_max = ctx.cfg.truncations[-1]
     truncated = verdict.expansion_fits[n_max]
-    # the same least-squares ln P vs ln t fit as slope_fit, on the same samples
     own = tail_series(report.tails[-1], t_win.times)
-    own_tail = float(np.polyfit(np.log(t_win.times), np.log(own), 1)[0])
+    own_tail = slope_fit(NonescapeSeries(t_win.times, own, 0.0, n_max), window).slope
     tail_dev = abs(truncated.slope - own_tail)
 
     band = f"band [{T3_BAND[0]:g}, {T3_BAND[1]:g}]"

@@ -30,7 +30,6 @@ from nonescape.dynamics import (
     lifetime,
     nested_forms,
     nonescape_probability,
-    probability_sums,
 )
 from nonescape.errors import (
     ConfigError,
@@ -467,55 +466,6 @@ def test_convergence_study_table(data: ExpansionData) -> None:
     )
     assert np.all(np.diff(report.tails[:, 0]) < 0.0)
     assert np.all(np.diff(report.crossover) > 0.0)
-    assert np.isnan(report.slope).all() and np.isnan(report.slope_stderr).all()
-
-
-def test_convergence_study_with_slopes(data: ExpansionData) -> None:
-    grid = TimeGrid.log(20.0, 40.0, per_decade=40)
-    window = (20.0, 40.0)
-    report = convergence_study(data, (5, 40), window, probability_sums(data, grid, (5, 40)))
-    assert not np.isnan(report.slope).any() and not np.isnan(report.slope_stderr).any()
-    assert report.slope.shape == (2,)
-    # In a late window the heavily truncated expansion shows the shallow
-    # spurious slope; at N = 40 the crossover (~23) sits inside the window,
-    # so the slope is intermediate but still shallower than -3.
-    assert report.slope[0] > -1.5
-    assert -3.0 < report.slope[1] < -1.0
-    assert np.all(report.slope_stderr >= 0.0)
-    # each row is the fit of that truncation's own series
-    for i, n in enumerate((5, 40)):
-        single = slope_fit(nonescape_probability(data, grid, n_pairs=n), window)
-        assert report.slope[i] == single.slope
-        assert report.slope_stderr[i] == single.stderr
-
-
-def test_convergence_study_reuses_largest_series(
-    data: ExpansionData, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    # The caller's single probability_sums pass is the only source of P(t):
-    # the study reads each truncation's series from it once and sums nothing
-    # itself.
-    grid = TimeGrid.log(20.0, 40.0, per_decade=40)
-    window = (20.0, 40.0)
-    sums = probability_sums(data, grid, (5, 40))
-    reads: list[int] = []
-    original = type(sums).series
-
-    def counted(self, n_pairs):
-        reads.append(n_pairs)
-        return original(self, n_pairs)
-
-    monkeypatch.setattr(type(sums), "series", counted)
-    report = convergence_study(data, (5, 40), window, sums)
-    assert reads == [5, 40]
-    convergence_study(data, (5, 40), None, sums)
-    convergence_study(data, (5, 40), window, None)
-    assert reads == [5, 40]
-    for i, n in enumerate((5, 40)):
-        single = slope_fit(nonescape_probability(data, grid, n_pairs=n), window)
-        assert report.slope[i] == single.slope
-    with pytest.raises(ConfigError, match="not among"):
-        convergence_study(data, (5, 10), window, sums)
 
 
 def test_convergence_study_tail_matches_series(data: ExpansionData) -> None:

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from _oracles import csv_cell_chain
 
+from nonescape.asymptote import post_exponential_window, slope_fit
 from nonescape.cli import (
     _CONVERTERS,
     _TOP_KEYS,
@@ -671,8 +672,8 @@ def test_tail_evaluates_each_series_once(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     # One P(t) pass covers every truncation: the largest truncation's series
-    # opens the slope window and gives that truncation's slope, and no
-    # series is evaluated a second time.
+    # opens the slope window, and each truncation's slope is the fit of its
+    # own series, bit for bit (%.17g round-trips).
     import nonescape.cli as cli
     import nonescape.dynamics as dynamics
 
@@ -685,11 +686,46 @@ def test_tail_evaluates_each_series_once(
 
     for module in (cli, dynamics):
         monkeypatch.setattr(module, "probability_sums", counted)
-    out = tmp_path / "out"
-    assert main(["tail", "--config", str(_tail_config(tmp_path)), "--out", str(out)]) == 0
+    path, out = _tail_config(tmp_path), tmp_path / "out"
+    assert main(["tail", "--config", str(path), "--out", str(out)]) == 0
     assert calls == [(5, 10)]
     _, _, rows = _read_csv(out / "tail.csv")
-    assert all(np.isfinite(float(row["slope"])) for row in rows)
+    assert [row["N"] for row in rows] == ["5", "10"]
+    run = SelftestContext(load_config(str(path)))
+    grid = run.cfg.time_grid
+    window = post_exponential_window(
+        nonescape_probability(run.data, grid, n_pairs=10), run.pole_set.pole(1)
+    )
+    for row, n in zip(rows, (5, 10)):
+        fit = slope_fit(nonescape_probability(run.data, grid, n_pairs=n), window)
+        assert float(row["slope"]) == fit.slope
+        assert float(row["slope_stderr"]) == fit.stderr
+
+
+def test_tail_window_under_eight_samples_means_no_slopes(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # On the packaged default cut at t = 20 the window opens at t ~ 18.9 with
+    # two samples: too few to fit, so it counts as no window, and the study
+    # columns are those of the full run to t = 42.
+    raw = json.loads(
+        resources.files("nonescape.data").joinpath("default_config.json").read_text()
+    )
+    tables = {}
+    for t_max in (20.0, 42.0):
+        raw["time_grid"]["t_max"] = t_max
+        path, out = tmp_path / f"t{t_max:g}.json", tmp_path / f"t{t_max:g}"
+        path.write_text(json.dumps(raw))
+        assert main(["tail", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        tables[t_max] = _read_csv(out / "tail.csv")[2]
+    short, full = tables[20.0], tables[42.0]
+    assert all(row["slope"] == row["slope_stderr"] == "nan" for row in short)
+    assert all(row["slope"] != "nan" for row in full)
+    study = ("N", "D1_sum", "D1_integral", "sumrule_L2", "crossover_t")
+    assert [[row[k] for k in study] for row in short] == [
+        [row[k] for k in study] for row in full
+    ]
 
 
 # Forced failures: a doctored expansion makes chosen truncations fail their
